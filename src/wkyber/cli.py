@@ -42,6 +42,19 @@ def _parse_grid(spec: str):
     return out
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer >= low, else a usage error (exit 2)."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
+
+
 def _fmt(x) -> str:
     if isinstance(x, float):
         return f"{x:.10g}"
@@ -185,14 +198,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="SNR of the BCH-protected path, dB")
         p.add_argument("--snr-lsb", dest="snr_lsb", type=float, default=-10.0,
                        help="SNR of the exposed 2-bit path, dB")
-        p.add_argument("--trials", type=int, default=1000,
+        p.add_argument("--trials", type=_int_at_least(1), default=1000,
                        help="bits / codewords / sessions per point")
-        p.add_argument("--seed", type=int, default=42)
+        p.add_argument("--seed", type=_int_at_least(0), default=42)
         p.add_argument("--out", default=None, help="output file (default stdout)")
         p.add_argument("--fo-policy", dest="fo_policy", default="msb-only",
                        choices=["msb-only", "exact"],
                        help="re-encryption comparison policy (v1 KEM)")
-        p.add_argument("--workers", type=int, default=None,
+        p.add_argument("--workers", type=_int_at_least(1), default=None,
                        help="parallel workers for Monte Carlo")
         if grid_default:
             p.add_argument("--grid", type=_parse_grid, default=_parse_grid(grid_default),

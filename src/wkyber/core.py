@@ -424,3 +424,10 @@ def unpack12(data: bytes, count: int) -> np.ndarray:
     c0 = b[:, 0] | ((b[:, 1] & 0x0F) << 8)
     c1 = (b[:, 1] >> 4) | (b[:, 2] << 4)
     return np.column_stack([c0, c1]).ravel()
+
+
+def check_canonical(coeffs: np.ndarray) -> np.ndarray:
+    """Pass wire-decoded ring coefficients through unless one is >= q."""
+    if coeffs.max(initial=0) >= Q:
+        raise ValueError("non-canonical coefficient >= q")
+    return coeffs

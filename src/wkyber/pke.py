@@ -11,10 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (RingElement, RingVector, XofStream, check_seed,
-                   compress_array, decompress_array, gen_matrix, inner_product,
-                   matvec_mul, pack12, poly_add, poly_sub, sample_noise_vector,
-                   unpack12, vec_add)
+from .core import (RingElement, RingVector, XofStream, check_canonical,
+                   check_seed, compress_array, decompress_array, gen_matrix,
+                   inner_product, matvec_mul, pack12, poly_add, poly_sub,
+                   sample_noise_vector, unpack12, vec_add)
 from .params import N, ParamSet
 
 
@@ -69,7 +69,7 @@ class PublicKey:
     @classmethod
     def from_bytes(cls, data: bytes, params: ParamSet) -> "PublicKey":
         seed, packed = data[:32], data[32:]
-        coeffs = unpack12(packed, params.k * N)
+        coeffs = check_canonical(unpack12(packed, params.k * N))
         elems = [RingElement(coeffs[i * N:(i + 1) * N]) for i in range(params.k)]
         return cls(seed, RingVector(elems))
 
@@ -87,7 +87,7 @@ class SecretKey:
 
     @classmethod
     def from_bytes(cls, data: bytes, params: ParamSet) -> "SecretKey":
-        coeffs = unpack12(data, params.k * N)
+        coeffs = check_canonical(unpack12(data, params.k * N))
         elems = [RingElement(coeffs[i * N:(i + 1) * N]) for i in range(params.k)]
         return cls(RingVector(elems))
 

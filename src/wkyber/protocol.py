@@ -24,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (RingElement, RingVector, XofStream, check_seed,
-                   compress_array, gen_matrix, inner_product, matvec_mul,
-                   pack12, sample_noise_vector, unpack12)
+from .core import (RingElement, RingVector, XofStream, check_canonical,
+                   check_seed, compress_array, gen_matrix, inner_product,
+                   matvec_mul, pack12, sample_noise_vector, unpack12)
 from .modem import ChannelPlan, NoiseSource
 from .params import N, Q, ParamSet
 from .pke import Message, PublicKey, SecretKey, keygen, message_to_ring
@@ -58,7 +58,8 @@ class WkCiphertext:
     @classmethod
     def from_bytes(cls, data: bytes, params: ParamSet) -> "WkCiphertext":
         count = (params.k + 1) * N
-        return cls.from_coeffs(unpack12(data, count), params.k)
+        return cls.from_coeffs(check_canonical(unpack12(data, count)),
+                               params.k)
 
     def __eq__(self, other):
         return (isinstance(other, WkCiphertext) and self.u == other.u
@@ -208,16 +209,17 @@ def _encaps_with_message(pk: PublicKey, m: Message, params: ParamSet):
     return c, secret
 
 
-def _coeffs_match(a: np.ndarray, b: np.ndarray, policy: str) -> bool:
+def _coeffs_match(expected: np.ndarray, received: np.ndarray,
+                  policy: str) -> bool:
     if policy == "exact":
-        return np.array_equal(a, b)
+        return np.array_equal(expected, received)
     if policy == "msb-only":
-        # the protected words agree iff the values differ by at most a w2
-        # perturbation; the centered comparison also absorbs the mod-q wrap
-        # of coefficients stored just below q
-        diff = (a - b) % Q
-        diff[diff > Q // 2] -= Q
-        return bool((np.abs(diff) <= 3).all())
+        # the protected words w10 = c >> 2 must agree exactly.  One wrap is
+        # honest: q = 4 * 832 + 1, so a stored q - 1 = 4 * 832 whose w2 bits
+        # rise comes back as 4 * 832 + 1..3 = 0..2 mod q
+        same = (expected >> 2) == (received >> 2)
+        wrapped = (expected == Q - 1) & (received <= 2)
+        return bool((same | wrapped).all())
     raise ValueError(f"unknown comparison policy {policy!r}")
 
 
@@ -226,9 +228,9 @@ def kem_v1_decaps(ksk: KemSecretKey, pk: PublicKey, c_received: WkCiphertext,
     """Decrypt, re-encrypt, compare; mismatches yield the implicit-rejection
     secret rather than an error.
 
-    The default msb-only policy compares only the BCH-protected content;
-    exact comparison rejects nearly every honest session because the channel
-    legitimately perturbs the exposed bits.
+    The default msb-only policy compares the BCH-protected w10 words
+    exactly; exact comparison rejects nearly every honest session because
+    the channel legitimately perturbs the exposed bits.
     """
     m2 = wk_decrypt(ksk.sk, c_received)
     pk_proj = _project_pk(pk)
@@ -270,7 +272,12 @@ class SessionTranscript:
 
 
 def _derive_seed(master: int, label: bytes) -> bytes:
-    return _hash(b"session" + label, master.to_bytes(8, "little", signed=False))
+    """Seeds below 2^64 hash as 8 bytes; larger ones as their minimal
+    little-endian encoding, which no 8-byte seed shares."""
+    if master < 0:
+        raise ValueError(f"session seed {master} is negative")
+    width = max(8, (master.bit_length() + 7) // 8)
+    return _hash(b"session" + label, master.to_bytes(width, "little"))
 
 
 def _send_pk(pk: PublicKey, plan: ChannelPlan, noise: NoiseSource, params: ParamSet):

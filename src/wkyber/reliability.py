@@ -1,30 +1,31 @@
 """Decryption-failure analysis and Monte Carlo key-error-rate harness.
 
 The per-coefficient decryption noise is a sum of thousands of independent
-small terms; its tail mass near q/4 sits around 2^-230, far below anything a
-double-precision convolution can resolve reliably.  IntDist therefore stores
-probability masses as 512-bit fixed-point integers and convolves exactly in
-integer arithmetic, packing each mass array into one big integer so the
-whole convolution rides Python's subquadratic bignum multiply (Kronecker
-substitution).  Tails below 2^-480 are trimmed; a conservation guard trips
-if total mass ever drifts by more than 1e-20.
+small terms; its tail mass near q/4 sits around 2^-230.  IntDist holds the
+probability masses as float64 arrays and convolves them directly
+(np.convolve, never FFT): every term is a nonnegative product, so the sums
+never cancel and each mass keeps its relative accuracy (about n * 2^-53 for
+n summed terms) however far into the tail it lies.  An FFT convolution
+would instead carry an absolute error near 2^-53 times the peak mass and
+lose the tail.  This is the method of the Kyber team's own failure script
+(Bos et al., "CRYSTALS-Kyber", EuroS&P 2018).  Tails below 2^-480 are
+trimmed; a conservation guard trips if an operation's total mass drifts by
+more than 1e-12 or produces a negative or non-finite mass.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-import mpmath
+import numpy as np
 
+from .core import compress_array, decompress_array
 from .params import Q, ParamSet
 from .transport import coeff_error_dist
 
-PREC_BITS = 512
-_ONE = 1 << PREC_BITS
-_TRIM_BELOW = 1 << 32          # masses under 2^-480 are dropped from the ends
-_GUARD = _ONE // 10 ** 20      # conservation tolerance 1e-20
+_TRIM_BELOW = 2.0 ** -480      # masses under this are dropped from the ends
+_GUARD = 1e-12                 # conservation tolerance
 
 # smallest centred noise magnitude that can flip a message bit: the two
 # decision regions of compress(x, 1) sit 832 = round(q/4) away from the
@@ -36,48 +37,31 @@ class PrecisionLossError(ArithmeticError):
     """Total probability mass drifted beyond the conservation guard."""
 
 
-def _to_fixed(value) -> int:
-    """Round a probability (int / float / Fraction / mpf) to 512-bit fixed point."""
-    if isinstance(value, Fraction):
-        return (value.numerator * _ONE + value.denominator // 2) // value.denominator
-    if isinstance(value, mpmath.mpf):
-        return int(mpmath.nint(value * _ONE))
-    if isinstance(value, int):
-        return value * _ONE
-    return int(round(value * _ONE))
-
-
 class IntDist:
-    """Integer-valued distribution on a contiguous support with fixed-point
+    """Integer-valued distribution on a contiguous support with float64
     masses.  Instances are immutable; operations return new distributions."""
 
     __slots__ = ("offset", "masses")
 
     def __init__(self, offset: int, masses):
-        self.offset = offset
-        self.masses = list(masses)
-        if not self.masses:
+        self.offset = int(offset)
+        self.masses = np.array(masses, dtype=np.float64).ravel()
+        if not self.masses.size:
             raise ValueError("empty distribution")
-        if any(m < 0 for m in self.masses):
+        if (self.masses < 0).any():
             raise ValueError("negative mass")
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def from_mapping(cls, pmf: dict) -> "IntDist":
-        lo, hi = min(pmf), max(pmf)
-        masses = [_to_fixed(pmf.get(v, 0)) for v in range(lo, hi + 1)]
-        return cls(lo, masses)
-
-    @classmethod
     def point_mass(cls, value: int = 0) -> "IntDist":
-        return cls(value, [_ONE])
+        return cls(value, [1.0])
 
     @classmethod
     def centered_binomial(cls, eta: int) -> "IntDist":
         """Exact dyadic law of (sum of eta bits) - (sum of eta bits)."""
-        return cls.from_mapping({i - eta: Fraction(math.comb(2 * eta, i), 4 ** eta)
-                                 for i in range(2 * eta + 1)})
+        return cls(-eta, [math.comb(2 * eta, i) / 4 ** eta
+                          for i in range(2 * eta + 1)])
 
     # -- basic queries -------------------------------------------------------
 
@@ -85,67 +69,60 @@ class IntDist:
     def support(self) -> range:
         return range(self.offset, self.offset + len(self.masses))
 
-    def total_mass(self) -> int:
-        return sum(self.masses)
+    def _values(self) -> np.ndarray:
+        return np.arange(self.offset, self.offset + len(self.masses))
+
+    def total_mass(self) -> float:
+        return float(self.masses.sum())
 
     def mass_defect(self) -> float:
-        """|1 - total mass| as a float."""
-        return abs(self.total_mass() - _ONE) / _ONE
+        """|1 - total mass|."""
+        return abs(self.total_mass() - 1.0)
 
     def probabilities(self) -> dict:
-        return {v: m / _ONE for v, m in zip(self.support, self.masses) if m}
+        return {v: float(m) for v, m in zip(self.support, self.masses) if m}
 
     def stddev(self) -> float:
         tot = self.total_mass()
-        mean = sum(v * m for v, m in zip(self.support, self.masses)) / tot
-        var = sum((v - mean) ** 2 * m for v, m in zip(self.support, self.masses)) / tot
-        return math.sqrt(var)
+        values = self._values()
+        mean = float(values @ self.masses) / tot
+        return math.sqrt(float((values - mean) ** 2 @ self.masses) / tot)
 
     def is_symmetric(self) -> bool:
-        return self.masses == self.masses[::-1] and \
-            self.offset == -(self.offset + len(self.masses) - 1)
+        return (self.offset == -(self.offset + len(self.masses) - 1)
+                and np.allclose(self.masses, self.masses[::-1],
+                                rtol=1e-12, atol=0.0))
 
     # -- arithmetic ----------------------------------------------------------
 
     def _trimmed(self) -> "IntDist":
-        lo = 0
-        hi = len(self.masses)
-        while lo < hi - 1 and self.masses[lo] < _TRIM_BELOW:
-            lo += 1
-        while hi > lo + 1 and self.masses[hi - 1] < _TRIM_BELOW:
-            hi -= 1
-        if lo == 0 and hi == len(self.masses):
+        keep = np.flatnonzero(self.masses >= _TRIM_BELOW)
+        if not keep.size or (keep[0] == 0 and keep[-1] == len(self.masses) - 1):
             return self
-        return IntDist(self.offset + lo, self.masses[lo:hi])
+        return IntDist(self.offset + keep[0], self.masses[keep[0]:keep[-1] + 1])
+
+    def _checked(self, other: "IntDist", offset: int, masses: np.ndarray,
+                 op: str) -> "IntDist":
+        """Trimmed result of a binary operation whose output mass must
+        equal the product of the operands' masses."""
+        expected = self.total_mass() * other.total_mass()
+        if (not np.isfinite(masses).all() or (masses < 0).any()
+                or abs(masses.sum() - expected) > _GUARD):
+            raise PrecisionLossError(f"mass conservation violated in {op}")
+        return IntDist(offset, masses)._trimmed()
 
     def convolve(self, other: "IntDist") -> "IntDist":
-        """Distribution of X + Y for independent X, Y (exact, then rescaled
-        back to 512 fractional bits)."""
-        out = _kronecker_convolve(self.masses, other.masses)
-        dist = IntDist(self.offset + other.offset, out)
-        expected = (self.total_mass() * other.total_mass()) >> PREC_BITS
-        if abs(dist.total_mass() - expected) > _GUARD:
-            raise PrecisionLossError("mass conservation violated in convolve")
-        return dist._trimmed()
+        """Distribution of X + Y for independent X, Y (direct convolution)."""
+        out = np.convolve(self.masses, other.masses)
+        return self._checked(other, self.offset + other.offset, out, "convolve")
 
     def product(self, other: "IntDist") -> "IntDist":
         """Distribution of X * Y for independent X, Y."""
-        lo = min(a * b for a in (self.offset, self.support[-1])
-                 for b in (other.offset, other.support[-1]))
-        hi = max(a * b for a in (self.offset, self.support[-1])
-                 for b in (other.offset, other.support[-1]))
-        acc = [0] * (hi - lo + 1)
-        for v1, m1 in zip(self.support, self.masses):
-            if not m1:
-                continue
-            for v2, m2 in zip(other.support, other.masses):
-                if m2:
-                    acc[v1 * v2 - lo] += m1 * m2
-        dist = IntDist(lo, [m >> PREC_BITS for m in acc])
-        expected = (self.total_mass() * other.total_mass()) >> PREC_BITS
-        if abs(dist.total_mass() - expected) > _GUARD:
-            raise PrecisionLossError("mass conservation violated in product")
-        return dist._trimmed()
+        values = np.multiply.outer(self._values(), other._values()).ravel()
+        lo = int(values.min())
+        acc = np.bincount(values - lo, weights=np.multiply.outer(
+            self.masses, other.masses).ravel())
+        return self._checked(other, lo, acc, "product")
 
     def convolve_power(self, times: int) -> "IntDist":
         """times-fold self-convolution by square and multiply."""
@@ -160,33 +137,9 @@ class IntDist:
 
     # -- tails ---------------------------------------------------------------
 
-    def tail_two_sided(self, bound: int) -> int:
-        """Fixed-point P(|X| >= bound)."""
-        return sum(m for v, m in zip(self.support, self.masses) if abs(v) >= bound)
-
-
-def _kronecker_convolve(a: list, b: list) -> list:
-    """Exact convolution of nonnegative integer sequences via one bignum
-    multiply; slot width covers the largest possible coefficient."""
-    slot = 2 * PREC_BITS + min(len(a), len(b)).bit_length() + 1
-    slot = (slot + 7) // 8 * 8
-    width = slot // 8
-    packed_a = b"".join(m.to_bytes(width, "little") for m in a)
-    packed_b = b"".join(m.to_bytes(width, "little") for m in b)
-    prod = int.from_bytes(packed_a, "little") * int.from_bytes(packed_b, "little")
-    nout = len(a) + len(b) - 1
-    raw = prod.to_bytes(nout * width + width, "little")
-    return [int.from_bytes(raw[i * width:(i + 1) * width], "little") >> PREC_BITS
-            for i in range(nout)]
-
-
-def log2_fixed(mass: int) -> float:
-    """log2 of a fixed-point probability; -inf for zero."""
-    if mass <= 0:
-        return float("-inf")
-    bits = mass.bit_length()
-    top = mass >> max(0, bits - 53)
-    return math.log2(top) + max(0, bits - 53) - PREC_BITS
+    def tail_two_sided(self, bound: int) -> float:
+        """P(|X| >= bound)."""
+        return float(self.masses[np.abs(self._values()) >= bound].sum())
 
 
 # ---------------------------------------------------------------------------
@@ -196,38 +149,17 @@ def log2_fixed(mass: int) -> float:
 def compression_error_dist(d: int) -> IntDist:
     """Exact PMF of decompress(compress(x, d), d) - x over uniform x in
     [0, q); a 3329-point enumeration, no approximation."""
-    from .core import compress, decompress
-    counts: dict = {}
-    for x in range(Q):
-        err = (decompress(compress(x, d), d) - x) % Q
-        if err > Q // 2:
-            err -= Q
-        counts[err] = counts.get(err, 0) + 1
-    return IntDist.from_mapping({e: Fraction(c, Q) for e, c in counts.items()})
+    x = np.arange(Q)
+    err = (decompress_array(compress_array(x, d), d) - x) % Q
+    err[err > Q // 2] -= Q
+    lo = int(err.min())
+    return IntDist(lo, np.bincount(err - lo) / Q)
 
 
 def channel_error_intdist(snr_lsb_db: float, variant: str = "exact") -> IntDist:
-    """Channel-induced coefficient error law at high working precision.
-
-    The per-bit flip probability is evaluated with mpmath so the masses carry
-    more than the 53 bits a float would give them.
-    """
-    with mpmath.workprec(PREC_BITS + 64):
-        ebn0 = mpmath.mpf(10) ** (mpmath.mpf(snr_lsb_db) / 10)
-        p = mpmath.erfc(mpmath.sqrt(2 * ebn0) / mpmath.sqrt(2)) / 2
-        half = p * (1 - p) / 2
-        if variant == "exact":
-            masses = {0: (1 - p) ** 2, 1: half + p * p / 4,
-                      2: half, 3: p * p / 4}
-        elif variant == "approx":
-            masses = {0: (1 - p) ** 2 / 4, 1: half + p * p,
-                      2: half, 3: p * p / 4}
-            total = masses[0] + 2 * (masses[1] + masses[2] + masses[3])
-            masses = {e: m / total for e, m in masses.items()}
-        else:
-            raise ValueError(f"unknown channel PMF variant {variant!r}")
-        pmf = {e: masses[abs(e)] for e in range(-3, 4)}
-        return IntDist.from_mapping(pmf)
+    """Channel-induced coefficient error law on -3..3 (see
+    transport.channel_error_pmf)."""
+    return IntDist(-3, coeff_error_dist(snr_lsb_db, variant).pmf)
 
 
 @dataclass
@@ -278,7 +210,7 @@ def failure_probability(params: ParamSet, model: ErrorModel) -> float:
     n times that (union bound over coefficients).
     """
     tail = noise_distribution(params, model).tail_two_sided(FAILURE_BOUND)
-    return log2_fixed(params.n * tail)
+    return math.log2(params.n * tail) if tail > 0 else float("-inf")
 
 
 def standard_kyber_model(params: ParamSet) -> ErrorModel:

@@ -151,8 +151,6 @@ def receive_coeffs(frame: Frame, count: int):
     (possible when a stored coefficient near q-1 shifts upward, or after a
     miscorrection) wrap mod q; the wrap is part of the modelled noise.
     """
-    if frame.count < count:
-        raise ValueError(f"frame holds {frame.count} coefficients, need {count}")
     if frame.count != count:
         raise ValueError("frame length does not match coefficient count")
     w10, failed = receive_blocks(frame.msb, count)

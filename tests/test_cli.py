@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from wkyber.cli import main
 
 
@@ -145,6 +147,22 @@ class TestPlumbing:
             [sys.executable, "-m", "wkyber.cli", "ber", "--grid", "nope"],
             capture_output=True)
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("flag, value", [("--seed", "-1"),
+                                             ("--trials", "0"),
+                                             ("--workers", "0")])
+    def test_out_of_range_flag_exit_code(self, flag, value):
+        proc = subprocess.run(
+            [sys.executable, "-m", "wkyber.cli", "exchange", flag, value],
+            capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr and flag in proc.stderr
+        assert proc.stdout == ""
+
+    def test_seed_beyond_64_bits_runs(self, capsys):
+        code, out, _ = run_cli(capsys, "exchange", "--trials", "1",
+                               "--seed", str(1 << 64))
+        assert code == 0 and parse(out)[0]["outcome"] == "match"
 
     def test_unknown_command_exit_code(self):
         proc = subprocess.run(

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wkyber.core import FixedStream, RingElement, RingVector, XofStream, matvec_mul
+from wkyber.core import (FixedStream, RingElement, RingVector, XofStream,
+                         matvec_mul, pack12)
 from wkyber.params import KYBER768, N, Q, PARAM_SETS
 from wkyber.pke import (CompressedCiphertext, Message, PublicKey, SecretKey,
                         decrypt, decryption_noise, encrypt, keygen,
@@ -118,3 +121,78 @@ class TestSerialization:
     def test_pk_length(self):
         pk, _ = keygen(SEED, stream(b"len"), KYBER768)
         assert len(pk.to_bytes()) == 32 + 3 * 384  # seed + 12-bit packed b
+
+
+# wire decoders accept exactly the canonical encodings: every 12-bit
+# coefficient below q, so that decode then encode reproduces the input
+P512 = PARAM_SETS[512]
+PK_BYTES = 32 + P512.k * 384
+coeff_seeds = st.integers(0, 2 ** 32 - 1)
+# (position, value >= q) overwrites; empty lists keep the encoding canonical
+overwrites = st.lists(st.tuples(st.integers(0, P512.k * N - 1),
+                                st.integers(Q, 4095)), max_size=3)
+
+
+def random_coeffs(seed, count):
+    return np.random.default_rng(seed).integers(0, Q, count)
+
+
+def as_vector(coeffs):
+    return RingVector([RingElement(coeffs[i * N:(i + 1) * N])
+                       for i in range(len(coeffs) // N)])
+
+
+class TestCanonicalDecoding:
+    @given(coeff_seeds)
+    @settings(max_examples=25)
+    def test_pk_roundtrip(self, seed):
+        pk = PublicKey(bytes([seed & 0xFF]) * 32,
+                       as_vector(random_coeffs(seed, P512.k * N)))
+        assert PublicKey.from_bytes(pk.to_bytes(), P512) == pk
+
+    @given(coeff_seeds)
+    @settings(max_examples=25)
+    def test_sk_roundtrip(self, seed):
+        sk = SecretKey(as_vector(random_coeffs(seed, P512.k * N)))
+        assert SecretKey.from_bytes(sk.to_bytes(), P512).s == sk.s
+
+    @given(coeff_seeds, overwrites)
+    @settings(max_examples=50)
+    def test_rejects_coefficients_at_or_above_q(self, seed, bad):
+        coeffs = random_coeffs(seed, P512.k * N)
+        for pos, value in bad:
+            coeffs[pos] = value
+        packed = pack12(coeffs)
+        if bad:
+            with pytest.raises(ValueError):
+                PublicKey.from_bytes(SEED + packed, P512)
+            with pytest.raises(ValueError):
+                SecretKey.from_bytes(packed, P512)
+        else:
+            assert PublicKey.from_bytes(SEED + packed, P512).to_bytes() == \
+                SEED + packed
+            assert SecretKey.from_bytes(packed, P512).to_bytes() == packed
+
+    def test_packed_4095_rejected(self):
+        coeffs = np.zeros(P512.k * N, dtype=np.int64)
+        coeffs[5] = 4095
+        with pytest.raises(ValueError):
+            PublicKey.from_bytes(SEED + pack12(coeffs), P512)
+
+    @given(st.binary(min_size=PK_BYTES - 3, max_size=PK_BYTES + 3))
+    @settings(max_examples=50)
+    def test_pk_fuzz(self, data):
+        try:
+            pk = PublicKey.from_bytes(data, P512)
+        except ValueError:
+            return
+        assert pk.to_bytes() == data
+
+    @given(st.binary(min_size=PK_BYTES - 35, max_size=PK_BYTES - 29))
+    @settings(max_examples=50)
+    def test_sk_fuzz(self, data):
+        try:
+            sk = SecretKey.from_bytes(data, P512)
+        except ValueError:
+            return
+        assert sk.to_bytes() == data

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wkyber.core import RingElement, RingVector, XofStream, matvec_mul
+from wkyber.core import RingElement, RingVector, XofStream, matvec_mul, pack12
 from wkyber.modem import ChannelPlan
 from wkyber.params import KYBER768, N, Q, PARAM_SETS
 from wkyber.pke import Message, keygen
@@ -79,6 +81,38 @@ class TestV1Pke:
         assert len(c.to_bytes()) == 12 * (P768.k + 1) * N // 8
         rt = WkCiphertext.from_bytes(c.to_bytes(), P768)
         assert rt == c
+
+
+CT_BYTES = (P768.k + 1) * 384
+
+
+class TestCiphertextDecoding:
+    @given(st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=25)
+    def test_roundtrip(self, seed):
+        coeffs = np.random.default_rng(seed).integers(0, Q, (P768.k + 1) * N)
+        c = WkCiphertext.from_coeffs(coeffs, P768.k)
+        assert WkCiphertext.from_bytes(c.to_bytes(), P768) == c
+
+    @given(st.integers(0, 2 ** 32 - 1),
+           st.lists(st.tuples(st.integers(0, (P768.k + 1) * N - 1),
+                              st.integers(Q, 4095)), min_size=1, max_size=3))
+    @settings(max_examples=25)
+    def test_rejects_coefficients_at_or_above_q(self, seed, bad):
+        coeffs = np.random.default_rng(seed).integers(0, Q, (P768.k + 1) * N)
+        for pos, value in bad:
+            coeffs[pos] = value
+        with pytest.raises(ValueError):
+            WkCiphertext.from_bytes(pack12(coeffs), P768)
+
+    @given(st.binary(min_size=CT_BYTES - 3, max_size=CT_BYTES + 3))
+    @settings(max_examples=50)
+    def test_fuzz(self, data):
+        try:
+            c = WkCiphertext.from_bytes(data, P768)
+        except ValueError:
+            return
+        assert c.to_bytes() == data
 
 
 class TestV2Pke:
@@ -163,13 +197,35 @@ class TestKem:
         assert kem_v1_decaps(ksk2, pk, c_bad, P768) != out
 
     def test_lsb_perturbation_accepted_by_msb_policy(self):
+        # the channel rewrites w2 only: 4 * w10 + w2' mod q
         pk, ksk = kem_v1_keygen(SEED, stream(b"n"), P768)
         c, secret = kem_v1_encaps(pk, stream(b"m7"), P768)
         perturbed = c.coeff_array().copy()
-        perturbed[:64] = (perturbed[:64] + np.random.default_rng(0)
-                          .integers(-3, 4, 64)) % Q
+        perturbed[:64] = ((perturbed[:64] & ~3) + np.random.default_rng(0)
+                          .integers(0, 4, 64)) % Q
         c_noisy = WkCiphertext.from_coeffs(perturbed, P768.k)
         assert kem_v1_decaps(ksk, pk, c_noisy, P768) == secret
+
+    def test_carry_into_protected_word_rejects(self):
+        # 4w + 3 -> 4(w + 1) is within 3 of the honest value but changes w10
+        pk, ksk = kem_v1_keygen(SEED, stream(b"n"), P768)
+        c, secret = kem_v1_encaps(pk, stream(b"m7"), P768)
+        bumped = c.coeff_array().copy()
+        idx = np.flatnonzero((bumped & 3) == 3)[0]
+        bumped[idx] += 1
+        c_bad = WkCiphertext.from_coeffs(bumped, P768.k)
+        assert kem_v1_decaps(ksk, pk, c_bad, P768) != secret
+
+    def test_msb_policy_allows_only_the_q_wrap(self):
+        from wkyber.protocol import _coeffs_match
+        clean = np.array([Q - 1, Q - 1, Q - 1, Q - 1, 7])
+        # stored q - 1 = 4 * 832 whose w2 rises to 1..3 wraps to 0..2
+        assert _coeffs_match(clean, np.array([Q - 1, 0, 1, 2, 4]), "msb-only")
+        for wrong in (3, Q - 2):
+            received = np.array([wrong, 0, 1, 2, 4])
+            assert not _coeffs_match(clean, received, "msb-only")
+        assert not _coeffs_match(clean, np.array([Q - 1, 0, 1, 2, 8]),
+                                 "msb-only")
 
 
 class TestSessions:
@@ -234,8 +290,7 @@ class TestNoiseAccounting:
 
         dist = noise_distribution(P768, wkyber_v2_model(P768, -10.0))
         support = np.array(list(dist.support))
-        masses = np.array([m / 2.0 ** 512 for m in dist.masses])
-        cdf = np.cumsum(masses)
+        cdf = np.cumsum(dist.masses)
         # KS distance between the empirical sample and the analytic CDF
         xs = np.sort(observed)
         emp = np.arange(1, len(xs) + 1) / len(xs)
