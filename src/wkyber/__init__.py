@@ -9,21 +9,19 @@ coefficient transport, protocols) plus reliability analysis tooling and the
 """
 
 from .params import KYBER512, KYBER768, KYBER1024, PARAM_SETS, ParamSet, get_params
-from .core import (RingElement, RingMatrix, RingVector, StreamExhausted,
-                   SystemRandomStream, XofStream, cbd_sample, compress,
-                   decompress, gen_matrix, matvec_mul, poly_add, poly_mul,
-                   poly_mul_schoolbook, poly_sub)
+from .core import (StreamExhausted, SystemRandomStream, XofStream, cbd_sample,
+                   centered, compress, decompress, gen_matrix, matvec_mul,
+                   poly_mul, poly_mul_schoolbook)
 from .pke import (CompressedCiphertext, Message, PublicKey, SecretKey, decrypt,
                   encrypt, keygen)
-from .modem import (ChannelPlan, IQSymbol, NoiseSource, ber_4qam, ber_mpsk,
-                    demodulate, modulate, q_function, transmit)
+from .modem import (ChannelPlan, NoiseSource, ber_4qam, ber_mpsk,
+                    demodulate_symbols, modulate_words, q_function, transmit)
 from .bch import bch_decode, bch_encode, bch_generator, codeword_error_prob
-from .transport import (CoeffErrorDist, CoeffSplit, Frame, coeff_error_dist,
-                        dist_stddev, receive_coeffs, send_coeffs, split_coeff)
+from .transport import (CoeffErrorDist, Frame, coeff_error_dist, dist_stddev,
+                        receive_coeffs, send_coeffs)
 from .protocol import (KemSecretKey, SessionTranscript, SnrPolicy, WkCiphertext,
-                       WkPublicKeyV2, kem_v1_decaps, kem_v1_encaps,
-                       kem_v1_keygen, run_session, v1_decrypt, v1_encrypt,
-                       v1_keygen, v2_decrypt, v2_encrypt, v2_keygen)
+                       kem_v1_decaps, kem_v1_encaps, kem_v1_keygen, run_session,
+                       v2_keygen, wk_decrypt, wk_encrypt)
 from .reliability import (ErrorModel, IntDist, KerPoint, PrecisionLossError,
                           compression_error_dist, failure_probability,
                           ker_monte_carlo, sigma_vs_snr, standard_kyber_model,

@@ -9,6 +9,7 @@ trip inside the analysis engine.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import tempfile
@@ -32,6 +33,9 @@ def _parse_grid(spec: str):
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"grid must be start:stop:step, got {spec!r}")
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise argparse.ArgumentTypeError(
+            f"grid fields must be finite, got {spec!r}")
     if step <= 0 or stop < start:
         raise argparse.ArgumentTypeError(f"bad grid {spec!r}")
     out = []
@@ -40,6 +44,19 @@ def _parse_grid(spec: str):
         out.append(round(x, 9))
         x += step
     return out
+
+
+def _snr_db(text: str) -> float:
+    """argparse type: an SNR in dB, where inf means noiseless; NaN and -inf
+    are usage errors (exit 2)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
+    if math.isnan(value) or value == -math.inf:
+        raise argparse.ArgumentTypeError(
+            f"SNR must be finite or inf, got {text!r}")
+    return value
 
 
 def _int_at_least(low: int):
@@ -194,9 +211,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--params", default="768", choices=["512", "768", "1024"],
                        help="parameter set (default 768)")
         p.add_argument("--version", default="v1", choices=["v1", "v2"])
-        p.add_argument("--snr-msb", dest="snr_msb", type=float, default=10.0,
+        p.add_argument("--snr-msb", dest="snr_msb", type=_snr_db, default=10.0,
                        help="SNR of the BCH-protected path, dB")
-        p.add_argument("--snr-lsb", dest="snr_lsb", type=float, default=-10.0,
+        p.add_argument("--snr-lsb", dest="snr_lsb", type=_snr_db, default=-10.0,
                        help="SNR of the exposed 2-bit path, dB")
         p.add_argument("--trials", type=_int_at_least(1), default=1000,
                        help="bits / codewords / sessions per point")

@@ -1,10 +1,14 @@
 """Ring arithmetic, compression, samplers and matrix expansion.
 
-Everything operates on polynomials over Z_q[x]/(x^n + 1) with q = 3329,
-n = 256.  Multiplication has two paths: a fast negacyclic NTT (q supports a
-256-point transform that bottoms out in 128 quadratic factors) and a
-schoolbook reference used as the test oracle.  All values are immutable
-after construction; functions are pure.
+Ring data is plain int64 arrays over Z_q[x]/(x^n + 1) with q = 3329,
+n = 256: a ring element is a (256,) array of coefficients in [0, q), a
+module vector a (k, 256) array.  The transforms work over the last axis and
+batch every leading one, so one call transforms a whole vector or matrix.
+Multiplication has two paths: a fast negacyclic NTT (q supports a 256-point
+transform that bottoms out in 128 quadratic factors) and a schoolbook
+reference used as the test oracle.  The public matrix is kept in the NTT
+domain, as a read-only (k, k, 256) array shared through a cache; every other
+array a function returns is fresh, and functions are pure.
 """
 
 from __future__ import annotations
@@ -99,233 +103,105 @@ _N_INV = pow(128, -1, Q)  # Gentleman-Sande inverse runs 7 layers
 
 
 def ntt(coeffs: np.ndarray) -> np.ndarray:
-    """Forward negacyclic NTT of a length-256 coefficient array."""
-    f = coeffs.copy()
+    """Forward negacyclic NTT over the last axis (length 256, coefficients
+    in [0, q)); leading axes are batched, so one call transforms a whole
+    vector or matrix.
+
+    Only the twiddle products are reduced inside the loop; sums and
+    differences grow by at most q per layer and are reduced once at the end.
+    """
+    f = np.array(coeffs, dtype=np.int64)
+    lead = f.shape[:-1]
     i = 1
     length = 128
     while length >= 2:
         blocks = N // (2 * length)
-        v = f.reshape(blocks, 2, length)
-        z = ZETAS[i:i + blocks, None]
+        v = f.reshape(*lead, blocks, 2, length)
+        t = ZETAS[i:i + blocks, None] * v[..., 1, :] % Q
         i += blocks
-        t = (z * v[:, 1, :]) % Q
-        v[:, 1, :] = (v[:, 0, :] - t) % Q
-        v[:, 0, :] = (v[:, 0, :] + t) % Q
+        v[..., 1, :] = v[..., 0, :] - t
+        v[..., 0, :] += t
         length >>= 1
-    return f
+    return f % Q
 
 
 def intt(coeffs: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`ntt`, including the 1/128 normalisation."""
-    f = coeffs.copy()
+    """Inverse of :func:`ntt` over the last axis, including the 1/128
+    normalisation.  Sums double per layer and are reduced once at the end."""
+    f = np.array(coeffs, dtype=np.int64)
+    lead = f.shape[:-1]
     i = 127
     length = 2
     while length <= 128:
         blocks = N // (2 * length)
-        v = f.reshape(blocks, 2, length)
-        z = ZETAS[i - blocks + 1:i + 1][::-1].copy()[:, None]
+        v = f.reshape(*lead, blocks, 2, length)
+        z = ZETAS[i - blocks + 1:i + 1][::-1, None]
         i -= blocks
-        t = v[:, 0, :].copy()
-        v[:, 0, :] = (t + v[:, 1, :]) % Q
-        v[:, 1, :] = (z * (v[:, 1, :] - t)) % Q
+        t = v[..., 0, :].copy()
+        v[..., 0, :] += v[..., 1, :]
+        v[..., 1, :] = z * (v[..., 1, :] - t) % Q
         length <<= 1
-    return (f * _N_INV) % Q
+    return f % Q * _N_INV % Q
 
 
 def ntt_pointwise(fh: np.ndarray, gh: np.ndarray) -> np.ndarray:
-    """Multiply two NTT-domain elements (128 products mod x^2 - gamma_i)."""
-    f0, f1 = fh[0::2], fh[1::2]
-    g0, g1 = gh[0::2], gh[1::2]
-    out = np.empty(N, dtype=np.int64)
-    out[0::2] = (f0 * g0 + (f1 * g1) % Q * GAMMAS) % Q
-    out[1::2] = (f0 * g1 + f1 * g0) % Q
+    """Multiply NTT-domain elements (128 products mod x^2 - gamma_i) over
+    the last axis, broadcasting the leading axes."""
+    f0, f1 = fh[..., 0::2], fh[..., 1::2]
+    g0, g1 = gh[..., 0::2], gh[..., 1::2]
+    out = np.empty(np.broadcast_shapes(fh.shape, gh.shape), dtype=np.int64)
+    out[..., 0::2] = (f0 * g0 + (f1 * g1) % Q * GAMMAS) % Q
+    out[..., 1::2] = (f0 * g1 + f1 * g0) % Q
     return out
 
 
 # ---------------------------------------------------------------------------
-# ring types
+# ring operations on coefficient arrays
 
 
-class RingElement:
-    """A polynomial of degree < 256 with coefficients reduced mod 3329."""
-
-    __slots__ = ("coeffs", "_ntt")
-
-    def __init__(self, coeffs):
-        arr = np.asarray(coeffs, dtype=np.int64)
-        if arr.shape != (N,):
-            raise ValueError(f"expected {N} coefficients, got shape {arr.shape}")
-        self.coeffs = arr % Q
-        self._ntt = None
-
-    @classmethod
-    def zero(cls) -> "RingElement":
-        return cls(np.zeros(N, dtype=np.int64))
-
-    def ntt_form(self) -> np.ndarray:
-        # cached; safe because coefficients are never mutated after init
-        if self._ntt is None:
-            self._ntt = ntt(self.coeffs)
-        return self._ntt
-
-    def centered(self) -> np.ndarray:
-        """Coefficients as signed representatives in (-q/2, q/2]."""
-        c = self.coeffs.copy()
-        c[c > Q // 2] -= Q
-        return c
-
-    def __eq__(self, other):
-        return isinstance(other, RingElement) and np.array_equal(self.coeffs,
-                                                                 other.coeffs)
-
-    def __repr__(self):
-        return f"RingElement({self.coeffs.tolist()!r})"
+def centered(x: np.ndarray) -> np.ndarray:
+    """Representatives in [-(q-1)/2, (q-1)/2] of integers taken mod q."""
+    return (np.asarray(x, dtype=np.int64) + Q // 2) % Q - Q // 2
 
 
-class RingVector:
-    """A rank-k vector of ring elements."""
-
-    __slots__ = ("elems",)
-
-    def __init__(self, elems):
-        self.elems = list(elems)
-        if not all(isinstance(e, RingElement) for e in self.elems):
-            raise TypeError("RingVector holds RingElement entries")
-
-    @classmethod
-    def zero(cls, k: int) -> "RingVector":
-        return cls([RingElement.zero() for _ in range(k)])
-
-    @property
-    def k(self) -> int:
-        return len(self.elems)
-
-    def coeff_array(self) -> np.ndarray:
-        """All coefficients as a flat (k*n,) array, element-major."""
-        return np.concatenate([e.coeffs for e in self.elems])
-
-    def __iter__(self):
-        return iter(self.elems)
-
-    def __getitem__(self, i):
-        return self.elems[i]
-
-    def __eq__(self, other):
-        return (isinstance(other, RingVector) and self.k == other.k
-                and all(a == b for a, b in zip(self.elems, other.elems)))
-
-
-class RingMatrix:
-    """A k x k matrix of ring elements."""
-
-    __slots__ = ("rows", "_ntt_rows")
-
-    def __init__(self, rows):
-        self.rows = [list(r) for r in rows]
-        k = len(self.rows)
-        if any(len(r) != k for r in self.rows):
-            raise ValueError("matrix must be square")
-        self._ntt_rows = None
-
-    @property
-    def k(self) -> int:
-        return len(self.rows)
-
-    def ntt_rows(self) -> np.ndarray:
-        if self._ntt_rows is None:
-            k = self.k
-            out = np.empty((k, k, N), dtype=np.int64)
-            for i in range(k):
-                for j in range(k):
-                    out[i, j] = self.rows[i][j].ntt_form()
-            self._ntt_rows = out
-        return self._ntt_rows
-
-    def __getitem__(self, i):
-        return self.rows[i]
-
-
-# ---------------------------------------------------------------------------
-# ring operations
-
-
-def poly_add(a: RingElement, b: RingElement) -> RingElement:
-    return RingElement(a.coeffs + b.coeffs)
-
-
-def poly_sub(a: RingElement, b: RingElement) -> RingElement:
-    return RingElement(a.coeffs - b.coeffs)
-
-
-def poly_mul(a: RingElement, b: RingElement) -> RingElement:
+def poly_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Product in Z_q[x]/(x^n + 1), NTT fast path."""
-    return RingElement(intt(ntt_pointwise(a.ntt_form(), b.ntt_form())))
+    return intt(ntt_pointwise(ntt(a), ntt(b)))
 
 
-def poly_mul_schoolbook(a: RingElement, b: RingElement) -> RingElement:
+def poly_mul_schoolbook(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """O(n^2) reference multiplier; the oracle the NTT path is tested against."""
-    prod = np.convolve(a.coeffs, b.coeffs)  # worst coeff 256*3328^2 < 2^63
+    prod = np.convolve(a, b)  # worst coeff 256*3328^2 < 2^63
     folded = prod[:N].copy()
     folded[:N - 1] -= prod[N:]  # x^n = -1
-    return RingElement(folded)
+    return folded % Q
 
 
-def vec_add(a: RingVector, b: RingVector) -> RingVector:
-    if a.k != b.k:
+def matvec_mul(a_hat: np.ndarray, s: np.ndarray,
+               transpose: bool = False) -> np.ndarray:
+    """A s (or A^T s) for an NTT-domain (k, k, 256) matrix and a (k, 256)
+    vector; accumulates in the NTT domain."""
+    if transpose:
+        a_hat = a_hat.swapaxes(0, 1)
+    if a_hat.shape[1:] != s.shape:
         raise ValueError("rank mismatch")
-    return RingVector([poly_add(x, y) for x, y in zip(a, b)])
+    return intt(ntt_pointwise(a_hat, ntt(s)).sum(axis=1) % Q)
 
 
-def matvec_mul(A: RingMatrix, s: RingVector, transpose: bool = False) -> RingVector:
-    """A*s (or A^T*s) over the module; accumulates in the NTT domain."""
-    k = A.k
-    if s.k != k:
+def inner_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sum of a_i * b_i over two (k, 256) vectors, a single ring element."""
+    if a.shape != b.shape:
         raise ValueError("rank mismatch")
-    a_ntt = A.ntt_rows()
-    s_ntt = [e.ntt_form() for e in s]
-    out = []
-    for i in range(k):
-        acc = np.zeros(N, dtype=np.int64)
-        for j in range(k):
-            entry = a_ntt[j, i] if transpose else a_ntt[i, j]
-            acc = (acc + ntt_pointwise(entry, s_ntt[j])) % Q
-        out.append(RingElement(intt(acc)))
-    return RingVector(out)
-
-
-def inner_product(a: RingVector, b: RingVector) -> RingElement:
-    """Sum of a_i * b_i, a single ring element."""
-    if a.k != b.k:
-        raise ValueError("rank mismatch")
-    acc = np.zeros(N, dtype=np.int64)
-    for x, y in zip(a, b):
-        acc = (acc + ntt_pointwise(x.ntt_form(), y.ntt_form())) % Q
-    return RingElement(intt(acc))
+    a_hat, b_hat = ntt(np.stack((a, b)))
+    return intt(ntt_pointwise(a_hat, b_hat).sum(axis=0) % Q)
 
 
 # ---------------------------------------------------------------------------
 # compression (rounding quantisers between Z_q and Z_{2^d})
 
 
-def compress(x: int, d: int) -> int:
+def compress(x: np.ndarray, d: int) -> np.ndarray:
     """round(2^d * x / q) mod 2^d, ties rounded up."""
-    if not 0 <= x < Q:
-        raise ValueError(f"compress input {x} outside [0, {Q})")
-    if not 1 <= d < 12:
-        raise ValueError(f"compress width {d} outside [1, 12)")
-    return ((x << (d + 1)) + Q) // (2 * Q) % (1 << d)
-
-
-def decompress(y: int, d: int) -> int:
-    """round(q * y / 2^d), ties rounded up."""
-    if not 1 <= d < 12:
-        raise ValueError(f"decompress width {d} outside [1, 12)")
-    if not 0 <= y < (1 << d):
-        raise ValueError(f"decompress input {y} outside [0, 2^{d})")
-    return ((Q * y << 1) + (1 << d)) >> (d + 1)
-
-
-def compress_array(x: np.ndarray, d: int) -> np.ndarray:
     if not 1 <= d < 12:
         raise ValueError(f"compress width {d} outside [1, 12)")
     x = np.asarray(x, dtype=np.int64)
@@ -334,7 +210,8 @@ def compress_array(x: np.ndarray, d: int) -> np.ndarray:
     return ((x << (d + 1)) + Q) // (2 * Q) % (1 << d)
 
 
-def decompress_array(y: np.ndarray, d: int) -> np.ndarray:
+def decompress(y: np.ndarray, d: int) -> np.ndarray:
+    """round(q * y / 2^d), ties rounded up."""
     if not 1 <= d < 12:
         raise ValueError(f"decompress width {d} outside [1, 12)")
     y = np.asarray(y, dtype=np.int64)
@@ -347,7 +224,7 @@ def decompress_array(y: np.ndarray, d: int) -> np.ndarray:
 # samplers
 
 
-def cbd_sample(eta: int, stream) -> RingElement:
+def cbd_sample(eta: int, stream) -> np.ndarray:
     """Centered binomial polynomial: each coefficient is (sum of eta bits)
     minus (sum of eta bits), bits consumed little-endian from the stream."""
     if eta not in (2, 3):
@@ -358,14 +235,15 @@ def cbd_sample(eta: int, stream) -> RingElement:
     grouped = bits.reshape(N, 2 * eta)
     a = grouped[:, :eta].sum(axis=1)
     b = grouped[:, eta:].sum(axis=1)
-    return RingElement(a - b)
+    return (a - b) % Q
 
 
-def sample_noise_vector(stream, eta: int, k: int) -> RingVector:
-    return RingVector([cbd_sample(eta, stream) for _ in range(k)])
+def sample_noise_vector(stream, eta: int, k: int) -> np.ndarray:
+    """k binomial polynomials drawn in turn from one stream, as (k, 256)."""
+    return np.stack([cbd_sample(eta, stream) for _ in range(k)])
 
 
-def _sample_uniform_poly(stream) -> RingElement:
+def _sample_uniform_poly(stream) -> np.ndarray:
     """Rejection-sample 256 coefficients uniform on [0, q) from 12-bit words."""
     kept = []
     need = N
@@ -378,24 +256,26 @@ def _sample_uniform_poly(stream) -> RingElement:
         cand = cand[cand < Q]
         kept.append(cand[:need])
         need -= len(kept[-1])
-    return RingElement(np.concatenate(kept))
+    return np.concatenate(kept)
 
 
 @functools.lru_cache(maxsize=32)
-def _gen_matrix_cached(seed: bytes, k: int) -> RingMatrix:
-    rows = []
-    for r in range(k):
-        row = []
-        for c in range(k):
-            stream = XofStream(seed, label=b"A" + bytes([r, c]), algo="shake_128")
-            row.append(_sample_uniform_poly(stream))
-        rows.append(row)
-    return RingMatrix(rows)
+def _gen_matrix_cached(seed: bytes, k: int) -> np.ndarray:
+    a = np.array([[_sample_uniform_poly(XofStream(seed, label=b"A" + bytes([r, c]),
+                                                  algo="shake_128"))
+                   for c in range(k)] for r in range(k)])
+    a_hat = ntt(a)
+    # shared by every caller with this seed; a view of a read-only array
+    # cannot be made writeable again
+    a_hat.flags.writeable = False
+    return a_hat[...]
 
 
-def gen_matrix(seed: bytes, params: ParamSet) -> RingMatrix:
-    """Deterministic pseudo-uniform k x k matrix, one SHAKE-128 stream per
-    (row, column) entry.  Pure in (seed, params); recent expansions are
+def gen_matrix(seed: bytes, params: ParamSet) -> np.ndarray:
+    """Deterministic pseudo-uniform k x k matrix in the NTT domain, as a
+    read-only (k, k, 256) array.  Entry (r, c) is sampled in the coefficient
+    domain from its own SHAKE-128 stream, then the whole matrix is
+    transformed in one call.  Pure in (seed, params); recent expansions are
     memoised since a session touches the same matrix several times."""
     return _gen_matrix_cached(check_seed(seed), params.k)
 
@@ -406,7 +286,8 @@ def gen_matrix(seed: bytes, params: ParamSet) -> RingMatrix:
 
 
 def pack12(coeffs: np.ndarray) -> bytes:
-    c = np.asarray(coeffs, dtype=np.int64)
+    """Pack coefficients of any shape, flattened in row-major order."""
+    c = np.asarray(coeffs, dtype=np.int64).ravel()
     if len(c) % 2:
         raise ValueError("pack12 needs an even number of coefficients")
     c0, c1 = c[0::2], c[1::2]

@@ -19,12 +19,6 @@ import numpy as np
 
 
 @dataclass(frozen=True)
-class IQSymbol:
-    i: float
-    q: float
-
-
-@dataclass(frozen=True)
 class ChannelPlan:
     """SNR pair for one transmission: BCH-protected path / raw 2-bit path."""
 
@@ -57,6 +51,8 @@ def noise_sigma(snr_db: float) -> float:
 def modulate_words(words: np.ndarray) -> np.ndarray:
     """Vector Gray mapping of 2-bit words onto the four quadrants."""
     w = np.asarray(words)
+    if w.min(initial=0) < 0 or w.max(initial=0) > 3:
+        raise ValueError("2-bit words expected")
     return (1.0 - 2.0 * (w & 1)) + 1j * (1.0 - 2.0 * (w >> 1))
 
 
@@ -65,19 +61,6 @@ def demodulate_symbols(symbols: np.ndarray) -> np.ndarray:
     s = np.asarray(symbols)
     return ((s.real < 0).astype(np.int64)
             + 2 * (s.imag < 0).astype(np.int64))
-
-
-def modulate(word: int) -> IQSymbol:
-    if word not in (0, 1, 2, 3):
-        raise ValueError(f"2-bit word expected, got {word}")
-    s = modulate_words(np.array([word]))[0]
-    return IQSymbol(float(s.real), float(s.imag))
-
-
-def demodulate(symbol) -> int:
-    if isinstance(symbol, IQSymbol):
-        symbol = symbol.i + 1j * symbol.q
-    return int(demodulate_symbols(np.array([symbol]))[0])
 
 
 def transmit(symbols: np.ndarray, snr_db: float, noise: NoiseSource) -> np.ndarray:

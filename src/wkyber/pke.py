@@ -11,11 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (RingElement, RingVector, XofStream, check_canonical,
-                   check_seed, compress_array, decompress_array, gen_matrix,
-                   inner_product, matvec_mul, pack12, poly_add, poly_sub,
-                   sample_noise_vector, unpack12, vec_add)
-from .params import N, ParamSet
+from .core import (XofStream, centered, check_canonical, check_seed, compress,
+                   decompress, gen_matrix, inner_product, matvec_mul, pack12,
+                   sample_noise_vector, unpack12)
+from .params import N, Q, ParamSet
 
 
 class Message:
@@ -49,60 +48,60 @@ class Message:
 
 
 class PublicKey:
-    """(seed for the matrix A, vector b).  The expanded A is cached."""
+    """(seed for the matrix A, (k, 256) vector b).  The expanded A is cached."""
 
     __slots__ = ("seed", "b", "_a")
 
-    def __init__(self, seed: bytes, b: RingVector):
+    def __init__(self, seed: bytes, b: np.ndarray):
         self.seed = check_seed(seed)
         self.b = b
         self._a = None
 
-    def matrix(self, params: ParamSet):
+    def matrix(self, params: ParamSet) -> np.ndarray:
         if self._a is None:
             self._a = gen_matrix(self.seed, params)
         return self._a
 
     def to_bytes(self) -> bytes:
-        return self.seed + pack12(self.b.coeff_array())
+        return self.seed + pack12(self.b)
 
     @classmethod
     def from_bytes(cls, data: bytes, params: ParamSet) -> "PublicKey":
         seed, packed = data[:32], data[32:]
-        coeffs = check_canonical(unpack12(packed, params.k * N))
-        elems = [RingElement(coeffs[i * N:(i + 1) * N]) for i in range(params.k)]
-        return cls(seed, RingVector(elems))
+        b = check_canonical(unpack12(packed, params.k * N)).reshape(params.k, N)
+        return cls(seed, b)
 
     def __eq__(self, other):
         return (isinstance(other, PublicKey) and self.seed == other.seed
-                and self.b == other.b)
+                and np.array_equal(self.b, other.b))
 
 
 @dataclass
 class SecretKey:
-    s: RingVector
+    s: np.ndarray  # (k, 256)
 
     def to_bytes(self) -> bytes:
-        return pack12(self.s.coeff_array())
+        return pack12(self.s)
 
     @classmethod
     def from_bytes(cls, data: bytes, params: ParamSet) -> "SecretKey":
-        coeffs = check_canonical(unpack12(data, params.k * N))
-        elems = [RingElement(coeffs[i * N:(i + 1) * N]) for i in range(params.k)]
-        return cls(RingVector(elems))
+        s = check_canonical(unpack12(data, params.k * N)).reshape(params.k, N)
+        return cls(s)
+
+    def __eq__(self, other):
+        return isinstance(other, SecretKey) and np.array_equal(self.s, other.s)
 
 
 @dataclass
 class CompressedCiphertext:
     """Ciphertext with d_u / d_v bit coefficients (baseline scheme only)."""
 
-    u_c: list  # k arrays of n integers in [0, 2^du)
-    v_c: np.ndarray  # n integers in [0, 2^dv)
+    u_c: np.ndarray  # (k, 256) integers in [0, 2^du)
+    v_c: np.ndarray  # 256 integers in [0, 2^dv)
 
     def __eq__(self, other):
         return (isinstance(other, CompressedCiphertext)
-                and len(self.u_c) == len(other.u_c)
-                and all(np.array_equal(a, b) for a, b in zip(self.u_c, other.u_c))
+                and np.array_equal(self.u_c, other.u_c)
                 and np.array_equal(self.v_c, other.v_c))
 
 
@@ -111,15 +110,14 @@ def keygen(seed_a: bytes, rng, params: ParamSet):
     a = gen_matrix(seed_a, params)
     s = sample_noise_vector(rng, params.eta1, params.k)
     e = sample_noise_vector(rng, params.eta1, params.k)
-    b = vec_add(matvec_mul(a, s), e)
-    pk = PublicKey(seed_a, b)
+    pk = PublicKey(seed_a, (matvec_mul(a, s) + e) % Q)
     pk._a = a
     return pk, SecretKey(s)
 
 
-def message_to_ring(m: Message) -> RingElement:
+def message_to_ring(m: Message) -> np.ndarray:
     """Per-bit decompress(bit, 1): 0 -> 0, 1 -> 1665."""
-    return RingElement(decompress_array(m.bits, 1))
+    return decompress(m.bits, 1)
 
 
 def _expand_coins(coins: bytes, params: ParamSet):
@@ -130,17 +128,14 @@ def _expand_coins(coins: bytes, params: ParamSet):
     return sp, ep, epp
 
 
-def encrypt_with_noise(pk: PublicKey, m: Message, sp: RingVector,
-                       ep: RingVector, epp: RingElement,
+def encrypt_with_noise(pk: PublicKey, m: Message, sp: np.ndarray,
+                       ep: np.ndarray, epp: np.ndarray,
                        params: ParamSet) -> CompressedCiphertext:
     """Encryption core with the noise terms supplied by the caller."""
-    a = pk.matrix(params)
-    u = vec_add(matvec_mul(a, sp, transpose=True), ep)
-    v = poly_add(poly_add(inner_product(pk.b, sp), epp), message_to_ring(m))
-    return CompressedCiphertext(
-        u_c=[compress_array(p.coeffs, params.du) for p in u],
-        v_c=compress_array(v.coeffs, params.dv),
-    )
+    u = (matvec_mul(pk.matrix(params), sp, transpose=True) + ep) % Q
+    v = (inner_product(pk.b, sp) + epp + message_to_ring(m)) % Q
+    return CompressedCiphertext(u_c=compress(u, params.du),
+                                v_c=compress(v, params.dv))
 
 
 def encrypt(pk: PublicKey, m: Message, coins: bytes,
@@ -153,12 +148,17 @@ def encrypt(pk: PublicKey, m: Message, coins: bytes,
     return encrypt_with_noise(pk, m, sp, ep, epp, params)
 
 
+def _noisy_message(sk: SecretKey, ct: CompressedCiphertext,
+                   params: ParamSet) -> np.ndarray:
+    """v - s^T u mod q on the decompressed ciphertext."""
+    u = decompress(ct.u_c, params.du)
+    v = decompress(ct.v_c, params.dv)
+    return (v - inner_product(sk.s, u)) % Q
+
+
 def decrypt(sk: SecretKey, ct: CompressedCiphertext, params: ParamSet) -> Message:
     """Recover each bit as compress(v - s^T u, 1)."""
-    u = RingVector([RingElement(decompress_array(uc, params.du)) for uc in ct.u_c])
-    v = RingElement(decompress_array(ct.v_c, params.dv))
-    w = poly_sub(v, inner_product(sk.s, u))
-    return Message(compress_array(w.coeffs, 1))
+    return Message(compress(_noisy_message(sk, ct, params), 1))
 
 
 def decryption_noise(sk: SecretKey, ct: CompressedCiphertext, m: Message,
@@ -168,7 +168,4 @@ def decryption_noise(sk: SecretKey, ct: CompressedCiphertext, m: Message,
     Decryption recovers m wherever this stays strictly inside the decision
     region around the encoded bit.
     """
-    u = RingVector([RingElement(decompress_array(uc, params.du)) for uc in ct.u_c])
-    v = RingElement(decompress_array(ct.v_c, params.dv))
-    w = poly_sub(poly_sub(v, inner_product(sk.s, u)), message_to_ring(m))
-    return w.centered()
+    return centered(_noisy_message(sk, ct, params) - message_to_ring(m))

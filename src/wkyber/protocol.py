@@ -24,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (RingElement, RingVector, XofStream, check_canonical,
-                   check_seed, compress_array, gen_matrix, inner_product,
-                   matvec_mul, pack12, sample_noise_vector, unpack12)
+from .core import (XofStream, centered, check_canonical, check_seed, compress,
+                   gen_matrix, inner_product, matvec_mul, pack12,
+                   sample_noise_vector, unpack12)
 from .modem import ChannelPlan, NoiseSource
 from .params import N, Q, ParamSet
 from .pke import Message, PublicKey, SecretKey, keygen, message_to_ring
@@ -34,45 +34,35 @@ from .transport import Frame, receive_blocks, receive_coeffs, send_blocks, send_
 
 
 # ---------------------------------------------------------------------------
-# ciphertext and V2 key
+# ciphertext
 
 
 @dataclass
 class WkCiphertext:
-    """Uncompressed ciphertext: full 12-bit coefficients, never compressed."""
+    """Uncompressed ciphertext: a (k + 1, 256) array holding u's k rows then
+    v, full 12-bit coefficients, never compressed."""
 
-    u: RingVector
-    v: RingElement
+    coeffs: np.ndarray
 
-    def coeff_array(self) -> np.ndarray:
-        return np.concatenate([self.u.coeff_array(), self.v.coeffs])
+    @property
+    def u(self) -> np.ndarray:
+        return self.coeffs[:-1]
+
+    @property
+    def v(self) -> np.ndarray:
+        return self.coeffs[-1]
 
     def to_bytes(self) -> bytes:
-        return pack12(self.coeff_array())
-
-    @classmethod
-    def from_coeffs(cls, coeffs: np.ndarray, k: int) -> "WkCiphertext":
-        elems = [RingElement(coeffs[i * N:(i + 1) * N]) for i in range(k)]
-        return cls(u=RingVector(elems), v=RingElement(coeffs[k * N:]))
+        return pack12(self.coeffs)
 
     @classmethod
     def from_bytes(cls, data: bytes, params: ParamSet) -> "WkCiphertext":
         count = (params.k + 1) * N
-        return cls.from_coeffs(check_canonical(unpack12(data, count)),
-                               params.k)
+        return cls(check_canonical(unpack12(data, count)).reshape(-1, N))
 
     def __eq__(self, other):
-        return (isinstance(other, WkCiphertext) and self.u == other.u
-                and self.v == other.v)
-
-
-class WkPublicKeyV2(PublicKey):
-    """V2 public key: b is exactly A s before transmission; the receiver's
-    copy picks up channel noise the sender never learns."""
-
-    @property
-    def b_clean(self) -> RingVector:
-        return self.b
+        return (isinstance(other, WkCiphertext)
+                and np.array_equal(self.coeffs, other.coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -103,33 +93,25 @@ class SnrPolicy:
 # V1 / V2 PKE
 
 
-def v1_keygen(seed_a: bytes, rng, params: ParamSet):
-    """Identical to the baseline key generation (binomial e retained)."""
-    return keygen(seed_a, rng, params)
-
-
 def v2_keygen(seed_a: bytes, rng, params: ParamSet):
     """b = A s with no sampled error; the channel adds it in transit."""
     a = gen_matrix(seed_a, params)
     s = sample_noise_vector(rng, params.eta1, params.k)
-    b = matvec_mul(a, s)
-    pk = WkPublicKeyV2(seed_a, b)
+    pk = PublicKey(seed_a, matvec_mul(a, s))
     pk._a = a
     return pk, SecretKey(s)
 
 
-def _sample_sprime(coins: bytes, params: ParamSet) -> RingVector:
+def _sample_sprime(coins: bytes, params: ParamSet) -> np.ndarray:
     check_seed(coins)
     return sample_noise_vector(XofStream(coins, b"sp"), params.eta1, params.k)
 
 
-def wk_encrypt_with_sprime(pk: PublicKey, m: Message, sp: RingVector,
+def wk_encrypt_with_sprime(pk: PublicKey, m: Message, sp: np.ndarray,
                            params: ParamSet) -> WkCiphertext:
-    a = pk.matrix(params)
-    u = matvec_mul(a, sp, transpose=True)
-    v = RingElement(inner_product(pk.b, sp).coeffs
-                    + message_to_ring(m).coeffs)
-    return WkCiphertext(u=u, v=v)
+    u = matvec_mul(pk.matrix(params), sp, transpose=True)
+    v = (inner_product(pk.b, sp) + message_to_ring(m)) % Q
+    return WkCiphertext(np.vstack((u, v)))
 
 
 def wk_encrypt(pk: PublicKey, m: Message, coins: bytes,
@@ -140,22 +122,12 @@ def wk_encrypt(pk: PublicKey, m: Message, coins: bytes,
 
 def wk_decrypt(sk: SecretKey, c: WkCiphertext) -> Message:
     """Per-coefficient compress(v - s^T u, 1)."""
-    w = (c.v.coeffs - inner_product(sk.s, c.u).coeffs) % Q
-    return Message(compress_array(w, 1))
+    return Message(compress((c.v - inner_product(sk.s, c.u)) % Q, 1))
 
 
 def wk_decryption_noise(sk: SecretKey, c: WkCiphertext, m: Message) -> np.ndarray:
     """Centered per-coefficient noise v - s^T u - mhat (diagnostics)."""
-    w = RingElement(c.v.coeffs - inner_product(sk.s, c.u).coeffs
-                    - message_to_ring(m).coeffs)
-    return w.centered()
-
-
-# spec'd aliases: V1 and V2 share the encryption/decryption contracts
-v1_encrypt = wk_encrypt
-v1_decrypt = wk_decrypt
-v2_encrypt = wk_encrypt
-v2_decrypt = wk_decrypt
+    return centered(c.v - inner_product(sk.s, c.u) - message_to_ring(m))
 
 
 # ---------------------------------------------------------------------------
@@ -169,14 +141,15 @@ class KemSecretKey:
 
 
 def kem_v1_keygen(seed_a: bytes, rng, params: ParamSet):
-    pk, sk = v1_keygen(seed_a, rng, params)
+    """The baseline key generation (binomial e retained) plus the
+    implicit-rejection secret."""
+    pk, sk = keygen(seed_a, rng, params)
     return pk, KemSecretKey(sk=sk, z=rng.read(32))
 
 
 def _project_pk(pk: PublicKey) -> PublicKey:
     """Zero the exposed w2 bits of b: the channel-robust view of the key."""
-    b = RingVector([RingElement(e.coeffs & ~np.int64(3)) for e in pk.b])
-    proj = PublicKey(pk.seed, b)
+    proj = PublicKey(pk.seed, pk.b & ~np.int64(3))
     proj._a = pk._a  # same seed, same matrix
     return proj
 
@@ -236,7 +209,7 @@ def kem_v1_decaps(ksk: KemSecretKey, pk: PublicKey, c_received: WkCiphertext,
     pk_proj = _project_pk(pk)
     k_bytes, coins = _derive_key_coins(m2, pk_proj)
     c2 = wk_encrypt(pk_proj, m2, coins, params)
-    if _coeffs_match(c2.coeff_array(), c_received.coeff_array(), policy):
+    if _coeffs_match(c2.coeffs, c_received.coeffs, policy):
         return _hash(b"kdf", k_bytes + _hash(b"ct", c2.to_bytes()))
     return _hash(b"rej", ksk.z + _hash(b"ct", c_received.to_bytes()))
 
@@ -261,15 +234,6 @@ class SessionTranscript:
     def bch_failures(self) -> int:
         return self.bch_failures_pk + self.bch_failures_ct
 
-    def record(self, session_id) -> str:
-        return ",".join([
-            str(session_id), self.version, str(self.k),
-            f"{self.pk_plan.snr_msb_db:g}", f"{self.pk_plan.snr_lsb_db:g}",
-            f"{self.ct_plan.snr_msb_db:g}", f"{self.ct_plan.snr_lsb_db:g}",
-            "match" if self.outcome else "mismatch",
-            str(self.bch_failures),
-        ])
-
 
 def _derive_seed(master: int, label: bytes) -> bytes:
     """Seeds below 2^64 hash as 8 bytes; larger ones as their minimal
@@ -289,28 +253,23 @@ def _send_pk(pk: PublicKey, plan: ChannelPlan, noise: NoiseSource, params: Param
     weights = (1 << np.arange(9, -1, -1)).astype(np.int64)
     words = padded.reshape(26, 10) @ weights
     seed_syms = send_blocks(words, plan.snr_msb_db, noise)
-    frame = send_coeffs(pk.b.coeff_array(), plan, noise)
+    frame = send_coeffs(pk.b, plan, noise)
     return seed_syms, frame
 
 
-def _receive_pk(seed_syms, frame: Frame, params: ParamSet, v2: bool):
+def _receive_pk(seed_syms, frame: Frame, params: ParamSet):
     words, seed_failed = receive_blocks(seed_syms, 26)
     shifts = np.arange(9, -1, -1)
     bits = ((words[:, None] >> shifts) & 1).ravel()[:256].astype(np.uint8)
     seed = np.packbits(bits, bitorder="little").tobytes()
     coeffs, b_fail = receive_coeffs(frame, params.k * N)
-    elems = [RingElement(coeffs[i * N:(i + 1) * N]) for i in range(params.k)]
-    cls = WkPublicKeyV2 if v2 else PublicKey
-    return cls(seed, RingVector(elems)), int(seed_failed.sum()) + b_fail
-
-
-def _send_ct(c: WkCiphertext, plan: ChannelPlan, noise: NoiseSource) -> Frame:
-    return send_coeffs(c.coeff_array(), plan, noise)
+    pk = PublicKey(seed, coeffs.reshape(params.k, N))
+    return pk, int(seed_failed.sum()) + b_fail
 
 
 def _receive_ct(frame: Frame, params: ParamSet):
     coeffs, failures = receive_coeffs(frame, (params.k + 1) * N)
-    return WkCiphertext.from_coeffs(coeffs, params.k), failures
+    return WkCiphertext(coeffs.reshape(-1, N)), failures
 
 
 def run_session(version: str, params: ParamSet, plans, seed: int,
@@ -341,27 +300,25 @@ def run_session(version: str, params: ParamSet, plans, seed: int,
     if version == "v1":
         pk, ksk = kem_v1_keygen(seed_a, key_rng, params)
         seed_syms, pk_frame = _send_pk(pk, pk_plan, noise_a, params)
-        pk_rx, pk_fail = _receive_pk(seed_syms, pk_frame, params, v2=False)
+        pk_rx, pk_fail = _receive_pk(seed_syms, pk_frame, params)
         c_clean, secret_b = kem_v1_encaps(pk_rx, msg_rng, params)
-        ct_frame = _send_ct(c_clean, ct_plan, noise_b)
+        ct_frame = send_coeffs(c_clean.coeffs, ct_plan, noise_b)
         c_rx, ct_fail = _receive_ct(ct_frame, params)
         secret_a = kem_v1_decaps(ksk, pk, c_rx, params, policy=fo_policy)
         outcome = secret_a == secret_b
     else:
         pk, sk = v2_keygen(seed_a, key_rng, params)
         seed_syms, pk_frame = _send_pk(pk, pk_plan, noise_a, params)
-        pk_rx, pk_fail = _receive_pk(seed_syms, pk_frame, params, v2=True)
+        pk_rx, pk_fail = _receive_pk(seed_syms, pk_frame, params)
         m = Message.random(msg_rng)
-        c_clean = v2_encrypt(pk_rx, m, msg_rng.read(32), params)
-        ct_frame = _send_ct(c_clean, ct_plan, noise_b)
+        c_clean = wk_encrypt(pk_rx, m, msg_rng.read(32), params)
+        ct_frame = send_coeffs(c_clean.coeffs, ct_plan, noise_b)
         c_rx, ct_fail = _receive_ct(ct_frame, params)
-        outcome = v2_decrypt(sk, c_rx) == m
+        outcome = wk_decrypt(sk, c_rx) == m
 
     offsets = None
     if collect_offsets:
-        diff = (c_rx.coeff_array() - c_clean.coeff_array()) % Q
-        diff[diff > Q // 2] -= Q
-        offsets = diff
+        offsets = centered(c_rx.coeffs - c_clean.coeffs).ravel()
     return SessionTranscript(version=version, k=params.k, pk_plan=pk_plan,
                              ct_plan=ct_plan, outcome=outcome,
                              bch_failures_pk=pk_fail, bch_failures_ct=ct_fail,

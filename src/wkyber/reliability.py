@@ -16,11 +16,12 @@ more than 1e-12 or produces a negative or non-finite mass.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import compress_array, decompress_array
+from .core import compress, decompress
 from .params import Q, ParamSet
 from .transport import coeff_error_dist
 
@@ -150,7 +151,7 @@ def compression_error_dist(d: int) -> IntDist:
     """Exact PMF of decompress(compress(x, d), d) - x over uniform x in
     [0, q); a 3329-point enumeration, no approximation."""
     x = np.arange(Q)
-    err = (decompress_array(compress_array(x, d), d) - x) % Q
+    err = (decompress(compress(x, d), d) - x) % Q
     err[err > Q // 2] -= Q
     lo = int(err.min())
     return IntDist(lo, np.bincount(err - lo) / Q)
@@ -323,14 +324,16 @@ def ker_monte_carlo(version: str, params: ParamSet, plans, trials: int,
     """Key/message error rate over repeated sessions.
 
     Per-trial seeds derive from (seed, trial index), so the result does not
-    depend on worker scheduling.
+    depend on worker scheduling.  At most min(workers, trials, cores)
+    processes run.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     trial_seeds = [seed * 1_000_003 + i for i in range(trials)]
-    if workers is None:
-        import os
-        workers = min(os.cpu_count() or 1, 8)
+    # more processes than trials or cores only adds idle forks; the count
+    # does not depend on the split
+    workers = min(8 if workers is None else workers, trials,
+                  os.cpu_count() or 1)
     pk_plan, ct_plan = plans
     if workers > 1 and trials >= 64:
         import multiprocessing as mp

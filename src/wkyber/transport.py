@@ -30,22 +30,6 @@ SYMBOLS_PER_COEFF = SYMBOLS_PER_BLOCK + 1
 ERROR_OFFSETS = np.arange(-3, 4)
 
 
-@dataclass(frozen=True)
-class CoeffSplit:
-    w10: int
-    w2: int
-
-
-def split_coeff(x: int) -> CoeffSplit:
-    if not 0 <= x < 4096:
-        raise ValueError(f"coefficient {x} outside [0, 4096)")
-    return CoeffSplit(w10=x >> 2, w2=x & 3)
-
-
-def merge_coeff(s: CoeffSplit) -> int:
-    return 4 * s.w10 + s.w2
-
-
 @dataclass
 class Frame:
     """Channel symbols for a batch of coefficients.
@@ -131,12 +115,13 @@ def receive_blocks(symbols: np.ndarray, count: int):
 
 
 def send_coeffs(coeffs, plan: ChannelPlan, noise: NoiseSource) -> Frame:
-    """Transmit coefficients (< q) as 16 protected + 1 exposed symbol each.
+    """Transmit coefficients (< q) as 16 protected + 1 exposed symbol each,
+    in row-major order whatever the array's shape.
 
     Both paths draw from the same noise source, MSB segment first; with equal
     seeds the frame is bit-identical across runs.
     """
-    c = np.asarray(coeffs, dtype=np.int64)
+    c = np.asarray(coeffs, dtype=np.int64).ravel()
     if c.size and (c.min() < 0 or c.max() >= Q):
         raise ValueError("coefficients must lie in [0, q)")
     msb = send_blocks(c >> 2, plan.snr_msb_db, noise)

@@ -203,13 +203,13 @@ def test_criterion_09_baseline_pke():
                 failures += 1
         assert failures == 0, params.name
 
-    from wkyber.core import RingElement, poly_mul, poly_mul_schoolbook
+    from wkyber.core import poly_mul, poly_mul_schoolbook
     from wkyber.params import N, Q
     rng = np.random.default_rng(9)
     for _ in range(1000):
-        a = RingElement(rng.integers(0, Q, N))
-        b = RingElement(rng.integers(0, Q, N))
-        assert poly_mul(a, b) == poly_mul_schoolbook(a, b)
+        a = rng.integers(0, Q, N)
+        b = rng.integers(0, Q, N)
+        assert np.array_equal(poly_mul(a, b), poly_mul_schoolbook(a, b))
     report(9, "baseline PKE: 3 x 10^3 roundtrips with zero failures; NTT "
               "equals the schoolbook oracle on 10^3 random pairs")
 

@@ -159,6 +159,31 @@ class TestPlumbing:
         assert "Traceback" not in proc.stderr and flag in proc.stderr
         assert proc.stdout == ""
 
+    # NaN and -inf SNRs, and non-finite grid fields, are usage errors; the
+    # timeout guards the grid cases, which once looped forever
+    @pytest.mark.parametrize("argv", [
+        pytest.param(("exchange", "--snr-msb=-inf"), id="snr-msb-neg-inf"),
+        pytest.param(("exchange", "--snr-msb", "nan"), id="snr-msb-nan"),
+        pytest.param(("exchange", "--snr-lsb=-inf"), id="snr-lsb-neg-inf"),
+        pytest.param(("coeff-dist", "--snr-lsb", "nan"), id="snr-lsb-nan"),
+        pytest.param(("ber", "--grid", "0:nan:1"), id="grid-nan-stop"),
+        pytest.param(("sigma", "--grid=-inf:0:1"), id="grid-neg-inf-start"),
+        pytest.param(("sigma", "--grid", "0:inf:1"), id="grid-inf-stop"),
+    ])
+    def test_non_finite_value_exit_code(self, argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "wkyber.cli", *argv, "--trials", "1"],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        flag = argv[1].split("=")[0]
+        assert "Traceback" not in proc.stderr and flag in proc.stderr
+        assert proc.stdout == ""
+
+    def test_infinite_snr_is_noiseless(self, capsys):
+        code, out, _ = run_cli(capsys, "exchange", "--trials", "1",
+                               "--snr-msb", "inf", "--snr-lsb", "inf")
+        assert code == 0 and parse(out)[0]["outcome"] == "match"
+
     def test_seed_beyond_64_bits_runs(self, capsys):
         code, out, _ = run_cli(capsys, "exchange", "--trials", "1",
                                "--seed", str(1 << 64))

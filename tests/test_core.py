@@ -3,39 +3,58 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wkyber.core import (FixedStream, RingElement, RingMatrix, RingVector,
-                         StreamExhausted, XofStream, cbd_sample, compress,
-                         compress_array, decompress, decompress_array,
-                         gen_matrix, matvec_mul, pack12, poly_add, poly_mul,
-                         poly_mul_schoolbook, poly_sub, unpack12)
+from wkyber.core import (GAMMAS, FixedStream, StreamExhausted, XofStream,
+                         cbd_sample, centered, compress, decompress,
+                         gen_matrix, intt, matvec_mul, ntt, pack12, poly_mul,
+                         poly_mul_schoolbook, unpack12)
 from wkyber.params import KYBER512, KYBER768, N, Q
 
 
-def rand_poly(rng):
-    return RingElement(rng.integers(0, Q, N))
+def rand_poly(rng, shape=()):
+    return rng.integers(0, Q, (*shape, N))
 
 
-class TestPolyAdd:
-    def test_identity(self):
-        rng = np.random.default_rng(0)
-        a = rand_poly(rng)
-        assert poly_add(a, RingElement.zero()) == a
+def ntt_by_definition():
+    """Pair i of the transform is f mod (x^2 - gamma_i): x^2j -> gamma_i^j,
+    x^(2j+1) -> gamma_i^j x."""
+    m = np.zeros((N, N), dtype=np.int64)
+    for i, gamma in enumerate(GAMMAS):
+        powers = [pow(int(gamma), j, Q) for j in range(N // 2)]
+        m[2 * i, 0::2] = powers
+        m[2 * i + 1, 1::2] = powers
+    return m
 
-    def test_additive_inverse(self):
-        ones = RingElement(np.ones(N, dtype=np.int64))
-        negs = RingElement(np.full(N, Q - 1, dtype=np.int64))
-        assert poly_add(ones, negs) == RingElement.zero()
 
-    def test_matches_bigint_oracle(self):
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            a, b = rand_poly(rng), rand_poly(rng)
-            expect = [(int(x) + int(y)) % Q
-                      for x, y in zip(a.coeffs, b.coeffs)]
-            assert poly_add(a, b).coeffs.tolist() == expect
-            expect = [(int(x) - int(y)) % Q
-                      for x, y in zip(a.coeffs, b.coeffs)]
-            assert poly_sub(a, b).coeffs.tolist() == expect
+NTT_MATRIX = ntt_by_definition()
+seeds = st.integers(0, 2 ** 32 - 1)
+# a ring element, a module vector and a module matrix for every rank
+batch_shapes = st.sampled_from([(), (2,), (3,), (4,), (2, 2), (3, 3), (4, 4)])
+
+
+class TestNtt:
+    @given(batch_shapes, seeds)
+    @settings(max_examples=30, deadline=None)
+    def test_batched_equals_row_by_row(self, lead, seed):
+        x = rand_poly(np.random.default_rng(seed), lead)
+        got = ntt(x)
+        assert got.shape == x.shape
+        for idx in np.ndindex(lead):
+            assert np.array_equal(got[idx], ntt(x[idx]))
+            assert np.array_equal(got[idx], NTT_MATRIX @ x[idx] % Q)
+
+    @given(batch_shapes, seeds)
+    @settings(max_examples=30, deadline=None)
+    def test_inverse_roundtrip(self, lead, seed):
+        x = rand_poly(np.random.default_rng(seed), lead)
+        assert np.array_equal(intt(ntt(x)), x)
+        assert np.array_equal(ntt(intt(x)), x)
+
+    def test_does_not_modify_input(self):
+        x = rand_poly(np.random.default_rng(10), (3,))
+        before = x.copy()
+        ntt(x)
+        intt(x)
+        assert np.array_equal(x, before)
 
 
 class TestPolyMul:
@@ -44,7 +63,7 @@ class TestPolyMul:
         one = np.zeros(N, dtype=np.int64)
         one[0] = 1
         a = rand_poly(rng)
-        assert poly_mul(a, RingElement(one)) == a
+        assert np.array_equal(poly_mul(a, one), a)
 
     def test_negacyclic_wraparound(self):
         # x^(n-1) * x = x^n = -1
@@ -52,53 +71,72 @@ class TestPolyMul:
         hi[N - 1] = 1
         x = np.zeros(N, dtype=np.int64)
         x[1] = 1
-        r = poly_mul(RingElement(hi), RingElement(x))
-        assert r.coeffs[0] == Q - 1
-        assert (r.coeffs[1:] == 0).all()
+        r = poly_mul(hi, x)
+        assert r[0] == Q - 1
+        assert (r[1:] == 0).all()
 
     def test_ntt_equals_schoolbook(self):
         rng = np.random.default_rng(3)
         for _ in range(100):
             a, b = rand_poly(rng), rand_poly(rng)
-            assert poly_mul(a, b) == poly_mul_schoolbook(a, b)
+            assert np.array_equal(poly_mul(a, b), poly_mul_schoolbook(a, b))
 
     def test_closure(self):
         rng = np.random.default_rng(4)
         r = poly_mul(rand_poly(rng), rand_poly(rng))
-        assert r.coeffs.shape == (N,)
-        assert r.coeffs.min() >= 0 and r.coeffs.max() < Q
+        assert r.shape == (N,)
+        assert r.min() >= 0 and r.max() < Q
+
+
+def rand_matrix(rng, k):
+    """A random (k, k, 256) matrix in both domains."""
+    a = rand_poly(rng, (k, k))
+    return a, ntt(a)
 
 
 class TestMatVec:
     def test_identity_matrix(self):
         rng = np.random.default_rng(5)
-        one = np.zeros(N, dtype=np.int64)
-        one[0] = 1
-        ident = RingMatrix([[RingElement(one if i == j else np.zeros(N, dtype=np.int64))
-                             for j in range(3)] for i in range(3)])
-        s = RingVector([rand_poly(rng) for _ in range(3)])
-        assert matvec_mul(ident, s) == s
-        assert matvec_mul(ident, s, transpose=True) == s
+        ident = np.zeros((3, 3, N), dtype=np.int64)
+        ident[np.arange(3), np.arange(3), 0] = 1
+        s = rand_poly(rng, (3,))
+        assert np.array_equal(matvec_mul(ntt(ident), s), s)
+        assert np.array_equal(matvec_mul(ntt(ident), s, transpose=True), s)
 
     def test_zero_matrix(self):
         rng = np.random.default_rng(6)
-        zero = RingMatrix([[RingElement.zero() for _ in range(2)] for _ in range(2)])
-        s = RingVector([rand_poly(rng) for _ in range(2)])
-        assert matvec_mul(zero, s) == RingVector.zero(2)
+        zero = np.zeros((2, 2, N), dtype=np.int64)
+        s = rand_poly(rng, (2,))
+        assert not matvec_mul(zero, s).any()
 
     @pytest.mark.parametrize("transpose", [False, True])
-    def test_entrywise_oracle(self, transpose):
-        rng = np.random.default_rng(7)
-        k = 3
-        a = RingMatrix([[rand_poly(rng) for _ in range(k)] for _ in range(k)])
-        s = RingVector([rand_poly(rng) for _ in range(k)])
-        got = matvec_mul(a, s, transpose=transpose)
+    @given(k=st.sampled_from([2, 3, 4]), seed=seeds)
+    @settings(max_examples=10, deadline=None)
+    def test_entrywise_oracle(self, transpose, k, seed):
+        rng = np.random.default_rng(seed)
+        a, a_hat = rand_matrix(rng, k)
+        s = rand_poly(rng, (k,))
+        got = matvec_mul(a_hat, s, transpose=transpose)
+        assert got.shape == (k, N)
         for i in range(k):
-            acc = RingElement.zero()
+            acc = np.zeros(N, dtype=np.int64)
             for j in range(k):
-                entry = a[j][i] if transpose else a[i][j]
-                acc = poly_add(acc, poly_mul_schoolbook(entry, s[j]))
-            assert got[i] == acc
+                entry = a[j, i] if transpose else a[i, j]
+                acc = (acc + poly_mul_schoolbook(entry, s[j])) % Q
+            assert np.array_equal(got[i], acc)
+
+    def test_rank_mismatch(self):
+        _, a_hat = rand_matrix(np.random.default_rng(8), 3)
+        with pytest.raises(ValueError):
+            matvec_mul(a_hat, np.zeros((2, N), dtype=np.int64))
+
+
+class TestCentered:
+    def test_range_and_congruence(self):
+        x = np.arange(-2 * Q, 2 * Q)
+        c = centered(x)
+        assert c.min() == -(Q // 2) and c.max() == Q // 2
+        assert ((c - x) % Q == 0).all()
 
 
 class TestCompress:
@@ -110,6 +148,10 @@ class TestCompress:
     def test_known_values(self):
         assert compress(1665, 1) == 1  # 2*1665/3329 = 1.0003
         assert decompress(1, 1) == 1665  # round(3329/2), ties up
+        assert compress(np.array([0, 832, 833, 2496, 2497]), 1).tolist() == \
+            [0, 0, 1, 1, 0]
+        assert decompress(np.array([0, 1, 2, 3]), 2).tolist() == \
+            [0, 832, 1665, 2497]
 
     def test_range_closure(self):
         for d in range(1, 12):
@@ -119,32 +161,34 @@ class TestCompress:
         with pytest.raises(ValueError):
             compress(Q, 4)
         with pytest.raises(ValueError):
-            compress(-1, 4)
+            compress(np.array([5, -1]), 4)
         with pytest.raises(ValueError):
             compress(5, 12)
         with pytest.raises(ValueError):
-            decompress(16, 4)
+            decompress(np.array([3, 16]), 4)
         with pytest.raises(ValueError):
             decompress(0, 0)
 
     @pytest.mark.parametrize("d", range(1, 12))
     def test_roundtrip_bound_exhaustive(self, d):
         xs = np.arange(Q)
-        rt = decompress_array(compress_array(xs, d), d)
-        diff = (rt - xs) % Q
-        diff[diff > Q // 2] -= Q
+        rt = decompress(compress(xs, d), d)
+        diff = centered(rt - xs)
         bound = (2 * Q + (1 << (d + 1))) // (1 << (d + 2))  # round(q/2^(d+1))
         assert np.abs(diff).max() <= bound
 
     @given(st.integers(0, Q - 1), st.integers(1, 11))
     def test_array_scalar_agree(self, x, d):
-        assert compress_array(np.array([x]), d)[0] == compress(x, d)
+        # one function for scalars and arrays, both equal to exact rounding
+        # of 2^d x / q with ties up: floor((2^(d+1) x + q) / 2q)
+        exact = ((x << (d + 1)) + Q) // (2 * Q) % (1 << d)
+        assert compress(np.array([x]), d)[0] == compress(x, d) == exact
 
 
 class TestCbd:
     def test_zero_stream(self):
         for eta in (2, 3):
-            assert cbd_sample(eta, FixedStream(bytes(64 * eta))) == RingElement.zero()
+            assert not cbd_sample(eta, FixedStream(bytes(64 * eta))).any()
 
     def test_stream_exhaustion(self):
         with pytest.raises(StreamExhausted):
@@ -165,7 +209,7 @@ class TestCbd:
         # and the sampler realises exactly that map on single-coefficient input
         for pattern in range(16):
             data = bytes([pattern]) + bytes(127)
-            got = int(cbd_sample(2, FixedStream(data)).coeffs[0])
+            got = int(cbd_sample(2, FixedStream(data))[0])
             bits = [(pattern >> i) & 1 for i in range(4)]
             want = (bits[0] + bits[1] - bits[2] - bits[3]) % Q
             assert got == want
@@ -174,7 +218,7 @@ class TestCbd:
         stream = XofStream(b"\x01" * 32, b"cbd-range")
         for eta in (2, 3):
             for _ in range(20):
-                c = cbd_sample(eta, stream).coeffs
+                c = cbd_sample(eta, stream)
                 ok = (c <= eta) | (c >= Q - eta)
                 assert ok.all()
 
@@ -184,7 +228,7 @@ class TestCbd:
         total = 0.0
         n = 0
         for _ in range(1_000_000 // N):
-            c = cbd_sample(2, stream).centered()
+            c = centered(cbd_sample(2, stream))
             total += float((c.astype(float) ** 2).sum())
             n += N
         assert abs(total / n - 1.0) <= 0.01
@@ -195,7 +239,8 @@ class TestGenMatrix:
         seed = bytes(range(32))
         a1 = gen_matrix(seed, KYBER768)
         a2 = gen_matrix(seed, KYBER768)
-        assert all(a1[i][j] == a2[i][j] for i in range(3) for j in range(3))
+        assert a1.shape == (3, 3, N)
+        assert np.array_equal(a1, a2)
 
     def test_seed_collisions(self):
         base = gen_matrix(bytes(32), KYBER512)
@@ -204,8 +249,7 @@ class TestGenMatrix:
             if seed == bytes(32):
                 continue
             other = gen_matrix(seed, KYBER512)
-            assert any(base[i][j] != other[i][j]
-                       for i in range(2) for j in range(2))
+            assert not np.array_equal(base, other)
 
     def test_coefficient_histogram_uniform(self):
         # >= 10^5 coefficients across many seeds, chi-square on 3329 cells
@@ -215,16 +259,24 @@ class TestGenMatrix:
         t = 0
         while draws < 100_000:
             seed = b"unif" + t.to_bytes(4, "little") + bytes(24)
-            mat = gen_matrix(seed, KYBER512)
-            for i in range(2):
-                for j in range(2):
-                    counts += np.bincount(mat[i][j].coeffs, minlength=Q)
-                    draws += N
+            mat = intt(gen_matrix(seed, KYBER512))  # sampled coefficients
+            counts += np.bincount(mat.ravel(), minlength=Q)
+            draws += mat.size
             t += 1
         expected = draws / Q
         stat = float(((counts - expected) ** 2 / expected).sum())
         # generous two-sided band at p ~ 1e-6
         assert chi2.ppf(1e-6, Q - 1) < stat < chi2.ppf(1 - 1e-6, Q - 1)
+
+    def test_cached_matrix_is_read_only(self):
+        seed = b"ro" + bytes(30)
+        a = gen_matrix(seed, KYBER768)
+        before = a.copy()
+        with pytest.raises(ValueError):
+            a[0, 0, 0] = (a[0, 0, 0] + 1) % Q
+        with pytest.raises(ValueError):
+            a.flags.writeable = True
+        assert np.array_equal(gen_matrix(seed, KYBER768), before)
 
     def test_rejects_bad_seed(self):
         with pytest.raises(ValueError):

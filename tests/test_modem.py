@@ -4,39 +4,44 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from wkyber.modem import (ChannelPlan, IQSymbol, NoiseSource, ber_4qam,
-                          ber_mpsk, demodulate, demodulate_symbols, modulate,
-                          modulate_words, noise_sigma, q_function,
-                          snr_db_to_linear, transmit)
+from wkyber.modem import (ChannelPlan, NoiseSource, ber_4qam, ber_mpsk,
+                          demodulate_symbols, modulate_words, noise_sigma,
+                          q_function, snr_db_to_linear, transmit)
+
+WORDS = np.arange(4)
 
 
 class TestModulation:
     def test_documented_corner(self):
-        s = modulate(0)
-        assert s == IQSymbol(1.0, 1.0)
+        # words 0, 1, 2, 3 -> (+,+), (-,+), (+,-), (-,-)
+        assert modulate_words(WORDS).tolist() == [1 + 1j, -1 + 1j, 1 - 1j,
+                                                  -1 - 1j]
 
     def test_four_distinct_quadrants(self):
-        seen = {(modulate(w).i > 0, modulate(w).q > 0) for w in range(4)}
-        assert len(seen) == 4
+        s = modulate_words(WORDS)
+        assert len(set(zip(s.real > 0, s.imag > 0))) == 4
 
     def test_gray_property(self):
         # walk the quadrants in circular order; adjacent labels differ by 1 bit
-        order = sorted(range(4), key=lambda w: math.atan2(modulate(w).q,
-                                                          modulate(w).i))
+        s = modulate_words(WORDS)
+        order = np.argsort(np.angle(s)).tolist()
         for a, b in zip(order, order[1:] + order[:1]):
             assert bin(a ^ b).count("1") == 1
 
     def test_demod_inverts_modulate(self):
-        for w in range(4):
-            assert demodulate(modulate(w)) == w
+        assert demodulate_symbols(modulate_words(WORDS)).tolist() == [0, 1, 2, 3]
 
     def test_quadrant_rule(self):
-        assert demodulate(IQSymbol(-0.1, 5.0)) == 1  # (-,+) quadrant
-        assert demodulate(IQSymbol(0.0, 0.0)) == 0  # ties toward positive
+        # (-,+) quadrant; sign ties toward positive on either axis
+        got = demodulate_symbols(np.array([-0.1 + 5j, 0j, -0.0 - 0.0j,
+                                           -2 + 0j, 0 - 2j]))
+        assert got.tolist() == [1, 0, 0, 1, 2]
 
     def test_rejects_bad_word(self):
         with pytest.raises(ValueError):
-            modulate(4)
+            modulate_words(np.array([0, 4]))
+        with pytest.raises(ValueError):
+            modulate_words(np.array([-1]))
 
 
 class TestTransmit:

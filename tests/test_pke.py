@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wkyber.core import (FixedStream, RingElement, RingVector, XofStream,
-                         matvec_mul, pack12)
+from wkyber.core import FixedStream, XofStream, matvec_mul, pack12
 from wkyber.params import KYBER768, N, Q, PARAM_SETS
 from wkyber.pke import (CompressedCiphertext, Message, PublicKey, SecretKey,
                         decrypt, decryption_noise, encrypt, keygen,
@@ -30,45 +29,45 @@ class TestMessage:
     def test_mhat_values(self):
         m = Message.random(stream(b"m2"))
         mhat = message_to_ring(m)
-        assert set(np.unique(mhat.coeffs)) <= {0, 1665}
+        assert set(np.unique(mhat)) <= {0, 1665}
 
 
 class TestKeygen:
     def test_zero_noise_gives_zero_b(self):
         # forced s = 0, e = 0 via an all-zero sampling stream
         pk, sk = keygen(SEED, FixedStream(bytes(10_000)), KYBER768)
-        assert pk.b == RingVector.zero(3)
-        assert sk.s == RingVector.zero(3)
+        assert pk.b.shape == sk.s.shape == (3, N)
+        assert not pk.b.any() and not sk.s.any()
 
     def test_deterministic(self):
         pk1, sk1 = keygen(SEED, stream(b"kg"), KYBER768)
         pk2, sk2 = keygen(SEED, stream(b"kg"), KYBER768)
-        assert pk1 == pk2 and sk1.s == sk2.s
+        assert pk1 == pk2 and sk1 == sk2
 
     @pytest.mark.parametrize("params", PARAM_SETS.values(), ids=lambda p: p.name)
     def test_b_minus_as_in_cbd_range(self, params):
         pk, sk = keygen(SEED, stream(b"kg3"), params)
         a_s = matvec_mul(pk.matrix(params), sk.s)
-        for be, ae in zip(pk.b, a_s):
-            e = (be.coeffs - ae.coeffs) % Q
-            assert ((e <= params.eta1) | (e >= Q - params.eta1)).all()
+        e = (pk.b - a_s) % Q
+        assert ((e <= params.eta1) | (e >= Q - params.eta1)).all()
 
 
 class TestEncryptDecrypt:
     def test_forced_zero_noise_gives_zero_ciphertext(self):
         from wkyber.pke import encrypt_with_noise
         pk, _ = keygen(SEED, stream(b"kgz"), KYBER768)
-        ct = encrypt_with_noise(pk, Message.zero(), RingVector.zero(3),
-                                RingVector.zero(3), RingElement.zero(), KYBER768)
+        zero = np.zeros((3, N), dtype=np.int64)
+        ct = encrypt_with_noise(pk, Message.zero(), zero, zero, zero[0],
+                                KYBER768)
         assert all((uc == 0).all() for uc in ct.u_c)
         assert (ct.v_c == 0).all()
 
     def test_noise_free_construction_decrypts_exactly(self):
         # no error terms and no compression loss on v=mhat: decrypt is exact
-        sk = SecretKey(RingVector.zero(3))
+        sk = SecretKey(np.zeros((3, N), dtype=np.int64))
         m = Message.random(stream(b"nf"))
         ct = CompressedCiphertext(
-            u_c=[np.zeros(N, dtype=np.int64) for _ in range(3)],
+            u_c=np.zeros((3, N), dtype=np.int64),
             v_c=np.array([0 if b == 0 else (1 << KYBER768.dv) // 2
                           for b in m.bits], dtype=np.int64))
         assert decrypt(sk, ct, KYBER768) == m
@@ -116,7 +115,7 @@ class TestSerialization:
     def test_pk_sk_roundtrip(self, params):
         pk, sk = keygen(SEED, stream(b"ser"), params)
         assert PublicKey.from_bytes(pk.to_bytes(), params) == pk
-        assert SecretKey.from_bytes(sk.to_bytes(), params).s == sk.s
+        assert SecretKey.from_bytes(sk.to_bytes(), params) == sk
 
     def test_pk_length(self):
         pk, _ = keygen(SEED, stream(b"len"), KYBER768)
@@ -137,24 +136,19 @@ def random_coeffs(seed, count):
     return np.random.default_rng(seed).integers(0, Q, count)
 
 
-def as_vector(coeffs):
-    return RingVector([RingElement(coeffs[i * N:(i + 1) * N])
-                       for i in range(len(coeffs) // N)])
-
-
 class TestCanonicalDecoding:
     @given(coeff_seeds)
     @settings(max_examples=25)
     def test_pk_roundtrip(self, seed):
         pk = PublicKey(bytes([seed & 0xFF]) * 32,
-                       as_vector(random_coeffs(seed, P512.k * N)))
+                       random_coeffs(seed, P512.k * N).reshape(P512.k, N))
         assert PublicKey.from_bytes(pk.to_bytes(), P512) == pk
 
     @given(coeff_seeds)
     @settings(max_examples=25)
     def test_sk_roundtrip(self, seed):
-        sk = SecretKey(as_vector(random_coeffs(seed, P512.k * N)))
-        assert SecretKey.from_bytes(sk.to_bytes(), P512).s == sk.s
+        sk = SecretKey(random_coeffs(seed, P512.k * N).reshape(P512.k, N))
+        assert SecretKey.from_bytes(sk.to_bytes(), P512) == sk
 
     @given(coeff_seeds, overwrites)
     @settings(max_examples=50)

@@ -3,16 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wkyber.core import RingElement, RingVector, XofStream, matvec_mul, pack12
+from wkyber.core import XofStream, centered, matvec_mul, pack12
 from wkyber.modem import ChannelPlan
 from wkyber.params import KYBER768, N, Q, PARAM_SETS
 from wkyber.pke import Message, keygen
 from wkyber.protocol import (KemSecretKey, SnrPolicy, WkCiphertext,
-                             WkPublicKeyV2, kem_v1_decaps, kem_v1_encaps,
-                             kem_v1_keygen, run_session, v1_decrypt, v1_encrypt,
-                             v1_keygen, v2_encrypt, v2_keygen,
-                             wk_decryption_noise, wk_encrypt_with_sprime)
-from wkyber.transport import coeff_error_dist
+                             kem_v1_decaps, kem_v1_encaps, kem_v1_keygen,
+                             run_session, v2_keygen, wk_decrypt,
+                             wk_decryption_noise, wk_encrypt,
+                             wk_encrypt_with_sprime)
+from wkyber.transport import coeff_error_dist, send_coeffs
 
 SEED = bytes(32)
 P768 = KYBER768
@@ -26,58 +26,58 @@ def stream(label):
 
 class TestV1Pke:
     def test_keygen_is_baseline(self):
-        pk1, sk1 = v1_keygen(SEED, stream(b"a"), P768)
+        pk1, ksk = kem_v1_keygen(SEED, stream(b"a"), P768)
         pk2, sk2 = keygen(SEED, stream(b"a"), P768)
-        assert pk1 == pk2 and sk1.s == sk2.s
+        assert pk1 == pk2 and ksk.sk == sk2
 
     def test_never_samples_ciphertext_noise(self):
         # u - A^T s' must vanish before transmission
-        pk, sk = v1_keygen(SEED, stream(b"b"), P768)
+        pk, sk = keygen(SEED, stream(b"b"), P768)
         m = Message.random(stream(b"m"))
         coins = b"\x22" * 32
-        c = v1_encrypt(pk, m, coins, P768)
+        c = wk_encrypt(pk, m, coins, P768)
         from wkyber.protocol import _sample_sprime
         sp = _sample_sprime(coins, P768)
         u_expect = matvec_mul(pk.matrix(P768), sp, transpose=True)
-        assert c.u == u_expect
+        assert np.array_equal(c.u, u_expect)
 
     def test_zero_sprime_zero_message(self):
-        pk, _ = v1_keygen(SEED, stream(b"c"), P768)
-        c = wk_encrypt_with_sprime(pk, Message.zero(), RingVector.zero(3), P768)
-        assert c.u == RingVector.zero(3)
-        assert c.v == RingElement.zero()
+        pk, _ = keygen(SEED, stream(b"c"), P768)
+        c = wk_encrypt_with_sprime(pk, Message.zero(),
+                                   np.zeros((3, N), dtype=np.int64), P768)
+        assert c.coeffs.shape == (4, N)
+        assert not c.u.any() and not c.v.any()
 
     def test_deterministic(self):
-        pk, _ = v1_keygen(SEED, stream(b"d"), P768)
+        pk, _ = keygen(SEED, stream(b"d"), P768)
         m = Message.random(stream(b"m2"))
-        assert v1_encrypt(pk, m, b"\x01" * 32, P768) == \
-            v1_encrypt(pk, m, b"\x01" * 32, P768)
+        assert wk_encrypt(pk, m, b"\x01" * 32, P768) == \
+            wk_encrypt(pk, m, b"\x01" * 32, P768)
 
     def test_noiseless_roundtrip(self):
-        pk, sk = v1_keygen(SEED, stream(b"e"), P768)
+        pk, sk = keygen(SEED, stream(b"e"), P768)
         ms = stream(b"m3")
         for _ in range(5):
             m = Message.random(ms)
-            c = v1_encrypt(pk, m, ms.read(32), P768)
-            assert v1_decrypt(sk, c) == m
+            c = wk_encrypt(pk, m, ms.read(32), P768)
+            assert wk_decrypt(sk, c) == m
             noise = wk_decryption_noise(sk, c, m)
             assert np.abs(noise).max() < 832
 
     def test_injected_boundary_noise_flips_bit(self):
         # magnitude 832 = round(q/4) on an encoded 1 flips that bit
-        sk_zero = v1_keygen(SEED, stream(b"f"), P768)[1]
-        sk_zero.s = RingVector.zero(3)
-        m = Message(np.ones(N, dtype=np.int64))
-        v = np.full(N, 1665, dtype=np.int64)
-        v[7] = (1665 + 832) % Q
-        c = WkCiphertext(u=RingVector.zero(3), v=RingElement(v))
-        out = v1_decrypt(sk_zero, c)
+        sk_zero = keygen(SEED, stream(b"f"), P768)[1]
+        sk_zero.s = np.zeros((3, N), dtype=np.int64)
+        coeffs = np.zeros((4, N), dtype=np.int64)
+        coeffs[3] = 1665
+        coeffs[3, 7] = (1665 + 832) % Q
+        out = wk_decrypt(sk_zero, WkCiphertext(coeffs))
         assert out.bits[7] == 0
         assert (np.delete(out.bits, 7) == 1).all()
 
     def test_ciphertext_never_compressed(self):
-        pk, _ = v1_keygen(SEED, stream(b"g"), P768)
-        c = v1_encrypt(pk, Message.zero(), b"\x03" * 32, P768)
+        pk, _ = keygen(SEED, stream(b"g"), P768)
+        c = wk_encrypt(pk, Message.zero(), b"\x03" * 32, P768)
         assert len(c.to_bytes()) == 12 * (P768.k + 1) * N // 8
         rt = WkCiphertext.from_bytes(c.to_bytes(), P768)
         assert rt == c
@@ -90,8 +90,7 @@ class TestCiphertextDecoding:
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=25)
     def test_roundtrip(self, seed):
-        coeffs = np.random.default_rng(seed).integers(0, Q, (P768.k + 1) * N)
-        c = WkCiphertext.from_coeffs(coeffs, P768.k)
+        c = WkCiphertext(np.random.default_rng(seed).integers(0, Q, (P768.k + 1, N)))
         assert WkCiphertext.from_bytes(c.to_bytes(), P768) == c
 
     @given(st.integers(0, 2 ** 32 - 1),
@@ -116,15 +115,14 @@ class TestCiphertextDecoding:
 
 
 class TestV2Pke:
-    def test_b_clean_is_exactly_as(self):
+    def test_b_is_exactly_as(self):
         pk, sk = v2_keygen(SEED, stream(b"h"), P768)
-        assert isinstance(pk, WkPublicKeyV2)
-        assert pk.b_clean == matvec_mul(pk.matrix(P768), sk.s)
+        assert np.array_equal(pk.b, matvec_mul(pk.matrix(P768), sk.s))
 
     def test_zero_secret_gives_zero_b(self):
         from wkyber.core import FixedStream
         pk, sk = v2_keygen(SEED, FixedStream(bytes(4096)), P768)
-        assert pk.b_clean == RingVector.zero(3)
+        assert pk.b.shape == (3, N) and not pk.b.any()
 
     def test_received_b_offsets_match_channel_pmf(self):
         # transport the clean key at (10, -10); b_rx - As follows the PMF
@@ -136,11 +134,10 @@ class TestV2Pke:
             pk, sk = v2_keygen(SEED, stream(b"i" + bytes([i])), P768)
             seed_syms, frame = _send_pk(pk, ChannelPlan(10.0, -10.0),
                                         NoiseSource(1000 + i), P768)
-            pk_rx, fails = _receive_pk(seed_syms, frame, P768, v2=True)
+            pk_rx, fails = _receive_pk(seed_syms, frame, P768)
             assert fails == 0
-            off = (pk_rx.b.coeff_array() - pk.b.coeff_array()) % Q
-            off[off > Q // 2] -= Q
-            counts += np.bincount(off + 3, minlength=7)
+            off = centered(pk_rx.b - pk.b)
+            counts += np.bincount(off.ravel() + 3, minlength=7)
             total += off.size
         expected = coeff_error_dist(-10.0).pmf * total
         chi2 = float(((counts - expected) ** 2 / expected).sum())
@@ -157,7 +154,7 @@ class TestV2Pke:
 class TestKem:
     def test_encaps_deterministic_given_message(self):
         from wkyber.protocol import _encaps_with_message
-        pk, _ = v1_keygen(SEED, stream(b"j"), P768)
+        pk, _ = keygen(SEED, stream(b"j"), P768)
         m = Message.random(stream(b"m4"))
         c1, s1 = _encaps_with_message(pk, m, P768)
         c2, s2 = _encaps_with_message(pk, m, P768)
@@ -186,9 +183,9 @@ class TestKem:
     def test_tampered_protected_word_rejects(self):
         pk, ksk = kem_v1_keygen(SEED, stream(b"l"), P768)
         c, secret = kem_v1_encaps(pk, stream(b"m6"), P768)
-        tampered_coeffs = c.coeff_array().copy()
-        tampered_coeffs[100] = (tampered_coeffs[100] + 4 * 16) % Q  # w10 hit
-        c_bad = WkCiphertext.from_coeffs(tampered_coeffs, P768.k)
+        tampered = c.coeffs.copy()
+        tampered[0, 100] = (tampered[0, 100] + 4 * 16) % Q  # w10 hit
+        c_bad = WkCiphertext(tampered)
         out = kem_v1_decaps(ksk, pk, c_bad, P768)
         assert out != secret
         # implicit rejection is deterministic, silent and key-dependent
@@ -200,20 +197,20 @@ class TestKem:
         # the channel rewrites w2 only: 4 * w10 + w2' mod q
         pk, ksk = kem_v1_keygen(SEED, stream(b"n"), P768)
         c, secret = kem_v1_encaps(pk, stream(b"m7"), P768)
-        perturbed = c.coeff_array().copy()
-        perturbed[:64] = ((perturbed[:64] & ~3) + np.random.default_rng(0)
-                          .integers(0, 4, 64)) % Q
-        c_noisy = WkCiphertext.from_coeffs(perturbed, P768.k)
+        perturbed = c.coeffs.copy()
+        perturbed[0, :64] = ((perturbed[0, :64] & ~3) + np.random.default_rng(0)
+                             .integers(0, 4, 64)) % Q
+        c_noisy = WkCiphertext(perturbed)
         assert kem_v1_decaps(ksk, pk, c_noisy, P768) == secret
 
     def test_carry_into_protected_word_rejects(self):
         # 4w + 3 -> 4(w + 1) is within 3 of the honest value but changes w10
         pk, ksk = kem_v1_keygen(SEED, stream(b"n"), P768)
         c, secret = kem_v1_encaps(pk, stream(b"m7"), P768)
-        bumped = c.coeff_array().copy()
-        idx = np.flatnonzero((bumped & 3) == 3)[0]
+        bumped = c.coeffs.copy()
+        idx = tuple(np.argwhere((bumped & 3) == 3)[0])
         bumped[idx] += 1
-        c_bad = WkCiphertext.from_coeffs(bumped, P768.k)
+        c_bad = WkCiphertext(bumped)
         assert kem_v1_decaps(ksk, pk, c_bad, P768) != secret
 
     def test_msb_policy_allows_only_the_q_wrap(self):
@@ -230,10 +227,14 @@ class TestKem:
 
 class TestSessions:
     def test_transcript_deterministic(self):
-        a = run_session("v1", P768, NOMINAL_PLANS, seed=5)
-        b = run_session("v1", P768, NOMINAL_PLANS, seed=5)
-        assert a.record(0) == b.record(0)
-        assert a.bch_failures == b.bch_failures
+        a = run_session("v1", P768, NOMINAL_PLANS, seed=5,
+                        collect_offsets=True)
+        b = run_session("v1", P768, NOMINAL_PLANS, seed=5,
+                        collect_offsets=True)
+        assert a.outcome == b.outcome
+        assert (a.bch_failures_pk, a.bch_failures_ct) == \
+            (b.bch_failures_pk, b.bch_failures_ct)
+        assert np.array_equal(a.ct_error_offsets, b.ct_error_offsets)
 
     def test_policy_warning_recorded(self):
         tr = run_session("v2", P768, (ChannelPlan(10, -3), ChannelPlan(10, -3)),
@@ -270,8 +271,7 @@ class TestNoiseAccounting:
     def test_v2_noise_matches_convolution_engine(self):
         """End-to-end per-coefficient decryption noise vs the analytic law."""
         from wkyber.reliability import noise_distribution, wkyber_v2_model
-        from wkyber.protocol import (_receive_ct, _receive_pk, _send_ct,
-                                     _send_pk)
+        from wkyber.protocol import _receive_ct, _receive_pk, _send_pk
         from wkyber.modem import NoiseSource
 
         observed = []
@@ -280,11 +280,11 @@ class TestNoiseAccounting:
             pk, sk = v2_keygen(SEED, kg, P768)
             seed_syms, fr = _send_pk(pk, ChannelPlan(10, -10),
                                      NoiseSource(7000 + i), P768)
-            pk_rx, _ = _receive_pk(seed_syms, fr, P768, v2=True)
+            pk_rx, _ = _receive_pk(seed_syms, fr, P768)
             m = Message.random(kg)
-            c = v2_encrypt(pk_rx, m, kg.read(32), P768)
-            c_rx, _ = _receive_ct(_send_ct(c, ChannelPlan(10, -10),
-                                           NoiseSource(8000 + i)), P768)
+            c = wk_encrypt(pk_rx, m, kg.read(32), P768)
+            c_rx, _ = _receive_ct(send_coeffs(c.coeffs, ChannelPlan(10, -10),
+                                              NoiseSource(8000 + i)), P768)
             observed.append(wk_decryption_noise(sk, c_rx, m))
         observed = np.concatenate(observed)
 

@@ -113,7 +113,7 @@ class TestCompressionError:
         from wkyber.core import compress, decompress
         counts = Counter()
         for x in range(Q):
-            e = (decompress(compress(x, 10), 10) - x) % Q
+            e = int(decompress(compress(x, 10), 10) - x) % Q
             counts[e if e <= Q // 2 else e - Q] += 1
         dist = compression_error_dist(10)
         for v, c in counts.items():
@@ -214,6 +214,38 @@ class TestKerMonteCarlo:
         a = ker_monte_carlo("v1", KYBER512, plans, trials=64, seed=3, workers=1)
         b = ker_monte_carlo("v1", KYBER512, plans, trials=64, seed=3, workers=2)
         assert (a.failures, a.trials) == (b.failures, b.trials)
+
+    def test_pool_capped_at_trials_and_cores(self, monkeypatch):
+        # an in-process stand-in for multiprocessing.Pool: no process starts
+        import multiprocessing
+        import os
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return [fn(item) for item in items]
+
+        monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        # 3 dB on the protected path: a few sessions fail, so the split is
+        # checked on a nonzero count
+        plans = (ChannelPlan(3, 3), ChannelPlan(3, -10))
+        pooled = ker_monte_carlo("v1", KYBER512, plans, trials=64, seed=3,
+                                 workers=500)
+        assert sizes == [4]
+        serial = ker_monte_carlo("v1", KYBER512, plans, trials=64, seed=3,
+                                 workers=1)
+        assert sizes == [4]
+        assert pooled.failures == serial.failures > 0
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -5,40 +5,47 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wkyber.modem import ChannelPlan, NoiseSource, modulate_words
+from wkyber.core import centered
+from wkyber.modem import (ChannelPlan, NoiseSource, demodulate_symbols,
+                          modulate_words)
 from wkyber.params import Q
-from wkyber.transport import (SYMBOLS_PER_COEFF, CoeffErrorDist, CoeffSplit,
+from wkyber.transport import (SYMBOLS_PER_COEFF, CoeffErrorDist,
                               channel_error_pmf, coeff_error_dist, dist_stddev,
-                              merge_coeff, receive_blocks, receive_coeffs,
-                              send_blocks, send_coeffs, split_coeff)
+                              receive_blocks, receive_coeffs, send_blocks,
+                              send_coeffs)
 
 NOISELESS = ChannelPlan(math.inf, math.inf)
 NOMINAL = ChannelPlan(10.0, -10.0)
 
 
-def centered_offsets(rx, tx):
-    off = (rx - tx) % Q
-    off[off > Q // 2] -= Q
-    return off
+def noiseless_split(coeffs):
+    """(w10, w2) as a noiseless frame carries them: protected path, then
+    the exposed symbol."""
+    frame = send_coeffs(np.asarray(coeffs), NOISELESS, NoiseSource(0))
+    w10, failed = receive_blocks(frame.msb, frame.count)
+    assert not failed.any()
+    return w10.tolist(), demodulate_symbols(frame.lsb).tolist()
 
 
 class TestSplit:
     def test_examples(self):
-        assert split_coeff(0) == CoeffSplit(0, 0)
-        assert split_coeff(3) == CoeffSplit(0, 3)
-        assert split_coeff(3328) == CoeffSplit(832, 0)
+        assert noiseless_split([0, 3, 3328]) == ([0, 0, 832], [0, 3, 0])
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            split_coeff(4096)
-        with pytest.raises(ValueError):
-            split_coeff(-1)
+        for bad in (Q, 4096, -1):
+            with pytest.raises(ValueError):
+                send_coeffs(np.array([bad]), NOISELESS, NoiseSource(0))
 
-    @given(st.integers(0, 4095))
+    @given(st.integers(0, Q - 1))
     def test_identity(self, x):
-        s = split_coeff(x)
-        assert merge_coeff(s) == x
-        assert 4 * s.w10 + s.w2 == x
+        (w10,), (w2,) = noiseless_split([x])
+        assert 4 * w10 + w2 == x
+
+    def test_any_shape_sent_row_major(self):
+        coeffs = np.random.default_rng(5).integers(0, Q, (3, 8))
+        frame = send_coeffs(coeffs, NOISELESS, NoiseSource(0))
+        rx, _ = receive_coeffs(frame, coeffs.size)
+        assert np.array_equal(rx, coeffs.ravel())
 
 
 class TestFrames:
@@ -78,7 +85,7 @@ class TestFrames:
         rx, failures = receive_coeffs(send_coeffs(coeffs, NOMINAL,
                                                   NoiseSource(3)), 60_000)
         assert failures == 0
-        off = centered_offsets(rx, coeffs)
+        off = centered(rx - coeffs)
         assert off.min() >= -3 and off.max() <= 3
 
     def test_offset_histogram_matches_analytic(self):
@@ -90,7 +97,7 @@ class TestFrames:
             rx, _ = receive_coeffs(send_coeffs(coeffs, NOMINAL,
                                                NoiseSource(50 + part)),
                                    total // 4)
-            off = centered_offsets(rx, coeffs)
+            off = centered(rx - coeffs)
             counts += np.bincount(off + 3, minlength=7)
         expected = coeff_error_dist(-10.0).pmf * total
         chi2 = float(((counts - expected) ** 2 / expected).sum())
