@@ -6,16 +6,23 @@ Encoding is systematic: the 11 message bits occupy positions 30..20 and the
 19..0.  GF(2^5) is built on the primitive polynomial x^5 + x^2 + 1; this
 fixes the generator and therefore the parity bits, so it is wire-format law.
 
-Decoding is the classical chain: syndromes, Berlekamp-Massey for the error
-locator, Chien search for its roots.  More than 5 channel errors either
-produce an inconsistent locator (reported as decode failure) or, rarely,
-land on a different codeword; the miscorrection hazard is handled by the
-layers above.
+Decoding is Meggitt's cyclic syndrome decoder, batched.  The syndrome
+r mod g of every word comes from one ENCODE_TABLE lookup; a zero syndrome
+is a codeword.  Since the code has minimum distance 11, each error pattern
+of weight <= 5 is the unique such pattern in its syndrome's coset, and some
+rotation of it has bit 0 set, so for the other words all 31 rotations are
+looked up in a sorted table of the 31,931 such patterns (built on first
+use).  A hit at rotation m is the error pattern, rotated back by m.  No hit
+means no codeword within distance 5: a decode failure.  More than 5 channel
+errors end in that failure or, rarely, land within 5 of a different
+codeword; the miscorrection hazard is handled by the layers above.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from itertools import combinations
 
 import numpy as np
 
@@ -23,6 +30,7 @@ M = 5                   # GF(2^m)
 CODE_N = 31             # block length 2^m - 1
 CODE_K = 11             # message bits
 CODE_T = 5              # correction capability
+PARITY_BITS = CODE_N - CODE_K
 _PRIM_POLY = 0b100101   # x^5 + x^2 + 1
 
 # log/antilog tables for GF(32); EXP is doubled so products of logs need no mod
@@ -43,12 +51,6 @@ def gf_mul(a: int, b: int) -> int:
     if a == 0 or b == 0:
         return 0
     return EXP[LOG[a] + LOG[b]]
-
-
-def gf_inv(a: int) -> int:
-    if a == 0:
-        raise ZeroDivisionError("inverse of 0 in GF(32)")
-    return EXP[(31 - LOG[a]) % 31]
 
 
 def _poly2_mul(a: int, b: int) -> int:
@@ -110,99 +112,92 @@ def bch_generator() -> int:
 
 
 GENERATOR = bch_generator()
-assert GENERATOR.bit_length() - 1 == CODE_N - CODE_K
+assert GENERATOR.bit_length() - 1 == PARITY_BITS
 
 
 def bch_encode(msg: int) -> int:
     """Systematic 31-bit codeword for an 11-bit message."""
     if not 0 <= msg < (1 << CODE_K):
         raise ValueError("message must fit in 11 bits")
-    shifted = msg << (CODE_N - CODE_K)
+    shifted = msg << PARITY_BITS
     return shifted | _poly2_mod(shifted, GENERATOR)
 
 
-# one codeword per message; the hot receive path is a table compare
+# one codeword per message; also the syndrome table (see _syndrome)
 ENCODE_TABLE = np.array([bch_encode(m) for m in range(1 << CODE_K)],
                         dtype=np.int64)
 
 
-def _syndromes(r: int):
-    """S_i = r(alpha^i) for i = 1..2t; None when all vanish."""
-    positions = [j for j in range(CODE_N) if (r >> j) & 1]
-    syn = []
-    nonzero = False
-    for i in range(1, 2 * CODE_T + 1):
-        s = 0
-        for j in positions:
-            s ^= EXP[(i * j) % 31]
-        syn.append(s)
-        nonzero = nonzero or s
-    return syn if nonzero else None
+_WORD_MASK = (1 << CODE_N) - 1
+_CHUNK = 4096           # failing blocks rotated at a time (31 words each)
 
 
-def _berlekamp_massey(syn):
-    """Error locator polynomial (list over GF(32), index = degree)."""
-    c = [1]
-    b = [1]
-    l, m, bb = 0, 1, 1
-    for n in range(2 * CODE_T):
-        d = syn[n]
-        for i in range(1, min(l, len(c) - 1) + 1):
-            d ^= gf_mul(c[i], syn[n - i])
-        if d == 0:
-            m += 1
-            continue
-        coef = gf_mul(d, gf_inv(bb))
-        shifted_len = len(b) + m
-        if shifted_len > len(c):
-            c = c + [0] * (shifted_len - len(c))
-        prev_c = c[:]
-        for i, bi in enumerate(b):
-            c[i + m] ^= gf_mul(coef, bi)
-        if 2 * l <= n:
-            l = n + 1 - l
-            b = prev_c
-            bb = d
-            m = 1
-        else:
-            m += 1
-    while len(c) > 1 and c[-1] == 0:
-        c.pop()
-    return c, l
+def _rotate_right(words: np.ndarray, shift) -> np.ndarray:
+    """Cyclic shift x^-shift of 31-bit words; shift may broadcast."""
+    return ((words >> shift) | (words << (CODE_N - shift))) & _WORD_MASK
+
+
+def _syndrome(words: np.ndarray) -> np.ndarray:
+    """r mod g: the parity bits of r XOR the parity of r's own message."""
+    return words ^ ENCODE_TABLE[words >> PARITY_BITS]
+
+
+@functools.cache
+def _leader_table():
+    """(sorted syndromes, error patterns, weights) of the 31,931 patterns of
+    weight 1..t with bit 0 set; every correctable error is a rotation of
+    one of them."""
+    levels = [np.fromiter((sum(1 << j for j in rest) | 1
+                           for rest in combinations(range(1, CODE_N), w)),
+                          dtype=np.int64) for w in range(CODE_T)]
+    patterns = np.concatenate(levels)
+    weights = np.repeat(np.arange(1, CODE_T + 1, dtype=np.int8),
+                        [len(level) for level in levels])
+    syndromes = _syndrome(patterns)
+    order = np.argsort(syndromes)
+    return syndromes[order], patterns[order], weights[order]
+
+
+def decode_words(received):
+    """Decode 31-bit words, flattened to one axis.
+
+    Returns (messages, corrections, failed).  A word within distance t of a
+    codeword decodes to it, with the distance as its correction count; any
+    other word is a failure and keeps its uncorrected systematic bits.  A
+    word within t of a wrong codeword decodes "successfully" to that
+    codeword; the caller accounts for that hazard end to end.
+    """
+    words = np.asarray(received, dtype=np.int64).ravel()
+    if words.size and (words.min() < 0 or words.max() > _WORD_MASK):
+        raise ValueError("received words must fit in 31 bits")
+    errors = np.zeros_like(words)
+    corrections = np.zeros_like(words)
+    failed = np.zeros(words.shape, dtype=bool)
+    dirty = np.flatnonzero(_syndrome(words))
+    for at in range(0, dirty.size, _CHUNK):
+        idx = dirty[at:at + _CHUNK]
+        syndromes, patterns, weights = _leader_table()
+        # rotation m of a word moves an error at bit m to bit 0, where the
+        # table holds every correctable pattern
+        rotated = _syndrome(_rotate_right(words[idx, None], np.arange(CODE_N)))
+        pos = np.minimum(np.searchsorted(syndromes, rotated),
+                         len(syndromes) - 1)
+        hit = syndromes[pos] == rotated
+        found = hit.any(axis=1)
+        failed[idx[~found]] = True
+        m = hit[found].argmax(axis=1)
+        leader = pos[found, m]
+        errors[idx[found]] = _rotate_right(patterns[leader], (CODE_N - m) % CODE_N)
+        corrections[idx[found]] = weights[leader]
+    return (words ^ errors) >> PARITY_BITS, corrections, failed
 
 
 def bch_decode(received: int):
-    """Decode a 31-bit word.
-
-    Returns (message, corrections) on success, None on decode failure.
-    A received word lying on a wrong codeword decodes "successfully" to
-    that codeword; the caller accounts for that hazard end to end.
-    """
-    if not 0 <= received < (1 << CODE_N):
+    """Decode one 31-bit word: (message, corrections), or None on failure."""
+    if not 0 <= received <= _WORD_MASK:
         raise ValueError("received word must fit in 31 bits")
-    syn = _syndromes(received)
-    if syn is None:
-        return received >> (CODE_N - CODE_K), 0
-    locator, l = _berlekamp_massey(syn)
-    if l > CODE_T or len(locator) - 1 != l:
-        return None
-    # Chien search: an error sits at position j iff locator(alpha^-j) == 0
-    err_mask = 0
-    nroots = 0
-    for j in range(CODE_N):
-        acc = 0
-        for d, cd in enumerate(locator):
-            if cd:
-                acc ^= EXP[(LOG[cd] + d * (31 - j)) % 31]
-        if acc == 0:
-            err_mask |= 1 << j
-            nroots += 1
-    if nroots != l:
-        return None
-    corrected = received ^ err_mask
-    if int(ENCODE_TABLE[corrected >> (CODE_N - CODE_K)]) != corrected:
-        return None
-    return corrected >> (CODE_N - CODE_K), nroots
+    msgs, corrections, failed = decode_words([received])
+    return None if failed[0] else (int(msgs[0]), int(corrections[0]))
 
 
 def codeword_error_prob(p_b: float) -> float:

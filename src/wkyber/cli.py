@@ -26,6 +26,8 @@ from .reliability import (PrecisionLossError, failure_prob_rows,
 from .transport import (cbd_pmf_padded, coeff_error_dist, receive_blocks,
                         send_blocks)
 
+MAX_GRID_POINTS = 10_000
+
 
 def _parse_grid(spec: str):
     try:
@@ -38,12 +40,11 @@ def _parse_grid(spec: str):
             f"grid fields must be finite, got {spec!r}")
     if step <= 0 or stop < start:
         raise argparse.ArgumentTypeError(f"bad grid {spec!r}")
-    out = []
-    x = start
-    while x <= stop + 1e-9:
-        out.append(round(x, 9))
-        x += step
-    return out
+    steps = (stop - start + 1e-9) / step
+    if steps >= MAX_GRID_POINTS:
+        raise argparse.ArgumentTypeError(
+            f"grid {spec!r} has more than {MAX_GRID_POINTS} points")
+    return [round(start + i * step, 9) for i in range(int(steps) + 1)]
 
 
 def _snr_db(text: str) -> float:

@@ -86,16 +86,7 @@ def _block_symbols_to_words(symbols: np.ndarray):
     bits = pairs.reshape(-1, 32)[:, :31]        # drop the pad bit
     weights = (1 << np.arange(30, -1, -1)).astype(np.int64)
     received = bits @ weights
-    msgs = received >> (bch.CODE_N - bch.CODE_K)
-    ok = bch.ENCODE_TABLE[msgs] == received
-    failed = np.zeros(len(msgs), dtype=bool)
-    if not ok.all():
-        for idx in np.flatnonzero(~ok):
-            out = bch.bch_decode(int(received[idx]))
-            if out is None:
-                failed[idx] = True  # keep the uncorrected systematic bits
-            else:
-                msgs[idx] = out[0]
+    msgs, _, failed = bch.decode_words(received)
     return msgs & 0x3FF, failed
 
 

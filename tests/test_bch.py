@@ -1,11 +1,20 @@
+import math
+import os
 import random
+import subprocess
+import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import betainc
 
+import wkyber
 from wkyber import bch
-from wkyber.bch import (CODE_K, CODE_N, CODE_T, GENERATOR, bch_decode,
-                        bch_encode, bch_generator, codeword_error_prob)
+from wkyber.bch import (CODE_K, CODE_N, CODE_T, ENCODE_TABLE, GENERATOR,
+                        bch_decode, bch_encode, bch_generator,
+                        codeword_error_prob, decode_words)
 
 
 def gf_poly_eval(poly_int: int, exp: int) -> int:
@@ -113,6 +122,77 @@ class TestDecode:
             bch_decode(1 << CODE_N)
 
 
+CODEWORDS = [int(c) for c in ENCODE_TABLE]
+
+
+def nearest_codeword(received: int):
+    """Brute-force oracle: (message, corrections, failed) by scanning all
+    2,048 codewords for one within distance t."""
+    dist, cw = min((bin(received ^ c).count("1"), c) for c in CODEWORDS)
+    if dist <= CODE_T:
+        return cw >> (CODE_N - CODE_K), dist, False
+    return received >> (CODE_N - CODE_K), 0, True
+
+
+def flip(codeword: int, positions) -> int:
+    for pos in positions:
+        codeword ^= 1 << pos
+    return codeword
+
+
+# a codeword with 0-11 flipped bits, or a uniform 31-bit word
+received_words = st.one_of(
+    st.builds(flip, st.sampled_from(CODEWORDS),
+              st.sets(st.integers(0, CODE_N - 1), max_size=2 * CODE_T + 1)),
+    st.integers(0, (1 << CODE_N) - 1))
+
+
+def as_tuples(decoded):
+    msgs, corrections, failed = decoded
+    return [(int(m), int(c), bool(f))
+            for m, c, f in zip(msgs, corrections, failed)]
+
+
+class TestDecodeWords:
+    @given(st.lists(received_words, max_size=24), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_oracle_and_batch_splits(self, words, data):
+        batch = as_tuples(decode_words(np.array(words, dtype=np.int64)))
+        assert batch == [nearest_codeword(w) for w in words]
+        assert batch == [as_tuples(decode_words([w]))[0] for w in words]
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(words)),
+                                         max_size=4)))
+        pieces = [words[a:b] for a, b in zip([0] + cuts, cuts + [len(words)])]
+        assert batch == [t for piece in pieces
+                         for t in as_tuples(decode_words(piece))]
+
+    def test_empty(self):
+        msgs, corrections, failed = decode_words(np.array([], dtype=np.int64))
+        assert msgs.shape == corrections.shape == failed.shape == (0,)
+
+    @pytest.mark.parametrize("word", [-1, 1 << CODE_N])
+    def test_rejects_wide_word(self, word):
+        with pytest.raises(ValueError):
+            decode_words([0, word])
+
+    def test_leader_table(self):
+        syndromes, patterns, weights = bch._leader_table()
+        size = sum(math.comb(CODE_N - 1, w - 1) for w in range(1, CODE_T + 1))
+        assert len(syndromes) == len(patterns) == len(weights) == size == 31931
+        # distinct syndromes: no two patterns of weight <= t share a coset
+        assert (np.diff(syndromes) > 0).all()
+        assert (patterns & 1).all()
+        assert [bin(int(p)).count("1") for p in patterns] == weights.tolist()
+
+    def test_table_not_built_at_import(self):
+        src = os.path.dirname(os.path.dirname(wkyber.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = ("import wkyber; from wkyber import bch; "
+                "assert bch._leader_table.cache_info().currsize == 0")
+        subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                       timeout=60)
+
+
 class TestCodewordErrorProb:
     def test_endpoints(self):
         assert codeword_error_prob(0.0) == 0.0
@@ -120,7 +200,7 @@ class TestCodewordErrorProb:
 
     def test_exact_tail_at_1_percent(self):
         p = 0.01
-        direct = sum(__import__("math").comb(31, j) * p ** j * (1 - p) ** (31 - j)
+        direct = sum(math.comb(31, j) * p ** j * (1 - p) ** (31 - j)
                      for j in range(6, 32))
         assert abs(codeword_error_prob(p) - direct) < 1e-18
 

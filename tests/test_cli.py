@@ -1,13 +1,15 @@
+import argparse
 import csv
 import io
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
-from wkyber.cli import main
+from wkyber.cli import MAX_GRID_POINTS, _parse_grid, main
 
 
 def run_cli(capsys, *argv):
@@ -139,6 +141,42 @@ class TestFailureProb:
         assert abs(by_key[("kyber768", "3", "")] - (-164)) <= 1.0
         assert abs(by_key[("wkyber-v1", "2", "exact")] - (-219.1)) <= 3.0
         assert abs(by_key[("wkyber-v2", "4", "approx")] - (-105.2)) <= 3.0
+
+
+class TestGrid:
+    def test_default_grids(self):
+        assert _parse_grid("0:10:2") == [0, 2, 4, 6, 8, 10]
+        assert _parse_grid("-2:4:1") == list(range(-2, 5))
+        assert _parse_grid("6:15:3") == [6, 9, 12, 15]
+        assert _parse_grid("-15:0:1") == list(range(-15, 1))
+
+    def test_fractional_step_lands_on_stop(self):
+        assert _parse_grid("0:1:0.1") == [i / 10 for i in range(11)]
+
+    def test_point_cap(self):
+        assert len(_parse_grid(f"0:{MAX_GRID_POINTS - 1}:1")) == MAX_GRID_POINTS
+        # a step below the spacing of floats near start once never advanced
+        assert _parse_grid("1e20:1e20:1") == [1e20]
+
+    @pytest.mark.parametrize("spec", [f"0:{MAX_GRID_POINTS}:1", "0:1:1e-6",
+                                      "0:1:1e-12", "-1e308:1e308:1"])
+    def test_too_many_points_rejected_before_allocating(self, spec):
+        tracemalloc.start()
+        try:
+            with pytest.raises(argparse.ArgumentTypeError):
+                _parse_grid(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+    def test_too_many_points_exit_code(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "wkyber.cli", "ber", "--grid", "0:1:1e-12"],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr and "--grid" in proc.stderr
+        assert proc.stdout == ""
 
 
 class TestPlumbing:
