@@ -6,16 +6,17 @@ Encoding is systematic: the 11 message bits occupy positions 30..20 and the
 19..0.  GF(2^5) is built on the primitive polynomial x^5 + x^2 + 1; this
 fixes the generator and therefore the parity bits, so it is wire-format law.
 
-Decoding is Meggitt's cyclic syndrome decoder, batched.  The syndrome
-r mod g of every word comes from one ENCODE_TABLE lookup; a zero syndrome
-is a codeword.  Since the code has minimum distance 11, each error pattern
-of weight <= 5 is the unique such pattern in its syndrome's coset, and some
-rotation of it has bit 0 set, so for the other words all 31 rotations are
-looked up in a sorted table of the 31,931 such patterns (built on first
-use).  A hit at rotation m is the error pattern, rotated back by m.  No hit
-means no codeword within distance 5: a decode failure.  More than 5 channel
-errors end in that failure or, rarely, land within 5 of a different
-codeword; the miscorrection hazard is handled by the layers above.
+Decoding is Meggitt's cyclic syndrome decoder, batched over an array of
+words.  A word's syndrome r mod g is one ENCODE_TABLE lookup, and zero
+means a codeword.  The minimum distance is 11, so no two error patterns of
+weight <= 5 share a syndrome; the code is cyclic, so a rotated word carries
+the rotated error.  Each word with a nonzero syndrome therefore has its 31
+rotations looked up in a sorted table of the syndromes of the 31,931
+patterns of weight 1..5 with bit 0 set, built on first use.  A hit at
+rotation m is the error pattern, rotated back by m; no hit means no
+codeword within distance 5, a decode failure.  More than 5 channel errors
+end in that failure or, rarely, land within 5 of a different codeword; the
+miscorrection hazard is handled by the layers above.
 """
 
 from __future__ import annotations
@@ -155,7 +156,10 @@ def _leader_table():
                         [len(level) for level in levels])
     syndromes = _syndrome(patterns)
     order = np.argsort(syndromes)
-    return syndromes[order], patterns[order], weights[order]
+    table = syndromes[order], patterns[order], weights[order]
+    for column in table:
+        column.flags.writeable = False   # shared by every caller
+    return table
 
 
 def decode_words(received):

@@ -182,6 +182,8 @@ class TestDecodeWords:
         # distinct syndromes: no two patterns of weight <= t share a coset
         assert (np.diff(syndromes) > 0).all()
         assert (patterns & 1).all()
+        assert not any(column.flags.writeable
+                       for column in (syndromes, patterns, weights))
         assert [bin(int(p)).count("1") for p in patterns] == weights.tolist()
 
     def test_table_not_built_at_import(self):

@@ -144,19 +144,16 @@ class TestFailureProb:
 
 
 class TestGrid:
-    def test_default_grids(self):
+    def test_points(self):
+        # the default grids, unchanged
         assert _parse_grid("0:10:2") == [0, 2, 4, 6, 8, 10]
         assert _parse_grid("-2:4:1") == list(range(-2, 5))
         assert _parse_grid("6:15:3") == [6, 9, 12, 15]
         assert _parse_grid("-15:0:1") == list(range(-15, 1))
-
-    def test_fractional_step_lands_on_stop(self):
         assert _parse_grid("0:1:0.1") == [i / 10 for i in range(11)]
-
-    def test_point_cap(self):
-        assert len(_parse_grid(f"0:{MAX_GRID_POINTS - 1}:1")) == MAX_GRID_POINTS
-        # a step below the spacing of floats near start once never advanced
+        # a step below the float spacing near start once never advanced
         assert _parse_grid("1e20:1e20:1") == [1e20]
+        assert len(_parse_grid(f"0:{MAX_GRID_POINTS - 1}:1")) == MAX_GRID_POINTS
 
     @pytest.mark.parametrize("spec", [f"0:{MAX_GRID_POINTS}:1", "0:1:1e-6",
                                       "0:1:1e-12", "-1e308:1e308:1"])
