@@ -100,6 +100,9 @@ ZETAS = np.array([pow(_ROOT, _bitrev7(i), Q) for i in range(128)], dtype=np.int6
 GAMMAS = np.array([pow(_ROOT, 2 * _bitrev7(i) + 1, Q) for i in range(128)],
                   dtype=np.int64)
 _N_INV = pow(128, -1, Q)  # Gentleman-Sande inverse runs 7 layers
+# a sum of 128 products of coefficients in [0, q) is an integer that a
+# float64 holds exactly
+assert 128 * (Q - 1) ** 2 < 2 ** 53
 
 
 def ntt(coeffs: np.ndarray) -> np.ndarray:

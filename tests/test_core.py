@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from wkyber.core import (GAMMAS, FixedStream, StreamExhausted, XofStream,
                          cbd_sample, centered, compress, decompress,
                          gen_matrix, intt, matvec_mul, ntt, pack12, poly_mul,
-                         poly_mul_schoolbook, unpack12)
+                         poly_mul_schoolbook, sample_noise_vector, unpack12)
 from wkyber.params import KYBER512, KYBER768, N, Q
 
 
@@ -28,7 +28,8 @@ def ntt_by_definition():
 NTT_MATRIX = ntt_by_definition()
 seeds = st.integers(0, 2 ** 32 - 1)
 # a ring element, a module vector and a module matrix for every rank
-batch_shapes = st.sampled_from([(), (2,), (3,), (4,), (2, 2), (3, 3), (4, 4)])
+BATCH_SHAPES = [(), (2,), (3,), (4,), (2, 2), (3, 3), (4, 4)]
+batch_shapes = st.sampled_from(BATCH_SHAPES)
 
 
 class TestNtt:
@@ -55,6 +56,25 @@ class TestNtt:
         ntt(x)
         intt(x)
         assert np.array_equal(x, before)
+
+    @pytest.mark.parametrize("lead", BATCH_SHAPES)
+    @pytest.mark.parametrize("fill", [0, Q - 1])
+    def test_extreme_inputs(self, lead, fill):
+        # all-(q-1) input gives every sum of the transform its largest value
+        x = np.full((*lead, N), fill, dtype=np.int64)
+        assert np.array_equal(ntt(x), x @ NTT_MATRIX.T % Q)
+        assert np.array_equal(intt(ntt(x)), x)
+        assert np.array_equal(ntt(intt(x)), x)
+
+    @pytest.mark.parametrize("view", [
+        lambda rng: rand_poly(rng, (3, 3)).swapaxes(0, 1),
+        lambda rng: rng.integers(0, Q, (N, 3)).T,       # strided last axis
+        lambda rng: rand_poly(rng, (4,))[:-1],           # WkCiphertext.u
+    ])
+    def test_views_equal_copies(self, view):
+        x = view(np.random.default_rng(12))
+        assert np.array_equal(ntt(x), ntt(x.copy()))
+        assert np.array_equal(intt(x), intt(x.copy()))
 
 
 class TestPolyMul:
@@ -197,6 +217,17 @@ class TestCbd:
     def test_bad_eta(self):
         with pytest.raises(ValueError):
             cbd_sample(4, FixedStream(bytes(512)))
+
+    @pytest.mark.parametrize("eta,k", [(2, 1), (2, 3), (3, 2), (3, 4)])
+    def test_vector_is_polynomials_in_turn(self, eta, k):
+        vec = sample_noise_vector(XofStream(b"v" * 32), eta, k)
+        stream = XofStream(b"v" * 32)
+        rows = [cbd_sample(eta, stream) for _ in range(k)]
+        assert np.array_equal(vec, np.stack(rows))
+
+    def test_vector_stream_exhaustion(self):
+        with pytest.raises(StreamExhausted):
+            sample_noise_vector(FixedStream(bytes(3 * 128 - 1)), 2, 3)
 
     def test_eta2_pmf_enumeration(self):
         # all 16 4-bit patterns: distribution {1,4,6,4,1}/16 over -2..2

@@ -57,6 +57,22 @@ class TestTransmit:
         b = transmit(syms, 3.0, NoiseSource(11))
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("seed", [0, 7, 2 ** 32 + 5, 2 ** 63 - 1])
+    @pytest.mark.parametrize("n", [0, 1, 7, 13056])
+    @pytest.mark.parametrize("snr_db", [-10.0, 6.0, 10.0])
+    def test_pairs_match_interleaved_normal_draw(self, seed, n, snr_db):
+        # the stream of sessions pinned elsewhere: re/im interleaved from
+        # one normal(0, sigma, 2n) draw, then the generator moves on
+        sigma = noise_sigma(snr_db)
+        ref = np.random.default_rng(seed)
+        flat = ref.normal(0.0, sigma, 2 * n)
+        noise = NoiseSource(seed)
+        got = noise.pairs(n, sigma)
+        assert got.dtype == np.complex128 and got.shape == (n,)
+        assert got.tobytes() == (flat[0::2] + 1j * flat[1::2]).tobytes()
+        after = ref.normal(0.0, 1.0, 2)
+        assert noise.pairs(1, 1.0).tobytes() == (after[0] + 1j * after[1]).tobytes()
+
     def test_noise_variance(self):
         # per-component variance N0/2 within 1% at 0 dB over 10^6 symbols
         n = 1_000_000

@@ -215,6 +215,14 @@ class TestKerMonteCarlo:
         b = ker_monte_carlo("v1", KYBER512, plans, trials=64, seed=3, workers=2)
         assert (a.failures, a.trials) == (b.failures, b.trials)
 
+    def test_forked_pool_matches_serial_at_6db(self):
+        # real worker processes: the transforms must give the same results
+        # after the fork as in the parent process
+        plans = (ChannelPlan(6, 6), ChannelPlan(6, -10))
+        a = ker_monte_carlo("v1", KYBER512, plans, trials=64, seed=5, workers=1)
+        b = ker_monte_carlo("v1", KYBER512, plans, trials=64, seed=5, workers=2)
+        assert a.failures == b.failures
+
     def test_pool_capped_at_trials_and_cores(self, monkeypatch):
         # an in-process stand-in for multiprocessing.Pool: no process starts
         import multiprocessing
