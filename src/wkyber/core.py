@@ -6,9 +6,13 @@ module vector a (k, 256) array.  The transforms work over the last axis and
 batch every leading one, so one call transforms a whole vector or matrix.
 Multiplication has two paths: a fast negacyclic NTT (q supports a 256-point
 transform that bottoms out in 128 quadratic factors) and a schoolbook
-reference used as the test oracle.  The public matrix is kept in the NTT
-domain, as a read-only (k, k, 256) array shared through a cache; every other
-array a function returns is fresh, and functions are pure.
+reference used as the test oracle.  The NTT and its inverse are each one
+float64 product with a 128 x 128 matrix, applied to the even and the odd
+coefficients alike and reduced mod q once.  Every partial sum is an integer
+of at most 128 (q - 1)^2 < 2^53, so the product is exact whatever order BLAS
+sums it in.  The public matrix is kept in the NTT domain, as a read-only
+(k, k, 256) array shared through a cache; every other array a function
+returns is fresh, and functions are pure.
 """
 
 from __future__ import annotations
@@ -84,67 +88,42 @@ def check_seed(seed: bytes) -> bytes:
 #
 # 17 is a primitive 256th root of unity mod 3329 (there is no 512th root, so
 # the transform stops one level early and multiplication finishes with 128
-# degree-1 products mod x^2 - gamma_i).
-
-
-def _bitrev7(x: int) -> int:
-    r = 0
-    for _ in range(7):
-        r = (r << 1) | (x & 1)
-        x >>= 1
-    return r
-
+# degree-1 products mod x^2 - gamma_i, gamma_i = 17^(2 bitrev7(i) + 1)).
+# Pair i of the transform is f mod (x^2 - gamma_i), i.e.
+# (sum_j f_2j gamma_i^j, sum_j f_2j+1 gamma_i^j): the even and the odd
+# coefficients each go through the 128 x 128 matrix V[i, j] = gamma_i^j, and
+# back through V^-1[j, i] = gamma_i^-j / 128.
 
 _ROOT = 17
-ZETAS = np.array([pow(_ROOT, _bitrev7(i), Q) for i in range(128)], dtype=np.int64)
-GAMMAS = np.array([pow(_ROOT, 2 * _bitrev7(i) + 1, Q) for i in range(128)],
-                  dtype=np.int64)
-_N_INV = pow(128, -1, Q)  # Gentleman-Sande inverse runs 7 layers
+_POWERS = np.array([pow(_ROOT, e, Q) for e in range(N)], dtype=np.int64)
+_ODD = 2 * np.array([int(f"{i:07b}"[::-1], 2) for i in range(N // 2)]) + 1
+GAMMAS = _POWERS[_ODD]
+_EXPONENTS = np.outer(_ODD, np.arange(N // 2))  # gamma_i^j = 17^(odd_i j)
+_V = _POWERS[_EXPONENTS % N].astype(np.float64)
+_V_INV = (_POWERS[-_EXPONENTS.T % N] * pow(128, -1, Q) % Q).astype(np.float64)
 # a sum of 128 products of coefficients in [0, q) is an integer that a
-# float64 holds exactly
+# float64 holds exactly, so the products below are exact whatever order
+# BLAS sums them in
 assert 128 * (Q - 1) ** 2 < 2 ** 53
+
+
+def _transform(coeffs: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    x = np.asarray(coeffs)
+    pairs = x.reshape(*x.shape[:-1], N // 2, 2).astype(np.float64)
+    return (matrix @ pairs).astype(np.int64).reshape(x.shape) % Q
 
 
 def ntt(coeffs: np.ndarray) -> np.ndarray:
     """Forward negacyclic NTT over the last axis (length 256, coefficients
     in [0, q)); leading axes are batched, so one call transforms a whole
-    vector or matrix.
-
-    Only the twiddle products are reduced inside the loop; sums and
-    differences grow by at most q per layer and are reduced once at the end.
-    """
-    f = np.array(coeffs, dtype=np.int64)
-    lead = f.shape[:-1]
-    i = 1
-    length = 128
-    while length >= 2:
-        blocks = N // (2 * length)
-        v = f.reshape(*lead, blocks, 2, length)
-        t = ZETAS[i:i + blocks, None] * v[..., 1, :] % Q
-        i += blocks
-        v[..., 1, :] = v[..., 0, :] - t
-        v[..., 0, :] += t
-        length >>= 1
-    return f % Q
+    vector or matrix with one exact float64 matrix product."""
+    return _transform(coeffs, _V)
 
 
 def intt(coeffs: np.ndarray) -> np.ndarray:
     """Inverse of :func:`ntt` over the last axis, including the 1/128
-    normalisation.  Sums double per layer and are reduced once at the end."""
-    f = np.array(coeffs, dtype=np.int64)
-    lead = f.shape[:-1]
-    i = 127
-    length = 2
-    while length <= 128:
-        blocks = N // (2 * length)
-        v = f.reshape(*lead, blocks, 2, length)
-        z = ZETAS[i - blocks + 1:i + 1][::-1, None]
-        i -= blocks
-        t = v[..., 0, :].copy()
-        v[..., 0, :] += v[..., 1, :]
-        v[..., 1, :] = z * (v[..., 1, :] - t) % Q
-        length <<= 1
-    return f % Q * _N_INV % Q
+    normalisation."""
+    return _transform(coeffs, _V_INV)
 
 
 def ntt_pointwise(fh: np.ndarray, gh: np.ndarray) -> np.ndarray:
@@ -199,6 +178,18 @@ def inner_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return intt(ntt_pointwise(a_hat, b_hat).sum(axis=0) % Q)
 
 
+def encrypt_products(a_hat: np.ndarray, b: np.ndarray,
+                     s: np.ndarray) -> np.ndarray:
+    """A^T s stacked over b^T s, as one (k + 1, 256) array, for an
+    NTT-domain (k, k, 256) matrix and two (k, 256) vectors: one forward
+    transform of (b, s) and one inverse transform of the k + 1 sums."""
+    if a_hat.shape[1:] != s.shape or b.shape != s.shape:
+        raise ValueError("rank mismatch")
+    b_hat, s_hat = ntt(np.stack((b, s)))
+    rows = np.concatenate((a_hat.swapaxes(0, 1), b_hat[None]))
+    return intt(ntt_pointwise(rows, s_hat).sum(axis=1) % Q)
+
+
 # ---------------------------------------------------------------------------
 # compression (rounding quantisers between Z_q and Z_{2^d})
 
@@ -227,23 +218,22 @@ def decompress(y: np.ndarray, d: int) -> np.ndarray:
 # samplers
 
 
-def cbd_sample(eta: int, stream) -> np.ndarray:
-    """Centered binomial polynomial: each coefficient is (sum of eta bits)
-    minus (sum of eta bits), bits consumed little-endian from the stream."""
+def sample_noise_vector(stream, eta: int, k: int) -> np.ndarray:
+    """k centered binomial polynomials, as (k, 256): each coefficient is
+    (sum of eta bits) minus (sum of eta bits), bits consumed little-endian
+    from one read of the stream, polynomial after polynomial."""
     if eta not in (2, 3):
         raise ValueError(f"unsupported eta={eta}")
-    raw = stream.read(64 * eta)  # 2*eta bits per coefficient
+    raw = stream.read(64 * eta * k)  # 2*eta bits per coefficient
     bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8),
-                         bitorder="little").astype(np.int64)
-    grouped = bits.reshape(N, 2 * eta)
-    a = grouped[:, :eta].sum(axis=1)
-    b = grouped[:, eta:].sum(axis=1)
+                         bitorder="little").reshape(k, N, 2, eta)
+    a, b = bits.sum(axis=3, dtype=np.int64).transpose(2, 0, 1)
     return (a - b) % Q
 
 
-def sample_noise_vector(stream, eta: int, k: int) -> np.ndarray:
-    """k binomial polynomials drawn in turn from one stream, as (k, 256)."""
-    return np.stack([cbd_sample(eta, stream) for _ in range(k)])
+def cbd_sample(eta: int, stream) -> np.ndarray:
+    """One centered binomial polynomial, as (256,)."""
+    return sample_noise_vector(stream, eta, 1)[0]
 
 
 def _sample_uniform_poly(stream) -> np.ndarray:

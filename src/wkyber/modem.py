@@ -35,8 +35,8 @@ class NoiseSource:
 
     def pairs(self, n: int, sigma: float) -> np.ndarray:
         """n complex samples, per-component deviation sigma."""
-        flat = self._rng.normal(0.0, sigma, 2 * n)
-        return flat[0::2] + 1j * flat[1::2]
+        # (re, im) pairs of one draw, as normal(0, sigma, 2n) would give
+        return (self._rng.standard_normal(2 * n) * sigma).view(np.complex128)
 
 
 def snr_db_to_linear(snr_db: float) -> float:

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (XofStream, centered, check_canonical, check_seed, compress,
-                   decompress, gen_matrix, inner_product, matvec_mul, pack12,
-                   sample_noise_vector, unpack12)
+                   decompress, encrypt_products, gen_matrix, inner_product,
+                   matvec_mul, pack12, sample_noise_vector, unpack12)
 from .params import N, Q, ParamSet
 
 
@@ -24,7 +24,7 @@ class Message:
 
     def __init__(self, bits):
         arr = np.asarray(bits, dtype=np.int64)
-        if arr.shape != (N,) or not np.isin(arr, (0, 1)).all():
+        if arr.shape != (N,) or not ((arr == 0) | (arr == 1)).all():
             raise ValueError("message must be 256 binary values")
         self.bits = arr
 
@@ -132,8 +132,9 @@ def encrypt_with_noise(pk: PublicKey, m: Message, sp: np.ndarray,
                        ep: np.ndarray, epp: np.ndarray,
                        params: ParamSet) -> CompressedCiphertext:
     """Encryption core with the noise terms supplied by the caller."""
-    u = (matvec_mul(pk.matrix(params), sp, transpose=True) + ep) % Q
-    v = (inner_product(pk.b, sp) + epp + message_to_ring(m)) % Q
+    uv = encrypt_products(pk.matrix(params), pk.b, sp)
+    u = (uv[:-1] + ep) % Q
+    v = (uv[-1] + epp + message_to_ring(m)) % Q
     return CompressedCiphertext(u_c=compress(u, params.du),
                                 v_c=compress(v, params.dv))
 

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (XofStream, centered, check_canonical, check_seed, compress,
-                   gen_matrix, inner_product, matvec_mul, pack12,
-                   sample_noise_vector, unpack12)
+                   encrypt_products, gen_matrix, inner_product, matvec_mul,
+                   pack12, sample_noise_vector, unpack12)
 from .modem import ChannelPlan, NoiseSource
 from .params import N, Q, ParamSet
 from .pke import Message, PublicKey, SecretKey, keygen, message_to_ring
@@ -109,9 +109,9 @@ def _sample_sprime(coins: bytes, params: ParamSet) -> np.ndarray:
 
 def wk_encrypt_with_sprime(pk: PublicKey, m: Message, sp: np.ndarray,
                            params: ParamSet) -> WkCiphertext:
-    u = matvec_mul(pk.matrix(params), sp, transpose=True)
-    v = (inner_product(pk.b, sp) + message_to_ring(m)) % Q
-    return WkCiphertext(np.vstack((u, v)))
+    uv = encrypt_products(pk.matrix(params), pk.b, sp)
+    uv[-1] = (uv[-1] + message_to_ring(m)) % Q
+    return WkCiphertext(uv)
 
 
 def wk_encrypt(pk: PublicKey, m: Message, coins: bytes,

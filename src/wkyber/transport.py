@@ -80,12 +80,9 @@ def _block_symbols_to_words(symbols: np.ndarray):
     uncorrected systematic bits are used as-is.
     """
     words = demodulate_symbols(symbols)
-    pairs = np.empty((len(words), 2), dtype=np.int64)
-    pairs[:, 0] = words >> 1
-    pairs[:, 1] = words & 1
-    bits = pairs.reshape(-1, 32)[:, :31]        # drop the pad bit
-    weights = (1 << np.arange(30, -1, -1)).astype(np.int64)
-    received = bits @ weights
+    # 16 two-bit words are 32 bits MSB-first; the shift drops the pad bit
+    received = (words.reshape(-1, SYMBOLS_PER_BLOCK)
+                << np.arange(30, -1, -2)).sum(axis=1) >> 1
     msgs, _, failed = bch.decode_words(received)
     return msgs & 0x3FF, failed
 

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from wkyber.core import (GAMMAS, FixedStream, StreamExhausted, XofStream,
                          cbd_sample, centered, compress, decompress,
-                         gen_matrix, intt, matvec_mul, ntt, pack12, poly_mul,
+                         encrypt_products, gen_matrix, inner_product, intt,
+                         matvec_mul, ntt, pack12, poly_mul,
                          poly_mul_schoolbook, sample_noise_vector, unpack12)
 from wkyber.params import KYBER512, KYBER768, N, Q
 
@@ -145,10 +146,31 @@ class TestMatVec:
                 acc = (acc + poly_mul_schoolbook(entry, s[j])) % Q
             assert np.array_equal(got[i], acc)
 
+    @given(k=st.sampled_from([2, 3, 4]), seed=seeds)
+    @settings(max_examples=10, deadline=None)
+    def test_encrypt_products(self, k, seed):
+        # schoolbook A^T s and b^T s, one row each
+        rng = np.random.default_rng(seed)
+        a, a_hat = rand_matrix(rng, k)
+        b, s = rand_poly(rng, (k,)), rand_poly(rng, (k,))
+        got = encrypt_products(a_hat, b, s)
+        assert got.shape == (k + 1, N)
+        rows = [a[:, i] for i in range(k)] + [b]
+        for i, row in enumerate(rows):
+            acc = np.zeros(N, dtype=np.int64)
+            for j in range(k):
+                acc = (acc + poly_mul_schoolbook(row[j], s[j])) % Q
+            assert np.array_equal(got[i], acc)
+        assert np.array_equal(got[-1], inner_product(b, s))
+
     def test_rank_mismatch(self):
         _, a_hat = rand_matrix(np.random.default_rng(8), 3)
+        v2, v3 = np.zeros((2, N), dtype=np.int64), np.zeros((3, N), dtype=np.int64)
         with pytest.raises(ValueError):
-            matvec_mul(a_hat, np.zeros((2, N), dtype=np.int64))
+            matvec_mul(a_hat, v2)
+        for b, s in ((v3, v2), (v2, v3), (v2, v2)):
+            with pytest.raises(ValueError):
+                encrypt_products(a_hat, b, s)
 
 
 class TestCentered:
