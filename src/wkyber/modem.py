@@ -36,7 +36,9 @@ class NoiseSource:
     def pairs(self, n: int, sigma: float) -> np.ndarray:
         """n complex samples, per-component deviation sigma."""
         # (re, im) pairs of one draw, as normal(0, sigma, 2n) would give
-        return (self._rng.standard_normal(2 * n) * sigma).view(np.complex128)
+        flat = self._rng.standard_normal(2 * n)
+        flat *= sigma
+        return flat.view(np.complex128)
 
 
 def snr_db_to_linear(snr_db: float) -> float:
@@ -68,7 +70,9 @@ def transmit(symbols: np.ndarray, snr_db: float, noise: NoiseSource) -> np.ndarr
     symbols = np.asarray(symbols, dtype=np.complex128)
     if math.isinf(snr_db) and snr_db > 0:
         return symbols.copy()
-    return symbols + noise.pairs(len(symbols), noise_sigma(snr_db))
+    out = noise.pairs(len(symbols), noise_sigma(snr_db))
+    out += symbols
+    return out
 
 
 # ---------------------------------------------------------------------------
