@@ -148,8 +148,12 @@ def kem_v1_keygen(seed_a: bytes, rng, params: ParamSet):
 
 
 def _project_pk(pk: PublicKey) -> PublicKey:
-    """Zero the exposed w2 bits of b: the channel-robust view of the key."""
-    proj = PublicKey(pk.seed, pk.b & ~np.int64(3))
+    """Zero the exposed w2 bits of b: the channel-robust view of the key.
+
+    A stored q - 1 = 4 * 832 whose w2 bits rise arrives as 0..2 (the wrap
+    `_coeffs_match` allows for ciphertexts), so 4 * 832 joins the class of 0.
+    """
+    proj = PublicKey(pk.seed, (pk.b & ~np.int64(3)) % (Q - 1))
     proj._a = pk._a  # same seed, same matrix
     return proj
 

@@ -28,7 +28,7 @@ PINNED = {
     ("v1", 512): {
         "pk": "a5b65e78209574ea0434bf299b2ee0f9093263319f0b8846a9195d92c4b1530b",
         "sk": "6bf857b41370a9c30b23c10744c5a8783c5c4388a29296df385d011a5bf0db71",
-        "ct": "19afaa072d959be4e8e1050c4ae65759bdc6b75b09316aa31e5425594cbc53f8",
+        "ct": "3da8d63f1132c24154e83555c45aa3c34e1ee954a7506c684b3c343b7bf9ab1f",
         "offsets": "bb9d1b5c74da91b4be425a140e23a5b907bd421a6feaec44c9d876a0d3c1a4c7",
     },
     ("v1", 768): {

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from wkyber.core import XofStream, centered, matvec_mul, pack12
 from wkyber.modem import ChannelPlan
 from wkyber.params import KYBER768, N, Q, PARAM_SETS
-from wkyber.pke import Message, keygen
+from wkyber.pke import Message, PublicKey, keygen
 from wkyber.protocol import (KemSecretKey, SnrPolicy, WkCiphertext,
                              kem_v1_decaps, kem_v1_encaps, kem_v1_keygen,
                              run_session, v2_keygen, wk_decrypt,
@@ -212,6 +212,18 @@ class TestKem:
         bumped[idx] += 1
         c_bad = WkCiphertext(bumped)
         assert kem_v1_decaps(ksk, pk, c_bad, P768) != secret
+
+    def test_public_key_q_wrap_accepted(self):
+        # a stored b = q - 1 = 4 * 832 whose w2 bits rise by 1..3 reaches the
+        # encapsulator as 0..2; both sides must still bind the same key
+        pk, ksk = kem_v1_keygen(SEED, stream(b"wrap4"), P768)
+        assert pk.b[2, 185] == Q - 1
+        for rise in (1, 2, 3):
+            b_rx = pk.b.copy()
+            b_rx[2, 185] = (Q - 1 + rise) % Q
+            c, secret = kem_v1_encaps(PublicKey(pk.seed, b_rx),
+                                      stream(b"m8"), P768)
+            assert kem_v1_decaps(ksk, pk, c, P768) == secret
 
     def test_msb_policy_allows_only_the_q_wrap(self):
         from wkyber.protocol import _coeffs_match
