@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from scipy.stats import binom
+
+from wkyber.bch import codeword_error_prob
 from wkyber.core import centered
-from wkyber.modem import (ChannelPlan, NoiseSource, demodulate_symbols,
-                          modulate_words)
+from wkyber.modem import (ChannelPlan, NoiseSource, ber_4qam,
+                          demodulate_symbols, modulate_words, snr_db_to_linear)
 from wkyber.params import Q
 from wkyber.transport import (SYMBOLS_PER_COEFF, CoeffErrorDist,
                               channel_error_pmf, coeff_error_dist, dist_stddev,
@@ -25,6 +28,22 @@ def noiseless_split(coeffs):
     w10, failed = receive_blocks(frame.msb, frame.count)
     assert not failed.any()
     return w10.tolist(), demodulate_symbols(frame.lsb).tolist()
+
+
+def offset_chi2(plan, coeff_seed, noise_seed, total=200_000):
+    """Chi-square of the received offset histogram against the analytic
+    PMF of the plan's exposed path, over four parts of total / 4."""
+    counts = np.zeros(7, dtype=np.int64)
+    for part in range(4):
+        rng = np.random.default_rng(coeff_seed + part)
+        coeffs = rng.integers(0, Q, total // 4)
+        rx, _ = receive_coeffs(send_coeffs(coeffs, plan,
+                                           NoiseSource(noise_seed + part)),
+                               total // 4)
+        off = centered(rx - coeffs)
+        counts += np.bincount(off + 3, minlength=7)
+    expected = coeff_error_dist(plan.snr_lsb_db).pmf * total
+    return float(((counts - expected) ** 2 / expected).sum())
 
 
 class TestSplit:
@@ -61,6 +80,14 @@ class TestFrames:
         frame = send_coeffs(coeffs, NOISELESS, NoiseSource(0))
         assert len(frame.msb) + len(frame.lsb) == 1024 * SYMBOLS_PER_COEFF
 
+    def test_noiseless_draws_nothing(self):
+        # an infinite SNR leaves the noise source where it was
+        noise = NoiseSource(12)
+        send_coeffs(np.arange(64), NOISELESS, noise)
+        send_blocks(np.arange(8), math.inf, noise)
+        assert noise.pairs(2, 1.0).tobytes() == \
+            NoiseSource(12).pairs(2, 1.0).tobytes()
+
     def test_deterministic(self):
         coeffs = np.random.default_rng(1).integers(0, Q, 64)
         f1 = send_coeffs(coeffs, NOMINAL, NoiseSource(9))
@@ -89,19 +116,7 @@ class TestFrames:
         assert off.min() >= -3 and off.max() <= 3
 
     def test_offset_histogram_matches_analytic(self):
-        total = 200_000
-        counts = np.zeros(7, dtype=np.int64)
-        for part in range(4):
-            rng = np.random.default_rng(40 + part)
-            coeffs = rng.integers(0, Q, total // 4)
-            rx, _ = receive_coeffs(send_coeffs(coeffs, NOMINAL,
-                                               NoiseSource(50 + part)),
-                                   total // 4)
-            off = centered(rx - coeffs)
-            counts += np.bincount(off + 3, minlength=7)
-        expected = coeff_error_dist(-10.0).pmf * total
-        chi2 = float(((counts - expected) ** 2 / expected).sum())
-        assert chi2 < 35  # df = 6, p ~ 1e-5
+        assert offset_chi2(NOMINAL, 40, 50) < 35  # df = 6, p ~ 1e-5
 
     def test_block_decode_failures_surface(self):
         # at very low MSB SNR failures must be counted, not raised
@@ -110,6 +125,48 @@ class TestFrames:
                                      2000)
         assert failed.any()
         assert len(got) == 2000
+
+
+class TestChannelStatistics:
+    """Received words against the closed-form laws of the hard-decision
+    channel: every bit flips on its own with p = ber_4qam(Eb/N0)."""
+
+    @pytest.mark.parametrize("snr_db", [-5.0, 0.0, 6.0, 10.0])
+    def test_w2_bit_flip_rates(self, snr_db):
+        # protected path noiseless, coefficients below q - 1 (no wrap), so
+        # the received w2 bits are the sent ones XOR the channel's flips
+        n = 100_000
+        coeffs = np.random.default_rng(60).integers(0, Q - 1, n)
+        plan = ChannelPlan(math.inf, snr_db)
+        noise = NoiseSource(6100 + int(snr_db))
+        rx, failures = receive_coeffs(send_coeffs(coeffs, plan, noise), n)
+        assert failures == 0 and np.array_equal(rx >> 2, coeffs >> 2)
+        flips = (rx ^ coeffs) & 3
+        p = ber_4qam(snr_db_to_linear(snr_db))
+        # each bit alone at p, and both at once at p^2 (independence)
+        for pattern, prob in ((1, p), (2, p), (3, p * p)):
+            count = np.count_nonzero((flips & pattern) == pattern)
+            lo, hi = binom.interval(1 - 1e-6, n, prob)
+            assert lo <= count <= hi, (pattern, count, n * prob)
+
+    @pytest.mark.parametrize("snr_lsb_db", [-5.0, 0.0])
+    def test_offset_histogram_across_snr(self, snr_lsb_db):
+        plan = ChannelPlan(10.0, snr_lsb_db)
+        seed = 6200 + 10 * int(-snr_lsb_db)
+        assert offset_chi2(plan, seed, seed + 5) < 35  # df = 6, p ~ 1e-5
+
+    @pytest.mark.parametrize("snr_db", [0.0, 1.0, 2.0, 3.0])
+    def test_block_error_rate_matches_analytic(self, snr_db):
+        # a block is wrong (failed or miscorrected) iff more than 5 of its
+        # 31 bits flip
+        n = 100_000
+        sent = np.random.default_rng(63).integers(0, 1 << 10, n)
+        noise = NoiseSource(6400 + int(snr_db))
+        got, failed = receive_blocks(send_blocks(sent, snr_db, noise), n)
+        rate = np.count_nonzero((got != sent) | failed) / n
+        analytic = codeword_error_prob(ber_4qam(snr_db_to_linear(snr_db)))
+        se = math.sqrt(analytic * (1 - analytic) / n)
+        assert abs(rate - analytic) <= 3 * se, (rate, analytic)
 
 
 class TestErrorPmf:
