@@ -9,9 +9,9 @@ coefficient transport, protocols) plus reliability analysis tooling and the
 """
 
 from .params import KYBER512, KYBER768, KYBER1024, PARAM_SETS, ParamSet, get_params
-from .core import (StreamExhausted, SystemRandomStream, XofStream, cbd_sample,
-                   centered, compress, decompress, gen_matrix, matvec_mul,
-                   poly_mul, poly_mul_schoolbook)
+from .core import (StreamExhausted, XofStream, cbd_sample, centered, compress,
+                   decompress, gen_matrix, matvec_mul, poly_mul,
+                   poly_mul_schoolbook)
 from .pke import (CompressedCiphertext, Message, PublicKey, SecretKey, decrypt,
                   encrypt, keygen)
 from .modem import (ChannelPlan, NoiseSource, ber_4qam, ber_mpsk,

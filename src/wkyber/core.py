@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import os
 
 import numpy as np
 
@@ -68,13 +67,6 @@ class FixedStream:
         out = self._data[self._pos:self._pos + n]
         self._pos += n
         return out
-
-
-class SystemRandomStream:
-    """OS entropy; only for non-reproducible key generation."""
-
-    def read(self, n: int) -> bytes:
-        return os.urandom(n)
 
 
 def check_seed(seed: bytes) -> bytes:
@@ -159,12 +151,9 @@ def poly_mul_schoolbook(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return folded % Q
 
 
-def matvec_mul(a_hat: np.ndarray, s: np.ndarray,
-               transpose: bool = False) -> np.ndarray:
-    """A s (or A^T s) for an NTT-domain (k, k, 256) matrix and a (k, 256)
-    vector; accumulates in the NTT domain."""
-    if transpose:
-        a_hat = a_hat.swapaxes(0, 1)
+def matvec_mul(a_hat: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """A s for an NTT-domain (k, k, 256) matrix and a (k, 256) vector;
+    accumulates in the NTT domain."""
     if a_hat.shape[1:] != s.shape:
         raise ValueError("rank mismatch")
     return intt(ntt_pointwise(a_hat, ntt(s)).sum(axis=1) % Q)

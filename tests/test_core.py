@@ -122,7 +122,7 @@ class TestMatVec:
         ident[np.arange(3), np.arange(3), 0] = 1
         s = rand_poly(rng, (3,))
         assert np.array_equal(matvec_mul(ntt(ident), s), s)
-        assert np.array_equal(matvec_mul(ntt(ident), s, transpose=True), s)
+        assert np.array_equal(encrypt_products(ntt(ident), s, s)[:-1], s)
 
     def test_zero_matrix(self):
         rng = np.random.default_rng(6)
@@ -130,20 +130,18 @@ class TestMatVec:
         s = rand_poly(rng, (2,))
         assert not matvec_mul(zero, s).any()
 
-    @pytest.mark.parametrize("transpose", [False, True])
     @given(k=st.sampled_from([2, 3, 4]), seed=seeds)
     @settings(max_examples=10, deadline=None)
-    def test_entrywise_oracle(self, transpose, k, seed):
+    def test_entrywise_oracle(self, k, seed):
         rng = np.random.default_rng(seed)
         a, a_hat = rand_matrix(rng, k)
         s = rand_poly(rng, (k,))
-        got = matvec_mul(a_hat, s, transpose=transpose)
+        got = matvec_mul(a_hat, s)
         assert got.shape == (k, N)
         for i in range(k):
             acc = np.zeros(N, dtype=np.int64)
             for j in range(k):
-                entry = a[j, i] if transpose else a[i, j]
-                acc = (acc + poly_mul_schoolbook(entry, s[j])) % Q
+                acc = (acc + poly_mul_schoolbook(a[i, j], s[j])) % Q
             assert np.array_equal(got[i], acc)
 
     @given(k=st.sampled_from([2, 3, 4]), seed=seeds)
