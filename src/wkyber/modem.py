@@ -8,6 +8,11 @@ variance N0/2.  Corner assignment (wire-format law):
 
 i.e. the low bit selects the I sign and the high bit the Q sign; adjacent
 quadrants differ in exactly one bit.
+
+A sign decision on I and on Q, whose noise is independent, passes each bit
+through its own binary symmetric channel with crossover ``ber_4qam``, so
+sessions sample bit flips (``NoiseSource.flips``); the symbol functions and
+``NoiseSource.pairs`` are the physical reference the BER checks measure.
 """
 
 from __future__ import annotations
@@ -27,7 +32,8 @@ class ChannelPlan:
 
 
 class NoiseSource:
-    """Seeded circularly-symmetric Gaussian noise; one owner per thread."""
+    """Seeded channel noise, as Gaussian symbols or as bit flips; one owner
+    per thread."""
 
     def __init__(self, seed: int):
         self.seed = seed
@@ -39,6 +45,22 @@ class NoiseSource:
         flat = self._rng.standard_normal(2 * n)
         flat *= sigma
         return flat.view(np.complex128)
+
+    def flips(self, count: int, width: int, p: float) -> np.ndarray:
+        """count int64 masks of width bits, each bit set independently with
+        probability p: a binomial(count * width, p) number of flips at
+        distinct uniform positions, exact (Devroye 1986); p = 0 draws nothing.
+        """
+        if p == 0:
+            return np.zeros(count, dtype=np.int64)
+        total = count * width
+        pos = self._rng.choice(total, self._rng.binomial(total, p),
+                               replace=False)
+        word, bit = np.divmod(pos, width)
+        # the positions are distinct, so summing a word's bits ORs them, and
+        # float64 weights hold the sums exactly for widths below 53
+        return np.bincount(word, weights=np.left_shift(1, bit),
+                           minlength=count).astype(np.int64)
 
 
 def snr_db_to_linear(snr_db: float) -> float:

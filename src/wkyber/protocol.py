@@ -12,7 +12,8 @@ KEM robustness detail: the public key's two low bits per coefficient are
 not BCH-protected, so rare channel flips would leave encapsulator and
 decapsulator with different views of b and make the re-encryption check
 fail spuriously.  The KEM therefore binds its hash chain and re-encryption
-to the protected projection of the key (w2 bits zeroed); the low bits still
+to the protected projection of the key (w2 bits zeroed, q - 1 = 4 * 832
+taken as 0 because its w2 bits can wrap it to 0..2); the low bits still
 travel and still feed decryption, but the check no longer depends on them.
 Like the relaxed ciphertext comparison, the security of ignoring exposed
 bits in the check is not analysed here.
@@ -250,19 +251,20 @@ def _derive_seed(master: int, label: bytes) -> bytes:
 
 def _send_pk(pk: PublicKey, plan: ChannelPlan, noise: NoiseSource, params: ParamSet):
     """Seed bytes ride the protected path (26 blocks of 10 bits), then the
-    b coefficients take the standard 17-symbol form."""
+    b coefficients take the standard 17-symbol form.  Returns the received
+    seed blocks and the frame of b."""
     seed_bits = np.unpackbits(np.frombuffer(pk.seed, dtype=np.uint8),
                               bitorder="little").astype(np.int64)
     padded = np.concatenate([seed_bits, np.zeros(4, dtype=np.int64)])
     weights = (1 << np.arange(9, -1, -1)).astype(np.int64)
     words = padded.reshape(26, 10) @ weights
-    seed_syms = send_blocks(words, plan.snr_msb_db, noise)
+    seed_blocks = send_blocks(words, plan.snr_msb_db, noise)
     frame = send_coeffs(pk.b, plan, noise)
-    return seed_syms, frame
+    return seed_blocks, frame
 
 
-def _receive_pk(seed_syms, frame: Frame, params: ParamSet):
-    words, seed_failed = receive_blocks(seed_syms, 26)
+def _receive_pk(seed_blocks, frame: Frame, params: ParamSet):
+    words, seed_failed = receive_blocks(seed_blocks, 26)
     shifts = np.arange(9, -1, -1)
     bits = ((words[:, None] >> shifts) & 1).ravel()[:256].astype(np.uint8)
     seed = np.packbits(bits, bitorder="little").tobytes()
@@ -303,8 +305,8 @@ def run_session(version: str, params: ParamSet, plans, seed: int,
 
     if version == "v1":
         pk, ksk = kem_v1_keygen(seed_a, key_rng, params)
-        seed_syms, pk_frame = _send_pk(pk, pk_plan, noise_a, params)
-        pk_rx, pk_fail = _receive_pk(seed_syms, pk_frame, params)
+        seed_blocks, pk_frame = _send_pk(pk, pk_plan, noise_a, params)
+        pk_rx, pk_fail = _receive_pk(seed_blocks, pk_frame, params)
         c_clean, secret_b = kem_v1_encaps(pk_rx, msg_rng, params)
         ct_frame = send_coeffs(c_clean.coeffs, ct_plan, noise_b)
         c_rx, ct_fail = _receive_ct(ct_frame, params)
@@ -312,8 +314,8 @@ def run_session(version: str, params: ParamSet, plans, seed: int,
         outcome = secret_a == secret_b
     else:
         pk, sk = v2_keygen(seed_a, key_rng, params)
-        seed_syms, pk_frame = _send_pk(pk, pk_plan, noise_a, params)
-        pk_rx, pk_fail = _receive_pk(seed_syms, pk_frame, params)
+        seed_blocks, pk_frame = _send_pk(pk, pk_plan, noise_a, params)
+        pk_rx, pk_fail = _receive_pk(seed_blocks, pk_frame, params)
         m = Message.random(msg_rng)
         c_clean = wk_encrypt(pk_rx, m, msg_rng.read(32), params)
         ct_frame = send_coeffs(c_clean.coeffs, ct_plan, noise_b)

@@ -1,11 +1,15 @@
 """Physical-layer transport of 12-bit ring coefficients.
 
-Each coefficient w in [0, 4095] splits into the 10 most significant bits
+Each coefficient w in [0, q) splits into the 10 most significant bits
 w10 = w >> 2 and the 2 least significant bits w2 = w & 3.  The w10 word is
 BCH(31,11)-encoded (leading message bit zero), sent MSB-first with one zero
 pad bit as 16 4QAM symbols on the protected path; w2 rides a single symbol
 on the low-SNR path.  17 symbols per coefficient, coefficient-major order:
 this is the wire contract for both protocol versions.
+
+The simulator samples that wire's hard-decision equivalent (see ``modem``):
+a received block is its 31-bit codeword XOR a flip mask, a received w2 the
+sent bits XOR a 2-bit mask, each bit flipping with its path's ber_4qam.
 
 Given a successful BCH decode the only surviving perturbation is on w2, so
 the induced coefficient error lives on {-3..3} with a PMF determined by the
@@ -20,23 +24,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bch
-from .modem import (ChannelPlan, NoiseSource, ber_4qam, demodulate_symbols,
-                    modulate_words, snr_db_to_linear, transmit)
+from .modem import ChannelPlan, NoiseSource, ber_4qam, snr_db_to_linear
 from .params import Q
-
-SYMBOLS_PER_BLOCK = 16   # 31 codeword bits + 1 pad bit
-SYMBOLS_PER_COEFF = SYMBOLS_PER_BLOCK + 1
 
 ERROR_OFFSETS = np.arange(-3, 4)
 
 
 @dataclass
 class Frame:
-    """Channel symbols for a batch of coefficients.
-
-    msb holds 16 symbols per coefficient (BCH path), lsb one per coefficient,
-    both coefficient-major.
-    """
+    """Received words for a batch of coefficients, coefficient-major: msb
+    holds one 31-bit BCH word per coefficient (protected path), lsb one
+    2-bit word (exposed path)."""
 
     msb: np.ndarray
     lsb: np.ndarray
@@ -46,56 +44,36 @@ class Frame:
         return len(self.lsb)
 
     def __post_init__(self):
-        if len(self.msb) != SYMBOLS_PER_BLOCK * len(self.lsb):
-            raise ValueError("frame must hold 17 symbols per coefficient")
+        if len(self.msb) != len(self.lsb):
+            raise ValueError("frame must hold one block and one 2-bit word "
+                             "per coefficient")
+
+
+def bit_error_prob(snr_db: float) -> float:
+    """Crossover of each hard-decided 4QAM bit; 0 at +inf dB."""
+    return ber_4qam(snr_db_to_linear(snr_db))
 
 
 # ---------------------------------------------------------------------------
 # block (w10) path, shared with out-of-band data such as matrix seeds
 
 
-def _build_block_symbol_table() -> np.ndarray:
-    """Clean 16-symbol sequence per 11-bit message: codeword bits MSB-first
-    plus one zero pad bit, the first bit of every pair being the high bit of
-    its symbol."""
-    cw = bch.ENCODE_TABLE
-    shifts = np.arange(30, -1, -1)
-    bits = (cw[:, None] >> shifts) & 1
-    bits = np.concatenate([bits, np.zeros((len(cw), 1), dtype=np.int64)], axis=1)
-    pairs = bits.reshape(len(cw), SYMBOLS_PER_BLOCK, 2)
-    return modulate_words(2 * pairs[:, :, 0] + pairs[:, :, 1])
-
-
-_BLOCK_SYMBOLS = _build_block_symbol_table()
-
-
-def _words_to_block_symbols(w10: np.ndarray) -> np.ndarray:
-    return _BLOCK_SYMBOLS[np.asarray(w10, dtype=np.int64)].ravel()
-
-
-def _block_symbols_to_words(symbols: np.ndarray):
-    """Demodulate, reassemble 31-bit words, decode.
-
-    Returns (w10 array, per-block decode-failure mask).  On failure the
-    uncorrected systematic bits are used as-is.
-    """
-    words = demodulate_symbols(symbols)
-    # 16 two-bit words are 32 bits MSB-first; the shift drops the pad bit
-    received = (words.reshape(-1, SYMBOLS_PER_BLOCK)
-                << np.arange(30, -1, -2)).sum(axis=1) >> 1
-    msgs, _, failed = bch.decode_words(received)
-    return msgs & 0x3FF, failed
-
-
 def send_blocks(w10: np.ndarray, snr_msb_db: float, noise: NoiseSource) -> np.ndarray:
-    return transmit(_words_to_block_symbols(w10), snr_msb_db, noise)
+    """Received 31-bit words of the BCH-encoded 10-bit messages w10."""
+    cw = bch.ENCODE_TABLE[np.asarray(w10, dtype=np.int64)]
+    return cw ^ noise.flips(len(cw), bch.CODE_N, bit_error_prob(snr_msb_db))
 
 
-def receive_blocks(symbols: np.ndarray, count: int):
-    """Returns (decoded 10-bit words, per-block decode-failure mask)."""
-    if len(symbols) != SYMBOLS_PER_BLOCK * count:
+def receive_blocks(words: np.ndarray, count: int):
+    """Decode received 31-bit words.
+
+    Returns (decoded 10-bit words, per-block decode-failure mask).  On
+    failure the uncorrected systematic bits are used as-is.
+    """
+    if len(words) != count:
         raise ValueError("malformed block segment length")
-    return _block_symbols_to_words(symbols)
+    msgs, _, failed = bch.decode_words(words)
+    return msgs & 0x3FF, failed
 
 
 # ---------------------------------------------------------------------------
@@ -103,17 +81,17 @@ def receive_blocks(symbols: np.ndarray, count: int):
 
 
 def send_coeffs(coeffs, plan: ChannelPlan, noise: NoiseSource) -> Frame:
-    """Transmit coefficients (< q) as 16 protected + 1 exposed symbol each,
-    in row-major order whatever the array's shape.
+    """Transmit coefficients (< q) as a protected block and an exposed 2-bit
+    word each, in row-major order whatever the array's shape.
 
-    Both paths draw from the same noise source, MSB segment first; with equal
-    seeds the frame is bit-identical across runs.
+    Both paths draw from the same noise source, protected path first; with
+    equal seeds the frame is identical across runs.
     """
     c = np.asarray(coeffs, dtype=np.int64).ravel()
     if c.size and (c.min() < 0 or c.max() >= Q):
         raise ValueError("coefficients must lie in [0, q)")
     msb = send_blocks(c >> 2, plan.snr_msb_db, noise)
-    lsb = transmit(modulate_words(c & 3), plan.snr_lsb_db, noise)
+    lsb = (c & 3) ^ noise.flips(c.size, 2, bit_error_prob(plan.snr_lsb_db))
     return Frame(msb=msb, lsb=lsb)
 
 
@@ -127,8 +105,7 @@ def receive_coeffs(frame: Frame, count: int):
     if frame.count != count:
         raise ValueError("frame length does not match coefficient count")
     w10, failed = receive_blocks(frame.msb, count)
-    w2 = demodulate_symbols(frame.lsb)
-    return (4 * w10 + w2) % Q, int(failed.sum())
+    return (4 * w10 + frame.lsb) % Q, int(failed.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +174,7 @@ def channel_error_pmf(p_b: float, variant: str = "exact") -> CoeffErrorDist:
 
 def coeff_error_dist(snr_lsb_db: float, variant: str = "exact") -> CoeffErrorDist:
     """Error PMF induced on a coefficient by the w2 path at the given SNR."""
-    return channel_error_pmf(ber_4qam(snr_db_to_linear(snr_lsb_db)), variant)
+    return channel_error_pmf(bit_error_prob(snr_lsb_db), variant)
 
 
 def dist_stddev(d: CoeffErrorDist) -> float:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.stats import binom
 
 from wkyber.modem import (ChannelPlan, NoiseSource, ber_4qam, ber_mpsk,
                           demodulate_symbols, modulate_words, noise_sigma,
@@ -80,6 +81,53 @@ class TestTransmit:
         out = transmit(syms, 0.0, NoiseSource(5))
         var = float(np.concatenate([out.real, out.imag]).var())
         assert abs(var - noise_sigma(0.0) ** 2) <= 0.01 * noise_sigma(0.0) ** 2
+
+
+class TestFlips:
+    @pytest.mark.parametrize("p", [0.003, 0.05, 0.3])
+    def test_per_position_rates_31_bit(self, p):
+        n = 100_000
+        masks = NoiseSource(31).flips(n, 31, p)
+        assert masks.dtype == np.int64 and masks.shape == (n,)
+        assert masks.min() >= 0 and masks.max() < 1 << 31
+        lo, hi = binom.interval(1 - 1e-6, n, p)
+        for bit in range(31):
+            count = np.count_nonzero((masks >> bit) & 1)
+            assert lo <= count <= hi, (bit, count, n * p)
+
+    @pytest.mark.parametrize("p", [0.003, 0.05, 0.3])
+    def test_word_weight_is_binomial(self, p):
+        # independent bits: a word's weight follows binomial(31, p)
+        n = 100_000
+        masks = NoiseSource(32).flips(n, 31, p)
+        weights = np.array([bin(int(m)).count("1") for m in masks])
+        # cells lo..hi, the first and last pooling their tails
+        lo, hi = binom.ppf([1e-3, 1 - 1e-3], 31, p).astype(int)
+        counts = np.bincount(np.clip(weights, lo, hi) - lo,
+                             minlength=hi - lo + 1)
+        cdf = binom.cdf(np.arange(lo, hi), 31, p)
+        expected = np.diff(np.concatenate([[0.0], cdf, [1.0]])) * n
+        chi2 = float(((counts - expected) ** 2 / expected).sum())
+        assert chi2 < 60  # at most 22 cells, p ~ 1e-5
+
+    def test_count_zero(self):
+        for p in (0.0, 0.5):
+            masks = NoiseSource(0).flips(0, 31, p)
+            assert masks.dtype == np.int64 and masks.shape == (0,)
+
+    def test_certain_flip_sets_every_bit(self):
+        assert (NoiseSource(0).flips(100, 31, 1.0) == (1 << 31) - 1).all()
+        assert (NoiseSource(0).flips(100, 2, 1.0) == 3).all()
+
+    def test_zero_probability_draws_nothing(self):
+        noise = NoiseSource(9)
+        assert not noise.flips(10_000, 31, 0.0).any()
+        assert noise.pairs(2, 1.0).tobytes() == \
+            NoiseSource(9).pairs(2, 1.0).tobytes()
+
+    def test_deterministic(self):
+        a = NoiseSource(4).flips(5000, 31, 0.02)
+        assert np.array_equal(a, NoiseSource(4).flips(5000, 31, 0.02))
 
 
 class TestQFunction:

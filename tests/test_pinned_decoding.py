@@ -21,14 +21,14 @@ WORDS = 20_000
 
 # MSB SNR (dB) -> sha256 of the decoded w10 words (<i8) and failure mask (u1)
 PINNED_BLOCKS = {
-    -5.0: "8996fd4fddaf6f33170b7c4ee139a0b3fadfc6aa50af95084ce5b0d7355b86da",
-    0.0: "da4fe6df20a6fa3e46dd6c6c4a2926100fe3521609f3fc8ee28505e9d1da2a3b",
-    2.0: "abc88918fe4d971de46922dee42a6b89573173bc14d120c0674366f9ccf60cd7",
+    -5.0: "f33b1e8dd2b2775d32702a3dddfb8b8c4759dc9bef4529ceefc8aa5791a04d4d",
+    0.0: "b54002f038bd236d63dab4b2d653c7360cd6a3a13100cb7e538774e486e80983",
+    2.0: "00a675b9fa8a2bfab02afc523e8ecd879ca882d4cc7f3b5d6fe7bad7b0d666e8",
 }
 
 # sha256 of `wkyber codeword-error --grid -2:4:1 --trials 5000`
 PINNED_CODEWORD_ERROR_CSV = (
-    "6edb282b292325d807fd62d14486a88d20efe80d8c511a8748ef1df548617bea")
+    "efb599fdfa877833a88253a72ae19245b1504dd1fdea1bc1dee75ef03f793b8b")
 
 
 def sha(data: bytes) -> str:

@@ -29,37 +29,37 @@ PINNED = {
         "pk": "a5b65e78209574ea0434bf299b2ee0f9093263319f0b8846a9195d92c4b1530b",
         "sk": "6bf857b41370a9c30b23c10744c5a8783c5c4388a29296df385d011a5bf0db71",
         "ct": "3da8d63f1132c24154e83555c45aa3c34e1ee954a7506c684b3c343b7bf9ab1f",
-        "offsets": "bb9d1b5c74da91b4be425a140e23a5b907bd421a6feaec44c9d876a0d3c1a4c7",
+        "offsets": "c6f8303e32dc2e143de1e0c8e3fd20ec421a57893e60fba147ab29b56076a301",
     },
     ("v1", 768): {
         "pk": "3ca4f05e19ddbb384841d01d6da072e465caf21e67fda02de766408a1c078584",
         "sk": "ba8b3f583b1057820f645d77f687ffb53515c25f141537eed4f9432e86fcaa8d",
         "ct": "73ee420b1810be83588bda699f2436b157bcff8639d990b361951169b75a1701",
-        "offsets": "6142dd986d367b5a066b3eab425dae138bf3a5f9a82d013743a71507293806da",
+        "offsets": "cfdf9160e67621341dd709144964714f7a4e2c1d395531c5e36fbe1cfb7613c4",
     },
     ("v1", 1024): {
         "pk": "42420f9380f239716b729c38980ac39bac86b139d20cf8bb7d741da5c354079c",
         "sk": "f4fc60b49411a56fdc6b7035f121d7f40a77bd4fe04c140733027ae72a807da0",
         "ct": "73271c5ac85292781e769686a533b2ae9abe43d5df8e1f92abc3b5db87bca8e0",
-        "offsets": "d93dab86001d1f62e2c024f2ebfbd0c7734ca5e6b643ce51b04905e0af9af19b",
+        "offsets": "1402cb76c83d364a428703b7898f3fc671e122f6768c92ea60c33d2487e64626",
     },
     ("v2", 512): {
         "pk": "2bd46781a93e14b2393d77bca6bb805bdabecf94f66ef4d69b61c6e7a9b88e68",
         "sk": "26e2ec57fb158680c9c444e1ab9557472b20163eae13d5f6e33e769860b8a231",
         "ct": "d47d5047d23d839cc787fbf2a7fee449c75b207c8c010ac57e0adcc3c05bef7b",
-        "offsets": "57ee6e4bceb16d4aae7b9971ce51d417fb9864552f7d7f1be1b2b0efcd53ae79",
+        "offsets": "1ea9248676169de4539156106ce9ffb9626d54a109d52e3a5506121c2185fe1d",
     },
     ("v2", 768): {
         "pk": "f6912af53dbc370274f69a283e478420ea2d02783d56b4dd655702e80d9562eb",
         "sk": "35f970e22ac2876d0b2ae261debfef45deae1c0c9f087e43e3cd4cc80ca03f4c",
         "ct": "972eeadb6e84963c1bc684b180c768840a9ce9d7a660195af345b876dbeb7f01",
-        "offsets": "4631255744ee5f0ad8fcd29f19cdd57967cd850a80f23021511b65b317fbd966",
+        "offsets": "fd30c37e70d5cd79016a345ffd49bd7149f3fc892cba92808089c12eaa7fad0b",
     },
     ("v2", 1024): {
         "pk": "b03d84e24d9b49dfc98fc20a34dd1c1f0e982c6b673a5af589d5c34af02875a4",
         "sk": "386fd837121111de9f4c6d8a5499e004385a97aae5c3c79303935f39643f8781",
         "ct": "0c9d2a339ad2de96cc7cbb9f9ee96ce341154485fa65353831c8aa075819b4d5",
-        "offsets": "66f60778b9f2000b06952c55a9057d3dee2646386120d7faf8ce788ad09e996f",
+        "offsets": "49e2bc6f8192aa391f5452a8441736e838d250a3d6a8491e04da4bff1dcefd91",
     },
 }
 

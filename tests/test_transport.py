@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 from scipy.stats import binom
 
-from wkyber.bch import codeword_error_prob
+from wkyber.bch import CODE_N, codeword_error_prob
 from wkyber.core import centered
 from wkyber.modem import (ChannelPlan, NoiseSource, ber_4qam,
                           demodulate_symbols, modulate_words, snr_db_to_linear)
 from wkyber.params import Q
-from wkyber.transport import (SYMBOLS_PER_COEFF, CoeffErrorDist,
+from wkyber.transport import (CoeffErrorDist,
                               channel_error_pmf, coeff_error_dist, dist_stddev,
                               receive_blocks, receive_coeffs, send_blocks,
                               send_coeffs)
@@ -22,12 +22,12 @@ NOMINAL = ChannelPlan(10.0, -10.0)
 
 
 def noiseless_split(coeffs):
-    """(w10, w2) as a noiseless frame carries them: protected path, then
-    the exposed symbol."""
+    """(w10, w2) as a noiseless frame carries them: protected block, then
+    the exposed word."""
     frame = send_coeffs(np.asarray(coeffs), NOISELESS, NoiseSource(0))
     w10, failed = receive_blocks(frame.msb, frame.count)
     assert not failed.any()
-    return w10.tolist(), demodulate_symbols(frame.lsb).tolist()
+    return w10.tolist(), frame.lsb.tolist()
 
 
 def offset_chi2(plan, coeff_seed, noise_seed, total=200_000):
@@ -75,10 +75,14 @@ class TestFrames:
         assert (rx == coeffs).all() and failures == 0
 
     def test_frame_length_contract(self):
-        # a rank-3 ciphertext (u then v) is 1024 coefficients = 17408 symbols
-        coeffs = np.zeros(1024, dtype=np.int64)
+        # a rank-3 ciphertext (u then v) is 1024 coefficients, each one
+        # 31-bit block (16 symbols with the pad bit) and one 2-bit word
+        # (1 symbol): 17408 symbols on the wire
+        coeffs = np.random.default_rng(3).integers(0, Q, 1024)
         frame = send_coeffs(coeffs, NOISELESS, NoiseSource(0))
-        assert len(frame.msb) + len(frame.lsb) == 1024 * SYMBOLS_PER_COEFF
+        assert len(frame.msb) == len(frame.lsb) == 1024
+        assert frame.msb.max() < 1 << CODE_N and frame.lsb.max() < 4
+        assert 1024 * ((CODE_N + 1) // 2 + 1) == 17408
 
     def test_noiseless_draws_nothing(self):
         # an infinite SNR leaves the noise source where it was
