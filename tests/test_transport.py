@@ -4,18 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-
 from scipy.stats import binom
 
 from wkyber.bch import CODE_N, codeword_error_prob
 from wkyber.core import centered
-from wkyber.modem import (ChannelPlan, NoiseSource, ber_4qam,
-                          demodulate_symbols, modulate_words, snr_db_to_linear)
+from wkyber.modem import (ChannelPlan, NoiseSource, ber_4qam, modulate_words,
+                          snr_db_to_linear)
 from wkyber.params import Q
-from wkyber.transport import (CoeffErrorDist,
-                              channel_error_pmf, coeff_error_dist, dist_stddev,
-                              receive_blocks, receive_coeffs, send_blocks,
-                              send_coeffs)
+from wkyber.transport import (CoeffErrorDist, channel_error_pmf,
+                              coeff_error_dist, dist_stddev, receive_blocks,
+                              receive_coeffs, send_blocks, send_coeffs)
 
 NOISELESS = ChannelPlan(math.inf, math.inf)
 NOMINAL = ChannelPlan(10.0, -10.0)
