@@ -9,9 +9,8 @@ coefficient transport, protocols) plus reliability analysis tooling and the
 """
 
 from .params import KYBER512, KYBER768, KYBER1024, PARAM_SETS, ParamSet, get_params
-from .core import (StreamExhausted, XofStream, cbd_sample, centered, compress,
-                   decompress, gen_matrix, matvec_mul, poly_mul,
-                   poly_mul_schoolbook)
+from .core import (StreamExhausted, XofStream, centered, compress, decompress,
+                   gen_matrix, matvec_mul, poly_mul, poly_mul_schoolbook)
 from .pke import (CompressedCiphertext, Message, PublicKey, SecretKey, decrypt,
                   encrypt, keygen)
 from .modem import (ChannelPlan, NoiseSource, ber_4qam, ber_mpsk,
@@ -21,7 +20,7 @@ from .bch import (bch_decode, bch_encode, bch_generator, codeword_error_prob,
 from .transport import (CoeffErrorDist, Frame, coeff_error_dist, dist_stddev,
                         receive_coeffs, send_coeffs)
 from .protocol import (KemSecretKey, SessionTranscript, SnrPolicy, WkCiphertext,
-                       kem_v1_decaps, kem_v1_encaps, kem_v1_keygen, run_session,
+                       kem_v1_decaps, kem_v1_encaps, kem_v1_keygen, run_sessions,
                        v2_keygen, wk_decrypt, wk_encrypt)
 from .reliability import (ErrorModel, IntDist, KerPoint, PrecisionLossError,
                           compression_error_dist, failure_probability,

@@ -9,6 +9,7 @@ trip inside the analysis engine.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -20,7 +21,7 @@ from .bch import codeword_error_prob
 from .modem import (ChannelPlan, NoiseSource, ber_4qam, demodulate_symbols,
                     modulate_words, snr_db_to_linear, transmit)
 from .params import get_params
-from .protocol import run_session
+from .protocol import run_sessions
 from .reliability import (PrecisionLossError, failure_prob_rows,
                           ker_monte_carlo, sigma_vs_snr)
 from .transport import (cbd_pmf_padded, coeff_error_dist, receive_blocks,
@@ -44,7 +45,7 @@ def _parse_grid(spec: str):
     if steps >= MAX_GRID_POINTS:
         raise argparse.ArgumentTypeError(
             f"grid {spec!r} has more than {MAX_GRID_POINTS} points")
-    return [round(start + i * step, 9) for i in range(int(steps) + 1)]
+    return tuple(round(start + i * step, 9) for i in range(int(steps) + 1))
 
 
 def _snr_db(text: str) -> float:
@@ -179,11 +180,12 @@ def cmd_exchange(args):
     ct_plan = ChannelPlan(args.snr_msb, args.snr_lsb)
     pk_plan = (ChannelPlan(args.snr_msb, args.snr_msb) if args.version == "v1"
                else ct_plan)
+    seeds = [args.seed * 65537 + i for i in range(args.trials)]
+    transcripts = run_sessions(args.version, params, (pk_plan, ct_plan), seeds,
+                               fo_policy=args.fo_policy)
     rows = []
     warned = set()
-    for i in range(args.trials):
-        tr = run_session(args.version, params, (pk_plan, ct_plan),
-                         seed=args.seed * 65537 + i, fo_policy=args.fo_policy)
+    for i, tr in enumerate(transcripts):
         for w in tr.policy_warnings:
             if w not in warned:
                 warned.add(w)
@@ -202,7 +204,10 @@ def cmd_exchange(args):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The wkyber parser, built once per process: parsing leaves it as it
+    was, and its defaults are immutable."""
     top = argparse.ArgumentParser(
         prog="wkyber",
         description="AWGN-channel key exchange simulator and analysis tool")

@@ -25,6 +25,9 @@ import numpy as np
 from .params import N, Q, ParamSet
 
 SEED_BYTES = 32
+# bytes of each matrix entry's stream that gen_matrix parses in one pass:
+# three SHAKE-128 blocks, the budget of Kyber's SampleNTT
+UNIFORM_READ = 504
 
 # ---------------------------------------------------------------------------
 # byte streams
@@ -152,31 +155,34 @@ def poly_mul_schoolbook(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def matvec_mul(a_hat: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """A s for an NTT-domain (k, k, 256) matrix and a (k, 256) vector;
-    accumulates in the NTT domain."""
-    if a_hat.shape[1:] != s.shape:
+    """A s for NTT-domain (..., k, k, 256) matrices and (..., k, 256)
+    vectors, leading axes batched; accumulates in the NTT domain."""
+    if a_hat.shape[-2:] != s.shape[-2:]:
         raise ValueError("rank mismatch")
-    return intt(ntt_pointwise(a_hat, ntt(s)).sum(axis=1) % Q)
+    return intt(ntt_pointwise(a_hat, ntt(s)[..., None, :, :]).sum(axis=-2) % Q)
 
 
 def inner_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Sum of a_i * b_i over two (k, 256) vectors, a single ring element."""
+    """Sum of a_i * b_i over two (..., k, 256) vectors, leading axes
+    batched: one ring element per vector pair."""
     if a.shape != b.shape:
         raise ValueError("rank mismatch")
     a_hat, b_hat = ntt(np.stack((a, b)))
-    return intt(ntt_pointwise(a_hat, b_hat).sum(axis=0) % Q)
+    return intt(ntt_pointwise(a_hat, b_hat).sum(axis=-2) % Q)
 
 
 def encrypt_products(a_hat: np.ndarray, b: np.ndarray,
                      s: np.ndarray) -> np.ndarray:
-    """A^T s stacked over b^T s, as one (k + 1, 256) array, for an
-    NTT-domain (k, k, 256) matrix and two (k, 256) vectors: one forward
-    transform of (b, s) and one inverse transform of the k + 1 sums."""
-    if a_hat.shape[1:] != s.shape or b.shape != s.shape:
+    """A^T s stacked over b^T s, as one (..., k + 1, 256) array, for
+    NTT-domain (..., k, k, 256) matrices and two (..., k, 256) vectors,
+    leading axes batched: one forward transform of (b, s) and one inverse
+    transform of the k + 1 sums."""
+    if a_hat.shape[-2:] != s.shape[-2:] or b.shape != s.shape:
         raise ValueError("rank mismatch")
     b_hat, s_hat = ntt(np.stack((b, s)))
-    rows = np.concatenate((a_hat.swapaxes(0, 1), b_hat[None]))
-    return intt(ntt_pointwise(rows, s_hat).sum(axis=1) % Q)
+    rows = np.concatenate((a_hat.swapaxes(-3, -2), b_hat[..., None, :, :]),
+                          axis=-3)
+    return intt(ntt_pointwise(rows, s_hat[..., None, :, :]).sum(axis=-2) % Q)
 
 
 # ---------------------------------------------------------------------------
@@ -207,46 +213,45 @@ def decompress(y: np.ndarray, d: int) -> np.ndarray:
 # samplers
 
 
-def sample_noise_vector(stream, eta: int, k: int) -> np.ndarray:
-    """k centered binomial polynomials, as (k, 256): each coefficient is
-    (sum of eta bits) minus (sum of eta bits), bits consumed little-endian
-    from one read of the stream, polynomial after polynomial."""
+def cbd_vectors(raw: bytes, eta: int, k: int) -> np.ndarray:
+    """Centered binomial vectors from raw bytes, as (B, k, 256) for the
+    B = len(raw) / (64 eta k) vectors laid back to back: each coefficient
+    is (sum of eta bits) minus (sum of eta bits), bits consumed
+    little-endian, polynomial after polynomial."""
     if eta not in (2, 3):
         raise ValueError(f"unsupported eta={eta}")
-    raw = stream.read(64 * eta * k)  # 2*eta bits per coefficient
     bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8),
-                         bitorder="little").reshape(k, N, 2, eta)
-    a, b = bits.sum(axis=3, dtype=np.int64).transpose(2, 0, 1)
-    return (a - b) % Q
+                         bitorder="little").reshape(-1, k, N, 2, eta)
+    sums = bits.sum(axis=-1, dtype=np.int64)
+    return (sums[..., 0] - sums[..., 1]) % Q
 
 
-def cbd_sample(eta: int, stream) -> np.ndarray:
-    """One centered binomial polynomial, as (256,)."""
-    return sample_noise_vector(stream, eta, 1)[0]
-
-
-def _sample_uniform_poly(stream) -> np.ndarray:
-    """Rejection-sample 256 coefficients uniform on [0, q) from 12-bit words."""
-    kept = []
-    need = N
-    while need > 0:
-        raw = np.frombuffer(stream.read(504), dtype=np.uint8).astype(np.int64)
-        triples = raw.reshape(-1, 3)
-        d1 = triples[:, 0] | ((triples[:, 1] & 0x0F) << 8)
-        d2 = (triples[:, 1] >> 4) | (triples[:, 2] << 4)
-        cand = np.column_stack([d1, d2]).ravel()
-        cand = cand[cand < Q]
-        kept.append(cand[:need])
-        need -= len(kept[-1])
-    return np.concatenate(kept)
+def sample_noise_vector(stream, eta: int, k: int) -> np.ndarray:
+    """k centered binomial polynomials, as (k, 256), from one read of the
+    stream (2 eta bits per coefficient)."""
+    return cbd_vectors(stream.read(64 * eta * k), eta, k)[0]
 
 
 @functools.lru_cache(maxsize=32)
 def _gen_matrix_cached(seed: bytes, k: int) -> np.ndarray:
-    a = np.array([[_sample_uniform_poly(XofStream(seed, label=b"A" + bytes([r, c]),
-                                                  algo="shake_128"))
-                   for c in range(k)] for r in range(k)])
-    a_hat = ntt(a)
+    streams = [XofStream(seed, label=b"A" + bytes([r, c]), algo="shake_128")
+               for r in range(k) for c in range(k)]
+    # an entry is its first 256 candidates below q; about 0.7% of entries
+    # accept fewer in UNIFORM_READ bytes and read on
+    raw = b"".join(st.read(UNIFORM_READ) for st in streams)
+    cand = unpack12(raw, 2 * len(raw) // 3).reshape(k * k, -1)
+    accepted = cand < Q
+    take = accepted & (np.cumsum(accepted, axis=1) <= N)
+    short = take.sum(axis=1) < N
+    a = np.empty((k * k, N), dtype=np.int64)
+    a[~short] = cand[~short][take[~short]].reshape(-1, N)
+    for i in np.flatnonzero(short):  # read on in the entry's own stream
+        kept = cand[i][accepted[i]]
+        while len(kept) < N:
+            more = unpack12(streams[i].read(UNIFORM_READ), 2 * UNIFORM_READ // 3)
+            kept = np.concatenate([kept, more[more < Q]])
+        a[i] = kept[:N]
+    a_hat = ntt(a.reshape(k, k, N))
     # shared by every caller with this seed; a view of a read-only array
     # cannot be made writeable again
     a_hat.flags.writeable = False
@@ -255,8 +260,9 @@ def _gen_matrix_cached(seed: bytes, k: int) -> np.ndarray:
 
 def gen_matrix(seed: bytes, params: ParamSet) -> np.ndarray:
     """Deterministic pseudo-uniform k x k matrix in the NTT domain, as a
-    read-only (k, k, 256) array.  Entry (r, c) is sampled in the coefficient
-    domain from its own SHAKE-128 stream, then the whole matrix is
+    read-only (k, k, 256) array.  Entry (r, c) is rejection-sampled in the
+    coefficient domain from its own SHAKE-128 stream (12-bit candidates
+    below q, in order), all entries in one pass, then the whole matrix is
     transformed in one call.  Pure in (seed, params); recent expansions are
     memoised since a session touches the same matrix several times."""
     return _gen_matrix_cached(check_seed(seed), params.k)

@@ -11,9 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (XofStream, centered, check_canonical, check_seed, compress,
-                   decompress, encrypt_products, gen_matrix, inner_product,
-                   matvec_mul, pack12, sample_noise_vector, unpack12)
+from .core import (XofStream, cbd_vectors, check_canonical, check_seed,
+                   compress, decompress, encrypt_products, gen_matrix,
+                   inner_product, matvec_mul, pack12, sample_noise_vector,
+                   unpack12)
 from .params import N, Q, ParamSet
 
 
@@ -48,19 +49,16 @@ class Message:
 
 
 class PublicKey:
-    """(seed for the matrix A, (k, 256) vector b).  The expanded A is cached."""
+    """(seed for the matrix A, (k, 256) vector b); gen_matrix caches A."""
 
-    __slots__ = ("seed", "b", "_a")
+    __slots__ = ("seed", "b")
 
     def __init__(self, seed: bytes, b: np.ndarray):
         self.seed = check_seed(seed)
         self.b = b
-        self._a = None
 
     def matrix(self, params: ParamSet) -> np.ndarray:
-        if self._a is None:
-            self._a = gen_matrix(self.seed, params)
-        return self._a
+        return gen_matrix(self.seed, params)
 
     def to_bytes(self) -> bytes:
         return self.seed + pack12(self.b)
@@ -107,12 +105,23 @@ class CompressedCiphertext:
 
 def keygen(seed_a: bytes, rng, params: ParamSet):
     """b = A s + e with s, e drawn from the eta1 binomial; pk carries the seed."""
-    a = gen_matrix(seed_a, params)
-    s = sample_noise_vector(rng, params.eta1, params.k)
-    e = sample_noise_vector(rng, params.eta1, params.k)
-    pk = PublicKey(seed_a, (matvec_mul(a, s) + e) % Q)
-    pk._a = a
-    return pk, SecretKey(s)
+    (pk,), s = keygen_batch([seed_a], [rng], params)
+    return pk, SecretKey(s[0])
+
+
+def keygen_batch(seeds_a, rngs, params: ParamSet, with_error: bool = True):
+    """B key pairs at once: b = A s + e, or b = A s without the error.  One
+    read of each rng supplies s and then e; the ring work runs on (B, k, 256)
+    arrays.  Returns (public keys, (B, k, 256) secrets)."""
+    k, eta = params.k, params.eta1
+    count = 2 if with_error else 1
+    noise = cbd_vectors(b"".join(rng.read(64 * eta * k * count)
+                                 for rng in rngs), eta, count * k)
+    s = noise[:, :k]
+    b = matvec_mul(np.stack([gen_matrix(seed, params) for seed in seeds_a]), s)
+    if with_error:
+        b = (b + noise[:, k:]) % Q
+    return [PublicKey(seed, b_i) for seed, b_i in zip(seeds_a, b)], s
 
 
 def message_to_ring(m: Message) -> np.ndarray:
@@ -149,24 +158,9 @@ def encrypt(pk: PublicKey, m: Message, coins: bytes,
     return encrypt_with_noise(pk, m, sp, ep, epp, params)
 
 
-def _noisy_message(sk: SecretKey, ct: CompressedCiphertext,
-                   params: ParamSet) -> np.ndarray:
-    """v - s^T u mod q on the decompressed ciphertext."""
+def decrypt(sk: SecretKey, ct: CompressedCiphertext, params: ParamSet) -> Message:
+    """Recover each bit as compress(v - s^T u, 1) on the decompressed
+    ciphertext."""
     u = decompress(ct.u_c, params.du)
     v = decompress(ct.v_c, params.dv)
-    return (v - inner_product(sk.s, u)) % Q
-
-
-def decrypt(sk: SecretKey, ct: CompressedCiphertext, params: ParamSet) -> Message:
-    """Recover each bit as compress(v - s^T u, 1)."""
-    return Message(compress(_noisy_message(sk, ct, params), 1))
-
-
-def decryption_noise(sk: SecretKey, ct: CompressedCiphertext, m: Message,
-                     params: ParamSet) -> np.ndarray:
-    """Centered per-coefficient noise v - s^T u - mhat, for diagnostics.
-
-    Decryption recovers m wherever this stays strictly inside the decision
-    region around the encoded bit.
-    """
-    return centered(_noisy_message(sk, ct, params) - message_to_ring(m))
+    return Message(compress((v - inner_product(sk.s, u)) % Q, 1))

@@ -17,6 +17,12 @@ taken as 0 because its w2 bits can wrap it to 0..2); the low bits still
 travel and still feed decryption, but the check no longer depends on them.
 Like the relaxed ciphertext comparison, the security of ignoring exposed
 bits in the check is not analysed here.
+
+run_sessions runs SESSION_BATCH sessions at a time.  Each keeps its own
+byte streams, noise sources and flip draws, in the order of a lone session,
+and its own KEM hashes; the ring work is stacked on (B, k, 256) arrays and
+each channel leg has one block decode for all B.  Stacked arithmetic is
+exact and blocks decode alone, so no result depends on B or worker count.
 """
 
 from __future__ import annotations
@@ -25,13 +31,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (XofStream, centered, check_canonical, check_seed, compress,
-                   encrypt_products, gen_matrix, inner_product, matvec_mul,
-                   pack12, sample_noise_vector, unpack12)
+from .core import (XofStream, cbd_vectors, centered, check_canonical,
+                   check_seed, compress, decompress, encrypt_products,
+                   inner_product, pack12, unpack12)
 from .modem import ChannelPlan, NoiseSource
 from .params import N, Q, ParamSet
-from .pke import Message, PublicKey, SecretKey, keygen, message_to_ring
-from .transport import Frame, receive_blocks, receive_coeffs, send_blocks, send_coeffs
+from .pke import (Message, PublicKey, SecretKey, keygen, keygen_batch,
+                  message_to_ring)
+from .transport import join_coeffs, receive_blocks, send_blocks, send_coeffs
+
+# sessions stacked in one array pass of run_sessions; transcripts do not
+# depend on it, only memory and per-call overhead do
+SESSION_BATCH = 16
 
 
 # ---------------------------------------------------------------------------
@@ -96,34 +107,43 @@ class SnrPolicy:
 
 def v2_keygen(seed_a: bytes, rng, params: ParamSet):
     """b = A s with no sampled error; the channel adds it in transit."""
-    a = gen_matrix(seed_a, params)
-    s = sample_noise_vector(rng, params.eta1, params.k)
-    pk = PublicKey(seed_a, matvec_mul(a, s))
-    pk._a = a
-    return pk, SecretKey(s)
+    (pk,), s = keygen_batch([seed_a], [rng], params, with_error=False)
+    return pk, SecretKey(s[0])
 
 
-def _sample_sprime(coins: bytes, params: ParamSet) -> np.ndarray:
-    check_seed(coins)
-    return sample_noise_vector(XofStream(coins, b"sp"), params.eta1, params.k)
+def _sample_sprimes(coins, params: ParamSet) -> np.ndarray:
+    """(B, k, 256) vectors s', one per 32-byte coins."""
+    size = 64 * params.eta1 * params.k
+    raw = b"".join(XofStream(check_seed(c), b"sp").read(size) for c in coins)
+    return cbd_vectors(raw, params.eta1, params.k)
 
 
-def wk_encrypt_with_sprime(pk: PublicKey, m: Message, sp: np.ndarray,
-                           params: ParamSet) -> WkCiphertext:
-    uv = encrypt_products(pk.matrix(params), pk.b, sp)
-    uv[-1] = (uv[-1] + message_to_ring(m)) % Q
-    return WkCiphertext(uv)
+def _encrypt(pks, bits: np.ndarray, sp: np.ndarray,
+             params: ParamSet) -> np.ndarray:
+    """u = A^T s', v = b^T s' + mhat for B keys, (B, 256) message bits and
+    (B, k, 256) s', as (B, k + 1, 256) coefficients."""
+    a_hat = np.stack([pk.matrix(params) for pk in pks])
+    uv = encrypt_products(a_hat, np.stack([pk.b for pk in pks]), sp)
+    uv[:, -1] = (uv[:, -1] + decompress(bits, 1)) % Q
+    return uv
 
 
 def wk_encrypt(pk: PublicKey, m: Message, coins: bytes,
                params: ParamSet) -> WkCiphertext:
     """u = A^T s', v = b^T s' + mhat; no e' or e'' is ever sampled."""
-    return wk_encrypt_with_sprime(pk, m, _sample_sprime(coins, params), params)
+    sp = _sample_sprimes([coins], params)
+    return WkCiphertext(_encrypt([pk], m.bits[None], sp, params)[0])
+
+
+def _decrypt_bits(s: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Per-coefficient compress(v - s^T u, 1), leading axes batched."""
+    u, v = coeffs[..., :-1, :], coeffs[..., -1, :]
+    return compress((v - inner_product(s, u)) % Q, 1)
 
 
 def wk_decrypt(sk: SecretKey, c: WkCiphertext) -> Message:
     """Per-coefficient compress(v - s^T u, 1)."""
-    return Message(compress((c.v - inner_product(sk.s, c.u)) % Q, 1))
+    return Message(_decrypt_bits(sk.s, c.coeffs))
 
 
 def wk_decryption_noise(sk: SecretKey, c: WkCiphertext, m: Message) -> np.ndarray:
@@ -154,9 +174,7 @@ def _project_pk(pk: PublicKey) -> PublicKey:
     A stored q - 1 = 4 * 832 whose w2 bits rise arrives as 0..2 (the wrap
     `_coeffs_match` allows for ciphertexts), so 4 * 832 joins the class of 0.
     """
-    proj = PublicKey(pk.seed, (pk.b & ~np.int64(3)) % (Q - 1))
-    proj._a = pk._a  # same seed, same matrix
-    return proj
+    return PublicKey(pk.seed, (pk.b & ~np.int64(3)) % (Q - 1))
 
 
 def _hash(label: bytes, data: bytes, outlen: int = 32) -> bytes:
@@ -175,16 +193,20 @@ def kem_v1_encaps(pk: PublicKey, rng, params: ParamSet):
     Deterministic given (pk, message): key and coins derive from the message
     and the projected public key; the secret also binds the clean ciphertext.
     """
-    m = Message.random(rng)
-    return _encaps_with_message(pk, m, params)
+    (c,), (secret,) = _encaps([pk], [Message.random(rng)], params)
+    return WkCiphertext(c), secret
 
 
-def _encaps_with_message(pk: PublicKey, m: Message, params: ParamSet):
-    pk_proj = _project_pk(pk)
-    k_bytes, coins = _derive_key_coins(m, pk_proj)
-    c = wk_encrypt(pk_proj, m, coins, params)
-    secret = _hash(b"kdf", k_bytes + _hash(b"ct", c.to_bytes()))
-    return c, secret
+def _encaps(pks, messages, params: ParamSet):
+    """kem_v1_encaps of B messages to B keys: ((B, k + 1, 256) ciphertext
+    coefficients, shared secrets)."""
+    projected = [_project_pk(pk) for pk in pks]
+    keys, coins = zip(*(_derive_key_coins(m, pk)
+                        for m, pk in zip(messages, projected)))
+    bits = np.stack([m.bits for m in messages])
+    c = _encrypt(projected, bits, _sample_sprimes(coins, params), params)
+    return c, [_hash(b"kdf", key + _hash(b"ct", pack12(c_i)))
+               for key, c_i in zip(keys, c)]
 
 
 def _coeffs_match(expected: np.ndarray, received: np.ndarray,
@@ -210,13 +232,20 @@ def kem_v1_decaps(ksk: KemSecretKey, pk: PublicKey, c_received: WkCiphertext,
     exactly; exact comparison rejects nearly every honest session because
     the channel legitimately perturbs the exposed bits.
     """
-    m2 = wk_decrypt(ksk.sk, c_received)
-    pk_proj = _project_pk(pk)
-    k_bytes, coins = _derive_key_coins(m2, pk_proj)
-    c2 = wk_encrypt(pk_proj, m2, coins, params)
-    if _coeffs_match(c2.coeffs, c_received.coeffs, policy):
-        return _hash(b"kdf", k_bytes + _hash(b"ct", c2.to_bytes()))
-    return _hash(b"rej", ksk.z + _hash(b"ct", c_received.to_bytes()))
+    return _decaps(ksk.sk.s[None], [ksk.z], [pk], c_received.coeffs[None],
+                   params, policy)[0]
+
+
+def _decaps(s: np.ndarray, zs, pks, received: np.ndarray, params: ParamSet,
+            policy: str) -> list:
+    """B decapsulations of (B, k + 1, 256) received coefficients under
+    (B, k, 256) secrets s: decrypt, encapsulate the result again as the
+    sender did, compare."""
+    messages = [Message(bits) for bits in _decrypt_bits(s, received)]
+    expected, secrets = _encaps(pks, messages, params)
+    return [secret if _coeffs_match(c2, c_rx, policy)
+            else _hash(b"rej", z + _hash(b"ct", pack12(c_rx)))
+            for secret, c2, c_rx, z in zip(secrets, expected, received, zs)]
 
 
 # ---------------------------------------------------------------------------
@@ -263,31 +292,48 @@ def _send_pk(pk: PublicKey, plan: ChannelPlan, noise: NoiseSource, params: Param
     return seed_blocks, frame
 
 
-def _receive_pk(seed_blocks, frame: Frame, params: ParamSet):
-    words, seed_failed = receive_blocks(seed_blocks, 26)
-    shifts = np.arange(9, -1, -1)
-    bits = ((words[:, None] >> shifts) & 1).ravel()[:256].astype(np.uint8)
-    seed = np.packbits(bits, bitorder="little").tobytes()
-    coeffs, b_fail = receive_coeffs(frame, params.k * N)
-    pk = PublicKey(seed, coeffs.reshape(params.k, N))
-    return pk, int(seed_failed.sum()) + b_fail
+def _decode_leg(segments, sessions: int):
+    """One block decode of a leg's received words, given session after
+    session: ((B, words per session) decoded words, failures per session)."""
+    words = np.concatenate(segments)
+    w10, failed = receive_blocks(words, len(words))
+    return w10.reshape(sessions, -1), failed.reshape(sessions, -1).sum(axis=1)
 
 
-def _receive_ct(frame: Frame, params: ParamSet):
-    coeffs, failures = receive_coeffs(frame, (params.k + 1) * N)
-    return WkCiphertext(coeffs.reshape(-1, N)), failures
+def _receive_pks(sent, params: ParamSet):
+    """(B keys, failures per key) from B (seed blocks, frame of b) pairs."""
+    w10, failures = _decode_leg([w for blocks, frame in sent
+                                 for w in (blocks, frame.msb)], len(sent))
+    bits = (w10[:, :26, None] >> np.arange(9, -1, -1)) & 1
+    seeds = np.packbits(bits.reshape(len(sent), -1)[:, :256].astype(np.uint8),
+                        axis=1, bitorder="little")
+    lsb = np.stack([frame.lsb for _, frame in sent])
+    b = join_coeffs(w10[:, 26:], lsb).reshape(len(sent), params.k, N)
+    return [PublicKey(seed.tobytes(), b_i) for seed, b_i in zip(seeds, b)], failures
 
 
-def run_session(version: str, params: ParamSet, plans, seed: int,
-                policy: SnrPolicy | None = None,
-                fo_policy: str = "msb-only",
-                collect_offsets: bool = False) -> SessionTranscript:
-    """One full exchange: keygen, key transport, encrypt/encaps, ciphertext
-    transport, decrypt/decaps.
+def _receive_cts(frames, params: ParamSet):
+    """((B, k + 1, 256) coefficients, failures per frame) from B frames."""
+    w10, failures = _decode_leg([frame.msb for frame in frames], len(frames))
+    lsb = np.stack([frame.lsb for frame in frames])
+    return join_coeffs(w10, lsb).reshape(len(frames), -1, N), failures
+
+
+def _noise_source(seed: int, label: bytes) -> NoiseSource:
+    return NoiseSource(int.from_bytes(_derive_seed(seed, label)[:8], "little"))
+
+
+def run_sessions(version: str, params: ParamSet, plans, seeds, *,
+                 policy: SnrPolicy | None = None, fo_policy: str = "msb-only",
+                 collect_offsets: bool = False) -> list:
+    """Full exchanges, one transcript per seed: keygen, key transport,
+    encrypt/encaps, ciphertext transport, decrypt/decaps.
 
     plans is the (public key, ciphertext) ChannelPlan pair.  Policy
     violations are recorded as warnings; the run proceeds regardless.
     V2 keys are ephemeral by construction: every session generates its own.
+    Sessions run SESSION_BATCH at a time; a transcript depends only on its
+    own seed (see the module docstring).
     """
     if version not in ("v1", "v2"):
         raise ValueError(f"version must be 'v1' or 'v2', got {version!r}")
@@ -296,37 +342,45 @@ def run_session(version: str, params: ParamSet, plans, seed: int,
     warnings = tuple(policy.violations(ct_plan, "ciphertext")
                      + (policy.violations(pk_plan, "public key")
                         if version == "v2" else []))
+    return [tr for at in range(0, len(seeds), SESSION_BATCH)
+            for tr in _run_batch(version, params, plans,
+                                 seeds[at:at + SESSION_BATCH], fo_policy,
+                                 collect_offsets, warnings)]
 
-    key_rng = XofStream(_derive_seed(seed, b"key"), b"rng")
-    msg_rng = XofStream(_derive_seed(seed, b"msg"), b"rng")
-    noise_a = NoiseSource(int.from_bytes(_derive_seed(seed, b"ch-a")[:8], "little"))
-    noise_b = NoiseSource(int.from_bytes(_derive_seed(seed, b"ch-b")[:8], "little"))
-    seed_a = key_rng.read(32)
 
+def _run_batch(version, params, plans, seeds, fo_policy, collect_offsets,
+               warnings) -> list:
+    pk_plan, ct_plan = plans
+    # every session draws from its own streams, in the order of one session
+    key_rngs = [XofStream(_derive_seed(s, b"key"), b"rng") for s in seeds]
+    msg_rngs = [XofStream(_derive_seed(s, b"msg"), b"rng") for s in seeds]
+    noise_a = [_noise_source(s, b"ch-a") for s in seeds]
+    noise_b = [_noise_source(s, b"ch-b") for s in seeds]
+    seeds_a = [rng.read(32) for rng in key_rngs]
+    pks, sks = keygen_batch(seeds_a, key_rngs, params,
+                            with_error=version == "v1")
+    pks_rx, pk_fail = _receive_pks([_send_pk(pk, pk_plan, noise, params)
+                                    for pk, noise in zip(pks, noise_a)], params)
+    messages = [Message.random(rng) for rng in msg_rngs]
     if version == "v1":
-        pk, ksk = kem_v1_keygen(seed_a, key_rng, params)
-        seed_blocks, pk_frame = _send_pk(pk, pk_plan, noise_a, params)
-        pk_rx, pk_fail = _receive_pk(seed_blocks, pk_frame, params)
-        c_clean, secret_b = kem_v1_encaps(pk_rx, msg_rng, params)
-        ct_frame = send_coeffs(c_clean.coeffs, ct_plan, noise_b)
-        c_rx, ct_fail = _receive_ct(ct_frame, params)
-        secret_a = kem_v1_decaps(ksk, pk, c_rx, params, policy=fo_policy)
-        outcome = secret_a == secret_b
+        zs = [rng.read(32) for rng in key_rngs]
+        c_clean, secrets_b = _encaps(pks_rx, messages, params)
     else:
-        pk, sk = v2_keygen(seed_a, key_rng, params)
-        seed_blocks, pk_frame = _send_pk(pk, pk_plan, noise_a, params)
-        pk_rx, pk_fail = _receive_pk(seed_blocks, pk_frame, params)
-        m = Message.random(msg_rng)
-        c_clean = wk_encrypt(pk_rx, m, msg_rng.read(32), params)
-        ct_frame = send_coeffs(c_clean.coeffs, ct_plan, noise_b)
-        c_rx, ct_fail = _receive_ct(ct_frame, params)
-        outcome = wk_decrypt(sk, c_rx) == m
-
-    offsets = None
-    if collect_offsets:
-        offsets = centered(c_rx.coeffs - c_clean.coeffs).ravel()
-    return SessionTranscript(version=version, k=params.k, pk_plan=pk_plan,
-                             ct_plan=ct_plan, outcome=outcome,
-                             bch_failures_pk=pk_fail, bch_failures_ct=ct_fail,
-                             policy_warnings=warnings,
-                             ct_error_offsets=offsets)
+        bits = np.stack([m.bits for m in messages])
+        sp = _sample_sprimes([rng.read(32) for rng in msg_rngs], params)
+        c_clean = _encrypt(pks_rx, bits, sp, params)
+    c_rx, ct_fail = _receive_cts([send_coeffs(c, ct_plan, noise)
+                                  for c, noise in zip(c_clean, noise_b)], params)
+    if version == "v1":
+        secrets_a = _decaps(sks, zs, pks, c_rx, params, fo_policy)
+        outcomes = [a == b for a, b in zip(secrets_a, secrets_b)]
+    else:
+        outcomes = (_decrypt_bits(sks, c_rx) == bits).all(axis=1)
+    offsets = (centered(c_rx - c_clean).reshape(len(seeds), -1)
+               if collect_offsets else [None] * len(seeds))
+    return [SessionTranscript(version=version, k=params.k, pk_plan=pk_plan,
+                              ct_plan=ct_plan, outcome=bool(ok),
+                              bch_failures_pk=int(pk_f),
+                              bch_failures_ct=int(ct_f),
+                              policy_warnings=warnings, ct_error_offsets=off)
+            for ok, pk_f, ct_f, off in zip(outcomes, pk_fail, ct_fail, offsets)]

@@ -309,13 +309,9 @@ class KerPoint:
 
 def _count_failures(args) -> int:
     version, params, plans, seeds, fo_policy = args
-    from .protocol import run_session
-    bad = 0
-    for s in seeds:
-        if not run_session(version, params, plans, seed=s,
-                           fo_policy=fo_policy).outcome:
-            bad += 1
-    return bad
+    from .protocol import run_sessions
+    return sum(not tr.outcome for tr in run_sessions(version, params, plans,
+                                                     seeds, fo_policy=fo_policy))
 
 
 def ker_monte_carlo(version: str, params: ParamSet, plans, trials: int,

@@ -95,17 +95,20 @@ def send_coeffs(coeffs, plan: ChannelPlan, noise: NoiseSource) -> Frame:
     return Frame(msb=msb, lsb=lsb)
 
 
-def receive_coeffs(frame: Frame, count: int):
-    """Reassemble 4*w10 + w2 mod q from a received frame.
-
-    Returns (coefficient array, BCH decode failure count).  Values >= q
+def join_coeffs(w10: np.ndarray, w2: np.ndarray) -> np.ndarray:
+    """Reassemble 4*w10 + w2 mod q from decoded words.  Values >= q
     (possible when a stored coefficient near q-1 shifts upward, or after a
-    miscorrection) wrap mod q; the wrap is part of the modelled noise.
-    """
+    miscorrection) wrap mod q; the wrap is part of the modelled noise."""
+    return (4 * w10 + w2) % Q
+
+
+def receive_coeffs(frame: Frame, count: int):
+    """(coefficients, BCH decode failure count) of a received frame, the
+    coefficients reassembled by join_coeffs."""
     if frame.count != count:
         raise ValueError("frame length does not match coefficient count")
     w10, failed = receive_blocks(frame.msb, count)
-    return (4 * w10 + frame.lsb) % Q, int(failed.sum())
+    return join_coeffs(w10, frame.lsb), int(failed.sum())
 
 
 # ---------------------------------------------------------------------------

@@ -146,13 +146,13 @@ class TestFailureProb:
 class TestGrid:
     def test_points(self):
         # the default grids, unchanged
-        assert _parse_grid("0:10:2") == [0, 2, 4, 6, 8, 10]
-        assert _parse_grid("-2:4:1") == list(range(-2, 5))
-        assert _parse_grid("6:15:3") == [6, 9, 12, 15]
-        assert _parse_grid("-15:0:1") == list(range(-15, 1))
-        assert _parse_grid("0:1:0.1") == [i / 10 for i in range(11)]
+        assert _parse_grid("0:10:2") == (0, 2, 4, 6, 8, 10)
+        assert _parse_grid("-2:4:1") == tuple(range(-2, 5))
+        assert _parse_grid("6:15:3") == (6, 9, 12, 15)
+        assert _parse_grid("-15:0:1") == tuple(range(-15, 1))
+        assert _parse_grid("0:1:0.1") == tuple(i / 10 for i in range(11))
         # a step below the float spacing near start once never advanced
-        assert _parse_grid("1e20:1e20:1") == [1e20]
+        assert _parse_grid("1e20:1e20:1") == (1e20,)
         assert len(_parse_grid(f"0:{MAX_GRID_POINTS - 1}:1")) == MAX_GRID_POINTS
 
     @pytest.mark.parametrize("spec", [f"0:{MAX_GRID_POINTS}:1", "0:1:1e-6",
@@ -239,6 +239,20 @@ class TestPlumbing:
 
         monkeypatch.setattr(cli, "failure_prob_rows", boom)
         assert main(["failure-prob"]) == 3
+
+    def test_shared_parser_matches_fresh_parser(self, capsys):
+        # the parser is built once per process; no verb may leave state in
+        # it that changes the output of the next call
+        from wkyber.cli import build_parser
+        calls = [("codeword-error", "--trials", "500"),
+                 ("exchange", "--trials", "2", "--params", "512"),
+                 ("ber", "--grid", "0:4:2", "--trials", "200")]
+        fresh = []
+        for argv in calls:
+            build_parser.cache_clear()
+            fresh.append(run_cli(capsys, *argv))
+        shared = [run_cli(capsys, *argv) for argv in calls + calls]
+        assert shared == fresh + fresh
 
     def test_atomic_file_output(self, tmp_path, capsys):
         out_file = tmp_path / "sigma.csv"

@@ -1,14 +1,16 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wkyber.core import (GAMMAS, FixedStream, StreamExhausted, XofStream,
-                         cbd_sample, centered, compress, decompress,
-                         encrypt_products, gen_matrix, intt, matvec_mul, ntt,
-                         pack12, poly_mul, poly_mul_schoolbook,
-                         sample_noise_vector, unpack12)
-from wkyber.params import KYBER512, KYBER768, N, Q
+from wkyber.core import (GAMMAS, UNIFORM_READ, FixedStream, StreamExhausted,
+                         XofStream, centered, compress, decompress,
+                         encrypt_products, gen_matrix, inner_product, intt,
+                         matvec_mul, ntt, pack12, poly_mul,
+                         poly_mul_schoolbook, sample_noise_vector, unpack12)
+from wkyber.params import KYBER512, KYBER768, KYBER1024, N, Q
 
 
 def rand_poly(rng, shape=()):
@@ -160,6 +162,27 @@ class TestMatVec:
                 acc = (acc + poly_mul_schoolbook(row[j], s[j])) % Q
             assert np.array_equal(got[i], acc)
 
+    @pytest.mark.parametrize("batch", [(1,), (3,), (2, 2)])
+    def test_leading_axes_batched(self, batch):
+        # every slice of a batched product is the product of its slices
+        rng = np.random.default_rng(9)
+        k = 3
+        a_hat = ntt(rand_poly(rng, (*batch, k, k)))
+        b, s = rand_poly(rng, (*batch, k)), rand_poly(rng, (*batch, k))
+        mv = matvec_mul(a_hat, s)
+        ip = inner_product(b, s)
+        ep = encrypt_products(a_hat, b, s)
+        assert mv.shape == (*batch, k, N) and ip.shape == (*batch, N)
+        assert ep.shape == (*batch, k + 1, N)
+        for idx in np.ndindex(*batch):
+            assert np.array_equal(mv[idx], matvec_mul(a_hat[idx], s[idx]))
+            assert np.array_equal(ep[idx],
+                                  encrypt_products(a_hat[idx], b[idx], s[idx]))
+            acc = np.zeros(N, dtype=np.int64)
+            for j in range(k):
+                acc = (acc + poly_mul_schoolbook(b[idx][j], s[idx][j])) % Q
+            assert np.array_equal(ip[idx], acc)
+
     def test_rank_mismatch(self):
         _, a_hat = rand_matrix(np.random.default_rng(8), 3)
         v2, v3 = np.zeros((2, N), dtype=np.int64), np.zeros((3, N), dtype=np.int64)
@@ -227,21 +250,22 @@ class TestCompress:
 class TestCbd:
     def test_zero_stream(self):
         for eta in (2, 3):
-            assert not cbd_sample(eta, FixedStream(bytes(64 * eta))).any()
+            zero = FixedStream(bytes(64 * eta))
+            assert not sample_noise_vector(zero, eta, 1).any()
 
     def test_stream_exhaustion(self):
         with pytest.raises(StreamExhausted):
-            cbd_sample(2, FixedStream(bytes(100)))
+            sample_noise_vector(FixedStream(bytes(100)), 2, 1)[0]
 
     def test_bad_eta(self):
         with pytest.raises(ValueError):
-            cbd_sample(4, FixedStream(bytes(512)))
+            sample_noise_vector(FixedStream(bytes(512)), 4, 1)[0]
 
     @pytest.mark.parametrize("eta,k", [(2, 1), (2, 3), (3, 2), (3, 4)])
     def test_vector_is_polynomials_in_turn(self, eta, k):
         vec = sample_noise_vector(XofStream(b"v" * 32), eta, k)
         stream = XofStream(b"v" * 32)
-        rows = [cbd_sample(eta, stream) for _ in range(k)]
+        rows = [sample_noise_vector(stream, eta, 1)[0] for _ in range(k)]
         assert np.array_equal(vec, np.stack(rows))
 
     def test_vector_stream_exhaustion(self):
@@ -259,7 +283,7 @@ class TestCbd:
         # and the sampler realises exactly that map on single-coefficient input
         for pattern in range(16):
             data = bytes([pattern]) + bytes(127)
-            got = int(cbd_sample(2, FixedStream(data))[0])
+            got = int(sample_noise_vector(FixedStream(data), 2, 1)[0, 0])
             bits = [(pattern >> i) & 1 for i in range(4)]
             want = (bits[0] + bits[1] - bits[2] - bits[3]) % Q
             assert got == want
@@ -268,7 +292,7 @@ class TestCbd:
         stream = XofStream(b"\x01" * 32, b"cbd-range")
         for eta in (2, 3):
             for _ in range(20):
-                c = cbd_sample(eta, stream)
+                c = sample_noise_vector(stream, eta, 1)[0]
                 ok = (c <= eta) | (c >= Q - eta)
                 assert ok.all()
 
@@ -278,13 +302,47 @@ class TestCbd:
         total = 0.0
         n = 0
         for _ in range(1_000_000 // N):
-            c = centered(cbd_sample(2, stream))
+            c = centered(sample_noise_vector(stream, 2, 1)[0])
             total += float((c.astype(float) ** 2).sum())
             n += N
         assert abs(total / n - 1.0) <= 0.01
 
 
+def uniform_entry_oracle(seed, r, c):
+    """Entry (r, c) of the coefficient-domain matrix, sampled entry by entry:
+    12-bit words of the entry's SHAKE-128 stream, two per 3 bytes, kept
+    while below q.  Returns (coefficients, stream bytes consumed)."""
+    data = hashlib.shake_128(bytes([3]) + b"A" + bytes([r, c]) + seed).digest(3000)
+    kept = []
+    for at in range(0, len(data), 3):
+        b0, b1, b2 = data[at:at + 3]
+        for word in (b0 | ((b1 & 0x0F) << 8), (b1 >> 4) | (b2 << 4)):
+            if word < Q and len(kept) < N:
+                kept.append(word)
+        if len(kept) == N:
+            return kept, at + 3
+    raise AssertionError("oracle ran out of stream")
+
+
 class TestGenMatrix:
+    def test_matches_entry_by_entry_oracle(self):
+        # the first seed of a fixed search whose matrix has an entry that
+        # needs more than the 504 bytes of the batched pass, plus two more
+        for t in range(1000):
+            short_seed = b"fallback" + t.to_bytes(4, "little") + bytes(20)
+            if any(uniform_entry_oracle(short_seed, r, c)[1] > UNIFORM_READ
+                   for r in range(2) for c in range(2)):
+                break
+        else:
+            raise AssertionError("no seed needs the fallback")
+        for seed in (short_seed, bytes(32), bytes(range(32))):
+            for params in (KYBER512, KYBER1024):
+                a = intt(gen_matrix(seed, params))
+                for r in range(params.k):
+                    for c in range(params.k):
+                        want, _ = uniform_entry_oracle(seed, r, c)
+                        assert a[r, c].tolist() == want, (seed, r, c)
+
     def test_determinism(self):
         seed = bytes(range(32))
         a1 = gen_matrix(seed, KYBER768)

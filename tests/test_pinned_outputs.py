@@ -16,7 +16,7 @@ from wkyber.core import XofStream
 from wkyber.modem import ChannelPlan
 from wkyber.params import PARAM_SETS
 from wkyber.pke import Message
-from wkyber.protocol import (kem_v1_encaps, kem_v1_keygen, run_session,
+from wkyber.protocol import (kem_v1_encaps, kem_v1_keygen, run_sessions,
                              v2_keygen, wk_encrypt)
 
 SESSION_SEED = 20261018
@@ -79,8 +79,8 @@ def outputs(version: str, bits: int) -> dict:
     else:
         pk, sk = v2_keygen(seed_a, rng, params)
         ct = wk_encrypt(pk, Message.random(rng), rng.read(32), params)
-    offsets = run_session(version, params, PLANS[version], seed=SESSION_SEED,
-                          collect_offsets=True).ct_error_offsets
+    offsets = run_sessions(version, params, PLANS[version], [SESSION_SEED],
+                           collect_offsets=True)[0].ct_error_offsets
     assert offsets.shape == ((params.k + 1) * 256,)
     return {"pk": sha(pk.to_bytes()), "sk": sha(sk.to_bytes()),
             "ct": sha(ct.to_bytes()),
@@ -99,6 +99,6 @@ def test_every_case_pinned():
 
 def test_offsets_not_trivial():
     # the 6 dB plan is meant to exercise the exposed path, not a noiseless one
-    offsets = run_session("v1", PARAM_SETS[768], PLANS["v1"],
-                          seed=SESSION_SEED, collect_offsets=True).ct_error_offsets
+    offsets = run_sessions("v1", PARAM_SETS[768], PLANS["v1"], [SESSION_SEED],
+                           collect_offsets=True)[0].ct_error_offsets
     assert np.count_nonzero(offsets) > 0

@@ -10,9 +10,8 @@ from wkyber.params import KYBER768, N, Q, PARAM_SETS
 from wkyber.pke import Message, PublicKey, keygen
 from wkyber.protocol import (KemSecretKey, SnrPolicy, WkCiphertext,
                              kem_v1_decaps, kem_v1_encaps, kem_v1_keygen,
-                             run_session, v2_keygen, wk_decrypt,
-                             wk_decryption_noise, wk_encrypt,
-                             wk_encrypt_with_sprime)
+                             run_sessions, v2_keygen, wk_decrypt,
+                             wk_decryption_noise, wk_encrypt)
 from wkyber.transport import coeff_error_dist, send_coeffs
 
 SEED = bytes(32)
@@ -37,8 +36,8 @@ class TestV1Pke:
         m = Message.random(stream(b"m"))
         coins = b"\x22" * 32
         c = wk_encrypt(pk, m, coins, P768)
-        from wkyber.protocol import _sample_sprime
-        sp = _sample_sprime(coins, P768)
+        from wkyber.protocol import _sample_sprimes
+        sp = _sample_sprimes([coins], P768)[0]
         a = intt(pk.matrix(P768))
         for i in range(P768.k):
             u_i = sum(poly_mul_schoolbook(a[j, i], sp[j])
@@ -46,11 +45,11 @@ class TestV1Pke:
             assert np.array_equal(c.u[i], u_i)
 
     def test_zero_sprime_zero_message(self):
+        from wkyber.protocol import _encrypt
         pk, _ = keygen(SEED, stream(b"c"), P768)
-        c = wk_encrypt_with_sprime(pk, Message.zero(),
-                                   np.zeros((3, N), dtype=np.int64), P768)
-        assert c.coeffs.shape == (4, N)
-        assert not c.u.any() and not c.v.any()
+        c = _encrypt([pk], np.zeros((1, N), dtype=np.int64),
+                     np.zeros((1, 3, N), dtype=np.int64), P768)
+        assert c.shape == (1, 4, N) and not c.any()
 
     def test_deterministic(self):
         pk, _ = keygen(SEED, stream(b"d"), P768)
@@ -130,16 +129,16 @@ class TestV2Pke:
 
     def test_received_b_offsets_match_channel_pmf(self):
         # transport the clean key at (10, -10); b_rx - As follows the PMF
-        from wkyber.protocol import _receive_pk, _send_pk
+        from wkyber.protocol import _receive_pks, _send_pk
         from wkyber.modem import NoiseSource
         counts = np.zeros(7, dtype=np.int64)
         total = 0
         for i in range(40):
             pk, sk = v2_keygen(SEED, stream(b"i" + bytes([i])), P768)
-            seed_syms, frame = _send_pk(pk, ChannelPlan(10.0, -10.0),
-                                        NoiseSource(1000 + i), P768)
-            pk_rx, fails = _receive_pk(seed_syms, frame, P768)
-            assert fails == 0
+            sent = _send_pk(pk, ChannelPlan(10.0, -10.0), NoiseSource(1000 + i),
+                            P768)
+            (pk_rx,), fails = _receive_pks([sent], P768)
+            assert fails.tolist() == [0]
             off = centered(pk_rx.b - pk.b)
             counts += np.bincount(off.ravel() + 3, minlength=7)
             total += off.size
@@ -148,20 +147,16 @@ class TestV2Pke:
         assert chi2 < 35
 
     def test_roundtrip_over_channel(self):
-        ok = 0
-        for i in range(20):
-            tr = run_session("v2", P768, V2_PLANS, seed=2000 + i)
-            ok += tr.outcome
-        assert ok == 20
+        seeds = [2000 + i for i in range(20)]
+        assert all(tr.outcome for tr in run_sessions("v2", P768, V2_PLANS, seeds))
 
 
 class TestKem:
     def test_encaps_deterministic_given_message(self):
-        from wkyber.protocol import _encaps_with_message
+        # two streams of equal seed give the same message
         pk, _ = keygen(SEED, stream(b"j"), P768)
-        m = Message.random(stream(b"m4"))
-        c1, s1 = _encaps_with_message(pk, m, P768)
-        c2, s2 = _encaps_with_message(pk, m, P768)
+        c1, s1 = kem_v1_encaps(pk, stream(b"m4"), P768)
+        c2, s2 = kem_v1_encaps(pk, stream(b"m4"), P768)
         assert c1 == c2 and s1 == s2
 
     def test_error_free_channel_matches(self):
@@ -170,19 +165,16 @@ class TestKem:
         assert kem_v1_decaps(ksk, pk, c, P768) == secret
 
     def test_honest_session_msb_policy(self):
-        for i in range(10):
-            tr = run_session("v1", P768, NOMINAL_PLANS, seed=3000 + i)
-            assert tr.outcome
+        seeds = [3000 + i for i in range(10)]
+        assert all(tr.outcome
+                   for tr in run_sessions("v1", P768, NOMINAL_PLANS, seeds))
 
     def test_honest_session_exact_policy_rejects(self):
         # the channel legitimately perturbs exposed bits, so exact comparison
         # fails essentially always
-        rejections = 0
-        for i in range(5):
-            tr = run_session("v1", P768, NOMINAL_PLANS, seed=4000 + i,
-                             fo_policy="exact")
-            rejections += not tr.outcome
-        assert rejections == 5
+        seeds = [4000 + i for i in range(5)]
+        assert not any(tr.outcome for tr in run_sessions(
+            "v1", P768, NOMINAL_PLANS, seeds, fo_policy="exact"))
 
     def test_tampered_protected_word_rejects(self):
         pk, ksk = kem_v1_keygen(SEED, stream(b"l"), P768)
@@ -243,20 +235,20 @@ class TestKem:
 
 class TestSessions:
     def test_transcript_deterministic(self):
-        a = run_session("v1", P768, NOMINAL_PLANS, seed=5,
-                        collect_offsets=True)
-        b = run_session("v1", P768, NOMINAL_PLANS, seed=5,
-                        collect_offsets=True)
+        a = run_sessions("v1", P768, NOMINAL_PLANS, [5],
+                         collect_offsets=True)[0]
+        b = run_sessions("v1", P768, NOMINAL_PLANS, [5],
+                         collect_offsets=True)[0]
         assert a.outcome == b.outcome
         assert (a.bch_failures_pk, a.bch_failures_ct) == \
             (b.bch_failures_pk, b.bch_failures_ct)
         assert np.array_equal(a.ct_error_offsets, b.ct_error_offsets)
 
     def test_policy_warning_recorded(self):
-        tr = run_session("v2", P768, (ChannelPlan(10, -3), ChannelPlan(10, -3)),
-                         seed=6)
+        tr = run_sessions("v2", P768, (ChannelPlan(10, -3), ChannelPlan(10, -3)),
+                          [6])[0]
         assert tr.policy_warnings
-        tr = run_session("v1", P768, NOMINAL_PLANS, seed=6)
+        tr = run_sessions("v1", P768, NOMINAL_PLANS, [6])[0]
         assert not tr.policy_warnings
 
     def test_policy_boundaries(self):
@@ -267,41 +259,75 @@ class TestSessions:
         assert pol.violations(ChannelPlan(10.0, -4.9), "x")
 
     def test_offsets_collection(self):
-        tr = run_session("v1", P768, NOMINAL_PLANS, seed=7,
-                         collect_offsets=True)
+        tr = run_sessions("v1", P768, NOMINAL_PLANS, [7],
+                          collect_offsets=True)[0]
         assert tr.ct_error_offsets is not None
         assert len(tr.ct_error_offsets) == (P768.k + 1) * N
         assert np.abs(tr.ct_error_offsets).max() <= 3
 
     def test_rejects_unknown_version(self):
         with pytest.raises(ValueError):
-            run_session("v3", P768, NOMINAL_PLANS, seed=0)
+            run_sessions("v3", P768, NOMINAL_PLANS, [0])
 
     @pytest.mark.parametrize("params", PARAM_SETS.values(), ids=lambda p: p.name)
     def test_all_parameter_sets(self, params):
-        assert run_session("v1", params, NOMINAL_PLANS, seed=8).outcome
-        assert run_session("v2", params, V2_PLANS, seed=8).outcome
+        assert run_sessions("v1", params, NOMINAL_PLANS, [8])[0].outcome
+        assert run_sessions("v2", params, V2_PLANS, [8])[0].outcome
+
+
+def transcript_fields(tr):
+    return (tr.version, tr.k, tr.pk_plan, tr.ct_plan, tr.outcome,
+            tr.bch_failures_pk, tr.bch_failures_ct, tr.policy_warnings,
+            tr.ct_error_offsets.tolist())
+
+
+class TestBatches:
+    @pytest.mark.parametrize("version", ["v1", "v2"])
+    @pytest.mark.parametrize("snr_db", [0.0, 3.0])
+    @given(params=st.sampled_from(list(PARAM_SETS.values())),
+           first=st.integers(0, 2 ** 40),
+           cuts=st.lists(st.integers(1, 6), min_size=1, max_size=4))
+    @settings(max_examples=5, deadline=None)
+    def test_any_split_gives_the_same_transcripts(self, version, snr_db,
+                                                  params, first, cuts):
+        # at 0 and 3 dB seed blocks and b fail to decode and sessions
+        # mismatch; each transcript must depend on its seed alone
+        ct_plan = ChannelPlan(snr_db, -10.0)
+        plans = ((ChannelPlan(snr_db, snr_db) if version == "v1" else ct_plan),
+                 ct_plan)
+        seeds = [first + i for i in range(sum(cuts))]
+        whole = run_sessions(version, params, plans, seeds,
+                             collect_offsets=True)
+        parts, at = [], 0
+        for size in cuts:
+            parts += run_sessions(version, params, plans, seeds[at:at + size],
+                                  collect_offsets=True)
+            at += size
+        assert ([transcript_fields(tr) for tr in whole]
+                == [transcript_fields(tr) for tr in parts])
+        if snr_db == 0.0:
+            assert any(tr.bch_failures_pk for tr in whole)
 
 
 class TestNoiseAccounting:
     def test_v2_noise_matches_convolution_engine(self):
         """End-to-end per-coefficient decryption noise vs the analytic law."""
         from wkyber.reliability import noise_distribution, wkyber_v2_model
-        from wkyber.protocol import _receive_ct, _receive_pk, _send_pk
+        from wkyber.protocol import _receive_cts, _receive_pks, _send_pk
         from wkyber.modem import NoiseSource
 
         observed = []
         for i in range(60):
             kg = stream(b"ks" + bytes([i]))
             pk, sk = v2_keygen(SEED, kg, P768)
-            seed_syms, fr = _send_pk(pk, ChannelPlan(10, -10),
-                                     NoiseSource(7000 + i), P768)
-            pk_rx, _ = _receive_pk(seed_syms, fr, P768)
+            sent = _send_pk(pk, ChannelPlan(10, -10), NoiseSource(7000 + i), P768)
+            (pk_rx,), _ = _receive_pks([sent], P768)
             m = Message.random(kg)
             c = wk_encrypt(pk_rx, m, kg.read(32), P768)
-            c_rx, _ = _receive_ct(send_coeffs(c.coeffs, ChannelPlan(10, -10),
-                                              NoiseSource(8000 + i)), P768)
-            observed.append(wk_decryption_noise(sk, c_rx, m))
+            frame = send_coeffs(c.coeffs, ChannelPlan(10, -10),
+                                NoiseSource(8000 + i))
+            c_rx, _ = _receive_cts([frame], P768)
+            observed.append(wk_decryption_noise(sk, WkCiphertext(c_rx[0]), m))
         observed = np.concatenate(observed)
 
         dist = noise_distribution(P768, wkyber_v2_model(P768, -10.0))
