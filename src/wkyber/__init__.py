@@ -15,8 +15,7 @@ from .pke import (CompressedCiphertext, Message, PublicKey, SecretKey, decrypt,
                   encrypt, keygen)
 from .modem import (ChannelPlan, NoiseSource, ber_4qam, ber_mpsk,
                     demodulate_symbols, modulate_words, q_function, transmit)
-from .bch import (bch_decode, bch_encode, bch_generator, codeword_error_prob,
-                  decode_words)
+from .bch import bch_decode, bch_encode, codeword_error_prob, decode_words
 from .transport import (CoeffErrorDist, Frame, coeff_error_dist, dist_stddev,
                         receive_coeffs, send_coeffs)
 from .protocol import (KemSecretKey, SessionTranscript, SnrPolicy, WkCiphertext,

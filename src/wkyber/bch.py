@@ -27,42 +27,17 @@ from itertools import combinations
 
 import numpy as np
 
-M = 5                   # GF(2^m)
-CODE_N = 31             # block length 2^m - 1
+CODE_N = 31             # block length 2^5 - 1
 CODE_K = 11             # message bits
 CODE_T = 5              # correction capability
 PARITY_BITS = CODE_N - CODE_K
-_PRIM_POLY = 0b100101   # x^5 + x^2 + 1
 
-# log/antilog tables for GF(32); EXP is doubled so products of logs need no mod
-EXP = [0] * 62
-LOG = [0] * 32
-_x = 1
-for _i in range(31):
-    EXP[_i] = _x
-    LOG[_x] = _i
-    _x <<= 1
-    if _x & 32:
-        _x ^= _PRIM_POLY
-for _i in range(31, 62):
-    EXP[_i] = EXP[_i - 31]
-
-
-def gf_mul(a: int, b: int) -> int:
-    if a == 0 or b == 0:
-        return 0
-    return EXP[LOG[a] + LOG[b]]
-
-
-def _poly2_mul(a: int, b: int) -> int:
-    """Carry-less product of binary polynomials packed as ints."""
-    r = 0
-    while b:
-        if b & 1:
-            r ^= a
-        a <<= 1
-        b >>= 1
-    return r
+# lcm of the minimal polynomials over GF(2) of alpha^1, alpha^3, ..., alpha^9
+# for alpha a root of x^5 + x^2 + 1: alpha^9 is a conjugate of alpha^5, so
+# g = m1 m3 m5 m7 = 0x25 * 0x3D * 0x37 * 0x2F (carry-less).  g vanishes on
+# alpha^1..alpha^10 (design distance 11), has degree 20 and divides x^31 - 1;
+# tests/test_bch.py derives it again from the field.
+GENERATOR = 0x1626D5
 
 
 def _poly2_mod(a: int, g: int) -> int:
@@ -70,50 +45,6 @@ def _poly2_mod(a: int, g: int) -> int:
     while a.bit_length() >= dg:
         a ^= g << (a.bit_length() - dg)
     return a
-
-
-def _minimal_polynomial(exponent: int) -> int:
-    """Minimal polynomial over GF(2) of alpha^exponent, as a packed int."""
-    coset = []
-    e = exponent % 31
-    while e not in coset:
-        coset.append(e)
-        e = (2 * e) % 31
-    poly = [1]  # coefficients over GF(32), index = degree
-    for j in coset:
-        root = EXP[j]
-        nxt = [0] * (len(poly) + 1)
-        for d, c in enumerate(poly):
-            nxt[d + 1] ^= c              # x * poly
-            nxt[d] ^= gf_mul(root, c)    # root * poly
-        poly = nxt
-    if any(c not in (0, 1) for c in poly):
-        raise AssertionError("minimal polynomial not binary")
-    out = 0
-    for d, c in enumerate(poly):
-        out |= c << d
-    return out
-
-
-def bch_generator() -> int:
-    """lcm of the minimal polynomials of alpha^1, alpha^3, ..., alpha^9.
-
-    Even exponents are conjugates of odd ones, so the result vanishes on
-    alpha^1..alpha^10 (design distance 11), has degree 20 and divides
-    x^31 - 1.
-    """
-    g = 1
-    seen = set()
-    for e in (1, 3, 5, 7, 9):
-        mp = _minimal_polynomial(e)
-        if mp not in seen:
-            seen.add(mp)
-            g = _poly2_mul(g, mp)
-    return g
-
-
-GENERATOR = bch_generator()
-assert GENERATOR.bit_length() - 1 == PARITY_BITS
 
 
 def bch_encode(msg: int) -> int:
@@ -213,10 +144,6 @@ def codeword_error_prob(p_b: float) -> float:
     """
     if not 0.0 <= p_b <= 1.0:
         raise ValueError("bit error probability outside [0, 1]")
-    if p_b == 0.0:
-        return 0.0
-    if p_b == 1.0:
-        return 1.0
     total = 0.0
     for j in range(CODE_T + 1, CODE_N + 1):
         total += (math.comb(CODE_N, j) * p_b ** j * (1.0 - p_b) ** (CODE_N - j))

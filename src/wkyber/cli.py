@@ -74,6 +74,14 @@ def _int_at_least(low: int):
     return parse
 
 
+def _out_path(text: str) -> str:
+    """argparse type: - or a file in an existing directory, else exit 2."""
+    if text != "-" and (os.path.isdir(text) or not os.path.isdir(
+            os.path.dirname(os.path.abspath(text)))):
+        raise argparse.ArgumentTypeError(f"cannot write a file at {text!r}")
+    return text
+
+
 def _fmt(x) -> str:
     if isinstance(x, float):
         return f"{x:.10g}"
@@ -224,7 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--trials", type=_int_at_least(1), default=1000,
                        help="bits / codewords / sessions per point")
         p.add_argument("--seed", type=_int_at_least(0), default=42)
-        p.add_argument("--out", default=None, help="output file (default stdout)")
+        p.add_argument("--out", type=_out_path, default=None,
+                       help="output file (default stdout)")
         p.add_argument("--fo-policy", dest="fo_policy", default="msb-only",
                        choices=["msb-only", "exact"],
                        help="re-encryption comparison policy (v1 KEM)")

@@ -51,11 +51,11 @@ class NoiseSource:
         probability p: a binomial(count * width, p) number of flips at
         distinct uniform positions, exact (Devroye 1986); p = 0 draws nothing.
         """
-        if p == 0:
-            return np.zeros(count, dtype=np.int64)
         total = count * width
-        pos = self._rng.choice(total, self._rng.binomial(total, p),
-                               replace=False)
+        flipped = self._rng.binomial(total, p)   # draws nothing when p = 0
+        if not flipped:   # choice would draw nothing either
+            return np.zeros(count, dtype=np.int64)
+        pos = self._rng.choice(total, flipped, replace=False)
         word, bit = np.divmod(pos, width)
         # the positions are distinct, so summing a word's bits ORs them, and
         # float64 weights hold the sums exactly for widths below 53

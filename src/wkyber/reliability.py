@@ -11,6 +11,10 @@ lose the tail.  This is the method of the Kyber team's own failure script
 (Bos et al., "CRYSTALS-Kyber", EuroS&P 2018).  Tails below 2^-480 are
 trimmed; a conservation guard trips if an operation's total mass drifts by
 more than 1e-12 or produces a negative or non-finite mass.
+
+Powers run right to left over a per-table ladder [X, X^2, X^4, ...] of each
+base law, so a table computes each distinct power once; both noise terms put
+the secret first, so equal laws have equal bytes and share a ladder.
 """
 
 from __future__ import annotations
@@ -125,15 +129,21 @@ class IntDist:
             self.masses, other.masses).ravel())
         return self._checked(other, lo, acc, "product")
 
-    def convolve_power(self, times: int) -> "IntDist":
-        """times-fold self-convolution by square and multiply."""
+    def convolve_power(self, times: int, squares: list | None = None) -> "IntDist":
+        """times-fold self-convolution, right to left over the ladder
+        squares = [X, X^2, X^4, ...] of this law.  Missing rungs are
+        appended in place, so callers sharing a ladder square each power
+        once."""
         if times < 1:
             raise ValueError("need at least one copy")
-        acc = self
-        for bit in bin(times)[3:]:
-            acc = acc.convolve(acc)
-            if bit == "1":
-                acc = acc.convolve(self)
+        if squares is None:
+            squares = [self]
+        acc = None
+        for rung in range(times.bit_length()):
+            if rung == len(squares):
+                squares.append(squares[-1].convolve(squares[-1]))
+            if times >> rung & 1:
+                acc = squares[rung] if acc is None else acc.convolve(squares[rung])
         return acc
 
     # -- tails ---------------------------------------------------------------
@@ -185,32 +195,41 @@ class ErrorModel:
                 raise ValueError("compression widths outside [1, 12)")
 
 
-def noise_distribution(params: ParamSet, model: ErrorModel) -> IntDist:
+def noise_distribution(params: ParamSet, model: ErrorModel,
+                       ladders: dict | None = None) -> IntDist:
     """Exact law of the per-coefficient decryption noise: the k*n-fold
-    convolution of pk_error*secret, the k*n-fold convolution of
+    convolution of secret*pk_error, the k*n-fold convolution of
     secret*(ct_error [+ u-compression error]), plus e_dd
-    [+ v-compression error]."""
+    [+ v-compression error].  ladders maps a base's (offset, mass bytes)
+    to its power ladder; calls sharing it compute each power once."""
     model.validate()
     kn = params.k * params.n
+    ladders = {} if ladders is None else ladders
     ct_term = model.ct_error_dist
     if model.compression is not None:
         ct_term = ct_term.convolve(compression_error_dist(model.compression[0]))
-    b1 = model.pk_error_dist.product(model.secret_dist)
-    b2 = model.secret_dist.product(ct_term)
-    noise = b1.convolve_power(kn).convolve(b2.convolve_power(kn))
+
+    def power(base: IntDist) -> IntDist:
+        key = (base.offset, base.masses.tobytes())
+        return base.convolve_power(kn, ladders.setdefault(key, [base]))
+
+    noise = power(model.secret_dist.product(model.pk_error_dist)).convolve(
+        power(model.secret_dist.product(ct_term)))
     noise = noise.convolve(model.e_dd_dist)
     if model.compression is not None:
         noise = noise.convolve(compression_error_dist(model.compression[1]))
     return noise
 
 
-def failure_probability(params: ParamSet, model: ErrorModel) -> float:
+def failure_probability(params: ParamSet, model: ErrorModel,
+                        ladders: dict | None = None) -> float:
     """log2 of the message decryption-failure probability.
 
     Failure mass is P(|noise| >= 832) per coefficient; the message figure is
     n times that (union bound over coefficients).
     """
-    tail = noise_distribution(params, model).tail_two_sided(FAILURE_BOUND)
+    tail = noise_distribution(params, model, ladders).tail_two_sided(
+        FAILURE_BOUND)
     return math.log2(params.n * tail) if tail > 0 else float("-inf")
 
 
@@ -266,18 +285,19 @@ def failure_prob_rows(snr_lsb_db: float = -10.0, reproduce_reference: bool = Tru
     """
     from .params import PARAM_SETS
     rows = []
+    ladders = {}     # one per table: the rows share their bases' powers
     for bits, params in PARAM_SETS.items():
-        rows.append((params.name, params.k, "", "",
-                     failure_probability(params, standard_kyber_model(params))))
+        rows.append((params.name, params.k, "", "", failure_probability(
+            params, standard_kyber_model(params), ladders)))
         for variant in ("exact", "approx"):
             v1 = wkyber_v1_model(
                 params, snr_lsb_db, variant,
                 pk_error_eta=params.eta2 if reproduce_reference else None)
             rows.append(("wkyber-v1", params.k, snr_lsb_db, variant,
-                         failure_probability(params, v1)))
+                         failure_probability(params, v1, ladders)))
             v2 = wkyber_v2_model(params, snr_lsb_db, variant)
             rows.append(("wkyber-v2", params.k, snr_lsb_db, variant,
-                         failure_probability(params, v2)))
+                         failure_probability(params, v2, ladders)))
     return rows
 
 

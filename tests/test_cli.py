@@ -214,6 +214,18 @@ class TestPlumbing:
         assert "Traceback" not in proc.stderr and flag in proc.stderr
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize("target", ["missing/x.csv", "."])
+    def test_unwritable_out_exit_code(self, tmp_path, target):
+        # a missing directory, or a directory as the file: refused before
+        # the sessions run, not after
+        proc = subprocess.run(
+            [sys.executable, "-m", "wkyber.cli", "exchange", "--trials", "2",
+             "--out", str(tmp_path / target)],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr and "--out" in proc.stderr
+        assert proc.stdout == "" and os.listdir(tmp_path) == []
+
     def test_infinite_snr_is_noiseless(self, capsys):
         code, out, _ = run_cli(capsys, "exchange", "--trials", "1",
                                "--snr-msb", "inf", "--snr-lsb", "inf")

@@ -119,6 +119,15 @@ class TestFlips:
         assert (NoiseSource(0).flips(100, 31, 1.0) == (1 << 31) - 1).all()
         assert (NoiseSource(0).flips(100, 2, 1.0) == 3).all()
 
+    def test_zero_count_draws_only_the_count(self):
+        # 31 bits at p = 1e-9 flip none: the generator ends where the
+        # binomial draw alone leaves it
+        noise = NoiseSource(11)
+        assert not noise.flips(1, 31, 1e-9).any()
+        rng = np.random.default_rng(11)
+        assert rng.binomial(31, 1e-9) == 0
+        assert noise._rng.bit_generator.state == rng.bit_generator.state
+
     def test_zero_probability_draws_nothing(self):
         noise = NoiseSource(9)
         assert not noise.flips(10_000, 31, 0.0).any()

@@ -1,16 +1,20 @@
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wkyber.modem import ChannelPlan
-from wkyber.params import KYBER512, KYBER768, Q
+from wkyber.params import KYBER512, KYBER768, PARAM_SETS, Q
 from wkyber.reliability import (FAILURE_BOUND, ErrorModel, IntDist, KerPoint,
                                 PrecisionLossError, channel_error_intdist,
                                 compression_error_dist, failure_probability,
                                 failure_prob_rows, ker_monte_carlo,
                                 noise_distribution, sigma_vs_snr,
-                                standard_kyber_model, wkyber_v2_model)
+                                standard_kyber_model, wkyber_v1_model,
+                                wkyber_v2_model)
 from wkyber.transport import channel_error_pmf
 
 
@@ -52,6 +56,29 @@ class TestIntDist:
         d = IntDist.centered_binomial(2).convolve_power(256)
         assert d.is_symmetric()
         assert d.mass_defect() < 1e-12
+
+    @given(st.integers(-3, 3),
+           st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5).filter(any),
+           st.lists(st.integers(1, 300), min_size=1, max_size=4))
+    @settings(max_examples=40, deadline=None)
+    def test_ladder_power_matches_repeated_convolution(self, offset, masses,
+                                                       times):
+        base = IntDist(offset, np.array(masses) / sum(masses))
+        repeated = [base]
+        while len(repeated) < max(times):
+            repeated.append(repeated[-1].convolve(base))
+        shared = [base]
+        for t in times:
+            power = base.convolve_power(t, shared)
+            fresh = base.convolve_power(t)
+            assert power.offset == fresh.offset
+            assert power.masses.tobytes() == fresh.masses.tobytes()
+            # masses above 2^-400 sit far from the 2^-480 trim of either path
+            got, want = power.probabilities(), repeated[t - 1].probabilities()
+            for v in set(got) | set(want):
+                a, b = got.get(v, 0.0), want.get(v, 0.0)
+                if max(a, b) >= 2.0 ** -400:
+                    assert abs(a - b) <= 1e-12 * max(a, b), (t, v, a, b)
 
     def test_mass_conservation_through_heavy_pipeline(self):
         noise = noise_distribution(KYBER512,
@@ -187,6 +214,44 @@ class TestGoldenTable:
         assert [row[:4] for row in rows] == [row[:4] for row in GOLDEN_TABLE]
         for row, want in zip(rows, GOLDEN_TABLE):
             assert abs(row[4] - want[4]) <= 1e-9, (row, want)
+
+
+class TestSharedLadders:
+    def test_rows_match_lone_calls(self):
+        lone = []
+        for params in PARAM_SETS.values():
+            lone.append(failure_probability(params,
+                                            standard_kyber_model(params)))
+            for variant in ("exact", "approx"):
+                lone.append(failure_probability(params, wkyber_v1_model(
+                    params, -10.0, variant, pk_error_eta=params.eta2)))
+                lone.append(failure_probability(params, wkyber_v2_model(
+                    params, -10.0, variant)))
+        rows = failure_prob_rows(-10.0)
+        assert len(rows) == len(lone) == 15
+        for row, want in zip(rows, lone):
+            assert abs(row[4] - want) <= 1e-12, (row, want)
+
+    def test_each_table_computes_its_own_powers(self, monkeypatch):
+        # 94 squarings climb the ladders of the 10 distinct bases, 10
+        # products give the k = 3 powers X^512 * X^256, and the 15 rows add
+        # 36 convolutions (two each, plus two compression terms per
+        # baseline row).  Every table pays all 140: no power outlives the
+        # call that computed it, whatever ran before
+        calls = []
+        convolve = IntDist.convolve
+
+        def counted(self, other):
+            calls.append(None)
+            return convolve(self, other)
+
+        monkeypatch.setattr(IntDist, "convolve", counted)
+        counts = []
+        for _ in range(2):
+            calls.clear()
+            failure_prob_rows(-10.0)
+            counts.append(len(calls))
+        assert counts == [140, 140]
 
 
 class TestSigmaCurve:
