@@ -160,9 +160,9 @@ def cmd_ker(args):
                              args.trials, seed=args.seed * 104729 + point,
                              fo_policy=args.fo_policy, workers=args.workers)
         rows.append((pt.snr_msb_db, pt.snr_lsb_db, args.version, params.k,
-                     pt.trials, pt.failures, pt.ker))
+                     pt.trials, pt.failures, pt.ker, *pt.interval()))
     _emit(rows, ["snr_msb_db", "snr_lsb_db", "version", "k", "trials",
-                 "failures", "ker"], args.out)
+                 "failures", "ker", "ker_lo", "ker_hi"], args.out)
 
 
 def cmd_failure_prob(args):

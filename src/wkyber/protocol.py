@@ -36,8 +36,7 @@ from .core import (XofStream, cbd_vectors, centered, check_canonical,
                    inner_product, pack12, unpack12)
 from .modem import ChannelPlan, NoiseSource
 from .params import N, Q, ParamSet
-from .pke import (Message, PublicKey, SecretKey, keygen, keygen_batch,
-                  message_to_ring)
+from .pke import Message, PublicKey, SecretKey, keygen, keygen_batch
 from .transport import join_coeffs, receive_blocks, send_blocks, send_coeffs
 
 # sessions stacked in one array pass of run_sessions; transcripts do not
@@ -144,11 +143,6 @@ def _decrypt_bits(s: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
 def wk_decrypt(sk: SecretKey, c: WkCiphertext) -> Message:
     """Per-coefficient compress(v - s^T u, 1)."""
     return Message(_decrypt_bits(sk.s, c.coeffs))
-
-
-def wk_decryption_noise(sk: SecretKey, c: WkCiphertext, m: Message) -> np.ndarray:
-    """Centered per-coefficient noise v - s^T u - mhat (diagnostics)."""
-    return centered(c.v - inner_product(sk.s, c.u) - message_to_ring(m))
 
 
 # ---------------------------------------------------------------------------

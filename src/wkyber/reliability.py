@@ -13,8 +13,12 @@ trimmed; a conservation guard trips if an operation's total mass drifts by
 more than 1e-12 or produces a negative or non-finite mass.
 
 Powers run right to left over a per-table ladder [X, X^2, X^4, ...] of each
-base law, so a table computes each distinct power once; both noise terms put
-the secret first, so equal laws have equal bytes and share a ladder.
+base law, and the same per-call dict keeps each finished k*n-fold power, so a
+table computes each distinct power once (119 convolutions, 63.2M mass
+products); both noise terms put the secret first, so equal laws have equal
+bytes and share a ladder.  The failure tail never forms the noise law: it is
+the dot product of one term's masses with suffix and prefix sums of the
+other's, again a sum of nonnegative terms.
 """
 
 from __future__ import annotations
@@ -87,12 +91,6 @@ class IntDist:
     def probabilities(self) -> dict:
         return {v: float(m) for v, m in zip(self.support, self.masses) if m}
 
-    def stddev(self) -> float:
-        tot = self.total_mass()
-        values = self._values()
-        mean = float(values @ self.masses) / tot
-        return math.sqrt(float((values - mean) ** 2 @ self.masses) / tot)
-
     def is_symmetric(self) -> bool:
         return (self.offset == -(self.offset + len(self.masses) - 1)
                 and np.allclose(self.masses, self.masses[::-1],
@@ -100,21 +98,22 @@ class IntDist:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _trimmed(self) -> "IntDist":
-        keep = np.flatnonzero(self.masses >= _TRIM_BELOW)
-        if not keep.size or (keep[0] == 0 and keep[-1] == len(self.masses) - 1):
-            return self
-        return IntDist(self.offset + keep[0], self.masses[keep[0]:keep[-1] + 1])
-
     def _checked(self, other: "IntDist", offset: int, masses: np.ndarray,
                  op: str) -> "IntDist":
         """Trimmed result of a binary operation whose output mass must
-        equal the product of the operands' masses."""
+        equal the product of the operands' masses.  One min and one sum:
+        a NaN fails both comparisons, an infinity fails the second."""
         expected = self.total_mass() * other.total_mass()
-        if (not np.isfinite(masses).all() or (masses < 0).any()
-                or abs(masses.sum() - expected) > _GUARD):
+        if not (masses.min() >= 0
+                and abs(float(masses.sum()) - expected) <= _GUARD):
             raise PrecisionLossError(f"mass conservation violated in {op}")
-        return IntDist(offset, masses)._trimmed()
+        keep = np.flatnonzero(masses >= _TRIM_BELOW)
+        if keep.size:   # a copy: a cached power keeps no untrimmed buffer
+            offset += keep[0]
+            masses = masses[keep[0]:keep[-1] + 1].copy()
+        out = IntDist.__new__(IntDist)   # checked and owned: no second copy
+        out.offset, out.masses = int(offset), masses
+        return out
 
     def convolve(self, other: "IntDist") -> "IntDist":
         """Distribution of X + Y for independent X, Y (direct convolution)."""
@@ -148,9 +147,21 @@ class IntDist:
 
     # -- tails ---------------------------------------------------------------
 
-    def tail_two_sided(self, bound: int) -> float:
-        """P(|X| >= bound)."""
-        return float(self.masses[np.abs(self._values()) >= bound].sum())
+    def tail_of_sum(self, other: "IntDist", bound: int) -> float:
+        """P(|X + Y| >= bound) for independent X, Y and bound >= 1, read
+        without forming the law of X + Y: the dot product of X's masses
+        with P(Y >= bound - x) + P(Y <= -bound - x), taken from suffix and
+        prefix sums of Y's masses.  Every term is nonnegative."""
+        count = len(other.masses)
+        upper = np.append(np.cumsum(other.masses[::-1])[::-1], 0.0)
+        lower = np.append(0.0, np.cumsum(other.masses))
+        x = self._values() + other.offset
+        tail = float(self.masses @ (upper[np.clip(bound - x, 0, count)]
+                                    + lower[np.clip(1 - bound - x, 0, count)]))
+        expected = self.total_mass() * other.total_mass()
+        if not (math.isfinite(tail) and 0 <= tail <= expected + _GUARD):
+            raise PrecisionLossError("tail outside [0, total mass]")
+        return tail
 
 
 # ---------------------------------------------------------------------------
@@ -195,13 +206,13 @@ class ErrorModel:
                 raise ValueError("compression widths outside [1, 12)")
 
 
-def noise_distribution(params: ParamSet, model: ErrorModel,
-                       ladders: dict | None = None) -> IntDist:
-    """Exact law of the per-coefficient decryption noise: the k*n-fold
-    convolution of secret*pk_error, the k*n-fold convolution of
-    secret*(ct_error [+ u-compression error]), plus e_dd
-    [+ v-compression error].  ladders maps a base's (offset, mass bytes)
-    to its power ladder; calls sharing it compute each power once."""
+def _noise_terms(params: ParamSet, model: ErrorModel,
+                 ladders: dict | None) -> tuple:
+    """(key_power, rest), independent, with decryption noise = key_power +
+    rest: the k*n-fold convolution of secret*pk_error, and that of
+    secret*(ct_error [+ u-compression error]) plus e_dd [+ v-compression
+    error].  ladders maps a base's (offset, mass bytes) to its power ladder
+    and (that key, k*n) to the power; sharing it computes each power once."""
     model.validate()
     kn = params.k * params.n
     ladders = {} if ladders is None else ladders
@@ -211,25 +222,33 @@ def noise_distribution(params: ParamSet, model: ErrorModel,
 
     def power(base: IntDist) -> IntDist:
         key = (base.offset, base.masses.tobytes())
-        return base.convolve_power(kn, ladders.setdefault(key, [base]))
+        if (key, kn) not in ladders:
+            ladders[key, kn] = base.convolve_power(
+                kn, ladders.setdefault(key, [base]))
+        return ladders[key, kn]
 
-    noise = power(model.secret_dist.product(model.pk_error_dist)).convolve(
-        power(model.secret_dist.product(ct_term)))
-    noise = noise.convolve(model.e_dd_dist)
+    rest = power(model.secret_dist.product(ct_term)).convolve(model.e_dd_dist)
     if model.compression is not None:
-        noise = noise.convolve(compression_error_dist(model.compression[1]))
-    return noise
+        rest = rest.convolve(compression_error_dist(model.compression[1]))
+    return power(model.secret_dist.product(model.pk_error_dist)), rest
+
+
+def noise_distribution(params: ParamSet, model: ErrorModel,
+                       ladders: dict | None = None) -> IntDist:
+    """Exact law of the per-coefficient decryption noise."""
+    key_power, rest = _noise_terms(params, model, ladders)
+    return key_power.convolve(rest)
 
 
 def failure_probability(params: ParamSet, model: ErrorModel,
                         ladders: dict | None = None) -> float:
     """log2 of the message decryption-failure probability.
 
-    Failure mass is P(|noise| >= 832) per coefficient; the message figure is
-    n times that (union bound over coefficients).
+    Failure mass is P(|noise| >= 832) per coefficient, the tail_of_sum of
+    the two noise terms; the message figure is n times that (union bound).
     """
-    tail = noise_distribution(params, model, ladders).tail_two_sided(
-        FAILURE_BOUND)
+    key_power, rest = _noise_terms(params, model, ladders)
+    tail = key_power.tail_of_sum(rest, FAILURE_BOUND)
     return math.log2(params.n * tail) if tail > 0 else float("-inf")
 
 
@@ -321,6 +340,17 @@ class KerPoint:
     @property
     def ker(self) -> float:
         return self.failures / self.trials
+
+    def interval(self, alpha: float = 0.05) -> tuple:
+        """Two-sided 1 - alpha confidence interval of the KER: Wilson's
+        score interval, or (0, 1 - (alpha/2)^(1/n)) at zero failures."""
+        n, k = self.trials, self.failures
+        if not k:
+            return 0.0, 1.0 - (alpha / 2) ** (1 / n)
+        from statistics import NormalDist   # math has no normal quantile
+        z2 = NormalDist().inv_cdf(1 - alpha / 2) ** 2
+        centre, half = k + z2 / 2, math.sqrt(z2 * k * (n - k) / n + z2 * z2 / 4)
+        return (centre - half) / (n + z2), (centre + half) / (n + z2)
 
     def __post_init__(self):
         if self.failures > self.trials:

@@ -99,6 +99,12 @@ class TestKer:
         rows = parse(out1)
         assert [r["version"] for r in rows] == ["v1", "v1"]
         assert all(int(r["failures"]) == 0 for r in rows)
+        assert out1.splitlines()[0] == ("snr_msb_db,snr_lsb_db,version,k,"
+                                        "trials,failures,ker,ker_lo,ker_hi")
+        # zero failures: the upper end leaves alpha/2 = 0.025 for 80 trials
+        assert all(float(r["ker_lo"]) == 0.0 for r in rows)
+        assert all(abs(float(r["ker_hi"]) - (1 - 0.025 ** (1 / 80))) < 1e-9
+                   for r in rows)
 
     def test_v2_selectable(self, capsys):
         _, out, _ = run_cli(capsys, "ker", "--trials", "10", "--grid",

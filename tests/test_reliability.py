@@ -3,7 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wkyber.modem import ChannelPlan
@@ -109,6 +109,40 @@ class TestIntDist:
             nan.convolve(IntDist.centered_binomial(2))
         with pytest.raises(PrecisionLossError):
             nan.product(IntDist.centered_binomial(2))
+
+    laws = st.tuples(st.integers(-12, 12),
+                     st.lists(st.floats(0.0, 1.0), min_size=1,
+                              max_size=8).filter(any))
+
+    @given(laws, laws, st.integers(1, 24))
+    @example((-3, [1.0, 2.0, 1.0]), (0, [1.0]), 1)       # bound 1
+    @example((-2, [1.0, 1.0]), (0, [1.0, 1.0, 1.0]), 5)  # entirely inside
+    @example((6, [1.0, 3.0]), (-12, [1.0, 1.0]), 3)      # entirely beyond
+    @settings(max_examples=200, deadline=None)
+    def test_tail_of_sum_matches_convolution(self, a, b, bound):
+        x, y = (IntDist(off, np.array(m) / sum(m)) for off, m in (a, b))
+        want = sum(p * q for u, p in zip(x.support, x.masses)
+                   for v, q in zip(y.support, y.masses)
+                   if abs(u + v) >= bound)
+        got = x.tail_of_sum(y, bound)
+        assert abs(got - want) <= 1e-14 * max(want, 1e-300), (got, want)
+
+    def test_tail_guard_trips(self):
+        cbd = IntDist.centered_binomial(2)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(PrecisionLossError):
+                IntDist(0, [bad, 1.0]).tail_of_sum(cbd, 1)
+
+        # every pair sums beyond the bound, so the tail is the claimed
+        # total plus 1e-10: more than the operands' mass can hold
+        class Short(IntDist):
+            __slots__ = ()
+
+            def total_mass(self):
+                return super().total_mass() - 1e-10
+
+        with pytest.raises(PrecisionLossError):
+            Short(5, [1.0]).tail_of_sum(cbd, 1)
 
 
 class TestChannelIntDist:
@@ -216,28 +250,42 @@ class TestGoldenTable:
             assert abs(row[4] - want[4]) <= 1e-9, (row, want)
 
 
+def table_models():
+    """(params, model) of each failure_prob_rows(-10.0) row, in order."""
+    for params in PARAM_SETS.values():
+        yield params, standard_kyber_model(params)
+        for variant in ("exact", "approx"):
+            yield params, wkyber_v1_model(params, -10.0, variant,
+                                          pk_error_eta=params.eta2)
+            yield params, wkyber_v2_model(params, -10.0, variant)
+
+
 class TestSharedLadders:
     def test_rows_match_lone_calls(self):
-        lone = []
-        for params in PARAM_SETS.values():
-            lone.append(failure_probability(params,
-                                            standard_kyber_model(params)))
-            for variant in ("exact", "approx"):
-                lone.append(failure_probability(params, wkyber_v1_model(
-                    params, -10.0, variant, pk_error_eta=params.eta2)))
-                lone.append(failure_probability(params, wkyber_v2_model(
-                    params, -10.0, variant)))
+        lone = [failure_probability(params, model)
+                for params, model in table_models()]
         rows = failure_prob_rows(-10.0)
         assert len(rows) == len(lone) == 15
         for row, want in zip(rows, lone):
             assert abs(row[4] - want) <= 1e-12, (row, want)
 
+    def test_tail_matches_full_noise_law(self):
+        ladders = {}
+        for params, model in table_models():
+            noise = noise_distribution(params, model, ladders)
+            tail = noise.masses[np.abs(np.array(noise.support))
+                                >= FAILURE_BOUND].sum()
+            got = failure_probability(params, model, ladders)
+            assert abs(got - math.log2(params.n * tail)) <= 1e-12, params
+
     def test_each_table_computes_its_own_powers(self, monkeypatch):
-        # 94 squarings climb the ladders of the 10 distinct bases, 10
-        # products give the k = 3 powers X^512 * X^256, and the 15 rows add
-        # 36 convolutions (two each, plus two compression terms per
-        # baseline row).  Every table pays all 140: no power outlives the
-        # call that computed it, whatever ran before
+        # 94 squarings climb the ladders of the 10 distinct bases, 4
+        # products give the distinct k = 3 powers X^512 * X^256, and the 15
+        # rows add 21 convolutions (ct power * e_dd each, plus two
+        # compression terms per baseline row); the tail reads the key power
+        # against the rest without a convolution.  Every table pays all
+        # 119: no power outlives the call that computed it, whatever ran
+        # before
         calls = []
         convolve = IntDist.convolve
 
@@ -251,7 +299,7 @@ class TestSharedLadders:
             calls.clear()
             failure_prob_rows(-10.0)
             counts.append(len(calls))
-        assert counts == [140, 140]
+        assert counts == [119, 119]
 
 
 class TestSigmaCurve:
@@ -266,6 +314,26 @@ class TestSigmaCurve:
     def test_crossing_between_minus5_and_minus4(self):
         lookup = dict(sigma_vs_snr([-5.0, -4.0]))
         assert lookup[-5.0] >= 1.0 > lookup[-4.0]
+
+
+class TestKerInterval:
+    @pytest.mark.parametrize("failures, trials, alpha", [
+        (1, 10, 0.05), (14, 10_000, 0.05), (37, 100, 0.01), (100, 100, 0.05),
+        (3, 7, 0.1)])
+    def test_wilson_matches_scipy(self, failures, trials, alpha):
+        from scipy.stats import binomtest
+        want = binomtest(failures, trials).proportion_ci(
+            confidence_level=1 - alpha, method="wilson")
+        got = KerPoint(6.0, -10.0, trials, failures).interval(alpha)
+        assert got == pytest.approx((want.low, want.high), rel=1e-12)
+
+    def test_zero_failures_closed_form(self):
+        # P(no failure in n trials) = alpha/2 at the upper end
+        lo, hi = KerPoint(15.0, -10.0, 10_000, 0).interval()
+        assert lo == 0.0
+        assert hi == pytest.approx(-math.expm1(math.log(0.025) / 10_000),
+                                   rel=1e-12)
+        assert 3.68e-4 < hi < 3.69e-4
 
 
 class TestKerMonteCarlo:
