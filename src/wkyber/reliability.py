@@ -35,6 +35,7 @@ from .transport import coeff_error_dist
 
 _TRIM_BELOW = 2.0 ** -480      # masses under this are dropped from the ends
 _GUARD = 1e-12                 # conservation tolerance
+_Z975 = 1.959963984540054      # 0.975 quantile of the standard normal
 
 # smallest centred noise magnitude that can flip a message bit: the two
 # decision regions of compress(x, 1) sit 832 = round(q/4) away from the
@@ -341,14 +342,13 @@ class KerPoint:
     def ker(self) -> float:
         return self.failures / self.trials
 
-    def interval(self, alpha: float = 0.05) -> tuple:
-        """Two-sided 1 - alpha confidence interval of the KER: Wilson's
-        score interval, or (0, 1 - (alpha/2)^(1/n)) at zero failures."""
+    def interval(self) -> tuple:
+        """Two-sided 95% confidence interval of the KER: Wilson's score
+        interval, or (0, 1 - 0.025^(1/n)) at zero failures."""
         n, k = self.trials, self.failures
         if not k:
-            return 0.0, 1.0 - (alpha / 2) ** (1 / n)
-        from statistics import NormalDist   # math has no normal quantile
-        z2 = NormalDist().inv_cdf(1 - alpha / 2) ** 2
+            return 0.0, 1.0 - 0.025 ** (1 / n)
+        z2 = _Z975 * _Z975
         centre, half = k + z2 / 2, math.sqrt(z2 * k * (n - k) / n + z2 * z2 / 4)
         return (centre - half) / (n + z2), (centre + half) / (n + z2)
 

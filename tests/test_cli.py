@@ -101,7 +101,7 @@ class TestKer:
         assert all(int(r["failures"]) == 0 for r in rows)
         assert out1.splitlines()[0] == ("snr_msb_db,snr_lsb_db,version,k,"
                                         "trials,failures,ker,ker_lo,ker_hi")
-        # zero failures: the upper end leaves alpha/2 = 0.025 for 80 trials
+        # zero failures: the upper end leaves 0.025 for 80 clean trials
         assert all(float(r["ker_lo"]) == 0.0 for r in rows)
         assert all(abs(float(r["ker_hi"]) - (1 - 0.025 ** (1 / 80))) < 1e-9
                    for r in rows)

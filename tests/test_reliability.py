@@ -317,18 +317,18 @@ class TestSigmaCurve:
 
 
 class TestKerInterval:
-    @pytest.mark.parametrize("failures, trials, alpha", [
-        (1, 10, 0.05), (14, 10_000, 0.05), (37, 100, 0.01), (100, 100, 0.05),
-        (3, 7, 0.1)])
-    def test_wilson_matches_scipy(self, failures, trials, alpha):
+    @pytest.mark.parametrize("failures, trials", [
+        (1, 1), (1, 10), (3, 7), (14, 10_000), (37, 100), (99, 100),
+        (100, 100), (2, 1_000_000)])
+    def test_wilson_matches_scipy(self, failures, trials):
         from scipy.stats import binomtest
         want = binomtest(failures, trials).proportion_ci(
-            confidence_level=1 - alpha, method="wilson")
-        got = KerPoint(6.0, -10.0, trials, failures).interval(alpha)
+            confidence_level=0.95, method="wilson")
+        got = KerPoint(6.0, -10.0, trials, failures).interval()
         assert got == pytest.approx((want.low, want.high), rel=1e-12)
 
     def test_zero_failures_closed_form(self):
-        # P(no failure in n trials) = alpha/2 at the upper end
+        # P(no failure in n trials) = 0.025 at the upper end
         lo, hi = KerPoint(15.0, -10.0, 10_000, 0).interval()
         assert lo == 0.0
         assert hi == pytest.approx(-math.expm1(math.log(0.025) / 10_000),
