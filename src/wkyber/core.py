@@ -8,11 +8,14 @@ Multiplication has two paths: a fast negacyclic NTT (q supports a 256-point
 transform that bottoms out in 128 quadratic factors) and a schoolbook
 reference used as the test oracle.  The NTT and its inverse are each one
 float64 product with a 128 x 128 matrix, applied to the even and the odd
-coefficients alike and reduced mod q once.  Every partial sum is an integer
-of at most 128 (q - 1)^2 < 2^53, so the product is exact whatever order BLAS
-sums it in.  The public matrix is kept in the NTT domain, as a read-only
-(k, k, 256) array shared through a cache; every other array a function
-returns is fresh, and functions are pure.
+coefficients alike and reduced mod q once.  NTT-domain products and their
+sums over the rank stay in float64, reduced only at (f1 g1) mod q before
+the gamma multiply.  Every partial sum is an integer below 2^53 (asserted
+at import), so all of this is exact whatever order BLAS sums in.  The
+public matrices of a batch of seeds are expanded together, as one
+read-only NTT-domain array shared through a cache; every other array a
+function returns is fresh, and functions are pure.  Centered binomial
+noise takes one table lookup per coefficient.
 """
 
 from __future__ import annotations
@@ -37,13 +40,22 @@ class StreamExhausted(ValueError):
     """Raised when a fixed byte stream cannot supply the requested bytes."""
 
 
+def _xof(seed: bytes, label: bytes, algo: str):
+    return getattr(hashlib, algo)(bytes([len(label)]) + label + seed)
+
+
+def squeeze(seed: bytes, label: bytes, n: int,
+            algo: str = "shake_256") -> bytes:
+    """The first n bytes of XofStream(seed, label, algo), in one call: SHAKE
+    output is prefix-stable, so a stream read once needs no buffer."""
+    return _xof(seed, label, algo).digest(n)
+
+
 class XofStream:
     """Deterministic byte stream squeezed from SHAKE, domain-separated by label."""
 
     def __init__(self, seed: bytes, label: bytes = b"", algo: str = "shake_256"):
-        h = hashlib.new(algo)
-        h.update(bytes([len(label)]) + label + seed)
-        self._h = h
+        self._h = _xof(seed, label, algo)
         self._pos = 0
         self._buf = b""
 
@@ -100,36 +112,51 @@ _V_INV = (_POWERS[-_EXPONENTS.T % N] * pow(128, -1, Q) % Q).astype(np.float64)
 # float64 holds exactly, so the products below are exact whatever order
 # BLAS sums them in
 assert 128 * (Q - 1) ** 2 < 2 ** 53
+# _mul_sum hands the inverse transform sums below 2 (q - 1)^2 per rank, for
+# up to 4 ranks, and its 128-term partial sums stay exact too
+_MAC_BOUND = 2 * 4 * (Q - 1) ** 2
+assert 128 * (Q - 1) * _MAC_BOUND < 2 ** 53
+
+
+def _mod_q(r: np.ndarray) -> np.ndarray:
+    """r mod q for float64 integers 0 <= r < 2^53, exact, as float64."""
+    return r - Q * np.floor(r / Q)
 
 
 def _transform(coeffs: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """matrix applied to the even and the odd coefficients over the last
+    axis, as float64 integers in [0, q)."""
     x = np.asarray(coeffs)
-    pairs = x.reshape(*x.shape[:-1], N // 2, 2).astype(np.float64)
-    return (matrix @ pairs).astype(np.int64).reshape(x.shape) % Q
+    pairs = x.reshape(*x.shape[:-1], N // 2, 2).astype(np.float64, copy=False)
+    return _mod_q(matrix @ pairs).reshape(x.shape)
 
 
 def ntt(coeffs: np.ndarray) -> np.ndarray:
     """Forward negacyclic NTT over the last axis (length 256, coefficients
     in [0, q)); leading axes are batched, so one call transforms a whole
     vector or matrix with one exact float64 matrix product."""
-    return _transform(coeffs, _V)
+    return _transform(coeffs, _V).astype(np.int64)
 
 
 def intt(coeffs: np.ndarray) -> np.ndarray:
     """Inverse of :func:`ntt` over the last axis, including the 1/128
     normalisation."""
-    return _transform(coeffs, _V_INV)
+    return _transform(coeffs, _V_INV).astype(np.int64)
 
 
-def ntt_pointwise(fh: np.ndarray, gh: np.ndarray) -> np.ndarray:
-    """Multiply NTT-domain elements (128 products mod x^2 - gamma_i) over
-    the last axis, broadcasting the leading axes."""
-    f0, f1 = fh[..., 0::2], fh[..., 1::2]
-    g0, g1 = gh[..., 0::2], gh[..., 1::2]
-    out = np.empty(np.broadcast_shapes(fh.shape, gh.shape), dtype=np.int64)
-    out[..., 0::2] = (f0 * g0 + (f1 * g1) % Q * GAMMAS) % Q
-    out[..., 1::2] = (f0 * g1 + f1 * g0) % Q
-    return out
+def _mul_sum(f_hat: np.ndarray, g_hat: np.ndarray) -> np.ndarray:
+    """Sum over axis -2 of the NTT-domain products f_i g_i (128 products
+    mod x^2 - gamma_i each), leading axes broadcast, back in the
+    coefficient domain.  Inputs hold integers in [0, q), rank k <= 4; the
+    products and sums stay unreduced but for (f1 g1) mod q before its gamma
+    multiply, so each is below 2 (q - 1)^2 per rank (see _MAC_BOUND)."""
+    f0, f1 = f_hat[..., 0::2], f_hat[..., 1::2]
+    g0, g1 = g_hat[..., 0::2], g_hat[..., 1::2]
+    even = (f0 * g0).sum(axis=-2) + _mod_q((f1 * g1).sum(axis=-2)) * GAMMAS
+    out = np.empty((*even.shape[:-1], N))
+    out[..., 0::2] = even
+    out[..., 1::2] = (f0 * g1 + f1 * g0).sum(axis=-2)
+    return intt(out)
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +170,7 @@ def centered(x: np.ndarray) -> np.ndarray:
 
 def poly_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Product in Z_q[x]/(x^n + 1), NTT fast path."""
-    return intt(ntt_pointwise(ntt(a), ntt(b)))
+    return _mul_sum(*_transform(np.stack((a, b))[:, None], _V))
 
 
 def poly_mul_schoolbook(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -159,7 +186,7 @@ def matvec_mul(a_hat: np.ndarray, s: np.ndarray) -> np.ndarray:
     vectors, leading axes batched; accumulates in the NTT domain."""
     if a_hat.shape[-2:] != s.shape[-2:]:
         raise ValueError("rank mismatch")
-    return intt(ntt_pointwise(a_hat, ntt(s)[..., None, :, :]).sum(axis=-2) % Q)
+    return _mul_sum(a_hat, _transform(s, _V)[..., None, :, :])
 
 
 def inner_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -167,8 +194,7 @@ def inner_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     batched: one ring element per vector pair."""
     if a.shape != b.shape:
         raise ValueError("rank mismatch")
-    a_hat, b_hat = ntt(np.stack((a, b)))
-    return intt(ntt_pointwise(a_hat, b_hat).sum(axis=-2) % Q)
+    return _mul_sum(*_transform(np.stack((a, b)), _V))
 
 
 def encrypt_products(a_hat: np.ndarray, b: np.ndarray,
@@ -179,10 +205,10 @@ def encrypt_products(a_hat: np.ndarray, b: np.ndarray,
     transform of the k + 1 sums."""
     if a_hat.shape[-2:] != s.shape[-2:] or b.shape != s.shape:
         raise ValueError("rank mismatch")
-    b_hat, s_hat = ntt(np.stack((b, s)))
+    b_hat, s_hat = _transform(np.stack((b, s)), _V)
     rows = np.concatenate((a_hat.swapaxes(-3, -2), b_hat[..., None, :, :]),
                           axis=-3)
-    return intt(ntt_pointwise(rows, s_hat[..., None, :, :]).sum(axis=-2) % Q)
+    return _mul_sum(rows, s_hat[..., None, :, :])
 
 
 # ---------------------------------------------------------------------------
@@ -213,59 +239,75 @@ def decompress(y: np.ndarray, d: int) -> np.ndarray:
 # samplers
 
 
+# CBD_eta of a 2 eta-bit field f: the sum of its low eta bits minus the sum
+# of its high eta bits, mod q
+_CBD_TABLES = {eta: np.array([(bin(f % (1 << eta)).count("1")
+                               - bin(f >> eta).count("1")) % Q
+                              for f in range(1 << 2 * eta)])
+               for eta in (2, 3)}
+
+
 def cbd_vectors(raw: bytes, eta: int, k: int) -> np.ndarray:
     """Centered binomial vectors from raw bytes, as (B, k, 256) for the
-    B = len(raw) / (64 eta k) vectors laid back to back: each coefficient
-    is (sum of eta bits) minus (sum of eta bits), bits consumed
-    little-endian, polynomial after polynomial."""
-    if eta not in (2, 3):
+    B = len(raw) / (64 eta k) vectors laid back to back, polynomial after
+    polynomial: each 2 eta bits, read little-endian (four fields in every
+    eta bytes), give one coefficient by one lookup in _CBD_TABLES."""
+    if eta not in _CBD_TABLES:
         raise ValueError(f"unsupported eta={eta}")
-    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8),
-                         bitorder="little").reshape(-1, k, N, 2, eta)
-    sums = bits.sum(axis=-1, dtype=np.int64)
-    return (sums[..., 0] - sums[..., 1]) % Q
+    words = np.zeros((len(raw) // eta, 4), dtype=np.uint8)
+    words[:, :eta] = np.frombuffer(raw, dtype=np.uint8).reshape(-1, eta)
+    fields = ((words.view("<u4") >> (2 * eta * np.arange(4, dtype=np.uint32)))
+              & ((1 << 2 * eta) - 1))
+    return _CBD_TABLES[eta][fields].reshape(-1, k, N)
 
 
-def sample_noise_vector(stream, eta: int, k: int) -> np.ndarray:
-    """k centered binomial polynomials, as (k, 256), from one read of the
-    stream (2 eta bits per coefficient)."""
-    return cbd_vectors(stream.read(64 * eta * k), eta, k)[0]
+def noise_vectors(seeds, label: bytes, eta: int, k: int) -> np.ndarray:
+    """(B, k, 256) centered binomial vectors, one per 32-byte seed, each
+    from one squeeze of the seed's stream under label."""
+    return cbd_vectors(b"".join(squeeze(check_seed(s), label, 64 * eta * k)
+                                for s in seeds), eta, k)
 
 
-@functools.lru_cache(maxsize=32)
-def _gen_matrix_cached(seed: bytes, k: int) -> np.ndarray:
-    streams = [XofStream(seed, label=b"A" + bytes([r, c]), algo="shake_128")
-               for r in range(k) for c in range(k)]
+@functools.lru_cache(maxsize=8)
+def _gen_matrix_cached(seeds: tuple, k: int) -> np.ndarray:
+    labels = [b"A" + bytes([r, c]) for r in range(k) for c in range(k)]
     # an entry is its first 256 candidates below q; about 0.7% of entries
     # accept fewer in UNIFORM_READ bytes and read on
-    raw = b"".join(st.read(UNIFORM_READ) for st in streams)
-    cand = unpack12(raw, 2 * len(raw) // 3).reshape(k * k, -1)
+    raw = b"".join(squeeze(seed, label, UNIFORM_READ, "shake_128")
+                   for seed in seeds for label in labels)
+    cand = unpack12(raw, 2 * len(raw) // 3).reshape(-1, 2 * UNIFORM_READ // 3)
     accepted = cand < Q
-    take = accepted & (np.cumsum(accepted, axis=1) <= N)
-    short = take.sum(axis=1) < N
-    a = np.empty((k * k, N), dtype=np.int64)
-    a[~short] = cand[~short][take[~short]].reshape(-1, N)
+    counts = np.cumsum(accepted, axis=1)
+    short = counts[:, -1] < N
+    a = np.empty((len(cand), N), dtype=np.int64)
+    a[~short] = cand[accepted & (counts <= N) & ~short[:, None]].reshape(-1, N)
     for i in np.flatnonzero(short):  # read on in the entry's own stream
-        kept = cand[i][accepted[i]]
+        seed, label = seeds[i // len(labels)], labels[i % len(labels)]
+        n, kept = UNIFORM_READ, cand[i][accepted[i]]
         while len(kept) < N:
-            more = unpack12(streams[i].read(UNIFORM_READ), 2 * UNIFORM_READ // 3)
-            kept = np.concatenate([kept, more[more < Q]])
+            n *= 2
+            words = unpack12(squeeze(seed, label, n, "shake_128"), 2 * n // 3)
+            kept = words[words < Q]
         a[i] = kept[:N]
-    a_hat = ntt(a.reshape(k, k, N))
-    # shared by every caller with this seed; a view of a read-only array
+    a_hat = ntt(a.reshape(len(seeds), k, k, N))
+    # shared by every caller with these seeds; a view of a read-only array
     # cannot be made writeable again
     a_hat.flags.writeable = False
     return a_hat[...]
 
 
+def gen_matrices(seeds, params: ParamSet) -> np.ndarray:
+    """Pseudo-uniform k x k NTT-domain matrices, one per seed, as a
+    read-only (B, k, k, 256) array.  Entry (r, c) takes the 12-bit
+    candidates below q of its own SHAKE-128 stream, in order; all entries
+    are parsed and transformed in one pass.  Memoised by the seeds, since a
+    session batch touches the same matrices several times."""
+    return _gen_matrix_cached(tuple(check_seed(s) for s in seeds), params.k)
+
+
 def gen_matrix(seed: bytes, params: ParamSet) -> np.ndarray:
-    """Deterministic pseudo-uniform k x k matrix in the NTT domain, as a
-    read-only (k, k, 256) array.  Entry (r, c) is rejection-sampled in the
-    coefficient domain from its own SHAKE-128 stream (12-bit candidates
-    below q, in order), all entries in one pass, then the whole matrix is
-    transformed in one call.  Pure in (seed, params); recent expansions are
-    memoised since a session touches the same matrix several times."""
-    return _gen_matrix_cached(check_seed(seed), params.k)
+    """The read-only (k, k, 256) matrix of one seed; see gen_matrices."""
+    return gen_matrices([seed], params)[0]
 
 
 # ---------------------------------------------------------------------------

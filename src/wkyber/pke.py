@@ -11,10 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (XofStream, cbd_vectors, check_canonical, check_seed,
-                   compress, decompress, encrypt_products, gen_matrix,
-                   inner_product, matvec_mul, pack12, sample_noise_vector,
-                   unpack12)
+from .core import (cbd_vectors, check_canonical, check_seed, compress,
+                   decompress, encrypt_products, gen_matrices, gen_matrix,
+                   inner_product, matvec_mul, noise_vectors, pack12, unpack12)
 from .params import N, Q, ParamSet
 
 
@@ -118,7 +117,7 @@ def keygen_batch(seeds_a, rngs, params: ParamSet, with_error: bool = True):
     noise = cbd_vectors(b"".join(rng.read(64 * eta * k * count)
                                  for rng in rngs), eta, count * k)
     s = noise[:, :k]
-    b = matvec_mul(np.stack([gen_matrix(seed, params) for seed in seeds_a]), s)
+    b = matvec_mul(gen_matrices(seeds_a, params), s)
     if with_error:
         b = (b + noise[:, k:]) % Q
     return [PublicKey(seed, b_i) for seed, b_i in zip(seeds_a, b)], s
@@ -130,11 +129,9 @@ def message_to_ring(m: Message) -> np.ndarray:
 
 
 def _expand_coins(coins: bytes, params: ParamSet):
-    check_seed(coins)
-    sp = sample_noise_vector(XofStream(coins, b"sp"), params.eta1, params.k)
-    ep = sample_noise_vector(XofStream(coins, b"ep"), params.eta2, params.k)
-    epp = sample_noise_vector(XofStream(coins, b"epp"), params.eta2, 1)[0]
-    return sp, ep, epp
+    return (noise_vectors([coins], b"sp", params.eta1, params.k)[0],
+            noise_vectors([coins], b"ep", params.eta2, params.k)[0],
+            noise_vectors([coins], b"epp", params.eta2, 1)[0, 0])
 
 
 def encrypt_with_noise(pk: PublicKey, m: Message, sp: np.ndarray,

@@ -31,9 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (XofStream, cbd_vectors, centered, check_canonical,
-                   check_seed, compress, decompress, encrypt_products,
-                   inner_product, pack12, unpack12)
+from .core import (XofStream, centered, check_canonical, compress, decompress,
+                   encrypt_products, gen_matrices, inner_product,
+                   noise_vectors, pack12, squeeze, unpack12)
 from .modem import ChannelPlan, NoiseSource
 from .params import N, Q, ParamSet
 from .pke import Message, PublicKey, SecretKey, keygen, keygen_batch
@@ -110,18 +110,11 @@ def v2_keygen(seed_a: bytes, rng, params: ParamSet):
     return pk, SecretKey(s[0])
 
 
-def _sample_sprimes(coins, params: ParamSet) -> np.ndarray:
-    """(B, k, 256) vectors s', one per 32-byte coins."""
-    size = 64 * params.eta1 * params.k
-    raw = b"".join(XofStream(check_seed(c), b"sp").read(size) for c in coins)
-    return cbd_vectors(raw, params.eta1, params.k)
-
-
 def _encrypt(pks, bits: np.ndarray, sp: np.ndarray,
              params: ParamSet) -> np.ndarray:
     """u = A^T s', v = b^T s' + mhat for B keys, (B, 256) message bits and
     (B, k, 256) s', as (B, k + 1, 256) coefficients."""
-    a_hat = np.stack([pk.matrix(params) for pk in pks])
+    a_hat = gen_matrices([pk.seed for pk in pks], params)
     uv = encrypt_products(a_hat, np.stack([pk.b for pk in pks]), sp)
     uv[:, -1] = (uv[:, -1] + decompress(bits, 1)) % Q
     return uv
@@ -130,7 +123,7 @@ def _encrypt(pks, bits: np.ndarray, sp: np.ndarray,
 def wk_encrypt(pk: PublicKey, m: Message, coins: bytes,
                params: ParamSet) -> WkCiphertext:
     """u = A^T s', v = b^T s' + mhat; no e' or e'' is ever sampled."""
-    sp = _sample_sprimes([coins], params)
+    sp = noise_vectors([coins], b"sp", params.eta1, params.k)
     return WkCiphertext(_encrypt([pk], m.bits[None], sp, params)[0])
 
 
@@ -171,13 +164,9 @@ def _project_pk(pk: PublicKey) -> PublicKey:
     return PublicKey(pk.seed, (pk.b & ~np.int64(3)) % (Q - 1))
 
 
-def _hash(label: bytes, data: bytes, outlen: int = 32) -> bytes:
-    return XofStream(data, label).read(outlen)
-
-
 def _derive_key_coins(m: Message, pk_proj: PublicKey):
-    pk_hash = _hash(b"pk", pk_proj.to_bytes())
-    kd = _hash(b"enc", m.to_bytes() + pk_hash, 64)
+    pk_hash = squeeze(pk_proj.to_bytes(), b"pk", 32)
+    kd = squeeze(m.to_bytes() + pk_hash, b"enc", 64)
     return kd[:32], kd[32:]
 
 
@@ -198,8 +187,9 @@ def _encaps(pks, messages, params: ParamSet):
     keys, coins = zip(*(_derive_key_coins(m, pk)
                         for m, pk in zip(messages, projected)))
     bits = np.stack([m.bits for m in messages])
-    c = _encrypt(projected, bits, _sample_sprimes(coins, params), params)
-    return c, [_hash(b"kdf", key + _hash(b"ct", pack12(c_i)))
+    sp = noise_vectors(coins, b"sp", params.eta1, params.k)
+    c = _encrypt(projected, bits, sp, params)
+    return c, [squeeze(key + squeeze(pack12(c_i), b"ct", 32), b"kdf", 32)
                for key, c_i in zip(keys, c)]
 
 
@@ -238,7 +228,7 @@ def _decaps(s: np.ndarray, zs, pks, received: np.ndarray, params: ParamSet,
     messages = [Message(bits) for bits in _decrypt_bits(s, received)]
     expected, secrets = _encaps(pks, messages, params)
     return [secret if _coeffs_match(c2, c_rx, policy)
-            else _hash(b"rej", z + _hash(b"ct", pack12(c_rx)))
+            else squeeze(z + squeeze(pack12(c_rx), b"ct", 32), b"rej", 32)
             for secret, c2, c_rx, z in zip(secrets, expected, received, zs)]
 
 
@@ -269,7 +259,7 @@ def _derive_seed(master: int, label: bytes) -> bytes:
     if master < 0:
         raise ValueError(f"session seed {master} is negative")
     width = max(8, (master.bit_length() + 7) // 8)
-    return _hash(b"session" + label, master.to_bytes(width, "little"))
+    return squeeze(master.to_bytes(width, "little"), b"session" + label, 32)
 
 
 def _send_pk(pk: PublicKey, plan: ChannelPlan, noise: NoiseSource, params: ParamSet):
@@ -361,7 +351,8 @@ def _run_batch(version, params, plans, seeds, fo_policy, collect_offsets,
         c_clean, secrets_b = _encaps(pks_rx, messages, params)
     else:
         bits = np.stack([m.bits for m in messages])
-        sp = _sample_sprimes([rng.read(32) for rng in msg_rngs], params)
+        sp = noise_vectors([rng.read(32) for rng in msg_rngs], b"sp",
+                           params.eta1, params.k)
         c_clean = _encrypt(pks_rx, bits, sp, params)
     c_rx, ct_fail = _receive_cts([send_coeffs(c, ct_plan, noise)
                                   for c, noise in zip(c_clean, noise_b)], params)

@@ -353,8 +353,9 @@ class KerPoint:
         return (centre - half) / (n + z2), (centre + half) / (n + z2)
 
     def __post_init__(self):
-        if self.failures > self.trials:
-            raise ValueError("failures exceed trials")
+        if self.trials < 1 or not 0 <= self.failures <= self.trials:
+            raise ValueError(f"need 0 <= failures <= trials and trials >= 1, "
+                             f"got {self.failures} of {self.trials}")
 
 
 def _count_failures(args) -> int:

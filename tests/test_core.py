@@ -1,3 +1,4 @@
+import functools
 import hashlib
 
 import numpy as np
@@ -6,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wkyber.core import (GAMMAS, UNIFORM_READ, FixedStream, StreamExhausted,
-                         XofStream, centered, compress, decompress,
-                         encrypt_products, gen_matrix, inner_product, intt,
-                         matvec_mul, ntt, pack12, poly_mul,
-                         poly_mul_schoolbook, sample_noise_vector, unpack12)
+                         XofStream, _gen_matrix_cached, cbd_vectors, centered,
+                         compress, decompress, encrypt_products, gen_matrices,
+                         gen_matrix, inner_product, intt, matvec_mul, ntt,
+                         pack12, poly_mul, poly_mul_schoolbook, squeeze,
+                         unpack12)
 from wkyber.params import KYBER512, KYBER768, KYBER1024, N, Q
 
 
@@ -111,6 +113,14 @@ class TestPolyMul:
         assert r.min() >= 0 and r.max() < Q
 
 
+def schoolbook_dot(row, s):
+    """sum_j row[j] * s[j] with the schoolbook multiplier."""
+    acc = np.zeros(N, dtype=np.int64)
+    for r_j, s_j in zip(row, s):
+        acc = (acc + poly_mul_schoolbook(r_j, s_j)) % Q
+    return acc
+
+
 def rand_matrix(rng, k):
     """A random (k, k, 256) matrix in both domains."""
     a = rand_poly(rng, (k, k))
@@ -141,10 +151,7 @@ class TestMatVec:
         got = matvec_mul(a_hat, s)
         assert got.shape == (k, N)
         for i in range(k):
-            acc = np.zeros(N, dtype=np.int64)
-            for j in range(k):
-                acc = (acc + poly_mul_schoolbook(a[i, j], s[j])) % Q
-            assert np.array_equal(got[i], acc)
+            assert np.array_equal(got[i], schoolbook_dot(a[i], s))
 
     @given(k=st.sampled_from([2, 3, 4]), seed=seeds)
     @settings(max_examples=10, deadline=None)
@@ -157,10 +164,7 @@ class TestMatVec:
         assert got.shape == (k + 1, N)
         rows = [a[:, i] for i in range(k)] + [b]
         for i, row in enumerate(rows):
-            acc = np.zeros(N, dtype=np.int64)
-            for j in range(k):
-                acc = (acc + poly_mul_schoolbook(row[j], s[j])) % Q
-            assert np.array_equal(got[i], acc)
+            assert np.array_equal(got[i], schoolbook_dot(row, s))
 
     @pytest.mark.parametrize("batch", [(1,), (3,), (2, 2)])
     def test_leading_axes_batched(self, batch):
@@ -178,10 +182,27 @@ class TestMatVec:
             assert np.array_equal(mv[idx], matvec_mul(a_hat[idx], s[idx]))
             assert np.array_equal(ep[idx],
                                   encrypt_products(a_hat[idx], b[idx], s[idx]))
-            acc = np.zeros(N, dtype=np.int64)
-            for j in range(k):
-                acc = (acc + poly_mul_schoolbook(b[idx][j], s[idx][j])) % Q
-            assert np.array_equal(ip[idx], acc)
+            assert np.array_equal(ip[idx], schoolbook_dot(b[idx], s[idx]))
+
+    @pytest.mark.parametrize("domain", ["ntt", "coefficients"])
+    def test_extreme_inputs(self, domain):
+        # all-(q-1) operands at k = 4, batched; in the NTT domain they give
+        # every product and k-sum of the float64 multiply-accumulate its
+        # largest value
+        k = 4
+        full = np.full((2, k, k, N), Q - 1, dtype=np.int64)
+        a = intt(full) if domain == "ntt" else full
+        b = s = a[:, 0]
+        a_hat = ntt(a)
+        mv, ip = matvec_mul(a_hat, s), inner_product(b, s)
+        ep = encrypt_products(a_hat, b, s)
+        for i in range(2):
+            for r in range(k):
+                assert np.array_equal(mv[i, r], schoolbook_dot(a[i, r], s[i]))
+                assert np.array_equal(ep[i, r],
+                                      schoolbook_dot(a[i, :, r], s[i]))
+            assert np.array_equal(ip[i], schoolbook_dot(b[i], s[i]))
+            assert np.array_equal(ep[i, k], ip[i])
 
     def test_rank_mismatch(self):
         _, a_hat = rand_matrix(np.random.default_rng(8), 3)
@@ -247,7 +268,31 @@ class TestCompress:
         assert compress(np.array([x]), d)[0] == compress(x, d) == exact
 
 
+def cbd_oracle(raw, eta, k):
+    """Centered binomial vectors by summing bits: the unpacked bits of each
+    coefficient, eta added and the next eta subtracted."""
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8),
+                         bitorder="little").reshape(-1, k, N, 2, eta)
+    sums = bits.sum(axis=-1, dtype=np.int64)
+    return (sums[..., 0] - sums[..., 1]) % Q
+
+
+def sample_noise_vector(stream, eta, k):
+    """k centered binomial polynomials, as (k, 256), from one stream read."""
+    return cbd_vectors(stream.read(64 * eta * k), eta, k)[0]
+
+
 class TestCbd:
+    @given(eta=st.sampled_from([2, 3]), k=st.integers(1, 4),
+           count=st.integers(1, 3), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_table_equals_bit_sum_oracle(self, eta, k, count, data):
+        size = 64 * eta * k * count
+        raw = data.draw(st.binary(min_size=size, max_size=size))
+        got = cbd_vectors(raw, eta, k)
+        assert got.shape == (count, k, N)
+        assert np.array_equal(got, cbd_oracle(raw, eta, k))
+
     def test_zero_stream(self):
         for eta in (2, 3):
             zero = FixedStream(bytes(64 * eta))
@@ -324,18 +369,21 @@ def uniform_entry_oracle(seed, r, c):
     raise AssertionError("oracle ran out of stream")
 
 
+@functools.cache
+def read_on_seed():
+    """The first seed of a fixed search whose k = 2 matrix has an entry that
+    needs more than the UNIFORM_READ bytes of the one-pass expansion."""
+    for t in range(1000):
+        seed = b"fallback" + t.to_bytes(4, "little") + bytes(20)
+        if any(uniform_entry_oracle(seed, r, c)[1] > UNIFORM_READ
+               for r in range(2) for c in range(2)):
+            return seed
+    raise AssertionError("no seed needs the fallback")
+
+
 class TestGenMatrix:
     def test_matches_entry_by_entry_oracle(self):
-        # the first seed of a fixed search whose matrix has an entry that
-        # needs more than the 504 bytes of the batched pass, plus two more
-        for t in range(1000):
-            short_seed = b"fallback" + t.to_bytes(4, "little") + bytes(20)
-            if any(uniform_entry_oracle(short_seed, r, c)[1] > UNIFORM_READ
-                   for r in range(2) for c in range(2)):
-                break
-        else:
-            raise AssertionError("no seed needs the fallback")
-        for seed in (short_seed, bytes(32), bytes(range(32))):
+        for seed in (read_on_seed(), bytes(32), bytes(range(32))):
             for params in (KYBER512, KYBER1024):
                 a = intt(gen_matrix(seed, params))
                 for r in range(params.k):
@@ -389,6 +437,46 @@ class TestGenMatrix:
     def test_rejects_bad_seed(self):
         with pytest.raises(ValueError):
             gen_matrix(b"short", KYBER768)
+        with pytest.raises(ValueError):
+            gen_matrices([bytes(32), b"short"], KYBER768)
+
+    @pytest.mark.parametrize("params", [KYBER512, KYBER1024])
+    def test_batch_equals_seed_by_seed(self, params):
+        # a plain seed, one whose expansion reads on, another plain one and
+        # a repeat of the first
+        seeds = [b"batch" + bytes(27), read_on_seed(), bytes(range(32)),
+                 b"batch" + bytes(27)]
+        got = gen_matrices(seeds, params)
+        assert got.shape == (4, params.k, params.k, N)
+        for i, seed in enumerate(seeds):
+            assert np.array_equal(got[i], gen_matrix(seed, params))
+        with pytest.raises(ValueError):
+            got[0, 0, 0, 0] = 0
+        with pytest.raises(ValueError):
+            got.flags.writeable = True
+
+    def test_full_batch_then_lookups(self):
+        # a session batch at k = 4 is expanded once; the stacks that follow
+        # with the same seeds are cache hits, and single lookups that evict
+        # it leave the arrays already handed out intact
+        seeds = [bytes([i]) * 32 for i in range(16)]
+        a = gen_matrices(seeds, KYBER1024)
+        before = a.copy()
+        hits = _gen_matrix_cached.cache_info().hits
+        assert gen_matrices(seeds, KYBER1024) is a
+        assert _gen_matrix_cached.cache_info().hits == hits + 1
+        for i, seed in enumerate(seeds):
+            assert np.array_equal(gen_matrix(seed, KYBER1024), a[i])
+        assert np.array_equal(a, before)
+        assert np.array_equal(gen_matrices(seeds, KYBER1024), before)
+
+
+class TestStreams:
+    @pytest.mark.parametrize("algo", ["shake_128", "shake_256"])
+    @pytest.mark.parametrize("n", [0, 1, 32, 64, 504, 1000])
+    def test_squeeze_is_stream_prefix(self, algo, n):
+        stream = XofStream(b"\x05" * 32, b"lbl", algo)
+        assert squeeze(b"\x05" * 32, b"lbl", n, algo) == stream.read(n)
 
 
 class TestPacking:

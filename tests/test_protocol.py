@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wkyber.core import (XofStream, centered, inner_product, intt,
-                         matvec_mul, pack12, poly_mul_schoolbook)
+                         matvec_mul, noise_vectors, pack12,
+                         poly_mul_schoolbook)
 from wkyber.modem import ChannelPlan
 from wkyber.params import KYBER768, N, Q, PARAM_SETS
 from wkyber.pke import Message, PublicKey, keygen, message_to_ring
@@ -35,8 +36,7 @@ class TestV1Pke:
         m = Message.random(stream(b"m"))
         coins = b"\x22" * 32
         c = wk_encrypt(pk, m, coins, P768)
-        from wkyber.protocol import _sample_sprimes
-        sp = _sample_sprimes([coins], P768)[0]
+        sp = noise_vectors([coins], b"sp", P768.eta1, P768.k)[0]
         a = intt(pk.matrix(P768))
         for i in range(P768.k):
             u_i = sum(poly_mul_schoolbook(a[j, i], sp[j])

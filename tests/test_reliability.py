@@ -398,5 +398,7 @@ class TestKerMonteCarlo:
             ker_monte_carlo("v1", KYBER512,
                             (ChannelPlan(10, 10), ChannelPlan(10, -10)),
                             trials=0, seed=0)
-        with pytest.raises(ValueError):
-            KerPoint(10.0, -10.0, trials=5, failures=6)
+        # failures above trials, negative failures, no trials
+        for trials, failures in ((5, 6), (5, -1), (0, 0)):
+            with pytest.raises(ValueError):
+                KerPoint(10.0, -10.0, trials=trials, failures=failures)
