@@ -277,7 +277,7 @@ def _gen_matrix_cached(seeds: tuple, k: int) -> np.ndarray:
                    for seed in seeds for label in labels)
     cand = unpack12(raw, 2 * len(raw) // 3).reshape(-1, 2 * UNIFORM_READ // 3)
     accepted = cand < Q
-    counts = np.cumsum(accepted, axis=1)
+    counts = np.cumsum(accepted, axis=1, dtype=np.int16)
     short = counts[:, -1] < N
     a = np.empty((len(cand), N), dtype=np.int64)
     a[~short] = cand[accepted & (counts <= N) & ~short[:, None]].reshape(-1, N)
@@ -289,6 +289,7 @@ def _gen_matrix_cached(seeds: tuple, k: int) -> np.ndarray:
             words = unpack12(squeeze(seed, label, n, "shake_128"), 2 * n // 3)
             kept = words[words < Q]
         a[i] = kept[:N]
+    del cand, accepted, counts  # not held through the batch's transform
     a_hat = ntt(a.reshape(len(seeds), k, k, N))
     # shared by every caller with these seeds; a view of a read-only array
     # cannot be made writeable again
@@ -331,10 +332,9 @@ def pack12(coeffs: np.ndarray) -> bytes:
 def unpack12(data: bytes, count: int) -> np.ndarray:
     if len(data) * 2 != count * 3:
         raise ValueError("length mismatch in unpack12")
-    b = np.frombuffer(data, dtype=np.uint8).astype(np.int64).reshape(-1, 3)
-    c0 = b[:, 0] | ((b[:, 1] & 0x0F) << 8)
-    c1 = (b[:, 1] >> 4) | (b[:, 2] << 4)
-    return np.column_stack([c0, c1]).ravel()
+    b = np.frombuffer(data, dtype=np.uint8).astype(np.uint16).reshape(-1, 3)
+    return np.column_stack([b[:, 0] | ((b[:, 1] & 0x0F) << 8),
+                            (b[:, 1] >> 4) | (b[:, 2] << 4)]).astype(np.int64).ravel()
 
 
 def check_canonical(coeffs: np.ndarray) -> np.ndarray:
