@@ -6,24 +6,21 @@ Encoding is systematic: the 11 message bits occupy positions 30..20 and the
 19..0.  GF(2^5) is built on the primitive polynomial x^5 + x^2 + 1; this
 fixes the generator and therefore the parity bits, so it is wire-format law.
 
-Decoding is Meggitt's cyclic syndrome decoder, batched over an array of
+Decoding is syndrome (coset-leader) decoding, batched over an array of
 words.  A word's syndrome r mod g is one ENCODE_TABLE lookup, and zero
-means a codeword.  The minimum distance is 11, so no two error patterns of
-weight <= 5 share a syndrome; the code is cyclic, so a rotated word carries
-the rotated error.  Each word with a nonzero syndrome therefore has its 31
-rotations looked up in a sorted table of the syndromes of the 31,931
-patterns of weight 1..5 with bit 0 set, built on first use.  A hit at
-rotation m is the error pattern, rotated back by m; no hit means no
-codeword within distance 5, a decode failure.  More than 5 channel errors
-end in that failure or, rarely, land within 5 of a different codeword; the
-miscorrection hazard is handled by the layers above.
+means a codeword.  The minimum distance is 11, so the 206,367 error
+patterns of weight 1..5 have distinct syndromes.  Each word with a nonzero
+syndrome is looked up once in a sorted table of all of them, built on first
+use.  A hit is the error pattern, and its weight is the correction count;
+no hit means no codeword within distance 5, a decode failure.  More than 5
+channel errors end in that failure or, rarely, land within 5 of a different
+codeword; the miscorrection hazard is handled by the layers above.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from itertools import combinations
 
 import numpy as np
 
@@ -61,12 +58,8 @@ ENCODE_TABLE = np.array([bch_encode(m) for m in range(1 << CODE_K)],
 
 
 _WORD_MASK = (1 << CODE_N) - 1
-_CHUNK = 4096           # failing blocks rotated at a time (31 words each)
-
-
-def _rotate_right(words: np.ndarray, shift) -> np.ndarray:
-    """Cyclic shift x^-shift of 31-bit words; shift may broadcast."""
-    return ((words >> shift) | (words << (CODE_N - shift))) & _WORD_MASK
+_KEY_SHIFT = 32         # error-table key: syndrome << 32 | pattern
+_SYNDROME_CHUNK = 8192  # table keys given their syndrome at a time
 
 
 def _syndrome(words: np.ndarray) -> np.ndarray:
@@ -75,22 +68,31 @@ def _syndrome(words: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def _leader_table():
-    """(sorted syndromes, error patterns, weights) of the 31,931 patterns of
-    weight 1..t with bit 0 set; every correctable error is a rotation of
-    one of them."""
-    levels = [np.fromiter((sum(1 << j for j in rest) | 1
-                           for rest in combinations(range(1, CODE_N), w)),
-                          dtype=np.int64) for w in range(CODE_T)]
-    patterns = np.concatenate(levels)
-    weights = np.repeat(np.arange(1, CODE_T + 1, dtype=np.int8),
-                        [len(level) for level in levels])
-    syndromes = _syndrome(patterns)
-    order = np.argsort(syndromes)
-    table = syndromes[order], patterns[order], weights[order]
-    for column in table:
-        column.flags.writeable = False   # shared by every caller
-    return table
+def _error_table() -> np.ndarray:
+    """Sorted keys syndrome << 32 | pattern of the 206,367 error patterns of
+    weight 1..t, as one read-only int64 array (1.65 MB).
+
+    The patterns are filled in place weight by weight.  Those of weight w
+    with top bit b are bit b over the weight-(w - 1) patterns below b; each
+    level is ordered by top bit, so those are the first comb(b, w - 1) of
+    the level before, a view into the same array.
+    """
+    keys = np.empty(sum(math.comb(CODE_N, w) for w in range(1, CODE_T + 1)),
+                    dtype=np.int64)
+    level, at = np.zeros(1, dtype=np.int64), 0   # weight 0: no error
+    for w in range(1, CODE_T + 1):
+        start = at
+        for b in range(w - 1, CODE_N):
+            n = math.comb(b, w - 1)
+            np.bitwise_or(level[:n], 1 << b, out=keys[at:at + n])
+            at += n
+        level = keys[start:at]
+    for b in range(0, keys.size, _SYNDROME_CHUNK):
+        block = keys[b:b + _SYNDROME_CHUNK]
+        block |= _syndrome(block) << _KEY_SHIFT
+    keys.sort()
+    keys.flags.writeable = False        # shared by every caller
+    return keys
 
 
 def decode_words(received):
@@ -102,29 +104,29 @@ def decode_words(received):
     word within t of a wrong codeword decodes "successfully" to that
     codeword; the caller accounts for that hazard end to end.
     """
-    words = np.asarray(received, dtype=np.int64).ravel()
+    words = np.asarray(received).ravel()
+    if words.size and words.dtype.kind not in "iu":
+        raise ValueError("received words must be integers")
     if words.size and (words.min() < 0 or words.max() > _WORD_MASK):
         raise ValueError("received words must fit in 31 bits")
-    errors = np.zeros_like(words)
+    words = words.astype(np.int64)
     corrections = np.zeros_like(words)
     failed = np.zeros(words.shape, dtype=bool)
-    dirty = np.flatnonzero(_syndrome(words))
-    for at in range(0, dirty.size, _CHUNK):
-        idx = dirty[at:at + _CHUNK]
-        syndromes, patterns, weights = _leader_table()
-        # rotation m of a word moves an error at bit m to bit 0, where the
-        # table holds every correctable pattern
-        rotated = _syndrome(_rotate_right(words[idx, None], np.arange(CODE_N)))
-        pos = np.minimum(np.searchsorted(syndromes, rotated),
-                         len(syndromes) - 1)
-        hit = syndromes[pos] == rotated
-        found = hit.any(axis=1)
-        failed[idx[~found]] = True
-        m = hit[found].argmax(axis=1)
-        leader = pos[found, m]
-        errors[idx[found]] = _rotate_right(patterns[leader], (CODE_N - m) % CODE_N)
-        corrections[idx[found]] = weights[leader]
-    return (words ^ errors) >> PARITY_BITS, corrections, failed
+    syndromes = _syndrome(words)
+    dirty = np.flatnonzero(syndromes)
+    if dirty.size:
+        keys = _error_table()
+        wanted = syndromes[dirty]
+        # a pattern is never 0, so the key of syndrome s is the first >= s << 32
+        pos = np.minimum(np.searchsorted(keys, wanted << _KEY_SHIFT),
+                         keys.size - 1)
+        found = keys[pos] >> _KEY_SHIFT == wanted
+        fixed, errors = dirty[found], keys[pos[found]] & _WORD_MASK
+        words[fixed] ^= errors
+        bits = np.unpackbits(errors.view(np.uint8)).reshape(-1, 64)
+        corrections[fixed] = bits.sum(axis=1)   # the patterns' weights
+        failed[dirty[~found]] = True
+    return words >> PARITY_BITS, corrections, failed
 
 
 def bch_decode(received: int):

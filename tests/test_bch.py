@@ -1,8 +1,10 @@
+import functools
 import math
 import os
 import random
 import subprocess
 import sys
+from itertools import chain, combinations
 
 import numpy as np
 import pytest
@@ -13,8 +15,8 @@ from scipy.special import betainc
 import wkyber
 from wkyber import bch
 from wkyber.bch import (CODE_K, CODE_N, CODE_T, ENCODE_TABLE, GENERATOR,
-                        bch_decode, bch_encode, codeword_error_prob,
-                        decode_words)
+                        PARITY_BITS, bch_decode, bch_encode,
+                        codeword_error_prob, decode_words)
 
 # oracle: GF(32) on the primitive polynomial x^5 + x^2 + 1, as log/antilog
 # tables, and the BCH generator derived from it
@@ -219,32 +221,134 @@ class TestDecodeWords:
                          for t in as_tuples(decode_words(piece))]
 
     def test_empty(self):
-        msgs, corrections, failed = decode_words(np.array([], dtype=np.int64))
-        assert msgs.shape == corrections.shape == failed.shape == (0,)
+        for dtype in (np.int64, np.float64, np.uint32, bool, object):
+            msgs, corrections, failed = decode_words(np.array([], dtype=dtype))
+            assert msgs.shape == corrections.shape == failed.shape == (0,)
 
     @pytest.mark.parametrize("word", [-1, 1 << CODE_N])
     def test_rejects_wide_word(self, word):
         with pytest.raises(ValueError):
             decode_words([0, word])
 
-    def test_leader_table(self):
-        syndromes, patterns, weights = bch._leader_table()
-        size = sum(math.comb(CODE_N - 1, w - 1) for w in range(1, CODE_T + 1))
-        assert len(syndromes) == len(patterns) == len(weights) == size == 31931
+    @pytest.mark.parametrize("words", [np.array([1.5]), np.array([1.0]),
+                                       [0, 2.5], np.array([True])])
+    def test_rejects_non_integer(self, words):
+        with pytest.raises(ValueError):
+            decode_words(words)
+        with pytest.raises(ValueError):
+            bch_decode(np.ravel(words)[-1])
+
+    def test_error_table(self):
+        keys = bch._error_table()
+        size = sum(math.comb(CODE_N, w) for w in range(1, CODE_T + 1))
+        assert len(keys) == size == 206367
+        syndromes, patterns = keys >> 32, keys & ((1 << CODE_N) - 1)
         # distinct syndromes: no two patterns of weight <= t share a coset
         assert (np.diff(syndromes) > 0).all()
-        assert (patterns & 1).all()
-        assert not any(column.flags.writeable
-                       for column in (syndromes, patterns, weights))
-        assert [bin(int(p)).count("1") for p in patterns] == weights.tolist()
+        assert ((1 <= weight(patterns)) & (weight(patterns) <= CODE_T)).all()
+        assert (bch._syndrome(patterns) == syndromes).all()
+        assert not keys.flags.writeable
 
     def test_table_not_built_at_import(self):
         src = os.path.dirname(os.path.dirname(wkyber.__file__))
         env = dict(os.environ, PYTHONPATH=src)
         code = ("import wkyber; from wkyber import bch; "
-                "assert bch._leader_table.cache_info().currsize == 0")
+                "assert bch._error_table.cache_info().currsize == 0")
         subprocess.run([sys.executable, "-c", code], env=env, check=True,
                        timeout=60)
+
+
+def weight(words: np.ndarray) -> np.ndarray:
+    """Number of set bits of each word."""
+    as_bytes = np.asarray(words, dtype="<i8").view(np.uint8).reshape(-1, 8)
+    return np.unpackbits(as_bytes, axis=1).sum(axis=1)
+
+
+def patterns_of_weight(w: int) -> np.ndarray:
+    """Every 31-bit word of weight w, in combinations order."""
+    n = math.comb(CODE_N, w)
+    positions = np.fromiter(chain.from_iterable(combinations(range(CODE_N), w)),
+                            dtype=np.int64, count=n * w).reshape(n, w)
+    patterns = np.zeros(n, dtype=np.int64)
+    for column in positions.T:
+        patterns |= 1 << column
+    return patterns
+
+
+@functools.cache
+def leader_table():
+    """(sorted syndromes, patterns, weights) of the 31,931 patterns of
+    weight 1..t with bit 0 set; every correctable error is a rotation of
+    one of them."""
+    levels = [np.fromiter((sum(1 << j for j in rest) | 1
+                           for rest in combinations(range(1, CODE_N), w)),
+                          dtype=np.int64) for w in range(CODE_T)]
+    patterns = np.concatenate(levels)
+    weights = np.repeat(np.arange(1, CODE_T + 1), [len(lv) for lv in levels])
+    syndromes = bch._syndrome(patterns)
+    order = np.argsort(syndromes)
+    return syndromes[order], patterns[order], weights[order]
+
+
+def rotate_right(words: np.ndarray, shift) -> np.ndarray:
+    """Cyclic shift x^-shift of 31-bit words; shift may broadcast."""
+    mask = (1 << CODE_N) - 1
+    return ((words >> shift) | (words << (CODE_N - shift))) & mask
+
+
+def meggitt_decode(words):
+    """Oracle: Meggitt's cyclic decoder, the decoder the direct error table
+    replaced.  The code is cyclic, so rotation m of a word carries its error
+    rotated by m; each of the 31 rotations is looked up in leader_table(),
+    and a hit at rotation m is the leader rotated back by m."""
+    words = np.asarray(words, dtype=np.int64)
+    syndromes, patterns, weights = leader_table()
+    rotated = bch._syndrome(rotate_right(words[:, None], np.arange(CODE_N)))
+    pos = np.minimum(np.searchsorted(syndromes, rotated), len(syndromes) - 1)
+    hit = syndromes[pos] == rotated
+    found = hit.any(axis=1)
+    m = hit.argmax(axis=1)
+    leader = pos[np.arange(len(words)), m]
+    errors = np.where(found, rotate_right(patterns[leader], (CODE_N - m) % CODE_N), 0)
+    corrections = np.where(found, weights[leader], 0)
+    failed = ~found & (bch._syndrome(words) != 0)
+    return (words ^ errors) >> PARITY_BITS, corrections, failed
+
+
+class TestNeighbourhood:
+    """Every word near sampled codewords, decoded in one batch."""
+
+    def test_every_word_within_t(self):
+        rng = np.random.default_rng(11)
+        for msg in rng.choice(1 << CODE_K, 3, replace=False):
+            for distance in range(1, CODE_T + 1):
+                msgs, corrections, failed = decode_words(
+                    ENCODE_TABLE[msg] ^ patterns_of_weight(distance))
+                assert (msgs == msg).all() and not failed.any()
+                assert (corrections == distance).all()
+
+    def test_every_word_at_distance_6(self):
+        msg = 1337
+        received = ENCODE_TABLE[msg] ^ patterns_of_weight(CODE_T + 1)
+        assert len(received) == 736281
+        msgs, corrections, failed = decode_words(received)
+        ok = ~failed
+        distance = weight(received[ok] ^ ENCODE_TABLE[msgs[ok]])
+        assert (distance == corrections[ok]).all() and (distance <= CODE_T).all()
+        # such a word is within t of a codeword c exactly when c sits at the
+        # minimum distance 11 and the word's 6 errors are among their 11
+        # differing bits: A_11 * C(11, 6) words, and the rest must fail
+        a_11 = int((weight(ENCODE_TABLE) == 2 * CODE_T + 1).sum())
+        assert ok.sum() == a_11 * math.comb(2 * CODE_T + 1, CODE_T + 1) > 0
+
+    @pytest.mark.parametrize("distance", [6, 7])
+    def test_matches_meggitt_beyond_t(self, distance):
+        rnd = random.Random(90 + distance)
+        words = [flip(rnd.choice(CODEWORDS), rnd.sample(range(CODE_N), distance))
+                 for _ in range(3000)]
+        decoded = as_tuples(decode_words(words))
+        assert decoded == as_tuples(meggitt_decode(words))
+        assert {failed for _, _, failed in decoded} == {False, True}
 
 
 class TestCodewordErrorProb:
