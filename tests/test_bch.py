@@ -267,11 +267,12 @@ def weight(words: np.ndarray) -> np.ndarray:
 def patterns_of_weight(w: int) -> np.ndarray:
     """Every 31-bit word of weight w, in combinations order."""
     n = math.comb(CODE_N, w)
-    positions = np.fromiter(chain.from_iterable(combinations(range(CODE_N), w)),
-                            dtype=np.int64, count=n * w).reshape(n, w)
+    positions = np.fromiter(
+        chain.from_iterable(combinations(range(CODE_N), w)),
+        dtype=np.int8, count=n * w).reshape(n, w)
     patterns = np.zeros(n, dtype=np.int64)
     for column in positions.T:
-        patterns |= 1 << column
+        patterns |= 1 << column.astype(np.int64)
     return patterns
 
 
@@ -309,7 +310,8 @@ def meggitt_decode(words):
     found = hit.any(axis=1)
     m = hit.argmax(axis=1)
     leader = pos[np.arange(len(words)), m]
-    errors = np.where(found, rotate_right(patterns[leader], (CODE_N - m) % CODE_N), 0)
+    back = rotate_right(patterns[leader], (CODE_N - m) % CODE_N)
+    errors = np.where(found, back, 0)
     corrections = np.where(found, weights[leader], 0)
     failed = ~found & (bch._syndrome(words) != 0)
     return (words ^ errors) >> PARITY_BITS, corrections, failed
@@ -334,7 +336,8 @@ class TestNeighbourhood:
         msgs, corrections, failed = decode_words(received)
         ok = ~failed
         distance = weight(received[ok] ^ ENCODE_TABLE[msgs[ok]])
-        assert (distance == corrections[ok]).all() and (distance <= CODE_T).all()
+        assert (distance == corrections[ok]).all()
+        assert (distance <= CODE_T).all()
         # such a word is within t of a codeword c exactly when c sits at the
         # minimum distance 11 and the word's 6 errors are among their 11
         # differing bits: A_11 * C(11, 6) words, and the rest must fail
@@ -344,7 +347,8 @@ class TestNeighbourhood:
     @pytest.mark.parametrize("distance", [6, 7])
     def test_matches_meggitt_beyond_t(self, distance):
         rnd = random.Random(90 + distance)
-        words = [flip(rnd.choice(CODEWORDS), rnd.sample(range(CODE_N), distance))
+        words = [flip(rnd.choice(CODEWORDS),
+                      rnd.sample(range(CODE_N), distance))
                  for _ in range(3000)]
         decoded = as_tuples(decode_words(words))
         assert decoded == as_tuples(meggitt_decode(words))
