@@ -5,6 +5,8 @@ transform schedule must leave every key, ciphertext and channel offset
 byte-identical.  Each case hashes the serialised public and secret keys,
 the clean ciphertext and the session's ciphertext offsets at a 6 / -10 dB
 plan (the public key of v1 travels at 6 / 6 dB, as in ``wkyber exchange``).
+The CSVs of the analysis verbs that print the channel law are pinned the
+same way, so a change of its representation must leave them byte-identical.
 """
 
 import hashlib
@@ -12,6 +14,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from wkyber.cli import main
 from wkyber.core import XofStream
 from wkyber.modem import ChannelPlan
 from wkyber.params import PARAM_SETS
@@ -63,6 +66,16 @@ PINNED = {
     },
 }
 
+# CLI arguments -> sha256 of the CSV written to stdout
+PINNED_CSV = {
+    ("coeff-dist", "--snr-lsb", "-13"):
+        "cae95a5a9bf0a7bcb26731da4abd0e959cface8d69d88b877931e02b337c459b",
+    ("coeff-dist", "--snr-lsb", "inf"):
+        "2c2b4a3fecf811744aedd681230fb509d765abfd2e96e6c41c9c3980441a8966",
+    ("sigma",):
+        "c9678abfe1b9ac5f4d5395d87376970b5dcd524a51ae8f97d84429a40ced50d9",
+}
+
 
 def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -102,3 +115,9 @@ def test_offsets_not_trivial():
     offsets = run_sessions("v1", PARAM_SETS[768], PLANS["v1"], [SESSION_SEED],
                            collect_offsets=True)[0].ct_error_offsets
     assert np.count_nonzero(offsets) > 0
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED_CSV), ids=" ".join)
+def test_cli_csv_unchanged(capsys, argv):
+    assert main(list(argv)) == 0
+    assert sha(capsys.readouterr().out.encode()) == PINNED_CSV[argv]
