@@ -24,10 +24,18 @@ from .params import get_params
 from .protocol import run_sessions
 from .reliability import (PrecisionLossError, failure_prob_rows,
                           ker_monte_carlo, sigma_vs_snr)
-from .transport import (cbd_pmf_padded, coeff_error_dist, receive_blocks,
-                        send_blocks)
+from .dist import IntDist
+from .transport import coeff_error_dist, receive_blocks, send_blocks
 
 MAX_GRID_POINTS = 10_000
+
+
+def _snr_in_range(snr_db: float) -> bool:
+    """Whether Eb/N0 at snr_db is a positive float, or +inf (noiseless)."""
+    try:
+        return snr_db_to_linear(snr_db) > 0
+    except OverflowError:
+        return False
 
 
 def _parse_grid(spec: str):
@@ -45,19 +53,23 @@ def _parse_grid(spec: str):
     if steps >= MAX_GRID_POINTS:
         raise argparse.ArgumentTypeError(
             f"grid {spec!r} has more than {MAX_GRID_POINTS} points")
-    return tuple(round(start + i * step, 9) for i in range(int(steps) + 1))
+    grid = tuple(round(start + i * step, 9) for i in range(int(steps) + 1))
+    if not all(map(_snr_in_range, grid)):
+        raise argparse.ArgumentTypeError(
+            f"grid {spec!r} leaves the SNR range, about -3236..3082 dB")
+    return grid
 
 
 def _snr_db(text: str) -> float:
-    """argparse type: an SNR in dB, where inf means noiseless; NaN and -inf
-    are usage errors (exit 2)."""
+    """argparse type: an SNR in dB, where inf means noiseless; NaN, -inf and
+    SNRs whose Eb/N0 overflows or underflows are usage errors (exit 2)."""
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
-    if math.isnan(value) or value == -math.inf:
+    if not _snr_in_range(value):
         raise argparse.ArgumentTypeError(
-            f"SNR must be finite or inf, got {text!r}")
+            f"SNR must be inf or within about -3236..3082 dB, got {text!r}")
     return value
 
 
@@ -126,10 +138,9 @@ def cmd_ber(args):
 
 
 def cmd_coeff_dist(args):
-    dist = coeff_error_dist(args.snr_lsb)
-    cbd2 = cbd_pmf_padded(2)
-    rows = [(off, p, c) for off, p, c in
-            zip(range(-3, 4), dist.pmf, cbd2)]
+    channel = coeff_error_dist(args.snr_lsb).as_dict()
+    cbd2 = IntDist.centered_binomial(2).as_dict()
+    rows = [(off, channel[off], cbd2.get(off, 0.0)) for off in range(-3, 4)]
     _emit(rows, ["offset", "channel_pmf", "cbd2_pmf"], args.out)
 
 

@@ -36,10 +36,6 @@ UNIFORM_READ = 504
 # byte streams
 
 
-class StreamExhausted(ValueError):
-    """Raised when a fixed byte stream cannot supply the requested bytes."""
-
-
 def _xof(seed: bytes, label: bytes, algo: str):
     return getattr(hashlib, algo)(bytes([len(label)]) + label + seed)
 
@@ -65,22 +61,6 @@ class XofStream:
             self._buf = self._h.digest(max(2 * end, 64))
         out = self._buf[self._pos:end]
         self._pos = end
-        return out
-
-
-class FixedStream:
-    """Byte stream backed by a fixed buffer; exhaustion is an error."""
-
-    def __init__(self, data: bytes):
-        self._data = data
-        self._pos = 0
-
-    def read(self, n: int) -> bytes:
-        if self._pos + n > len(self._data):
-            raise StreamExhausted(f"stream exhausted: requested {n} bytes, "
-                                  f"{len(self._data) - self._pos} remain")
-        out = self._data[self._pos:self._pos + n]
-        self._pos += n
         return out
 
 

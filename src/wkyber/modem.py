@@ -112,17 +112,3 @@ def ber_4qam(eb_n0: float) -> float:
         raise ValueError("Eb/N0 must be positive")
     return q_function(math.sqrt(2.0 * eb_n0))
 
-
-def ber_mpsk(eb_n0: float, m: int) -> float:
-    """Approximate MPSK bit error probability for constellations of size M.
-
-    Shows why one symbol per 12-bit coefficient is hopeless: the required
-    constellation (~q points) drives the error rate up at any sane power.
-    """
-    if eb_n0 <= 0:
-        raise ValueError("Eb/N0 must be positive")
-    if m < 4 or m & (m - 1):
-        raise ValueError("M must be a power of two, M >= 4")
-    log2m = math.log2(m)
-    return (2.0 / log2m) * q_function(
-        math.sqrt(2.0 * eb_n0 * log2m) * math.sin(math.pi / m))

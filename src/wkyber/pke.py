@@ -33,10 +33,6 @@ class Message:
         raw = np.frombuffer(stream.read(N // 8), dtype=np.uint8)
         return cls(np.unpackbits(raw, bitorder="little"))
 
-    @classmethod
-    def zero(cls) -> "Message":
-        return cls(np.zeros(N, dtype=np.int64))
-
     def to_bytes(self) -> bytes:
         return np.packbits(self.bits.astype(np.uint8), bitorder="little").tobytes()
 

@@ -213,8 +213,9 @@ def kem_v1_decaps(ksk: KemSecretKey, pk: PublicKey, c_received: WkCiphertext,
     secret rather than an error.
 
     The default msb-only policy compares the BCH-protected w10 words
-    exactly; exact comparison rejects nearly every honest session because
-    the channel legitimately perturbs the exposed bits.
+    exactly, and accepts one wrap besides: a coefficient sent as q - 1 and
+    received as 0..2.  Exact comparison rejects nearly every honest session
+    because the channel legitimately perturbs the exposed bits.
     """
     return _decaps(ksk.sk.s[None], [ksk.z], [pk], c_received.coeffs[None],
                    params, policy)[0]
@@ -308,7 +309,7 @@ def _noise_source(seed: int, label: bytes) -> NoiseSource:
 
 
 def run_sessions(version: str, params: ParamSet, plans, seeds, *,
-                 policy: SnrPolicy | None = None, fo_policy: str = "msb-only",
+                 fo_policy: str = "msb-only",
                  collect_offsets: bool = False) -> list:
     """Full exchanges, one transcript per seed: keygen, key transport,
     encrypt/encaps, ciphertext transport, decrypt/decaps.
@@ -322,7 +323,7 @@ def run_sessions(version: str, params: ParamSet, plans, seeds, *,
     if version not in ("v1", "v2"):
         raise ValueError(f"version must be 'v1' or 'v2', got {version!r}")
     pk_plan, ct_plan = plans
-    policy = policy or SnrPolicy()
+    policy = SnrPolicy()
     warnings = tuple(policy.violations(ct_plan, "ciphertext")
                      + (policy.violations(pk_plan, "public key")
                         if version == "v2" else []))

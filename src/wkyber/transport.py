@@ -24,10 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bch
+from .dist import IntDist
 from .modem import ChannelPlan, NoiseSource, ber_4qam, snr_db_to_linear
 from .params import Q
-
-ERROR_OFFSETS = np.arange(-3, 4)
 
 
 @dataclass
@@ -38,10 +37,6 @@ class Frame:
 
     msb: np.ndarray
     lsb: np.ndarray
-
-    @property
-    def count(self) -> int:
-        return len(self.lsb)
 
     def __post_init__(self):
         if len(self.msb) != len(self.lsb):
@@ -102,44 +97,11 @@ def join_coeffs(w10: np.ndarray, w2: np.ndarray) -> np.ndarray:
     return (4 * w10 + w2) % Q
 
 
-def receive_coeffs(frame: Frame, count: int):
-    """(coefficients, BCH decode failure count) of a received frame, the
-    coefficients reassembled by join_coeffs."""
-    if frame.count != count:
-        raise ValueError("frame length does not match coefficient count")
-    w10, failed = receive_blocks(frame.msb, count)
-    return join_coeffs(w10, frame.lsb), int(failed.sum())
-
-
 # ---------------------------------------------------------------------------
 # induced per-coefficient error distribution
 
 
-@dataclass(frozen=True)
-class CoeffErrorDist:
-    """PMF of the coefficient offset e in {-3..3} caused by the w2 path."""
-
-    pmf: np.ndarray  # indexed by ERROR_OFFSETS
-
-    def __post_init__(self):
-        p = np.asarray(self.pmf, dtype=float)
-        if p.shape != (7,):
-            raise ValueError("PMF must cover offsets -3..3")
-        if abs(p.sum() - 1.0) > 1e-12:
-            raise ValueError(f"PMF sums to {p.sum()!r}, not 1")
-        if (p < 0).any():
-            raise ValueError("negative mass")
-        if not np.allclose(p, p[::-1], rtol=0, atol=1e-15):
-            raise ValueError("PMF must be symmetric")
-
-    def as_dict(self) -> dict:
-        return {int(e): float(m) for e, m in zip(ERROR_OFFSETS, self.pmf)}
-
-    def stddev(self) -> float:
-        return math.sqrt(float((ERROR_OFFSETS.astype(float) ** 2 * self.pmf).sum()))
-
-
-def channel_error_pmf(p_b: float, variant: str = "exact") -> CoeffErrorDist:
+def channel_error_pmf(p_b: float, variant: str = "exact") -> IntDist:
     """Coefficient error PMF for a given per-bit flip probability.
 
     "exact" averages over the four equally likely transmitted w2 values and
@@ -171,24 +133,15 @@ def channel_error_pmf(p_b: float, variant: str = "exact") -> CoeffErrorDist:
         masses = {e: m / total for e, m in masses.items()}
     else:
         raise ValueError(f"unknown channel PMF variant {variant!r}")
-    pmf = np.array([masses[abs(int(e))] for e in ERROR_OFFSETS])
-    return CoeffErrorDist(pmf)
+    return IntDist(-3, [masses[abs(e)] for e in range(-3, 4)])
 
 
-def coeff_error_dist(snr_lsb_db: float, variant: str = "exact") -> CoeffErrorDist:
+def coeff_error_dist(snr_lsb_db: float, variant: str = "exact") -> IntDist:
     """Error PMF induced on a coefficient by the w2 path at the given SNR."""
     return channel_error_pmf(bit_error_prob(snr_lsb_db), variant)
 
 
-def dist_stddev(d: CoeffErrorDist) -> float:
+def dist_stddev(d: IntDist) -> float:
     """sqrt(sum e^2 pmf(e)); the mean vanishes by symmetry."""
-    return d.stddev()
-
-
-def cbd_pmf_padded(eta: int) -> np.ndarray:
-    """Centered binomial PMF laid out on the -3..3 offset grid, for direct
-    comparison against the channel PMF."""
-    pmf = np.zeros(7)
-    for i in range(-eta, eta + 1):
-        pmf[i + 3] = math.comb(2 * eta, i + eta) / 4.0 ** eta
-    return pmf
+    e = np.array(d.support, dtype=float)
+    return math.sqrt(float((e ** 2 * d.masses).sum()))

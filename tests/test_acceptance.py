@@ -44,7 +44,7 @@ def test_criterion_01_coefficient_error_pmf():
 
     for p_b in (0.0, 0.01, 0.1, 0.3274, 0.5):
         dist = channel_error_pmf(p_b)
-        assert abs(dist.pmf.sum() - 1.0) <= 1e-15
+        assert abs(dist.masses.sum() - 1.0) <= 1e-15
         oracle = brute_force(p_b)
         for e, mass in dist.as_dict().items():
             assert abs(mass - oracle[e]) <= 1e-15, (p_b, e)

@@ -157,9 +157,12 @@ class TestGrid:
         assert _parse_grid("6:15:3") == (6, 9, 12, 15)
         assert _parse_grid("-15:0:1") == tuple(range(-15, 1))
         assert _parse_grid("0:1:0.1") == tuple(i / 10 for i in range(11))
-        # a step below the float spacing near start once never advanced
-        assert _parse_grid("1e20:1e20:1") == (1e20,)
-        assert len(_parse_grid(f"0:{MAX_GRID_POINTS - 1}:1")) == MAX_GRID_POINTS
+        # a step below the float spacing near start once never advanced; that
+        # start is now beyond the SNR range, and is refused without looping
+        with pytest.raises(argparse.ArgumentTypeError, match="SNR range"):
+            _parse_grid("1e20:1e20:1")
+        last = -2000 + (MAX_GRID_POINTS - 1) / 2   # inside the SNR range
+        assert len(_parse_grid(f"-2000:{last}:0.5")) == MAX_GRID_POINTS
 
     @pytest.mark.parametrize("spec", [f"0:{MAX_GRID_POINTS}:1", "0:1:1e-6",
                                       "0:1:1e-12", "-1e308:1e308:1"])
@@ -200,8 +203,8 @@ class TestPlumbing:
         assert "Traceback" not in proc.stderr and flag in proc.stderr
         assert proc.stdout == ""
 
-    # NaN and -inf SNRs, and non-finite grid fields, are usage errors; the
-    # timeout guards the grid cases, which once looped forever
+    # NaN, -inf and out-of-range SNRs, and non-finite grid fields, are usage
+    # errors; the timeout guards the grid cases, which once looped forever
     @pytest.mark.parametrize("argv", [
         pytest.param(("exchange", "--snr-msb=-inf"), id="snr-msb-neg-inf"),
         pytest.param(("exchange", "--snr-msb", "nan"), id="snr-msb-nan"),
@@ -210,6 +213,11 @@ class TestPlumbing:
         pytest.param(("ber", "--grid", "0:nan:1"), id="grid-nan-stop"),
         pytest.param(("sigma", "--grid=-inf:0:1"), id="grid-neg-inf-start"),
         pytest.param(("sigma", "--grid", "0:inf:1"), id="grid-inf-stop"),
+        # finite, but Eb/N0 overflows or underflows to 0
+        pytest.param(("coeff-dist", "--snr-lsb", "4000"), id="snr-lsb-overflow"),
+        pytest.param(("coeff-dist", "--snr-lsb=-4000"), id="snr-lsb-underflow"),
+        pytest.param(("ber", "--grid", "0:4000:4000"), id="grid-overflow"),
+        pytest.param(("sigma", "--grid=-4000:0:4000"), id="grid-underflow"),
     ])
     def test_non_finite_value_exit_code(self, argv):
         proc = subprocess.run(

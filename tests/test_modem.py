@@ -5,7 +5,7 @@ import pytest
 from scipy import integrate
 from scipy.stats import binom
 
-from wkyber.modem import (ChannelPlan, NoiseSource, ber_4qam, ber_mpsk,
+from wkyber.modem import (ChannelPlan, NoiseSource, ber_4qam,
                           demodulate_symbols, modulate_words, noise_sigma,
                           q_function, snr_db_to_linear, transmit)
 
@@ -170,31 +170,6 @@ class TestBerFormulas:
         grid = np.linspace(0.01, 20.0, 100)
         vals = [ber_4qam(x) for x in grid]
         assert all(a > b for a, b in zip(vals, vals[1:]))
-
-    def test_mpsk_m4_instantiation(self):
-        # the generic formula at M=4 with its own sin(pi/4) factor
-        for ebn0 in (0.1, 1.0, 10.0):
-            expect = q_function(math.sqrt(4.0 * ebn0) * math.sin(math.pi / 4))
-            assert abs(ber_mpsk(ebn0, 4) - expect) < 1e-15
-
-    def test_huge_constellation_is_hopeless(self):
-        assert ber_mpsk(10.0, 4096) > 1000 * ber_4qam(10.0)
-
-    def test_increasing_in_m(self):
-        # strictly increasing through M = 128; beyond that the 2/log2(M)
-        # prefactor starts to win, but every size stays orders of magnitude
-        # above the 4QAM rate
-        vals = [ber_mpsk(10.0, 1 << b) for b in range(2, 8)]
-        assert all(a < b for a, b in zip(vals, vals[1:]))
-        base = ber_4qam(10.0)
-        for b in range(3, 13):
-            assert ber_mpsk(10.0, 1 << b) > 100 * base
-
-    def test_rejects_bad_m(self):
-        with pytest.raises(ValueError):
-            ber_mpsk(1.0, 5)
-        with pytest.raises(ValueError):
-            ber_mpsk(1.0, 2)
 
 
 class TestMonteCarloBer:
