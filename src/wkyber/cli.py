@@ -18,10 +18,10 @@ import tempfile
 import numpy as np
 
 from .bch import codeword_error_prob
-from .modem import (ChannelPlan, NoiseSource, ber_4qam, demodulate_symbols,
-                    modulate_words, snr_db_to_linear, transmit)
+from .modem import (NoiseSource, ber_4qam, demodulate_symbols, modulate_words,
+                    snr_db_to_linear, transmit)
 from .params import get_params
-from .protocol import run_sessions
+from .protocol import run_sessions, session_plans
 from .reliability import (PrecisionLossError, failure_prob_rows,
                           ker_monte_carlo, sigma_vs_snr)
 from .dist import IntDist
@@ -164,11 +164,9 @@ def cmd_ker(args):
     params = get_params(args.params)
     rows = []
     for point, snr_msb in enumerate(args.grid):
-        ct_plan = ChannelPlan(snr_msb, args.snr_lsb)
-        pk_plan = (ChannelPlan(snr_msb, snr_msb) if args.version == "v1"
-                   else ct_plan)
-        pt = ker_monte_carlo(args.version, params, (pk_plan, ct_plan),
-                             args.trials, seed=args.seed * 104729 + point,
+        plans = session_plans(args.version, snr_msb, args.snr_lsb)
+        pt = ker_monte_carlo(args.version, params, plans, args.trials,
+                             seed=args.seed * 104729 + point,
                              fo_policy=args.fo_policy, workers=args.workers)
         rows.append((pt.snr_msb_db, pt.snr_lsb_db, args.version, params.k,
                      pt.trials, pt.failures, pt.ker, *pt.interval()))
@@ -196,11 +194,9 @@ def cmd_sigma(args):
 
 def cmd_exchange(args):
     params = get_params(args.params)
-    ct_plan = ChannelPlan(args.snr_msb, args.snr_lsb)
-    pk_plan = (ChannelPlan(args.snr_msb, args.snr_msb) if args.version == "v1"
-               else ct_plan)
+    plans = session_plans(args.version, args.snr_msb, args.snr_lsb)
     seeds = [args.seed * 65537 + i for i in range(args.trials)]
-    transcripts = run_sessions(args.version, params, (pk_plan, ct_plan), seeds,
+    transcripts = run_sessions(args.version, params, plans, seeds,
                                fo_policy=args.fo_policy)
     rows = []
     warned = set()
@@ -221,71 +217,72 @@ def cmd_exchange(args):
 
 
 # ---------------------------------------------------------------------------
+# parser
+
+
+# every flag but --grid, whose default differs per verb, in help order
+FLAGS = {
+    "--params": dict(default="768", choices=["512", "768", "1024"],
+                     help="parameter set (default 768)"),
+    "--version": dict(default="v1", choices=["v1", "v2"]),
+    "--snr-msb": dict(type=_snr_db, default=10.0,
+                      help="SNR of the BCH-protected path, dB"),
+    "--snr-lsb": dict(type=_snr_db, default=-10.0,
+                      help="SNR of the exposed 2-bit path, dB"),
+    "--trials": dict(type=_int_at_least(1), default=1000,
+                     help="bits / codewords / sessions per point"),
+    "--seed": dict(type=_int_at_least(0), default=42),
+    "--out": dict(type=_out_path, default=None,
+                  help="output file (default stdout)"),
+    "--fo-policy": dict(default="msb-only", choices=["msb-only", "exact"],
+                        help="re-encryption comparison policy (v1 KEM)"),
+    "--workers": dict(type=_int_at_least(1), default=None,
+                      help="parallel workers for Monte Carlo"),
+}
+
+# verb -> (handler, help, flags it reads besides --out, default --grid)
+VERBS = {
+    "ber": (cmd_ber, "analytic vs simulated 4QAM bit error rate",
+            ("--trials", "--seed"), "0:10:2"),
+    "coeff-dist": (cmd_coeff_dist,
+                   "channel coefficient-error PMF vs the binomial law",
+                   ("--snr-lsb",), None),
+    "codeword-error": (cmd_codeword_error,
+                       "analytic vs simulated BCH codeword failure rate",
+                       ("--trials", "--seed"), "-2:4:1"),
+    "ker": (cmd_ker, "Monte Carlo key error rate over an MSB-path SNR grid",
+            ("--params", "--version", "--snr-lsb", "--trials", "--seed",
+             "--fo-policy", "--workers"), "6:15:3"),
+    "failure-prob": (cmd_failure_prob,
+                     "analytic decryption failure probabilities",
+                     ("--snr-lsb",), None),
+    "sigma": (cmd_sigma, "channel error deviation vs SNR "
+                         "(hand-off to lattice estimators)", (), "-15:0:1"),
+    "exchange": (cmd_exchange, "run full sessions and print transcripts",
+                 ("--params", "--version", "--snr-msb", "--snr-lsb",
+                  "--trials", "--seed", "--fo-policy"), None),
+}
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The wkyber parser, built once per process: parsing leaves it as it
-    was, and its defaults are immutable."""
+    was, and its defaults are immutable.  Each verb accepts only the flags
+    it reads, so any other flag is a usage error."""
     top = argparse.ArgumentParser(
         prog="wkyber",
         description="AWGN-channel key exchange simulator and analysis tool")
     sub = top.add_subparsers(dest="command", required=True)
-
-    def common(p, grid_default=None):
-        p.add_argument("--params", default="768", choices=["512", "768", "1024"],
-                       help="parameter set (default 768)")
-        p.add_argument("--version", default="v1", choices=["v1", "v2"])
-        p.add_argument("--snr-msb", dest="snr_msb", type=_snr_db, default=10.0,
-                       help="SNR of the BCH-protected path, dB")
-        p.add_argument("--snr-lsb", dest="snr_lsb", type=_snr_db, default=-10.0,
-                       help="SNR of the exposed 2-bit path, dB")
-        p.add_argument("--trials", type=_int_at_least(1), default=1000,
-                       help="bits / codewords / sessions per point")
-        p.add_argument("--seed", type=_int_at_least(0), default=42)
-        p.add_argument("--out", type=_out_path, default=None,
-                       help="output file (default stdout)")
-        p.add_argument("--fo-policy", dest="fo_policy", default="msb-only",
-                       choices=["msb-only", "exact"],
-                       help="re-encryption comparison policy (v1 KEM)")
-        p.add_argument("--workers", type=_int_at_least(1), default=None,
-                       help="parallel workers for Monte Carlo")
+    for verb, (func, help_text, reads, grid_default) in VERBS.items():
+        p = sub.add_parser(verb, help=help_text)
+        for flag, spec in FLAGS.items():
+            if flag in reads or flag == "--out":
+                p.add_argument(flag, **spec)
         if grid_default:
-            p.add_argument("--grid", type=_parse_grid, default=_parse_grid(grid_default),
+            p.add_argument("--grid", type=_parse_grid,
+                           default=_parse_grid(grid_default),
                            help=f"start:stop:step (default {grid_default})")
-
-    p = sub.add_parser("ber", help="analytic vs simulated 4QAM bit error rate")
-    common(p, grid_default="0:10:2")
-    p.set_defaults(func=cmd_ber)
-
-    p = sub.add_parser("coeff-dist",
-                       help="channel coefficient-error PMF vs the binomial law")
-    common(p)
-    p.set_defaults(func=cmd_coeff_dist)
-
-    p = sub.add_parser("codeword-error",
-                       help="analytic vs simulated BCH codeword failure rate")
-    common(p, grid_default="-2:4:1")
-    p.set_defaults(func=cmd_codeword_error)
-
-    p = sub.add_parser("ker", help="Monte Carlo key error rate over an "
-                                   "MSB-path SNR grid")
-    common(p, grid_default="6:15:3")
-    p.set_defaults(func=cmd_ker)
-
-    p = sub.add_parser("failure-prob",
-                       help="analytic decryption failure probabilities")
-    common(p)
-    p.set_defaults(func=cmd_failure_prob)
-
-    p = sub.add_parser("sigma", help="channel error deviation vs SNR "
-                                     "(hand-off to lattice estimators)")
-    common(p, grid_default="-15:0:1")
-    p.set_defaults(func=cmd_sigma)
-
-    p = sub.add_parser("exchange", help="run full sessions and print transcripts")
-    common(p)
-    p.set_defaults(func=cmd_exchange)
+        p.set_defaults(func=func)
     return top
 
 

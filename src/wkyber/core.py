@@ -28,7 +28,7 @@ import numpy as np
 from .params import N, Q, ParamSet
 
 SEED_BYTES = 32
-# bytes of each matrix entry's stream that gen_matrix parses in one pass:
+# bytes of each matrix entry's stream that gen_matrices parses in one pass:
 # three SHAKE-128 blocks, the budget of Kyber's SampleNTT
 UNIFORM_READ = 504
 
@@ -284,11 +284,6 @@ def gen_matrices(seeds, params: ParamSet) -> np.ndarray:
     are parsed and transformed in one pass.  Memoised by the seeds, since a
     session batch touches the same matrices several times."""
     return _gen_matrix_cached(tuple(check_seed(s) for s in seeds), params.k)
-
-
-def gen_matrix(seed: bytes, params: ParamSet) -> np.ndarray:
-    """The read-only (k, k, 256) matrix of one seed; see gen_matrices."""
-    return gen_matrices([seed], params)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (cbd_vectors, check_canonical, check_seed, compress,
-                   decompress, encrypt_products, gen_matrices, gen_matrix,
-                   inner_product, matvec_mul, noise_vectors, pack12, unpack12)
+                   decompress, encrypt_products, gen_matrices, inner_product,
+                   matvec_mul, noise_vectors, pack12, unpack12)
 from .params import N, Q, ParamSet
 
 
@@ -44,16 +44,13 @@ class Message:
 
 
 class PublicKey:
-    """(seed for the matrix A, (k, 256) vector b); gen_matrix caches A."""
+    """(seed for the matrix A, (k, 256) vector b); gen_matrices caches A."""
 
     __slots__ = ("seed", "b")
 
     def __init__(self, seed: bytes, b: np.ndarray):
         self.seed = check_seed(seed)
         self.b = b
-
-    def matrix(self, params: ParamSet) -> np.ndarray:
-        return gen_matrix(self.seed, params)
 
     def to_bytes(self) -> bytes:
         return self.seed + pack12(self.b)
@@ -134,7 +131,7 @@ def encrypt_with_noise(pk: PublicKey, m: Message, sp: np.ndarray,
                        ep: np.ndarray, epp: np.ndarray,
                        params: ParamSet) -> CompressedCiphertext:
     """Encryption core with the noise terms supplied by the caller."""
-    uv = encrypt_products(pk.matrix(params), pk.b, sp)
+    uv = encrypt_products(gen_matrices([pk.seed], params)[0], pk.b, sp)
     u = (uv[:-1] + ep) % Q
     v = (uv[-1] + epp + message_to_ring(m)) % Q
     return CompressedCiphertext(u_c=compress(u, params.du),

@@ -18,11 +18,13 @@ travel and still feed decryption, but the check no longer depends on them.
 Like the relaxed ciphertext comparison, the security of ignoring exposed
 bits in the check is not analysed here.
 
-run_sessions runs SESSION_BATCH sessions at a time.  Each keeps its own
-byte streams, noise sources and flip draws, in the order of a lone session,
-and its own KEM hashes; the ring work is stacked on (B, k, 256) arrays and
-each channel leg has one block decode for all B.  Stacked arithmetic is
-exact and blocks decode alone, so no result depends on B or worker count.
+Every V1/V2 function takes B sessions at once (one session is B = 1), and
+run_sessions calls them on SESSION_BATCH sessions at a time.  Each session
+keeps its own byte streams, noise sources and flip draws, in the order of a
+lone session, and its own KEM hashes; the ring work is stacked on
+(B, k, 256) arrays and each channel leg has one block decode for all B.
+Stacked arithmetic is exact and blocks decode alone, so no result depends
+on B or worker count.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .core import (XofStream, centered, check_canonical, compress, decompress,
                    noise_vectors, pack12, squeeze, unpack12)
 from .modem import ChannelPlan, NoiseSource
 from .params import N, Q, ParamSet
-from .pke import Message, PublicKey, SecretKey, keygen, keygen_batch
+from .pke import Message, PublicKey, keygen_batch
 from .transport import join_coeffs, receive_blocks, send_blocks, send_coeffs
 
 # sessions stacked in one array pass of run_sessions; transcripts do not
@@ -79,80 +81,72 @@ class WkCiphertext:
 # ---------------------------------------------------------------------------
 # SNR policy
 
+# operating window: a protected path at >= 10 dB keeps decode failures
+# negligible, an exposed path at <= -5 dB keeps the injected error wide
+# enough (its deviation stays above the baseline binomial's)
+MIN_MSB_DB = 10.0
+MAX_LSB_DB = -5.0
 
-@dataclass(frozen=True)
-class SnrPolicy:
-    """Operating window: protected path at >= 10 dB keeps decode failures
-    negligible, exposed path at <= -5 dB keeps the injected error wide
-    enough (its deviation stays above the baseline binomial's)."""
 
-    min_msb_db: float = 10.0
-    max_lsb_db: float = -5.0
+def snr_warnings(plan: ChannelPlan, label: str) -> list:
+    """The ways plan leaves the operating window, as warning texts."""
+    out = []
+    if not plan.snr_msb_db >= MIN_MSB_DB:
+        out.append(f"{label}: MSB-path SNR {plan.snr_msb_db:g} dB below "
+                   f"{MIN_MSB_DB:g} dB; decode failures not negligible")
+    if not plan.snr_lsb_db <= MAX_LSB_DB:
+        out.append(f"{label}: LSB-path SNR {plan.snr_lsb_db:g} dB above "
+                   f"{MAX_LSB_DB:g} dB; injected error too narrow")
+    return out
 
-    def violations(self, plan: ChannelPlan, label: str) -> list:
-        out = []
-        if not plan.snr_msb_db >= self.min_msb_db:
-            out.append(f"{label}: MSB-path SNR {plan.snr_msb_db:g} dB below "
-                       f"{self.min_msb_db:g} dB; decode failures not negligible")
-        if not plan.snr_lsb_db <= self.max_lsb_db:
-            out.append(f"{label}: LSB-path SNR {plan.snr_lsb_db:g} dB above "
-                       f"{self.max_lsb_db:g} dB; injected error too narrow")
-        return out
+
+def session_plans(version: str, snr_msb_db: float, snr_lsb_db: float):
+    """(public key, ciphertext) plans of a session: the ciphertext's low
+    bits take the exposed path; v1's key travels with both paths protected,
+    v2's key like the ciphertext, so the channel injects its error."""
+    ct_plan = ChannelPlan(snr_msb_db, snr_lsb_db)
+    if version == "v1":
+        return ChannelPlan(snr_msb_db, snr_msb_db), ct_plan
+    return ct_plan, ct_plan
 
 
 # ---------------------------------------------------------------------------
-# V1 / V2 PKE
+# V1 / V2 PKE, B sessions at a time: keys are lists, secrets (B, k, 256),
+# message bits (B, 256), ciphertexts (B, k + 1, 256) coefficients
 
 
-def v2_keygen(seed_a: bytes, rng, params: ParamSet):
-    """b = A s with no sampled error; the channel adds it in transit."""
-    (pk,), s = keygen_batch([seed_a], [rng], params, with_error=False)
-    return pk, SecretKey(s[0])
+def v2_keygen(seeds_a, rngs, params: ParamSet):
+    """b = A s with no sampled error; the channel adds it in transit.
+    Returns (public keys, secrets)."""
+    return keygen_batch(seeds_a, rngs, params, with_error=False)
 
 
-def _encrypt(pks, bits: np.ndarray, sp: np.ndarray,
-             params: ParamSet) -> np.ndarray:
-    """u = A^T s', v = b^T s' + mhat for B keys, (B, 256) message bits and
-    (B, k, 256) s', as (B, k + 1, 256) coefficients."""
+def wk_encrypt(pks, bits: np.ndarray, coins, params: ParamSet) -> np.ndarray:
+    """u = A^T s', v = b^T s' + mhat, with s' expanded from each session's
+    32-byte coins; no e' or e'' is ever sampled."""
+    sp = noise_vectors(coins, b"sp", params.eta1, params.k)
     a_hat = gen_matrices([pk.seed for pk in pks], params)
     uv = encrypt_products(a_hat, np.stack([pk.b for pk in pks]), sp)
     uv[:, -1] = (uv[:, -1] + decompress(bits, 1)) % Q
     return uv
 
 
-def wk_encrypt(pk: PublicKey, m: Message, coins: bytes,
-               params: ParamSet) -> WkCiphertext:
-    """u = A^T s', v = b^T s' + mhat; no e' or e'' is ever sampled."""
-    sp = noise_vectors([coins], b"sp", params.eta1, params.k)
-    return WkCiphertext(_encrypt([pk], m.bits[None], sp, params)[0])
-
-
-def _decrypt_bits(s: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """Per-coefficient compress(v - s^T u, 1), leading axes batched."""
+def wk_decrypt(s: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Per-coefficient compress(v - s^T u, 1): the message bits."""
     u, v = coeffs[..., :-1, :], coeffs[..., -1, :]
     return compress((v - inner_product(s, u)) % Q, 1)
-
-
-def wk_decrypt(sk: SecretKey, c: WkCiphertext) -> Message:
-    """Per-coefficient compress(v - s^T u, 1)."""
-    return Message(_decrypt_bits(sk.s, c.coeffs))
 
 
 # ---------------------------------------------------------------------------
 # V1 KEM (re-encrypting transform with implicit rejection)
 
 
-@dataclass
-class KemSecretKey:
-    sk: SecretKey
-    z: bytes  # implicit-rejection secret
-
-
-def kem_v1_keygen(seed_a: bytes, rng, params: ParamSet):
-    """The baseline key generation (binomial e retained) plus the
-    implicit-rejection secret."""
-    pk, sk = keygen(seed_a, rng, params)
-    return pk, KemSecretKey(sk=sk, z=rng.read(32))
+def kem_v1_keygen(seeds_a, rngs, params: ParamSet):
+    """The baseline key generation (binomial e retained), then each rng's
+    32-byte implicit-rejection secret z.  Returns (public keys, secrets,
+    zs)."""
+    pks, s = keygen_batch(seeds_a, rngs, params)
+    return pks, s, [rng.read(32) for rng in rngs]
 
 
 def _project_pk(pk: PublicKey) -> PublicKey:
@@ -164,33 +158,21 @@ def _project_pk(pk: PublicKey) -> PublicKey:
     return PublicKey(pk.seed, (pk.b & ~np.int64(3)) % (Q - 1))
 
 
-def _derive_key_coins(m: Message, pk_proj: PublicKey):
-    pk_hash = squeeze(pk_proj.to_bytes(), b"pk", 32)
-    kd = squeeze(m.to_bytes() + pk_hash, b"enc", 64)
-    return kd[:32], kd[32:]
-
-
-def kem_v1_encaps(pk: PublicKey, rng, params: ParamSet):
-    """Returns (ciphertext to transmit, shared secret).
+def kem_v1_encaps(pks, bits: np.ndarray, params: ParamSet):
+    """Encapsulate each session's message bits to its key.  Returns
+    (ciphertexts to transmit, shared secrets).
 
     Deterministic given (pk, message): key and coins derive from the message
     and the projected public key; the secret also binds the clean ciphertext.
     """
-    (c,), (secret,) = _encaps([pk], [Message.random(rng)], params)
-    return WkCiphertext(c), secret
-
-
-def _encaps(pks, messages, params: ParamSet):
-    """kem_v1_encaps of B messages to B keys: ((B, k + 1, 256) ciphertext
-    coefficients, shared secrets)."""
     projected = [_project_pk(pk) for pk in pks]
-    keys, coins = zip(*(_derive_key_coins(m, pk)
-                        for m, pk in zip(messages, projected)))
-    bits = np.stack([m.bits for m in messages])
-    sp = noise_vectors(coins, b"sp", params.eta1, params.k)
-    c = _encrypt(projected, bits, sp, params)
-    return c, [squeeze(key + squeeze(pack12(c_i), b"ct", 32), b"kdf", 32)
-               for key, c_i in zip(keys, c)]
+    messages = np.packbits(bits.astype(np.uint8), axis=-1, bitorder="little")
+    # 32 key bytes, then 32 coin bytes
+    kd = [squeeze(m.tobytes() + squeeze(pk.to_bytes(), b"pk", 32), b"enc", 64)
+          for m, pk in zip(messages, projected)]
+    c = wk_encrypt(projected, bits, [d[32:] for d in kd], params)
+    return c, [squeeze(d[:32] + squeeze(pack12(c_i), b"ct", 32), b"kdf", 32)
+               for d, c_i in zip(kd, c)]
 
 
 def _coeffs_match(expected: np.ndarray, received: np.ndarray,
@@ -207,9 +189,10 @@ def _coeffs_match(expected: np.ndarray, received: np.ndarray,
     raise ValueError(f"unknown comparison policy {policy!r}")
 
 
-def kem_v1_decaps(ksk: KemSecretKey, pk: PublicKey, c_received: WkCiphertext,
-                  params: ParamSet, policy: str = "msb-only") -> bytes:
-    """Decrypt, re-encrypt, compare; mismatches yield the implicit-rejection
+def kem_v1_decaps(s: np.ndarray, zs, pks, received: np.ndarray,
+                  params: ParamSet, policy: str = "msb-only") -> list:
+    """Decrypt, encapsulate the result again as the sender did, compare;
+    a session whose ciphertext mismatches yields its implicit-rejection
     secret rather than an error.
 
     The default msb-only policy compares the BCH-protected w10 words
@@ -217,17 +200,7 @@ def kem_v1_decaps(ksk: KemSecretKey, pk: PublicKey, c_received: WkCiphertext,
     received as 0..2.  Exact comparison rejects nearly every honest session
     because the channel legitimately perturbs the exposed bits.
     """
-    return _decaps(ksk.sk.s[None], [ksk.z], [pk], c_received.coeffs[None],
-                   params, policy)[0]
-
-
-def _decaps(s: np.ndarray, zs, pks, received: np.ndarray, params: ParamSet,
-            policy: str) -> list:
-    """B decapsulations of (B, k + 1, 256) received coefficients under
-    (B, k, 256) secrets s: decrypt, encapsulate the result again as the
-    sender did, compare."""
-    messages = [Message(bits) for bits in _decrypt_bits(s, received)]
-    expected, secrets = _encaps(pks, messages, params)
+    expected, secrets = kem_v1_encaps(pks, wk_decrypt(s, received), params)
     return [secret if _coeffs_match(c2, c_rx, policy)
             else squeeze(z + squeeze(pack12(c_rx), b"ct", 32), b"rej", 32)
             for secret, c2, c_rx, z in zip(secrets, expected, received, zs)]
@@ -323,9 +296,8 @@ def run_sessions(version: str, params: ParamSet, plans, seeds, *,
     if version not in ("v1", "v2"):
         raise ValueError(f"version must be 'v1' or 'v2', got {version!r}")
     pk_plan, ct_plan = plans
-    policy = SnrPolicy()
-    warnings = tuple(policy.violations(ct_plan, "ciphertext")
-                     + (policy.violations(pk_plan, "public key")
+    warnings = tuple(snr_warnings(ct_plan, "ciphertext")
+                     + (snr_warnings(pk_plan, "public key")
                         if version == "v2" else []))
     return [tr for at in range(0, len(seeds), SESSION_BATCH)
             for tr in _run_batch(version, params, plans,
@@ -342,26 +314,25 @@ def _run_batch(version, params, plans, seeds, fo_policy, collect_offsets,
     noise_a = [_noise_source(s, b"ch-a") for s in seeds]
     noise_b = [_noise_source(s, b"ch-b") for s in seeds]
     seeds_a = [rng.read(32) for rng in key_rngs]
-    pks, sks = keygen_batch(seeds_a, key_rngs, params,
-                            with_error=version == "v1")
+    if version == "v1":
+        pks, sks, zs = kem_v1_keygen(seeds_a, key_rngs, params)
+    else:
+        pks, sks = v2_keygen(seeds_a, key_rngs, params)
     pks_rx, pk_fail = _receive_pks([_send_pk(pk, pk_plan, noise, params)
                                     for pk, noise in zip(pks, noise_a)], params)
-    messages = [Message.random(rng) for rng in msg_rngs]
+    bits = np.stack([Message.random(rng).bits for rng in msg_rngs])
     if version == "v1":
-        zs = [rng.read(32) for rng in key_rngs]
-        c_clean, secrets_b = _encaps(pks_rx, messages, params)
+        c_clean, secrets_b = kem_v1_encaps(pks_rx, bits, params)
     else:
-        bits = np.stack([m.bits for m in messages])
-        sp = noise_vectors([rng.read(32) for rng in msg_rngs], b"sp",
-                           params.eta1, params.k)
-        c_clean = _encrypt(pks_rx, bits, sp, params)
+        c_clean = wk_encrypt(pks_rx, bits, [rng.read(32) for rng in msg_rngs],
+                             params)
     c_rx, ct_fail = _receive_cts([send_coeffs(c, ct_plan, noise)
                                   for c, noise in zip(c_clean, noise_b)], params)
     if version == "v1":
-        secrets_a = _decaps(sks, zs, pks, c_rx, params, fo_policy)
+        secrets_a = kem_v1_decaps(sks, zs, pks, c_rx, params, fo_policy)
         outcomes = [a == b for a, b in zip(secrets_a, secrets_b)]
     else:
-        outcomes = (_decrypt_bits(sks, c_rx) == bits).all(axis=1)
+        outcomes = (wk_decrypt(sks, c_rx) == bits).all(axis=1)
     offsets = (centered(c_rx - c_clean).reshape(len(seeds), -1)
                if collect_offsets else [None] * len(seeds))
     return [SessionTranscript(version=version, k=params.k, pk_plan=pk_plan,

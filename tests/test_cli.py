@@ -9,7 +9,28 @@ import tracemalloc
 
 import pytest
 
-from wkyber.cli import MAX_GRID_POINTS, _parse_grid, main
+from wkyber.cli import MAX_GRID_POINTS, _parse_grid, build_parser, main
+
+
+# the flags each verb reads, besides --out; every other flag is refused
+READS = {
+    "ber": {"--grid", "--trials", "--seed"},
+    "codeword-error": {"--grid", "--trials", "--seed"},
+    "coeff-dist": {"--snr-lsb"},
+    "failure-prob": {"--snr-lsb"},
+    "sigma": {"--grid"},
+    "ker": {"--params", "--version", "--snr-lsb", "--trials", "--seed",
+            "--fo-policy", "--workers", "--grid"},
+    "exchange": {"--params", "--version", "--snr-msb", "--snr-lsb",
+                 "--trials", "--seed", "--fo-policy"},
+}
+# a valid value for each flag; all but --grid were once given to every verb
+VALUES = {"--params": "512", "--version": "v2", "--snr-msb": "6",
+          "--snr-lsb": "-8", "--trials": "3", "--seed": "3", "--out": "-",
+          "--fo-policy": "exact", "--workers": "2", "--grid": "0:2:1"}
+UNREAD = [pytest.param(verb, flag, id=f"{verb} {flag}")
+          for verb in READS for flag in VALUES
+          if flag not in ("--out", "--grid") and flag not in READS[verb]]
 
 
 def run_cli(capsys, *argv):
@@ -196,8 +217,9 @@ class TestPlumbing:
                                              ("--trials", "0"),
                                              ("--workers", "0")])
     def test_out_of_range_flag_exit_code(self, flag, value):
+        verb = "ker" if flag == "--workers" else "exchange"
         proc = subprocess.run(
-            [sys.executable, "-m", "wkyber.cli", "exchange", flag, value],
+            [sys.executable, "-m", "wkyber.cli", verb, flag, value],
             capture_output=True, text=True)
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr and flag in proc.stderr
@@ -220,13 +242,31 @@ class TestPlumbing:
         pytest.param(("sigma", "--grid=-4000:0:4000"), id="grid-underflow"),
     ])
     def test_non_finite_value_exit_code(self, argv):
+        trials = ("--trials", "1") if "--trials" in READS[argv[0]] else ()
         proc = subprocess.run(
-            [sys.executable, "-m", "wkyber.cli", *argv, "--trials", "1"],
+            [sys.executable, "-m", "wkyber.cli", *argv, *trials],
             capture_output=True, text=True, timeout=60)
         assert proc.returncode == 2
         flag = argv[1].split("=")[0]
         assert "Traceback" not in proc.stderr and flag in proc.stderr
         assert proc.stdout == ""
+
+    @pytest.mark.parametrize("verb, flag", UNREAD)
+    def test_unread_flag_is_usage_error(self, capsys, verb, flag):
+        # a flag the verb would ignore is refused, naming the flag
+        with pytest.raises(SystemExit) as exc:
+            main([verb, flag, VALUES[flag]])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err and flag in err
+
+    @pytest.mark.parametrize("verb", sorted(READS))
+    def test_each_verb_accepts_what_it_reads(self, verb):
+        argv = [verb]
+        for flag in sorted(READS[verb] | {"--out"}):
+            argv += [flag, VALUES[flag]]
+        args = build_parser().parse_args(argv)
+        assert args.out == "-"
 
     @pytest.mark.parametrize("target", ["missing/x.csv", "."])
     def test_unwritable_out_exit_code(self, tmp_path, target):
@@ -269,7 +309,6 @@ class TestPlumbing:
     def test_shared_parser_matches_fresh_parser(self, capsys):
         # the parser is built once per process; no verb may leave state in
         # it that changes the output of the next call
-        from wkyber.cli import build_parser
         calls = [("codeword-error", "--trials", "500"),
                  ("exchange", "--trials", "2", "--params", "512"),
                  ("ber", "--grid", "0:4:2", "--trials", "200")]

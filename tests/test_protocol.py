@@ -5,15 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wkyber.core import (XofStream, centered, inner_product, intt,
-                         matvec_mul, noise_vectors, pack12,
+from wkyber.core import (XofStream, centered, gen_matrices, inner_product,
+                         intt, matvec_mul, noise_vectors, pack12,
                          poly_mul_schoolbook)
 from wkyber.modem import ChannelPlan
 from wkyber.params import KYBER768, N, Q, PARAM_SETS
 from wkyber.pke import Message, PublicKey, keygen, message_to_ring
-from wkyber.protocol import (KemSecretKey, SnrPolicy, WkCiphertext,
-                             kem_v1_decaps, kem_v1_encaps, kem_v1_keygen,
-                             run_sessions, v2_keygen, wk_decrypt, wk_encrypt)
+from wkyber.protocol import (WkCiphertext, kem_v1_decaps, kem_v1_encaps,
+                             kem_v1_keygen, run_sessions, session_plans,
+                             snr_warnings, v2_keygen, wk_decrypt, wk_encrypt)
 from wkyber.transport import coeff_error_dist, send_coeffs
 
 SEED = bytes(32)
@@ -26,63 +26,74 @@ def stream(label):
     return XofStream(b"\x11" * 32, label)
 
 
+def kem_pair(key_label, msg_label):
+    """A V1 key pair and an encapsulation to it, each a batch of one:
+    (keys, secrets s, zs, ciphertexts, shared secrets)."""
+    pks, s, zs = kem_v1_keygen([SEED], [stream(key_label)], P768)
+    bits = Message.random(stream(msg_label)).bits[None]
+    return (pks, s, zs, *kem_v1_encaps(pks, bits, P768))
+
+
 class TestV1Pke:
     def test_keygen_is_baseline(self):
-        pk1, ksk = kem_v1_keygen(SEED, stream(b"a"), P768)
+        (pk1,), s, _ = kem_v1_keygen([SEED], [stream(b"a")], P768)
         pk2, sk2 = keygen(SEED, stream(b"a"), P768)
-        assert pk1 == pk2 and ksk.sk == sk2
+        assert pk1 == pk2 and np.array_equal(s[0], sk2.s)
 
     def test_never_samples_ciphertext_noise(self):
         # u - A^T s' must vanish before transmission
         pk, sk = keygen(SEED, stream(b"b"), P768)
         m = Message.random(stream(b"m"))
         coins = b"\x22" * 32
-        c = wk_encrypt(pk, m, coins, P768)
+        (c,) = wk_encrypt([pk], m.bits[None], [coins], P768)
         sp = noise_vectors([coins], b"sp", P768.eta1, P768.k)[0]
-        a = intt(pk.matrix(P768))
+        a = intt(gen_matrices([pk.seed], P768)[0])
         for i in range(P768.k):
             u_i = sum(poly_mul_schoolbook(a[j, i], sp[j])
                       for j in range(P768.k)) % Q
-            assert np.array_equal(c.u[i], u_i)
+            assert np.array_equal(c[i], u_i)
 
-    def test_zero_sprime_zero_message(self):
-        from wkyber.protocol import _encrypt
+    def test_zero_sprime_zero_message(self, monkeypatch):
+        from wkyber import protocol
+        monkeypatch.setattr(protocol, "noise_vectors",
+                            lambda seeds, label, eta, k:
+                            np.zeros((len(seeds), k, N), dtype=np.int64))
         pk, _ = keygen(SEED, stream(b"c"), P768)
-        c = _encrypt([pk], np.zeros((1, N), dtype=np.int64),
-                     np.zeros((1, 3, N), dtype=np.int64), P768)
+        c = wk_encrypt([pk], np.zeros((1, N), dtype=np.int64), [bytes(32)],
+                       P768)
         assert c.shape == (1, 4, N) and not c.any()
 
     def test_deterministic(self):
         pk, _ = keygen(SEED, stream(b"d"), P768)
-        m = Message.random(stream(b"m2"))
-        assert wk_encrypt(pk, m, b"\x01" * 32, P768) == \
-            wk_encrypt(pk, m, b"\x01" * 32, P768)
+        bits = Message.random(stream(b"m2")).bits[None]
+        assert np.array_equal(wk_encrypt([pk], bits, [b"\x01" * 32], P768),
+                              wk_encrypt([pk], bits, [b"\x01" * 32], P768))
 
     def test_noiseless_roundtrip(self):
         pk, sk = keygen(SEED, stream(b"e"), P768)
         ms = stream(b"m3")
         for _ in range(5):
             m = Message.random(ms)
-            c = wk_encrypt(pk, m, ms.read(32), P768)
-            assert wk_decrypt(sk, c) == m
-            noise = centered(c.v - inner_product(sk.s, c.u)
+            c = wk_encrypt([pk], m.bits[None], [ms.read(32)], P768)
+            assert np.array_equal(wk_decrypt(sk.s[None], c), m.bits[None])
+            noise = centered(c[0, -1] - inner_product(sk.s, c[0, :-1])
                              - message_to_ring(m))
             assert np.abs(noise).max() < 832
 
     def test_injected_boundary_noise_flips_bit(self):
         # magnitude 832 = round(q/4) on an encoded 1 flips that bit
-        sk_zero = keygen(SEED, stream(b"f"), P768)[1]
-        sk_zero.s = np.zeros((3, N), dtype=np.int64)
-        coeffs = np.zeros((4, N), dtype=np.int64)
-        coeffs[3] = 1665
-        coeffs[3, 7] = (1665 + 832) % Q
-        out = wk_decrypt(sk_zero, WkCiphertext(coeffs))
-        assert out.bits[7] == 0
-        assert (np.delete(out.bits, 7) == 1).all()
+        coeffs = np.zeros((1, 4, N), dtype=np.int64)
+        coeffs[0, 3] = 1665
+        coeffs[0, 3, 7] = (1665 + 832) % Q
+        (bits,) = wk_decrypt(np.zeros((1, 3, N), dtype=np.int64), coeffs)
+        assert bits[7] == 0
+        assert (np.delete(bits, 7) == 1).all()
 
     def test_ciphertext_never_compressed(self):
         pk, _ = keygen(SEED, stream(b"g"), P768)
-        c = wk_encrypt(pk, Message(np.zeros(N)), b"\x03" * 32, P768)
+        (coeffs,) = wk_encrypt([pk], np.zeros((1, N), dtype=np.int64),
+                               [b"\x03" * 32], P768)
+        c = WkCiphertext(coeffs)
         assert len(c.to_bytes()) == 12 * (P768.k + 1) * N // 8
         rt = WkCiphertext.from_bytes(c.to_bytes(), P768)
         assert rt == c
@@ -121,11 +132,12 @@ class TestCiphertextDecoding:
 
 class TestV2Pke:
     def test_b_is_exactly_as(self):
-        pk, sk = v2_keygen(SEED, stream(b"h"), P768)
-        assert np.array_equal(pk.b, matvec_mul(pk.matrix(P768), sk.s))
+        (pk,), s = v2_keygen([SEED], [stream(b"h")], P768)
+        a_hat = gen_matrices([SEED], P768)[0]
+        assert np.array_equal(pk.b, matvec_mul(a_hat, s[0]))
 
     def test_zero_secret_gives_zero_b(self):
-        pk, sk = v2_keygen(SEED, io.BytesIO(bytes(4096)), P768)
+        (pk,), _ = v2_keygen([SEED], [io.BytesIO(bytes(4096))], P768)
         assert pk.b.shape == (3, N) and not pk.b.any()
 
     def test_received_b_offsets_match_channel_pmf(self):
@@ -135,7 +147,7 @@ class TestV2Pke:
         counts = np.zeros(7, dtype=np.int64)
         total = 0
         for i in range(40):
-            pk, sk = v2_keygen(SEED, stream(b"i" + bytes([i])), P768)
+            (pk,), _ = v2_keygen([SEED], [stream(b"i" + bytes([i]))], P768)
             sent = _send_pk(pk, ChannelPlan(10.0, -10.0), NoiseSource(1000 + i),
                             P768)
             (pk_rx,), fails = _receive_pks([sent], P768)
@@ -154,16 +166,15 @@ class TestV2Pke:
 
 class TestKem:
     def test_encaps_deterministic_given_message(self):
-        # two streams of equal seed give the same message
         pk, _ = keygen(SEED, stream(b"j"), P768)
-        c1, s1 = kem_v1_encaps(pk, stream(b"m4"), P768)
-        c2, s2 = kem_v1_encaps(pk, stream(b"m4"), P768)
-        assert c1 == c2 and s1 == s2
+        bits = Message.random(stream(b"m4")).bits[None]
+        c1, s1 = kem_v1_encaps([pk], bits, P768)
+        c2, s2 = kem_v1_encaps([pk], bits, P768)
+        assert np.array_equal(c1, c2) and s1 == s2
 
     def test_error_free_channel_matches(self):
-        pk, ksk = kem_v1_keygen(SEED, stream(b"k"), P768)
-        c, secret = kem_v1_encaps(pk, stream(b"m5"), P768)
-        assert kem_v1_decaps(ksk, pk, c, P768) == secret
+        pks, s, zs, c, secrets = kem_pair(b"k", b"m5")
+        assert kem_v1_decaps(s, zs, pks, c, P768) == secrets
 
     def test_honest_session_msb_policy(self):
         seeds = [3000 + i for i in range(10)]
@@ -178,49 +189,44 @@ class TestKem:
             "v1", P768, NOMINAL_PLANS, seeds, fo_policy="exact"))
 
     def test_tampered_protected_word_rejects(self):
-        pk, ksk = kem_v1_keygen(SEED, stream(b"l"), P768)
-        c, secret = kem_v1_encaps(pk, stream(b"m6"), P768)
-        tampered = c.coeffs.copy()
-        tampered[0, 100] = (tampered[0, 100] + 4 * 16) % Q  # w10 hit
-        c_bad = WkCiphertext(tampered)
-        out = kem_v1_decaps(ksk, pk, c_bad, P768)
-        assert out != secret
+        pks, s, zs, c, secrets = kem_pair(b"l", b"m6")
+        c_bad = c.copy()
+        c_bad[0, 0, 100] = (c_bad[0, 0, 100] + 4 * 16) % Q  # w10 hit
+        out = kem_v1_decaps(s, zs, pks, c_bad, P768)
+        assert out != secrets
         # implicit rejection is deterministic, silent and key-dependent
-        assert out == kem_v1_decaps(ksk, pk, c_bad, P768)
-        ksk2 = KemSecretKey(sk=ksk.sk, z=b"\x55" * 32)
-        assert kem_v1_decaps(ksk2, pk, c_bad, P768) != out
+        assert out == kem_v1_decaps(s, zs, pks, c_bad, P768)
+        assert kem_v1_decaps(s, [b"\x55" * 32], pks, c_bad, P768) != out
 
     def test_lsb_perturbation_accepted_by_msb_policy(self):
         # the channel rewrites w2 only: 4 * w10 + w2' mod q
-        pk, ksk = kem_v1_keygen(SEED, stream(b"n"), P768)
-        c, secret = kem_v1_encaps(pk, stream(b"m7"), P768)
-        perturbed = c.coeffs.copy()
-        perturbed[0, :64] = ((perturbed[0, :64] & ~3) + np.random.default_rng(0)
-                             .integers(0, 4, 64)) % Q
-        c_noisy = WkCiphertext(perturbed)
-        assert kem_v1_decaps(ksk, pk, c_noisy, P768) == secret
+        pks, s, zs, c, secrets = kem_pair(b"n", b"m7")
+        perturbed = c.copy()
+        perturbed[0, 0, :64] = ((perturbed[0, 0, :64] & ~3)
+                                + np.random.default_rng(0)
+                                .integers(0, 4, 64)) % Q
+        assert kem_v1_decaps(s, zs, pks, perturbed, P768) == secrets
 
     def test_carry_into_protected_word_rejects(self):
         # 4w + 3 -> 4(w + 1) is within 3 of the honest value but changes w10
-        pk, ksk = kem_v1_keygen(SEED, stream(b"n"), P768)
-        c, secret = kem_v1_encaps(pk, stream(b"m7"), P768)
-        bumped = c.coeffs.copy()
+        pks, s, zs, c, secrets = kem_pair(b"n", b"m7")
+        bumped = c.copy()
         idx = tuple(np.argwhere((bumped & 3) == 3)[0])
         bumped[idx] += 1
-        c_bad = WkCiphertext(bumped)
-        assert kem_v1_decaps(ksk, pk, c_bad, P768) != secret
+        assert kem_v1_decaps(s, zs, pks, bumped, P768) != secrets
 
     def test_public_key_q_wrap_accepted(self):
         # a stored b = q - 1 = 4 * 832 whose w2 bits rise by 1..3 reaches the
         # encapsulator as 0..2; both sides must still bind the same key
-        pk, ksk = kem_v1_keygen(SEED, stream(b"wrap4"), P768)
+        pks, s, zs = kem_v1_keygen([SEED], [stream(b"wrap4")], P768)
+        (pk,) = pks
         assert pk.b[2, 185] == Q - 1
+        bits = Message.random(stream(b"m8")).bits[None]
         for rise in (1, 2, 3):
             b_rx = pk.b.copy()
             b_rx[2, 185] = (Q - 1 + rise) % Q
-            c, secret = kem_v1_encaps(PublicKey(pk.seed, b_rx),
-                                      stream(b"m8"), P768)
-            assert kem_v1_decaps(ksk, pk, c, P768) == secret
+            c, secrets = kem_v1_encaps([PublicKey(pk.seed, b_rx)], bits, P768)
+            assert kem_v1_decaps(s, zs, pks, c, P768) == secrets
 
     def test_msb_policy_allows_only_the_q_wrap(self):
         from wkyber.protocol import _coeffs_match
@@ -253,11 +259,20 @@ class TestSessions:
         assert not tr.policy_warnings
 
     def test_policy_boundaries(self):
-        pol = SnrPolicy()
-        assert not pol.violations(ChannelPlan(10.0, -10.0), "x")
-        assert not pol.violations(ChannelPlan(10.0, -5.0), "x")
-        assert pol.violations(ChannelPlan(9.9, -10.0), "x")
-        assert pol.violations(ChannelPlan(10.0, -4.9), "x")
+        assert not snr_warnings(ChannelPlan(10.0, -10.0), "x")
+        assert not snr_warnings(ChannelPlan(10.0, -5.0), "x")
+        assert snr_warnings(ChannelPlan(9.9, -10.0), "x") == [
+            "x: MSB-path SNR 9.9 dB below 10 dB; decode failures not "
+            "negligible"]
+        assert snr_warnings(ChannelPlan(10.0, -4.9), "x") == [
+            "x: LSB-path SNR -4.9 dB above -5 dB; injected error too narrow"]
+
+    def test_session_plans(self):
+        # v1's key travels with both paths protected, v2's as the ciphertext
+        assert session_plans("v1", 6.0, -10.0) == (ChannelPlan(6.0, 6.0),
+                                                   ChannelPlan(6.0, -10.0))
+        assert session_plans("v2", 6.0, -10.0) == (ChannelPlan(6.0, -10.0),
+                                                   ChannelPlan(6.0, -10.0))
 
     def test_offsets_collection(self):
         tr = run_sessions("v1", P768, NOMINAL_PLANS, [7],
@@ -293,9 +308,7 @@ class TestBatches:
                                                   params, first, cuts):
         # at 0 and 3 dB seed blocks and b fail to decode and sessions
         # mismatch; each transcript must depend on its seed alone
-        ct_plan = ChannelPlan(snr_db, -10.0)
-        plans = ((ChannelPlan(snr_db, snr_db) if version == "v1" else ct_plan),
-                 ct_plan)
+        plans = session_plans(version, snr_db, -10.0)
         seeds = [first + i for i in range(sum(cuts))]
         whole = run_sessions(version, params, plans, seeds,
                              collect_offsets=True)
@@ -310,6 +323,52 @@ class TestBatches:
             assert any(tr.bch_failures_pk for tr in whole)
 
 
+class TestBatchIndependence:
+    @given(params=st.sampled_from(list(PARAM_SETS.values())),
+           sessions=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1),
+           data=st.data())
+    @settings(max_examples=12, deadline=None)
+    def test_batch_equals_one_session_calls(self, params, sessions, seed,
+                                            data):
+        # B sessions in one call give what B one-session calls give; one
+        # session's received ciphertext has a protected word hit, and only
+        # that session falls back to implicit rejection
+        def streams():
+            return [stream(seed.to_bytes(4, "little") + bytes([i]))
+                    for i in range(sessions)]
+        seeds_a = [bytes([i]) * 32 for i in range(sessions)]
+        rng = np.random.default_rng(seed)
+        bits = rng.integers(0, 2, (sessions, N))
+        coins = [rng.bytes(32) for _ in range(sessions)]
+        bad = data.draw(st.integers(0, sessions - 1), label="bad session")
+        row = data.draw(st.integers(0, params.k), label="row")
+        col = data.draw(st.integers(0, N - 1), label="column")
+
+        pks, s, zs = kem_v1_keygen(seeds_a, streams(), params)
+        c, secrets = kem_v1_encaps(pks, bits, params)
+        received = c.copy()
+        # + 4 changes w10 = c >> 2, and q - 1 + 4 wraps to 3, not to 0..2
+        received[bad, row, col] = (received[bad, row, col] + 4) % Q
+        decapsulated = kem_v1_decaps(s, zs, pks, received, params)
+        ct = wk_encrypt(pks, bits, coins, params)
+        decrypted = wk_decrypt(s, ct)
+        for i, key_rng in enumerate(streams()):
+            one = slice(i, i + 1)
+            pk_i, s_i, z_i = kem_v1_keygen(seeds_a[one], [key_rng], params)
+            assert pk_i == pks[one] and np.array_equal(s_i, s[one])
+            assert z_i == zs[one]
+            c_i, secret_i = kem_v1_encaps(pks[one], bits[one], params)
+            assert np.array_equal(c_i, c[one]) and secret_i == secrets[one]
+            assert kem_v1_decaps(s[one], zs[one], pks[one], received[one],
+                                 params) == decapsulated[one]
+            assert np.array_equal(wk_encrypt(pks[one], bits[one], coins[one],
+                                             params), ct[one])
+            assert np.array_equal(wk_decrypt(s[one], ct[one]), decrypted[one])
+        assert [a == b for a, b in zip(decapsulated, secrets)] == \
+            [i != bad for i in range(sessions)]
+        assert np.array_equal(decrypted, bits)
+
+
 class TestNoiseAccounting:
     def test_v2_noise_matches_convolution_engine(self):
         """End-to-end per-coefficient decryption noise vs the analytic law."""
@@ -320,16 +379,14 @@ class TestNoiseAccounting:
         observed = []
         for i in range(60):
             kg = stream(b"ks" + bytes([i]))
-            pk, sk = v2_keygen(SEED, kg, P768)
+            (pk,), s = v2_keygen([SEED], [kg], P768)
             sent = _send_pk(pk, ChannelPlan(10, -10), NoiseSource(7000 + i), P768)
-            (pk_rx,), _ = _receive_pks([sent], P768)
+            pks_rx, _ = _receive_pks([sent], P768)
             m = Message.random(kg)
-            c = wk_encrypt(pk_rx, m, kg.read(32), P768)
-            frame = send_coeffs(c.coeffs, ChannelPlan(10, -10),
-                                NoiseSource(8000 + i))
-            c_rx, _ = _receive_cts([frame], P768)
-            c = WkCiphertext(c_rx[0])
-            observed.append(centered(c.v - inner_product(sk.s, c.u)
+            (c,) = wk_encrypt(pks_rx, m.bits[None], [kg.read(32)], P768)
+            frame = send_coeffs(c, ChannelPlan(10, -10), NoiseSource(8000 + i))
+            (c_rx,), _ = _receive_cts([frame], P768)
+            observed.append(centered(c_rx[-1] - inner_product(s[0], c_rx[:-1])
                                      - message_to_ring(m)))
         observed = np.concatenate(observed)
 
