@@ -5,6 +5,7 @@ transform schedule must leave every key, ciphertext and channel offset
 byte-identical.  Each case hashes the serialised public and secret keys,
 the clean ciphertext and the session's ciphertext offsets at a 6 / -10 dB
 plan (the public key of v1 travels at 6 / 6 dB, as in ``wkyber exchange``).
+The baseline scheme is pinned by its key pair and compressed ciphertext.
 The CSVs of the analysis verbs that print the channel law are pinned the
 same way, so a change of its representation must leave them byte-identical.
 """
@@ -18,7 +19,7 @@ from wkyber.cli import main
 from wkyber.core import XofStream, pack12
 from wkyber.modem import ChannelPlan
 from wkyber.params import PARAM_SETS
-from wkyber.pke import Message
+from wkyber.pke import Message, decrypt, encrypt, keygen
 from wkyber.protocol import (kem_v1_encaps, kem_v1_keygen, run_sessions,
                              v2_keygen, wk_encrypt)
 
@@ -66,6 +67,28 @@ PINNED = {
     },
 }
 
+# parameter set -> sha256 of the baseline pk, sk and compressed u and v
+PINNED_BASELINE = {
+    512: {
+        "pk": "0b30366c8e5f801c2b59e2e61b06a3deb8d84d195cf5a436c325458a3001db9d",
+        "sk": "22d8fc0337a9cf0c13cb438afa3c63e7030107fc8db1776377c081ed53d74867",
+        "u_c": "6be45bd9de71d9cd74422f41839e343d3ac25ebcddd7b2d1642d0c0628165995",
+        "v_c": "002a58bcd0ff1785647bd33ea00dc716f9b80c69d75a4006701a43dc0399f02b",
+    },
+    768: {
+        "pk": "3f0ff7f42ca8e6a554121b8a53a2c1e0e949b27052a62bbc266a0b269b718fab",
+        "sk": "7a2849eb5f3e0d52c3682a1c6d4bf6eb418960db12aa61a0e5f052bb388d5d82",
+        "u_c": "f3d9d858a6dc8abe968c5a0c36557e175cec0d6cbee9d54946696ffb3849fe3f",
+        "v_c": "282ecfbbd64bc6ff36cd54203229a0f8505714e87aa049ccb2d15fc494a47c0a",
+    },
+    1024: {
+        "pk": "3c3f48b8638a83d76704cde23f01f36cf8bd582d1aeb4c0b78255454c6435206",
+        "sk": "470707d634d7abfcee401514f8f6fc57d22562d4a36b4abe631ccea408e8c48f",
+        "u_c": "a3c670ee84fae32e93a92aef780e18363a0ce429ba8cdecb136f68f68b0eb880",
+        "v_c": "295b9bf038acedb8dae44a055a40a2ed06a1e8dc1b91ed482ba3041cffca7c25",
+    },
+}
+
 # CLI arguments -> sha256 of the CSV written to stdout
 PINNED_CSV = {
     ("coeff-dist", "--snr-lsb", "-13"):
@@ -100,14 +123,32 @@ def outputs(version: str, bits: int) -> dict:
             "offsets": sha(offsets.astype("<i8").tobytes())}
 
 
+def baseline_outputs(bits: int) -> dict:
+    params = PARAM_SETS[bits]
+    rng = XofStream(bytes([bits & 0xFF]) * 32, b"baseline-pin")
+    pk, sk = keygen(rng.read(32), rng, params)
+    m = Message.random(rng)
+    ct = encrypt(pk, m, rng.read(32), params)
+    assert decrypt(sk, ct, params) == m
+    return {"pk": sha(pk.to_bytes()), "sk": sha(pack12(sk.s)),
+            "u_c": sha(ct.u_c.astype("<i8").tobytes()),
+            "v_c": sha(ct.v_c.astype("<i8").tobytes())}
+
+
 @pytest.mark.parametrize("version, bits", sorted(PINNED))
 def test_outputs_unchanged(version, bits):
     assert outputs(version, bits) == PINNED[(version, bits)]
 
 
+@pytest.mark.parametrize("bits", sorted(PINNED_BASELINE))
+def test_baseline_outputs_unchanged(bits):
+    assert baseline_outputs(bits) == PINNED_BASELINE[bits]
+
+
 def test_every_case_pinned():
     assert sorted(PINNED) == [(v, b) for v in ("v1", "v2")
                               for b in (512, 768, 1024)]
+    assert sorted(PINNED_BASELINE) == [512, 768, 1024]
 
 
 def test_offsets_not_trivial():
