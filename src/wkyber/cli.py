@@ -18,14 +18,15 @@ import tempfile
 import numpy as np
 
 from .bch import codeword_error_prob
-from .modem import (NoiseSource, ber_4qam, demodulate_symbols, modulate_words,
+from .modem import (NoiseSource, demodulate_symbols, modulate_words,
                     snr_db_to_linear, transmit)
 from .params import get_params
 from .protocol import run_sessions, session_plans
 from .reliability import (PrecisionLossError, failure_prob_rows,
                           ker_monte_carlo, sigma_vs_snr)
 from .dist import IntDist
-from .transport import coeff_error_dist, receive_blocks, send_blocks
+from .transport import (bit_error_prob, coeff_error_dist, receive_blocks,
+                        send_blocks)
 
 MAX_GRID_POINTS = 10_000
 
@@ -125,7 +126,7 @@ def _emit(rows, header, out_path):
 def cmd_ber(args):
     rows = []
     for point, snr in enumerate(args.grid):
-        analytic = ber_4qam(snr_db_to_linear(snr))
+        analytic = bit_error_prob(snr)
         bits = max(2, args.trials)
         nwords = (bits + 1) // 2
         noise = NoiseSource(args.seed * 7919 + point)
@@ -147,8 +148,7 @@ def cmd_coeff_dist(args):
 def cmd_codeword_error(args):
     rows = []
     for point, snr in enumerate(args.grid):
-        p_b = ber_4qam(snr_db_to_linear(snr))
-        analytic = codeword_error_prob(p_b)
+        analytic = codeword_error_prob(bit_error_prob(snr))
         noise = NoiseSource(args.seed * 31337 + point)
         rng = np.random.default_rng(args.seed + point)
         msgs = rng.integers(0, 1 << 10, args.trials)  # 10-bit payloads

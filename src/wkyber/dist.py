@@ -38,6 +38,8 @@ class IntDist:
         self.masses = np.array(masses, dtype=np.float64).ravel()
         if not self.masses.size:
             raise ValueError("empty distribution")
+        if not np.isfinite(self.masses).all():
+            raise ValueError("non-finite mass")
         if (self.masses < 0).any():
             raise ValueError("negative mass")
 

@@ -1,8 +1,10 @@
-"""Baseline module-LWE public-key encryption (keygen / encrypt / decrypt).
+"""Module-LWE public-key encryption: one batched core for all three schemes.
 
-This is the reference scheme with binomially sampled errors and compressed
-ciphertexts; the wireless variants in :mod:`wkyber.protocol` reuse its key
-generation and drop the sampled ciphertext noise.
+The wireless encryption wk_encrypt / wk_decrypt (V1 and V2, see
+:mod:`wkyber.protocol`) sends u = A^T s', v = b^T s' + mhat uncompressed and
+lets the channel supply the noise.  The baseline scheme is the same core
+plus binomially sampled e' and e'' and d_u / d_v compression; all three
+share keygen, whose with_error=False form is V2's b = A s.
 """
 
 from __future__ import annotations
@@ -15,32 +17,6 @@ from .core import (cbd_vectors, check_canonical, check_seed, compress,
                    decompress, encrypt_products, gen_matrices, inner_product,
                    matvec_mul, noise_vectors, pack12, unpack12)
 from .params import N, Q, ParamSet
-
-
-class Message:
-    """A 256-bit plaintext."""
-
-    __slots__ = ("bits",)
-
-    def __init__(self, bits):
-        arr = np.asarray(bits, dtype=np.int64)
-        if arr.shape != (N,) or not ((arr == 0) | (arr == 1)).all():
-            raise ValueError("message must be 256 binary values")
-        self.bits = arr
-
-    @classmethod
-    def random(cls, stream) -> "Message":
-        raw = np.frombuffer(stream.read(N // 8), dtype=np.uint8)
-        return cls(np.unpackbits(raw, bitorder="little"))
-
-    def to_bytes(self) -> bytes:
-        return np.packbits(self.bits.astype(np.uint8), bitorder="little").tobytes()
-
-    def __eq__(self, other):
-        return isinstance(other, Message) and np.array_equal(self.bits, other.bits)
-
-    def __repr__(self):
-        return f"Message({self.to_bytes().hex()})"
 
 
 class PublicKey:
@@ -82,29 +58,22 @@ class SecretKey:
         return isinstance(other, SecretKey) and np.array_equal(self.s, other.s)
 
 
-@dataclass
-class CompressedCiphertext:
-    """Ciphertext with d_u / d_v bit coefficients (baseline scheme only)."""
-
-    u_c: np.ndarray  # (k, 256) integers in [0, 2^du)
-    v_c: np.ndarray  # 256 integers in [0, 2^dv)
-
-    def __eq__(self, other):
-        return (isinstance(other, CompressedCiphertext)
-                and np.array_equal(self.u_c, other.u_c)
-                and np.array_equal(self.v_c, other.v_c))
+# ---------------------------------------------------------------------------
+# B sessions at a time: keys are lists, secrets (B, k, 256), message bits
+# (B, 256), uncompressed ciphertexts (B, k + 1, 256) coefficients
 
 
-def keygen(seed_a: bytes, rng, params: ParamSet):
-    """b = A s + e with s, e drawn from the eta1 binomial; pk carries the seed."""
-    (pk,), s = keygen_batch([seed_a], [rng], params)
-    return pk, SecretKey(s[0])
+def random_bits(rngs) -> np.ndarray:
+    """(B, 256) message bits, from 32 bytes of each rng."""
+    raw = np.frombuffer(b"".join(rng.read(N // 8) for rng in rngs),
+                        dtype=np.uint8)
+    return np.unpackbits(raw, bitorder="little").reshape(-1, N).astype(np.int64)
 
 
-def keygen_batch(seeds_a, rngs, params: ParamSet, with_error: bool = True):
-    """B key pairs at once: b = A s + e, or b = A s without the error.  One
-    read of each rng supplies s and then e; the ring work runs on (B, k, 256)
-    arrays.  Returns (public keys, (B, k, 256) secrets)."""
+def keygen(seeds_a, rngs, params: ParamSet, with_error: bool = True):
+    """b = A s + e, or b = A s without the error, with s and e drawn from
+    the eta1 binomial by one read of each rng.  Returns (public keys,
+    secrets)."""
     k, eta = params.k, params.eta1
     count = 2 if with_error else 1
     noise = cbd_vectors(b"".join(rng.read(64 * eta * k * count)
@@ -116,41 +85,36 @@ def keygen_batch(seeds_a, rngs, params: ParamSet, with_error: bool = True):
     return [PublicKey(seed, b_i) for seed, b_i in zip(seeds_a, b)], s
 
 
-def message_to_ring(m: Message) -> np.ndarray:
-    """Per-bit decompress(bit, 1): 0 -> 0, 1 -> 1665."""
-    return decompress(m.bits, 1)
+def wk_encrypt(pks, bits: np.ndarray, coins, params: ParamSet) -> np.ndarray:
+    """u = A^T s', v = b^T s' + mhat, with s' expanded from each session's
+    32-byte coins; no e' or e'' is ever sampled."""
+    sp = noise_vectors(coins, b"sp", params.eta1, params.k)
+    a_hat = gen_matrices([pk.seed for pk in pks], params)
+    uv = encrypt_products(a_hat, np.stack([pk.b for pk in pks]), sp)
+    uv[:, -1] = (uv[:, -1] + decompress(bits, 1)) % Q
+    return uv
 
 
-def _expand_coins(coins: bytes, params: ParamSet):
-    return (noise_vectors([coins], b"sp", params.eta1, params.k)[0],
-            noise_vectors([coins], b"ep", params.eta2, params.k)[0],
-            noise_vectors([coins], b"epp", params.eta2, 1)[0, 0])
+def wk_decrypt(s: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Per-coefficient compress(v - s^T u, 1): the message bits."""
+    u, v = coeffs[..., :-1, :], coeffs[..., -1, :]
+    return compress((v - inner_product(s, u)) % Q, 1)
 
 
-def encrypt_with_noise(pk: PublicKey, m: Message, sp: np.ndarray,
-                       ep: np.ndarray, epp: np.ndarray,
-                       params: ParamSet) -> CompressedCiphertext:
-    """Encryption core with the noise terms supplied by the caller."""
-    uv = encrypt_products(gen_matrices([pk.seed], params)[0], pk.b, sp)
-    u = (uv[:-1] + ep) % Q
-    v = (uv[-1] + epp + message_to_ring(m)) % Q
-    return CompressedCiphertext(u_c=compress(u, params.du),
-                                v_c=compress(v, params.dv))
+def encrypt(pks, bits: np.ndarray, coins, params: ParamSet):
+    """The baseline: wk_encrypt plus e' and e'' expanded from the same coins,
+    then compressed.  Returns (u_c, v_c): (B, k, 256) d_u-bit and (B, 256)
+    d_v-bit coefficients."""
+    uv = wk_encrypt(pks, bits, coins, params)
+    uv[:, :-1] += noise_vectors(coins, b"ep", params.eta2, params.k)
+    uv[:, -1] += noise_vectors(coins, b"epp", params.eta2, 1)[:, 0]
+    uv %= Q
+    return compress(uv[:, :-1], params.du), compress(uv[:, -1], params.dv)
 
 
-def encrypt(pk: PublicKey, m: Message, coins: bytes,
-            params: ParamSet) -> CompressedCiphertext:
-    """u = A^T s' + e', v = b^T s' + e'' + mhat, both compressed.
-
-    Deterministic: s', e', e'' are expanded from the 32-byte coins.
-    """
-    sp, ep, epp = _expand_coins(coins, params)
-    return encrypt_with_noise(pk, m, sp, ep, epp, params)
-
-
-def decrypt(sk: SecretKey, ct: CompressedCiphertext, params: ParamSet) -> Message:
-    """Recover each bit as compress(v - s^T u, 1) on the decompressed
-    ciphertext."""
-    u = decompress(ct.u_c, params.du)
-    v = decompress(ct.v_c, params.dv)
-    return Message(compress((v - inner_product(sk.s, u)) % Q, 1))
+def decrypt(s: np.ndarray, u_c: np.ndarray, v_c: np.ndarray,
+            params: ParamSet) -> np.ndarray:
+    """wk_decrypt of the decompressed ciphertext: (B, 256) message bits."""
+    return wk_decrypt(s, np.concatenate((decompress(u_c, params.du),
+                                         decompress(v_c, params.dv)[:, None]),
+                                        axis=1))

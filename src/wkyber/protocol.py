@@ -33,12 +33,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (XofStream, centered, check_canonical, compress, decompress,
-                   encrypt_products, gen_matrices, inner_product,
-                   noise_vectors, pack12, squeeze, unpack12)
+from .core import XofStream, centered, check_canonical, pack12, squeeze, unpack12
 from .modem import ChannelPlan, NoiseSource
 from .params import N, Q, ParamSet
-from .pke import Message, PublicKey, keygen_batch
+from .pke import PublicKey, keygen, random_bits, wk_decrypt, wk_encrypt
 from .transport import join_coeffs, receive_blocks, send_blocks, send_coeffs
 
 # sessions stacked in one array pass of run_sessions; transcripts do not
@@ -111,30 +109,13 @@ def session_plans(version: str, snr_msb_db: float, snr_lsb_db: float):
 
 
 # ---------------------------------------------------------------------------
-# V1 / V2 PKE, B sessions at a time: keys are lists, secrets (B, k, 256),
-# message bits (B, 256), ciphertexts (B, k + 1, 256) coefficients
+# V2 key generation; V1 and V2 encrypt with pke.wk_encrypt / wk_decrypt
 
 
 def v2_keygen(seeds_a, rngs, params: ParamSet):
     """b = A s with no sampled error; the channel adds it in transit.
     Returns (public keys, secrets)."""
-    return keygen_batch(seeds_a, rngs, params, with_error=False)
-
-
-def wk_encrypt(pks, bits: np.ndarray, coins, params: ParamSet) -> np.ndarray:
-    """u = A^T s', v = b^T s' + mhat, with s' expanded from each session's
-    32-byte coins; no e' or e'' is ever sampled."""
-    sp = noise_vectors(coins, b"sp", params.eta1, params.k)
-    a_hat = gen_matrices([pk.seed for pk in pks], params)
-    uv = encrypt_products(a_hat, np.stack([pk.b for pk in pks]), sp)
-    uv[:, -1] = (uv[:, -1] + decompress(bits, 1)) % Q
-    return uv
-
-
-def wk_decrypt(s: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """Per-coefficient compress(v - s^T u, 1): the message bits."""
-    u, v = coeffs[..., :-1, :], coeffs[..., -1, :]
-    return compress((v - inner_product(s, u)) % Q, 1)
+    return keygen(seeds_a, rngs, params, with_error=False)
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +126,7 @@ def kem_v1_keygen(seeds_a, rngs, params: ParamSet):
     """The baseline key generation (binomial e retained), then each rng's
     32-byte implicit-rejection secret z.  Returns (public keys, secrets,
     zs)."""
-    pks, s = keygen_batch(seeds_a, rngs, params)
+    pks, s = keygen(seeds_a, rngs, params)
     return pks, s, [rng.read(32) for rng in rngs]
 
 
@@ -320,7 +301,7 @@ def _run_batch(version, params, plans, seeds, fo_policy, collect_offsets,
         pks, sks = v2_keygen(seeds_a, key_rngs, params)
     pks_rx, pk_fail = _receive_pks([_send_pk(pk, pk_plan, noise, params)
                                     for pk, noise in zip(pks, noise_a)], params)
-    bits = np.stack([Message.random(rng).bits for rng in msg_rngs])
+    bits = random_bits(msg_rngs)
     if version == "v1":
         c_clean, secrets_b = kem_v1_encaps(pks_rx, bits, params)
     else:

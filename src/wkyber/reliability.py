@@ -60,7 +60,7 @@ class ErrorModel:
     def validate(self):
         for name in ("secret_dist", "pk_error_dist", "ct_error_dist", "e_dd_dist"):
             dist = getattr(self, name)
-            if dist.mass_defect() > 1e-9:
+            if not dist.mass_defect() <= 1e-9:
                 raise ValueError(f"{name} is not normalised")
         if self.compression is not None:
             du, dv = self.compression

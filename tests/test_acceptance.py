@@ -17,7 +17,7 @@ from wkyber.core import XofStream
 from wkyber.modem import (ChannelPlan, NoiseSource, ber_4qam, demodulate_symbols,
                           modulate_words, snr_db_to_linear, transmit)
 from wkyber.params import PARAM_SETS
-from wkyber.pke import Message, decrypt, encrypt, keygen
+from wkyber.pke import decrypt, encrypt, keygen, random_bits
 from wkyber.reliability import failure_prob_rows, ker_monte_carlo, sigma_vs_snr
 from wkyber.transport import (channel_error_pmf, coeff_error_dist, dist_stddev,
                               receive_blocks, send_blocks)
@@ -196,10 +196,10 @@ def test_criterion_09_baseline_pke():
         ms = XofStream(b"\x09" * 32, b"acc9-m" + params.name.encode())
         failures = 0
         for _ in range(1000):
-            pk, sk = keygen(ms.read(32), kg, params)
-            m = Message.random(ms)
-            ct = encrypt(pk, m, ms.read(32), params)
-            if decrypt(sk, ct, params) != m:
+            pks, s = keygen([ms.read(32)], [kg], params)
+            bits = random_bits([ms])
+            u_c, v_c = encrypt(pks, bits, [ms.read(32)], params)
+            if not np.array_equal(decrypt(s, u_c, v_c, params), bits):
                 failures += 1
         assert failures == 0, params.name
 

@@ -19,7 +19,7 @@ from wkyber.cli import main
 from wkyber.core import XofStream, pack12
 from wkyber.modem import ChannelPlan
 from wkyber.params import PARAM_SETS
-from wkyber.pke import Message, decrypt, encrypt, keygen
+from wkyber.pke import decrypt, encrypt, keygen, random_bits
 from wkyber.protocol import (kem_v1_encaps, kem_v1_keygen, run_sessions,
                              v2_keygen, wk_encrypt)
 
@@ -110,11 +110,10 @@ def outputs(version: str, bits: int) -> dict:
     seed_a = rng.read(32)
     if version == "v1":
         (pk,), s, _ = kem_v1_keygen([seed_a], [rng], params)
-        ct, _ = kem_v1_encaps([pk], Message.random(rng).bits[None], params)
+        ct, _ = kem_v1_encaps([pk], random_bits([rng]), params)
     else:
         (pk,), s = v2_keygen([seed_a], [rng], params)
-        ct = wk_encrypt([pk], Message.random(rng).bits[None], [rng.read(32)],
-                        params)
+        ct = wk_encrypt([pk], random_bits([rng]), [rng.read(32)], params)
     offsets = run_sessions(version, params, PLANS[version], [SESSION_SEED],
                            collect_offsets=True)[0].ct_error_offsets
     assert offsets.shape == ((params.k + 1) * 256,)
@@ -126,13 +125,13 @@ def outputs(version: str, bits: int) -> dict:
 def baseline_outputs(bits: int) -> dict:
     params = PARAM_SETS[bits]
     rng = XofStream(bytes([bits & 0xFF]) * 32, b"baseline-pin")
-    pk, sk = keygen(rng.read(32), rng, params)
-    m = Message.random(rng)
-    ct = encrypt(pk, m, rng.read(32), params)
-    assert decrypt(sk, ct, params) == m
-    return {"pk": sha(pk.to_bytes()), "sk": sha(pack12(sk.s)),
-            "u_c": sha(ct.u_c.astype("<i8").tobytes()),
-            "v_c": sha(ct.v_c.astype("<i8").tobytes())}
+    (pk,), s = keygen([rng.read(32)], [rng], params)
+    msg = random_bits([rng])
+    u_c, v_c = encrypt([pk], msg, [rng.read(32)], params)
+    assert np.array_equal(decrypt(s, u_c, v_c, params), msg)
+    return {"pk": sha(pk.to_bytes()), "sk": sha(pack12(s[0])),
+            "u_c": sha(u_c[0].astype("<i8").tobytes()),
+            "v_c": sha(v_c[0].astype("<i8").tobytes())}
 
 
 @pytest.mark.parametrize("version, bits", sorted(PINNED))

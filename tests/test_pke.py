@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wkyber.core import (XofStream, centered, decompress, gen_matrices,
-                         inner_product, matvec_mul, pack12)
+from wkyber.core import (XofStream, centered, compress, decompress,
+                         gen_matrices, inner_product, matvec_mul, pack12)
 from wkyber.params import KYBER768, N, Q, PARAM_SETS
-from wkyber.pke import (CompressedCiphertext, Message, PublicKey, SecretKey,
-                        decrypt, encrypt, keygen, message_to_ring)
+from wkyber.pke import (PublicKey, SecretKey, decrypt, encrypt, keygen,
+                        random_bits, wk_encrypt)
 
 SEED = bytes(32)
 
@@ -18,94 +18,103 @@ def stream(label):
     return XofStream(b"\xab" * 32, label)
 
 
+def key_pair(rng, params=KYBER768, seed_a=SEED):
+    """One baseline key pair, as (public key, (k, 256) secret)."""
+    (pk,), s = keygen([seed_a], [rng], params)
+    return pk, s[0]
+
+
 class TestMessage:
     def test_roundtrip_bytes(self):
-        m = Message.random(stream(b"m"))
-        assert Message(np.unpackbits(np.frombuffer(m.to_bytes(), np.uint8),
-                                     bitorder="little")) == m
+        # the 32 bytes of each stream, little-endian bit order
+        (bits,) = random_bits([stream(b"m")])
+        assert bits.shape == (N,) and bits.dtype == np.int64
+        packed = np.packbits(bits.astype(np.uint8), bitorder="little")
+        assert packed.tobytes() == stream(b"m").read(32)
 
     def test_rejects_non_binary(self):
+        pk, _ = key_pair(stream(b"kgm"))
         with pytest.raises(ValueError):
-            Message(np.full(N, 2))
+            wk_encrypt([pk], np.full((1, N), 2), [bytes(32)], KYBER768)
 
     def test_mhat_values(self):
-        m = Message.random(stream(b"m2"))
-        mhat = message_to_ring(m)
+        mhat = decompress(random_bits([stream(b"m2")]), 1)
         assert set(np.unique(mhat)) <= {0, 1665}
 
 
 class TestKeygen:
     def test_zero_noise_gives_zero_b(self):
         # forced s = 0, e = 0 via an all-zero sampling stream
-        pk, sk = keygen(SEED, io.BytesIO(bytes(10_000)), KYBER768)
-        assert pk.b.shape == sk.s.shape == (3, N)
-        assert not pk.b.any() and not sk.s.any()
+        pk, s = key_pair(io.BytesIO(bytes(10_000)))
+        assert pk.b.shape == s.shape == (3, N)
+        assert not pk.b.any() and not s.any()
 
     def test_deterministic(self):
-        pk1, sk1 = keygen(SEED, stream(b"kg"), KYBER768)
-        pk2, sk2 = keygen(SEED, stream(b"kg"), KYBER768)
-        assert pk1 == pk2 and sk1 == sk2
+        pk1, s1 = key_pair(stream(b"kg"))
+        pk2, s2 = key_pair(stream(b"kg"))
+        assert pk1 == pk2 and np.array_equal(s1, s2)
 
     @pytest.mark.parametrize("params", PARAM_SETS.values(), ids=lambda p: p.name)
     def test_b_minus_as_in_cbd_range(self, params):
-        pk, sk = keygen(SEED, stream(b"kg3"), params)
-        a_s = matvec_mul(gen_matrices([pk.seed], params)[0], sk.s)
+        pk, s = key_pair(stream(b"kg3"), params)
+        a_s = matvec_mul(gen_matrices([pk.seed], params)[0], s)
         e = (pk.b - a_s) % Q
         assert ((e <= params.eta1) | (e >= Q - params.eta1)).all()
 
 
 class TestEncryptDecrypt:
-    def test_forced_zero_noise_gives_zero_ciphertext(self):
-        from wkyber.pke import encrypt_with_noise
-        pk, _ = keygen(SEED, stream(b"kgz"), KYBER768)
-        zero = np.zeros((3, N), dtype=np.int64)
-        ct = encrypt_with_noise(pk, Message(np.zeros(N)), zero, zero, zero[0],
-                                KYBER768)
-        assert all((uc == 0).all() for uc in ct.u_c)
-        assert (ct.v_c == 0).all()
+    def test_forced_zero_noise_gives_zero_ciphertext(self, monkeypatch):
+        from wkyber import pke
+        monkeypatch.setattr(pke, "noise_vectors",
+                            lambda seeds, label, eta, k:
+                            np.zeros((len(seeds), k, N), dtype=np.int64))
+        pk, _ = key_pair(stream(b"kgz"))
+        u_c, v_c = encrypt([pk], np.zeros((1, N), dtype=np.int64),
+                           [bytes(32)], KYBER768)
+        assert u_c.shape == (1, 3, N) and v_c.shape == (1, N)
+        assert not u_c.any() and not v_c.any()
 
     def test_noise_free_construction_decrypts_exactly(self):
         # no error terms and no compression loss on v=mhat: decrypt is exact
-        sk = SecretKey(np.zeros((3, N), dtype=np.int64))
-        m = Message.random(stream(b"nf"))
-        ct = CompressedCiphertext(
-            u_c=np.zeros((3, N), dtype=np.int64),
-            v_c=np.array([0 if b == 0 else (1 << KYBER768.dv) // 2
-                          for b in m.bits], dtype=np.int64))
-        assert decrypt(sk, ct, KYBER768) == m
+        s = np.zeros((1, 3, N), dtype=np.int64)
+        bits = random_bits([stream(b"nf")])
+        u_c = np.zeros((1, 3, N), dtype=np.int64)
+        v_c = bits * ((1 << KYBER768.dv) // 2)
+        assert np.array_equal(decrypt(s, u_c, v_c, KYBER768), bits)
 
     def test_deterministic(self):
-        pk, _ = keygen(SEED, stream(b"kg4"), KYBER768)
-        m = Message.random(stream(b"m4"))
-        assert encrypt(pk, m, b"c" * 32, KYBER768) == encrypt(pk, m, b"c" * 32, KYBER768)
+        pk, _ = key_pair(stream(b"kg4"))
+        bits = random_bits([stream(b"m4")])
+        first = encrypt([pk], bits, [b"c" * 32], KYBER768)
+        second = encrypt([pk], bits, [b"c" * 32], KYBER768)
+        assert all(np.array_equal(a, b) for a, b in zip(first, second))
 
     @pytest.mark.parametrize("params", PARAM_SETS.values(), ids=lambda p: p.name)
     def test_roundtrips(self, params):
         kg = stream(b"kg5" + params.name.encode())
         ms = stream(b"m5")
         for i in range(30):
-            pk, sk = keygen(SEED, kg, params)
-            m = Message.random(ms)
-            ct = encrypt(pk, m, ms.read(32), params)
-            assert decrypt(sk, ct, params) == m
+            (pk,), s = keygen([SEED], [kg], params)
+            bits = random_bits([ms])
+            u_c, v_c = encrypt([pk], bits, [ms.read(32)], params)
+            assert np.array_equal(decrypt(s, u_c, v_c, params), bits)
 
     def test_noise_stays_below_bound(self):
-        pk, sk = keygen(SEED, stream(b"kg6"), KYBER768)
+        pk, s = key_pair(stream(b"kg6"))
         ms = stream(b"m6")
         for _ in range(10):
-            m = Message.random(ms)
-            ct = encrypt(pk, m, ms.read(32), KYBER768)
+            bits = random_bits([ms])
+            (u_c,), (v_c,) = encrypt([pk], bits, [ms.read(32)], KYBER768)
             # v - s^T u - mhat on the decompressed ciphertext
-            u = decompress(ct.u_c, KYBER768.du)
-            v = decompress(ct.v_c, KYBER768.dv)
-            noise = centered(v - inner_product(sk.s, u) - message_to_ring(m))
+            u = decompress(u_c, KYBER768.du)
+            v = decompress(v_c, KYBER768.dv)
+            noise = centered(v - inner_product(s, u) - decompress(bits[0], 1))
             assert np.abs(noise).max() < 832
 
     def test_decision_boundary_single_coefficient(self):
         # direct per-coefficient sweep: bit survives iff the added noise stays
         # inside the decision region of compress(., 1); noise of magnitude
         # < 832 = round(q/4) is always safe, 832 already flips an encoded 1
-        from wkyber.core import compress
         for delta in range(-840, 841):
             bit0_ok = compress(delta % Q, 1) == 0
             assert bit0_ok == (abs(delta) <= 832)
@@ -118,12 +127,13 @@ class TestEncryptDecrypt:
 class TestSerialization:
     @pytest.mark.parametrize("params", PARAM_SETS.values(), ids=lambda p: p.name)
     def test_pk_sk_roundtrip(self, params):
-        pk, sk = keygen(SEED, stream(b"ser"), params)
+        pk, s = key_pair(stream(b"ser"), params)
+        sk = SecretKey(s)
         assert PublicKey.from_bytes(pk.to_bytes(), params) == pk
         assert SecretKey.from_bytes(sk.to_bytes(), params) == sk
 
     def test_pk_length(self):
-        pk, _ = keygen(SEED, stream(b"len"), KYBER768)
+        pk, _ = key_pair(stream(b"len"))
         assert len(pk.to_bytes()) == 32 + 3 * 384  # seed + 12-bit packed b
 
 

@@ -5,15 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wkyber.core import (XofStream, centered, gen_matrices, inner_product,
-                         intt, matvec_mul, noise_vectors, pack12,
-                         poly_mul_schoolbook)
+from wkyber.core import (XofStream, centered, decompress, gen_matrices,
+                         inner_product, intt, matvec_mul, noise_vectors,
+                         pack12, poly_mul_schoolbook)
 from wkyber.modem import ChannelPlan
 from wkyber.params import KYBER768, N, Q, PARAM_SETS
-from wkyber.pke import Message, PublicKey, keygen, message_to_ring
+from wkyber.pke import (PublicKey, decrypt, encrypt, keygen, random_bits,
+                        wk_decrypt, wk_encrypt)
 from wkyber.protocol import (WkCiphertext, kem_v1_decaps, kem_v1_encaps,
                              kem_v1_keygen, run_sessions, session_plans,
-                             snr_warnings, v2_keygen, wk_decrypt, wk_encrypt)
+                             snr_warnings, v2_keygen)
 from wkyber.transport import coeff_error_dist, send_coeffs
 
 SEED = bytes(32)
@@ -30,22 +31,22 @@ def kem_pair(key_label, msg_label):
     """A V1 key pair and an encapsulation to it, each a batch of one:
     (keys, secrets s, zs, ciphertexts, shared secrets)."""
     pks, s, zs = kem_v1_keygen([SEED], [stream(key_label)], P768)
-    bits = Message.random(stream(msg_label)).bits[None]
+    bits = random_bits([stream(msg_label)])
     return (pks, s, zs, *kem_v1_encaps(pks, bits, P768))
 
 
 class TestV1Pke:
     def test_keygen_is_baseline(self):
-        (pk1,), s, _ = kem_v1_keygen([SEED], [stream(b"a")], P768)
-        pk2, sk2 = keygen(SEED, stream(b"a"), P768)
-        assert pk1 == pk2 and np.array_equal(s[0], sk2.s)
+        (pk1,), s1, _ = kem_v1_keygen([SEED], [stream(b"a")], P768)
+        (pk2,), s2 = keygen([SEED], [stream(b"a")], P768)
+        assert pk1 == pk2 and np.array_equal(s1, s2)
 
     def test_never_samples_ciphertext_noise(self):
         # u - A^T s' must vanish before transmission
-        pk, sk = keygen(SEED, stream(b"b"), P768)
-        m = Message.random(stream(b"m"))
+        (pk,), _ = keygen([SEED], [stream(b"b")], P768)
+        bits = random_bits([stream(b"m")])
         coins = b"\x22" * 32
-        (c,) = wk_encrypt([pk], m.bits[None], [coins], P768)
+        (c,) = wk_encrypt([pk], bits, [coins], P768)
         sp = noise_vectors([coins], b"sp", P768.eta1, P768.k)[0]
         a = intt(gen_matrices([pk.seed], P768)[0])
         for i in range(P768.k):
@@ -54,30 +55,30 @@ class TestV1Pke:
             assert np.array_equal(c[i], u_i)
 
     def test_zero_sprime_zero_message(self, monkeypatch):
-        from wkyber import protocol
-        monkeypatch.setattr(protocol, "noise_vectors",
+        from wkyber import pke
+        monkeypatch.setattr(pke, "noise_vectors",
                             lambda seeds, label, eta, k:
                             np.zeros((len(seeds), k, N), dtype=np.int64))
-        pk, _ = keygen(SEED, stream(b"c"), P768)
+        (pk,), _ = keygen([SEED], [stream(b"c")], P768)
         c = wk_encrypt([pk], np.zeros((1, N), dtype=np.int64), [bytes(32)],
                        P768)
         assert c.shape == (1, 4, N) and not c.any()
 
     def test_deterministic(self):
-        pk, _ = keygen(SEED, stream(b"d"), P768)
-        bits = Message.random(stream(b"m2")).bits[None]
+        (pk,), _ = keygen([SEED], [stream(b"d")], P768)
+        bits = random_bits([stream(b"m2")])
         assert np.array_equal(wk_encrypt([pk], bits, [b"\x01" * 32], P768),
                               wk_encrypt([pk], bits, [b"\x01" * 32], P768))
 
     def test_noiseless_roundtrip(self):
-        pk, sk = keygen(SEED, stream(b"e"), P768)
+        (pk,), s = keygen([SEED], [stream(b"e")], P768)
         ms = stream(b"m3")
         for _ in range(5):
-            m = Message.random(ms)
-            c = wk_encrypt([pk], m.bits[None], [ms.read(32)], P768)
-            assert np.array_equal(wk_decrypt(sk.s[None], c), m.bits[None])
-            noise = centered(c[0, -1] - inner_product(sk.s, c[0, :-1])
-                             - message_to_ring(m))
+            bits = random_bits([ms])
+            c = wk_encrypt([pk], bits, [ms.read(32)], P768)
+            assert np.array_equal(wk_decrypt(s, c), bits)
+            noise = centered(c[0, -1] - inner_product(s[0], c[0, :-1])
+                             - decompress(bits[0], 1))
             assert np.abs(noise).max() < 832
 
     def test_injected_boundary_noise_flips_bit(self):
@@ -90,7 +91,7 @@ class TestV1Pke:
         assert (np.delete(bits, 7) == 1).all()
 
     def test_ciphertext_never_compressed(self):
-        pk, _ = keygen(SEED, stream(b"g"), P768)
+        (pk,), _ = keygen([SEED], [stream(b"g")], P768)
         (coeffs,) = wk_encrypt([pk], np.zeros((1, N), dtype=np.int64),
                                [b"\x03" * 32], P768)
         c = WkCiphertext(coeffs)
@@ -166,8 +167,8 @@ class TestV2Pke:
 
 class TestKem:
     def test_encaps_deterministic_given_message(self):
-        pk, _ = keygen(SEED, stream(b"j"), P768)
-        bits = Message.random(stream(b"m4")).bits[None]
+        (pk,), _ = keygen([SEED], [stream(b"j")], P768)
+        bits = random_bits([stream(b"m4")])
         c1, s1 = kem_v1_encaps([pk], bits, P768)
         c2, s2 = kem_v1_encaps([pk], bits, P768)
         assert np.array_equal(c1, c2) and s1 == s2
@@ -221,7 +222,7 @@ class TestKem:
         pks, s, zs = kem_v1_keygen([SEED], [stream(b"wrap4")], P768)
         (pk,) = pks
         assert pk.b[2, 185] == Q - 1
-        bits = Message.random(stream(b"m8")).bits[None]
+        bits = random_bits([stream(b"m8")])
         for rise in (1, 2, 3):
             b_rx = pk.b.copy()
             b_rx[2, 185] = (Q - 1 + rise) % Q
@@ -330,12 +331,15 @@ class TestBatchIndependence:
     @settings(max_examples=12, deadline=None)
     def test_batch_equals_one_session_calls(self, params, sessions, seed,
                                             data):
-        # B sessions in one call give what B one-session calls give; one
-        # session's received ciphertext has a protected word hit, and only
-        # that session falls back to implicit rejection
+        # B sessions in one call give what B one-session calls give, for
+        # the KEM, the wireless PKE and the baseline PKE; one session's
+        # received ciphertext has a protected word hit, and only that
+        # session falls back to implicit rejection
+        def key_rng(i):
+            return stream(seed.to_bytes(4, "little") + bytes([i]))
+
         def streams():
-            return [stream(seed.to_bytes(4, "little") + bytes([i]))
-                    for i in range(sessions)]
+            return [key_rng(i) for i in range(sessions)]
         seeds_a = [bytes([i]) * 32 for i in range(sessions)]
         rng = np.random.default_rng(seed)
         bits = rng.integers(0, 2, (sessions, N))
@@ -352,9 +356,12 @@ class TestBatchIndependence:
         decapsulated = kem_v1_decaps(s, zs, pks, received, params)
         ct = wk_encrypt(pks, bits, coins, params)
         decrypted = wk_decrypt(s, ct)
-        for i, key_rng in enumerate(streams()):
+        base_pks, base_s = keygen(seeds_a, streams(), params)
+        u_c, v_c = encrypt(base_pks, bits, coins, params)
+        opened = decrypt(base_s, u_c, v_c, params)
+        for i in range(sessions):
             one = slice(i, i + 1)
-            pk_i, s_i, z_i = kem_v1_keygen(seeds_a[one], [key_rng], params)
+            pk_i, s_i, z_i = kem_v1_keygen(seeds_a[one], [key_rng(i)], params)
             assert pk_i == pks[one] and np.array_equal(s_i, s[one])
             assert z_i == zs[one]
             c_i, secret_i = kem_v1_encaps(pks[one], bits[one], params)
@@ -364,9 +371,16 @@ class TestBatchIndependence:
             assert np.array_equal(wk_encrypt(pks[one], bits[one], coins[one],
                                              params), ct[one])
             assert np.array_equal(wk_decrypt(s[one], ct[one]), decrypted[one])
+            pk_i, s_i = keygen(seeds_a[one], [key_rng(i)], params)
+            assert pk_i == base_pks[one] and np.array_equal(s_i, base_s[one])
+            u_i, v_i = encrypt(pk_i, bits[one], coins[one], params)
+            assert np.array_equal(u_i, u_c[one])
+            assert np.array_equal(v_i, v_c[one])
+            assert np.array_equal(decrypt(s_i, u_i, v_i, params), opened[one])
         assert [a == b for a, b in zip(decapsulated, secrets)] == \
             [i != bad for i in range(sessions)]
         assert np.array_equal(decrypted, bits)
+        assert np.array_equal(opened, bits)
 
 
 class TestNoiseAccounting:
@@ -382,12 +396,12 @@ class TestNoiseAccounting:
             (pk,), s = v2_keygen([SEED], [kg], P768)
             sent = _send_pk(pk, ChannelPlan(10, -10), NoiseSource(7000 + i), P768)
             pks_rx, _ = _receive_pks([sent], P768)
-            m = Message.random(kg)
-            (c,) = wk_encrypt(pks_rx, m.bits[None], [kg.read(32)], P768)
+            bits = random_bits([kg])
+            (c,) = wk_encrypt(pks_rx, bits, [kg.read(32)], P768)
             frame = send_coeffs(c, ChannelPlan(10, -10), NoiseSource(8000 + i))
             (c_rx,), _ = _receive_cts([frame], P768)
             observed.append(centered(c_rx[-1] - inner_product(s[0], c_rx[:-1])
-                                     - message_to_ring(m)))
+                                     - decompress(bits[0], 1)))
         observed = np.concatenate(observed)
 
         key, rest = _noise_terms(P768, wkyber_v2_model(P768, -10.0), None)

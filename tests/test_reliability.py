@@ -26,6 +26,14 @@ def noise_distribution(params, model, ladders=None):
     return key_power.convolve(rest)
 
 
+def with_mass(value):
+    """A two-point law with value written in after construction, which
+    rejects non-finite masses: the operand the guards must catch."""
+    dist = IntDist(0, [0.5, 0.5])
+    dist.masses[0] = value
+    return dist
+
+
 def is_symmetric(dist):
     return (dist.offset == -dist.support[-1]
             and np.allclose(dist.masses, dist.masses[::-1], rtol=1e-12, atol=0))
@@ -114,10 +122,15 @@ class TestIntDist:
             lying.product(IntDist.centered_binomial(2))
 
     def test_guard_trips_on_non_finite_mass(self):
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError):
+                IntDist(0, [bad, 1.0])
+            with pytest.raises(ValueError):
+                IntDist(0, [bad])
         huge = IntDist(0, [1e200, 1e200])
         with pytest.raises(PrecisionLossError):
             huge.convolve(huge)
-        nan = IntDist(0, [float("nan"), 1.0])
+        nan = with_mass(float("nan"))
         with pytest.raises(PrecisionLossError):
             nan.convolve(IntDist.centered_binomial(2))
         with pytest.raises(PrecisionLossError):
@@ -144,7 +157,7 @@ class TestIntDist:
         cbd = IntDist.centered_binomial(2)
         for bad in (float("nan"), float("inf")):
             with pytest.raises(PrecisionLossError):
-                IntDist(0, [bad, 1.0]).tail_of_sum(cbd, 1)
+                with_mass(bad).tail_of_sum(cbd, 1)
 
         # every pair sums beyond the bound, so the tail is the claimed
         # total plus 1e-10: more than the operands' mass can hold
@@ -222,11 +235,13 @@ class TestFailureProbability:
         assert vals[0] >= vals[1] >= vals[2]
 
     def test_rejects_unnormalised_model(self):
-        half = IntDist(0, [0.5])
-        model = ErrorModel(secret_dist=half, pk_error_dist=half,
-                           ct_error_dist=half, e_dd_dist=half)
-        with pytest.raises(ValueError):
-            failure_probability(KYBER768, model)
+        # a NaN total fails every comparison, so it must not pass as
+        # normalised and trip the precision guard later
+        for law in (IntDist(0, [0.5]), with_mass(float("nan"))):
+            model = ErrorModel(secret_dist=law, pk_error_dist=law,
+                               ct_error_dist=law, e_dd_dist=law)
+            with pytest.raises(ValueError, match="not normalised"):
+                failure_probability(KYBER768, model)
 
     def test_failure_bound_value(self):
         assert FAILURE_BOUND == 832
