@@ -198,19 +198,16 @@ def cmd_exchange(args):
     seeds = [args.seed * 65537 + i for i in range(args.trials)]
     transcripts = run_sessions(args.version, params, plans, seeds,
                                fo_policy=args.fo_policy)
-    rows = []
-    warned = set()
-    for i, tr in enumerate(transcripts):
-        for w in tr.policy_warnings:
-            if w not in warned:
-                warned.add(w)
-                print(f"policy warning: {w}", file=sys.stderr)
-        rows.append((i, tr.version, tr.k,
-                     tr.pk_plan.snr_msb_db, tr.pk_plan.snr_lsb_db,
-                     tr.ct_plan.snr_msb_db, tr.ct_plan.snr_lsb_db,
-                     "match" if tr.outcome else "mismatch",
-                     tr.bch_failures,
-                     ";".join(tr.policy_warnings)))
+    # one tuple, computed once per run, shared by every transcript
+    for w in transcripts[0].policy_warnings:
+        print(f"policy warning: {w}", file=sys.stderr)
+    rows = [(i, tr.version, tr.k,
+             tr.pk_plan.snr_msb_db, tr.pk_plan.snr_lsb_db,
+             tr.ct_plan.snr_msb_db, tr.ct_plan.snr_lsb_db,
+             "match" if tr.outcome else "mismatch",
+             tr.bch_failures,
+             ";".join(tr.policy_warnings))
+            for i, tr in enumerate(transcripts)]
     _emit(rows, ["session_id", "version", "k", "pk_snr_msb_db", "pk_snr_lsb_db",
                  "ct_snr_msb_db", "ct_snr_lsb_db", "outcome", "bch_failures",
                  "policy_warnings"], args.out)

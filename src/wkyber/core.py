@@ -312,8 +312,12 @@ def unpack12(data: bytes, count: int) -> np.ndarray:
                             (b[:, 1] >> 4) | (b[:, 2] << 4)]).astype(np.int64).ravel()
 
 
-def check_canonical(coeffs: np.ndarray) -> np.ndarray:
-    """Pass wire-decoded ring coefficients through unless one is >= q."""
+def unpack_ring(data: bytes, rows: int) -> np.ndarray:
+    """The one wire decoder of ring data: pack12 bytes to (rows, 256)
+    coefficients, rejecting any coefficient >= q, so every accepted
+    encoding is canonical.  Secrets decode with rows = k, ciphertexts with
+    k + 1, a public key's b after its 32 seed bytes (check_seed) with k."""
+    coeffs = unpack12(data, rows * N)
     if coeffs.max(initial=0) >= Q:
         raise ValueError("non-canonical coefficient >= q")
-    return coeffs
+    return coeffs.reshape(rows, N)

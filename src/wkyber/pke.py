@@ -5,62 +5,22 @@ The wireless encryption wk_encrypt / wk_decrypt (V1 and V2, see
 lets the channel supply the noise.  The baseline scheme is the same core
 plus binomially sampled e' and e'' and d_u / d_v compression; all three
 share keygen, whose with_error=False form is V2's b = A s.
+
+Every function takes B sessions at once as plain arrays: public keys are
+pairs (seeds, b) of B 32-byte seeds for the matrices A (gen_matrices caches
+them) and one (B, k, 256) array, secrets (B, k, 256), message bits
+(B, 256), uncompressed ciphertexts (B, k + 1, 256) coefficients.  On the
+wire each session's secret or ciphertext is pack12 of its array and its key
+is seed + pack12(b); core.unpack_ring decodes them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import (cbd_vectors, check_canonical, check_seed, compress,
-                   decompress, encrypt_products, gen_matrices, inner_product,
-                   matvec_mul, noise_vectors, pack12, unpack12)
+from .core import (cbd_vectors, compress, decompress, encrypt_products,
+                   gen_matrices, inner_product, matvec_mul, noise_vectors)
 from .params import N, Q, ParamSet
-
-
-class PublicKey:
-    """(seed for the matrix A, (k, 256) vector b); gen_matrices caches A."""
-
-    __slots__ = ("seed", "b")
-
-    def __init__(self, seed: bytes, b: np.ndarray):
-        self.seed = check_seed(seed)
-        self.b = b
-
-    def to_bytes(self) -> bytes:
-        return self.seed + pack12(self.b)
-
-    @classmethod
-    def from_bytes(cls, data: bytes, params: ParamSet) -> "PublicKey":
-        seed, packed = data[:32], data[32:]
-        b = check_canonical(unpack12(packed, params.k * N)).reshape(params.k, N)
-        return cls(seed, b)
-
-    def __eq__(self, other):
-        return (isinstance(other, PublicKey) and self.seed == other.seed
-                and np.array_equal(self.b, other.b))
-
-
-@dataclass
-class SecretKey:
-    s: np.ndarray  # (k, 256)
-
-    def to_bytes(self) -> bytes:
-        return pack12(self.s)
-
-    @classmethod
-    def from_bytes(cls, data: bytes, params: ParamSet) -> "SecretKey":
-        s = check_canonical(unpack12(data, params.k * N)).reshape(params.k, N)
-        return cls(s)
-
-    def __eq__(self, other):
-        return isinstance(other, SecretKey) and np.array_equal(self.s, other.s)
-
-
-# ---------------------------------------------------------------------------
-# B sessions at a time: keys are lists, secrets (B, k, 256), message bits
-# (B, 256), uncompressed ciphertexts (B, k + 1, 256) coefficients
 
 
 def random_bits(rngs) -> np.ndarray:
@@ -72,8 +32,8 @@ def random_bits(rngs) -> np.ndarray:
 
 def keygen(seeds_a, rngs, params: ParamSet, with_error: bool = True):
     """b = A s + e, or b = A s without the error, with s and e drawn from
-    the eta1 binomial by one read of each rng.  Returns (public keys,
-    secrets)."""
+    the eta1 binomial by one read of each rng.  Returns (pks, s) with
+    pks = (seeds_a, b)."""
     k, eta = params.k, params.eta1
     count = 2 if with_error else 1
     noise = cbd_vectors(b"".join(rng.read(64 * eta * k * count)
@@ -82,15 +42,15 @@ def keygen(seeds_a, rngs, params: ParamSet, with_error: bool = True):
     b = matvec_mul(gen_matrices(seeds_a, params), s)
     if with_error:
         b = (b + noise[:, k:]) % Q
-    return [PublicKey(seed, b_i) for seed, b_i in zip(seeds_a, b)], s
+    return (seeds_a, b), s
 
 
 def wk_encrypt(pks, bits: np.ndarray, coins, params: ParamSet) -> np.ndarray:
     """u = A^T s', v = b^T s' + mhat, with s' expanded from each session's
     32-byte coins; no e' or e'' is ever sampled."""
+    seeds, b = pks
     sp = noise_vectors(coins, b"sp", params.eta1, params.k)
-    a_hat = gen_matrices([pk.seed for pk in pks], params)
-    uv = encrypt_products(a_hat, np.stack([pk.b for pk in pks]), sp)
+    uv = encrypt_products(gen_matrices(seeds, params), b, sp)
     uv[:, -1] = (uv[:, -1] + decompress(bits, 1)) % Q
     return uv
 

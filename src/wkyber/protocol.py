@@ -18,7 +18,8 @@ travel and still feed decryption, but the check no longer depends on them.
 Like the relaxed ciphertext comparison, the security of ignoring exposed
 bits in the check is not analysed here.
 
-Every V1/V2 function takes B sessions at once (one session is B = 1), and
+Every V1/V2 function takes B sessions at once (one session is B = 1), with
+keys, secrets and ciphertexts in the array forms of :mod:`wkyber.pke`, and
 run_sessions calls them on SESSION_BATCH sessions at a time.  Each session
 keeps its own byte streams, noise sources and flip draws, in the order of a
 lone session, and its own KEM hashes; the ring work is stacked on
@@ -33,47 +34,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import XofStream, centered, check_canonical, pack12, squeeze, unpack12
+from .core import XofStream, centered, pack12, squeeze
 from .modem import ChannelPlan, NoiseSource
 from .params import N, Q, ParamSet
-from .pke import PublicKey, keygen, random_bits, wk_decrypt, wk_encrypt
+from .pke import keygen, random_bits, wk_decrypt, wk_encrypt
 from .transport import join_coeffs, receive_blocks, send_blocks, send_coeffs
 
 # sessions stacked in one array pass of run_sessions; transcripts do not
 # depend on it, only memory and per-call overhead do
 SESSION_BATCH = 16
-
-
-# ---------------------------------------------------------------------------
-# ciphertext
-
-
-@dataclass
-class WkCiphertext:
-    """Uncompressed ciphertext: a (k + 1, 256) array holding u's k rows then
-    v, full 12-bit coefficients, never compressed."""
-
-    coeffs: np.ndarray
-
-    @property
-    def u(self) -> np.ndarray:
-        return self.coeffs[:-1]
-
-    @property
-    def v(self) -> np.ndarray:
-        return self.coeffs[-1]
-
-    def to_bytes(self) -> bytes:
-        return pack12(self.coeffs)
-
-    @classmethod
-    def from_bytes(cls, data: bytes, params: ParamSet) -> "WkCiphertext":
-        count = (params.k + 1) * N
-        return cls(check_canonical(unpack12(data, count)).reshape(-1, N))
-
-    def __eq__(self, other):
-        return (isinstance(other, WkCiphertext)
-                and np.array_equal(self.coeffs, other.coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +83,7 @@ def session_plans(version: str, snr_msb_db: float, snr_lsb_db: float):
 
 def v2_keygen(seeds_a, rngs, params: ParamSet):
     """b = A s with no sampled error; the channel adds it in transit.
-    Returns (public keys, secrets)."""
+    Returns ((seeds_a, b), s)."""
     return keygen(seeds_a, rngs, params, with_error=False)
 
 
@@ -124,19 +93,9 @@ def v2_keygen(seeds_a, rngs, params: ParamSet):
 
 def kem_v1_keygen(seeds_a, rngs, params: ParamSet):
     """The baseline key generation (binomial e retained), then each rng's
-    32-byte implicit-rejection secret z.  Returns (public keys, secrets,
-    zs)."""
+    32-byte implicit-rejection secret z.  Returns ((seeds_a, b), s, zs)."""
     pks, s = keygen(seeds_a, rngs, params)
     return pks, s, [rng.read(32) for rng in rngs]
-
-
-def _project_pk(pk: PublicKey) -> PublicKey:
-    """Zero the exposed w2 bits of b: the channel-robust view of the key.
-
-    A stored q - 1 = 4 * 832 whose w2 bits rise arrives as 0..2 (the wrap
-    `_coeffs_match` allows for ciphertexts), so 4 * 832 joins the class of 0.
-    """
-    return PublicKey(pk.seed, (pk.b & ~np.int64(3)) % (Q - 1))
 
 
 def kem_v1_encaps(pks, bits: np.ndarray, params: ParamSet):
@@ -145,13 +104,18 @@ def kem_v1_encaps(pks, bits: np.ndarray, params: ParamSet):
 
     Deterministic given (pk, message): key and coins derive from the message
     and the projected public key; the secret also binds the clean ciphertext.
+    The projection zeroes the exposed w2 bits of b; a stored q - 1 = 4 * 832
+    whose w2 bits rise arrives as 0..2 (the wrap `_coeffs_match` allows for
+    ciphertexts), so 4 * 832 joins the class of 0.
     """
-    projected = [_project_pk(pk) for pk in pks]
+    seeds, b = pks
+    b = (b & ~3) % (Q - 1)
     messages = np.packbits(bits.astype(np.uint8), axis=-1, bitorder="little")
     # 32 key bytes, then 32 coin bytes
-    kd = [squeeze(m.tobytes() + squeeze(pk.to_bytes(), b"pk", 32), b"enc", 64)
-          for m, pk in zip(messages, projected)]
-    c = wk_encrypt(projected, bits, [d[32:] for d in kd], params)
+    kd = [squeeze(m.tobytes() + squeeze(seed + pack12(b_i), b"pk", 32),
+                  b"enc", 64)
+          for m, seed, b_i in zip(messages, seeds, b)]
+    c = wk_encrypt((seeds, b), bits, [d[32:] for d in kd], params)
     return c, [squeeze(d[:32] + squeeze(pack12(c_i), b"ct", 32), b"kdf", 32)
                for d, c_i in zip(kd, c)]
 
@@ -217,17 +181,18 @@ def _derive_seed(master: int, label: bytes) -> bytes:
     return squeeze(master.to_bytes(width, "little"), b"session" + label, 32)
 
 
-def _send_pk(pk: PublicKey, plan: ChannelPlan, noise: NoiseSource, params: ParamSet):
+def _send_pk(seed: bytes, b: np.ndarray, plan: ChannelPlan,
+             noise: NoiseSource):
     """Seed bytes ride the protected path (26 blocks of 10 bits), then the
-    b coefficients take the standard 17-symbol form.  Returns the received
-    seed blocks and the frame of b."""
-    seed_bits = np.unpackbits(np.frombuffer(pk.seed, dtype=np.uint8),
+    (k, 256) b coefficients take the standard 17-symbol form.  Returns the
+    received seed blocks and the frame of b."""
+    seed_bits = np.unpackbits(np.frombuffer(seed, dtype=np.uint8),
                               bitorder="little").astype(np.int64)
     padded = np.concatenate([seed_bits, np.zeros(4, dtype=np.int64)])
     weights = (1 << np.arange(9, -1, -1)).astype(np.int64)
     words = padded.reshape(26, 10) @ weights
     seed_blocks = send_blocks(words, plan.snr_msb_db, noise)
-    frame = send_coeffs(pk.b, plan, noise)
+    frame = send_coeffs(b, plan, noise)
     return seed_blocks, frame
 
 
@@ -240,7 +205,8 @@ def _decode_leg(segments, sessions: int):
 
 
 def _receive_pks(sent, params: ParamSet):
-    """(B keys, failures per key) from B (seed blocks, frame of b) pairs."""
+    """((seeds, b), failures per key) from B (seed blocks, frame of b)
+    pairs."""
     w10, failures = _decode_leg([w for blocks, frame in sent
                                  for w in (blocks, frame.msb)], len(sent))
     bits = (w10[:, :26, None] >> np.arange(9, -1, -1)) & 1
@@ -248,7 +214,7 @@ def _receive_pks(sent, params: ParamSet):
                         axis=1, bitorder="little")
     lsb = np.stack([frame.lsb for _, frame in sent])
     b = join_coeffs(w10[:, 26:], lsb).reshape(len(sent), params.k, N)
-    return [PublicKey(seed.tobytes(), b_i) for seed, b_i in zip(seeds, b)], failures
+    return ([seed.tobytes() for seed in seeds], b), failures
 
 
 def _receive_cts(frames, params: ParamSet):
@@ -276,6 +242,8 @@ def run_sessions(version: str, params: ParamSet, plans, seeds, *,
     """
     if version not in ("v1", "v2"):
         raise ValueError(f"version must be 'v1' or 'v2', got {version!r}")
+    if fo_policy not in ("msb-only", "exact"):
+        raise ValueError(f"unknown comparison policy {fo_policy!r}")
     pk_plan, ct_plan = plans
     warnings = tuple(snr_warnings(ct_plan, "ciphertext")
                      + (snr_warnings(pk_plan, "public key")
@@ -299,8 +267,9 @@ def _run_batch(version, params, plans, seeds, fo_policy, collect_offsets,
         pks, sks, zs = kem_v1_keygen(seeds_a, key_rngs, params)
     else:
         pks, sks = v2_keygen(seeds_a, key_rngs, params)
-    pks_rx, pk_fail = _receive_pks([_send_pk(pk, pk_plan, noise, params)
-                                    for pk, noise in zip(pks, noise_a)], params)
+    pks_rx, pk_fail = _receive_pks([_send_pk(seed, b, pk_plan, noise)
+                                    for seed, b, noise in zip(*pks, noise_a)],
+                                   params)
     bits = random_bits(msg_rngs)
     if version == "v1":
         c_clean, secrets_b = kem_v1_encaps(pks_rx, bits, params)

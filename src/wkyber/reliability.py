@@ -22,6 +22,7 @@ import numpy as np
 from .core import compress, decompress
 from .dist import IntDist, PrecisionLossError  # noqa: F401 (re-exported)
 from .params import Q, ParamSet
+from .protocol import run_sessions
 from .transport import coeff_error_dist, dist_stddev
 
 _Z975 = 1.959963984540054      # 0.975 quantile of the standard normal
@@ -213,7 +214,6 @@ class KerPoint:
 
 def _count_failures(args) -> int:
     version, params, plans, seeds, fo_policy = args
-    from .protocol import run_sessions
     return sum(not tr.outcome for tr in run_sessions(version, params, plans,
                                                      seeds, fo_policy=fo_policy))
 

@@ -109,15 +109,15 @@ def outputs(version: str, bits: int) -> dict:
     rng = XofStream(bytes([bits & 0xFF]) * 32, version.encode() + b"-pin")
     seed_a = rng.read(32)
     if version == "v1":
-        (pk,), s, _ = kem_v1_keygen([seed_a], [rng], params)
-        ct, _ = kem_v1_encaps([pk], random_bits([rng]), params)
+        pks, s, _ = kem_v1_keygen([seed_a], [rng], params)
+        ct, _ = kem_v1_encaps(pks, random_bits([rng]), params)
     else:
-        (pk,), s = v2_keygen([seed_a], [rng], params)
-        ct = wk_encrypt([pk], random_bits([rng]), [rng.read(32)], params)
+        pks, s = v2_keygen([seed_a], [rng], params)
+        ct = wk_encrypt(pks, random_bits([rng]), [rng.read(32)], params)
     offsets = run_sessions(version, params, PLANS[version], [SESSION_SEED],
                            collect_offsets=True)[0].ct_error_offsets
     assert offsets.shape == ((params.k + 1) * 256,)
-    return {"pk": sha(pk.to_bytes()), "sk": sha(pack12(s[0])),
+    return {"pk": sha(seed_a + pack12(pks[1][0])), "sk": sha(pack12(s[0])),
             "ct": sha(pack12(ct[0])),
             "offsets": sha(offsets.astype("<i8").tobytes())}
 
@@ -125,11 +125,12 @@ def outputs(version: str, bits: int) -> dict:
 def baseline_outputs(bits: int) -> dict:
     params = PARAM_SETS[bits]
     rng = XofStream(bytes([bits & 0xFF]) * 32, b"baseline-pin")
-    (pk,), s = keygen([rng.read(32)], [rng], params)
+    seed_a = rng.read(32)
+    pks, s = keygen([seed_a], [rng], params)
     msg = random_bits([rng])
-    u_c, v_c = encrypt([pk], msg, [rng.read(32)], params)
+    u_c, v_c = encrypt(pks, msg, [rng.read(32)], params)
     assert np.array_equal(decrypt(s, u_c, v_c, params), msg)
-    return {"pk": sha(pk.to_bytes()), "sk": sha(pack12(s[0])),
+    return {"pk": sha(seed_a + pack12(pks[1][0])), "sk": sha(pack12(s[0])),
             "u_c": sha(u_c[0].astype("<i8").tobytes()),
             "v_c": sha(v_c[0].astype("<i8").tobytes())}
 

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wkyber.core import (XofStream, centered, compress, decompress,
-                         gen_matrices, inner_product, matvec_mul, pack12)
+from wkyber.core import (XofStream, centered, check_seed, compress,
+                         decompress, gen_matrices, inner_product, matvec_mul,
+                         pack12, unpack_ring)
 from wkyber.params import KYBER768, N, Q, PARAM_SETS
-from wkyber.pke import (PublicKey, SecretKey, decrypt, encrypt, keygen,
-                        random_bits, wk_encrypt)
+from wkyber.pke import decrypt, encrypt, keygen, random_bits, wk_encrypt
 
 SEED = bytes(32)
 
@@ -18,10 +18,9 @@ def stream(label):
     return XofStream(b"\xab" * 32, label)
 
 
-def key_pair(rng, params=KYBER768, seed_a=SEED):
-    """One baseline key pair, as (public key, (k, 256) secret)."""
-    (pk,), s = keygen([seed_a], [rng], params)
-    return pk, s[0]
+def key_pair(rng, params=KYBER768):
+    """One baseline key pair, a batch of one: ((seeds, b), s)."""
+    return keygen([SEED], [rng], params)
 
 
 class TestMessage:
@@ -33,9 +32,9 @@ class TestMessage:
         assert packed.tobytes() == stream(b"m").read(32)
 
     def test_rejects_non_binary(self):
-        pk, _ = key_pair(stream(b"kgm"))
+        pks, _ = key_pair(stream(b"kgm"))
         with pytest.raises(ValueError):
-            wk_encrypt([pk], np.full((1, N), 2), [bytes(32)], KYBER768)
+            wk_encrypt(pks, np.full((1, N), 2), [bytes(32)], KYBER768)
 
     def test_mhat_values(self):
         mhat = decompress(random_bits([stream(b"m2")]), 1)
@@ -45,20 +44,21 @@ class TestMessage:
 class TestKeygen:
     def test_zero_noise_gives_zero_b(self):
         # forced s = 0, e = 0 via an all-zero sampling stream
-        pk, s = key_pair(io.BytesIO(bytes(10_000)))
-        assert pk.b.shape == s.shape == (3, N)
-        assert not pk.b.any() and not s.any()
+        (seeds, b), s = key_pair(io.BytesIO(bytes(10_000)))
+        assert seeds == [SEED] and b.shape == s.shape == (1, 3, N)
+        assert not b.any() and not s.any()
 
     def test_deterministic(self):
-        pk1, s1 = key_pair(stream(b"kg"))
-        pk2, s2 = key_pair(stream(b"kg"))
-        assert pk1 == pk2 and np.array_equal(s1, s2)
+        (seeds1, b1), s1 = key_pair(stream(b"kg"))
+        (seeds2, b2), s2 = key_pair(stream(b"kg"))
+        assert seeds1 == seeds2
+        assert np.array_equal(b1, b2) and np.array_equal(s1, s2)
 
     @pytest.mark.parametrize("params", PARAM_SETS.values(), ids=lambda p: p.name)
     def test_b_minus_as_in_cbd_range(self, params):
-        pk, s = key_pair(stream(b"kg3"), params)
-        a_s = matvec_mul(gen_matrices([pk.seed], params)[0], s)
-        e = (pk.b - a_s) % Q
+        (seeds, b), s = key_pair(stream(b"kg3"), params)
+        a_s = matvec_mul(gen_matrices(seeds, params), s)
+        e = (b - a_s) % Q
         assert ((e <= params.eta1) | (e >= Q - params.eta1)).all()
 
 
@@ -68,8 +68,8 @@ class TestEncryptDecrypt:
         monkeypatch.setattr(pke, "noise_vectors",
                             lambda seeds, label, eta, k:
                             np.zeros((len(seeds), k, N), dtype=np.int64))
-        pk, _ = key_pair(stream(b"kgz"))
-        u_c, v_c = encrypt([pk], np.zeros((1, N), dtype=np.int64),
+        pks, _ = key_pair(stream(b"kgz"))
+        u_c, v_c = encrypt(pks, np.zeros((1, N), dtype=np.int64),
                            [bytes(32)], KYBER768)
         assert u_c.shape == (1, 3, N) and v_c.shape == (1, N)
         assert not u_c.any() and not v_c.any()
@@ -83,10 +83,10 @@ class TestEncryptDecrypt:
         assert np.array_equal(decrypt(s, u_c, v_c, KYBER768), bits)
 
     def test_deterministic(self):
-        pk, _ = key_pair(stream(b"kg4"))
+        pks, _ = key_pair(stream(b"kg4"))
         bits = random_bits([stream(b"m4")])
-        first = encrypt([pk], bits, [b"c" * 32], KYBER768)
-        second = encrypt([pk], bits, [b"c" * 32], KYBER768)
+        first = encrypt(pks, bits, [b"c" * 32], KYBER768)
+        second = encrypt(pks, bits, [b"c" * 32], KYBER768)
         assert all(np.array_equal(a, b) for a, b in zip(first, second))
 
     @pytest.mark.parametrize("params", PARAM_SETS.values(), ids=lambda p: p.name)
@@ -94,17 +94,17 @@ class TestEncryptDecrypt:
         kg = stream(b"kg5" + params.name.encode())
         ms = stream(b"m5")
         for i in range(30):
-            (pk,), s = keygen([SEED], [kg], params)
+            pks, s = keygen([SEED], [kg], params)
             bits = random_bits([ms])
-            u_c, v_c = encrypt([pk], bits, [ms.read(32)], params)
+            u_c, v_c = encrypt(pks, bits, [ms.read(32)], params)
             assert np.array_equal(decrypt(s, u_c, v_c, params), bits)
 
     def test_noise_stays_below_bound(self):
-        pk, s = key_pair(stream(b"kg6"))
+        pks, (s,) = key_pair(stream(b"kg6"))
         ms = stream(b"m6")
         for _ in range(10):
             bits = random_bits([ms])
-            (u_c,), (v_c,) = encrypt([pk], bits, [ms.read(32)], KYBER768)
+            (u_c,), (v_c,) = encrypt(pks, bits, [ms.read(32)], KYBER768)
             # v - s^T u - mhat on the decompressed ciphertext
             u = decompress(u_c, KYBER768.du)
             v = decompress(v_c, KYBER768.dv)
@@ -127,81 +127,92 @@ class TestEncryptDecrypt:
 class TestSerialization:
     @pytest.mark.parametrize("params", PARAM_SETS.values(), ids=lambda p: p.name)
     def test_pk_sk_roundtrip(self, params):
-        pk, s = key_pair(stream(b"ser"), params)
-        sk = SecretKey(s)
-        assert PublicKey.from_bytes(pk.to_bytes(), params) == pk
-        assert SecretKey.from_bytes(sk.to_bytes(), params) == sk
+        ((seed,), (b,)), (s,) = key_pair(stream(b"ser"), params)
+        pk = seed + pack12(b)
+        assert check_seed(pk[:32]) == seed
+        assert np.array_equal(unpack_ring(pk[32:], params.k), b)
+        assert np.array_equal(unpack_ring(pack12(s), params.k), s)
 
     def test_pk_length(self):
-        pk, _ = key_pair(stream(b"len"))
-        assert len(pk.to_bytes()) == 32 + 3 * 384  # seed + 12-bit packed b
+        ((seed,), (b,)), _ = key_pair(stream(b"len"))
+        assert len(seed + pack12(b)) == 32 + 3 * 384  # seed + 12-bit packed b
 
 
 # wire decoders accept exactly the canonical encodings: every 12-bit
-# coefficient below q, so that decode then encode reproduces the input
+# coefficient below q, so that decode then encode reproduces the input.
+# form -> (rows, keyed): a secret s (or a bare b) is k rows, a wireless
+# ciphertext k + 1 rows, a public key 32 seed bytes then b's k rows
 P512 = PARAM_SETS[512]
-PK_BYTES = 32 + P512.k * 384
+FORMS = {"s": (P512.k, False), "ct": (KYBER768.k + 1, False),
+         "pk": (P512.k, True)}
 coeff_seeds = st.integers(0, 2 ** 32 - 1)
-# (position, value >= q) overwrites; empty lists keep the encoding canonical
-overwrites = st.lists(st.tuples(st.integers(0, P512.k * N - 1),
-                                st.integers(Q, 4095)), max_size=3)
 
 
-def random_coeffs(seed, count):
-    return np.random.default_rng(seed).integers(0, Q, count)
+def random_coeffs(seed, rows):
+    return np.random.default_rng(seed).integers(0, Q, (rows, N))
 
 
+def encode(form, seed, coeffs):
+    return (seed if FORMS[form][1] else b"") + pack12(coeffs)
+
+
+def decode(form, data):
+    """(seed, b"" for an unkeyed form, and the (rows, 256) coefficients)."""
+    rows, keyed = FORMS[form]
+    if keyed:
+        return check_seed(data[:32]), unpack_ring(data[32:], rows)
+    return b"", unpack_ring(data, rows)
+
+
+@pytest.mark.parametrize("form", FORMS)
 class TestCanonicalDecoding:
     @given(coeff_seeds)
     @settings(max_examples=25)
-    def test_pk_roundtrip(self, seed):
-        pk = PublicKey(bytes([seed & 0xFF]) * 32,
-                       random_coeffs(seed, P512.k * N).reshape(P512.k, N))
-        assert PublicKey.from_bytes(pk.to_bytes(), P512) == pk
+    def test_roundtrip(self, form, seed):
+        coeffs = random_coeffs(seed, FORMS[form][0])
+        key_seed = bytes([seed & 0xFF]) * 32 if FORMS[form][1] else b""
+        got_seed, got = decode(form, encode(form, key_seed, coeffs))
+        assert got_seed == key_seed and np.array_equal(got, coeffs)
 
-    @given(coeff_seeds)
-    @settings(max_examples=25)
-    def test_sk_roundtrip(self, seed):
-        sk = SecretKey(random_coeffs(seed, P512.k * N).reshape(P512.k, N))
-        assert SecretKey.from_bytes(sk.to_bytes(), P512) == sk
-
-    @given(coeff_seeds, overwrites)
+    # (position, value >= q) overwrites; an empty list keeps the encoding
+    # canonical
+    @given(coeff_seeds, st.lists(st.tuples(st.integers(0, 4 * N - 1),
+                                           st.integers(Q, 4095)),
+                                 max_size=3))
     @settings(max_examples=50)
-    def test_rejects_coefficients_at_or_above_q(self, seed, bad):
-        coeffs = random_coeffs(seed, P512.k * N)
+    def test_rejects_coefficients_at_or_above_q(self, form, seed, bad):
+        coeffs = random_coeffs(seed, FORMS[form][0]).ravel()
         for pos, value in bad:
-            coeffs[pos] = value
-        packed = pack12(coeffs)
+            coeffs[pos % len(coeffs)] = value
+        data = encode(form, SEED, coeffs)
         if bad:
             with pytest.raises(ValueError):
-                PublicKey.from_bytes(SEED + packed, P512)
-            with pytest.raises(ValueError):
-                SecretKey.from_bytes(packed, P512)
+                decode(form, data)
         else:
-            assert PublicKey.from_bytes(SEED + packed, P512).to_bytes() == \
-                SEED + packed
-            assert SecretKey.from_bytes(packed, P512).to_bytes() == packed
+            assert encode(form, *decode(form, data)) == data
 
-    def test_packed_4095_rejected(self):
-        coeffs = np.zeros(P512.k * N, dtype=np.int64)
+    def test_packed_4095_rejected(self, form):
+        coeffs = np.zeros(FORMS[form][0] * N, dtype=np.int64)
         coeffs[5] = 4095
         with pytest.raises(ValueError):
-            PublicKey.from_bytes(SEED + pack12(coeffs), P512)
+            decode(form, encode(form, SEED, coeffs))
 
-    @given(st.binary(min_size=PK_BYTES - 3, max_size=PK_BYTES + 3))
+    def test_rejects_wrong_length(self, form):
+        data = encode(form, SEED, np.zeros((FORMS[form][0], N), dtype=np.int64))
+        decode(form, data)
+        for wrong in (b"", data[:31], data[:-3], data[:-1], data + b"\0",
+                      data + bytes(3)):
+            with pytest.raises(ValueError):
+                decode(form, wrong)
+
+    @given(st.data())
     @settings(max_examples=50)
-    def test_pk_fuzz(self, data):
+    def test_fuzz(self, form, data):
+        rows, keyed = FORMS[form]
+        size = 32 * keyed + 384 * rows
+        raw = data.draw(st.binary(min_size=size - 3, max_size=size + 3))
         try:
-            pk = PublicKey.from_bytes(data, P512)
+            decoded = decode(form, raw)
         except ValueError:
             return
-        assert pk.to_bytes() == data
-
-    @given(st.binary(min_size=PK_BYTES - 35, max_size=PK_BYTES - 29))
-    @settings(max_examples=50)
-    def test_sk_fuzz(self, data):
-        try:
-            sk = SecretKey.from_bytes(data, P512)
-        except ValueError:
-            return
-        assert sk.to_bytes() == data
+        assert encode(form, *decoded) == raw

@@ -1,4 +1,5 @@
 import io
+import math
 
 import numpy as np
 import pytest
@@ -7,14 +8,14 @@ from hypothesis import strategies as st
 
 from wkyber.core import (XofStream, centered, decompress, gen_matrices,
                          inner_product, intt, matvec_mul, noise_vectors,
-                         pack12, poly_mul_schoolbook)
-from wkyber.modem import ChannelPlan
+                         pack12, poly_mul_schoolbook, unpack_ring)
+from wkyber.modem import ChannelPlan, NoiseSource
 from wkyber.params import KYBER768, N, Q, PARAM_SETS
-from wkyber.pke import (PublicKey, decrypt, encrypt, keygen, random_bits,
-                        wk_decrypt, wk_encrypt)
-from wkyber.protocol import (WkCiphertext, kem_v1_decaps, kem_v1_encaps,
-                             kem_v1_keygen, run_sessions, session_plans,
-                             snr_warnings, v2_keygen)
+from wkyber.pke import (decrypt, encrypt, keygen, random_bits, wk_decrypt,
+                        wk_encrypt)
+from wkyber.protocol import (_receive_pks, _send_pk, kem_v1_decaps,
+                             kem_v1_encaps, kem_v1_keygen, run_sessions,
+                             session_plans, snr_warnings, v2_keygen)
 from wkyber.transport import coeff_error_dist, send_coeffs
 
 SEED = bytes(32)
@@ -37,18 +38,19 @@ def kem_pair(key_label, msg_label):
 
 class TestV1Pke:
     def test_keygen_is_baseline(self):
-        (pk1,), s1, _ = kem_v1_keygen([SEED], [stream(b"a")], P768)
-        (pk2,), s2 = keygen([SEED], [stream(b"a")], P768)
-        assert pk1 == pk2 and np.array_equal(s1, s2)
+        (seeds1, b1), s1, _ = kem_v1_keygen([SEED], [stream(b"a")], P768)
+        (seeds2, b2), s2 = keygen([SEED], [stream(b"a")], P768)
+        assert seeds1 == seeds2
+        assert np.array_equal(b1, b2) and np.array_equal(s1, s2)
 
     def test_never_samples_ciphertext_noise(self):
         # u - A^T s' must vanish before transmission
-        (pk,), _ = keygen([SEED], [stream(b"b")], P768)
+        pks, _ = keygen([SEED], [stream(b"b")], P768)
         bits = random_bits([stream(b"m")])
         coins = b"\x22" * 32
-        (c,) = wk_encrypt([pk], bits, [coins], P768)
+        (c,) = wk_encrypt(pks, bits, [coins], P768)
         sp = noise_vectors([coins], b"sp", P768.eta1, P768.k)[0]
-        a = intt(gen_matrices([pk.seed], P768)[0])
+        a = intt(gen_matrices([SEED], P768)[0])
         for i in range(P768.k):
             u_i = sum(poly_mul_schoolbook(a[j, i], sp[j])
                       for j in range(P768.k)) % Q
@@ -59,23 +61,23 @@ class TestV1Pke:
         monkeypatch.setattr(pke, "noise_vectors",
                             lambda seeds, label, eta, k:
                             np.zeros((len(seeds), k, N), dtype=np.int64))
-        (pk,), _ = keygen([SEED], [stream(b"c")], P768)
-        c = wk_encrypt([pk], np.zeros((1, N), dtype=np.int64), [bytes(32)],
+        pks, _ = keygen([SEED], [stream(b"c")], P768)
+        c = wk_encrypt(pks, np.zeros((1, N), dtype=np.int64), [bytes(32)],
                        P768)
         assert c.shape == (1, 4, N) and not c.any()
 
     def test_deterministic(self):
-        (pk,), _ = keygen([SEED], [stream(b"d")], P768)
+        pks, _ = keygen([SEED], [stream(b"d")], P768)
         bits = random_bits([stream(b"m2")])
-        assert np.array_equal(wk_encrypt([pk], bits, [b"\x01" * 32], P768),
-                              wk_encrypt([pk], bits, [b"\x01" * 32], P768))
+        assert np.array_equal(wk_encrypt(pks, bits, [b"\x01" * 32], P768),
+                              wk_encrypt(pks, bits, [b"\x01" * 32], P768))
 
     def test_noiseless_roundtrip(self):
-        (pk,), s = keygen([SEED], [stream(b"e")], P768)
+        pks, s = keygen([SEED], [stream(b"e")], P768)
         ms = stream(b"m3")
         for _ in range(5):
             bits = random_bits([ms])
-            c = wk_encrypt([pk], bits, [ms.read(32)], P768)
+            c = wk_encrypt(pks, bits, [ms.read(32)], P768)
             assert np.array_equal(wk_decrypt(s, c), bits)
             noise = centered(c[0, -1] - inner_product(s[0], c[0, :-1])
                              - decompress(bits[0], 1))
@@ -91,69 +93,35 @@ class TestV1Pke:
         assert (np.delete(bits, 7) == 1).all()
 
     def test_ciphertext_never_compressed(self):
-        (pk,), _ = keygen([SEED], [stream(b"g")], P768)
-        (coeffs,) = wk_encrypt([pk], np.zeros((1, N), dtype=np.int64),
+        pks, _ = keygen([SEED], [stream(b"g")], P768)
+        (coeffs,) = wk_encrypt(pks, np.zeros((1, N), dtype=np.int64),
                                [b"\x03" * 32], P768)
-        c = WkCiphertext(coeffs)
-        assert len(c.to_bytes()) == 12 * (P768.k + 1) * N // 8
-        rt = WkCiphertext.from_bytes(c.to_bytes(), P768)
-        assert rt == c
-
-
-CT_BYTES = (P768.k + 1) * 384
-
-
-class TestCiphertextDecoding:
-    @given(st.integers(0, 2 ** 32 - 1))
-    @settings(max_examples=25)
-    def test_roundtrip(self, seed):
-        c = WkCiphertext(np.random.default_rng(seed).integers(0, Q, (P768.k + 1, N)))
-        assert WkCiphertext.from_bytes(c.to_bytes(), P768) == c
-
-    @given(st.integers(0, 2 ** 32 - 1),
-           st.lists(st.tuples(st.integers(0, (P768.k + 1) * N - 1),
-                              st.integers(Q, 4095)), min_size=1, max_size=3))
-    @settings(max_examples=25)
-    def test_rejects_coefficients_at_or_above_q(self, seed, bad):
-        coeffs = np.random.default_rng(seed).integers(0, Q, (P768.k + 1) * N)
-        for pos, value in bad:
-            coeffs[pos] = value
-        with pytest.raises(ValueError):
-            WkCiphertext.from_bytes(pack12(coeffs), P768)
-
-    @given(st.binary(min_size=CT_BYTES - 3, max_size=CT_BYTES + 3))
-    @settings(max_examples=50)
-    def test_fuzz(self, data):
-        try:
-            c = WkCiphertext.from_bytes(data, P768)
-        except ValueError:
-            return
-        assert c.to_bytes() == data
+        assert coeffs.shape == (P768.k + 1, N)
+        assert len(pack12(coeffs)) == 12 * (P768.k + 1) * N // 8
+        assert np.array_equal(unpack_ring(pack12(coeffs), P768.k + 1), coeffs)
 
 
 class TestV2Pke:
     def test_b_is_exactly_as(self):
-        (pk,), s = v2_keygen([SEED], [stream(b"h")], P768)
-        a_hat = gen_matrices([SEED], P768)[0]
-        assert np.array_equal(pk.b, matvec_mul(a_hat, s[0]))
+        (_, b), s = v2_keygen([SEED], [stream(b"h")], P768)
+        assert np.array_equal(b, matvec_mul(gen_matrices([SEED], P768), s))
 
     def test_zero_secret_gives_zero_b(self):
-        (pk,), _ = v2_keygen([SEED], [io.BytesIO(bytes(4096))], P768)
-        assert pk.b.shape == (3, N) and not pk.b.any()
+        (_, b), _ = v2_keygen([SEED], [io.BytesIO(bytes(4096))], P768)
+        assert b.shape == (1, 3, N) and not b.any()
 
     def test_received_b_offsets_match_channel_pmf(self):
         # transport the clean key at (10, -10); b_rx - As follows the PMF
-        from wkyber.protocol import _receive_pks, _send_pk
-        from wkyber.modem import NoiseSource
         counts = np.zeros(7, dtype=np.int64)
         total = 0
         for i in range(40):
-            (pk,), _ = v2_keygen([SEED], [stream(b"i" + bytes([i]))], P768)
-            sent = _send_pk(pk, ChannelPlan(10.0, -10.0), NoiseSource(1000 + i),
-                            P768)
-            (pk_rx,), fails = _receive_pks([sent], P768)
-            assert fails.tolist() == [0]
-            off = centered(pk_rx.b - pk.b)
+            ((seed,), (b,)), _ = v2_keygen([SEED], [stream(b"i" + bytes([i]))],
+                                           P768)
+            sent = _send_pk(seed, b, ChannelPlan(10.0, -10.0),
+                            NoiseSource(1000 + i))
+            (seeds_rx, (b_rx,)), fails = _receive_pks([sent], P768)
+            assert seeds_rx == [SEED] and fails.tolist() == [0]
+            off = centered(b_rx - b)
             counts += np.bincount(off.ravel() + 3, minlength=7)
             total += off.size
         expected = coeff_error_dist(-10.0).masses * total
@@ -165,12 +133,36 @@ class TestV2Pke:
         assert all(tr.outcome for tr in run_sessions("v2", P768, V2_PLANS, seeds))
 
 
+class TestKeyTransport:
+    @given(params=st.sampled_from(list(PARAM_SETS.values())),
+           seeds=st.lists(st.binary(min_size=32, max_size=32), min_size=1,
+                          max_size=3),
+           coeff_seed=st.integers(0, 2 ** 32 - 1),
+           tops=st.lists(st.integers(0, 4 * N - 1), min_size=1, max_size=8))
+    @settings(max_examples=30, deadline=None)
+    def test_noiseless_leg_returns_the_exact_key(self, params, seeds,
+                                                 coeff_seed, tops):
+        # at +inf dB nothing flips: any seed survives its packing into 26
+        # blocks of 10 bits (4 pad bits), any canonical b, q - 1 included,
+        # its 10 + 2-bit split
+        b = np.random.default_rng(coeff_seed).integers(
+            0, Q, (len(seeds), params.k * N))
+        b[:, [t % (params.k * N) for t in tops]] = Q - 1
+        b = b.reshape(len(seeds), params.k, N)
+        plan = ChannelPlan(math.inf, math.inf)
+        sent = [_send_pk(seed, b_i, plan, NoiseSource(i))
+                for i, (seed, b_i) in enumerate(zip(seeds, b))]
+        (seeds_rx, b_rx), failures = _receive_pks(sent, params)
+        assert seeds_rx == seeds and np.array_equal(b_rx, b)
+        assert not failures.any()
+
+
 class TestKem:
     def test_encaps_deterministic_given_message(self):
-        (pk,), _ = keygen([SEED], [stream(b"j")], P768)
+        pks, _ = keygen([SEED], [stream(b"j")], P768)
         bits = random_bits([stream(b"m4")])
-        c1, s1 = kem_v1_encaps([pk], bits, P768)
-        c2, s2 = kem_v1_encaps([pk], bits, P768)
+        c1, s1 = kem_v1_encaps(pks, bits, P768)
+        c2, s2 = kem_v1_encaps(pks, bits, P768)
         assert np.array_equal(c1, c2) and s1 == s2
 
     def test_error_free_channel_matches(self):
@@ -220,13 +212,13 @@ class TestKem:
         # a stored b = q - 1 = 4 * 832 whose w2 bits rise by 1..3 reaches the
         # encapsulator as 0..2; both sides must still bind the same key
         pks, s, zs = kem_v1_keygen([SEED], [stream(b"wrap4")], P768)
-        (pk,) = pks
-        assert pk.b[2, 185] == Q - 1
+        seeds, b = pks
+        assert b[0, 2, 185] == Q - 1
         bits = random_bits([stream(b"m8")])
         for rise in (1, 2, 3):
-            b_rx = pk.b.copy()
-            b_rx[2, 185] = (Q - 1 + rise) % Q
-            c, secrets = kem_v1_encaps([PublicKey(pk.seed, b_rx)], bits, P768)
+            b_rx = b.copy()
+            b_rx[0, 2, 185] = (Q - 1 + rise) % Q
+            c, secrets = kem_v1_encaps((seeds, b_rx), bits, P768)
             assert kem_v1_decaps(s, zs, pks, c, P768) == secrets
 
     def test_msb_policy_allows_only_the_q_wrap(self):
@@ -285,6 +277,19 @@ class TestSessions:
     def test_rejects_unknown_version(self):
         with pytest.raises(ValueError):
             run_sessions("v3", P768, NOMINAL_PLANS, [0])
+
+    @pytest.mark.parametrize("seeds", [[], [0]], ids=["no-seeds", "one-seed"])
+    @pytest.mark.parametrize("version", ["v1", "v2"])
+    def test_rejects_unknown_fo_policy_before_any_work(self, version, seeds,
+                                                       monkeypatch):
+        from wkyber import protocol
+
+        def batch(*args):
+            raise AssertionError("a session batch ran")
+        monkeypatch.setattr(protocol, "_run_batch", batch)
+        with pytest.raises(ValueError, match="bogus"):
+            run_sessions(version, P768, NOMINAL_PLANS, seeds,
+                         fo_policy="bogus")
 
     @pytest.mark.parametrize("params", PARAM_SETS.values(), ids=lambda p: p.name)
     def test_all_parameter_sets(self, params):
@@ -361,18 +366,21 @@ class TestBatchIndependence:
         opened = decrypt(base_s, u_c, v_c, params)
         for i in range(sessions):
             one = slice(i, i + 1)
-            pk_i, s_i, z_i = kem_v1_keygen(seeds_a[one], [key_rng(i)], params)
-            assert pk_i == pks[one] and np.array_equal(s_i, s[one])
-            assert z_i == zs[one]
-            c_i, secret_i = kem_v1_encaps(pks[one], bits[one], params)
+            pks_i = (seeds_a[one], pks[1][one])
+            (seeds_i, b_i), s_i, z_i = kem_v1_keygen(seeds_a[one],
+                                                     [key_rng(i)], params)
+            assert seeds_i == seeds_a[one] and np.array_equal(b_i, pks[1][one])
+            assert np.array_equal(s_i, s[one]) and z_i == zs[one]
+            c_i, secret_i = kem_v1_encaps(pks_i, bits[one], params)
             assert np.array_equal(c_i, c[one]) and secret_i == secrets[one]
-            assert kem_v1_decaps(s[one], zs[one], pks[one], received[one],
+            assert kem_v1_decaps(s[one], zs[one], pks_i, received[one],
                                  params) == decapsulated[one]
-            assert np.array_equal(wk_encrypt(pks[one], bits[one], coins[one],
+            assert np.array_equal(wk_encrypt(pks_i, bits[one], coins[one],
                                              params), ct[one])
             assert np.array_equal(wk_decrypt(s[one], ct[one]), decrypted[one])
             pk_i, s_i = keygen(seeds_a[one], [key_rng(i)], params)
-            assert pk_i == base_pks[one] and np.array_equal(s_i, base_s[one])
+            assert np.array_equal(pk_i[1], base_pks[1][one])
+            assert np.array_equal(s_i, base_s[one])
             u_i, v_i = encrypt(pk_i, bits[one], coins[one], params)
             assert np.array_equal(u_i, u_c[one])
             assert np.array_equal(v_i, v_c[one])
@@ -387,14 +395,13 @@ class TestNoiseAccounting:
     def test_v2_noise_matches_convolution_engine(self):
         """End-to-end per-coefficient decryption noise vs the analytic law."""
         from wkyber.reliability import _noise_terms, wkyber_v2_model
-        from wkyber.protocol import _receive_cts, _receive_pks, _send_pk
-        from wkyber.modem import NoiseSource
+        from wkyber.protocol import _receive_cts
 
         observed = []
         for i in range(60):
             kg = stream(b"ks" + bytes([i]))
-            (pk,), s = v2_keygen([SEED], [kg], P768)
-            sent = _send_pk(pk, ChannelPlan(10, -10), NoiseSource(7000 + i), P768)
+            ((seed,), (b,)), s = v2_keygen([SEED], [kg], P768)
+            sent = _send_pk(seed, b, ChannelPlan(10, -10), NoiseSource(7000 + i))
             pks_rx, _ = _receive_pks([sent], P768)
             bits = random_bits([kg])
             (c,) = wk_encrypt(pks_rx, bits, [kg.read(32)], P768)
