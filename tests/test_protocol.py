@@ -221,6 +221,24 @@ class TestKem:
             c, secrets = kem_v1_encaps((seeds, b_rx), bits, P768)
             assert kem_v1_decaps(s, zs, pks, c, P768) == secrets
 
+    def test_decaps_rejects_unknown_policy_before_any_work(self, monkeypatch):
+        from wkyber import protocol
+        pks, s, zs, c, _ = kem_pair(b"k", b"m5")
+        calls = []
+
+        def counted(name):
+            real = getattr(protocol, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return real(*args)
+            return wrapper
+        for name in ("kem_v1_encaps", "wk_decrypt"):
+            monkeypatch.setattr(protocol, name, counted(name))
+        with pytest.raises(ValueError, match="bogus"):
+            kem_v1_decaps(s, zs, pks, c, P768, policy="bogus")
+        assert calls == []
+
     def test_msb_policy_allows_only_the_q_wrap(self):
         from wkyber.protocol import _coeffs_match
         clean = np.array([Q - 1, Q - 1, Q - 1, Q - 1, 7])
