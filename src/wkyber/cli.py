@@ -18,13 +18,12 @@ import tempfile
 import numpy as np
 
 from .bch import codeword_error_prob
+from .dist import IntDist, PrecisionLossError
 from .modem import (NoiseSource, demodulate_symbols, modulate_words,
                     snr_db_to_linear, transmit)
 from .params import get_params
-from .protocol import run_sessions, session_plans
-from .reliability import (PrecisionLossError, failure_prob_rows,
-                          ker_monte_carlo, sigma_vs_snr)
-from .dist import IntDist
+from .protocol import FO_POLICIES, run_sessions, session_plans
+from .reliability import failure_prob_rows, ker_monte_carlo, sigma_vs_snr
 from .transport import (bit_error_prob, coeff_error_dist, receive_blocks,
                         send_blocks)
 
@@ -196,18 +195,16 @@ def cmd_exchange(args):
     params = get_params(args.params)
     plans = session_plans(args.version, args.snr_msb, args.snr_lsb)
     seeds = [args.seed * 65537 + i for i in range(args.trials)]
-    transcripts = run_sessions(args.version, params, plans, seeds,
-                               fo_policy=args.fo_policy)
-    # one tuple, computed once per run, shared by every transcript
-    for w in transcripts[0].policy_warnings:
+    rec = run_sessions(args.version, params, plans, seeds,
+                       fo_policy=args.fo_policy)
+    for w in rec.warnings:
         print(f"policy warning: {w}", file=sys.stderr)
-    rows = [(i, tr.version, tr.k,
-             tr.pk_plan.snr_msb_db, tr.pk_plan.snr_lsb_db,
-             tr.ct_plan.snr_msb_db, tr.ct_plan.snr_lsb_db,
-             "match" if tr.outcome else "mismatch",
-             tr.bch_failures,
-             ";".join(tr.policy_warnings))
-            for i, tr in enumerate(transcripts)]
+    run = (rec.version, rec.k, rec.pk_plan.snr_msb_db, rec.pk_plan.snr_lsb_db,
+           rec.ct_plan.snr_msb_db, rec.ct_plan.snr_lsb_db)
+    failures = (rec.bch_failures_pk + rec.bch_failures_ct).tolist()
+    warnings = ";".join(rec.warnings)
+    rows = [(i, *run, "match" if ok else "mismatch", f, warnings)
+            for i, (ok, f) in enumerate(zip(rec.outcome.tolist(), failures))]
     _emit(rows, ["session_id", "version", "k", "pk_snr_msb_db", "pk_snr_lsb_db",
                  "ct_snr_msb_db", "ct_snr_lsb_db", "outcome", "bch_failures",
                  "policy_warnings"], args.out)
@@ -231,7 +228,7 @@ FLAGS = {
     "--seed": dict(type=_int_at_least(0), default=42),
     "--out": dict(type=_out_path, default=None,
                   help="output file (default stdout)"),
-    "--fo-policy": dict(default="msb-only", choices=["msb-only", "exact"],
+    "--fo-policy": dict(default="msb-only", choices=FO_POLICIES,
                         help="re-encryption comparison policy (v1 KEM)"),
     "--workers": dict(type=_int_at_least(1), default=None,
                       help="parallel workers for Monte Carlo"),

@@ -25,7 +25,9 @@ keeps its own byte streams, noise sources and flip draws, in the order of a
 lone session, and its own KEM hashes; the ring work is stacked on
 (B, k, 256) arrays and each channel leg has one block decode for all B.
 Stacked arithmetic is exact and blocks decode alone, so no result depends
-on B or worker count.
+on B or worker count.  A run of S sessions comes back as one SessionRun:
+the run's version, rank, plans and warnings once, and (S,) arrays of
+outcomes and per-leg BCH failures.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .params import N, Q, ParamSet
 from .pke import keygen, random_bits, wk_decrypt, wk_encrypt
 from .transport import join_coeffs, receive_blocks, send_blocks, send_coeffs
 
-# sessions stacked in one array pass of run_sessions; transcripts do not
+# sessions stacked in one array pass of run_sessions; results do not
 # depend on it, only memory and per-call overhead do
 SESSION_BATCH = 16
 
@@ -90,6 +92,9 @@ def v2_keygen(seeds_a, rngs, params: ParamSet):
 # ---------------------------------------------------------------------------
 # V1 KEM (re-encrypting transform with implicit rejection)
 
+# how decapsulation compares the re-encrypted ciphertext with the received
+FO_POLICIES = ("msb-only", "exact")
+
 
 def kem_v1_keygen(seeds_a, rngs, params: ParamSet):
     """The baseline key generation (binomial e retained), then each rng's
@@ -124,14 +129,12 @@ def _coeffs_match(expected: np.ndarray, received: np.ndarray,
                   policy: str) -> bool:
     if policy == "exact":
         return np.array_equal(expected, received)
-    if policy == "msb-only":
-        # the protected words w10 = c >> 2 must agree exactly.  One wrap is
-        # honest: q = 4 * 832 + 1, so a stored q - 1 = 4 * 832 whose w2 bits
-        # rise comes back as 4 * 832 + 1..3 = 0..2 mod q
-        same = (expected >> 2) == (received >> 2)
-        wrapped = (expected == Q - 1) & (received <= 2)
-        return bool((same | wrapped).all())
-    raise ValueError(f"unknown comparison policy {policy!r}")
+    # msb-only: the protected words w10 = c >> 2 must agree exactly.  One
+    # wrap is honest: q = 4 * 832 + 1, so a stored q - 1 = 4 * 832 whose w2
+    # bits rise comes back as 4 * 832 + 1..3 = 0..2 mod q
+    same = (expected >> 2) == (received >> 2)
+    wrapped = (expected == Q - 1) & (received <= 2)
+    return bool((same | wrapped).all())
 
 
 def kem_v1_decaps(s: np.ndarray, zs, pks, received: np.ndarray,
@@ -145,6 +148,8 @@ def kem_v1_decaps(s: np.ndarray, zs, pks, received: np.ndarray,
     received as 0..2.  Exact comparison rejects nearly every honest session
     because the channel legitimately perturbs the exposed bits.
     """
+    if policy not in FO_POLICIES:
+        raise ValueError(f"unknown comparison policy {policy!r}")
     expected, secrets = kem_v1_encaps(pks, wk_decrypt(s, received), params)
     return [secret if _coeffs_match(c2, c_rx, policy)
             else squeeze(z + squeeze(pack12(c_rx), b"ct", 32), b"rej", 32)
@@ -155,21 +160,21 @@ def kem_v1_decaps(s: np.ndarray, zs, pks, received: np.ndarray,
 # full sessions over the simulated channel
 
 
-@dataclass
-class SessionTranscript:
+@dataclass(eq=False)
+class SessionRun:
+    """A run of S sessions: the run's constants once, then one entry per
+    seed, in seed order, in each (S,) array."""
+
     version: str
     k: int
     pk_plan: ChannelPlan
     ct_plan: ChannelPlan
-    outcome: bool
-    bch_failures_pk: int
-    bch_failures_ct: int
-    policy_warnings: tuple = ()
+    warnings: tuple              # ways the plans leave the operating window
+    outcome: np.ndarray          # bool: both sides hold the same secret/bits
+    bch_failures_pk: np.ndarray  # int64: failed blocks on the key leg
+    bch_failures_ct: np.ndarray  # int64: failed blocks on the ciphertext leg
+    # (S, (k + 1) * 256) centred received - sent ciphertext, if collected
     ct_error_offsets: np.ndarray | None = None
-
-    @property
-    def bch_failures(self) -> int:
-        return self.bch_failures_pk + self.bch_failures_ct
 
 
 def _derive_seed(master: int, label: bytes) -> bytes:
@@ -185,15 +190,14 @@ def _send_pk(seed: bytes, b: np.ndarray, plan: ChannelPlan,
              noise: NoiseSource):
     """Seed bytes ride the protected path (26 blocks of 10 bits), then the
     (k, 256) b coefficients take the standard 17-symbol form.  Returns the
-    received seed blocks and the frame of b."""
+    received seed blocks and b's received (msb, lsb) words."""
     seed_bits = np.unpackbits(np.frombuffer(seed, dtype=np.uint8),
                               bitorder="little").astype(np.int64)
     padded = np.concatenate([seed_bits, np.zeros(4, dtype=np.int64)])
     weights = (1 << np.arange(9, -1, -1)).astype(np.int64)
     words = padded.reshape(26, 10) @ weights
     seed_blocks = send_blocks(words, plan.snr_msb_db, noise)
-    frame = send_coeffs(b, plan, noise)
-    return seed_blocks, frame
+    return (seed_blocks, *send_coeffs(b, plan, noise))
 
 
 def _decode_leg(segments, sessions: int):
@@ -205,23 +209,24 @@ def _decode_leg(segments, sessions: int):
 
 
 def _receive_pks(sent, params: ParamSet):
-    """((seeds, b), failures per key) from B (seed blocks, frame of b)
-    pairs."""
-    w10, failures = _decode_leg([w for blocks, frame in sent
-                                 for w in (blocks, frame.msb)], len(sent))
+    """((seeds, b), failures per key) from B (seed blocks, msb, lsb)
+    triples."""
+    w10, failures = _decode_leg([w for blocks, msb, _ in sent
+                                 for w in (blocks, msb)], len(sent))
     bits = (w10[:, :26, None] >> np.arange(9, -1, -1)) & 1
     seeds = np.packbits(bits.reshape(len(sent), -1)[:, :256].astype(np.uint8),
                         axis=1, bitorder="little")
-    lsb = np.stack([frame.lsb for _, frame in sent])
+    lsb = np.stack([lsb for *_, lsb in sent])
     b = join_coeffs(w10[:, 26:], lsb).reshape(len(sent), params.k, N)
     return ([seed.tobytes() for seed in seeds], b), failures
 
 
-def _receive_cts(frames, params: ParamSet):
-    """((B, k + 1, 256) coefficients, failures per frame) from B frames."""
-    w10, failures = _decode_leg([frame.msb for frame in frames], len(frames))
-    lsb = np.stack([frame.lsb for frame in frames])
-    return join_coeffs(w10, lsb).reshape(len(frames), -1, N), failures
+def _receive_cts(sent, params: ParamSet):
+    """((B, k + 1, 256) coefficients, failures per ciphertext) from B
+    (msb, lsb) pairs."""
+    w10, failures = _decode_leg([msb for msb, _ in sent], len(sent))
+    lsb = np.stack([lsb for _, lsb in sent])
+    return join_coeffs(w10, lsb).reshape(len(sent), -1, N), failures
 
 
 def _noise_source(seed: int, label: bytes) -> NoiseSource:
@@ -230,32 +235,42 @@ def _noise_source(seed: int, label: bytes) -> NoiseSource:
 
 def run_sessions(version: str, params: ParamSet, plans, seeds, *,
                  fo_policy: str = "msb-only",
-                 collect_offsets: bool = False) -> list:
-    """Full exchanges, one transcript per seed: keygen, key transport,
-    encrypt/encaps, ciphertext transport, decrypt/decaps.
+                 collect_offsets: bool = False) -> SessionRun:
+    """Full exchanges, one per seed: keygen, key transport, encrypt/encaps,
+    ciphertext transport, decrypt/decaps.  Returns one SessionRun whose
+    arrays hold session i at index i.
 
     plans is the (public key, ciphertext) ChannelPlan pair.  Policy
     violations are recorded as warnings; the run proceeds regardless.
     V2 keys are ephemeral by construction: every session generates its own.
-    Sessions run SESSION_BATCH at a time; a transcript depends only on its
-    own seed (see the module docstring).
+    Sessions run SESSION_BATCH at a time; a session's entries depend only
+    on its own seed (see the module docstring).
     """
     if version not in ("v1", "v2"):
         raise ValueError(f"version must be 'v1' or 'v2', got {version!r}")
-    if fo_policy not in ("msb-only", "exact"):
+    if fo_policy not in FO_POLICIES:
         raise ValueError(f"unknown comparison policy {fo_policy!r}")
     pk_plan, ct_plan = plans
     warnings = tuple(snr_warnings(ct_plan, "ciphertext")
                      + (snr_warnings(pk_plan, "public key")
                         if version == "v2" else []))
-    return [tr for at in range(0, len(seeds), SESSION_BATCH)
-            for tr in _run_batch(version, params, plans,
-                                 seeds[at:at + SESSION_BATCH], fo_policy,
-                                 collect_offsets, warnings)]
+    outcome = np.zeros(len(seeds), dtype=bool)
+    pk_fail, ct_fail = np.zeros((2, len(seeds)), dtype=np.int64)
+    offsets = (np.zeros((len(seeds), (params.k + 1) * N), dtype=np.int64)
+               if collect_offsets else None)
+    for at in range(0, len(seeds), SESSION_BATCH):
+        batch = slice(at, at + SESSION_BATCH)
+        outcome[batch], pk_fail[batch], ct_fail[batch], error = _run_batch(
+            version, params, plans, seeds[batch], fo_policy)
+        if offsets is not None:
+            offsets[batch] = centered(error)
+    return SessionRun(version, params.k, pk_plan, ct_plan, warnings, outcome,
+                      pk_fail, ct_fail, offsets)
 
 
-def _run_batch(version, params, plans, seeds, fo_policy, collect_offsets,
-               warnings) -> list:
+def _run_batch(version, params, plans, seeds, fo_policy):
+    """(outcome, key-leg failures, ciphertext-leg failures, (B, (k + 1) *
+    256) received - sent ciphertext) of each session of one batch."""
     pk_plan, ct_plan = plans
     # every session draws from its own streams, in the order of one session
     key_rngs = [XofStream(_derive_seed(s, b"key"), b"rng") for s in seeds]
@@ -280,14 +295,7 @@ def _run_batch(version, params, plans, seeds, fo_policy, collect_offsets,
                                   for c, noise in zip(c_clean, noise_b)], params)
     if version == "v1":
         secrets_a = kem_v1_decaps(sks, zs, pks, c_rx, params, fo_policy)
-        outcomes = [a == b for a, b in zip(secrets_a, secrets_b)]
+        outcome = [a == b for a, b in zip(secrets_a, secrets_b)]
     else:
-        outcomes = (wk_decrypt(sks, c_rx) == bits).all(axis=1)
-    offsets = (centered(c_rx - c_clean).reshape(len(seeds), -1)
-               if collect_offsets else [None] * len(seeds))
-    return [SessionTranscript(version=version, k=params.k, pk_plan=pk_plan,
-                              ct_plan=ct_plan, outcome=bool(ok),
-                              bch_failures_pk=int(pk_f),
-                              bch_failures_ct=int(ct_f),
-                              policy_warnings=warnings, ct_error_offsets=off)
-            for ok, pk_f, ct_f, off in zip(outcomes, pk_fail, ct_fail, offsets)]
+        outcome = (wk_decrypt(sks, c_rx) == bits).all(axis=1)
+    return outcome, pk_fail, ct_fail, (c_rx - c_clean).reshape(len(seeds), -1)

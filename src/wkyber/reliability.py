@@ -20,7 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import compress, decompress
-from .dist import IntDist, PrecisionLossError  # noqa: F401 (re-exported)
+# re-exported until ROADMAP item 1 points perfbench's trace site
+# reliability.IntDist at dist; cli and tests import both from dist
+from .dist import IntDist, PrecisionLossError  # noqa: F401
 from .params import Q, ParamSet
 from .protocol import run_sessions
 from .transport import coeff_error_dist, dist_stddev
@@ -214,8 +216,8 @@ class KerPoint:
 
 def _count_failures(args) -> int:
     version, params, plans, seeds, fo_policy = args
-    return sum(not tr.outcome for tr in run_sessions(version, params, plans,
-                                                     seeds, fo_policy=fo_policy))
+    rec = run_sessions(version, params, plans, seeds, fo_policy=fo_policy)
+    return int((~rec.outcome).sum())
 
 
 def ker_monte_carlo(version: str, params: ParamSet, plans, trials: int,

@@ -19,7 +19,6 @@ single-symbol bit error probability.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,21 +26,6 @@ from . import bch
 from .dist import IntDist
 from .modem import ChannelPlan, NoiseSource, ber_4qam, snr_db_to_linear
 from .params import Q
-
-
-@dataclass
-class Frame:
-    """Received words for a batch of coefficients, coefficient-major: msb
-    holds one 31-bit BCH word per coefficient (protected path), lsb one
-    2-bit word (exposed path)."""
-
-    msb: np.ndarray
-    lsb: np.ndarray
-
-    def __post_init__(self):
-        if len(self.msb) != len(self.lsb):
-            raise ValueError("frame must hold one block and one 2-bit word "
-                             "per coefficient")
 
 
 def bit_error_prob(snr_db: float) -> float:
@@ -75,19 +59,21 @@ def receive_blocks(words: np.ndarray, count: int):
 # full coefficient path
 
 
-def send_coeffs(coeffs, plan: ChannelPlan, noise: NoiseSource) -> Frame:
+def send_coeffs(coeffs, plan: ChannelPlan, noise: NoiseSource):
     """Transmit coefficients (< q) as a protected block and an exposed 2-bit
-    word each, in row-major order whatever the array's shape.
+    word each, in row-major order whatever the array's shape.  Returns the
+    received (msb, lsb) words: one 31-bit BCH word and one 2-bit word per
+    coefficient.
 
     Both paths draw from the same noise source, protected path first; with
-    equal seeds the frame is identical across runs.
+    equal seeds the received words are identical across runs.
     """
     c = np.asarray(coeffs, dtype=np.int64).ravel()
     if c.size and (c.min() < 0 or c.max() >= Q):
         raise ValueError("coefficients must lie in [0, q)")
     msb = send_blocks(c >> 2, plan.snr_msb_db, noise)
     lsb = (c & 3) ^ noise.flips(c.size, 2, bit_error_prob(plan.snr_lsb_db))
-    return Frame(msb=msb, lsb=lsb)
+    return msb, lsb
 
 
 def join_coeffs(w10: np.ndarray, w2: np.ndarray) -> np.ndarray:

@@ -298,7 +298,7 @@ class TestPlumbing:
 
     def test_precision_guard_exit_code(self, monkeypatch, capsys):
         from wkyber import cli
-        from wkyber.reliability import PrecisionLossError
+        from wkyber.dist import PrecisionLossError
 
         def boom(snr):
             raise PrecisionLossError("synthetic")

@@ -115,7 +115,7 @@ def outputs(version: str, bits: int) -> dict:
         pks, s = v2_keygen([seed_a], [rng], params)
         ct = wk_encrypt(pks, random_bits([rng]), [rng.read(32)], params)
     offsets = run_sessions(version, params, PLANS[version], [SESSION_SEED],
-                           collect_offsets=True)[0].ct_error_offsets
+                           collect_offsets=True).ct_error_offsets[0]
     assert offsets.shape == ((params.k + 1) * 256,)
     return {"pk": sha(seed_a + pack12(pks[1][0])), "sk": sha(pack12(s[0])),
             "ct": sha(pack12(ct[0])),
@@ -154,7 +154,7 @@ def test_every_case_pinned():
 def test_offsets_not_trivial():
     # the 6 dB plan is meant to exercise the exposed path, not a noiseless one
     offsets = run_sessions("v1", PARAM_SETS[768], PLANS["v1"], [SESSION_SEED],
-                           collect_offsets=True)[0].ct_error_offsets
+                           collect_offsets=True).ct_error_offsets[0]
     assert np.count_nonzero(offsets) > 0
 
 

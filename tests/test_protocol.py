@@ -13,9 +13,10 @@ from wkyber.modem import ChannelPlan, NoiseSource
 from wkyber.params import KYBER768, N, Q, PARAM_SETS
 from wkyber.pke import (decrypt, encrypt, keygen, random_bits, wk_decrypt,
                         wk_encrypt)
-from wkyber.protocol import (_receive_pks, _send_pk, kem_v1_decaps,
-                             kem_v1_encaps, kem_v1_keygen, run_sessions,
-                             session_plans, snr_warnings, v2_keygen)
+from wkyber.protocol import (SESSION_BATCH, _receive_pks, _send_pk,
+                             kem_v1_decaps, kem_v1_encaps, kem_v1_keygen,
+                             run_sessions, session_plans, snr_warnings,
+                             v2_keygen)
 from wkyber.transport import coeff_error_dist, send_coeffs
 
 SEED = bytes(32)
@@ -130,7 +131,7 @@ class TestV2Pke:
 
     def test_roundtrip_over_channel(self):
         seeds = [2000 + i for i in range(20)]
-        assert all(tr.outcome for tr in run_sessions("v2", P768, V2_PLANS, seeds))
+        assert run_sessions("v2", P768, V2_PLANS, seeds).outcome.all()
 
 
 class TestKeyTransport:
@@ -171,15 +172,14 @@ class TestKem:
 
     def test_honest_session_msb_policy(self):
         seeds = [3000 + i for i in range(10)]
-        assert all(tr.outcome
-                   for tr in run_sessions("v1", P768, NOMINAL_PLANS, seeds))
+        assert run_sessions("v1", P768, NOMINAL_PLANS, seeds).outcome.all()
 
     def test_honest_session_exact_policy_rejects(self):
         # the channel legitimately perturbs exposed bits, so exact comparison
         # fails essentially always
         seeds = [4000 + i for i in range(5)]
-        assert not any(tr.outcome for tr in run_sessions(
-            "v1", P768, NOMINAL_PLANS, seeds, fo_policy="exact"))
+        assert not run_sessions("v1", P768, NOMINAL_PLANS, seeds,
+                                fo_policy="exact").outcome.any()
 
     def test_tampered_protected_word_rejects(self):
         pks, s, zs, c, secrets = kem_pair(b"l", b"m6")
@@ -253,21 +253,38 @@ class TestKem:
 
 class TestSessions:
     def test_transcript_deterministic(self):
-        a = run_sessions("v1", P768, NOMINAL_PLANS, [5],
-                         collect_offsets=True)[0]
-        b = run_sessions("v1", P768, NOMINAL_PLANS, [5],
-                         collect_offsets=True)[0]
-        assert a.outcome == b.outcome
-        assert (a.bch_failures_pk, a.bch_failures_ct) == \
-            (b.bch_failures_pk, b.bch_failures_ct)
-        assert np.array_equal(a.ct_error_offsets, b.ct_error_offsets)
+        a = run_sessions("v1", P768, NOMINAL_PLANS, [5], collect_offsets=True)
+        b = run_sessions("v1", P768, NOMINAL_PLANS, [5], collect_offsets=True)
+        assert run_constants(a) == run_constants(b)
+        assert session_columns(a) == session_columns(b)
+
+    @pytest.mark.parametrize("sessions", [0, 1, SESSION_BATCH + 1])
+    def test_record_shapes(self, sessions):
+        seeds = list(range(900, 900 + sessions))
+        rec = run_sessions("v1", P768, NOMINAL_PLANS, seeds,
+                           collect_offsets=True)
+        assert (len(rec.outcome) == len(rec.bch_failures_pk)
+                == len(rec.bch_failures_ct) == len(seeds))
+        assert rec.outcome.dtype == bool
+        assert rec.bch_failures_pk.dtype == rec.bch_failures_ct.dtype == np.int64
+        assert rec.ct_error_offsets.shape == (len(seeds), (P768.k + 1) * N)
+        assert run_sessions("v1", P768, NOMINAL_PLANS,
+                            seeds).ct_error_offsets is None
+
+    def test_failures_counted_per_leg(self):
+        # only the leg sent at 0 dB loses blocks, whichever leg that is
+        clean, noisy = ChannelPlan(math.inf, math.inf), ChannelPlan(0.0, -10.0)
+        rec = run_sessions("v1", P768, (clean, noisy), [1, 2, 3])
+        assert not rec.bch_failures_pk.any() and rec.bch_failures_ct.all()
+        rec = run_sessions("v1", P768, (noisy, clean), [1, 2, 3])
+        assert rec.bch_failures_pk.all() and not rec.bch_failures_ct.any()
 
     def test_policy_warning_recorded(self):
-        tr = run_sessions("v2", P768, (ChannelPlan(10, -3), ChannelPlan(10, -3)),
-                          [6])[0]
-        assert tr.policy_warnings
-        tr = run_sessions("v1", P768, NOMINAL_PLANS, [6])[0]
-        assert not tr.policy_warnings
+        rec = run_sessions("v2", P768,
+                           (ChannelPlan(10, -3), ChannelPlan(10, -3)), [6])
+        assert rec.warnings
+        rec = run_sessions("v1", P768, NOMINAL_PLANS, [6])
+        assert not rec.warnings
 
     def test_policy_boundaries(self):
         assert not snr_warnings(ChannelPlan(10.0, -10.0), "x")
@@ -286,11 +303,11 @@ class TestSessions:
                                                    ChannelPlan(6.0, -10.0))
 
     def test_offsets_collection(self):
-        tr = run_sessions("v1", P768, NOMINAL_PLANS, [7],
-                          collect_offsets=True)[0]
-        assert tr.ct_error_offsets is not None
-        assert len(tr.ct_error_offsets) == (P768.k + 1) * N
-        assert np.abs(tr.ct_error_offsets).max() <= 3
+        rec = run_sessions("v1", P768, NOMINAL_PLANS, [7],
+                           collect_offsets=True)
+        assert rec.ct_error_offsets is not None
+        assert len(rec.ct_error_offsets[0]) == (P768.k + 1) * N
+        assert np.abs(rec.ct_error_offsets).max() <= 3
 
     def test_rejects_unknown_version(self):
         with pytest.raises(ValueError):
@@ -311,14 +328,18 @@ class TestSessions:
 
     @pytest.mark.parametrize("params", PARAM_SETS.values(), ids=lambda p: p.name)
     def test_all_parameter_sets(self, params):
-        assert run_sessions("v1", params, NOMINAL_PLANS, [8])[0].outcome
-        assert run_sessions("v2", params, V2_PLANS, [8])[0].outcome
+        assert run_sessions("v1", params, NOMINAL_PLANS, [8]).outcome.all()
+        assert run_sessions("v2", params, V2_PLANS, [8]).outcome.all()
 
 
-def transcript_fields(tr):
-    return (tr.version, tr.k, tr.pk_plan, tr.ct_plan, tr.outcome,
-            tr.bch_failures_pk, tr.bch_failures_ct, tr.policy_warnings,
-            tr.ct_error_offsets.tolist())
+def run_constants(rec):
+    return rec.version, rec.k, rec.pk_plan, rec.ct_plan, rec.warnings
+
+
+def session_columns(rec):
+    """A run's per-session arrays as lists, session i at index i."""
+    return [rec.outcome.tolist(), rec.bch_failures_pk.tolist(),
+            rec.bch_failures_ct.tolist(), rec.ct_error_offsets.tolist()]
 
 
 class TestBatches:
@@ -331,20 +352,22 @@ class TestBatches:
     def test_any_split_gives_the_same_transcripts(self, version, snr_db,
                                                   params, first, cuts):
         # at 0 and 3 dB seed blocks and b fail to decode and sessions
-        # mismatch; each transcript must depend on its seed alone
+        # mismatch; each session's entries must depend on its seed alone
         plans = session_plans(version, snr_db, -10.0)
         seeds = [first + i for i in range(sum(cuts))]
         whole = run_sessions(version, params, plans, seeds,
                              collect_offsets=True)
         parts, at = [], 0
         for size in cuts:
-            parts += run_sessions(version, params, plans, seeds[at:at + size],
-                                  collect_offsets=True)
+            parts.append(run_sessions(version, params, plans,
+                                      seeds[at:at + size],
+                                      collect_offsets=True))
             at += size
-        assert ([transcript_fields(tr) for tr in whole]
-                == [transcript_fields(tr) for tr in parts])
+        assert all(run_constants(p) == run_constants(whole) for p in parts)
+        assert session_columns(whole) == [
+            sum(column, []) for column in zip(*map(session_columns, parts))]
         if snr_db == 0.0:
-            assert any(tr.bch_failures_pk for tr in whole)
+            assert whole.bch_failures_pk.any()
 
 
 class TestBatchIndependence:
@@ -423,8 +446,8 @@ class TestNoiseAccounting:
             pks_rx, _ = _receive_pks([sent], P768)
             bits = random_bits([kg])
             (c,) = wk_encrypt(pks_rx, bits, [kg.read(32)], P768)
-            frame = send_coeffs(c, ChannelPlan(10, -10), NoiseSource(8000 + i))
-            (c_rx,), _ = _receive_cts([frame], P768)
+            words = send_coeffs(c, ChannelPlan(10, -10), NoiseSource(8000 + i))
+            (c_rx,), _ = _receive_cts([words], P768)
             observed.append(centered(c_rx[-1] - inner_product(s[0], c_rx[:-1])
                                      - decompress(bits[0], 1)))
         observed = np.concatenate(observed)

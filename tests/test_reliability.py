@@ -6,14 +6,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from wkyber.dist import IntDist, PrecisionLossError
 from wkyber.modem import ChannelPlan
 from wkyber.params import KYBER512, KYBER768, PARAM_SETS, Q
-from wkyber.reliability import (FAILURE_BOUND, ErrorModel, IntDist, KerPoint,
-                                PrecisionLossError, _noise_terms,
-                                compression_error_dist, failure_probability,
-                                failure_prob_rows, ker_monte_carlo,
-                                sigma_vs_snr, standard_kyber_model,
-                                wkyber_v1_model, wkyber_v2_model)
+from wkyber.reliability import (FAILURE_BOUND, ErrorModel, KerPoint,
+                                _noise_terms, compression_error_dist,
+                                failure_probability, failure_prob_rows,
+                                ker_monte_carlo, sigma_vs_snr,
+                                standard_kyber_model, wkyber_v1_model,
+                                wkyber_v2_model)
 from wkyber.transport import channel_error_pmf, coeff_error_dist
 
 ZERO = IntDist(0, [1.0])   # the point mass at 0

@@ -19,19 +19,21 @@ NOISELESS = ChannelPlan(math.inf, math.inf)
 NOMINAL = ChannelPlan(10.0, -10.0)
 
 
-def receive(frame):
-    """(coefficients, BCH decode failure count) of a received frame."""
-    w10, failed = receive_blocks(frame.msb, len(frame.msb))
-    return join_coeffs(w10, frame.lsb), int(failed.sum())
+def receive(words):
+    """(coefficients, BCH decode failure count) of received (msb, lsb)
+    words."""
+    msb, lsb = words
+    w10, failed = receive_blocks(msb, len(msb))
+    return join_coeffs(w10, lsb), int(failed.sum())
 
 
 def noiseless_split(coeffs):
-    """(w10, w2) as a noiseless frame carries them: protected block, then
+    """(w10, w2) as a noiseless send carries them: protected block, then
     the exposed word."""
-    frame = send_coeffs(np.asarray(coeffs), NOISELESS, NoiseSource(0))
-    w10, failed = receive_blocks(frame.msb, len(frame.lsb))
+    msb, lsb = send_coeffs(np.asarray(coeffs), NOISELESS, NoiseSource(0))
+    w10, failed = receive_blocks(msb, len(lsb))
     assert not failed.any()
-    return w10.tolist(), frame.lsb.tolist()
+    return w10.tolist(), lsb.tolist()
 
 
 def offset_chi2(plan, coeff_seed, noise_seed, total=200_000):
@@ -65,16 +67,14 @@ class TestSplit:
 
     def test_any_shape_sent_row_major(self):
         coeffs = np.random.default_rng(5).integers(0, Q, (3, 8))
-        frame = send_coeffs(coeffs, NOISELESS, NoiseSource(0))
-        rx, _ = receive(frame)
+        rx, _ = receive(send_coeffs(coeffs, NOISELESS, NoiseSource(0)))
         assert np.array_equal(rx, coeffs.ravel())
 
 
 class TestFrames:
     def test_noiseless_roundtrip(self):
         coeffs = np.random.default_rng(0).integers(0, Q, 300)
-        frame = send_coeffs(coeffs, NOISELESS, NoiseSource(0))
-        rx, failures = receive(frame)
+        rx, failures = receive(send_coeffs(coeffs, NOISELESS, NoiseSource(0)))
         assert (rx == coeffs).all() and failures == 0
 
     def test_frame_length_contract(self):
@@ -82,9 +82,9 @@ class TestFrames:
         # 31-bit block (16 symbols with the pad bit) and one 2-bit word
         # (1 symbol): 17408 symbols on the wire
         coeffs = np.random.default_rng(3).integers(0, Q, 1024)
-        frame = send_coeffs(coeffs, NOISELESS, NoiseSource(0))
-        assert len(frame.msb) == len(frame.lsb) == 1024
-        assert frame.msb.max() < 1 << CODE_N and frame.lsb.max() < 4
+        msb, lsb = send_coeffs(coeffs, NOISELESS, NoiseSource(0))
+        assert len(msb) == len(lsb) == 1024
+        assert msb.max() < 1 << CODE_N and lsb.max() < 4
         assert 1024 * ((CODE_N + 1) // 2 + 1) == 17408
 
     def test_noiseless_draws_nothing(self):
@@ -97,17 +97,17 @@ class TestFrames:
 
     def test_deterministic(self):
         coeffs = np.random.default_rng(1).integers(0, Q, 64)
-        f1 = send_coeffs(coeffs, NOMINAL, NoiseSource(9))
-        f2 = send_coeffs(coeffs, NOMINAL, NoiseSource(9))
-        assert np.array_equal(f1.msb, f2.msb) and np.array_equal(f1.lsb, f2.lsb)
+        msb1, lsb1 = send_coeffs(coeffs, NOMINAL, NoiseSource(9))
+        msb2, lsb2 = send_coeffs(coeffs, NOMINAL, NoiseSource(9))
+        assert np.array_equal(msb1, msb2) and np.array_equal(lsb1, lsb2)
 
     def test_malformed_length_rejected(self):
         coeffs = np.zeros(8, dtype=np.int64)
-        frame = send_coeffs(coeffs, NOISELESS, NoiseSource(0))
+        msb, _ = send_coeffs(coeffs, NOISELESS, NoiseSource(0))
         with pytest.raises(ValueError):
-            receive_blocks(frame.msb, 9)
+            receive_blocks(msb, 9)
         with pytest.raises(ValueError):
-            receive_blocks(frame.msb, 4)
+            receive_blocks(msb, 4)
 
     def test_rejects_coefficients_outside_ring(self):
         with pytest.raises(ValueError):
