@@ -129,14 +129,6 @@ def decode_words(received):
     return words >> PARITY_BITS, corrections, failed
 
 
-def bch_decode(received: int):
-    """Decode one 31-bit word: (message, corrections), or None on failure."""
-    if not 0 <= received <= _WORD_MASK:
-        raise ValueError("received word must fit in 31 bits")
-    msgs, corrections, failed = decode_words([received])
-    return None if failed[0] else (int(msgs[0]), int(corrections[0]))
-
-
 def codeword_error_prob(p_b: float) -> float:
     """Probability that more than t = 5 of the 31 bits arrive flipped.
 

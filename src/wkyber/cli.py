@@ -2,8 +2,8 @@
 
 Verbs: ber | coeff-dist | codeword-error | ker | failure-prob | sigma |
 exchange.  Identical flags and seed produce byte-identical output; files are
-written atomically.  Exit codes: 0 success, 2 usage error, 3 precision-guard
-trip inside the analysis engine.
+written atomically.  Exit codes: 0 success, 2 usage error or an --out file
+that cannot be written, 3 precision-guard trip inside the analysis engine.
 """
 
 from __future__ import annotations
@@ -100,22 +100,29 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _emit(rows, header, out_path):
+def _emit(rows, header, out_path) -> int:
+    """Write the CSV to stdout or atomically to out_path; the exit code,
+    2 if the file cannot be written."""
     text = "\n".join([",".join(header)]
                      + [",".join(_fmt(c) for c in row) for row in rows]) + "\n"
     if out_path in (None, "-"):
         sys.stdout.write(text)
-        return
+        return 0
     directory = os.path.dirname(os.path.abspath(out_path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, out_path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        print(f"cannot write {out_path}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return 2
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -134,14 +141,14 @@ def cmd_ber(args):
         flips = rx ^ words
         nerr = int(((flips & 1) + (flips >> 1)).sum())
         rows.append((snr, analytic, nerr / (2 * nwords)))
-    _emit(rows, ["snr_db", "ber_analytic", "ber_empirical"], args.out)
+    return _emit(rows, ["snr_db", "ber_analytic", "ber_empirical"], args.out)
 
 
 def cmd_coeff_dist(args):
     channel = coeff_error_dist(args.snr_lsb).as_dict()
     cbd2 = IntDist.centered_binomial(2).as_dict()
     rows = [(off, channel[off], cbd2.get(off, 0.0)) for off in range(-3, 4)]
-    _emit(rows, ["offset", "channel_pmf", "cbd2_pmf"], args.out)
+    return _emit(rows, ["offset", "channel_pmf", "cbd2_pmf"], args.out)
 
 
 def cmd_codeword_error(args):
@@ -156,7 +163,7 @@ def cmd_codeword_error(args):
         # are exactly the >t-bit-flips event the analytic tail counts
         wrong = int(((got != msgs) | failed).sum())
         rows.append((snr, analytic, wrong / args.trials))
-    _emit(rows, ["snr_db", "pce_analytic", "pce_empirical"], args.out)
+    return _emit(rows, ["snr_db", "pce_analytic", "pce_empirical"], args.out)
 
 
 def cmd_ker(args):
@@ -169,14 +176,15 @@ def cmd_ker(args):
                              fo_policy=args.fo_policy, workers=args.workers)
         rows.append((pt.snr_msb_db, pt.snr_lsb_db, args.version, params.k,
                      pt.trials, pt.failures, pt.ker, *pt.interval()))
-    _emit(rows, ["snr_msb_db", "snr_lsb_db", "version", "k", "trials",
-                 "failures", "ker", "ker_lo", "ker_hi"], args.out)
+    return _emit(rows, ["snr_msb_db", "snr_lsb_db", "version", "k",
+                        "trials", "failures", "ker", "ker_lo", "ker_hi"],
+                 args.out)
 
 
 def cmd_failure_prob(args):
     rows = failure_prob_rows(args.snr_lsb)
-    _emit(rows, ["scheme", "k", "snr_lsb_db", "channel_variant",
-                 "log2_failure_prob"], args.out)
+    return _emit(rows, ["scheme", "k", "snr_lsb_db", "channel_variant",
+                        "log2_failure_prob"], args.out)
 
 
 def cmd_sigma(args):
@@ -188,7 +196,7 @@ def cmd_sigma(args):
     if crossing:
         print(f"note: sigma crosses 1.0 between {crossing[0]:g} dB and "
               f"{crossing[1]:g} dB", file=sys.stderr)
-    _emit(pairs, ["snr_db", "sigma"], args.out)
+    return _emit(pairs, ["snr_db", "sigma"], args.out)
 
 
 def cmd_exchange(args):
@@ -205,9 +213,10 @@ def cmd_exchange(args):
     warnings = ";".join(rec.warnings)
     rows = [(i, *run, "match" if ok else "mismatch", f, warnings)
             for i, (ok, f) in enumerate(zip(rec.outcome.tolist(), failures))]
-    _emit(rows, ["session_id", "version", "k", "pk_snr_msb_db", "pk_snr_lsb_db",
-                 "ct_snr_msb_db", "ct_snr_lsb_db", "outcome", "bch_failures",
-                 "policy_warnings"], args.out)
+    return _emit(rows, ["session_id", "version", "k", "pk_snr_msb_db",
+                        "pk_snr_lsb_db", "ct_snr_msb_db", "ct_snr_lsb_db",
+                        "outcome", "bch_failures", "policy_warnings"],
+                 args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -297,11 +306,10 @@ def main(argv=None) -> int:
             merged.append(tok)
     args = build_parser().parse_args(merged)
     try:
-        args.func(args)
+        return args.func(args)
     except PrecisionLossError as exc:
         print(f"precision guard tripped: {exc}", file=sys.stderr)
         return 3
-    return 0
 
 
 if __name__ == "__main__":

@@ -4,9 +4,10 @@ Ring data is plain int64 arrays over Z_q[x]/(x^n + 1) with q = 3329,
 n = 256: a ring element is a (256,) array of coefficients in [0, q), a
 module vector a (k, 256) array.  The transforms work over the last axis and
 batch every leading one, so one call transforms a whole vector or matrix.
-Multiplication has two paths: a fast negacyclic NTT (q supports a 256-point
-transform that bottoms out in 128 quadratic factors) and a schoolbook
-reference used as the test oracle.  The NTT and its inverse are each one
+Every ring product goes through mul_sum, which multiplies NTT-domain rows
+with a coefficient vector by a fast negacyclic NTT (q supports a 256-point
+transform that bottoms out in 128 quadratic factors); a schoolbook
+multiplier is the test oracle.  The NTT and its inverse are each one
 float64 product with a 128 x 128 matrix, applied to the even and the odd
 coefficients alike and reduced mod q once.  NTT-domain products and their
 sums over the rank stay in float64, reduced only at (f1 g1) mod q before
@@ -92,7 +93,7 @@ _V_INV = (_POWERS[-_EXPONENTS.T % N] * pow(128, -1, Q) % Q).astype(np.float64)
 # float64 holds exactly, so the products below are exact whatever order
 # BLAS sums them in
 assert 128 * (Q - 1) ** 2 < 2 ** 53
-# _mul_sum hands the inverse transform sums below 2 (q - 1)^2 per rank, for
+# mul_sum hands the inverse transform sums below 2 (q - 1)^2 per rank, for
 # up to 4 ranks, and its 128-term partial sums stay exact too
 _MAC_BOUND = 2 * 4 * (Q - 1) ** 2
 assert 128 * (Q - 1) * _MAC_BOUND < 2 ** 53
@@ -124,21 +125,6 @@ def intt(coeffs: np.ndarray) -> np.ndarray:
     return _transform(coeffs, _V_INV).astype(np.int64)
 
 
-def _mul_sum(f_hat: np.ndarray, g_hat: np.ndarray) -> np.ndarray:
-    """Sum over axis -2 of the NTT-domain products f_i g_i (128 products
-    mod x^2 - gamma_i each), leading axes broadcast, back in the
-    coefficient domain.  Inputs hold integers in [0, q), rank k <= 4; the
-    products and sums stay unreduced but for (f1 g1) mod q before its gamma
-    multiply, so each is below 2 (q - 1)^2 per rank (see _MAC_BOUND)."""
-    f0, f1 = f_hat[..., 0::2], f_hat[..., 1::2]
-    g0, g1 = g_hat[..., 0::2], g_hat[..., 1::2]
-    even = (f0 * g0).sum(axis=-2) + _mod_q((f1 * g1).sum(axis=-2)) * GAMMAS
-    out = np.empty((*even.shape[:-1], N))
-    out[..., 0::2] = even
-    out[..., 1::2] = (f0 * g1 + f1 * g0).sum(axis=-2)
-    return intt(out)
-
-
 # ---------------------------------------------------------------------------
 # ring operations on coefficient arrays
 
@@ -146,11 +132,6 @@ def _mul_sum(f_hat: np.ndarray, g_hat: np.ndarray) -> np.ndarray:
 def centered(x: np.ndarray) -> np.ndarray:
     """Representatives in [-(q-1)/2, (q-1)/2] of integers taken mod q."""
     return (np.asarray(x, dtype=np.int64) + Q // 2) % Q - Q // 2
-
-
-def poly_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product in Z_q[x]/(x^n + 1), NTT fast path."""
-    return _mul_sum(*_transform(np.stack((a, b))[:, None], _V))
 
 
 def poly_mul_schoolbook(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -161,34 +142,24 @@ def poly_mul_schoolbook(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return folded % Q
 
 
-def matvec_mul(a_hat: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """A s for NTT-domain (..., k, k, 256) matrices and (..., k, 256)
-    vectors, leading axes batched; accumulates in the NTT domain."""
-    if a_hat.shape[-2:] != s.shape[-2:]:
+def mul_sum(rows_hat: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Row i of sum_j rows_hat[..., i, j] * s[..., j], as (..., R, 256), for
+    NTT-domain (..., R, k, 256) rows and a (..., k, 256) coefficient vector,
+    leading axes broadcast: one forward transform of s, the 128 products
+    mod x^2 - gamma_i summed over j in the NTT domain, one inverse
+    transform.  Inputs hold integers in [0, q), rank k <= 4; the products
+    and sums stay unreduced but for (f1 g1) mod q before its gamma multiply,
+    so each is below 2 (q - 1)^2 per rank (see _MAC_BOUND)."""
+    if rows_hat.shape[-2:] != s.shape[-2:]:
         raise ValueError("rank mismatch")
-    return _mul_sum(a_hat, _transform(s, _V)[..., None, :, :])
-
-
-def inner_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Sum of a_i * b_i over two (..., k, 256) vectors, leading axes
-    batched: one ring element per vector pair."""
-    if a.shape != b.shape:
-        raise ValueError("rank mismatch")
-    return _mul_sum(*_transform(np.stack((a, b)), _V))
-
-
-def encrypt_products(a_hat: np.ndarray, b: np.ndarray,
-                     s: np.ndarray) -> np.ndarray:
-    """A^T s stacked over b^T s, as one (..., k + 1, 256) array, for
-    NTT-domain (..., k, k, 256) matrices and two (..., k, 256) vectors,
-    leading axes batched: one forward transform of (b, s) and one inverse
-    transform of the k + 1 sums."""
-    if a_hat.shape[-2:] != s.shape[-2:] or b.shape != s.shape:
-        raise ValueError("rank mismatch")
-    b_hat, s_hat = _transform(np.stack((b, s)), _V)
-    rows = np.concatenate((a_hat.swapaxes(-3, -2), b_hat[..., None, :, :]),
-                          axis=-3)
-    return _mul_sum(rows, s_hat[..., None, :, :])
+    s_hat = _transform(s, _V)[..., None, :, :]
+    f0, f1 = rows_hat[..., 0::2], rows_hat[..., 1::2]
+    g0, g1 = s_hat[..., 0::2], s_hat[..., 1::2]
+    even = (f0 * g0).sum(axis=-2) + _mod_q((f1 * g1).sum(axis=-2)) * GAMMAS
+    out = np.empty((*even.shape[:-1], N))
+    out[..., 0::2] = even
+    out[..., 1::2] = (f0 * g1 + f1 * g0).sum(axis=-2)
+    return intt(out)
 
 
 # ---------------------------------------------------------------------------

@@ -54,10 +54,8 @@ class IntDist:
     # -- basic queries -------------------------------------------------------
 
     @property
-    def support(self) -> range:
-        return range(self.offset, self.offset + len(self.masses))
-
-    def _values(self) -> np.ndarray:
+    def support(self) -> np.ndarray:
+        """The support's integers in order, one per mass, as int64."""
         return np.arange(self.offset, self.offset + len(self.masses))
 
     def total_mass(self) -> float:
@@ -69,7 +67,7 @@ class IntDist:
 
     def as_dict(self) -> dict:
         """Every support value mapped to its mass, zeros included."""
-        return {v: float(m) for v, m in zip(self.support, self.masses)}
+        return dict(zip(self.support.tolist(), self.masses.tolist()))
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -97,7 +95,7 @@ class IntDist:
 
     def product(self, other: "IntDist") -> "IntDist":
         """Distribution of X * Y for independent X, Y."""
-        values = np.multiply.outer(self._values(), other._values()).ravel()
+        values = np.multiply.outer(self.support, other.support).ravel()
         lo = int(values.min())
         acc = np.bincount(values - lo, weights=np.multiply.outer(
             self.masses, other.masses).ravel())
@@ -130,7 +128,7 @@ class IntDist:
         count = len(other.masses)
         upper = np.append(np.cumsum(other.masses[::-1])[::-1], 0.0)
         lower = np.append(0.0, np.cumsum(other.masses))
-        x = self._values() + other.offset
+        x = self.support + other.offset
         tail = float(self.masses @ (upper[np.clip(bound - x, 0, count)]
                                     + lower[np.clip(1 - bound - x, 0, count)]))
         expected = self.total_mass() * other.total_mass()

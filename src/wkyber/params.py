@@ -21,12 +21,8 @@ class ParamSet:
     eta2: int
     du: int
     dv: int
-    q: int = Q
-    n: int = N
 
     def __post_init__(self):
-        if self.q != Q or self.n != N:
-            raise ValueError("all parameter sets use q=3329, n=256")
         if self.k not in (2, 3, 4):
             raise ValueError(f"unsupported module rank k={self.k}")
 
@@ -40,8 +36,6 @@ PARAM_SETS = {512: KYBER512, 768: KYBER768, 1024: KYBER1024}
 
 def get_params(which) -> ParamSet:
     """Look up a parameter set by 512/768/1024 (int or string)."""
-    if isinstance(which, ParamSet):
-        return which
     try:
         return PARAM_SETS[int(which)]
     except (KeyError, ValueError):

@@ -4,7 +4,9 @@ The wireless encryption wk_encrypt / wk_decrypt (V1 and V2, see
 :mod:`wkyber.protocol`) sends u = A^T s', v = b^T s' + mhat uncompressed and
 lets the channel supply the noise.  The baseline scheme is the same core
 plus binomially sampled e' and e'' and d_u / d_v compression; all three
-share keygen, whose with_error=False form is V2's b = A s.
+share keygen, whose with_error=False form is V2's b = A s.  The three ring
+products are core.mul_sum calls: A s at key generation, the rows A^T and
+b^T stacked against s' at encryption, and s^T u at decryption.
 
 Every function takes B sessions at once as plain arrays: public keys are
 pairs (seeds, b) of B 32-byte seeds for the matrices A (gen_matrices caches
@@ -18,8 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import (cbd_vectors, compress, decompress, encrypt_products,
-                   gen_matrices, inner_product, matvec_mul, noise_vectors)
+from .core import (cbd_vectors, compress, decompress, gen_matrices, mul_sum,
+                   noise_vectors, ntt)
 from .params import N, Q, ParamSet
 
 
@@ -39,7 +41,7 @@ def keygen(seeds_a, rngs, params: ParamSet, with_error: bool = True):
     noise = cbd_vectors(b"".join(rng.read(64 * eta * k * count)
                                  for rng in rngs), eta, count * k)
     s = noise[:, :k]
-    b = matvec_mul(gen_matrices(seeds_a, params), s)
+    b = mul_sum(gen_matrices(seeds_a, params), s)
     if with_error:
         b = (b + noise[:, k:]) % Q
     return (seeds_a, b), s
@@ -50,7 +52,9 @@ def wk_encrypt(pks, bits: np.ndarray, coins, params: ParamSet) -> np.ndarray:
     32-byte coins; no e' or e'' is ever sampled."""
     seeds, b = pks
     sp = noise_vectors(coins, b"sp", params.eta1, params.k)
-    uv = encrypt_products(gen_matrices(seeds, params), b, sp)
+    rows = np.concatenate((gen_matrices(seeds, params).swapaxes(-3, -2),
+                           ntt(b)[..., None, :, :]), axis=-3)
+    uv = mul_sum(rows, sp)
     uv[:, -1] = (uv[:, -1] + decompress(bits, 1)) % Q
     return uv
 
@@ -58,7 +62,8 @@ def wk_encrypt(pks, bits: np.ndarray, coins, params: ParamSet) -> np.ndarray:
 def wk_decrypt(s: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """Per-coefficient compress(v - s^T u, 1): the message bits."""
     u, v = coeffs[..., :-1, :], coeffs[..., -1, :]
-    return compress((v - inner_product(s, u)) % Q, 1)
+    su = mul_sum(ntt(s)[..., None, :, :], u)[..., 0, :]
+    return compress((v - su) % Q, 1)
 
 
 def encrypt(pks, bits: np.ndarray, coins, params: ParamSet):

@@ -5,8 +5,10 @@ let the channel supply it: the uncompressed ciphertext (u = A^T s',
 v = b^T s' + mhat) travels with its two low bits exposed at low SNR.  V1
 keeps the baseline key generation (b = A s + e, public key sent with both
 paths well protected) and therefore supports the re-encrypting KEM; V2 also
-drops e (b = A s) and lets the public-key transmission inject it, which
-rules out re-encryption, so V2 is used as a PKE with ephemeral keys.
+drops e (b = A s, pke.keygen with with_error=False) and lets the public-key
+transmission inject it, which rules out re-encryption, so V2 is used as a
+PKE with ephemeral keys.  Both versions encrypt and decrypt with
+pke.wk_encrypt and pke.wk_decrypt.
 
 KEM robustness detail: the public key's two low bits per coefficient are
 not BCH-protected, so rare channel flips would leave encapsulator and
@@ -77,16 +79,6 @@ def session_plans(version: str, snr_msb_db: float, snr_lsb_db: float):
     if version == "v1":
         return ChannelPlan(snr_msb_db, snr_msb_db), ct_plan
     return ct_plan, ct_plan
-
-
-# ---------------------------------------------------------------------------
-# V2 key generation; V1 and V2 encrypt with pke.wk_encrypt / wk_decrypt
-
-
-def v2_keygen(seeds_a, rngs, params: ParamSet):
-    """b = A s with no sampled error; the channel adds it in transit.
-    Returns ((seeds_a, b), s)."""
-    return keygen(seeds_a, rngs, params, with_error=False)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +273,7 @@ def _run_batch(version, params, plans, seeds, fo_policy):
     if version == "v1":
         pks, sks, zs = kem_v1_keygen(seeds_a, key_rngs, params)
     else:
-        pks, sks = v2_keygen(seeds_a, key_rngs, params)
+        pks, sks = keygen(seeds_a, key_rngs, params, with_error=False)
     pks_rx, pk_fail = _receive_pks([_send_pk(seed, b, pk_plan, noise)
                                     for seed, b, noise in zip(*pks, noise_a)],
                                    params)

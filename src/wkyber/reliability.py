@@ -23,7 +23,7 @@ from .core import compress, decompress
 # re-exported until ROADMAP item 1 points perfbench's trace site
 # reliability.IntDist at dist; cli and tests import both from dist
 from .dist import IntDist, PrecisionLossError  # noqa: F401
-from .params import Q, ParamSet
+from .params import N, PARAM_SETS, Q, ParamSet
 from .protocol import run_sessions
 from .transport import coeff_error_dist, dist_stddev
 
@@ -79,7 +79,7 @@ def _noise_terms(params: ParamSet, model: ErrorModel,
     error].  ladders maps a base's (offset, mass bytes) to its power ladder
     and (that key, k*n) to the power; sharing it computes each power once."""
     model.validate()
-    kn = params.k * params.n
+    kn = params.k * N
     ladders = {} if ladders is None else ladders
     ct_term = model.ct_error_dist
     if model.compression is not None:
@@ -107,7 +107,7 @@ def failure_probability(params: ParamSet, model: ErrorModel,
     """
     key_power, rest = _noise_terms(params, model, ladders)
     tail = key_power.tail_of_sum(rest, FAILURE_BOUND)
-    return math.log2(params.n * tail) if tail > 0 else float("-inf")
+    return math.log2(N * tail) if tail > 0 else float("-inf")
 
 
 def standard_kyber_model(params: ParamSet) -> ErrorModel:
@@ -160,7 +160,6 @@ def failure_prob_rows(snr_lsb_db: float = -10.0):
     The V1 rows draw the key error at eta2, as the published figures do
     (see wkyber_v1_model).
     """
-    from .params import PARAM_SETS
     rows = []
     ladders = {}     # one per table: the rows share their bases' powers
     for bits, params in PARAM_SETS.items():

@@ -129,5 +129,4 @@ def coeff_error_dist(snr_lsb_db: float, variant: str = "exact") -> IntDist:
 
 def dist_stddev(d: IntDist) -> float:
     """sqrt(sum e^2 pmf(e)); the mean vanishes by symmetry."""
-    e = np.array(d.support, dtype=float)
-    return math.sqrt(float((e ** 2 * d.masses).sum()))
+    return math.sqrt(float((d.support ** 2 * d.masses).sum()))

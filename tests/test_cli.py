@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 
 import pytest
@@ -279,6 +280,23 @@ class TestPlumbing:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr and "--out" in proc.stderr
         assert proc.stdout == "" and os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("step", ["mkstemp", "replace"])
+    def test_failed_write_exit_code(self, tmp_path, monkeypatch, capsys,
+                                    step):
+        # the directory exists, but writing in it fails: exit 2 with the
+        # reason, no traceback, and no temporary file left behind
+        def refuse(*args, **kwargs):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr(tempfile if step == "mkstemp" else os, step,
+                            refuse)
+        out_file = tmp_path / "sigma.csv"
+        code, out, err = run_cli(capsys, "sigma", "--grid", "-6:-5:1",
+                                 "--out", str(out_file))
+        assert code == 2 and out == ""
+        assert f"cannot write {out_file}: Permission denied" in err
+        assert os.listdir(tmp_path) == []
 
     def test_infinite_snr_is_noiseless(self, capsys):
         code, out, _ = run_cli(capsys, "exchange", "--trials", "1",

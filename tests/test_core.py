@@ -9,14 +9,29 @@ from hypothesis import strategies as st
 
 from wkyber.core import (GAMMAS, UNIFORM_READ, XofStream, _gen_matrix_cached,
                          cbd_vectors, centered, compress, decompress,
-                         encrypt_products, gen_matrices, inner_product,
-                         intt, matvec_mul, ntt, pack12, poly_mul,
+                         gen_matrices, intt, mul_sum, ntt, pack12,
                          poly_mul_schoolbook, squeeze, unpack12)
 from wkyber.params import KYBER512, KYBER768, KYBER1024, N, Q
 
 
 def rand_poly(rng, shape=()):
     return rng.integers(0, Q, (*shape, N))
+
+
+def ring_product(a, b):
+    """a * b as mul_sum's one row (a) against the one-entry vector (b)."""
+    return mul_sum(ntt(a)[None, None], b[None])[0]
+
+
+def dot(b, s):
+    """b^T s for (..., k, 256) vectors, as wk_decrypt forms s^T u."""
+    return mul_sum(ntt(b)[..., None, :, :], s)[..., 0, :]
+
+
+def encryption_rows(a_hat, b):
+    """The NTT-domain rows A^T stacked over b^T, as wk_encrypt builds them."""
+    return np.concatenate((a_hat.swapaxes(-3, -2), ntt(b)[..., None, :, :]),
+                          axis=-3)
 
 
 def ntt_by_definition():
@@ -88,7 +103,7 @@ class TestPolyMul:
         one = np.zeros(N, dtype=np.int64)
         one[0] = 1
         a = rand_poly(rng)
-        assert np.array_equal(poly_mul(a, one), a)
+        assert np.array_equal(ring_product(a, one), a)
 
     def test_negacyclic_wraparound(self):
         # x^(n-1) * x = x^n = -1
@@ -96,7 +111,7 @@ class TestPolyMul:
         hi[N - 1] = 1
         x = np.zeros(N, dtype=np.int64)
         x[1] = 1
-        r = poly_mul(hi, x)
+        r = ring_product(hi, x)
         assert r[0] == Q - 1
         assert (r[1:] == 0).all()
 
@@ -104,11 +119,12 @@ class TestPolyMul:
         rng = np.random.default_rng(3)
         for _ in range(100):
             a, b = rand_poly(rng), rand_poly(rng)
-            assert np.array_equal(poly_mul(a, b), poly_mul_schoolbook(a, b))
+            assert np.array_equal(ring_product(a, b),
+                                  poly_mul_schoolbook(a, b))
 
     def test_closure(self):
         rng = np.random.default_rng(4)
-        r = poly_mul(rand_poly(rng), rand_poly(rng))
+        r = ring_product(rand_poly(rng), rand_poly(rng))
         assert r.shape == (N,)
         assert r.min() >= 0 and r.max() < Q
 
@@ -133,14 +149,15 @@ class TestMatVec:
         ident = np.zeros((3, 3, N), dtype=np.int64)
         ident[np.arange(3), np.arange(3), 0] = 1
         s = rand_poly(rng, (3,))
-        assert np.array_equal(matvec_mul(ntt(ident), s), s)
-        assert np.array_equal(encrypt_products(ntt(ident), s, s)[:-1], s)
+        assert np.array_equal(mul_sum(ntt(ident), s), s)
+        assert np.array_equal(mul_sum(encryption_rows(ntt(ident), s), s)[:-1],
+                              s)
 
     def test_zero_matrix(self):
         rng = np.random.default_rng(6)
         zero = np.zeros((2, 2, N), dtype=np.int64)
         s = rand_poly(rng, (2,))
-        assert not matvec_mul(zero, s).any()
+        assert not mul_sum(zero, s).any()
 
     @given(k=st.sampled_from([2, 3, 4]), seed=seeds)
     @settings(max_examples=10, deadline=None)
@@ -148,19 +165,19 @@ class TestMatVec:
         rng = np.random.default_rng(seed)
         a, a_hat = rand_matrix(rng, k)
         s = rand_poly(rng, (k,))
-        got = matvec_mul(a_hat, s)
+        got = mul_sum(a_hat, s)
         assert got.shape == (k, N)
         for i in range(k):
             assert np.array_equal(got[i], schoolbook_dot(a[i], s))
 
     @given(k=st.sampled_from([2, 3, 4]), seed=seeds)
     @settings(max_examples=10, deadline=None)
-    def test_encrypt_products(self, k, seed):
+    def test_encryption_rows(self, k, seed):
         # schoolbook A^T s and b^T s, one row each
         rng = np.random.default_rng(seed)
         a, a_hat = rand_matrix(rng, k)
         b, s = rand_poly(rng, (k,)), rand_poly(rng, (k,))
-        got = encrypt_products(a_hat, b, s)
+        got = mul_sum(encryption_rows(a_hat, b), s)
         assert got.shape == (k + 1, N)
         rows = [a[:, i] for i in range(k)] + [b]
         for i, row in enumerate(rows):
@@ -173,15 +190,15 @@ class TestMatVec:
         k = 3
         a_hat = ntt(rand_poly(rng, (*batch, k, k)))
         b, s = rand_poly(rng, (*batch, k)), rand_poly(rng, (*batch, k))
-        mv = matvec_mul(a_hat, s)
-        ip = inner_product(b, s)
-        ep = encrypt_products(a_hat, b, s)
+        mv = mul_sum(a_hat, s)
+        ip = dot(b, s)
+        ep = mul_sum(encryption_rows(a_hat, b), s)
         assert mv.shape == (*batch, k, N) and ip.shape == (*batch, N)
         assert ep.shape == (*batch, k + 1, N)
         for idx in np.ndindex(*batch):
-            assert np.array_equal(mv[idx], matvec_mul(a_hat[idx], s[idx]))
-            assert np.array_equal(ep[idx],
-                                  encrypt_products(a_hat[idx], b[idx], s[idx]))
+            assert np.array_equal(mv[idx], mul_sum(a_hat[idx], s[idx]))
+            assert np.array_equal(
+                ep[idx], mul_sum(encryption_rows(a_hat[idx], b[idx]), s[idx]))
             assert np.array_equal(ip[idx], schoolbook_dot(b[idx], s[idx]))
 
     @pytest.mark.parametrize("domain", ["ntt", "coefficients"])
@@ -194,8 +211,8 @@ class TestMatVec:
         a = intt(full) if domain == "ntt" else full
         b = s = a[:, 0]
         a_hat = ntt(a)
-        mv, ip = matvec_mul(a_hat, s), inner_product(b, s)
-        ep = encrypt_products(a_hat, b, s)
+        mv, ip = mul_sum(a_hat, s), dot(b, s)
+        ep = mul_sum(encryption_rows(a_hat, b), s)
         for i in range(2):
             for r in range(k):
                 assert np.array_equal(mv[i, r], schoolbook_dot(a[i, r], s[i]))
@@ -207,11 +224,11 @@ class TestMatVec:
     def test_rank_mismatch(self):
         _, a_hat = rand_matrix(np.random.default_rng(8), 3)
         v2, v3 = np.zeros((2, N), dtype=np.int64), np.zeros((3, N), dtype=np.int64)
-        with pytest.raises(ValueError):
-            matvec_mul(a_hat, v2)
-        for b, s in ((v3, v2), (v2, v3), (v2, v2)):
+        # a rank-3 matrix against a rank-2 vector, and a row of each rank
+        # against a vector of the other
+        for rows, s in ((a_hat, v2), (ntt(v3)[None], v2), (ntt(v2)[None], v3)):
             with pytest.raises(ValueError):
-                encrypt_products(a_hat, b, s)
+                mul_sum(rows, s)
 
 
 class TestCentered:

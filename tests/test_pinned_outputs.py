@@ -19,9 +19,8 @@ from wkyber.cli import main
 from wkyber.core import XofStream, pack12
 from wkyber.modem import ChannelPlan
 from wkyber.params import PARAM_SETS
-from wkyber.pke import decrypt, encrypt, keygen, random_bits
-from wkyber.protocol import (kem_v1_encaps, kem_v1_keygen, run_sessions,
-                             v2_keygen, wk_encrypt)
+from wkyber.pke import decrypt, encrypt, keygen, random_bits, wk_encrypt
+from wkyber.protocol import kem_v1_encaps, kem_v1_keygen, run_sessions
 
 SESSION_SEED = 20261018
 CT_PLAN = ChannelPlan(6.0, -10.0)
@@ -112,7 +111,7 @@ def outputs(version: str, bits: int) -> dict:
         pks, s, _ = kem_v1_keygen([seed_a], [rng], params)
         ct, _ = kem_v1_encaps(pks, random_bits([rng]), params)
     else:
-        pks, s = v2_keygen([seed_a], [rng], params)
+        pks, s = keygen([seed_a], [rng], params, with_error=False)
         ct = wk_encrypt(pks, random_bits([rng]), [rng.read(32)], params)
     offsets = run_sessions(version, params, PLANS[version], [SESSION_SEED],
                            collect_offsets=True).ct_error_offsets[0]

@@ -7,16 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wkyber.core import (XofStream, centered, decompress, gen_matrices,
-                         inner_product, intt, matvec_mul, noise_vectors,
-                         pack12, poly_mul_schoolbook, unpack_ring)
+                         intt, mul_sum, noise_vectors, ntt, pack12,
+                         poly_mul_schoolbook, unpack_ring)
 from wkyber.modem import ChannelPlan, NoiseSource
 from wkyber.params import KYBER768, N, Q, PARAM_SETS
 from wkyber.pke import (decrypt, encrypt, keygen, random_bits, wk_decrypt,
                         wk_encrypt)
 from wkyber.protocol import (SESSION_BATCH, _receive_pks, _send_pk,
                              kem_v1_decaps, kem_v1_encaps, kem_v1_keygen,
-                             run_sessions, session_plans, snr_warnings,
-                             v2_keygen)
+                             run_sessions, session_plans, snr_warnings)
 from wkyber.transport import coeff_error_dist, send_coeffs
 
 SEED = bytes(32)
@@ -80,8 +79,8 @@ class TestV1Pke:
             bits = random_bits([ms])
             c = wk_encrypt(pks, bits, [ms.read(32)], P768)
             assert np.array_equal(wk_decrypt(s, c), bits)
-            noise = centered(c[0, -1] - inner_product(s[0], c[0, :-1])
-                             - decompress(bits[0], 1))
+            s_u = mul_sum(ntt(s[0])[None], c[0, :-1])[0]
+            noise = centered(c[0, -1] - s_u - decompress(bits[0], 1))
             assert np.abs(noise).max() < 832
 
     def test_injected_boundary_noise_flips_bit(self):
@@ -104,11 +103,12 @@ class TestV1Pke:
 
 class TestV2Pke:
     def test_b_is_exactly_as(self):
-        (_, b), s = v2_keygen([SEED], [stream(b"h")], P768)
-        assert np.array_equal(b, matvec_mul(gen_matrices([SEED], P768), s))
+        (_, b), s = keygen([SEED], [stream(b"h")], P768, with_error=False)
+        assert np.array_equal(b, mul_sum(gen_matrices([SEED], P768), s))
 
     def test_zero_secret_gives_zero_b(self):
-        (_, b), _ = v2_keygen([SEED], [io.BytesIO(bytes(4096))], P768)
+        (_, b), _ = keygen([SEED], [io.BytesIO(bytes(4096))], P768,
+                           with_error=False)
         assert b.shape == (1, 3, N) and not b.any()
 
     def test_received_b_offsets_match_channel_pmf(self):
@@ -116,8 +116,8 @@ class TestV2Pke:
         counts = np.zeros(7, dtype=np.int64)
         total = 0
         for i in range(40):
-            ((seed,), (b,)), _ = v2_keygen([SEED], [stream(b"i" + bytes([i]))],
-                                           P768)
+            ((seed,), (b,)), _ = keygen([SEED], [stream(b"i" + bytes([i]))],
+                                        P768, with_error=False)
             sent = _send_pk(seed, b, ChannelPlan(10.0, -10.0),
                             NoiseSource(1000 + i))
             (seeds_rx, (b_rx,)), fails = _receive_pks([sent], P768)
@@ -441,15 +441,15 @@ class TestNoiseAccounting:
         observed = []
         for i in range(60):
             kg = stream(b"ks" + bytes([i]))
-            ((seed,), (b,)), s = v2_keygen([SEED], [kg], P768)
+            ((seed,), (b,)), s = keygen([SEED], [kg], P768, with_error=False)
             sent = _send_pk(seed, b, ChannelPlan(10, -10), NoiseSource(7000 + i))
             pks_rx, _ = _receive_pks([sent], P768)
             bits = random_bits([kg])
             (c,) = wk_encrypt(pks_rx, bits, [kg.read(32)], P768)
             words = send_coeffs(c, ChannelPlan(10, -10), NoiseSource(8000 + i))
             (c_rx,), _ = _receive_cts([words], P768)
-            observed.append(centered(c_rx[-1] - inner_product(s[0], c_rx[:-1])
-                                     - decompress(bits[0], 1)))
+            s_u = mul_sum(ntt(s[0])[None], c_rx[:-1])[0]
+            observed.append(centered(c_rx[-1] - s_u - decompress(bits[0], 1)))
         observed = np.concatenate(observed)
 
         key, rest = _noise_terms(P768, wkyber_v2_model(P768, -10.0), None)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from wkyber.dist import IntDist, PrecisionLossError
 from wkyber.modem import ChannelPlan
-from wkyber.params import KYBER512, KYBER768, PARAM_SETS, Q
+from wkyber.params import KYBER512, KYBER768, N, PARAM_SETS, Q
 from wkyber.reliability import (FAILURE_BOUND, ErrorModel, KerPoint,
                                 _noise_terms, compression_error_dist,
                                 failure_probability, failure_prob_rows,
@@ -303,7 +303,7 @@ class TestSharedLadders:
             tail = noise.masses[np.abs(np.array(noise.support))
                                 >= FAILURE_BOUND].sum()
             got = failure_probability(params, model, ladders)
-            assert abs(got - math.log2(params.n * tail)) <= 1e-12, params
+            assert abs(got - math.log2(N * tail)) <= 1e-12, params
 
     def test_each_table_computes_its_own_powers(self, monkeypatch):
         # 94 squarings climb the ladders of the 10 distinct bases, 4

@@ -205,7 +205,7 @@ class TestErrorPmf:
     @example(1.0, "approx")
     def test_law_is_symmetric_pmf_on_minus3_to_3(self, p, variant):
         d = channel_error_pmf(p, variant)
-        assert d.support == range(-3, 4)
+        assert d.support.tolist() == list(range(-3, 4))
         assert (d.masses >= 0).all()
         assert abs(d.masses.sum() - 1.0) <= 1e-12
         assert np.abs(d.masses - d.masses[::-1]).max() <= 1e-15
