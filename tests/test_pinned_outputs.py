@@ -8,6 +8,8 @@ plan (the public key of v1 travels at 6 / 6 dB, as in ``wkyber exchange``).
 The baseline scheme is pinned by its key pair and compressed ciphertext.
 The CSVs of the analysis verbs that print the channel law are pinned the
 same way, so a change of its representation must leave them byte-identical.
+So are ``exchange`` and ``ker`` CSVs whose sessions fail blocks on both
+legs, so a change of the wire codec must leave them byte-identical too.
 """
 
 import hashlib
@@ -96,6 +98,18 @@ PINNED_CSV = {
         "2c2b4a3fecf811744aedd681230fb509d765abfd2e96e6c41c9c3980441a8966",
     ("sigma",):
         "c9678abfe1b9ac5f4d5395d87376970b5dcd524a51ae8f97d84429a40ced50d9",
+    # at 2 dB both legs fail blocks: mismatches, silent miscorrections and
+    # sessions that match despite failed blocks, so the key leg's seed
+    # blocks and both legs' decodes are pinned end to end
+    ("exchange", "--version", "v1", "--snr-msb", "2", "--trials", "40",
+     "--seed", "42"):
+        "d8a8c51b6120e7b1a3cc4de2b0188b684410eb2b162710d066dde18c81848802",
+    ("exchange", "--version", "v2", "--snr-msb", "2", "--trials", "40",
+     "--seed", "42"):
+        "5902057a09f651e0b58b02258508b1736f59e7aa4e91103ab1ddd50e7a007f78",
+    ("ker", "--version", "v1", "--grid", "4:6:2", "--trials", "200",
+     "--seed", "42", "--workers", "1"):
+        "18232c11052e1964c3b11ea4199da980cd4e232e0600937caeeabe8401b1a88e",
 }
 
 
