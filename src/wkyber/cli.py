@@ -87,9 +87,11 @@ def _int_at_least(low: int):
 
 
 def _out_path(text: str) -> str:
-    """argparse type: - or a file in an existing directory, else exit 2."""
-    if text != "-" and (os.path.isdir(text) or not os.path.isdir(
-            os.path.dirname(os.path.abspath(text)))):
+    """argparse type: - or a file in an existing, writable directory, else
+    exit 2; _emit still handles a write that fails later."""
+    directory = os.path.dirname(os.path.abspath(text))
+    if text != "-" and (os.path.isdir(text) or not os.path.isdir(directory)
+                        or not os.access(directory, os.W_OK)):
         raise argparse.ArgumentTypeError(f"cannot write a file at {text!r}")
     return text
 

@@ -36,7 +36,6 @@ class NoiseSource:
     per thread."""
 
     def __init__(self, seed: int):
-        self.seed = seed
         self._rng = np.random.default_rng(seed)
 
     def pairs(self, n: int, sigma: float) -> np.ndarray:

@@ -25,7 +25,9 @@ keys, secrets and ciphertexts in the array forms of :mod:`wkyber.pke`, and
 run_sessions calls them on SESSION_BATCH sessions at a time.  Each session
 keeps its own byte streams, noise sources and flip draws, in the order of a
 lone session, and its own KEM hashes; the ring work is stacked on
-(B, k, 256) arrays and each channel leg has one block decode for all B.
+(B, k, 256) arrays.  Each session's key leg goes out through
+transport.send_key and its ciphertext leg through transport.send_coeffs,
+and transport.receive_coeffs decodes each leg for all B at once.
 Stacked arithmetic is exact and blocks decode alone, so no result depends
 on B or worker count.  A run of S sessions comes back as one SessionRun:
 the run's version, rank, plans and warnings once, and (S,) arrays of
@@ -42,7 +44,7 @@ from .core import XofStream, centered, pack12, squeeze
 from .modem import ChannelPlan, NoiseSource
 from .params import N, Q, ParamSet
 from .pke import keygen, random_bits, wk_decrypt, wk_encrypt
-from .transport import join_coeffs, receive_blocks, send_blocks, send_coeffs
+from .transport import receive_coeffs, send_coeffs, send_key
 
 # sessions stacked in one array pass of run_sessions; results do not
 # depend on it, only memory and per-call overhead do
@@ -178,49 +180,6 @@ def _derive_seed(master: int, label: bytes) -> bytes:
     return squeeze(master.to_bytes(width, "little"), b"session" + label, 32)
 
 
-def _send_pk(seed: bytes, b: np.ndarray, plan: ChannelPlan,
-             noise: NoiseSource):
-    """Seed bytes ride the protected path (26 blocks of 10 bits), then the
-    (k, 256) b coefficients take the standard 17-symbol form.  Returns the
-    received seed blocks and b's received (msb, lsb) words."""
-    seed_bits = np.unpackbits(np.frombuffer(seed, dtype=np.uint8),
-                              bitorder="little").astype(np.int64)
-    padded = np.concatenate([seed_bits, np.zeros(4, dtype=np.int64)])
-    weights = (1 << np.arange(9, -1, -1)).astype(np.int64)
-    words = padded.reshape(26, 10) @ weights
-    seed_blocks = send_blocks(words, plan.snr_msb_db, noise)
-    return (seed_blocks, *send_coeffs(b, plan, noise))
-
-
-def _decode_leg(segments, sessions: int):
-    """One block decode of a leg's received words, given session after
-    session: ((B, words per session) decoded words, failures per session)."""
-    words = np.concatenate(segments)
-    w10, failed = receive_blocks(words, len(words))
-    return w10.reshape(sessions, -1), failed.reshape(sessions, -1).sum(axis=1)
-
-
-def _receive_pks(sent, params: ParamSet):
-    """((seeds, b), failures per key) from B (seed blocks, msb, lsb)
-    triples."""
-    w10, failures = _decode_leg([w for blocks, msb, _ in sent
-                                 for w in (blocks, msb)], len(sent))
-    bits = (w10[:, :26, None] >> np.arange(9, -1, -1)) & 1
-    seeds = np.packbits(bits.reshape(len(sent), -1)[:, :256].astype(np.uint8),
-                        axis=1, bitorder="little")
-    lsb = np.stack([lsb for *_, lsb in sent])
-    b = join_coeffs(w10[:, 26:], lsb).reshape(len(sent), params.k, N)
-    return ([seed.tobytes() for seed in seeds], b), failures
-
-
-def _receive_cts(sent, params: ParamSet):
-    """((B, k + 1, 256) coefficients, failures per ciphertext) from B
-    (msb, lsb) pairs."""
-    w10, failures = _decode_leg([msb for msb, _ in sent], len(sent))
-    lsb = np.stack([lsb for _, lsb in sent])
-    return join_coeffs(w10, lsb).reshape(len(sent), -1, N), failures
-
-
 def _noise_source(seed: int, label: bytes) -> NoiseSource:
     return NoiseSource(int.from_bytes(_derive_seed(seed, label)[:8], "little"))
 
@@ -274,17 +233,19 @@ def _run_batch(version, params, plans, seeds, fo_policy):
         pks, sks, zs = kem_v1_keygen(seeds_a, key_rngs, params)
     else:
         pks, sks = keygen(seeds_a, key_rngs, params, with_error=False)
-    pks_rx, pk_fail = _receive_pks([_send_pk(seed, b, pk_plan, noise)
-                                    for seed, b, noise in zip(*pks, noise_a)],
-                                   params)
+    seeds_rx, b_rx, pk_fail = receive_coeffs(
+        [send_key(seed, b, pk_plan, noise)
+         for seed, b, noise in zip(*pks, noise_a)])
+    pks_rx = (seeds_rx, b_rx.reshape(len(seeds), params.k, N))
     bits = random_bits(msg_rngs)
     if version == "v1":
         c_clean, secrets_b = kem_v1_encaps(pks_rx, bits, params)
     else:
         c_clean = wk_encrypt(pks_rx, bits, [rng.read(32) for rng in msg_rngs],
                              params)
-    c_rx, ct_fail = _receive_cts([send_coeffs(c, ct_plan, noise)
-                                  for c, noise in zip(c_clean, noise_b)], params)
+    _, c_rx, ct_fail = receive_coeffs([send_coeffs(c, ct_plan, noise)
+                                       for c, noise in zip(c_clean, noise_b)])
+    c_rx = c_rx.reshape(c_clean.shape)
     if version == "v1":
         secrets_a = kem_v1_decaps(sks, zs, pks, c_rx, params, fo_policy)
         outcome = [a == b for a, b in zip(secrets_a, secrets_b)]

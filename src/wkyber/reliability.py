@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import compress, decompress
+from .core import centered, compress, decompress
 # re-exported until ROADMAP item 1 points perfbench's trace site
 # reliability.IntDist at dist; cli and tests import both from dist
 from .dist import IntDist, PrecisionLossError  # noqa: F401
@@ -43,8 +43,7 @@ def compression_error_dist(d: int) -> IntDist:
     """Exact PMF of decompress(compress(x, d), d) - x over uniform x in
     [0, q); a 3329-point enumeration, no approximation."""
     x = np.arange(Q)
-    err = (decompress(compress(x, d), d) - x) % Q
-    err[err > Q // 2] -= Q
+    err = centered(decompress(compress(x, d), d) - x)
     lo = int(err.min())
     return IntDist(lo, np.bincount(err - lo) / Q)
 
@@ -52,38 +51,31 @@ def compression_error_dist(d: int) -> IntDist:
 @dataclass
 class ErrorModel:
     """Laws of the terms entering the decryption noise
-    e_pk^T s' - s^T e_ct + e_dd (+ compression errors for the baseline)."""
+    e_pk^T s' - s^T e_ct + e_dd; the baseline's compression errors are part
+    of its e_ct and e_dd laws."""
 
     secret_dist: IntDist          # s and s' coefficients
     pk_error_dist: IntDist        # e (or the channel error on b)
     ct_error_dist: IntDist        # e' (or the channel error on u)
     e_dd_dist: IntDist            # e'' (or the channel error on v)
-    compression: tuple | None = None   # (du, dv) iff modeling the baseline
 
     def validate(self):
         for name in ("secret_dist", "pk_error_dist", "ct_error_dist", "e_dd_dist"):
             dist = getattr(self, name)
             if not dist.mass_defect() <= 1e-9:
                 raise ValueError(f"{name} is not normalised")
-        if self.compression is not None:
-            du, dv = self.compression
-            if not (1 <= du < 12 and 1 <= dv < 12):
-                raise ValueError("compression widths outside [1, 12)")
 
 
 def _noise_terms(params: ParamSet, model: ErrorModel,
                  ladders: dict | None) -> tuple:
     """(key_power, rest), independent, with decryption noise = key_power +
     rest: the k*n-fold convolution of secret*pk_error, and that of
-    secret*(ct_error [+ u-compression error]) plus e_dd [+ v-compression
-    error].  ladders maps a base's (offset, mass bytes) to its power ladder
-    and (that key, k*n) to the power; sharing it computes each power once."""
+    secret*ct_error plus e_dd.  ladders maps a base's (offset, mass bytes)
+    to its power ladder and (that key, k*n) to the power; sharing it
+    computes each power once."""
     model.validate()
     kn = params.k * N
     ladders = {} if ladders is None else ladders
-    ct_term = model.ct_error_dist
-    if model.compression is not None:
-        ct_term = ct_term.convolve(compression_error_dist(model.compression[0]))
 
     def power(base: IntDist) -> IntDist:
         key = (base.offset, base.masses.tobytes())
@@ -92,9 +84,8 @@ def _noise_terms(params: ParamSet, model: ErrorModel,
                 kn, ladders.setdefault(key, [base]))
         return ladders[key, kn]
 
-    rest = power(model.secret_dist.product(ct_term)).convolve(model.e_dd_dist)
-    if model.compression is not None:
-        rest = rest.convolve(compression_error_dist(model.compression[1]))
+    rest = power(model.secret_dist.product(model.ct_error_dist)).convolve(
+        model.e_dd_dist)
     return power(model.secret_dist.product(model.pk_error_dist)), rest
 
 
@@ -111,13 +102,14 @@ def failure_probability(params: ParamSet, model: ErrorModel,
 
 
 def standard_kyber_model(params: ParamSet) -> ErrorModel:
-    """The baseline scheme: binomial errors everywhere plus compression."""
+    """The baseline scheme: binomial errors everywhere, each ciphertext
+    term convolved with its compression error."""
+    e2 = IntDist.centered_binomial(params.eta2)
     return ErrorModel(
         secret_dist=IntDist.centered_binomial(params.eta1),
         pk_error_dist=IntDist.centered_binomial(params.eta1),
-        ct_error_dist=IntDist.centered_binomial(params.eta2),
-        e_dd_dist=IntDist.centered_binomial(params.eta2),
-        compression=(params.du, params.dv),
+        ct_error_dist=e2.convolve(compression_error_dist(params.du)),
+        e_dd_dist=e2.convolve(compression_error_dist(params.dv)),
     )
 
 

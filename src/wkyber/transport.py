@@ -5,7 +5,11 @@ w10 = w >> 2 and the 2 least significant bits w2 = w & 3.  The w10 word is
 BCH(31,11)-encoded (leading message bit zero), sent MSB-first with one zero
 pad bit as 16 4QAM symbols on the protected path; w2 rides a single symbol
 on the low-SNR path.  17 symbols per coefficient, coefficient-major order:
-this is the wire contract for both protocol versions.
+this is the wire contract for both protocol versions.  A public key's
+32-byte matrix seed rides ahead of its coefficients as 26 protected blocks
+of 10 bits (4 zero pad bits).  ``send_key`` and ``send_coeffs`` send one
+session's key or ciphertext leg; ``receive_coeffs`` decodes B sessions'
+legs with one block decode.
 
 The simulator samples that wire's hard-decision equivalent (see ``modem``):
 a received block is its 31-bit codeword XOR a flip mask, a received w2 the
@@ -36,6 +40,9 @@ def bit_error_prob(snr_db: float) -> float:
 # ---------------------------------------------------------------------------
 # block (w10) path, shared with out-of-band data such as matrix seeds
 
+SEED_BLOCKS = 26                       # 256 seed bits + 4 pad bits
+_BIT_SHIFTS = np.arange(9, -1, -1)     # a block's bits, most significant first
+
 
 def send_blocks(w10: np.ndarray, snr_msb_db: float, noise: NoiseSource) -> np.ndarray:
     """Received 31-bit words of the BCH-encoded 10-bit messages w10."""
@@ -56,7 +63,7 @@ def receive_blocks(words: np.ndarray, count: int):
 
 
 # ---------------------------------------------------------------------------
-# full coefficient path
+# full coefficient and key legs
 
 
 def send_coeffs(coeffs, plan: ChannelPlan, noise: NoiseSource):
@@ -76,11 +83,45 @@ def send_coeffs(coeffs, plan: ChannelPlan, noise: NoiseSource):
     return msb, lsb
 
 
-def join_coeffs(w10: np.ndarray, w2: np.ndarray) -> np.ndarray:
-    """Reassemble 4*w10 + w2 mod q from decoded words.  Values >= q
-    (possible when a stored coefficient near q-1 shifts upward, or after a
-    miscorrection) wrap mod q; the wrap is part of the modelled noise."""
-    return (4 * w10 + w2) % Q
+def send_key(seed: bytes, b, plan: ChannelPlan, noise: NoiseSource):
+    """Transmit a public key: the seed's 26 blocks, then send_coeffs(b).
+    Returns one received (msb, lsb) pair, the seed blocks at the head of
+    msb; the seed draws its flips first."""
+    bits = np.unpackbits(np.frombuffer(seed, dtype=np.uint8), bitorder="little")
+    words = np.append(bits, np.zeros(4, dtype=np.uint8)).reshape(
+        SEED_BLOCKS, 10).astype(np.int64) @ (1 << _BIT_SHIFTS)
+    seed_msb = send_blocks(words, plan.snr_msb_db, noise)
+    msb, lsb = send_coeffs(b, plan, noise)
+    return np.concatenate([seed_msb, msb]), lsb
+
+
+def receive_coeffs(sent):
+    """Decode B sessions' received (msb, lsb) pairs, all of one shape, with
+    one block decode.  Returns (seeds, coeffs, failures): the B received
+    seeds, or None for ciphertext legs (a key leg's msb has 26 seed blocks
+    more than its lsb, a ciphertext's as many); the (B, n) coefficients
+    4*w10 + w2 mod q; and the failed blocks per session.
+
+    Values >= q (possible when a stored coefficient near q-1 shifts upward,
+    or after a miscorrection) wrap mod q; the wrap is part of the modelled
+    noise.
+    """
+    msb = np.stack([m for m, _ in sent])
+    lsb = np.stack([w2 for _, w2 in sent])
+    head = msb.shape[1] - lsb.shape[1]
+    if head not in (0, SEED_BLOCKS):
+        raise ValueError(f"a leg's msb holds {head} blocks more than its "
+                         f"lsb; expected 0 or {SEED_BLOCKS}")
+    w10, failed = receive_blocks(msb.ravel(), msb.size)
+    w10 = w10.reshape(msb.shape)
+    seeds = None
+    if head:
+        bits = (w10[:, :head, None] >> _BIT_SHIFTS) & 1
+        seeds = [seed.tobytes() for seed in np.packbits(
+            bits.reshape(len(sent), -1)[:, :256].astype(np.uint8), axis=1,
+            bitorder="little")]
+    return (seeds, (4 * w10[:, head:] + lsb) % Q,
+            failed.reshape(msb.shape).sum(axis=1))
 
 
 # ---------------------------------------------------------------------------

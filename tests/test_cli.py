@@ -281,6 +281,33 @@ class TestPlumbing:
         assert "Traceback" not in proc.stderr and "--out" in proc.stderr
         assert proc.stdout == "" and os.listdir(tmp_path) == []
 
+    def test_read_only_out_directory_refused_before_work(
+            self, tmp_path, monkeypatch, capsys):
+        # the directory exists but cannot be written: refused at parse time,
+        # before any session runs.  Root ignores mode bits, so the check is
+        # exercised through os.access
+        from wkyber import cli
+        real_access, sessions = os.access, []
+
+        def access(path, mode, *args, **kwargs):
+            if os.path.abspath(path) == str(tmp_path) and mode & os.W_OK:
+                return False
+            return real_access(path, mode, *args, **kwargs)
+
+        def counted(*args, **kwargs):
+            sessions.append(None)
+            return run_sessions(*args, **kwargs)
+
+        run_sessions = cli.run_sessions
+        monkeypatch.setattr(os, "access", access)
+        monkeypatch.setattr(cli, "run_sessions", counted)
+        with pytest.raises(SystemExit) as exc:
+            main(["exchange", "--trials", "2",
+                  "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2 and sessions == []
+        assert "--out" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
     @pytest.mark.parametrize("step", ["mkstemp", "replace"])
     def test_failed_write_exit_code(self, tmp_path, monkeypatch, capsys,
                                     step):

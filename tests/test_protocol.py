@@ -13,10 +13,11 @@ from wkyber.modem import ChannelPlan, NoiseSource
 from wkyber.params import KYBER768, N, Q, PARAM_SETS
 from wkyber.pke import (decrypt, encrypt, keygen, random_bits, wk_decrypt,
                         wk_encrypt)
-from wkyber.protocol import (SESSION_BATCH, _receive_pks, _send_pk,
-                             kem_v1_decaps, kem_v1_encaps, kem_v1_keygen,
-                             run_sessions, session_plans, snr_warnings)
-from wkyber.transport import coeff_error_dist, send_coeffs
+from wkyber.protocol import (SESSION_BATCH, kem_v1_decaps, kem_v1_encaps,
+                             kem_v1_keygen, run_sessions, session_plans,
+                             snr_warnings)
+from wkyber.transport import (coeff_error_dist, receive_coeffs, send_coeffs,
+                              send_key)
 
 SEED = bytes(32)
 P768 = KYBER768
@@ -118,11 +119,11 @@ class TestV2Pke:
         for i in range(40):
             ((seed,), (b,)), _ = keygen([SEED], [stream(b"i" + bytes([i]))],
                                         P768, with_error=False)
-            sent = _send_pk(seed, b, ChannelPlan(10.0, -10.0),
+            sent = send_key(seed, b, ChannelPlan(10.0, -10.0),
                             NoiseSource(1000 + i))
-            (seeds_rx, (b_rx,)), fails = _receive_pks([sent], P768)
+            seeds_rx, b_rx, fails = receive_coeffs([sent])
             assert seeds_rx == [SEED] and fails.tolist() == [0]
-            off = centered(b_rx - b)
+            off = centered(b_rx.reshape(b.shape) - b)
             counts += np.bincount(off.ravel() + 3, minlength=7)
             total += off.size
         expected = coeff_error_dist(-10.0).masses * total
@@ -132,30 +133,6 @@ class TestV2Pke:
     def test_roundtrip_over_channel(self):
         seeds = [2000 + i for i in range(20)]
         assert run_sessions("v2", P768, V2_PLANS, seeds).outcome.all()
-
-
-class TestKeyTransport:
-    @given(params=st.sampled_from(list(PARAM_SETS.values())),
-           seeds=st.lists(st.binary(min_size=32, max_size=32), min_size=1,
-                          max_size=3),
-           coeff_seed=st.integers(0, 2 ** 32 - 1),
-           tops=st.lists(st.integers(0, 4 * N - 1), min_size=1, max_size=8))
-    @settings(max_examples=30, deadline=None)
-    def test_noiseless_leg_returns_the_exact_key(self, params, seeds,
-                                                 coeff_seed, tops):
-        # at +inf dB nothing flips: any seed survives its packing into 26
-        # blocks of 10 bits (4 pad bits), any canonical b, q - 1 included,
-        # its 10 + 2-bit split
-        b = np.random.default_rng(coeff_seed).integers(
-            0, Q, (len(seeds), params.k * N))
-        b[:, [t % (params.k * N) for t in tops]] = Q - 1
-        b = b.reshape(len(seeds), params.k, N)
-        plan = ChannelPlan(math.inf, math.inf)
-        sent = [_send_pk(seed, b_i, plan, NoiseSource(i))
-                for i, (seed, b_i) in enumerate(zip(seeds, b))]
-        (seeds_rx, b_rx), failures = _receive_pks(sent, params)
-        assert seeds_rx == seeds and np.array_equal(b_rx, b)
-        assert not failures.any()
 
 
 class TestKem:
@@ -436,18 +413,18 @@ class TestNoiseAccounting:
     def test_v2_noise_matches_convolution_engine(self):
         """End-to-end per-coefficient decryption noise vs the analytic law."""
         from wkyber.reliability import _noise_terms, wkyber_v2_model
-        from wkyber.protocol import _receive_cts
 
         observed = []
         for i in range(60):
             kg = stream(b"ks" + bytes([i]))
             ((seed,), (b,)), s = keygen([SEED], [kg], P768, with_error=False)
-            sent = _send_pk(seed, b, ChannelPlan(10, -10), NoiseSource(7000 + i))
-            pks_rx, _ = _receive_pks([sent], P768)
+            sent = send_key(seed, b, ChannelPlan(10, -10), NoiseSource(7000 + i))
+            seeds_rx, b_rx, _ = receive_coeffs([sent])
+            pks_rx = (seeds_rx, b_rx.reshape(1, *b.shape))
             bits = random_bits([kg])
             (c,) = wk_encrypt(pks_rx, bits, [kg.read(32)], P768)
             words = send_coeffs(c, ChannelPlan(10, -10), NoiseSource(8000 + i))
-            (c_rx,), _ = _receive_cts([words], P768)
+            c_rx = receive_coeffs([words])[1].reshape(c.shape)
             s_u = mul_sum(ntt(s[0])[None], c_rx[:-1])[0]
             observed.append(centered(c_rx[-1] - s_u - decompress(bits[0], 1)))
         observed = np.concatenate(observed)

@@ -226,8 +226,11 @@ class TestFailureProbability:
     def test_dropping_compression_strictly_helps(self):
         base = standard_kyber_model(KYBER512)
         lg_with = failure_probability(KYBER512, base)
-        base.compression = None
-        lg_without = failure_probability(KYBER512, base)
+        e2 = IntDist.centered_binomial(KYBER512.eta2)
+        bare = ErrorModel(secret_dist=base.secret_dist,
+                          pk_error_dist=base.pk_error_dist,
+                          ct_error_dist=e2, e_dd_dist=e2)
+        lg_without = failure_probability(KYBER512, bare)
         assert lg_without < lg_with
 
     def test_monotone_in_lsb_snr(self):
@@ -308,9 +311,9 @@ class TestSharedLadders:
     def test_each_table_computes_its_own_powers(self, monkeypatch):
         # 94 squarings climb the ladders of the 10 distinct bases, 4
         # products give the distinct k = 3 powers X^512 * X^256, and the 15
-        # rows add 21 convolutions (ct power * e_dd each, plus two
-        # compression terms per baseline row); the tail reads the key power
-        # against the rest without a convolution.  Every table pays all
+        # rows add 21 convolutions (ct power * e_dd each, plus the two
+        # compression terms in each baseline model's ciphertext laws); the
+        # tail reads the key power against the rest without a convolution.  Every table pays all
         # 119: no power outlives the call that computed it, whatever ran
         # before
         calls = []

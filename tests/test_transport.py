@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
 
@@ -10,10 +10,11 @@ from wkyber.bch import CODE_N, codeword_error_prob
 from wkyber.core import centered
 from wkyber.modem import (ChannelPlan, NoiseSource, ber_4qam, modulate_words,
                           snr_db_to_linear)
-from wkyber.params import Q
-from wkyber.transport import (channel_error_pmf, coeff_error_dist,
-                              dist_stddev, join_coeffs, receive_blocks,
-                              send_blocks, send_coeffs)
+from wkyber.params import N, PARAM_SETS, Q
+from wkyber.transport import (SEED_BLOCKS, channel_error_pmf,
+                              coeff_error_dist, dist_stddev, receive_blocks,
+                              receive_coeffs, send_blocks, send_coeffs,
+                              send_key)
 
 NOISELESS = ChannelPlan(math.inf, math.inf)
 NOMINAL = ChannelPlan(10.0, -10.0)
@@ -22,9 +23,8 @@ NOMINAL = ChannelPlan(10.0, -10.0)
 def receive(words):
     """(coefficients, BCH decode failure count) of received (msb, lsb)
     words."""
-    msb, lsb = words
-    w10, failed = receive_blocks(msb, len(msb))
-    return join_coeffs(w10, lsb), int(failed.sum())
+    _, coeffs, failures = receive_coeffs([words])
+    return coeffs[0], int(failures[0])
 
 
 def noiseless_split(coeffs):
@@ -131,6 +131,42 @@ class TestFrames:
                                      2000)
         assert failed.any()
         assert len(got) == 2000
+
+
+class TestLegs:
+    @given(params=st.sampled_from(list(PARAM_SETS.values())),
+           key=st.booleans(),
+           seeds=st.lists(st.binary(min_size=32, max_size=32), min_size=1,
+                          max_size=3),
+           coeff_seed=st.integers(0, 2 ** 32 - 1),
+           tops=st.lists(st.integers(0, 5 * N - 1), min_size=1, max_size=8))
+    @settings(max_examples=30, deadline=None)
+    def test_noiseless_leg_returns_the_exact_key(self, params, key, seeds,
+                                                 coeff_seed, tops):
+        # at +inf dB nothing flips: any seed survives its packing into 26
+        # blocks of 10 bits (4 pad bits), any canonical b or ciphertext,
+        # q - 1 included, its 10 + 2-bit split; a ciphertext leg has no seed
+        rows = params.k if key else params.k + 1
+        coeffs = np.random.default_rng(coeff_seed).integers(
+            0, Q, (len(seeds), rows * N))
+        coeffs[:, [t % (rows * N) for t in tops]] = Q - 1
+        sent = [send_key(seed, c.reshape(rows, N), NOISELESS, NoiseSource(i))
+                if key else send_coeffs(c.reshape(rows, N), NOISELESS,
+                                        NoiseSource(i))
+                for i, (seed, c) in enumerate(zip(seeds, coeffs))]
+        seeds_rx, coeffs_rx, failures = receive_coeffs(sent)
+        assert seeds_rx == (seeds if key else None)
+        assert np.array_equal(coeffs_rx, coeffs)
+        assert failures.tolist() == [0] * len(seeds)
+
+    @pytest.mark.parametrize("head", [-1, 1, SEED_BLOCKS - 1,
+                                      SEED_BLOCKS + 1, 2 * SEED_BLOCKS])
+    def test_rejects_leg_of_unknown_shape(self, head):
+        # only a ciphertext (as many blocks as w2 words) or a key (26 seed
+        # blocks more) is a leg
+        msb = send_blocks(np.zeros(40 + head), math.inf, NoiseSource(0))
+        with pytest.raises(ValueError, match="blocks more"):
+            receive_coeffs([(msb, np.zeros(40, dtype=np.int64))])
 
 
 class TestChannelStatistics:
