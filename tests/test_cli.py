@@ -287,7 +287,7 @@ class TestPlumbing:
         # before any session runs.  Root ignores mode bits, so the check is
         # exercised through os.access
         from wkyber import cli
-        real_access, sessions = os.access, []
+        real_access, real_run, sessions = os.access, cli.run_sessions, []
 
         def access(path, mode, *args, **kwargs):
             if os.path.abspath(path) == str(tmp_path) and mode & os.W_OK:
@@ -296,9 +296,8 @@ class TestPlumbing:
 
         def counted(*args, **kwargs):
             sessions.append(None)
-            return run_sessions(*args, **kwargs)
+            return real_run(*args, **kwargs)
 
-        run_sessions = cli.run_sessions
         monkeypatch.setattr(os, "access", access)
         monkeypatch.setattr(cli, "run_sessions", counted)
         with pytest.raises(SystemExit) as exc:
