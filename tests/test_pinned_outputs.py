@@ -10,6 +10,8 @@ The CSVs of the analysis verbs that print the channel law are pinned the
 same way, so a change of its representation must leave them byte-identical.
 So are ``exchange`` and ``ker`` CSVs whose sessions fail blocks on both
 legs, so a change of the wire codec must leave them byte-identical too.
+The ``ber``, ``codeword-error`` and ``failure-prob`` CSVs pin the 4QAM
+crossover to its last bit.
 """
 
 import hashlib
@@ -110,6 +112,16 @@ PINNED_CSV = {
     ("ker", "--version", "v1", "--grid", "4:6:2", "--trials", "200",
      "--seed", "42", "--workers", "1"):
         "18232c11052e1964c3b11ea4199da980cd4e232e0600937caeeabe8401b1a88e",
+    # the verbs that read the 4QAM crossover directly: its last bit moves
+    # the flip draws and the printed analytic columns
+    ("ber", "--trials", "20000", "--seed", "42"):
+        "77697731ecbe875662475b211825a00069a47fd761fd3a6ae36db3e6e0779fbe",
+    ("codeword-error", "--trials", "20000", "--seed", "42"):
+        "bde27f3a7ffe6f86f2cfbdb726360014202d74589916be3fed949e83e1489af4",
+    ("failure-prob",):
+        "4269aecca984f6198681e5bd3ebf943a1e4a5d8e359625de2405282e250d9b49",
+    ("failure-prob", "--snr-lsb", "-7"):
+        "29785fe7b16b18a4041427b2f3a89f64304b1ca20005890f4099a6dcd4b1e01c",
 }
 
 
