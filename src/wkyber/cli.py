@@ -19,13 +19,13 @@ import numpy as np
 
 from .bch import codeword_error_prob
 from .dist import IntDist, PrecisionLossError
-from .modem import (NoiseSource, demodulate_symbols, modulate_words,
-                    snr_db_to_linear, transmit)
+from .modem import (NoiseSource, bit_error_prob, demodulate_symbols,
+                    modulate_words, snr_db_to_linear, transmit)
 from .params import get_params
 from .protocol import FO_POLICIES, run_sessions, session_plans
-from .reliability import failure_prob_rows, ker_monte_carlo, sigma_vs_snr
-from .transport import (bit_error_prob, coeff_error_dist, receive_blocks,
-                        send_blocks)
+from .reliability import (failure_prob_rows, ker_monte_carlo, rate_interval,
+                          sigma_vs_snr)
+from .transport import coeff_error_dist, receive_blocks, send_blocks
 
 MAX_GRID_POINTS = 10_000
 
@@ -87,10 +87,13 @@ def _int_at_least(low: int):
 
 
 def _out_path(text: str) -> str:
-    """argparse type: - or a file in an existing, writable directory, else
-    exit 2; _emit still handles a write that fails later."""
+    """argparse type: - or a file name in an existing, writable directory,
+    else exit 2; _emit still handles a write that fails later.  An empty
+    name or one ending in a separator names no file, though abspath drops
+    both."""
     directory = os.path.dirname(os.path.abspath(text))
-    if text != "-" and (os.path.isdir(text) or not os.path.isdir(directory)
+    if text != "-" and (not os.path.basename(text) or os.path.isdir(text)
+                        or not os.path.isdir(directory)
                         or not os.access(directory, os.W_OK)):
         raise argparse.ArgumentTypeError(f"cannot write a file at {text!r}")
     return text
@@ -173,11 +176,13 @@ def cmd_ker(args):
     rows = []
     for point, snr_msb in enumerate(args.grid):
         plans = session_plans(args.version, snr_msb, args.snr_lsb)
-        pt = ker_monte_carlo(args.version, params, plans, args.trials,
-                             seed=args.seed * 104729 + point,
-                             fo_policy=args.fo_policy, workers=args.workers)
-        rows.append((pt.snr_msb_db, pt.snr_lsb_db, args.version, params.k,
-                     pt.trials, pt.failures, pt.ker, *pt.interval()))
+        failures = ker_monte_carlo(args.version, params, plans, args.trials,
+                                   seed=args.seed * 104729 + point,
+                                   fo_policy=args.fo_policy,
+                                   workers=args.workers)
+        rows.append((snr_msb, args.snr_lsb, args.version, params.k,
+                     args.trials, failures, failures / args.trials,
+                     *rate_interval(failures, args.trials)))
     return _emit(rows, ["snr_msb_db", "snr_lsb_db", "version", "k",
                         "trials", "failures", "ker", "ker_lo", "ker_hi"],
                  args.out)
@@ -209,8 +214,9 @@ def cmd_exchange(args):
                        fo_policy=args.fo_policy)
     for w in rec.warnings:
         print(f"policy warning: {w}", file=sys.stderr)
-    run = (rec.version, rec.k, rec.pk_plan.snr_msb_db, rec.pk_plan.snr_lsb_db,
-           rec.ct_plan.snr_msb_db, rec.ct_plan.snr_lsb_db)
+    pk_plan, ct_plan = plans
+    run = (args.version, params.k, pk_plan.snr_msb_db, pk_plan.snr_lsb_db,
+           ct_plan.snr_msb_db, ct_plan.snr_lsb_db)
     failures = (rec.bch_failures_pk + rec.bch_failures_ct).tolist()
     warnings = ";".join(rec.warnings)
     rows = [(i, *run, "match" if ok else "mismatch", f, warnings)

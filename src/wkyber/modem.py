@@ -10,9 +10,10 @@ i.e. the low bit selects the I sign and the high bit the Q sign; adjacent
 quadrants differ in exactly one bit.
 
 A sign decision on I and on Q, whose noise is independent, passes each bit
-through its own binary symmetric channel with crossover ``ber_4qam``, so
-sessions sample bit flips (``NoiseSource.flips``); the symbol functions and
-``NoiseSource.pairs`` are the physical reference the BER checks measure.
+through its own binary symmetric channel with crossover p = Q(sqrt(2 Eb/N0)),
+``bit_error_prob``.  Sessions sample those bit flips (``NoiseSource.flips``);
+the symbol functions and ``NoiseSource.pairs`` are the physical reference
+the BER checks measure.
 """
 
 from __future__ import annotations
@@ -96,18 +97,10 @@ def transmit(symbols: np.ndarray, snr_db: float, noise: NoiseSource) -> np.ndarr
     return out
 
 
-# ---------------------------------------------------------------------------
-# closed-form error rates
-
-
-def q_function(x: float) -> float:
-    """Gaussian upper-tail probability Q(x)."""
-    return 0.5 * math.erfc(x / math.sqrt(2.0))
-
-
-def ber_4qam(eb_n0: float) -> float:
-    """Bit error probability Q(sqrt(2 Eb/N0)) of Gray-coded 4QAM on AWGN."""
+def bit_error_prob(snr_db: float) -> float:
+    """Crossover Q(sqrt(2 Eb/N0)) of each hard-decided bit of Gray-coded 4QAM
+    on AWGN; 0 at +inf dB."""
+    eb_n0 = snr_db_to_linear(snr_db)
     if eb_n0 <= 0:
         raise ValueError("Eb/N0 must be positive")
-    return q_function(math.sqrt(2.0 * eb_n0))
-
+    return 0.5 * math.erfc(math.sqrt(2.0 * eb_n0) / math.sqrt(2.0))

@@ -30,8 +30,8 @@ transport.send_key and its ciphertext leg through transport.send_coeffs,
 and transport.receive_coeffs decodes each leg for all B at once.
 Stacked arithmetic is exact and blocks decode alone, so no result depends
 on B or worker count.  A run of S sessions comes back as one SessionRun:
-the run's version, rank, plans and warnings once, and (S,) arrays of
-outcomes and per-leg BCH failures.
+the plans' warnings once, and (S,) arrays of outcomes and per-leg BCH
+failures; the version, rank and plans stay with the caller.
 """
 
 from __future__ import annotations
@@ -156,13 +156,9 @@ def kem_v1_decaps(s: np.ndarray, zs, pks, received: np.ndarray,
 
 @dataclass(eq=False)
 class SessionRun:
-    """A run of S sessions: the run's constants once, then one entry per
+    """A run of S sessions: the plans' warnings once, then one entry per
     seed, in seed order, in each (S,) array."""
 
-    version: str
-    k: int
-    pk_plan: ChannelPlan
-    ct_plan: ChannelPlan
     warnings: tuple              # ways the plans leave the operating window
     outcome: np.ndarray          # bool: both sides hold the same secret/bits
     bch_failures_pk: np.ndarray  # int64: failed blocks on the key leg
@@ -215,8 +211,7 @@ def run_sessions(version: str, params: ParamSet, plans, seeds, *,
             version, params, plans, seeds[batch], fo_policy)
         if offsets is not None:
             offsets[batch] = centered(error)
-    return SessionRun(version, params.k, pk_plan, ct_plan, warnings, outcome,
-                      pk_fail, ct_fail, offsets)
+    return SessionRun(warnings, outcome, pk_fail, ct_fail, offsets)
 
 
 def _run_batch(version, params, plans, seeds, fo_policy):

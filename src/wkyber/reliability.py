@@ -178,31 +178,19 @@ def sigma_vs_snr(snr_grid) -> list:
             for snr in snr_grid]
 
 
-@dataclass
-class KerPoint:
-    snr_msb_db: float
-    snr_lsb_db: float
-    trials: int
-    failures: int
-
-    @property
-    def ker(self) -> float:
-        return self.failures / self.trials
-
-    def interval(self) -> tuple:
-        """Two-sided 95% confidence interval of the KER: Wilson's score
-        interval, or (0, 1 - 0.025^(1/n)) at zero failures."""
-        n, k = self.trials, self.failures
-        if not k:
-            return 0.0, 1.0 - 0.025 ** (1 / n)
-        z2 = _Z975 * _Z975
-        centre, half = k + z2 / 2, math.sqrt(z2 * k * (n - k) / n + z2 * z2 / 4)
-        return (centre - half) / (n + z2), (centre + half) / (n + z2)
-
-    def __post_init__(self):
-        if self.trials < 1 or not 0 <= self.failures <= self.trials:
-            raise ValueError(f"need 0 <= failures <= trials and trials >= 1, "
-                             f"got {self.failures} of {self.trials}")
+def rate_interval(events: int, trials: int) -> tuple:
+    """Two-sided 95% confidence interval of the rate events / trials:
+    Wilson's score interval, or (0, 1 - 0.025^(1/n)) at zero events."""
+    if trials < 1 or not 0 <= events <= trials:
+        raise ValueError(f"need 0 <= events <= trials and trials >= 1, "
+                         f"got {events} of {trials}")
+    n, k = trials, events
+    if not k:
+        # 1 - 0.025^(1/n) without the cancellation of its naive form
+        return 0.0, -math.expm1(math.log(0.025) / n)
+    z2 = _Z975 * _Z975
+    centre, half = k + z2 / 2, math.sqrt(z2 * k * (n - k) / n + z2 * z2 / 4)
+    return (centre - half) / (n + z2), (centre + half) / (n + z2)
 
 
 def _count_failures(args) -> int:
@@ -213,8 +201,8 @@ def _count_failures(args) -> int:
 
 def ker_monte_carlo(version: str, params: ParamSet, plans, trials: int,
                     seed: int, fo_policy: str = "msb-only",
-                    workers: int | None = None) -> KerPoint:
-    """Key/message error rate over repeated sessions.
+                    workers: int | None = None) -> int:
+    """The number of failed sessions (key/message mismatches) in trials.
 
     Per-trial seeds derive from (seed, trial index), so the result does not
     depend on worker scheduling.  At most min(workers, trials, cores)
@@ -227,17 +215,11 @@ def ker_monte_carlo(version: str, params: ParamSet, plans, trials: int,
     # does not depend on the split
     workers = min(8 if workers is None else workers, trials,
                   os.cpu_count() or 1)
-    pk_plan, ct_plan = plans
     if workers > 1 and trials >= 64:
         import multiprocessing as mp
         chunks = [trial_seeds[i::workers] for i in range(workers)]
         with mp.Pool(workers) as pool:
-            counts = pool.map(_count_failures,
-                              [(version, params, plans, ch, fo_policy)
-                               for ch in chunks])
-        failures = sum(counts)
-    else:
-        failures = _count_failures((version, params, plans, trial_seeds,
-                                    fo_policy))
-    return KerPoint(snr_msb_db=ct_plan.snr_msb_db, snr_lsb_db=ct_plan.snr_lsb_db,
-                    trials=trials, failures=failures)
+            return sum(pool.map(_count_failures,
+                                [(version, params, plans, ch, fo_policy)
+                                 for ch in chunks]))
+    return _count_failures((version, params, plans, trial_seeds, fo_policy))

@@ -13,7 +13,8 @@ legs with one block decode.
 
 The simulator samples that wire's hard-decision equivalent (see ``modem``):
 a received block is its 31-bit codeword XOR a flip mask, a received w2 the
-sent bits XOR a 2-bit mask, each bit flipping with its path's ber_4qam.
+sent bits XOR a 2-bit mask, each bit flipping with its path's
+``modem.bit_error_prob``.
 
 Given a successful BCH decode the only surviving perturbation is on w2, so
 the induced coefficient error lives on {-3..3} with a PMF determined by the
@@ -28,13 +29,8 @@ import numpy as np
 
 from . import bch
 from .dist import IntDist
-from .modem import ChannelPlan, NoiseSource, ber_4qam, snr_db_to_linear
+from .modem import ChannelPlan, NoiseSource, bit_error_prob
 from .params import Q
-
-
-def bit_error_prob(snr_db: float) -> float:
-    """Crossover of each hard-decided 4QAM bit; 0 at +inf dB."""
-    return ber_4qam(snr_db_to_linear(snr_db))
 
 
 # ---------------------------------------------------------------------------

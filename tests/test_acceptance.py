@@ -14,8 +14,8 @@ from scipy.special import betainc
 from wkyber.bch import (CODE_K, CODE_N, CODE_T, bch_encode,
                         codeword_error_prob, decode_words)
 from wkyber.core import XofStream
-from wkyber.modem import (ChannelPlan, NoiseSource, ber_4qam, demodulate_symbols,
-                          modulate_words, snr_db_to_linear, transmit)
+from wkyber.modem import (ChannelPlan, NoiseSource, bit_error_prob,
+                          demodulate_symbols, modulate_words, transmit)
 from wkyber.params import PARAM_SETS
 from wkyber.pke import decrypt, encrypt, keygen, random_bits
 from wkyber.reliability import failure_prob_rows, ker_monte_carlo, sigma_vs_snr
@@ -92,7 +92,7 @@ def test_criterion_03_codeword_failure():
         assert abs(tail - beta_form) <= 1e-12
 
     snr = 0.8  # p_b ~ 0.06, P_ce ~ 1e-2
-    p_b = ber_4qam(snr_db_to_linear(snr))
+    p_b = bit_error_prob(snr)
     analytic = codeword_error_prob(p_b)
     n_words = 100_000
     wrong = 0
@@ -114,7 +114,7 @@ def test_criterion_04_4qam_ber():
     n_bits = 1_000_000
     n_words = n_bits // 2
     for point, snr in enumerate((0, 2, 4, 6, 8, 10)):
-        analytic = ber_4qam(snr_db_to_linear(snr))
+        analytic = bit_error_prob(snr)
         rng = np.random.default_rng(500 + point)
         words = rng.integers(0, 4, n_words)
         rx = demodulate_symbols(transmit(modulate_words(words), float(snr),
@@ -168,12 +168,12 @@ def test_criterion_07_end_to_end_exchanges():
     v1 = ker_monte_carlo("v1", params,
                          (ChannelPlan(10, 10), ChannelPlan(10, -10)),
                          trials=1000, seed=71, workers=WORKERS)
-    assert v1.failures == 0, v1
+    assert v1 == 0, v1
     # V2 is a PKE with ephemeral keys; its key also travels at (10, -10)
     v2 = ker_monte_carlo("v2", params,
                          (ChannelPlan(10, -10), ChannelPlan(10, -10)),
                          trials=1000, seed=72, workers=WORKERS)
-    assert v2.failures == 0, v2
+    assert v2 == 0, v2
     report(7, "10^3 V1 KEM sessions and 10^3 V2 PKE sessions at the nominal "
               "plans completed with zero mismatches")
 
@@ -185,9 +185,9 @@ def test_criterion_08_ker_shape():
     kers = []
     for point, snr_msb in enumerate((6.0, 8.0, 10.0, 12.0, 15.0)):
         plans = (ChannelPlan(snr_msb, snr_msb), ChannelPlan(snr_msb, -10.0))
-        pt = ker_monte_carlo("v1", params, plans, trials=10_000,
-                             seed=800 + point, workers=WORKERS)
-        kers.append(pt.ker)
+        failures = ker_monte_carlo("v1", params, plans, trials=10_000,
+                                   seed=800 + point, workers=WORKERS)
+        kers.append(failures / 10_000)
     assert all(a >= b for a, b in zip(kers, kers[1:])), kers
     assert kers[-1] == 0.0, kers
     report(8, f"KER sweep over MSB SNR {{6,8,10,12,15}} dB nonincreasing "

@@ -307,6 +307,32 @@ class TestPlumbing:
         assert "--out" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("target", ["", "missing/", "file/"])
+    def test_nameless_out_refused_before_work(self, tmp_path, monkeypatch,
+                                              capsys, target):
+        # abspath drops an empty name and a trailing separator, so each of
+        # these sits in a writable directory; none names a file, so each is
+        # refused at parse time, before any session runs, and nothing is
+        # written in the working directory or its parent
+        from wkyber import cli
+        real_run, sessions = cli.run_sessions, []
+
+        def counted(*args, **kwargs):
+            sessions.append(None)
+            return real_run(*args, **kwargs)
+
+        work = tmp_path / "work"
+        work.mkdir()
+        (work / "file").write_text("")
+        monkeypatch.chdir(work)
+        monkeypatch.setattr(cli, "run_sessions", counted)
+        with pytest.raises(SystemExit) as exc:
+            main(["exchange", "--trials", "2", "--out", target])
+        assert exc.value.code == 2 and sessions == []
+        assert "--out" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["work"]
+        assert os.listdir(work) == ["file"]
+
     @pytest.mark.parametrize("step", ["mkstemp", "replace"])
     def test_failed_write_exit_code(self, tmp_path, monkeypatch, capsys,
                                     step):

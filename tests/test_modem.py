@@ -5,9 +5,9 @@ import pytest
 from scipy import integrate
 from scipy.stats import binom
 
-from wkyber.modem import (ChannelPlan, NoiseSource, ber_4qam,
+from wkyber.modem import (ChannelPlan, NoiseSource, bit_error_prob,
                           demodulate_symbols, modulate_words, noise_sigma,
-                          q_function, snr_db_to_linear, transmit)
+                          snr_db_to_linear, transmit)
 
 WORDS = np.arange(4)
 
@@ -140,35 +140,41 @@ class TestFlips:
 
 
 class TestQFunction:
-    def test_half_at_zero(self):
-        assert q_function(0.0) == 0.5
+    """bit_error_prob(snr) is Q(x) at x = sqrt(2 Eb/N0), so x > 0."""
 
-    def test_symmetry(self):
-        for x in (0.3, 1.0, 2.5, 4.0):
-            assert abs(q_function(x) + q_function(-x) - 1.0) < 1e-15
+    def test_half_at_zero(self):
+        # Eb/N0 = 1e-300: x = 1.4e-150, where Q rounds to its value at 0
+        assert bit_error_prob(-3000.0) == 0.5
 
     def test_known_value(self):
-        assert abs(q_function(0.4472) - 0.3274) < 1e-4
+        # x = sqrt(0.2) = 0.4472 at -10 dB
+        assert abs(bit_error_prob(-10.0) - 0.3274) < 1e-4
 
-    @pytest.mark.parametrize("x", [-3.0, -0.5, 0.0, 0.7, 1.5, 3.0, 6.0])
+    @pytest.mark.parametrize("x", [0.7, 1.5, 3.0, 6.0])
     def test_against_quadrature(self, x):
+        snr_db = 10.0 * math.log10(x * x / 2.0)   # the dB point of this x
         oracle, err = integrate.quad(
             lambda t: math.exp(-t * t / 2.0) / math.sqrt(2.0 * math.pi),
-            x, np.inf)
+            math.sqrt(2.0 * snr_db_to_linear(snr_db)), np.inf)
         assert err < 1e-8  # quadrature's own error estimate
-        assert abs(q_function(x) - oracle) <= 1e-12
+        assert abs(bit_error_prob(snr_db) - oracle) <= 1e-12
+
+    def test_endpoints(self):
+        assert bit_error_prob(math.inf) == 0.0
+        with pytest.raises(ValueError, match="Eb/N0"):
+            bit_error_prob(-math.inf)
 
 
 class TestBerFormulas:
     def test_approaches_half(self):
-        assert abs(ber_4qam(1e-12) - 0.5) < 1e-5
+        assert abs(bit_error_prob(-120.0) - 0.5) < 1e-5
 
     def test_minus_10_db(self):
-        assert abs(ber_4qam(snr_db_to_linear(-10.0)) - 0.3274) < 1e-4
+        assert abs(bit_error_prob(-10.0) - 0.3274) < 1e-4
 
     def test_monotone_decreasing(self):
         grid = np.linspace(0.01, 20.0, 100)
-        vals = [ber_4qam(x) for x in grid]
+        vals = [bit_error_prob(10.0 * math.log10(x)) for x in grid]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
@@ -183,7 +189,7 @@ class TestMonteCarloBer:
         flips = rx ^ words
         errors = int(((flips & 1) + (flips >> 1)).sum())
         empirical = errors / (2 * n_words)
-        analytic = ber_4qam(snr_db_to_linear(4.0))
+        analytic = bit_error_prob(4.0)
         assert abs(empirical - analytic) <= 0.02 * analytic
 
 

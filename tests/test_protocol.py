@@ -310,7 +310,7 @@ class TestSessions:
 
 
 def run_constants(rec):
-    return rec.version, rec.k, rec.pk_plan, rec.ct_plan, rec.warnings
+    return rec.warnings
 
 
 def session_columns(rec):

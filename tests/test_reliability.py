@@ -1,3 +1,4 @@
+import decimal
 import math
 from collections import Counter
 
@@ -9,10 +10,10 @@ from hypothesis import strategies as st
 from wkyber.dist import IntDist, PrecisionLossError
 from wkyber.modem import ChannelPlan
 from wkyber.params import KYBER512, KYBER768, N, PARAM_SETS, Q
-from wkyber.reliability import (FAILURE_BOUND, ErrorModel, KerPoint,
-                                _noise_terms, compression_error_dist,
-                                failure_probability, failure_prob_rows,
-                                ker_monte_carlo, sigma_vs_snr,
+from wkyber.reliability import (FAILURE_BOUND, ErrorModel, _noise_terms,
+                                compression_error_dist, failure_probability,
+                                failure_prob_rows, ker_monte_carlo,
+                                rate_interval, sigma_vs_snr,
                                 standard_kyber_model, wkyber_v1_model,
                                 wkyber_v2_model)
 from wkyber.transport import channel_error_pmf, coeff_error_dist
@@ -175,8 +176,8 @@ class TestIntDist:
 class TestChannelIntDist:
     @pytest.mark.parametrize("variant", ["exact", "approx"])
     def test_matches_float_pmf(self, variant):
-        from wkyber.modem import ber_4qam, snr_db_to_linear
-        p = ber_4qam(snr_db_to_linear(-10.0))
+        from wkyber.modem import bit_error_prob
+        p = bit_error_prob(-10.0)
         ref = channel_error_pmf(p, variant)
         dist = coeff_error_dist(-10.0, variant)
         probs = dist.as_dict()
@@ -354,29 +355,36 @@ class TestKerInterval:
         from scipy.stats import binomtest
         want = binomtest(failures, trials).proportion_ci(
             confidence_level=0.95, method="wilson")
-        got = KerPoint(6.0, -10.0, trials, failures).interval()
+        got = rate_interval(failures, trials)
         assert got == pytest.approx((want.low, want.high), rel=1e-12)
 
     def test_zero_failures_closed_form(self):
         # P(no failure in n trials) = 0.025 at the upper end
-        lo, hi = KerPoint(15.0, -10.0, 10_000, 0).interval()
+        lo, hi = rate_interval(0, 10_000)
         assert lo == 0.0
         assert hi == pytest.approx(-math.expm1(math.log(0.025) / 10_000),
                                    rel=1e-12)
         assert 3.68e-4 < hi < 3.69e-4
+        # at 10^8 trials the naive 1 - 0.025^(1/n) cancels to 1e-9 of its
+        # value; the oracle is 40-digit decimal arithmetic
+        with decimal.localcontext() as ctx:
+            ctx.prec = 40
+            want = 1 - (decimal.Decimal("0.025").ln() / 10**8).exp()
+        assert rate_interval(0, 10**8)[1] == pytest.approx(float(want),
+                                                           rel=1e-12)
 
 
 class TestKerMonteCarlo:
     def test_noiseless_plans_no_failures(self):
         plans = (ChannelPlan(math.inf, math.inf), ChannelPlan(math.inf, math.inf))
-        pt = ker_monte_carlo("v1", KYBER512, plans, trials=5, seed=1, workers=1)
-        assert pt.failures == 0 and pt.ker == 0.0
+        assert ker_monte_carlo("v1", KYBER512, plans, trials=5, seed=1,
+                               workers=1) == 0
 
     def test_deterministic_across_worker_counts(self):
         plans = (ChannelPlan(10, 10), ChannelPlan(10, -10))
         a = ker_monte_carlo("v1", KYBER512, plans, trials=64, seed=3, workers=1)
         b = ker_monte_carlo("v1", KYBER512, plans, trials=64, seed=3, workers=2)
-        assert (a.failures, a.trials) == (b.failures, b.trials)
+        assert a == b
 
     def test_forked_pool_matches_serial_at_6db(self):
         # real worker processes: the transforms must give the same results
@@ -388,8 +396,8 @@ class TestKerMonteCarlo:
                                 workers=1)
             b = ker_monte_carlo("v1", KYBER512, plans, trials=trials, seed=5,
                                 workers=2)
-            assert a.failures == b.failures
-        assert a.failures > 0
+            assert a == b
+        assert a > 0
 
     def test_pool_capped_at_trials_and_cores(self, monkeypatch):
         # an in-process stand-in for multiprocessing.Pool: no process starts
@@ -421,7 +429,7 @@ class TestKerMonteCarlo:
         serial = ker_monte_carlo("v1", KYBER512, plans, trials=64, seed=3,
                                  workers=1)
         assert sizes == [4]
-        assert pooled.failures == serial.failures > 0
+        assert pooled == serial > 0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -431,4 +439,4 @@ class TestKerMonteCarlo:
         # failures above trials, negative failures, no trials
         for trials, failures in ((5, 6), (5, -1), (0, 0)):
             with pytest.raises(ValueError):
-                KerPoint(10.0, -10.0, trials=trials, failures=failures)
+                rate_interval(failures, trials)

@@ -8,8 +8,8 @@ from scipy.stats import binom
 
 from wkyber.bch import CODE_N, codeword_error_prob
 from wkyber.core import centered
-from wkyber.modem import (ChannelPlan, NoiseSource, ber_4qam, modulate_words,
-                          snr_db_to_linear)
+from wkyber.modem import (ChannelPlan, NoiseSource, bit_error_prob,
+                          modulate_words)
 from wkyber.params import N, PARAM_SETS, Q
 from wkyber.transport import (SEED_BLOCKS, channel_error_pmf,
                               coeff_error_dist, dist_stddev, receive_blocks,
@@ -171,7 +171,7 @@ class TestLegs:
 
 class TestChannelStatistics:
     """Received words against the closed-form laws of the hard-decision
-    channel: every bit flips on its own with p = ber_4qam(Eb/N0)."""
+    channel: every bit flips on its own with p = bit_error_prob(snr)."""
 
     @pytest.mark.parametrize("snr_db", [-5.0, 0.0, 6.0, 10.0])
     def test_w2_bit_flip_rates(self, snr_db):
@@ -184,7 +184,7 @@ class TestChannelStatistics:
         rx, failures = receive(send_coeffs(coeffs, plan, noise))
         assert failures == 0 and np.array_equal(rx >> 2, coeffs >> 2)
         flips = (rx ^ coeffs) & 3
-        p = ber_4qam(snr_db_to_linear(snr_db))
+        p = bit_error_prob(snr_db)
         # each bit alone at p, and both at once at p^2 (independence)
         for pattern, prob in ((1, p), (2, p), (3, p * p)):
             count = np.count_nonzero((flips & pattern) == pattern)
@@ -206,7 +206,7 @@ class TestChannelStatistics:
         noise = NoiseSource(6400 + int(snr_db))
         got, failed = receive_blocks(send_blocks(sent, snr_db, noise), n)
         rate = np.count_nonzero((got != sent) | failed) / n
-        analytic = codeword_error_prob(ber_4qam(snr_db_to_linear(snr_db)))
+        analytic = codeword_error_prob(bit_error_prob(snr_db))
         se = math.sqrt(analytic * (1 - analytic) / n)
         assert abs(rate - analytic) <= 3 * se, (rate, analytic)
 
