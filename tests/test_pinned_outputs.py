@@ -11,7 +11,9 @@ same way, so a change of its representation must leave them byte-identical.
 So are ``exchange`` and ``ker`` CSVs whose sessions fail blocks on both
 legs, so a change of the wire codec must leave them byte-identical too.
 The ``ber``, ``codeword-error`` and ``failure-prob`` CSVs pin the 4QAM
-crossover to its last bit.
+crossover to its last bit.  Two ``exchange`` runs outside the operating
+window pin stderr as well, so the policy warnings keep their wording and
+order.
 """
 
 import hashlib
@@ -124,6 +126,20 @@ PINNED_CSV = {
         "29785fe7b16b18a4041427b2f3a89f64304b1ca20005890f4099a6dcd4b1e01c",
 }
 
+# CLI arguments -> sha256 of stdout and of stderr; at 9 / -3 dB both paths
+# leave the operating window, so v2 warns for the ciphertext plan and then
+# the key plan, v1 for the ciphertext plan only
+PINNED_STREAMS = {
+    ("exchange", "--version", "v2", "--snr-msb", "9", "--snr-lsb", "-3",
+     "--trials", "3", "--seed", "42"):
+        ("9d3d7fb8da0c5348aace6046a38365dae50f475a84300c85fa0f797b292d7211",
+         "c8f88d9b50f793f3422ff0064329754081b725a79d9260446c32e03462831cdf"),
+    ("exchange", "--version", "v1", "--snr-msb", "9", "--snr-lsb", "-3",
+     "--trials", "3", "--seed", "42"):
+        ("577fee1f29fc04b53dccab5bca1e622b2e52f0df490e8d8beb3b9f2fb8d24734",
+         "a1cc682e2626da5c437b5d6b2af3d28b6bc3f40af8b0ae4f393afcee16a2e34c"),
+}
+
 
 def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -187,3 +203,11 @@ def test_offsets_not_trivial():
 def test_cli_csv_unchanged(capsys, argv):
     assert main(list(argv)) == 0
     assert sha(capsys.readouterr().out.encode()) == PINNED_CSV[argv]
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED_STREAMS), ids=" ".join)
+def test_cli_streams_unchanged(capsys, argv):
+    assert main(list(argv)) == 0
+    captured = capsys.readouterr()
+    assert (sha(captured.out.encode()),
+            sha(captured.err.encode())) == PINNED_STREAMS[argv]
