@@ -21,8 +21,8 @@ from .bch import codeword_error_prob
 from .dist import IntDist, PrecisionLossError
 from .modem import (NoiseSource, bit_error_prob, demodulate_symbols,
                     modulate_words, snr_db_to_linear, transmit)
-from .params import get_params
-from .protocol import FO_POLICIES, run_sessions, session_plans
+from .params import PARAM_SETS
+from .protocol import FO_POLICIES, run_sessions, session_plans, snr_warnings
 from .reliability import (failure_prob_rows, ker_monte_carlo, rate_interval,
                           sigma_vs_snr)
 from .transport import coeff_error_dist, receive_blocks, send_blocks
@@ -172,7 +172,7 @@ def cmd_codeword_error(args):
 
 
 def cmd_ker(args):
-    params = get_params(args.params)
+    params = PARAM_SETS[int(args.params)]
     rows = []
     for point, snr_msb in enumerate(args.grid):
         plans = session_plans(args.version, snr_msb, args.snr_lsb)
@@ -207,19 +207,20 @@ def cmd_sigma(args):
 
 
 def cmd_exchange(args):
-    params = get_params(args.params)
+    params = PARAM_SETS[int(args.params)]
     plans = session_plans(args.version, args.snr_msb, args.snr_lsb)
     seeds = [args.seed * 65537 + i for i in range(args.trials)]
     rec = run_sessions(args.version, params, plans, seeds,
                        fo_policy=args.fo_policy)
-    for w in rec.warnings:
+    warnings = snr_warnings(args.version, plans)
+    for w in warnings:
         print(f"policy warning: {w}", file=sys.stderr)
     pk_plan, ct_plan = plans
     run = (args.version, params.k, pk_plan.snr_msb_db, pk_plan.snr_lsb_db,
            ct_plan.snr_msb_db, ct_plan.snr_lsb_db)
     failures = (rec.bch_failures_pk + rec.bch_failures_ct).tolist()
-    warnings = ";".join(rec.warnings)
-    rows = [(i, *run, "match" if ok else "mismatch", f, warnings)
+    policy = ";".join(warnings)
+    rows = [(i, *run, "match" if ok else "mismatch", f, policy)
             for i, (ok, f) in enumerate(zip(rec.outcome.tolist(), failures))]
     return _emit(rows, ["session_id", "version", "k", "pk_snr_msb_db",
                         "pk_snr_lsb_db", "ct_snr_msb_db", "ct_snr_lsb_db",

@@ -1,11 +1,11 @@
 """Ring arithmetic, compression, samplers and matrix expansion.
 
-Ring data is plain int64 arrays over Z_q[x]/(x^n + 1) with q = 3329,
-n = 256: a ring element is a (256,) array of coefficients in [0, q), a
-module vector a (k, 256) array.  The transforms work over the last axis and
-batch every leading one, so one call transforms a whole vector or matrix.
-Every ring product goes through mul_sum, which multiplies NTT-domain rows
-with a coefficient vector by a fast negacyclic NTT (q supports a 256-point
+Ring data over Z_q[x]/(x^n + 1), q = 3329, n = 256, is plain arrays of
+integers in [0, q), int64 coefficients and float64 from ntt to intt: a
+ring element is a (256,) array, a module vector a (k, 256) array.  The
+transforms work over the last axis and batch every leading one.  Every
+ring product goes through mul_sum, which multiplies NTT-domain rows with a
+coefficient vector by a fast negacyclic NTT (q supports a 256-point
 transform that bottoms out in 128 quadratic factors); a schoolbook
 multiplier is the test oracle.  The NTT and its inverse are each one
 float64 product with a 128 x 128 matrix, applied to the even and the odd
@@ -106,22 +106,23 @@ def _mod_q(r: np.ndarray) -> np.ndarray:
 
 def _transform(coeffs: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     """matrix applied to the even and the odd coefficients over the last
-    axis, as float64 integers in [0, q)."""
+    axis, as a fresh array of float64 integers in [0, q)."""
     x = np.asarray(coeffs)
     pairs = x.reshape(*x.shape[:-1], N // 2, 2).astype(np.float64, copy=False)
-    return _mod_q(matrix @ pairs).reshape(x.shape)
+    return _mod_q((matrix @ pairs).reshape(x.shape))
 
 
 def ntt(coeffs: np.ndarray) -> np.ndarray:
     """Forward negacyclic NTT over the last axis (length 256, coefficients
     in [0, q)); leading axes are batched, so one call transforms a whole
-    vector or matrix with one exact float64 matrix product."""
-    return _transform(coeffs, _V).astype(np.int64)
+    vector or matrix with one exact float64 matrix product, whose float64
+    integers in [0, q) it returns."""
+    return _transform(coeffs, _V)
 
 
 def intt(coeffs: np.ndarray) -> np.ndarray:
     """Inverse of :func:`ntt` over the last axis, including the 1/128
-    normalisation."""
+    normalisation, back to int64 coefficients."""
     return _transform(coeffs, _V_INV).astype(np.int64)
 
 
@@ -152,7 +153,7 @@ def mul_sum(rows_hat: np.ndarray, s: np.ndarray) -> np.ndarray:
     so each is below 2 (q - 1)^2 per rank (see _MAC_BOUND)."""
     if rows_hat.shape[-2:] != s.shape[-2:]:
         raise ValueError("rank mismatch")
-    s_hat = _transform(s, _V)[..., None, :, :]
+    s_hat = ntt(s)[..., None, :, :]
     f0, f1 = rows_hat[..., 0::2], rows_hat[..., 1::2]
     g0, g1 = s_hat[..., 0::2], s_hat[..., 1::2]
     even = (f0 * g0).sum(axis=-2) + _mod_q((f1 * g1).sum(axis=-2)) * GAMMAS

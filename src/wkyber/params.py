@@ -33,10 +33,3 @@ KYBER1024 = ParamSet("kyber1024", k=4, eta1=2, eta2=2, du=11, dv=5)
 
 PARAM_SETS = {512: KYBER512, 768: KYBER768, 1024: KYBER1024}
 
-
-def get_params(which) -> ParamSet:
-    """Look up a parameter set by 512/768/1024 (int or string)."""
-    try:
-        return PARAM_SETS[int(which)]
-    except (KeyError, ValueError):
-        raise ValueError(f"unknown parameter set {which!r}; expected 512, 768 or 1024")

@@ -29,9 +29,9 @@ lone session, and its own KEM hashes; the ring work is stacked on
 transport.send_key and its ciphertext leg through transport.send_coeffs,
 and transport.receive_coeffs decodes each leg for all B at once.
 Stacked arithmetic is exact and blocks decode alone, so no result depends
-on B or worker count.  A run of S sessions comes back as one SessionRun:
-the plans' warnings once, and (S,) arrays of outcomes and per-leg BCH
-failures; the version, rank and plans stay with the caller.
+on B or worker count.  A run of S sessions comes back as one SessionRun of
+(S,) arrays of outcomes and per-leg BCH failures; the version, rank and
+plans stay with the caller, which checks them with snr_warnings.
 """
 
 from __future__ import annotations
@@ -61,15 +61,20 @@ MIN_MSB_DB = 10.0
 MAX_LSB_DB = -5.0
 
 
-def snr_warnings(plan: ChannelPlan, label: str) -> list:
-    """The ways plan leaves the operating window, as warning texts."""
+def snr_warnings(version: str, plans) -> list:
+    """The ways a session's (public key, ciphertext) plans leave the
+    operating window, as warning texts: the ciphertext plan's, then v2's
+    key plan's (v1's key travels with both paths protected)."""
+    pk_plan, ct_plan = plans
     out = []
-    if not plan.snr_msb_db >= MIN_MSB_DB:
-        out.append(f"{label}: MSB-path SNR {plan.snr_msb_db:g} dB below "
-                   f"{MIN_MSB_DB:g} dB; decode failures not negligible")
-    if not plan.snr_lsb_db <= MAX_LSB_DB:
-        out.append(f"{label}: LSB-path SNR {plan.snr_lsb_db:g} dB above "
-                   f"{MAX_LSB_DB:g} dB; injected error too narrow")
+    for label, plan in [("ciphertext", ct_plan)] + (
+            [("public key", pk_plan)] if version == "v2" else []):
+        if not plan.snr_msb_db >= MIN_MSB_DB:
+            out.append(f"{label}: MSB-path SNR {plan.snr_msb_db:g} dB below "
+                       f"{MIN_MSB_DB:g} dB; decode failures not negligible")
+        if not plan.snr_lsb_db <= MAX_LSB_DB:
+            out.append(f"{label}: LSB-path SNR {plan.snr_lsb_db:g} dB above "
+                       f"{MAX_LSB_DB:g} dB; injected error too narrow")
     return out
 
 
@@ -156,10 +161,9 @@ def kem_v1_decaps(s: np.ndarray, zs, pks, received: np.ndarray,
 
 @dataclass(eq=False)
 class SessionRun:
-    """A run of S sessions: the plans' warnings once, then one entry per
-    seed, in seed order, in each (S,) array."""
+    """A run of S sessions: one entry per seed, in seed order, in each (S,)
+    array."""
 
-    warnings: tuple              # ways the plans leave the operating window
     outcome: np.ndarray          # bool: both sides hold the same secret/bits
     bch_failures_pk: np.ndarray  # int64: failed blocks on the key leg
     bch_failures_ct: np.ndarray  # int64: failed blocks on the ciphertext leg
@@ -187,9 +191,8 @@ def run_sessions(version: str, params: ParamSet, plans, seeds, *,
     ciphertext transport, decrypt/decaps.  Returns one SessionRun whose
     arrays hold session i at index i.
 
-    plans is the (public key, ciphertext) ChannelPlan pair.  Policy
-    violations are recorded as warnings; the run proceeds regardless.
-    V2 keys are ephemeral by construction: every session generates its own.
+    plans is the (public key, ciphertext) ChannelPlan pair; the run
+    proceeds whatever snr_warnings says of it.  V2 keys are ephemeral by construction: every session generates its own.
     Sessions run SESSION_BATCH at a time; a session's entries depend only
     on its own seed (see the module docstring).
     """
@@ -197,10 +200,6 @@ def run_sessions(version: str, params: ParamSet, plans, seeds, *,
         raise ValueError(f"version must be 'v1' or 'v2', got {version!r}")
     if fo_policy not in FO_POLICIES:
         raise ValueError(f"unknown comparison policy {fo_policy!r}")
-    pk_plan, ct_plan = plans
-    warnings = tuple(snr_warnings(ct_plan, "ciphertext")
-                     + (snr_warnings(pk_plan, "public key")
-                        if version == "v2" else []))
     outcome = np.zeros(len(seeds), dtype=bool)
     pk_fail, ct_fail = np.zeros((2, len(seeds)), dtype=np.int64)
     offsets = (np.zeros((len(seeds), (params.k + 1) * N), dtype=np.int64)
@@ -211,7 +210,7 @@ def run_sessions(version: str, params: ParamSet, plans, seeds, *,
             version, params, plans, seeds[batch], fo_policy)
         if offsets is not None:
             offsets[batch] = centered(error)
-    return SessionRun(warnings, outcome, pk_fail, ct_fail, offsets)
+    return SessionRun(outcome, pk_fail, ct_fail, offsets)
 
 
 def _run_batch(version, params, plans, seeds, fo_policy):

@@ -70,6 +70,11 @@ class TestNtt:
         assert np.array_equal(intt(ntt(x)), x)
         assert np.array_equal(ntt(intt(x)), x)
 
+    def test_domain_dtypes(self):
+        # NTT-domain data is float64 from ntt to intt, coefficients int64
+        x = rand_poly(np.random.default_rng(9), (2,))
+        assert ntt(x).dtype == np.float64 and intt(ntt(x)).dtype == np.int64
+
     def test_does_not_modify_input(self):
         x = rand_poly(np.random.default_rng(10), (3,))
         before = x.copy()

@@ -232,7 +232,6 @@ class TestSessions:
     def test_transcript_deterministic(self):
         a = run_sessions("v1", P768, NOMINAL_PLANS, [5], collect_offsets=True)
         b = run_sessions("v1", P768, NOMINAL_PLANS, [5], collect_offsets=True)
-        assert run_constants(a) == run_constants(b)
         assert session_columns(a) == session_columns(b)
 
     @pytest.mark.parametrize("sessions", [0, 1, SESSION_BATCH + 1])
@@ -257,20 +256,21 @@ class TestSessions:
         assert rec.bch_failures_pk.all() and not rec.bch_failures_ct.any()
 
     def test_policy_warning_recorded(self):
-        rec = run_sessions("v2", P768,
-                           (ChannelPlan(10, -3), ChannelPlan(10, -3)), [6])
-        assert rec.warnings
-        rec = run_sessions("v1", P768, NOMINAL_PLANS, [6])
-        assert not rec.warnings
+        assert snr_warnings("v2", (ChannelPlan(10, -3), ChannelPlan(10, -3)))
+        assert not snr_warnings("v1", NOMINAL_PLANS)
 
     def test_policy_boundaries(self):
-        assert not snr_warnings(ChannelPlan(10.0, -10.0), "x")
-        assert not snr_warnings(ChannelPlan(10.0, -5.0), "x")
-        assert snr_warnings(ChannelPlan(9.9, -10.0), "x") == [
-            "x: MSB-path SNR 9.9 dB below 10 dB; decode failures not "
-            "negligible"]
-        assert snr_warnings(ChannelPlan(10.0, -4.9), "x") == [
-            "x: LSB-path SNR -4.9 dB above -5 dB; injected error too narrow"]
+        def ct_warnings(plan):
+            return snr_warnings("v1", (NOMINAL_PLANS[0], plan))
+
+        assert not ct_warnings(ChannelPlan(10.0, -10.0))
+        assert not ct_warnings(ChannelPlan(10.0, -5.0))
+        assert ct_warnings(ChannelPlan(9.9, -10.0)) == [
+            "ciphertext: MSB-path SNR 9.9 dB below 10 dB; decode failures "
+            "not negligible"]
+        assert ct_warnings(ChannelPlan(10.0, -4.9)) == [
+            "ciphertext: LSB-path SNR -4.9 dB above -5 dB; injected error "
+            "too narrow"]
 
     def test_session_plans(self):
         # v1's key travels with both paths protected, v2's as the ciphertext
@@ -309,10 +309,6 @@ class TestSessions:
         assert run_sessions("v2", params, V2_PLANS, [8]).outcome.all()
 
 
-def run_constants(rec):
-    return rec.warnings
-
-
 def session_columns(rec):
     """A run's per-session arrays as lists, session i at index i."""
     return [rec.outcome.tolist(), rec.bch_failures_pk.tolist(),
@@ -340,7 +336,6 @@ class TestBatches:
                                       seeds[at:at + size],
                                       collect_offsets=True))
             at += size
-        assert all(run_constants(p) == run_constants(whole) for p in parts)
         assert session_columns(whole) == [
             sum(column, []) for column in zip(*map(session_columns, parts))]
         if snr_db == 0.0:
