@@ -11,7 +11,8 @@ b^T stacked against s' at encryption, and s^T u at decryption.
 Every function takes B sessions at once as plain arrays: public keys are
 pairs (seeds, b) of B 32-byte seeds for the matrices A (gen_matrices caches
 them) and one (B, k, 256) array, secrets (B, k, 256), message bits
-(B, 256), uncompressed ciphertexts (B, k + 1, 256) coefficients.  On the
+(B, 256), uncompressed ciphertexts (B, k + 1, 256) coefficients; per-session
+inputs that differ in count raise ValueError rather than broadcast.  On the
 wire each session's secret or ciphertext is pack12 of its array and its key
 is seed + pack12(b); core.unpack_ring decodes them.
 """
@@ -25,6 +26,13 @@ from .core import (cbd_vectors, compress, decompress, gen_matrices, mul_sum,
 from .params import N, Q, ParamSet
 
 
+def _check_sessions(*inputs):
+    """ValueError unless every per-session input holds the same count."""
+    counts = [len(x) for x in inputs]
+    if len(set(counts)) > 1:
+        raise ValueError(f"per-session inputs differ in count: {counts}")
+
+
 def random_bits(rngs) -> np.ndarray:
     """(B, 256) message bits, from 32 bytes of each rng."""
     raw = np.frombuffer(b"".join(rng.read(N // 8) for rng in rngs),
@@ -36,6 +44,7 @@ def keygen(seeds_a, rngs, params: ParamSet, with_error: bool = True):
     """b = A s + e, or b = A s without the error, with s and e drawn from
     the eta1 binomial by one read of each rng.  Returns (pks, s) with
     pks = (seeds_a, b)."""
+    _check_sessions(seeds_a, rngs)
     k, eta = params.k, params.eta1
     count = 2 if with_error else 1
     noise = cbd_vectors(b"".join(rng.read(64 * eta * k * count)
@@ -51,6 +60,7 @@ def wk_encrypt(pks, bits: np.ndarray, coins, params: ParamSet) -> np.ndarray:
     """u = A^T s', v = b^T s' + mhat, with s' expanded from each session's
     32-byte coins; no e' or e'' is ever sampled."""
     seeds, b = pks
+    _check_sessions(seeds, b, bits, coins)
     sp = noise_vectors(coins, b"sp", params.eta1, params.k)
     rows = np.concatenate((gen_matrices(seeds, params).swapaxes(-3, -2),
                            ntt(b)[..., None, :, :]), axis=-3)
@@ -61,6 +71,7 @@ def wk_encrypt(pks, bits: np.ndarray, coins, params: ParamSet) -> np.ndarray:
 
 def wk_decrypt(s: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """Per-coefficient compress(v - s^T u, 1): the message bits."""
+    _check_sessions(s, coeffs)
     u, v = coeffs[..., :-1, :], coeffs[..., -1, :]
     su = mul_sum(ntt(s)[..., None, :, :], u)[..., 0, :]
     return compress((v - su) % Q, 1)

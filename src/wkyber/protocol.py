@@ -118,10 +118,10 @@ def kem_v1_encaps(pks, bits: np.ndarray, params: ParamSet):
     # 32 key bytes, then 32 coin bytes
     kd = [squeeze(m.tobytes() + squeeze(seed + pack12(b_i), b"pk", 32),
                   b"enc", 64)
-          for m, seed, b_i in zip(messages, seeds, b)]
+          for m, seed, b_i in zip(messages, seeds, b, strict=True)]
     c = wk_encrypt((seeds, b), bits, [d[32:] for d in kd], params)
     return c, [squeeze(d[:32] + squeeze(pack12(c_i), b"ct", 32), b"kdf", 32)
-               for d, c_i in zip(kd, c)]
+               for d, c_i in zip(kd, c, strict=True)]
 
 
 def _coeffs_match(expected: np.ndarray, received: np.ndarray,
@@ -152,7 +152,8 @@ def kem_v1_decaps(s: np.ndarray, zs, pks, received: np.ndarray,
     expected, secrets = kem_v1_encaps(pks, wk_decrypt(s, received), params)
     return [secret if _coeffs_match(c2, c_rx, policy)
             else squeeze(z + squeeze(pack12(c_rx), b"ct", 32), b"rej", 32)
-            for secret, c2, c_rx, z in zip(secrets, expected, received, zs)]
+            for secret, c2, c_rx, z in zip(secrets, expected, received, zs,
+                                           strict=True)]
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +230,7 @@ def _run_batch(version, params, plans, seeds, fo_policy):
         pks, sks = keygen(seeds_a, key_rngs, params, with_error=False)
     seeds_rx, b_rx, pk_fail = receive_coeffs(
         [send_key(seed, b, pk_plan, noise)
-         for seed, b, noise in zip(*pks, noise_a)])
+         for seed, b, noise in zip(*pks, noise_a, strict=True)])
     pks_rx = (seeds_rx, b_rx.reshape(len(seeds), params.k, N))
     bits = random_bits(msg_rngs)
     if version == "v1":
@@ -237,12 +238,13 @@ def _run_batch(version, params, plans, seeds, fo_policy):
     else:
         c_clean = wk_encrypt(pks_rx, bits, [rng.read(32) for rng in msg_rngs],
                              params)
-    _, c_rx, ct_fail = receive_coeffs([send_coeffs(c, ct_plan, noise)
-                                       for c, noise in zip(c_clean, noise_b)])
+    _, c_rx, ct_fail = receive_coeffs(
+        [send_coeffs(c, ct_plan, noise)
+         for c, noise in zip(c_clean, noise_b, strict=True)])
     c_rx = c_rx.reshape(c_clean.shape)
     if version == "v1":
         secrets_a = kem_v1_decaps(sks, zs, pks, c_rx, params, fo_policy)
-        outcome = [a == b for a, b in zip(secrets_a, secrets_b)]
+        outcome = [a == b for a, b in zip(secrets_a, secrets_b, strict=True)]
     else:
         outcome = (wk_decrypt(sks, c_rx) == bits).all(axis=1)
     return outcome, pk_fail, ct_fail, (c_rx - c_clean).reshape(len(seeds), -1)

@@ -125,6 +125,22 @@ class TestEncryptDecrypt:
                 assert bit0_ok and bit1_ok
 
 
+class TestSessionCounts:
+    # per-session inputs of different counts raise; broadcasting one coin or
+    # one key stream over two sessions would share a secret between them
+    def test_keygen_rejects_one_seed_for_two_streams(self):
+        with pytest.raises(ValueError, match="differ in count"):
+            keygen([SEED], [stream(b"c1"), stream(b"c2")], KYBER768)
+
+    @pytest.mark.parametrize("encrypt_fn", [wk_encrypt, encrypt])
+    def test_encryption_rejects_one_coin_for_two_keys(self, encrypt_fn):
+        pks, _ = keygen([SEED, b"\x01" * 32], [stream(b"c1"), stream(b"c2")],
+                        KYBER768)
+        bits = random_bits([stream(b"m1"), stream(b"m2")])
+        with pytest.raises(ValueError, match="differ in count"):
+            encrypt_fn(pks, bits, [bytes(32)], KYBER768)
+
+
 class TestSerialization:
     @pytest.mark.parametrize("params", PARAM_SETS.values(), ids=lambda p: p.name)
     def test_pk_sk_roundtrip(self, params):

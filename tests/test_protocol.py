@@ -216,6 +216,20 @@ class TestKem:
             kem_v1_decaps(s, zs, pks, c, P768, policy="bogus")
         assert calls == []
 
+    def test_encaps_rejects_one_message_for_two_keys(self):
+        pks, _, _ = kem_v1_keygen([SEED, SEED], [stream(b"k1"), stream(b"k2")],
+                                  P768)
+        with pytest.raises(ValueError):
+            kem_v1_encaps(pks, random_bits([stream(b"m1")]), P768)
+
+    def test_decaps_rejects_one_z_for_two_sessions(self):
+        pks, s, zs = kem_v1_keygen([SEED, SEED],
+                                   [stream(b"k1"), stream(b"k2")], P768)
+        c, _ = kem_v1_encaps(pks, random_bits([stream(b"m1"),
+                                               stream(b"m2")]), P768)
+        with pytest.raises(ValueError):
+            kem_v1_decaps(s, zs[:1], pks, c, P768)
+
     def test_msb_policy_allows_only_the_q_wrap(self):
         from wkyber.protocol import _coeffs_match
         clean = np.array([Q - 1, Q - 1, Q - 1, Q - 1, 7])
