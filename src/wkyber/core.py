@@ -220,7 +220,9 @@ def noise_vectors(seeds, label: bytes, eta: int, k: int) -> np.ndarray:
                                 for s in seeds), eta, k)
 
 
-@functools.lru_cache(maxsize=8)
+# a batch expands at most two seed tuples, the sender's and, when a seed
+# block failed, the receiver's; session seeds never recur across batches
+@functools.lru_cache(maxsize=2)
 def _gen_matrix_cached(seeds: tuple, k: int) -> np.ndarray:
     labels = [b"A" + bytes([r, c]) for r in range(k) for c in range(k)]
     # an entry is its first 256 candidates below q; about 0.7% of entries
