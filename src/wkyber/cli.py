@@ -12,6 +12,7 @@ import argparse
 import functools
 import math
 import os
+import stat
 import sys
 import tempfile
 
@@ -87,12 +88,14 @@ def _int_at_least(low: int):
 
 
 def _out_path(text: str) -> str:
-    """argparse type: - or a file name in an existing, writable directory,
-    else exit 2; _emit still handles a write that fails later.  An empty
-    name or one ending in a separator names no file, though abspath drops
-    both."""
-    directory = os.path.dirname(os.path.abspath(text))
-    if text != "-" and (not os.path.basename(text) or os.path.isdir(text)
+    """argparse type: - or a file name in an existing, writable directory
+    that names no file or a regular one, symlinks resolved, else exit 2;
+    _emit still handles a write that fails later.  An empty name or one
+    ending in a separator names no file, though realpath drops both."""
+    target = os.path.realpath(text)
+    directory = os.path.dirname(target)
+    if text != "-" and (not os.path.basename(text)
+                        or os.path.lexists(target) and not os.path.isfile(target)
                         or not os.path.isdir(directory)
                         or not os.access(directory, os.W_OK)):
         raise argparse.ArgumentTypeError(f"cannot write a file at {text!r}")
@@ -105,21 +108,32 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _file_mode(path: str) -> int:
+    """The mode open(path, "w") leaves: path's own, or 0o666 less umask."""
+    try:
+        return stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        return 0o666 & ~umask
+
+
 def _emit(rows, header, out_path) -> int:
-    """Write the CSV to stdout or atomically to out_path; the exit code,
-    2 if the file cannot be written."""
+    """Write the CSV to stdout or atomically to the file out_path resolves
+    to, in the mode open would give; the exit code, 2 if writing fails."""
     text = "\n".join([",".join(header)]
                      + [",".join(_fmt(c) for c in row) for row in rows]) + "\n"
     if out_path in (None, "-"):
         sys.stdout.write(text)
         return 0
-    directory = os.path.dirname(os.path.abspath(out_path))
+    target = os.path.realpath(out_path)
     tmp = None
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
+            os.fchmod(fh.fileno(), _file_mode(target))
             fh.write(text)
-        os.replace(tmp, out_path)
+        os.replace(tmp, target)
     except OSError as exc:
         print(f"cannot write {out_path}: {exc.strerror or exc}",
               file=sys.stderr)
@@ -303,14 +317,9 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     # argparse mistakes "-15:0:1" for an option; fold grid values in
     merged = []
-    skip = False
-    for i, tok in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        if tok == "--grid" and i + 1 < len(argv) and argv[i + 1].startswith("-"):
-            merged.append(f"--grid={argv[i + 1]}")
-            skip = True
+    for tok in argv:
+        if merged and merged[-1] == "--grid" and tok.startswith("-"):
+            merged[-1] = f"--grid={tok}"
         else:
             merged.append(tok)
     args = build_parser().parse_args(merged)

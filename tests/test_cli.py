@@ -3,6 +3,7 @@ import csv
 import io
 import math
 import os
+import stat
 import subprocess
 import sys
 import tempfile
@@ -332,6 +333,54 @@ class TestPlumbing:
         assert "--out" in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["work"]
         assert os.listdir(work) == ["file"]
+
+    def test_out_symlink_writes_its_target(self, tmp_path):
+        # the link stays a link, and the file it names gets the CSV
+        (tmp_path / "real").mkdir()
+        target = tmp_path / "real" / "sigma.csv"
+        target.write_text("old\n")
+        link = tmp_path / "link"
+        link.symlink_to(target)
+        assert main(["sigma", "--grid", "-6:-5:1", "--out", str(link)]) == 0
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_text().startswith("snr_db,sigma\n")
+        assert os.listdir(tmp_path / "real") == ["sigma.csv"]
+
+    def test_out_fifo_refused_before_work(self, tmp_path, monkeypatch,
+                                          capsys):
+        # an existing --out that is not a regular file is refused at parse
+        # time, before any session runs; the FIFO is never opened
+        from wkyber import cli
+        real_run, sessions = cli.run_sessions, []
+
+        def counted(*args, **kwargs):
+            sessions.append(None)
+            return real_run(*args, **kwargs)
+
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        monkeypatch.setattr(cli, "run_sessions", counted)
+        with pytest.raises(SystemExit) as exc:
+            main(["exchange", "--trials", "2", "--out", str(fifo)])
+        assert exc.value.code == 2 and sessions == []
+        assert "--out" in capsys.readouterr().err
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert os.listdir(tmp_path) == ["fifo"]
+
+    @pytest.mark.parametrize("existing", [None, 0o640], ids=["new", "0640"])
+    def test_out_mode_is_what_open_gives(self, tmp_path, existing):
+        # a new file gets 0o666 less the umask, an existing one keeps its mode
+        out_file = tmp_path / "sigma.csv"
+        if existing is not None:
+            out_file.write_text("")
+            os.chmod(out_file, existing)
+        umask = os.umask(0o022)
+        try:
+            code = main(["sigma", "--grid", "-6:-5:1", "--out", str(out_file)])
+        finally:
+            os.umask(umask)
+        assert code == 0
+        assert stat.S_IMODE(os.stat(out_file).st_mode) == (existing or 0o644)
 
     @pytest.mark.parametrize("step", ["mkstemp", "replace"])
     def test_failed_write_exit_code(self, tmp_path, monkeypatch, capsys,
