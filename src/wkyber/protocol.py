@@ -193,7 +193,8 @@ def run_sessions(version: str, params: ParamSet, plans, seeds, *,
     arrays hold session i at index i.
 
     plans is the (public key, ciphertext) ChannelPlan pair; the run
-    proceeds whatever snr_warnings says of it.  V2 keys are ephemeral by construction: every session generates its own.
+    proceeds whatever snr_warnings says of it.  V2 keys are ephemeral by
+    construction: every session generates its own.
     Sessions run SESSION_BATCH at a time; a session's entries depend only
     on its own seed (see the module docstring).
     """
