@@ -23,7 +23,7 @@ from .dist import IntDist, PrecisionLossError
 from .modem import (NoiseSource, bit_error_prob, demodulate_symbols,
                     modulate_words, snr_db_to_linear, transmit)
 from .params import PARAM_SETS
-from .protocol import FO_POLICIES, run_sessions, session_plans, snr_warnings
+from .protocol import run_sessions, session_plans, snr_warnings
 from .reliability import (failure_prob_rows, ker_monte_carlo, rate_interval,
                           sigma_vs_snr)
 from .transport import coeff_error_dist, receive_blocks, send_blocks
@@ -192,7 +192,6 @@ def cmd_ker(args):
         plans = session_plans(args.version, snr_msb, args.snr_lsb)
         failures = ker_monte_carlo(args.version, params, plans, args.trials,
                                    seed=args.seed * 104729 + point,
-                                   fo_policy=args.fo_policy,
                                    workers=args.workers)
         rows.append((snr_msb, args.snr_lsb, args.version, params.k,
                      args.trials, failures, failures / args.trials,
@@ -224,8 +223,7 @@ def cmd_exchange(args):
     params = PARAM_SETS[int(args.params)]
     plans = session_plans(args.version, args.snr_msb, args.snr_lsb)
     seeds = [args.seed * 65537 + i for i in range(args.trials)]
-    rec = run_sessions(args.version, params, plans, seeds,
-                       fo_policy=args.fo_policy)
+    rec = run_sessions(args.version, params, plans, seeds)
     warnings = snr_warnings(args.version, plans)
     for w in warnings:
         print(f"policy warning: {w}", file=sys.stderr)
@@ -260,8 +258,6 @@ FLAGS = {
     "--seed": dict(type=_int_at_least(0), default=42),
     "--out": dict(type=_out_path, default=None,
                   help="output file (default stdout)"),
-    "--fo-policy": dict(default="msb-only", choices=FO_POLICIES,
-                        help="re-encryption comparison policy (v1 KEM)"),
     "--workers": dict(type=_int_at_least(1), default=None,
                       help="parallel workers for Monte Carlo"),
 }
@@ -278,7 +274,7 @@ VERBS = {
                        ("--trials", "--seed"), "-2:4:1"),
     "ker": (cmd_ker, "Monte Carlo key error rate over an MSB-path SNR grid",
             ("--params", "--version", "--snr-lsb", "--trials", "--seed",
-             "--fo-policy", "--workers"), "6:15:3"),
+             "--workers"), "6:15:3"),
     "failure-prob": (cmd_failure_prob,
                      "analytic decryption failure probabilities",
                      ("--snr-lsb",), None),
@@ -286,7 +282,7 @@ VERBS = {
                          "(hand-off to lattice estimators)", (), "-15:0:1"),
     "exchange": (cmd_exchange, "run full sessions and print transcripts",
                  ("--params", "--version", "--snr-msb", "--snr-lsb",
-                  "--trials", "--seed", "--fo-policy"), None),
+                  "--trials", "--seed"), None),
 }
 
 

@@ -10,15 +10,20 @@ transmission inject it, which rules out re-encryption, so V2 is used as a
 PKE with ephemeral keys.  Both versions encrypt and decrypt with
 pke.wk_encrypt and pke.wk_decrypt.
 
-KEM robustness detail: the public key's two low bits per coefficient are
-not BCH-protected, so rare channel flips would leave encapsulator and
-decapsulator with different views of b and make the re-encryption check
-fail spuriously.  The KEM therefore binds its hash chain and re-encryption
-to the protected projection of the key (w2 bits zeroed, q - 1 = 4 * 832
-taken as 0 because its w2 bits can wrap it to 0..2); the low bits still
-travel and still feed decryption, but the check no longer depends on them.
-Like the relaxed ciphertext comparison, the security of ignoring exposed
-bits in the check is not analysed here.
+KEM robustness and security: the channel may flip the two low bits (w2) of
+any coefficient, which no BCH code protects, so the KEM depends on none of
+them.  It binds its hash chain and re-encryption to the protected
+projection of the public key (w2 bits zeroed, q - 1 = 4 * 832 taken as 0
+because its w2 bits can wrap it to 0..2), and decapsulation decrypts from
+the received protected words w10 = c >> 2 alone, as 4 * w10 + 2.  The
+decrypted message is then a function of w10, so comparing the
+re-encryption's w10 words is the re-encryption check of a deterministic PKE
+(Hofheinz, Hoevelmanns and Kiltz, "A modular analysis of the
+Fujisaki-Okamoto transformation", TCC 2017).  The ciphertexts accepted for
+c are exactly those with c's w10 words, where a coefficient q - 1 of c may
+also arrive as 0..2.  Anyone can rewrite w2 without changing the key, so
+the target is replayable CCA security (Canetti, Krawczyk and Nielsen,
+"Relaxing chosen-ciphertext security", CRYPTO 2003), not IND-CCA2.
 
 Every V1/V2 function takes B sessions at once (one session is B = 1), with
 keys, secrets and ciphertexts in the array forms of :mod:`wkyber.pke`, and
@@ -91,10 +96,6 @@ def session_plans(version: str, snr_msb_db: float, snr_lsb_db: float):
 # ---------------------------------------------------------------------------
 # V1 KEM (re-encrypting transform with implicit rejection)
 
-# how decapsulation compares the re-encrypted ciphertext with the received
-FO_POLICIES = ("msb-only", "exact")
-
-
 def kem_v1_keygen(seeds_a, rngs, params: ParamSet):
     """The baseline key generation (binomial e retained), then each rng's
     32-byte implicit-rejection secret z.  Returns ((seeds_a, b), s, zs)."""
@@ -124,33 +125,30 @@ def kem_v1_encaps(pks, bits: np.ndarray, params: ParamSet):
                for d, c_i in zip(kd, c, strict=True)]
 
 
-def _coeffs_match(expected: np.ndarray, received: np.ndarray,
-                  policy: str) -> bool:
-    if policy == "exact":
-        return np.array_equal(expected, received)
-    # msb-only: the protected words w10 = c >> 2 must agree exactly.  One
-    # wrap is honest: q = 4 * 832 + 1, so a stored q - 1 = 4 * 832 whose w2
-    # bits rise comes back as 4 * 832 + 1..3 = 0..2 mod q
+def _coeffs_match(expected: np.ndarray, received: np.ndarray) -> bool:
+    # the protected words w10 = c >> 2 must agree exactly.  One wrap is
+    # honest: q = 4 * 832 + 1, so a stored q - 1 = 4 * 832 whose w2 bits
+    # rise comes back as 4 * 832 + 1..3 = 0..2 mod q
     same = (expected >> 2) == (received >> 2)
     wrapped = (expected == Q - 1) & (received <= 2)
     return bool((same | wrapped).all())
 
 
 def kem_v1_decaps(s: np.ndarray, zs, pks, received: np.ndarray,
-                  params: ParamSet, policy: str = "msb-only") -> list:
-    """Decrypt, encapsulate the result again as the sender did, compare;
-    a session whose ciphertext mismatches yields its implicit-rejection
-    secret rather than an error.
+                  params: ParamSet) -> list:
+    """Decrypt each received ciphertext's protected words, encapsulate the
+    result again as the sender did, compare; a session whose ciphertext
+    mismatches yields its implicit-rejection secret rather than an error.
 
-    The default msb-only policy compares the BCH-protected w10 words
-    exactly, and accepts one wrap besides: a coefficient sent as q - 1 and
-    received as 0..2.  Exact comparison rejects nearly every honest session
-    because the channel legitimately perturbs the exposed bits.
+    Decryption reads 4 * w10 + 2 mod q in place of each coefficient, so no
+    w2 bit sets any decryption noise.  The check accepts exactly the
+    ciphertexts whose w10 words equal the re-encryption's, and one wrap
+    besides: a coefficient sent as q - 1 and received as 0..2.  That
+    relation is public, so the target is replayable CCA (module docstring).
     """
-    if policy not in FO_POLICIES:
-        raise ValueError(f"unknown comparison policy {policy!r}")
-    expected, secrets = kem_v1_encaps(pks, wk_decrypt(s, received), params)
-    return [secret if _coeffs_match(c2, c_rx, policy)
+    expected, secrets = kem_v1_encaps(
+        pks, wk_decrypt(s, (4 * (received >> 2) + 2) % Q), params)
+    return [secret if _coeffs_match(c2, c_rx)
             else squeeze(z + squeeze(pack12(c_rx), b"ct", 32), b"rej", 32)
             for secret, c2, c_rx, z in zip(secrets, expected, received, zs,
                                            strict=True)]
@@ -186,7 +184,6 @@ def _noise_source(seed: int, label: bytes) -> NoiseSource:
 
 
 def run_sessions(version: str, params: ParamSet, plans, seeds, *,
-                 fo_policy: str = "msb-only",
                  collect_offsets: bool = False) -> SessionRun:
     """Full exchanges, one per seed: keygen, key transport, encrypt/encaps,
     ciphertext transport, decrypt/decaps.  Returns one SessionRun whose
@@ -200,8 +197,6 @@ def run_sessions(version: str, params: ParamSet, plans, seeds, *,
     """
     if version not in ("v1", "v2"):
         raise ValueError(f"version must be 'v1' or 'v2', got {version!r}")
-    if fo_policy not in FO_POLICIES:
-        raise ValueError(f"unknown comparison policy {fo_policy!r}")
     outcome = np.zeros(len(seeds), dtype=bool)
     pk_fail, ct_fail = np.zeros((2, len(seeds)), dtype=np.int64)
     offsets = (np.zeros((len(seeds), (params.k + 1) * N), dtype=np.int64)
@@ -209,13 +204,13 @@ def run_sessions(version: str, params: ParamSet, plans, seeds, *,
     for at in range(0, len(seeds), SESSION_BATCH):
         batch = slice(at, at + SESSION_BATCH)
         outcome[batch], pk_fail[batch], ct_fail[batch], error = _run_batch(
-            version, params, plans, seeds[batch], fo_policy)
+            version, params, plans, seeds[batch])
         if offsets is not None:
             offsets[batch] = centered(error)
     return SessionRun(outcome, pk_fail, ct_fail, offsets)
 
 
-def _run_batch(version, params, plans, seeds, fo_policy):
+def _run_batch(version, params, plans, seeds):
     """(outcome, key-leg failures, ciphertext-leg failures, (B, (k + 1) *
     256) received - sent ciphertext) of each session of one batch."""
     pk_plan, ct_plan = plans
@@ -244,7 +239,7 @@ def _run_batch(version, params, plans, seeds, fo_policy):
          for c, noise in zip(c_clean, noise_b, strict=True)])
     c_rx = c_rx.reshape(c_clean.shape)
     if version == "v1":
-        secrets_a = kem_v1_decaps(sks, zs, pks, c_rx, params, fo_policy)
+        secrets_a = kem_v1_decaps(sks, zs, pks, c_rx, params)
         outcome = [a == b for a, b in zip(secrets_a, secrets_b, strict=True)]
     else:
         outcome = (wk_decrypt(sks, c_rx) == bits).all(axis=1)

@@ -122,6 +122,9 @@ def wkyber_v1_model(params: ParamSet, snr_lsb_db: float,
     performs).  The published failure figures this project reproduces are
     only consistent with the key error drawn at the eta2 range; since
     eta1 == eta2 except at k = 2, the choice is observable only there.
+    Sessions decapsulate from 4 * w10 + 2 (protocol.kem_v1_decaps), so a
+    session's ciphertext term is the rounding error 2 - w2 on {-1..2}, not
+    this channel law, which the rows keep to model the published figures.
     """
     ch = coeff_error_dist(snr_lsb_db, variant)
     return ErrorModel(
@@ -194,14 +197,13 @@ def rate_interval(events: int, trials: int) -> tuple:
 
 
 def _count_failures(args) -> int:
-    version, params, plans, seeds, fo_policy = args
-    rec = run_sessions(version, params, plans, seeds, fo_policy=fo_policy)
+    version, params, plans, seeds = args
+    rec = run_sessions(version, params, plans, seeds)
     return int((~rec.outcome).sum())
 
 
 def ker_monte_carlo(version: str, params: ParamSet, plans, trials: int,
-                    seed: int, fo_policy: str = "msb-only",
-                    workers: int | None = None) -> int:
+                    seed: int, workers: int | None = None) -> int:
     """The number of failed sessions (key/message mismatches) in trials.
 
     Per-trial seeds derive from (seed, trial index), so the result does not
@@ -220,6 +222,6 @@ def ker_monte_carlo(version: str, params: ParamSet, plans, trials: int,
         chunks = [trial_seeds[i::workers] for i in range(workers)]
         with mp.Pool(workers) as pool:
             return sum(pool.map(_count_failures,
-                                [(version, params, plans, ch, fo_policy)
+                                [(version, params, plans, ch)
                                  for ch in chunks]))
-    return _count_failures((version, params, plans, trial_seeds, fo_policy))
+    return _count_failures((version, params, plans, trial_seeds))

@@ -22,11 +22,12 @@ READS = {
     "failure-prob": {"--snr-lsb"},
     "sigma": {"--grid"},
     "ker": {"--params", "--version", "--snr-lsb", "--trials", "--seed",
-            "--fo-policy", "--workers", "--grid"},
+            "--workers", "--grid"},
     "exchange": {"--params", "--version", "--snr-msb", "--snr-lsb",
-                 "--trials", "--seed", "--fo-policy"},
+                 "--trials", "--seed"},
 }
-# a valid value for each flag; all but --grid were once given to every verb
+# a value for each flag; all but --grid were once given to every verb, and
+# no verb reads --fo-policy
 VALUES = {"--params": "512", "--version": "v2", "--snr-msb": "6",
           "--snr-lsb": "-8", "--trials": "3", "--seed": "3", "--out": "-",
           "--fo-policy": "exact", "--workers": "2", "--grid": "0:2:1"}
