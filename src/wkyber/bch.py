@@ -58,7 +58,7 @@ ENCODE_TABLE = np.array([bch_encode(m) for m in range(1 << CODE_K)],
 
 
 _WORD_MASK = (1 << CODE_N) - 1
-_KEY_SHIFT = 32         # error-table key: syndrome << 32 | pattern
+_KEY_SHIFT = 35         # error-table key: syndrome << 35 | weight << 31 | pattern
 _SYNDROME_CHUNK = 8192  # table keys given their syndrome at a time
 
 
@@ -69,16 +69,17 @@ def _syndrome(words: np.ndarray) -> np.ndarray:
 
 @functools.cache
 def _error_table() -> np.ndarray:
-    """Sorted keys syndrome << 32 | pattern of the 206,367 error patterns of
-    weight 1..t, as one read-only int64 array (1.65 MB).
+    """Sorted keys syndrome << 35 | weight << 31 | pattern of the 206,367
+    error patterns of weight 1..t, then a sentinel above every key, as one
+    read-only int64 array (1.65 MB).
 
     The patterns are filled in place weight by weight.  Those of weight w
     with top bit b are bit b over the weight-(w - 1) patterns below b; each
     level is ordered by top bit, so those are the first comb(b, w - 1) of
     the level before, a view into the same array.
     """
-    keys = np.empty(sum(math.comb(CODE_N, w) for w in range(1, CODE_T + 1)),
-                    dtype=np.int64)
+    keys = np.empty(sum(math.comb(CODE_N, w) for w in range(1, CODE_T + 1))
+                    + 1, dtype=np.int64)
     level, at = np.zeros(1, dtype=np.int64), 0   # weight 0: no error
     for w in range(1, CODE_T + 1):
         start = at
@@ -87,9 +88,12 @@ def _error_table() -> np.ndarray:
             np.bitwise_or(level[:n], 1 << b, out=keys[at:at + n])
             at += n
         level = keys[start:at]
-    for b in range(0, keys.size, _SYNDROME_CHUNK):
-        block = keys[b:b + _SYNDROME_CHUNK]
-        block |= _syndrome(block) << _KEY_SHIFT
+    for b in range(0, at, _SYNDROME_CHUNK):
+        block = keys[b:min(b + _SYNDROME_CHUNK, at)]
+        weight = np.unpackbits(block.view(np.uint8)).reshape(-1, 64).sum(
+            axis=1, dtype=np.int64)
+        block |= _syndrome(block) << _KEY_SHIFT | weight << CODE_N
+    keys[at] = np.iinfo(np.int64).max   # no syndrome reaches it
     keys.sort()
     keys.flags.writeable = False        # shared by every caller
     return keys
@@ -107,25 +111,23 @@ def decode_words(received):
     words = np.asarray(received).ravel()
     if words.size and words.dtype.kind not in "iu":
         raise ValueError("received words must be integers")
-    if words.size and (words.min() < 0 or words.max() > _WORD_MASK):
-        raise ValueError("received words must fit in 31 bits")
     words = words.astype(np.int64)
-    corrections = np.zeros_like(words)
-    failed = np.zeros(words.shape, dtype=bool)
+    if np.bitwise_or.reduce(words) >> CODE_N:   # a negative or wider word
+        raise ValueError("received words must fit in 31 bits")
+    corrections = np.zeros(words.size, dtype=np.int64)
+    failed = np.zeros(words.size, dtype=bool)
     syndromes = _syndrome(words)
-    dirty = np.flatnonzero(syndromes)
+    dirty = (syndromes != 0).nonzero()[0]
     if dirty.size:
         keys = _error_table()
         wanted = syndromes[dirty]
-        # a pattern is never 0, so the key of syndrome s is the first >= s << 32
-        pos = np.minimum(np.searchsorted(keys, wanted << _KEY_SHIFT),
-                         keys.size - 1)
-        found = keys[pos] >> _KEY_SHIFT == wanted
-        fixed, errors = dirty[found], keys[pos[found]] & _WORD_MASK
-        words[fixed] ^= errors
-        bits = np.unpackbits(errors.view(np.uint8)).reshape(-1, 64)
-        corrections[fixed] = bits.sum(axis=1)   # the patterns' weights
-        failed[dirty[~found]] = True
+        # the key of syndrome s is the first >= s << 35, if it has s at all
+        hit = keys[np.searchsorted(keys, wanted << _KEY_SHIFT)]
+        found = hit >> _KEY_SHIFT == wanted
+        hit *= found
+        words[dirty] ^= hit & _WORD_MASK
+        corrections[dirty] = hit >> CODE_N & 7   # the pattern's weight
+        failed[dirty] = ~found
     return words >> PARITY_BITS, corrections, failed
 
 

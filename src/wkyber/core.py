@@ -1,20 +1,16 @@
 """Ring arithmetic, compression, samplers and matrix expansion.
 
 Ring data over Z_q[x]/(x^n + 1), q = 3329, n = 256, is plain arrays of
-integers in [0, q), int64 coefficients and float64 from ntt to intt: a
-ring element is a (256,) array, a module vector a (k, 256) array.  The
-transforms work over the last axis and batch every leading one.  Every
-ring product goes through mul_sum, which multiplies NTT-domain rows with a
-coefficient vector by a fast negacyclic NTT (q supports a 256-point
-transform that bottoms out in 128 quadratic factors); a schoolbook
-multiplier is the test oracle.  The NTT and its inverse are each one
-float64 product with a 128 x 128 matrix, applied to the even and the odd
-coefficients alike and reduced mod q once.  NTT-domain products and their
-sums over the rank stay in float64, reduced only at (f1 g1) mod q before
-the gamma multiply.  Every partial sum is an integer below 2^53 (asserted
-at import), so all of this is exact whatever order BLAS sums in.  The
+integers in [0, q): a ring element is a (256,) int64 array, a module vector
+a (k, 256) array.  Every ring product goes through mul_sum, which takes
+its left operands transformed: ntt maps (..., 256) coefficients to
+(..., 128) complex128 values by an exact right-angle FFT, and intt maps
+products back; both work over the last axis and batch every leading one.
+A schoolbook multiplier is the test oracle.  Every exact product entry is
+an integer below 2^34 and the float error of a whole rank-k sum is far
+below 1/2 (asserted at import), so rounding recovers it exactly.  The
 public matrices of a batch of seeds are expanded together, as one
-read-only NTT-domain array shared through a cache; every other array a
+read-only transformed array shared through a cache; every other array a
 function returns is fresh, and functions are pure.  Centered binomial
 noise takes one table lookup per coefficient.
 """
@@ -72,58 +68,62 @@ def check_seed(seed: bytes) -> bytes:
 
 
 # ---------------------------------------------------------------------------
-# NTT tables
+# the ring transform
 #
-# 17 is a primitive 256th root of unity mod 3329 (there is no 512th root, so
-# the transform stops one level early and multiplication finishes with 128
-# degree-1 products mod x^2 - gamma_i, gamma_i = 17^(2 bitrev7(i) + 1)).
-# Pair i of the transform is f mod (x^2 - gamma_i), i.e.
-# (sum_j f_2j gamma_i^j, sum_j f_2j+1 gamma_i^j): the even and the odd
-# coefficients each go through the 128 x 128 matrix V[i, j] = gamma_i^j, and
-# back through V^-1[j, i] = gamma_i^-j / 128.
+# x^256 = -1, so y = x^128 has y^2 = -1: a = sum_j (a_j + a_j+128 y) x^j for
+# j < 128 is a polynomial over Z[i] modulo x^128 - i, and the substitution
+# x = w t with w^128 = i, w = exp(i pi / 256), makes that a cyclic product
+# in t.  So the right-angle weighted transform of Crandall and Fagin
+# ("Discrete weighted transforms and large-integer arithmetic", Math. Comp.
+# 1994) multiplies in the ring by one 128-point complex FFT per operand.
 
-_ROOT = 17
-_POWERS = np.array([pow(_ROOT, e, Q) for e in range(N)], dtype=np.int64)
-_ODD = 2 * np.array([int(f"{i:07b}"[::-1], 2) for i in range(N // 2)]) + 1
-GAMMAS = _POWERS[_ODD]
-_EXPONENTS = np.outer(_ODD, np.arange(N // 2))  # gamma_i^j = 17^(odd_i j)
-_V = _POWERS[_EXPONENTS % N].astype(np.float64)
-_V_INV = (_POWERS[-_EXPONENTS.T % N] * pow(128, -1, Q) % Q).astype(np.float64)
-# a sum of 128 products of coefficients in [0, q) is an integer that a
-# float64 holds exactly, so the products below are exact whatever order
-# BLAS sums them in
-assert 128 * (Q - 1) ** 2 < 2 ** 53
-# mul_sum hands the inverse transform sums below 2 (q - 1)^2 per rank, for
-# up to 4 ranks, and its 128-term partial sums stay exact too
-_MAC_BOUND = 2 * 4 * (Q - 1) ** 2
-assert 128 * (Q - 1) * _MAC_BOUND < 2 ** 53
+_WEIGHTS = np.exp(1j * np.pi * np.arange(N // 2) / N)
+_UNWEIGHTS = _WEIGHTS.conj()
 
 
-def _mod_q(r: np.ndarray) -> np.ndarray:
-    """r mod q for float64 integers 0 <= r < 2^53, exact, as float64."""
-    return r - Q * np.floor(r / Q)
+def _fft_error_bound(k: int) -> float:
+    """Percival's bound ("Rapid multiplication modulo the sum and difference
+    of highly composite numbers", Math. Comp. 2003) on the float error of
+    any entry of mul_sum's rank-k product before rounding.  A 2^m-point FFT
+    product of x and y errs by at most |x| |y| ((1 + eps)^3m (1 + eps
+    sqrt5)^(3m + 1) (1 + beta)^3m - 1), eps = 2^-53, with beta the error of
+    the tabled roots, taken here as 2 eps.  Weighting both operands and the
+    result adds three complex products by tabled roots, and the rank sum
+    k - 1 additions; a weighted operand has 128 entries of modulus at most
+    sqrt2 (q - 1), so |x| <= 16 (q - 1).
+    """
+    eps, beta, m = 2.0 ** -53, 2.0 ** -52, 7
+    growth = ((1 + eps) ** (3 * m + k) * (1 + eps * 5 ** 0.5) ** (3 * m + 4)
+              * (1 + beta) ** (3 * m + 3) - 1)
+    return k * (16 * (Q - 1)) ** 2 * growth
 
 
-def _transform(coeffs: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """matrix applied to the even and the odd coefficients over the last
-    axis, as a fresh array of float64 integers in [0, q)."""
-    x = np.asarray(coeffs)
-    pairs = x.reshape(*x.shape[:-1], N // 2, 2).astype(np.float64, copy=False)
-    return _mod_q((matrix @ pairs).reshape(x.shape))
+# every exact entry of a rank-4 mul_sum is an integer of magnitude at most
+# 4 n (q - 1)^2 < 2^34, and the float error stays far below 1/2, so
+# rounding in intt is exact
+assert 4 * N * (Q - 1) ** 2 < 2 ** 34 and _fft_error_bound(4) < 0.5
 
 
 def ntt(coeffs: np.ndarray) -> np.ndarray:
-    """Forward negacyclic NTT over the last axis (length 256, coefficients
-    in [0, q)); leading axes are batched, so one call transforms a whole
-    vector or matrix with one exact float64 matrix product, whose float64
-    integers in [0, q) it returns."""
-    return _transform(coeffs, _V)
+    """Forward transform over the last axis: (..., 256) coefficients in
+    [0, q) to (..., 128) complex128 values, fft((a[:128] + i a[128:]) w)
+    with w_j = exp(i pi j / 256); leading axes are batched."""
+    a = np.asarray(coeffs)
+    z = np.empty((*a.shape[:-1], N // 2), dtype=np.complex128)
+    z.real, z.imag = a[..., :N // 2], a[..., N // 2:]
+    z *= _WEIGHTS
+    return np.fft.fft(z)
 
 
-def intt(coeffs: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`ntt` over the last axis, including the 1/128
-    normalisation, back to int64 coefficients."""
-    return _transform(coeffs, _V_INV).astype(np.int64)
+def intt(values: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`ntt` over the last axis, for values whose exact
+    inverse is integral (transforms, and mul_sum's sums of their products):
+    ifft(.) conj(w), the real part as coefficients 0..127 and the imaginary
+    part as 128..255, rounded and reduced to int64 in [0, q)."""
+    z = np.fft.ifft(values)
+    z *= _UNWEIGHTS
+    return np.rint(np.concatenate((z.real, z.imag), axis=-1)).astype(
+        np.int64) % Q
 
 
 # ---------------------------------------------------------------------------
@@ -145,22 +145,13 @@ def poly_mul_schoolbook(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def mul_sum(rows_hat: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Row i of sum_j rows_hat[..., i, j] * s[..., j], as (..., R, 256), for
-    NTT-domain (..., R, k, 256) rows and a (..., k, 256) coefficient vector,
-    leading axes broadcast: one forward transform of s, the 128 products
-    mod x^2 - gamma_i summed over j in the NTT domain, one inverse
-    transform.  Inputs hold integers in [0, q), rank k <= 4; the products
-    and sums stay unreduced but for (f1 g1) mod q before its gamma multiply,
-    so each is below 2 (q - 1)^2 per rank (see _MAC_BOUND)."""
-    if rows_hat.shape[-2:] != s.shape[-2:]:
+    transformed (..., R, k, 128) rows and a (..., k, 256) coefficient
+    vector, leading axes broadcast: one forward transform of s, the
+    products summed over j in the transform domain, one inverse transform.
+    Inputs hold integers in [0, q), rank k <= 4 (see _fft_error_bound)."""
+    if rows_hat.shape[-2:] != (s.shape[-2], N // 2):
         raise ValueError("rank mismatch")
-    s_hat = ntt(s)[..., None, :, :]
-    f0, f1 = rows_hat[..., 0::2], rows_hat[..., 1::2]
-    g0, g1 = s_hat[..., 0::2], s_hat[..., 1::2]
-    even = (f0 * g0).sum(axis=-2) + _mod_q((f1 * g1).sum(axis=-2)) * GAMMAS
-    out = np.empty((*even.shape[:-1], N))
-    out[..., 0::2] = even
-    out[..., 1::2] = (f0 * g1 + f1 * g0).sum(axis=-2)
-    return intt(out)
+    return intt((rows_hat * ntt(s)[..., None, :, :]).sum(axis=-2))
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +243,8 @@ def _gen_matrix_cached(seeds: tuple, k: int) -> np.ndarray:
 
 
 def gen_matrices(seeds, params: ParamSet) -> np.ndarray:
-    """Pseudo-uniform k x k NTT-domain matrices, one per seed, as a
-    read-only (B, k, k, 256) array.  Entry (r, c) takes the 12-bit
+    """Pseudo-uniform k x k matrices, one per seed, transformed by ntt, as
+    a read-only (B, k, k, 128) array.  Entry (r, c) takes the 12-bit
     candidates below q of its own SHAKE-128 stream, in order; all entries
     are parsed and transformed in one pass.  Memoised by the seeds, since a
     session batch touches the same matrices several times."""

@@ -41,6 +41,7 @@ plans stay with the caller, which checks them with snr_warnings.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,21 +118,30 @@ def kem_v1_encaps(pks, bits: np.ndarray, params: ParamSet):
     b = (b & ~3) % (Q - 1)
     messages = np.packbits(bits.astype(np.uint8), axis=-1, bitorder="little")
     # 32 key bytes, then 32 coin bytes
-    kd = [squeeze(m.tobytes() + squeeze(seed + pack12(b_i), b"pk", 32),
-                  b"enc", 64)
-          for m, seed, b_i in zip(messages, seeds, b, strict=True)]
+    kd = [squeeze(m.tobytes() + squeeze(seed + b_i, b"pk", 32), b"enc", 64)
+          for m, seed, b_i in zip(messages, seeds, _pack_sessions(b),
+                                  strict=True)]
     c = wk_encrypt((seeds, b), bits, [d[32:] for d in kd], params)
-    return c, [squeeze(d[:32] + squeeze(pack12(c_i), b"ct", 32), b"kdf", 32)
-               for d, c_i in zip(kd, c, strict=True)]
+    return c, [squeeze(d[:32] + squeeze(c_i, b"ct", 32), b"kdf", 32)
+               for d, c_i in zip(kd, _pack_sessions(c), strict=True)]
 
 
-def _coeffs_match(expected: np.ndarray, received: np.ndarray) -> bool:
-    # the protected words w10 = c >> 2 must agree exactly.  One wrap is
-    # honest: q = 4 * 832 + 1, so a stored q - 1 = 4 * 832 whose w2 bits
-    # rise comes back as 4 * 832 + 1..3 = 0..2 mod q
+def _pack_sessions(x: np.ndarray) -> list:
+    """pack12 of each session's entries, from one pack12 of the batch: a
+    session holds an even number of coefficients, so its slice of the
+    batch's bytes is its own packing."""
+    data, width = pack12(x), 3 * math.prod(x.shape[1:]) // 2
+    return [data[i * width:(i + 1) * width] for i in range(len(x))]
+
+
+def _coeffs_match(expected: np.ndarray, received: np.ndarray) -> np.ndarray:
+    """Whether each ciphertext (the last two axes) was received as expected.
+    The protected words w10 = c >> 2 must agree exactly.  One wrap is
+    honest: q = 4 * 832 + 1, so a stored q - 1 = 4 * 832 whose w2 bits rise
+    comes back as 4 * 832 + 1..3 = 0..2 mod q."""
     same = (expected >> 2) == (received >> 2)
     wrapped = (expected == Q - 1) & (received <= 2)
-    return bool((same | wrapped).all())
+    return (same | wrapped).all(axis=(-2, -1))
 
 
 def kem_v1_decaps(s: np.ndarray, zs, pks, received: np.ndarray,
@@ -148,10 +158,11 @@ def kem_v1_decaps(s: np.ndarray, zs, pks, received: np.ndarray,
     """
     expected, secrets = kem_v1_encaps(
         pks, wk_decrypt(s, (4 * (received >> 2) + 2) % Q), params)
-    return [secret if _coeffs_match(c2, c_rx)
+    return [secret if ok
             else squeeze(z + squeeze(pack12(c_rx), b"ct", 32), b"rej", 32)
-            for secret, c2, c_rx, z in zip(secrets, expected, received, zs,
-                                           strict=True)]
+            for secret, ok, c_rx, z in zip(
+                secrets, _coeffs_match(expected, received), received, zs,
+                strict=True)]
 
 
 # ---------------------------------------------------------------------------
@@ -224,9 +235,7 @@ def _run_batch(version, params, plans, seeds):
         pks, sks, zs = kem_v1_keygen(seeds_a, key_rngs, params)
     else:
         pks, sks = keygen(seeds_a, key_rngs, params, with_error=False)
-    seeds_rx, b_rx, pk_fail = receive_coeffs(
-        [send_key(seed, b, pk_plan, noise)
-         for seed, b, noise in zip(*pks, noise_a, strict=True)])
+    seeds_rx, b_rx, pk_fail = receive_coeffs(*send_key(*pks, pk_plan, noise_a))
     pks_rx = (seeds_rx, b_rx.reshape(len(seeds), params.k, N))
     bits = random_bits(msg_rngs)
     if version == "v1":
@@ -234,9 +243,7 @@ def _run_batch(version, params, plans, seeds):
     else:
         c_clean = wk_encrypt(pks_rx, bits, [rng.read(32) for rng in msg_rngs],
                              params)
-    _, c_rx, ct_fail = receive_coeffs(
-        [send_coeffs(c, ct_plan, noise)
-         for c, noise in zip(c_clean, noise_b, strict=True)])
+    _, c_rx, ct_fail = receive_coeffs(*send_coeffs(c_clean, ct_plan, noise_b))
     c_rx = c_rx.reshape(c_clean.shape)
     if version == "v1":
         secrets_a = kem_v1_decaps(sks, zs, pks, c_rx, params)

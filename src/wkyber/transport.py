@@ -7,9 +7,10 @@ pad bit as 16 4QAM symbols on the protected path; w2 rides a single symbol
 on the low-SNR path.  17 symbols per coefficient, coefficient-major order:
 this is the wire contract for both protocol versions.  A public key's
 32-byte matrix seed rides ahead of its coefficients as 26 protected blocks
-of 10 bits (4 zero pad bits).  ``send_key`` and ``send_coeffs`` send one
-session's key or ciphertext leg; ``receive_coeffs`` decodes B sessions'
-legs with one block decode.
+of 10 bits (4 zero pad bits).  ``send_key`` and ``send_coeffs`` send B
+sessions' key or ciphertext legs as (B, words) arrays, each session's flips
+drawn from its own noise source; ``receive_coeffs`` decodes them with one
+block decode.
 
 The simulator samples that wire's hard-decision equivalent (see ``modem``):
 a received block is its 31-bit codeword XOR a flip mask, a received w2 the
@@ -29,7 +30,7 @@ import numpy as np
 
 from . import bch
 from .dist import IntDist
-from .modem import ChannelPlan, NoiseSource, bit_error_prob
+from .modem import ChannelPlan, NoiseSource, bit_error_prob, flip_masks
 from .params import Q
 
 
@@ -43,7 +44,8 @@ _BIT_SHIFTS = np.arange(9, -1, -1)     # a block's bits, most significant first
 def send_blocks(w10: np.ndarray, snr_msb_db: float, noise: NoiseSource) -> np.ndarray:
     """Received 31-bit words of the BCH-encoded 10-bit messages w10."""
     cw = bch.ENCODE_TABLE[np.asarray(w10, dtype=np.int64)]
-    return cw ^ noise.flips(len(cw), bch.CODE_N, bit_error_prob(snr_msb_db))
+    return cw ^ flip_masks([noise], [(len(cw), bch.CODE_N,
+                                      bit_error_prob(snr_msb_db))])[0]
 
 
 def receive_blocks(words: np.ndarray, count: int):
@@ -62,48 +64,58 @@ def receive_blocks(words: np.ndarray, count: int):
 # full coefficient and key legs
 
 
-def send_coeffs(coeffs, plan: ChannelPlan, noise: NoiseSource):
-    """Transmit coefficients (< q) as a protected block and an exposed 2-bit
-    word each, in row-major order whatever the array's shape.  Returns the
-    received (msb, lsb) words: one 31-bit BCH word and one 2-bit word per
-    coefficient.
-
-    Both paths draw from the same noise source, protected path first; with
-    equal seeds the received words are identical across runs.
-    """
-    c = np.asarray(coeffs, dtype=np.int64).ravel()
+def _send_leg(head: np.ndarray, coeffs, plan: ChannelPlan, noises):
+    """B legs: the (B, h) protected words head, then each session's
+    coefficients in row-major order, a protected block and an exposed 2-bit
+    word each.  Every session draws its flips from its own noise source:
+    head blocks, coefficient blocks, then w2 bits."""
+    c = np.asarray(coeffs, dtype=np.int64)
+    if len(c) != len(noises) or len(head) != len(noises):
+        raise ValueError("one noise source per session expected")
+    c = c.reshape(len(c), -1)
     if c.size and (c.min() < 0 or c.max() >= Q):
         raise ValueError("coefficients must lie in [0, q)")
-    msb = send_blocks(c >> 2, plan.snr_msb_db, noise)
-    lsb = (c & 3) ^ noise.flips(c.size, 2, bit_error_prob(plan.snr_lsb_db))
-    return msb, lsb
+    h, n = head.shape[1], c.shape[1]
+    p_msb = bit_error_prob(plan.snr_msb_db)
+    fields = [(h, bch.CODE_N, p_msb)] if h else []
+    masks = flip_masks(noises, fields + [(n, bch.CODE_N, p_msb),
+                                         (n, 2, bit_error_prob(plan.snr_lsb_db))])
+    msb = bch.ENCODE_TABLE[np.concatenate((head, c >> 2), axis=1)]
+    return msb ^ masks[:, :h + n], (c & 3) ^ masks[:, h + n:]
 
 
-def send_key(seed: bytes, b, plan: ChannelPlan, noise: NoiseSource):
-    """Transmit a public key: the seed's 26 blocks, then send_coeffs(b).
-    Returns one received (msb, lsb) pair, the seed blocks at the head of
-    msb; the seed draws its flips first."""
-    bits = np.unpackbits(np.frombuffer(seed, dtype=np.uint8), bitorder="little")
-    words = np.append(bits, np.zeros(4, dtype=np.uint8)).reshape(
-        SEED_BLOCKS, 10).astype(np.int64) @ (1 << _BIT_SHIFTS)
-    seed_msb = send_blocks(words, plan.snr_msb_db, noise)
-    msb, lsb = send_coeffs(b, plan, noise)
-    return np.concatenate([seed_msb, msb]), lsb
+def send_coeffs(coeffs, plan: ChannelPlan, noises):
+    """Transmit B sessions' coefficients (< q), the first axis of coeffs
+    indexing sessions and noises.  Returns the received (msb, lsb) words as
+    two (B, n) arrays: one 31-bit BCH word and one 2-bit word per
+    coefficient.  With equal seeds the received words are identical across
+    runs and batch splits."""
+    return _send_leg(np.zeros((len(noises), 0), dtype=np.int64), coeffs,
+                     plan, noises)
 
 
-def receive_coeffs(sent):
-    """Decode B sessions' received (msb, lsb) pairs, all of one shape, with
-    one block decode.  Returns (seeds, coeffs, failures): the B received
-    seeds, or None for ciphertext legs (a key leg's msb has 26 seed blocks
-    more than its lsb, a ciphertext's as many); the (B, n) coefficients
+def send_key(seeds, b, plan: ChannelPlan, noises):
+    """Transmit B public keys: each 32-byte seed's 26 blocks, then its b
+    as send_coeffs sends it.  Returns (msb, lsb), the seed blocks at the
+    head of each (B, 26 + n) msb row."""
+    bits = np.unpackbits(np.frombuffer(b"".join(seeds), dtype=np.uint8)
+                         .reshape(len(seeds), 32), axis=1, bitorder="little")
+    words = np.pad(bits, ((0, 0), (0, 4))).reshape(
+        len(seeds), SEED_BLOCKS, 10).astype(np.int64) @ (1 << _BIT_SHIFTS)
+    return _send_leg(words, b, plan, noises)
+
+
+def receive_coeffs(msb: np.ndarray, lsb: np.ndarray):
+    """Decode B sessions' received (B, m) msb and (B, n) lsb words with one
+    block decode.  Returns (seeds, coeffs, failures): the B received seeds,
+    or None for ciphertext legs (a key leg's msb has 26 seed blocks more
+    than its lsb, a ciphertext's as many); the (B, n) coefficients
     4*w10 + w2 mod q; and the failed blocks per session.
 
     Values >= q (possible when a stored coefficient near q-1 shifts upward,
     or after a miscorrection) wrap mod q; the wrap is part of the modelled
     noise.
     """
-    msb = np.stack([m for m, _ in sent])
-    lsb = np.stack([w2 for _, w2 in sent])
     head = msb.shape[1] - lsb.shape[1]
     if head not in (0, SEED_BLOCKS):
         raise ValueError(f"a leg's msb holds {head} blocks more than its "
@@ -114,7 +126,7 @@ def receive_coeffs(sent):
     if head:
         bits = (w10[:, :head, None] >> _BIT_SHIFTS) & 1
         seeds = [seed.tobytes() for seed in np.packbits(
-            bits.reshape(len(sent), -1)[:, :256].astype(np.uint8), axis=1,
+            bits.reshape(len(msb), -1)[:, :256].astype(np.uint8), axis=1,
             bitorder="little")]
     return (seeds, (4 * w10[:, head:] + lsb) % Q,
             failed.reshape(msb.shape).sum(axis=1))

@@ -237,12 +237,16 @@ class TestDecodeWords:
     def test_error_table(self):
         keys = bch._error_table()
         size = sum(math.comb(CODE_N, w) for w in range(1, CODE_T + 1))
-        assert len(keys) == size == 206367
-        syndromes, patterns = keys >> 32, keys & ((1 << CODE_N) - 1)
+        assert len(keys) == size + 1 and size == 206367
+        table, sentinel = keys[:-1], keys[-1]
+        syndromes, patterns = table >> 35, table & ((1 << CODE_N) - 1)
         # distinct syndromes: no two patterns of weight <= t share a coset
         assert (np.diff(syndromes) > 0).all()
         assert ((1 <= weight(patterns)) & (weight(patterns) <= CODE_T)).all()
+        assert (table >> CODE_N & 7 == weight(patterns)).all()
         assert (bch._syndrome(patterns) == syndromes).all()
+        # the sentinel ends every search past the last syndrome
+        assert sentinel >> 35 >= 1 << (CODE_N - CODE_K)
         assert not keys.flags.writeable
 
     def test_table_not_built_at_import(self):

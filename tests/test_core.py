@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wkyber.core import (GAMMAS, UNIFORM_READ, XofStream, _gen_matrix_cached,
+from wkyber.core import (UNIFORM_READ, XofStream, _gen_matrix_cached,
                          cbd_vectors, centered, compress, decompress,
                          gen_matrices, intt, mul_sum, ntt, pack12,
                          poly_mul_schoolbook, squeeze, unpack12)
@@ -35,14 +35,10 @@ def encryption_rows(a_hat, b):
 
 
 def ntt_by_definition():
-    """Pair i of the transform is f mod (x^2 - gamma_i): x^2j -> gamma_i^j,
-    x^(2j+1) -> gamma_i^j x."""
-    m = np.zeros((N, N), dtype=np.int64)
-    for i, gamma in enumerate(GAMMAS):
-        powers = [pow(int(gamma), j, Q) for j in range(N // 2)]
-        m[2 * i, 0::2] = powers
-        m[2 * i + 1, 1::2] = powers
-    return m
+    """Row f evaluates a polynomial at zeta_f = exp(i pi (1 - 4 f) / 256),
+    a root of x^256 + 1; the conjugate roots give the conjugate values."""
+    f, j = np.arange(N // 2)[:, None], np.arange(N)
+    return np.exp(1j * np.pi * ((1 - 4 * f) * j % (2 * N)) / N)
 
 
 NTT_MATRIX = ntt_by_definition()
@@ -52,54 +48,64 @@ BATCH_SHAPES = [(), (2,), (3,), (4,), (2, 2), (3, 3), (4, 4)]
 batch_shapes = st.sampled_from(BATCH_SHAPES)
 
 
+def assert_is_transform(got, x):
+    """got is x evaluated at the 128 roots of NTT_MATRIX, to float error."""
+    assert np.abs(got - x @ NTT_MATRIX.T).max() <= 1e-6 * N * Q
+
+
 class TestNtt:
     @given(batch_shapes, seeds)
     @settings(max_examples=30, deadline=None)
     def test_batched_equals_row_by_row(self, lead, seed):
         x = rand_poly(np.random.default_rng(seed), lead)
         got = ntt(x)
-        assert got.shape == x.shape
+        assert got.shape == (*lead, N // 2)
         for idx in np.ndindex(lead):
             assert np.array_equal(got[idx], ntt(x[idx]))
-            assert np.array_equal(got[idx], NTT_MATRIX @ x[idx] % Q)
+        assert_is_transform(got, x)
 
     @given(batch_shapes, seeds)
     @settings(max_examples=30, deadline=None)
     def test_inverse_roundtrip(self, lead, seed):
         x = rand_poly(np.random.default_rng(seed), lead)
         assert np.array_equal(intt(ntt(x)), x)
-        assert np.array_equal(ntt(intt(x)), x)
+        assert np.array_equal(ntt(intt(ntt(x))), ntt(x))
 
     def test_domain_dtypes(self):
-        # NTT-domain data is float64 from ntt to intt, coefficients int64
+        # transformed data is complex128 (..., 128) from ntt to intt,
+        # coefficients int64 (..., 256)
         x = rand_poly(np.random.default_rng(9), (2,))
-        assert ntt(x).dtype == np.float64 and intt(ntt(x)).dtype == np.int64
+        x_hat = ntt(x)
+        assert x_hat.dtype == np.complex128 and x_hat.shape == (2, N // 2)
+        assert intt(x_hat).dtype == np.int64 and intt(x_hat).shape == (2, N)
+        assert x_hat.nbytes == x.astype(np.float64).nbytes
 
     def test_does_not_modify_input(self):
         x = rand_poly(np.random.default_rng(10), (3,))
-        before = x.copy()
+        x_hat = ntt(x)
+        before, hat_before = x.copy(), x_hat.copy()
         ntt(x)
-        intt(x)
-        assert np.array_equal(x, before)
+        intt(x_hat)
+        assert np.array_equal(x, before) and np.array_equal(x_hat, hat_before)
 
     @pytest.mark.parametrize("lead", BATCH_SHAPES)
     @pytest.mark.parametrize("fill", [0, Q - 1])
     def test_extreme_inputs(self, lead, fill):
-        # all-(q-1) input gives every sum of the transform its largest value
+        # all-(q-1) input gives every transform value its largest modulus
         x = np.full((*lead, N), fill, dtype=np.int64)
-        assert np.array_equal(ntt(x), x @ NTT_MATRIX.T % Q)
+        assert_is_transform(ntt(x), x)
         assert np.array_equal(intt(ntt(x)), x)
-        assert np.array_equal(ntt(intt(x)), x)
 
     @pytest.mark.parametrize("view", [
-        lambda rng: rand_poly(rng, (3, 3)).swapaxes(0, 1),
-        lambda rng: rng.integers(0, Q, (N, 3)).T,       # strided last axis
-        lambda rng: rand_poly(rng, (4,))[:-1],           # WkCiphertext.u
+        lambda a: a[:9].reshape(3, 3, -1).swapaxes(0, 1),
+        lambda a: np.ascontiguousarray(a[:3].T).T,    # strided last axis
+        lambda a: a[:4][:-1],                         # a ciphertext's u
     ])
     def test_views_equal_copies(self, view):
-        x = view(np.random.default_rng(12))
-        assert np.array_equal(ntt(x), ntt(x.copy()))
-        assert np.array_equal(intt(x), intt(x.copy()))
+        x = rand_poly(np.random.default_rng(12), (9,))
+        coeffs, values = view(x), view(ntt(x))
+        assert np.array_equal(ntt(coeffs), ntt(coeffs.copy()))
+        assert np.array_equal(intt(values), intt(values.copy()))
 
 
 class TestPolyMul:
@@ -162,7 +168,7 @@ class TestMatVec:
         rng = np.random.default_rng(6)
         zero = np.zeros((2, 2, N), dtype=np.int64)
         s = rand_poly(rng, (2,))
-        assert not mul_sum(zero, s).any()
+        assert not mul_sum(ntt(zero), s).any()
 
     @given(k=st.sampled_from([2, 3, 4]), seed=seeds)
     @settings(max_examples=10, deadline=None)
@@ -206,14 +212,14 @@ class TestMatVec:
                 ep[idx], mul_sum(encryption_rows(a_hat[idx], b[idx]), s[idx]))
             assert np.array_equal(ip[idx], schoolbook_dot(b[idx], s[idx]))
 
-    @pytest.mark.parametrize("domain", ["ntt", "coefficients"])
+    @pytest.mark.parametrize("domain", ["alternating", "coefficients"])
     def test_extreme_inputs(self, domain):
-        # all-(q-1) operands at k = 4, batched; in the NTT domain they give
-        # every product and k-sum of the float64 multiply-accumulate its
-        # largest value
+        # all-(q-1) operands at k = 4, batched, give the transform products
+        # their largest norms; q - 1 and 0 alternating aligns the
+        # negacyclic wrap with the extremes
         k = 4
         full = np.full((2, k, k, N), Q - 1, dtype=np.int64)
-        a = intt(full) if domain == "ntt" else full
+        a = full if domain == "coefficients" else full * (np.arange(N) % 2)
         b = s = a[:, 0]
         a_hat = ntt(a)
         mv, ip = mul_sum(a_hat, s), dot(b, s)
@@ -225,6 +231,40 @@ class TestMatVec:
                                       schoolbook_dot(a[i, :, r], s[i]))
             assert np.array_equal(ip[i], schoolbook_dot(b[i], s[i]))
             assert np.array_equal(ep[i, k], ip[i])
+
+    @pytest.mark.parametrize("pattern", [
+        lambda j: np.full_like(j, Q - 1),
+        lambda j: (Q - 1) * (j % 2),
+        lambda j: (Q - 1) * (j < N // 2),
+        lambda j: (Q - 1) * ((j // 2) % 2),
+    ])
+    def test_worst_case_residual(self, pattern):
+        # the rank-4 sum of extreme products, before intt rounds it: every
+        # entry lies within 1e-3 of the integer it rounds to, and rounding
+        # gives the schoolbook result
+        k = 4
+        a = np.broadcast_to(pattern(np.arange(N)), (k, k, N))
+        s = a[0]
+        summed = (ntt(a) * ntt(s)[None]).sum(axis=-2)
+        r = np.fft.ifft(summed) * np.exp(-1j * np.pi * np.arange(N // 2) / N)
+        for part in (r.real, r.imag):
+            assert np.abs(part - np.rint(part)).max() < 1e-3
+        got = intt(summed)
+        for i in range(k):
+            assert np.array_equal(got[i], schoolbook_dot(a[i], s))
+
+    @given(k=st.sampled_from([2, 3, 4]),
+           batch=st.sampled_from([(1,), (2,), (2, 2)]), seed=seeds)
+    @settings(max_examples=15, deadline=None)
+    def test_batched_matches_schoolbook(self, k, batch, seed):
+        rng = np.random.default_rng(seed)
+        a, s = rand_poly(rng, (*batch, k, k)), rand_poly(rng, (*batch, k))
+        got = mul_sum(ntt(a), s)
+        assert got.shape == (*batch, k, N)
+        for idx in np.ndindex(*batch):
+            for i in range(k):
+                assert np.array_equal(got[idx][i],
+                                      schoolbook_dot(a[idx][i], s[idx]))
 
     def test_rank_mismatch(self):
         _, a_hat = rand_matrix(np.random.default_rng(8), 3)
@@ -418,7 +458,7 @@ class TestGenMatrix:
         seed = bytes(range(32))
         a1 = gen_matrices([seed], KYBER768)[0]
         a2 = gen_matrices([seed], KYBER768)[0]
-        assert a1.shape == (3, 3, N)
+        assert a1.shape == (3, 3, N // 2)
         assert np.array_equal(a1, a2)
 
     def test_seed_collisions(self):
@@ -452,7 +492,7 @@ class TestGenMatrix:
         a = gen_matrices([seed], KYBER768)[0]
         before = a.copy()
         with pytest.raises(ValueError):
-            a[0, 0, 0] = (a[0, 0, 0] + 1) % Q
+            a[0, 0, 0] = 0
         with pytest.raises(ValueError):
             a.flags.writeable = True
         assert np.array_equal(gen_matrices([seed], KYBER768)[0], before)
@@ -470,7 +510,7 @@ class TestGenMatrix:
         seeds = [b"batch" + bytes(27), read_on_seed(), bytes(range(32)),
                  b"batch" + bytes(27)]
         got = gen_matrices(seeds, params)
-        assert got.shape == (4, params.k, params.k, N)
+        assert got.shape == (4, params.k, params.k, N // 2)
         for i, seed in enumerate(seeds):
             assert np.array_equal(got[i], gen_matrices([seed], params)[0])
         with pytest.raises(ValueError):

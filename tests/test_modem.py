@@ -6,8 +6,8 @@ from scipy import integrate
 from scipy.stats import binom
 
 from wkyber.modem import (ChannelPlan, NoiseSource, bit_error_prob,
-                          demodulate_symbols, modulate_words, noise_sigma,
-                          snr_db_to_linear, transmit)
+                          demodulate_symbols, flip_masks, modulate_words,
+                          noise_sigma, snr_db_to_linear, transmit)
 
 WORDS = np.arange(4)
 
@@ -87,7 +87,7 @@ class TestFlips:
     @pytest.mark.parametrize("p", [0.003, 0.05, 0.3])
     def test_per_position_rates_31_bit(self, p):
         n = 100_000
-        masks = NoiseSource(31).flips(n, 31, p)
+        masks = flip_masks([NoiseSource(31)], [(n, 31, p)])[0]
         assert masks.dtype == np.int64 and masks.shape == (n,)
         assert masks.min() >= 0 and masks.max() < 1 << 31
         lo, hi = binom.interval(1 - 1e-6, n, p)
@@ -99,7 +99,7 @@ class TestFlips:
     def test_word_weight_is_binomial(self, p):
         # independent bits: a word's weight follows binomial(31, p)
         n = 100_000
-        masks = NoiseSource(32).flips(n, 31, p)
+        masks = flip_masks([NoiseSource(32)], [(n, 31, p)])[0]
         weights = np.array([bin(int(m)).count("1") for m in masks])
         # cells lo..hi, the first and last pooling their tails
         lo, hi = binom.ppf([1e-3, 1 - 1e-3], 31, p).astype(int)
@@ -112,31 +112,47 @@ class TestFlips:
 
     def test_count_zero(self):
         for p in (0.0, 0.5):
-            masks = NoiseSource(0).flips(0, 31, p)
+            masks = flip_masks([NoiseSource(0)], [(0, 31, p)])[0]
             assert masks.dtype == np.int64 and masks.shape == (0,)
 
     def test_certain_flip_sets_every_bit(self):
-        assert (NoiseSource(0).flips(100, 31, 1.0) == (1 << 31) - 1).all()
-        assert (NoiseSource(0).flips(100, 2, 1.0) == 3).all()
+        masks = flip_masks([NoiseSource(0)], [(100, 31, 1.0), (100, 2, 1.0)])
+        assert (masks[0, :100] == (1 << 31) - 1).all()
+        assert (masks[0, 100:] == 3).all()
 
     def test_zero_count_draws_only_the_count(self):
         # 31 bits at p = 1e-9 flip none: the generator ends where the
         # binomial draw alone leaves it
         noise = NoiseSource(11)
-        assert not noise.flips(1, 31, 1e-9).any()
+        assert not flip_masks([noise], [(1, 31, 1e-9)]).any()
         rng = np.random.default_rng(11)
         assert rng.binomial(31, 1e-9) == 0
         assert noise._rng.bit_generator.state == rng.bit_generator.state
 
     def test_zero_probability_draws_nothing(self):
         noise = NoiseSource(9)
-        assert not noise.flips(10_000, 31, 0.0).any()
+        assert not flip_masks([noise], [(10_000, 31, 0.0)]).any()
         assert noise.pairs(2, 1.0).tobytes() == \
             NoiseSource(9).pairs(2, 1.0).tobytes()
 
     def test_deterministic(self):
-        a = NoiseSource(4).flips(5000, 31, 0.02)
-        assert np.array_equal(a, NoiseSource(4).flips(5000, 31, 0.02))
+        a = flip_masks([NoiseSource(4)], [(5000, 31, 0.02)])
+        assert np.array_equal(a, flip_masks([NoiseSource(4)], [(5000, 31, 0.02)]))
+
+    def test_rows_draw_their_fields_in_order(self):
+        # a row is its own source's fields drawn one after another, the
+        # same as a batch of one per field, whatever the other rows hold
+        fields = [(26, 31, 0.05), (300, 31, 0.01), (300, 2, 0.3)]
+        masks = flip_masks([NoiseSource(50 + i) for i in range(3)], fields)
+        assert masks.shape == (3, 626)
+        for i in range(3):
+            noise = NoiseSource(50 + i)
+            row = [flip_masks([noise], [field])[0] for field in fields]
+            assert np.array_equal(masks[i], np.concatenate(row))
+
+    def test_no_sources(self):
+        masks = flip_masks([], [(10, 31, 0.5)])
+        assert masks.dtype == np.int64 and masks.shape == (0, 10)
 
 
 class TestQFunction:

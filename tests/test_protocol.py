@@ -117,11 +117,11 @@ class TestV2Pke:
         counts = np.zeros(7, dtype=np.int64)
         total = 0
         for i in range(40):
-            ((seed,), (b,)), _ = keygen([SEED], [stream(b"i" + bytes([i]))],
-                                        P768, with_error=False)
-            sent = send_key(seed, b, ChannelPlan(10.0, -10.0),
-                            NoiseSource(1000 + i))
-            seeds_rx, b_rx, fails = receive_coeffs([sent])
+            (seeds, b), _ = keygen([SEED], [stream(b"i" + bytes([i]))],
+                                   P768, with_error=False)
+            sent = send_key(seeds, b, ChannelPlan(10.0, -10.0),
+                            [NoiseSource(1000 + i)])
+            seeds_rx, b_rx, fails = receive_coeffs(*sent)
             assert seeds_rx == [SEED] and fails.tolist() == [0]
             off = centered(b_rx.reshape(b.shape) - b)
             counts += np.bincount(off.ravel() + 3, minlength=7)
@@ -207,12 +207,12 @@ class TestKem:
 
     def test_msb_policy_allows_only_the_q_wrap(self):
         from wkyber.protocol import _coeffs_match
-        clean = np.array([Q - 1, Q - 1, Q - 1, Q - 1, 7])
+        clean = np.array([[Q - 1, Q - 1, Q - 1, Q - 1, 7]])
         # stored q - 1 = 4 * 832 whose w2 rises to 1..3 wraps to 0..2
-        assert _coeffs_match(clean, np.array([Q - 1, 0, 1, 2, 4]))
+        assert _coeffs_match(clean, np.array([[Q - 1, 0, 1, 2, 4]]))
         for wrong in (3, Q - 2):
-            assert not _coeffs_match(clean, np.array([wrong, 0, 1, 2, 4]))
-        assert not _coeffs_match(clean, np.array([Q - 1, 0, 1, 2, 8]))
+            assert not _coeffs_match(clean, np.array([[wrong, 0, 1, 2, 4]]))
+        assert not _coeffs_match(clean, np.array([[Q - 1, 0, 1, 2, 8]]))
 
 
 @pytest.fixture(scope="module")
@@ -451,14 +451,16 @@ class TestNoiseAccounting:
         observed = []
         for i in range(60):
             kg = stream(b"ks" + bytes([i]))
-            ((seed,), (b,)), s = keygen([SEED], [kg], P768, with_error=False)
-            sent = send_key(seed, b, ChannelPlan(10, -10), NoiseSource(7000 + i))
-            seeds_rx, b_rx, _ = receive_coeffs([sent])
-            pks_rx = (seeds_rx, b_rx.reshape(1, *b.shape))
+            (seeds, b), s = keygen([SEED], [kg], P768, with_error=False)
+            sent = send_key(seeds, b, ChannelPlan(10, -10),
+                            [NoiseSource(7000 + i)])
+            seeds_rx, b_rx, _ = receive_coeffs(*sent)
+            pks_rx = (seeds_rx, b_rx.reshape(b.shape))
             bits = random_bits([kg])
             (c,) = wk_encrypt(pks_rx, bits, [kg.read(32)], P768)
-            words = send_coeffs(c, ChannelPlan(10, -10), NoiseSource(8000 + i))
-            c_rx = receive_coeffs([words])[1].reshape(c.shape)
+            words = send_coeffs(c[None], ChannelPlan(10, -10),
+                                [NoiseSource(8000 + i)])
+            c_rx = receive_coeffs(*words)[1].reshape(c.shape)
             s_u = mul_sum(ntt(s[0])[None], c_rx[:-1])[0]
             observed.append(centered(c_rx[-1] - s_u - decompress(bits[0], 1)))
         observed = np.concatenate(observed)

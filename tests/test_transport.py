@@ -20,17 +20,22 @@ NOISELESS = ChannelPlan(math.inf, math.inf)
 NOMINAL = ChannelPlan(10.0, -10.0)
 
 
+def send_one(coeffs, plan, noise):
+    """One session's received (msb, lsb) rows, as a batch of one."""
+    return send_coeffs(np.asarray(coeffs)[None], plan, [noise])
+
+
 def receive(words):
-    """(coefficients, BCH decode failure count) of received (msb, lsb)
-    words."""
-    _, coeffs, failures = receive_coeffs([words])
+    """(coefficients, BCH decode failure count) of one session's received
+    (msb, lsb) rows."""
+    _, coeffs, failures = receive_coeffs(*words)
     return coeffs[0], int(failures[0])
 
 
 def noiseless_split(coeffs):
     """(w10, w2) as a noiseless send carries them: protected block, then
     the exposed word."""
-    msb, lsb = send_coeffs(np.asarray(coeffs), NOISELESS, NoiseSource(0))
+    (msb,), (lsb,) = send_one(coeffs, NOISELESS, NoiseSource(0))
     w10, failed = receive_blocks(msb, len(lsb))
     assert not failed.any()
     return w10.tolist(), lsb.tolist()
@@ -43,8 +48,7 @@ def offset_chi2(plan, coeff_seed, noise_seed, total=200_000):
     for part in range(4):
         rng = np.random.default_rng(coeff_seed + part)
         coeffs = rng.integers(0, Q, total // 4)
-        rx, _ = receive(send_coeffs(coeffs, plan,
-                                    NoiseSource(noise_seed + part)))
+        rx, _ = receive(send_one(coeffs, plan, NoiseSource(noise_seed + part)))
         off = centered(rx - coeffs)
         counts += np.bincount(off + 3, minlength=7)
     expected = coeff_error_dist(plan.snr_lsb_db).masses * total
@@ -58,7 +62,7 @@ class TestSplit:
     def test_rejects_out_of_range(self):
         for bad in (Q, 4096, -1):
             with pytest.raises(ValueError):
-                send_coeffs(np.array([bad]), NOISELESS, NoiseSource(0))
+                send_one([bad], NOISELESS, NoiseSource(0))
 
     @given(st.integers(0, Q - 1))
     def test_identity(self, x):
@@ -67,14 +71,14 @@ class TestSplit:
 
     def test_any_shape_sent_row_major(self):
         coeffs = np.random.default_rng(5).integers(0, Q, (3, 8))
-        rx, _ = receive(send_coeffs(coeffs, NOISELESS, NoiseSource(0)))
+        rx, _ = receive(send_one(coeffs, NOISELESS, NoiseSource(0)))
         assert np.array_equal(rx, coeffs.ravel())
 
 
 class TestFrames:
     def test_noiseless_roundtrip(self):
         coeffs = np.random.default_rng(0).integers(0, Q, 300)
-        rx, failures = receive(send_coeffs(coeffs, NOISELESS, NoiseSource(0)))
+        rx, failures = receive(send_one(coeffs, NOISELESS, NoiseSource(0)))
         assert (rx == coeffs).all() and failures == 0
 
     def test_frame_length_contract(self):
@@ -82,28 +86,28 @@ class TestFrames:
         # 31-bit block (16 symbols with the pad bit) and one 2-bit word
         # (1 symbol): 17408 symbols on the wire
         coeffs = np.random.default_rng(3).integers(0, Q, 1024)
-        msb, lsb = send_coeffs(coeffs, NOISELESS, NoiseSource(0))
-        assert len(msb) == len(lsb) == 1024
+        msb, lsb = send_one(coeffs, NOISELESS, NoiseSource(0))
+        assert msb.shape == lsb.shape == (1, 1024)
         assert msb.max() < 1 << CODE_N and lsb.max() < 4
         assert 1024 * ((CODE_N + 1) // 2 + 1) == 17408
 
     def test_noiseless_draws_nothing(self):
         # an infinite SNR leaves the noise source where it was
         noise = NoiseSource(12)
-        send_coeffs(np.arange(64), NOISELESS, noise)
+        send_one(np.arange(64), NOISELESS, noise)
         send_blocks(np.arange(8), math.inf, noise)
         assert noise.pairs(2, 1.0).tobytes() == \
             NoiseSource(12).pairs(2, 1.0).tobytes()
 
     def test_deterministic(self):
         coeffs = np.random.default_rng(1).integers(0, Q, 64)
-        msb1, lsb1 = send_coeffs(coeffs, NOMINAL, NoiseSource(9))
-        msb2, lsb2 = send_coeffs(coeffs, NOMINAL, NoiseSource(9))
+        msb1, lsb1 = send_one(coeffs, NOMINAL, NoiseSource(9))
+        msb2, lsb2 = send_one(coeffs, NOMINAL, NoiseSource(9))
         assert np.array_equal(msb1, msb2) and np.array_equal(lsb1, lsb2)
 
     def test_malformed_length_rejected(self):
         coeffs = np.zeros(8, dtype=np.int64)
-        msb, _ = send_coeffs(coeffs, NOISELESS, NoiseSource(0))
+        (msb,), _ = send_one(coeffs, NOISELESS, NoiseSource(0))
         with pytest.raises(ValueError):
             receive_blocks(msb, 9)
         with pytest.raises(ValueError):
@@ -111,12 +115,12 @@ class TestFrames:
 
     def test_rejects_coefficients_outside_ring(self):
         with pytest.raises(ValueError):
-            send_coeffs(np.array([Q]), NOISELESS, NoiseSource(0))
+            send_one([Q], NOISELESS, NoiseSource(0))
 
     def test_offsets_confined_at_nominal_plan(self):
         rng = np.random.default_rng(2)
         coeffs = rng.integers(0, Q, 60_000)
-        rx, failures = receive(send_coeffs(coeffs, NOMINAL, NoiseSource(3)))
+        rx, failures = receive(send_one(coeffs, NOMINAL, NoiseSource(3)))
         assert failures == 0
         off = centered(rx - coeffs)
         assert off.min() >= -3 and off.max() <= 3
@@ -150,11 +154,11 @@ class TestLegs:
         coeffs = np.random.default_rng(coeff_seed).integers(
             0, Q, (len(seeds), rows * N))
         coeffs[:, [t % (rows * N) for t in tops]] = Q - 1
-        sent = [send_key(seed, c.reshape(rows, N), NOISELESS, NoiseSource(i))
-                if key else send_coeffs(c.reshape(rows, N), NOISELESS,
-                                        NoiseSource(i))
-                for i, (seed, c) in enumerate(zip(seeds, coeffs))]
-        seeds_rx, coeffs_rx, failures = receive_coeffs(sent)
+        noises = [NoiseSource(i) for i in range(len(seeds))]
+        c = coeffs.reshape(len(seeds), rows, N)
+        sent = (send_key(seeds, c, NOISELESS, noises) if key
+                else send_coeffs(c, NOISELESS, noises))
+        seeds_rx, coeffs_rx, failures = receive_coeffs(*sent)
         assert seeds_rx == (seeds if key else None)
         assert np.array_equal(coeffs_rx, coeffs)
         assert failures.tolist() == [0] * len(seeds)
@@ -166,7 +170,7 @@ class TestLegs:
         # blocks more) is a leg
         msb = send_blocks(np.zeros(40 + head), math.inf, NoiseSource(0))
         with pytest.raises(ValueError, match="blocks more"):
-            receive_coeffs([(msb, np.zeros(40, dtype=np.int64))])
+            receive_coeffs(msb[None], np.zeros((1, 40), dtype=np.int64))
 
 
 class TestChannelStatistics:
@@ -181,7 +185,7 @@ class TestChannelStatistics:
         coeffs = np.random.default_rng(60).integers(0, Q - 1, n)
         plan = ChannelPlan(math.inf, snr_db)
         noise = NoiseSource(6100 + int(snr_db))
-        rx, failures = receive(send_coeffs(coeffs, plan, noise))
+        rx, failures = receive(send_one(coeffs, plan, noise))
         assert failures == 0 and np.array_equal(rx >> 2, coeffs >> 2)
         flips = (rx ^ coeffs) & 3
         p = bit_error_prob(snr_db)
