@@ -88,11 +88,10 @@ def _error_table() -> np.ndarray:
             np.bitwise_or(level[:n], 1 << b, out=keys[at:at + n])
             at += n
         level = keys[start:at]
+        level += 1 << CODE_N    # bit b kept the weight w - 1 of level[:n]
     for b in range(0, at, _SYNDROME_CHUNK):
         block = keys[b:min(b + _SYNDROME_CHUNK, at)]
-        weight = np.unpackbits(block.view(np.uint8)).reshape(-1, 64).sum(
-            axis=1, dtype=np.int64)
-        block |= _syndrome(block) << _KEY_SHIFT | weight << CODE_N
+        block |= _syndrome(block & _WORD_MASK) << _KEY_SHIFT
     keys[at] = np.iinfo(np.int64).max   # no syndrome reaches it
     keys.sort()
     keys.flags.writeable = False        # shared by every caller

@@ -70,38 +70,25 @@ def check_seed(seed: bytes) -> bytes:
 # ---------------------------------------------------------------------------
 # the ring transform
 #
-# x^256 = -1, so y = x^128 has y^2 = -1: a = sum_j (a_j + a_j+128 y) x^j for
-# j < 128 is a polynomial over Z[i] modulo x^128 - i, and the substitution
-# x = w t with w^128 = i, w = exp(i pi / 256), makes that a cyclic product
-# in t.  So the right-angle weighted transform of Crandall and Fagin
+# x^256 = -1, so x^128 acts as i: a ring element is sum_j (a_j + i a_j+128)
+# x^j over Z[i] modulo x^128 - i, and x = w t with w^128 = i makes products
+# cyclic in t: the right-angle weighted transform of Crandall and Fagin
 # ("Discrete weighted transforms and large-integer arithmetic", Math. Comp.
-# 1994) multiplies in the ring by one 128-point complex FFT per operand.
-
+# 1994), one 128-point complex FFT.
+#
+# Percival ("Rapid multiplication modulo the sum and difference of highly
+# composite numbers", Math. Comp. 2003) bounds each entry's float error in a
+# 2^m-point FFT product of x and y by |x| |y| ((1 + eps)^3m (1 + eps
+# sqrt5)^(3m + 1) (1 + beta)^3m - 1), eps = 2^-53, beta = 2 eps the error
+# of the tabled roots.  The weights add three products by tabled roots, a
+# rank-4 sum three additions; a weighted operand has |x| <= 16 (q - 1).  An
+# exact entry of a rank-4 mul_sum is an integer below 4 n (q - 1)^2 < 2^34,
+# so an error below 1/2 (about 1.2e-4) rounds to it exactly in intt.
 _WEIGHTS = np.exp(1j * np.pi * np.arange(N // 2) / N)
-_UNWEIGHTS = _WEIGHTS.conj()
-
-
-def _fft_error_bound(k: int) -> float:
-    """Percival's bound ("Rapid multiplication modulo the sum and difference
-    of highly composite numbers", Math. Comp. 2003) on the float error of
-    any entry of mul_sum's rank-k product before rounding.  A 2^m-point FFT
-    product of x and y errs by at most |x| |y| ((1 + eps)^3m (1 + eps
-    sqrt5)^(3m + 1) (1 + beta)^3m - 1), eps = 2^-53, with beta the error of
-    the tabled roots, taken here as 2 eps.  Weighting both operands and the
-    result adds three complex products by tabled roots, and the rank sum
-    k - 1 additions; a weighted operand has 128 entries of modulus at most
-    sqrt2 (q - 1), so |x| <= 16 (q - 1).
-    """
-    eps, beta, m = 2.0 ** -53, 2.0 ** -52, 7
-    growth = ((1 + eps) ** (3 * m + k) * (1 + eps * 5 ** 0.5) ** (3 * m + 4)
-              * (1 + beta) ** (3 * m + 3) - 1)
-    return k * (16 * (Q - 1)) ** 2 * growth
-
-
-# every exact entry of a rank-4 mul_sum is an integer of magnitude at most
-# 4 n (q - 1)^2 < 2^34, and the float error stays far below 1/2, so
-# rounding in intt is exact
-assert 4 * N * (Q - 1) ** 2 < 2 ** 34 and _fft_error_bound(4) < 0.5
+_EPS = 2.0 ** -53   # m = 7, so 3m + 3 = 24 and 3m + 4 = 25
+FFT_ERROR_BOUND = 4 * (16 * (Q - 1)) ** 2 * (
+    (1 + _EPS) ** 24 * (1 + 5 ** 0.5 * _EPS) ** 25 * (1 + 2 * _EPS) ** 24 - 1)
+assert 4 * N * (Q - 1) ** 2 < 2 ** 34 and FFT_ERROR_BOUND < 0.5
 
 
 def ntt(coeffs: np.ndarray) -> np.ndarray:
@@ -120,10 +107,8 @@ def intt(values: np.ndarray) -> np.ndarray:
     inverse is integral (transforms, and mul_sum's sums of their products):
     ifft(.) conj(w), the real part as coefficients 0..127 and the imaginary
     part as 128..255, rounded and reduced to int64 in [0, q)."""
-    z = np.fft.ifft(values)
-    z *= _UNWEIGHTS
-    return np.rint(np.concatenate((z.real, z.imag), axis=-1)).astype(
-        np.int64) % Q
+    z = np.fft.ifft(values) * _WEIGHTS.conj()
+    return np.rint(np.concatenate((z.real, z.imag), -1)).astype(np.int64) % Q
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +133,7 @@ def mul_sum(rows_hat: np.ndarray, s: np.ndarray) -> np.ndarray:
     transformed (..., R, k, 128) rows and a (..., k, 256) coefficient
     vector, leading axes broadcast: one forward transform of s, the
     products summed over j in the transform domain, one inverse transform.
-    Inputs hold integers in [0, q), rank k <= 4 (see _fft_error_bound)."""
+    Inputs hold integers in [0, q), rank k <= 4 (see FFT_ERROR_BOUND)."""
     if rows_hat.shape[-2:] != (s.shape[-2], N // 2):
         raise ValueError("rank mismatch")
     return intt((rows_hat * ntt(s)[..., None, :, :]).sum(axis=-2))

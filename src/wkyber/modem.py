@@ -12,8 +12,8 @@ quadrants differ in exactly one bit.
 A sign decision on I and on Q, whose noise is independent, passes each bit
 through its own binary symmetric channel with crossover p = Q(sqrt(2 Eb/N0)),
 ``bit_error_prob``.  Sessions sample those bit flips (``flip_masks``); the
-symbol functions and ``NoiseSource.pairs`` are the physical reference
-the BER checks measure.
+symbol functions and ``NoiseSource.pairs`` are the physical reference the
+BER checks measure.
 """
 
 from __future__ import annotations
@@ -47,11 +47,10 @@ class NoiseSource:
         return flat.view(np.complex128)
 
     def flips(self, total: int, p: float) -> np.ndarray:
-        """Positions in [0, total) of the bits that flip when each of total
-        bits flips independently with probability p: a binomial(total, p)
-        number of distinct uniform positions, exact (Devroye 1986); p = 0
-        draws nothing."""
-        flipped = self._rng.binomial(total, p)   # draws nothing when p = 0
+        """Positions in [0, total) of the bits that flip, each with
+        probability p: a binomial(total, p) number of distinct uniform
+        positions, exact (Devroye 1986); total = 0 or p = 0 draws nothing."""
+        flipped = self._rng.binomial(total, p)
         if not flipped:   # choice would draw nothing either
             return np.zeros(0, dtype=np.int64)
         return self._rng.choice(total, flipped, replace=False)
@@ -60,20 +59,17 @@ class NoiseSource:
 def flip_masks(noises, fields) -> np.ndarray:
     """(B, words) int64 flip masks, one row per noise source.  fields lists
     (count, width, p): count words of width bits, each bit set with
-    probability p, laid side by side in every row.  Each source draws its
-    fields in order with NoiseSource.flips, and one bincount builds every
-    mask."""
-    counts = [count for count, _, _ in fields]
-    words = sum(counts)
+    probability p, side by side in every row.  Each source draws its fields
+    in order with NoiseSource.flips; one bincount builds every mask."""
+    words = sum(count for count, _, _ in fields)
+    starts = np.cumsum([0] + [count for count, _, _ in fields[:-1]])
     pos = [noise.flips(count * width, p)
            for noise in noises for count, width, p in fields]
-    if not pos:
-        return np.zeros((0, words), dtype=np.int64)
     sizes = [len(x) for x in pos]
-    starts = np.cumsum([0] + counts[:-1]) + words * np.arange(len(noises))[:, None]
-    width = np.repeat(np.tile([w for _, w, _ in fields], len(noises)), sizes)
-    word, bit = np.divmod(np.concatenate(pos), width)
-    word += np.repeat(starts.ravel(), sizes)
+    width = np.repeat(np.array([w for _, w, _ in fields] * len(noises),
+                               dtype=np.int64), sizes)
+    word, bit = np.divmod(np.concatenate([np.zeros(0, np.int64), *pos]), width)
+    word += np.repeat(starts + words * np.arange(len(noises))[:, None], sizes)
     # the positions are distinct, so summing a word's bits ORs them, and
     # float64 weights hold the sums exactly for widths below 53
     return np.bincount(word, weights=np.left_shift(1, bit),

@@ -5,8 +5,8 @@ The wireless encryption wk_encrypt / wk_decrypt (V1 and V2, see
 lets the channel supply the noise.  The baseline scheme is the same core
 plus binomially sampled e' and e'' and d_u / d_v compression; all three
 share keygen, whose with_error=False form is V2's b = A s.  The three ring
-products are core.mul_sum calls: A s at key generation, the rows A^T and
-b^T stacked against s' at encryption, and s^T u at decryption.
+products are core.mul_sum calls on core.ntt rows: A s at key generation,
+A^T and b^T stacked against s' at encryption, and s^T u at decryption.
 
 Every function takes B sessions at once as plain arrays: public keys are
 pairs (seeds, b) of B 32-byte seeds for the matrices A (gen_matrices caches

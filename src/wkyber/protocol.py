@@ -29,10 +29,9 @@ Every V1/V2 function takes B sessions at once (one session is B = 1), with
 keys, secrets and ciphertexts in the array forms of :mod:`wkyber.pke`, and
 run_sessions calls them on SESSION_BATCH sessions at a time.  Each session
 keeps its own byte streams, noise sources and flip draws, in the order of a
-lone session, and its own KEM hashes; the ring work is stacked on
-(B, k, 256) arrays.  Each session's key leg goes out through
-transport.send_key and its ciphertext leg through transport.send_coeffs,
-and transport.receive_coeffs decodes each leg for all B at once.
+lone session, and its own KEM hashes, though one pack12 packs a batch's
+hashed arrays; the ring work is stacked on (B, k, 256) arrays, and
+transport.send_key, send_coeffs and receive_coeffs carry a batch's legs.
 Stacked arithmetic is exact and blocks decode alone, so no result depends
 on B or worker count.  A run of S sessions comes back as one SessionRun of
 (S,) arrays of outcomes and per-leg BCH failures; the version, rank and
@@ -127,9 +126,8 @@ def kem_v1_encaps(pks, bits: np.ndarray, params: ParamSet):
 
 
 def _pack_sessions(x: np.ndarray) -> list:
-    """pack12 of each session's entries, from one pack12 of the batch: a
-    session holds an even number of coefficients, so its slice of the
-    batch's bytes is its own packing."""
+    """Each session's pack12, sliced from one pack12 of the batch (a session
+    holds an even number of coefficients)."""
     data, width = pack12(x), 3 * math.prod(x.shape[1:]) // 2
     return [data[i * width:(i + 1) * width] for i in range(len(x))]
 

@@ -66,31 +66,27 @@ def receive_blocks(words: np.ndarray, count: int):
 
 def _send_leg(head: np.ndarray, coeffs, plan: ChannelPlan, noises):
     """B legs: the (B, h) protected words head, then each session's
-    coefficients in row-major order, a protected block and an exposed 2-bit
-    word each.  Every session draws its flips from its own noise source:
-    head blocks, coefficient blocks, then w2 bits."""
+    coefficients in row-major order.  Each session draws its flips from its
+    own noise source: head blocks, coefficient blocks, then w2 bits."""
     c = np.asarray(coeffs, dtype=np.int64)
-    if len(c) != len(noises) or len(head) != len(noises):
+    if len(c) != len(noises):
         raise ValueError("one noise source per session expected")
     c = c.reshape(len(c), -1)
     if c.size and (c.min() < 0 or c.max() >= Q):
         raise ValueError("coefficients must lie in [0, q)")
-    h, n = head.shape[1], c.shape[1]
-    p_msb = bit_error_prob(plan.snr_msb_db)
-    fields = [(h, bch.CODE_N, p_msb)] if h else []
-    masks = flip_masks(noises, fields + [(n, bch.CODE_N, p_msb),
-                                         (n, 2, bit_error_prob(plan.snr_lsb_db))])
+    h, n, p_msb = head.shape[1], c.shape[1], bit_error_prob(plan.snr_msb_db)
+    # a field of no words draws nothing (NoiseSource.flips)
+    masks = flip_masks(noises, [(h, bch.CODE_N, p_msb), (n, bch.CODE_N, p_msb),
+                                (n, 2, bit_error_prob(plan.snr_lsb_db))])
     msb = bch.ENCODE_TABLE[np.concatenate((head, c >> 2), axis=1)]
     return msb ^ masks[:, :h + n], (c & 3) ^ masks[:, h + n:]
 
 
 def send_coeffs(coeffs, plan: ChannelPlan, noises):
-    """Transmit B sessions' coefficients (< q), the first axis of coeffs
-    indexing sessions and noises.  Returns the received (msb, lsb) words as
-    two (B, n) arrays: one 31-bit BCH word and one 2-bit word per
-    coefficient.  With equal seeds the received words are identical across
-    runs and batch splits."""
-    return _send_leg(np.zeros((len(noises), 0), dtype=np.int64), coeffs,
+    """Transmit B sessions' coefficients (< q), one session and noise source
+    per row of coeffs.  Returns the received (msb, lsb) words as two (B, n)
+    arrays: a 31-bit BCH word and a 2-bit word per coefficient."""
+    return _send_leg(np.zeros((len(coeffs), 0), dtype=np.int64), coeffs,
                      plan, noises)
 
 
@@ -108,14 +104,10 @@ def send_key(seeds, b, plan: ChannelPlan, noises):
 def receive_coeffs(msb: np.ndarray, lsb: np.ndarray):
     """Decode B sessions' received (B, m) msb and (B, n) lsb words with one
     block decode.  Returns (seeds, coeffs, failures): the B received seeds,
-    or None for ciphertext legs (a key leg's msb has 26 seed blocks more
-    than its lsb, a ciphertext's as many); the (B, n) coefficients
-    4*w10 + w2 mod q; and the failed blocks per session.
-
-    Values >= q (possible when a stored coefficient near q-1 shifts upward,
-    or after a miscorrection) wrap mod q; the wrap is part of the modelled
-    noise.
-    """
+    or None for a ciphertext leg (a key leg's msb has 26 seed blocks more
+    than its lsb); the (B, n) coefficients 4*w10 + w2 mod q, where values
+    >= q (a stored q - 1 whose w2 rises, or a miscorrection) wrap as part of
+    the modelled noise; and the failed blocks per session."""
     head = msb.shape[1] - lsb.shape[1]
     if head not in (0, SEED_BLOCKS):
         raise ValueError(f"a leg's msb holds {head} blocks more than its "

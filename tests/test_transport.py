@@ -163,6 +163,36 @@ class TestLegs:
         assert np.array_equal(coeffs_rx, coeffs)
         assert failures.tolist() == [0] * len(seeds)
 
+    @pytest.mark.parametrize("key", [False, True])
+    def test_batch_rows_equal_batches_of_one(self, key):
+        # each session's received words depend only on its own noise
+        # source, at a plan where both paths flip
+        plan = ChannelPlan(2.0, -10.0)
+        seeds = [bytes([i]) * 32 for i in range(5)]
+        coeffs = np.random.default_rng(70).integers(0, Q, (5, 3, N))
+
+        def send(rows):
+            noises = [NoiseSource(7100 + i) for i in rows]
+            if key:
+                return send_key([seeds[i] for i in rows], coeffs[rows], plan,
+                                noises)
+            return send_coeffs(coeffs[rows], plan, noises)
+
+        msb, lsb = send(list(range(5)))
+        assert msb.shape == (5, SEED_BLOCKS * key + 3 * N)
+        assert lsb.shape == (5, 3 * N)
+        for i in range(5):
+            one_msb, one_lsb = send([i])
+            assert np.array_equal(msb[i], one_msb[0])
+            assert np.array_equal(lsb[i], one_lsb[0])
+
+    def test_rejects_one_noise_source_per_batch(self):
+        coeffs = np.zeros((2, 8), dtype=np.int64)
+        with pytest.raises(ValueError, match="noise source"):
+            send_coeffs(coeffs, NOISELESS, [NoiseSource(0)])
+        with pytest.raises(ValueError, match="noise source"):
+            send_key([bytes(32)] * 2, coeffs, NOISELESS, [NoiseSource(0)])
+
     @pytest.mark.parametrize("head", [-1, 1, SEED_BLOCKS - 1,
                                       SEED_BLOCKS + 1, 2 * SEED_BLOCKS])
     def test_rejects_leg_of_unknown_shape(self, head):
