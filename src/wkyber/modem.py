@@ -66,9 +66,8 @@ def flip_masks(noises, fields) -> np.ndarray:
     pos = [noise.flips(count * width, p)
            for noise in noises for count, width, p in fields]
     sizes = [len(x) for x in pos]
-    width = np.repeat(np.array([w for _, w, _ in fields] * len(noises),
-                               dtype=np.int64), sizes)
-    word, bit = np.divmod(np.concatenate([np.zeros(0, np.int64), *pos]), width)
+    width = np.repeat([w for _, w, _ in fields] * len(noises), sizes)
+    word, bit = np.divmod(np.concatenate(pos), width)
     word += np.repeat(starts + words * np.arange(len(noises))[:, None], sizes)
     # the positions are distinct, so summing a word's bits ORs them, and
     # float64 weights hold the sums exactly for widths below 53

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import centered, compress, decompress
-# re-exported until ROADMAP item 1 points perfbench's trace site
+# re-exported until ROADMAP item 2 points perfbench's trace site
 # reliability.IntDist at dist; cli and tests import both from dist
 from .dist import IntDist, PrecisionLossError  # noqa: F401
 from .params import N, PARAM_SETS, Q, ParamSet

@@ -150,10 +150,6 @@ class TestFlips:
             row = [flip_masks([noise], [field])[0] for field in fields]
             assert np.array_equal(masks[i], np.concatenate(row))
 
-    def test_no_sources(self):
-        masks = flip_masks([], [(10, 31, 0.5)])
-        assert masks.dtype == np.int64 and masks.shape == (0, 10)
-
 
 class TestQFunction:
     """bit_error_prob(snr) is Q(x) at x = sqrt(2 Eb/N0), so x > 0."""
