@@ -58,7 +58,7 @@ ENCODE_TABLE = np.array([bch_encode(m) for m in range(1 << CODE_K)],
 
 
 _WORD_MASK = (1 << CODE_N) - 1
-_KEY_SHIFT = 35         # error-table key: syndrome << 35 | weight << 31 | pattern
+_KEY_SHIFT = 35         # key: syndrome << 35 | weight << 31 | pattern
 _SYNDROME_CHUNK = 8192  # table keys given their syndrome at a time
 
 

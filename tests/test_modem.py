@@ -137,7 +137,8 @@ class TestFlips:
 
     def test_deterministic(self):
         a = flip_masks([NoiseSource(4)], [(5000, 31, 0.02)])
-        assert np.array_equal(a, flip_masks([NoiseSource(4)], [(5000, 31, 0.02)]))
+        b = flip_masks([NoiseSource(4)], [(5000, 31, 0.02)])
+        assert np.array_equal(a, b)
 
     def test_rows_draw_their_fields_in_order(self):
         # a row is its own source's fields drawn one after another, the
