@@ -33,32 +33,13 @@ UNIFORM_READ = 504
 # byte streams
 
 
-def _xof(seed: bytes, label: bytes, algo: str):
-    return getattr(hashlib, algo)(bytes([len(label)]) + label + seed)
-
-
 def squeeze(seed: bytes, label: bytes, n: int,
             algo: str = "shake_256") -> bytes:
-    """The first n bytes of XofStream(seed, label, algo), in one call: SHAKE
-    output is prefix-stable, so a stream read once needs no buffer."""
-    return _xof(seed, label, algo).digest(n)
-
-
-class XofStream:
-    """Deterministic byte stream squeezed from SHAKE, domain-separated by label."""
-
-    def __init__(self, seed: bytes, label: bytes = b"", algo: str = "shake_256"):
-        self._h = _xof(seed, label, algo)
-        self._pos = 0
-        self._buf = b""
-
-    def read(self, n: int) -> bytes:
-        end = self._pos + n
-        if end > len(self._buf):
-            self._buf = self._h.digest(max(2 * end, 64))
-        out = self._buf[self._pos:end]
-        self._pos = end
-        return out
+    """The first n bytes of the SHAKE stream of seed, domain-separated by
+    label.  SHAKE output is prefix-stable: the first m bytes of a longer
+    squeeze are squeeze(..., m, ...), so a stream read in several parts is
+    one squeeze of their total length, sliced."""
+    return getattr(hashlib, algo)(bytes([len(label)]) + label + seed).digest(n)
 
 
 def check_seed(seed: bytes) -> bytes:

@@ -12,9 +12,11 @@ Every function takes B sessions at once as plain arrays: public keys are
 pairs (seeds, b) of B 32-byte seeds for the matrices A (gen_matrices caches
 them) and one (B, k, 256) array, secrets (B, k, 256), message bits
 (B, 256), uncompressed ciphertexts (B, k + 1, 256) coefficients; per-session
-inputs that differ in count raise ValueError rather than broadcast.  On the
-wire each session's secret or ciphertext is pack12 of its array and its key
-is seed + pack12(b); core.unpack_ring decodes them.
+inputs that differ in count raise ValueError rather than broadcast.  Session
+randomness is bytes, and a session's string of the wrong length (keygen_bytes
+for keygen, 32 for message bits and coins) raises ValueError.  On the wire
+each session's secret or ciphertext is pack12 of its array and its key is
+seed + pack12(b); core.unpack_ring decodes them.
 """
 
 from __future__ import annotations
@@ -33,26 +35,38 @@ def _check_sessions(*inputs):
         raise ValueError(f"per-session inputs differ in count: {counts}")
 
 
-def random_bits(rngs) -> np.ndarray:
-    """(B, 256) message bits, from 32 bytes of each rng."""
-    raw = np.frombuffer(b"".join(rng.read(N // 8) for rng in rngs),
-                        dtype=np.uint8)
+def _check_bytes(chunks, n: int):
+    """ValueError unless every session's byte string holds exactly n bytes."""
+    lengths = [len(c) for c in chunks]
+    if any(length != n for length in lengths):
+        raise ValueError(f"each session needs {n} bytes, got {lengths}")
+
+
+def random_bits(msgs) -> np.ndarray:
+    """(B, 256) message bits from each session's 32 bytes, little-endian."""
+    _check_bytes(msgs, N // 8)
+    raw = np.frombuffer(b"".join(msgs), dtype=np.uint8)
     return np.unpackbits(raw, bitorder="little").reshape(-1, N).astype(np.int64)
 
 
-def keygen(seeds_a, rngs, params: ParamSet, with_error: bool = True):
+def keygen_bytes(params: ParamSet, with_error: bool = True) -> int:
+    """Noise bytes keygen reads per session: the k polynomials of s, then
+    those of e unless with_error is False, 64 eta1 bytes each."""
+    return 64 * params.eta1 * params.k * (2 if with_error else 1)
+
+
+def keygen(seeds_a, noise, params: ParamSet, with_error: bool = True):
     """b = A s + e, or b = A s without the error, with s and e drawn from
-    the eta1 binomial by one read of each rng.  Returns (pks, s) with
-    pks = (seeds_a, b)."""
-    _check_sessions(seeds_a, rngs)
-    k, eta = params.k, params.eta1
-    count = 2 if with_error else 1
-    noise = cbd_vectors(b"".join(rng.read(64 * eta * k * count)
-                                 for rng in rngs), eta, count * k)
-    s = noise[:, :k]
+    the eta1 binomial by each session's keygen_bytes noise bytes.  Returns
+    (pks, s) with pks = (seeds_a, b)."""
+    _check_sessions(seeds_a, noise)
+    _check_bytes(noise, keygen_bytes(params, with_error))
+    k = params.k
+    se = cbd_vectors(b"".join(noise), params.eta1, 2 * k if with_error else k)
+    s = se[:, :k]
     b = mul_sum(gen_matrices(seeds_a, params), s)
     if with_error:
-        b = (b + noise[:, k:]) % Q
+        b = (b + se[:, k:]) % Q
     return (seeds_a, b), s
 
 

@@ -28,10 +28,13 @@ the target is replayable CCA security (Canetti, Krawczyk and Nielsen,
 Every V1/V2 function takes B sessions at once (one session is B = 1), with
 keys, secrets and ciphertexts in the array forms of :mod:`wkyber.pke`, and
 run_sessions calls them on SESSION_BATCH sessions at a time.  Each session
-keeps its own byte streams, noise sources and flip draws, in the order of a
-lone session, and its own KEM hashes, though one pack12 packs a batch's
-hashed arrays; the ring work is stacked on (B, k, 256) arrays, and
-transport.send_key, send_coeffs and receive_coeffs carry a batch's legs.
+keeps its own noise sources and flip draws, in the order of a lone session,
+and its own KEM hashes, though one pack12 packs a batch's hashed arrays.
+Its randomness is two SHAKE streams, each read by one squeeze and sliced:
+the key stream as matrix seed (32 bytes) | keygen noise | z (32, v1 only),
+the message stream as message bits (32) | coins (32, v2 only).  The ring
+work is stacked on (B, k, 256) arrays, and transport.send_key, send_coeffs
+and receive_coeffs carry a batch's legs.
 Stacked arithmetic is exact and blocks decode alone, so no result depends
 on B or worker count.  A run of S sessions comes back as one SessionRun of
 (S,) arrays of outcomes and per-leg BCH failures; the version, rank and
@@ -45,10 +48,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import XofStream, centered, pack12, squeeze
+from .core import SEED_BYTES, centered, check_seed, pack12, squeeze
 from .modem import ChannelPlan, NoiseSource
 from .params import N, Q, ParamSet
-from .pke import keygen, random_bits, wk_decrypt, wk_encrypt
+from .pke import keygen, keygen_bytes, random_bits, wk_decrypt, wk_encrypt
 from .transport import receive_coeffs, send_coeffs, send_key
 
 # sessions stacked in one array pass of run_sessions; results do not
@@ -95,13 +98,6 @@ def session_plans(version: str, snr_msb_db: float, snr_lsb_db: float):
 
 # ---------------------------------------------------------------------------
 # V1 KEM (re-encrypting transform with implicit rejection)
-
-def kem_v1_keygen(seeds_a, rngs, params: ParamSet):
-    """The baseline key generation (binomial e retained), then each rng's
-    32-byte implicit-rejection secret z.  Returns ((seeds_a, b), s, zs)."""
-    pks, s = keygen(seeds_a, rngs, params)
-    return pks, s, [rng.read(32) for rng in rngs]
-
 
 def kem_v1_encaps(pks, bits: np.ndarray, params: ParamSet):
     """Encapsulate each session's message bits to its key.  Returns
@@ -153,7 +149,9 @@ def kem_v1_decaps(s: np.ndarray, zs, pks, received: np.ndarray,
     ciphertexts whose w10 words equal the re-encryption's, and one wrap
     besides: a coefficient sent as q - 1 and received as 0..2.  That
     relation is public, so the target is replayable CCA (module docstring).
+    Each z must be 32 bytes (ValueError otherwise, before any work).
     """
+    zs = [check_seed(z) for z in zs]
     expected, secrets = kem_v1_encaps(
         pks, wk_decrypt(s, (4 * (received >> 2) + 2) % Q), params)
     return [secret if ok
@@ -223,28 +221,32 @@ def _run_batch(version, params, plans, seeds):
     """(outcome, key-leg failures, ciphertext-leg failures, (B, (k + 1) *
     256) received - sent ciphertext) of each session of one batch."""
     pk_plan, ct_plan = plans
-    # every session draws from its own streams, in the order of one session
-    key_rngs = [XofStream(_derive_seed(s, b"key"), b"rng") for s in seeds]
-    msg_rngs = [XofStream(_derive_seed(s, b"msg"), b"rng") for s in seeds]
+    v1 = version == "v1"
+    # every session reads one squeeze of its key stream, sliced as matrix
+    # seed | keygen noise | z (v1), and one of its message stream, sliced as
+    # message bits | coins (v2)
+    noise_end = SEED_BYTES + keygen_bytes(params, with_error=v1)
+    keys = [squeeze(_derive_seed(s, b"key"), b"rng",
+                    noise_end + 32 if v1 else noise_end) for s in seeds]
+    msgs = [squeeze(_derive_seed(s, b"msg"), b"rng", 32 if v1 else 64)
+            for s in seeds]
     noise_a = [_noise_source(s, b"ch-a") for s in seeds]
     noise_b = [_noise_source(s, b"ch-b") for s in seeds]
-    seeds_a = [rng.read(32) for rng in key_rngs]
-    if version == "v1":
-        pks, sks, zs = kem_v1_keygen(seeds_a, key_rngs, params)
-    else:
-        pks, sks = keygen(seeds_a, key_rngs, params, with_error=False)
+    pks, sks = keygen([key[:SEED_BYTES] for key in keys],
+                      [key[SEED_BYTES:noise_end] for key in keys], params,
+                      with_error=v1)
     seeds_rx, b_rx, pk_fail = receive_coeffs(*send_key(*pks, pk_plan, noise_a))
     pks_rx = (seeds_rx, b_rx.reshape(len(seeds), params.k, N))
-    bits = random_bits(msg_rngs)
-    if version == "v1":
+    bits = random_bits([msg[:32] for msg in msgs])
+    if v1:
         c_clean, secrets_b = kem_v1_encaps(pks_rx, bits, params)
     else:
-        c_clean = wk_encrypt(pks_rx, bits, [rng.read(32) for rng in msg_rngs],
-                             params)
+        c_clean = wk_encrypt(pks_rx, bits, [msg[32:] for msg in msgs], params)
     _, c_rx, ct_fail = receive_coeffs(*send_coeffs(c_clean, ct_plan, noise_b))
     c_rx = c_rx.reshape(c_clean.shape)
-    if version == "v1":
-        secrets_a = kem_v1_decaps(sks, zs, pks, c_rx, params)
+    if v1:
+        secrets_a = kem_v1_decaps(sks, [key[noise_end:] for key in keys], pks,
+                                  c_rx, params)
         outcome = [a == b for a, b in zip(secrets_a, secrets_b, strict=True)]
     else:
         outcome = (wk_decrypt(sks, c_rx) == bits).all(axis=1)

@@ -13,11 +13,11 @@ from scipy.special import betainc
 
 from wkyber.bch import (CODE_K, CODE_N, CODE_T, bch_encode,
                         codeword_error_prob, decode_words)
-from wkyber.core import XofStream
+from wkyber.core import squeeze
 from wkyber.modem import (ChannelPlan, NoiseSource, bit_error_prob,
                           demodulate_symbols, modulate_words, transmit)
 from wkyber.params import PARAM_SETS
-from wkyber.pke import decrypt, encrypt, keygen, random_bits
+from wkyber.pke import decrypt, encrypt, keygen, keygen_bytes, random_bits
 from wkyber.reliability import failure_prob_rows, ker_monte_carlo, sigma_vs_snr
 from wkyber.transport import (channel_error_pmf, coeff_error_dist, dist_stddev,
                               receive_blocks, send_blocks)
@@ -197,13 +197,20 @@ def test_criterion_08_ker_shape():
 def test_criterion_09_baseline_pke():
     """10^3 roundtrips per parameter set and the NTT-vs-schoolbook oracle."""
     for params in PARAM_SETS.values():
-        kg = XofStream(b"\x09" * 32, b"acc9-kg" + params.name.encode())
-        ms = XofStream(b"\x09" * 32, b"acc9-m" + params.name.encode())
+        # per trial: keygen noise from one stream; matrix seed, message
+        # bits and coins, 32 bytes each, from the other
+        nk = keygen_bytes(params)
+        kg = squeeze(b"\x09" * 32, b"acc9-kg" + params.name.encode(),
+                     1000 * nk)
+        ms = squeeze(b"\x09" * 32, b"acc9-m" + params.name.encode(),
+                     1000 * 96)
         failures = 0
-        for _ in range(1000):
-            pks, s = keygen([ms.read(32)], [kg], params)
-            bits = random_bits([ms])
-            u_c, v_c = encrypt(pks, bits, [ms.read(32)], params)
+        for i in range(1000):
+            seed_a, msg, coins = (ms[at:at + 32]
+                                  for at in range(96 * i, 96 * (i + 1), 32))
+            pks, s = keygen([seed_a], [kg[i * nk:(i + 1) * nk]], params)
+            bits = random_bits([msg])
+            u_c, v_c = encrypt(pks, bits, [coins], params)
             if not np.array_equal(decrypt(s, u_c, v_c, params), bits):
                 failures += 1
         assert failures == 0, params.name

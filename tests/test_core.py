@@ -1,13 +1,12 @@
 import functools
 import hashlib
-import io
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wkyber.core import (UNIFORM_READ, XofStream, _gen_matrix_cached,
+from wkyber.core import (UNIFORM_READ, _gen_matrix_cached,
                          cbd_vectors, centered, compress, decompress,
                          gen_matrices, intt, mul_sum, ntt, pack12,
                          poly_mul_schoolbook, squeeze, unpack12)
@@ -341,9 +340,9 @@ def cbd_oracle(raw, eta, k):
     return (sums[..., 0] - sums[..., 1]) % Q
 
 
-def sample_noise_vector(stream, eta, k):
-    """k centered binomial polynomials, as (k, 256), from one stream read."""
-    return cbd_vectors(stream.read(64 * eta * k), eta, k)[0]
+def sample_noise_vector(raw, eta, k):
+    """k centered binomial polynomials, as (k, 256), from 64 eta k bytes."""
+    return cbd_vectors(raw, eta, k)[0]
 
 
 class TestCbd:
@@ -359,8 +358,7 @@ class TestCbd:
 
     def test_zero_stream(self):
         for eta in (2, 3):
-            zero = io.BytesIO(bytes(64 * eta))
-            assert not sample_noise_vector(zero, eta, 1).any()
+            assert not sample_noise_vector(bytes(64 * eta), eta, 1).any()
 
     def test_stream_exhaustion(self):
         # raw input shorter than one vector (128 bytes at eta 2, k 1)
@@ -369,13 +367,15 @@ class TestCbd:
 
     def test_bad_eta(self):
         with pytest.raises(ValueError):
-            sample_noise_vector(io.BytesIO(bytes(512)), 4, 1)[0]
+            sample_noise_vector(bytes(512), 4, 1)[0]
 
     @pytest.mark.parametrize("eta,k", [(2, 1), (2, 3), (3, 2), (3, 4)])
     def test_vector_is_polynomials_in_turn(self, eta, k):
-        vec = sample_noise_vector(XofStream(b"v" * 32), eta, k)
-        stream = XofStream(b"v" * 32)
-        rows = [sample_noise_vector(stream, eta, 1)[0] for _ in range(k)]
+        raw = squeeze(b"v" * 32, b"", 64 * eta * k)
+        vec = sample_noise_vector(raw, eta, k)
+        size = 64 * eta  # one polynomial's bytes, read in turn
+        rows = [sample_noise_vector(raw[j * size:(j + 1) * size], eta, 1)[0]
+                for j in range(k)]
         assert np.array_equal(vec, np.stack(rows))
 
     def test_vector_stream_exhaustion(self):
@@ -393,29 +393,25 @@ class TestCbd:
         # and the sampler realises exactly that map on single-coefficient input
         for pattern in range(16):
             data = bytes([pattern]) + bytes(127)
-            got = int(sample_noise_vector(io.BytesIO(data), 2, 1)[0, 0])
+            got = int(sample_noise_vector(data, 2, 1)[0, 0])
             bits = [(pattern >> i) & 1 for i in range(4)]
             want = (bits[0] + bits[1] - bits[2] - bits[3]) % Q
             assert got == want
 
     def test_range(self):
-        stream = XofStream(b"\x01" * 32, b"cbd-range")
-        for eta in (2, 3):
-            for _ in range(20):
-                c = sample_noise_vector(stream, eta, 1)[0]
-                ok = (c <= eta) | (c >= Q - eta)
-                assert ok.all()
+        # 20 polynomials at eta 2, then 20 at eta 3, read in turn
+        raw = squeeze(b"\x01" * 32, b"cbd-range", 20 * 64 * (2 + 3))
+        for eta, part in ((2, raw[:20 * 128]), (3, raw[20 * 128:])):
+            c = cbd_vectors(part, eta, 1)
+            assert c.shape == (20, 1, N)
+            assert ((c <= eta) | (c >= Q - eta)).all()
 
     def test_empirical_variance(self):
         # Var = eta/2 = 1.0 for eta 2; 10^6 samples
-        stream = XofStream(b"\x02" * 32, b"cbd-var")
-        total = 0.0
-        n = 0
-        for _ in range(1_000_000 // N):
-            c = centered(sample_noise_vector(stream, 2, 1)[0])
-            total += float((c.astype(float) ** 2).sum())
-            n += N
-        assert abs(total / n - 1.0) <= 0.01
+        polys = 1_000_000 // N
+        c = centered(cbd_vectors(squeeze(b"\x02" * 32, b"cbd-var",
+                                         polys * 128), 2, 1))
+        assert abs(float((c.astype(float) ** 2).mean()) - 1.0) <= 0.01
 
 
 def uniform_entry_oracle(seed, r, c):
@@ -540,8 +536,10 @@ class TestStreams:
     @pytest.mark.parametrize("algo", ["shake_128", "shake_256"])
     @pytest.mark.parametrize("n", [0, 1, 32, 64, 504, 1000])
     def test_squeeze_is_stream_prefix(self, algo, n):
-        stream = XofStream(b"\x05" * 32, b"lbl", algo)
-        assert squeeze(b"\x05" * 32, b"lbl", n, algo) == stream.read(n)
+        # a stream read in parts is one squeeze of their total, sliced
+        for longer in (n + 1, 2 * n + 64, 4096):
+            assert (squeeze(b"\x05" * 32, b"lbl", longer, algo)[:n]
+                    == squeeze(b"\x05" * 32, b"lbl", n, algo))
 
 
 class TestPacking:

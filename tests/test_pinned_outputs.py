@@ -22,11 +22,12 @@ import numpy as np
 import pytest
 
 from wkyber.cli import main
-from wkyber.core import XofStream, pack12
+from wkyber.core import pack12, squeeze
 from wkyber.modem import ChannelPlan
 from wkyber.params import PARAM_SETS
-from wkyber.pke import decrypt, encrypt, keygen, random_bits, wk_encrypt
-from wkyber.protocol import kem_v1_encaps, kem_v1_keygen, run_sessions
+from wkyber.pke import (decrypt, encrypt, keygen, keygen_bytes, random_bits,
+                        wk_encrypt)
+from wkyber.protocol import kem_v1_encaps, run_sessions
 
 SESSION_SEED = 20261018
 CT_PLAN = ChannelPlan(6.0, -10.0)
@@ -147,14 +148,18 @@ def sha(data: bytes) -> str:
 
 def outputs(version: str, bits: int) -> dict:
     params = PARAM_SETS[bits]
-    rng = XofStream(bytes([bits & 0xFF]) * 32, version.encode() + b"-pin")
-    seed_a = rng.read(32)
-    if version == "v1":
-        pks, s, _ = kem_v1_keygen([seed_a], [rng], params)
-        ct, _ = kem_v1_encaps(pks, random_bits([rng]), params)
+    v1 = version == "v1"
+    # one stream, read as matrix seed | keygen noise | then v1's z and
+    # message bits, or v2's message bits and coins
+    nk = keygen_bytes(params, with_error=v1)
+    rng = squeeze(bytes([bits & 0xFF]) * 32, version.encode() + b"-pin",
+                  32 + nk + 64)
+    seed_a, tail = rng[:32], rng[32 + nk:]
+    pks, s = keygen([seed_a], [rng[32:32 + nk]], params, with_error=v1)
+    if v1:
+        ct, _ = kem_v1_encaps(pks, random_bits([tail[32:]]), params)
     else:
-        pks, s = keygen([seed_a], [rng], params, with_error=False)
-        ct = wk_encrypt(pks, random_bits([rng]), [rng.read(32)], params)
+        ct = wk_encrypt(pks, random_bits([tail[:32]]), [tail[32:]], params)
     offsets = run_sessions(version, params, PLANS[version], [SESSION_SEED],
                            collect_offsets=True).ct_error_offsets[0]
     assert offsets.shape == ((params.k + 1) * 256,)
@@ -165,11 +170,13 @@ def outputs(version: str, bits: int) -> dict:
 
 def baseline_outputs(bits: int) -> dict:
     params = PARAM_SETS[bits]
-    rng = XofStream(bytes([bits & 0xFF]) * 32, b"baseline-pin")
-    seed_a = rng.read(32)
-    pks, s = keygen([seed_a], [rng], params)
-    msg = random_bits([rng])
-    u_c, v_c = encrypt(pks, msg, [rng.read(32)], params)
+    # one stream, read as matrix seed | keygen noise | message bits | coins
+    nk = keygen_bytes(params)
+    rng = squeeze(bytes([bits & 0xFF]) * 32, b"baseline-pin", 32 + nk + 64)
+    seed_a = rng[:32]
+    pks, s = keygen([seed_a], [rng[32:32 + nk]], params)
+    msg = random_bits([rng[32 + nk:64 + nk]])
+    u_c, v_c = encrypt(pks, msg, [rng[64 + nk:]], params)
     assert np.array_equal(decrypt(s, u_c, v_c, params), msg)
     return {"pk": sha(seed_a + pack12(pks[1][0])), "sk": sha(pack12(s[0])),
             "u_c": sha(u_c[0].astype("<i8").tobytes()),

@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -6,16 +5,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from wkyber.core import (XofStream, centered, decompress, gen_matrices,
-                         intt, mul_sum, noise_vectors, ntt, pack12,
-                         poly_mul_schoolbook, squeeze, unpack_ring)
+from wkyber.core import (centered, decompress, gen_matrices, intt, mul_sum,
+                         noise_vectors, ntt, pack12, poly_mul_schoolbook,
+                         squeeze, unpack_ring)
 from wkyber.modem import ChannelPlan, NoiseSource
 from wkyber.params import KYBER768, N, Q, PARAM_SETS
-from wkyber.pke import (decrypt, encrypt, keygen, random_bits, wk_decrypt,
-                        wk_encrypt)
+from wkyber.pke import (decrypt, encrypt, keygen, keygen_bytes, random_bits,
+                        wk_decrypt, wk_encrypt)
 from wkyber.protocol import (SESSION_BATCH, kem_v1_decaps, kem_v1_encaps,
-                             kem_v1_keygen, run_sessions, session_plans,
-                             snr_warnings)
+                             run_sessions, session_plans, snr_warnings)
 from wkyber.transport import (coeff_error_dist, receive_coeffs, send_coeffs,
                               send_key)
 
@@ -25,29 +23,50 @@ NOMINAL_PLANS = (ChannelPlan(10.0, 10.0), ChannelPlan(10.0, -10.0))
 V2_PLANS = (ChannelPlan(10.0, -10.0), ChannelPlan(10.0, -10.0))
 
 
-def stream(label):
-    return XofStream(b"\x11" * 32, label)
+def stream(label, n):
+    """The first n bytes of the test stream under label."""
+    return squeeze(b"\x11" * 32, label, n)
+
+
+def key_pairs(labels, params=P768, with_error=True, seeds_a=None):
+    """One key pair per label, a batch, from the keygen noise at the head
+    of the label's stream: (pks, s).  The matrix seeds default to SEED."""
+    n = keygen_bytes(params, with_error)
+    return keygen(seeds_a or [SEED] * len(labels),
+                  [stream(label, n) for label in labels], params, with_error)
+
+
+def kem_keys(labels, params=P768, seeds_a=None):
+    """V1 KEM keys, one per label, each stream read as keygen noise and
+    then the 32-byte implicit-rejection secret z: (pks, s, zs)."""
+    n = keygen_bytes(params)
+    keys = [stream(label, n + 32) for label in labels]
+    pks, s = keygen(seeds_a or [SEED] * len(labels),
+                    [key[:n] for key in keys], params)
+    return pks, s, [key[n:] for key in keys]
 
 
 def kem_pair(key_label, msg_label):
     """A V1 key pair and an encapsulation to it, each a batch of one:
     (keys, secrets s, zs, ciphertexts, shared secrets)."""
-    pks, s, zs = kem_v1_keygen([SEED], [stream(key_label)], P768)
-    bits = random_bits([stream(msg_label)])
+    pks, s, zs = kem_keys([key_label])
+    bits = random_bits([stream(msg_label, 32)])
     return (pks, s, zs, *kem_v1_encaps(pks, bits, P768))
 
 
 class TestV1Pke:
     def test_keygen_is_baseline(self):
-        (seeds1, b1), s1, _ = kem_v1_keygen([SEED], [stream(b"a")], P768)
-        (seeds2, b2), s2 = keygen([SEED], [stream(b"a")], P768)
+        # z follows the keygen noise in the stream and leaves the key alone
+        (seeds1, b1), s1, _ = kem_keys([b"a"])
+        (seeds2, b2), s2 = keygen([SEED], [stream(b"a", keygen_bytes(P768))],
+                                  P768)
         assert seeds1 == seeds2
         assert np.array_equal(b1, b2) and np.array_equal(s1, s2)
 
     def test_never_samples_ciphertext_noise(self):
         # u - A^T s' must vanish before transmission
-        pks, _ = keygen([SEED], [stream(b"b")], P768)
-        bits = random_bits([stream(b"m")])
+        pks, _ = key_pairs([b"b"])
+        bits = random_bits([stream(b"m", 32)])
         coins = b"\x22" * 32
         (c,) = wk_encrypt(pks, bits, [coins], P768)
         sp = noise_vectors([coins], b"sp", P768.eta1, P768.k)[0]
@@ -62,23 +81,23 @@ class TestV1Pke:
         monkeypatch.setattr(pke, "noise_vectors",
                             lambda seeds, label, eta, k:
                             np.zeros((len(seeds), k, N), dtype=np.int64))
-        pks, _ = keygen([SEED], [stream(b"c")], P768)
+        pks, _ = key_pairs([b"c"])
         c = wk_encrypt(pks, np.zeros((1, N), dtype=np.int64), [bytes(32)],
                        P768)
         assert c.shape == (1, 4, N) and not c.any()
 
     def test_deterministic(self):
-        pks, _ = keygen([SEED], [stream(b"d")], P768)
-        bits = random_bits([stream(b"m2")])
+        pks, _ = key_pairs([b"d"])
+        bits = random_bits([stream(b"m2", 32)])
         assert np.array_equal(wk_encrypt(pks, bits, [b"\x01" * 32], P768),
                               wk_encrypt(pks, bits, [b"\x01" * 32], P768))
 
     def test_noiseless_roundtrip(self):
-        pks, s = keygen([SEED], [stream(b"e")], P768)
-        ms = stream(b"m3")
-        for _ in range(5):
-            bits = random_bits([ms])
-            c = wk_encrypt(pks, bits, [ms.read(32)], P768)
+        pks, s = key_pairs([b"e"])
+        ms = stream(b"m3", 5 * 64)  # (bits, coins) in turn
+        for i in range(5):
+            bits = random_bits([ms[64 * i:64 * i + 32]])
+            c = wk_encrypt(pks, bits, [ms[64 * i + 32:64 * (i + 1)]], P768)
             assert np.array_equal(wk_decrypt(s, c), bits)
             s_u = mul_sum(ntt(s[0])[None], c[0, :-1])[0]
             noise = centered(c[0, -1] - s_u - decompress(bits[0], 1))
@@ -94,7 +113,7 @@ class TestV1Pke:
         assert (np.delete(bits, 7) == 1).all()
 
     def test_ciphertext_never_compressed(self):
-        pks, _ = keygen([SEED], [stream(b"g")], P768)
+        pks, _ = key_pairs([b"g"])
         (coeffs,) = wk_encrypt(pks, np.zeros((1, N), dtype=np.int64),
                                [b"\x03" * 32], P768)
         assert coeffs.shape == (P768.k + 1, N)
@@ -104,11 +123,11 @@ class TestV1Pke:
 
 class TestV2Pke:
     def test_b_is_exactly_as(self):
-        (_, b), s = keygen([SEED], [stream(b"h")], P768, with_error=False)
+        (_, b), s = key_pairs([b"h"], with_error=False)
         assert np.array_equal(b, mul_sum(gen_matrices([SEED], P768), s))
 
     def test_zero_secret_gives_zero_b(self):
-        (_, b), _ = keygen([SEED], [io.BytesIO(bytes(4096))], P768,
+        (_, b), _ = keygen([SEED], [bytes(keygen_bytes(P768, False))], P768,
                            with_error=False)
         assert b.shape == (1, 3, N) and not b.any()
 
@@ -117,8 +136,7 @@ class TestV2Pke:
         counts = np.zeros(7, dtype=np.int64)
         total = 0
         for i in range(40):
-            (seeds, b), _ = keygen([SEED], [stream(b"i" + bytes([i]))],
-                                   P768, with_error=False)
+            (seeds, b), _ = key_pairs([b"i" + bytes([i])], with_error=False)
             sent = send_key(seeds, b, ChannelPlan(10.0, -10.0),
                             [NoiseSource(1000 + i)])
             seeds_rx, b_rx, fails = receive_coeffs(*sent)
@@ -137,8 +155,8 @@ class TestV2Pke:
 
 class TestKem:
     def test_encaps_deterministic_given_message(self):
-        pks, _ = keygen([SEED], [stream(b"j")], P768)
-        bits = random_bits([stream(b"m4")])
+        pks, _ = key_pairs([b"j"])
+        bits = random_bits([stream(b"m4", 32)])
         c1, s1 = kem_v1_encaps(pks, bits, P768)
         c2, s2 = kem_v1_encaps(pks, bits, P768)
         assert np.array_equal(c1, c2) and s1 == s2
@@ -181,10 +199,10 @@ class TestKem:
     def test_public_key_q_wrap_accepted(self):
         # a stored b = q - 1 = 4 * 832 whose w2 bits rise by 1..3 reaches the
         # encapsulator as 0..2; both sides must still bind the same key
-        pks, s, zs = kem_v1_keygen([SEED], [stream(b"wrap4")], P768)
+        pks, s, zs = kem_keys([b"wrap4"])
         seeds, b = pks
         assert b[0, 2, 185] == Q - 1
-        bits = random_bits([stream(b"m8")])
+        bits = random_bits([stream(b"m8", 32)])
         for rise in (1, 2, 3):
             b_rx = b.copy()
             b_rx[0, 2, 185] = (Q - 1 + rise) % Q
@@ -192,18 +210,24 @@ class TestKem:
             assert kem_v1_decaps(s, zs, pks, c, P768) == secrets
 
     def test_encaps_rejects_one_message_for_two_keys(self):
-        pks, _, _ = kem_v1_keygen([SEED, SEED], [stream(b"k1"), stream(b"k2")],
-                                  P768)
+        pks, _, _ = kem_keys([b"k1", b"k2"])
         with pytest.raises(ValueError):
-            kem_v1_encaps(pks, random_bits([stream(b"m1")]), P768)
+            kem_v1_encaps(pks, random_bits([stream(b"m1", 32)]), P768)
 
     def test_decaps_rejects_one_z_for_two_sessions(self):
-        pks, s, zs = kem_v1_keygen([SEED, SEED],
-                                   [stream(b"k1"), stream(b"k2")], P768)
-        c, _ = kem_v1_encaps(pks, random_bits([stream(b"m1"),
-                                               stream(b"m2")]), P768)
+        pks, s, zs = kem_keys([b"k1", b"k2"])
+        c, _ = kem_v1_encaps(pks, random_bits([stream(b"m1", 32),
+                                               stream(b"m2", 32)]), P768)
         with pytest.raises(ValueError):
             kem_v1_decaps(s, zs[:1], pks, c, P768)
+
+    @pytest.mark.parametrize("length", [0, 1, 31, 33])
+    def test_decaps_rejects_z_of_wrong_length(self, length):
+        # an empty z would make the rejection secret a public function of
+        # the ciphertext
+        pks, s, _, c, _ = kem_pair(b"zlen", b"m9")
+        with pytest.raises(ValueError, match="32 bytes"):
+            kem_v1_decaps(s, [bytes(length)], pks, c, P768)
 
     def test_msb_policy_allows_only_the_q_wrap(self):
         from wkyber.protocol import _coeffs_match
@@ -220,9 +244,10 @@ def static_key_sessions():
     """One V1 key at k = 3 replicated over 200 sessions, each encapsulating
     its own message: (keys, secrets s, zs, ciphertexts, shared secrets)."""
     sessions = 200
-    ((seed,), b), s, zs = kem_v1_keygen([SEED], [stream(b"static")], P768)
+    ((seed,), b), s, zs = kem_keys([b"static"])
     keys = ([seed] * sessions, np.repeat(b, sessions, axis=0))
-    bits = random_bits([stream(b"to-static-%d" % i) for i in range(sessions)])
+    bits = random_bits([stream(b"to-static-%d" % i, 32)
+                        for i in range(sessions)])
     return (keys, np.repeat(s, sessions, axis=0), zs * sessions,
             *kem_v1_encaps(keys, bits, P768))
 
@@ -392,11 +417,8 @@ class TestBatchIndependence:
         # the KEM, the wireless PKE and the baseline PKE; one session's
         # received ciphertext has a protected word hit, and only that
         # session falls back to implicit rejection
-        def key_rng(i):
-            return stream(seed.to_bytes(4, "little") + bytes([i]))
-
-        def streams():
-            return [key_rng(i) for i in range(sessions)]
+        labels = [seed.to_bytes(4, "little") + bytes([i])
+                  for i in range(sessions)]
         seeds_a = [bytes([i]) * 32 for i in range(sessions)]
         rng = np.random.default_rng(seed)
         bits = rng.integers(0, 2, (sessions, N))
@@ -405,7 +427,7 @@ class TestBatchIndependence:
         row = data.draw(st.integers(0, params.k), label="row")
         col = data.draw(st.integers(0, N - 1), label="column")
 
-        pks, s, zs = kem_v1_keygen(seeds_a, streams(), params)
+        pks, s, zs = kem_keys(labels, params, seeds_a)
         c, secrets = kem_v1_encaps(pks, bits, params)
         received = c.copy()
         # + 4 changes w10 = c >> 2, and q - 1 + 4 wraps to 3, not to 0..2
@@ -413,14 +435,14 @@ class TestBatchIndependence:
         decapsulated = kem_v1_decaps(s, zs, pks, received, params)
         ct = wk_encrypt(pks, bits, coins, params)
         decrypted = wk_decrypt(s, ct)
-        base_pks, base_s = keygen(seeds_a, streams(), params)
+        base_pks, base_s = key_pairs(labels, params, seeds_a=seeds_a)
         u_c, v_c = encrypt(base_pks, bits, coins, params)
         opened = decrypt(base_s, u_c, v_c, params)
         for i in range(sessions):
             one = slice(i, i + 1)
             pks_i = (seeds_a[one], pks[1][one])
-            (seeds_i, b_i), s_i, z_i = kem_v1_keygen(seeds_a[one],
-                                                     [key_rng(i)], params)
+            (seeds_i, b_i), s_i, z_i = kem_keys(labels[one], params,
+                                                seeds_a[one])
             assert seeds_i == seeds_a[one] and np.array_equal(b_i, pks[1][one])
             assert np.array_equal(s_i, s[one]) and z_i == zs[one]
             c_i, secret_i = kem_v1_encaps(pks_i, bits[one], params)
@@ -430,7 +452,7 @@ class TestBatchIndependence:
             assert np.array_equal(wk_encrypt(pks_i, bits[one], coins[one],
                                              params), ct[one])
             assert np.array_equal(wk_decrypt(s[one], ct[one]), decrypted[one])
-            pk_i, s_i = keygen(seeds_a[one], [key_rng(i)], params)
+            pk_i, s_i = key_pairs(labels[one], params, seeds_a=seeds_a[one])
             assert np.array_equal(pk_i[1], base_pks[1][one])
             assert np.array_equal(s_i, base_s[one])
             u_i, v_i = encrypt(pk_i, bits[one], coins[one], params)
@@ -450,14 +472,16 @@ class TestNoiseAccounting:
 
         observed = []
         for i in range(60):
-            kg = stream(b"ks" + bytes([i]))
-            (seeds, b), s = keygen([SEED], [kg], P768, with_error=False)
+            # the key stream read as keygen noise, message bits, coins
+            nk = keygen_bytes(P768, with_error=False)
+            kg = stream(b"ks" + bytes([i]), nk + 64)
+            (seeds, b), s = keygen([SEED], [kg[:nk]], P768, with_error=False)
             sent = send_key(seeds, b, ChannelPlan(10, -10),
                             [NoiseSource(7000 + i)])
             seeds_rx, b_rx, _ = receive_coeffs(*sent)
             pks_rx = (seeds_rx, b_rx.reshape(b.shape))
-            bits = random_bits([kg])
-            (c,) = wk_encrypt(pks_rx, bits, [kg.read(32)], P768)
+            bits = random_bits([kg[nk:nk + 32]])
+            (c,) = wk_encrypt(pks_rx, bits, [kg[nk + 32:]], P768)
             words = send_coeffs(c[None], ChannelPlan(10, -10),
                                 [NoiseSource(8000 + i)])
             c_rx = receive_coeffs(*words)[1].reshape(c.shape)
