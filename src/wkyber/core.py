@@ -48,6 +48,14 @@ def check_seed(seed: bytes) -> bytes:
     return bytes(seed)
 
 
+def check_range(x, bound: int, what: str) -> np.ndarray:
+    """x as an int64 array, ValueError unless every entry is in [0, bound)."""
+    x = np.asarray(x, dtype=np.int64)
+    if x.min(initial=0) < 0 or x.max(initial=0) >= bound:
+        raise ValueError(f"{what} outside [0, {bound})")
+    return x
+
+
 # ---------------------------------------------------------------------------
 # the ring transform
 #
@@ -128,9 +136,7 @@ def compress(x: np.ndarray, d: int) -> np.ndarray:
     """round(2^d * x / q) mod 2^d, ties rounded up."""
     if not 1 <= d < 12:
         raise ValueError(f"compress width {d} outside [1, 12)")
-    x = np.asarray(x, dtype=np.int64)
-    if x.min(initial=0) < 0 or x.max(initial=0) >= Q:
-        raise ValueError("compress input outside [0, q)")
+    x = check_range(x, Q, "compress input")
     return ((x << (d + 1)) + Q) // (2 * Q) % (1 << d)
 
 
@@ -138,9 +144,7 @@ def decompress(y: np.ndarray, d: int) -> np.ndarray:
     """round(q * y / 2^d), ties rounded up."""
     if not 1 <= d < 12:
         raise ValueError(f"decompress width {d} outside [1, 12)")
-    y = np.asarray(y, dtype=np.int64)
-    if y.min(initial=0) < 0 or y.max(initial=0) >= (1 << d):
-        raise ValueError(f"decompress input outside [0, 2^{d})")
+    y = check_range(y, 1 << d, "decompress input")
     return ((Q * y << 1) + (1 << d)) >> (d + 1)
 
 
@@ -223,8 +227,9 @@ def gen_matrices(seeds, params: ParamSet) -> np.ndarray:
 
 
 def pack12(coeffs: np.ndarray) -> bytes:
-    """Pack coefficients of any shape, flattened in row-major order."""
-    c = np.asarray(coeffs, dtype=np.int64).ravel()
+    """Pack 12-bit values of any shape, flattened in row-major order
+    (ValueError outside [0, 4096), where packings would collide)."""
+    c = check_range(coeffs, 1 << 12, "pack12 input").ravel()
     if len(c) % 2:
         raise ValueError("pack12 needs an even number of coefficients")
     c0, c1 = c[0::2], c[1::2]

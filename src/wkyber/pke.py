@@ -16,7 +16,9 @@ inputs that differ in count raise ValueError rather than broadcast.  Session
 randomness is bytes, and a session's string of the wrong length (keygen_bytes
 for keygen, 32 for message bits and coins) raises ValueError.  On the wire
 each session's secret or ciphertext is pack12 of its array and its key is
-seed + pack12(b); core.unpack_ring decodes them.
+seed + pack12(b); core.unpack_ring decodes them.  wk_encrypt and wk_decrypt
+accept received 12-bit words (transport.receive_coeffs) as b and ciphertext,
+and reduce them mod q before their ring products, as mul_sum requires.
 """
 
 from __future__ import annotations
@@ -77,7 +79,7 @@ def wk_encrypt(pks, bits: np.ndarray, coins, params: ParamSet) -> np.ndarray:
     _check_sessions(seeds, b, bits, coins)
     sp = noise_vectors(coins, b"sp", params.eta1, params.k)
     rows = np.concatenate((gen_matrices(seeds, params).swapaxes(-3, -2),
-                           ntt(b)[..., None, :, :]), axis=-3)
+                           ntt(b % Q)[..., None, :, :]), axis=-3)
     uv = mul_sum(rows, sp)
     uv[:, -1] = (uv[:, -1] + decompress(bits, 1)) % Q
     return uv
@@ -86,6 +88,7 @@ def wk_encrypt(pks, bits: np.ndarray, coins, params: ParamSet) -> np.ndarray:
 def wk_decrypt(s: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """Per-coefficient compress(v - s^T u, 1): the message bits."""
     _check_sessions(s, coeffs)
+    coeffs = coeffs % Q
     u, v = coeffs[..., :-1, :], coeffs[..., -1, :]
     su = mul_sum(ntt(s)[..., None, :, :], u)[..., 0, :]
     return compress((v - su) % Q, 1)

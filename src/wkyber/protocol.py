@@ -12,18 +12,19 @@ pke.wk_encrypt and pke.wk_decrypt.
 
 KEM robustness and security: the channel may flip the two low bits (w2) of
 any coefficient, which no BCH code protects, so the KEM depends on none of
-them.  It binds its hash chain and re-encryption to the protected
-projection of the public key (w2 bits zeroed, q - 1 = 4 * 832 taken as 0
-because its w2 bits can wrap it to 0..2), and decapsulation decrypts from
-the received protected words w10 = c >> 2 alone, as 4 * w10 + 2.  The
+them.  Received keys and ciphertexts are the 12-bit words 4 * w10 + w2
+that arrived (transport.receive_coeffs), so a w2 flip never reaches w10.
+The KEM binds its hash chain and re-encryption to the protected
+projection b & ~3 of the public key, and decapsulation decrypts from the
+received protected words w10 = c >> 2 alone, as 4 * w10 + 2.  The
 decrypted message is then a function of w10, so comparing the
 re-encryption's w10 words is the re-encryption check of a deterministic PKE
 (Hofheinz, Hoevelmanns and Kiltz, "A modular analysis of the
 Fujisaki-Okamoto transformation", TCC 2017).  The ciphertexts accepted for
-c are exactly those with c's w10 words, where a coefficient q - 1 of c may
-also arrive as 0..2.  Anyone can rewrite w2 without changing the key, so
-the target is replayable CCA security (Canetti, Krawczyk and Nielsen,
-"Relaxing chosen-ciphertext security", CRYPTO 2003), not IND-CCA2.
+c are exactly those with c's w10 words.  Anyone can rewrite w2 without
+changing the key, so the target is replayable CCA security (Canetti,
+Krawczyk and Nielsen, "Relaxing chosen-ciphertext security", CRYPTO 2003),
+not IND-CCA2.
 
 Every V1/V2 function takes B sessions at once (one session is B = 1), with
 keys, secrets and ciphertexts in the array forms of :mod:`wkyber.pke`, and
@@ -48,9 +49,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SEED_BYTES, centered, check_seed, pack12, squeeze
+from .core import (SEED_BYTES, centered, check_range, check_seed, pack12,
+                   squeeze)
 from .modem import ChannelPlan, NoiseSource
-from .params import N, Q, ParamSet
+from .params import N, ParamSet
 from .pke import keygen, keygen_bytes, random_bits, wk_decrypt, wk_encrypt
 from .transport import receive_coeffs, send_coeffs, send_key
 
@@ -104,13 +106,11 @@ def kem_v1_encaps(pks, bits: np.ndarray, params: ParamSet):
     (ciphertexts to transmit, shared secrets).
 
     Deterministic given (pk, message): key and coins derive from the message
-    and the projected public key; the secret also binds the clean ciphertext.
-    The projection zeroes the exposed w2 bits of b; a stored q - 1 = 4 * 832
-    whose w2 bits rise arrives as 0..2 (the wrap `_coeffs_match` allows for
-    ciphertexts), so 4 * 832 joins the class of 0.
+    and the projected public key b & ~3, the received words of b with their
+    exposed w2 bits zeroed; the secret also binds the clean ciphertext.
     """
     seeds, b = pks
-    b = (b & ~3) % (Q - 1)
+    b = b & ~3
     messages = np.packbits(bits.astype(np.uint8), axis=-1, bitorder="little")
     # 32 key bytes, then 32 coin bytes
     kd = [squeeze(m.tobytes() + squeeze(seed + b_i, b"pk", 32), b"enc", 64)
@@ -128,37 +128,27 @@ def _pack_sessions(x: np.ndarray) -> list:
     return [data[i * width:(i + 1) * width] for i in range(len(x))]
 
 
-def _coeffs_match(expected: np.ndarray, received: np.ndarray) -> np.ndarray:
-    """Whether each ciphertext (the last two axes) was received as expected.
-    The protected words w10 = c >> 2 must agree exactly.  One wrap is
-    honest: q = 4 * 832 + 1, so a stored q - 1 = 4 * 832 whose w2 bits rise
-    comes back as 4 * 832 + 1..3 = 0..2 mod q."""
-    same = (expected >> 2) == (received >> 2)
-    wrapped = (expected == Q - 1) & (received <= 2)
-    return (same | wrapped).all(axis=(-2, -1))
-
-
 def kem_v1_decaps(s: np.ndarray, zs, pks, received: np.ndarray,
                   params: ParamSet) -> list:
     """Decrypt each received ciphertext's protected words, encapsulate the
     result again as the sender did, compare; a session whose ciphertext
     mismatches yields its implicit-rejection secret rather than an error.
 
-    Decryption reads 4 * w10 + 2 mod q in place of each coefficient, so no
-    w2 bit sets any decryption noise.  The check accepts exactly the
-    ciphertexts whose w10 words equal the re-encryption's, and one wrap
-    besides: a coefficient sent as q - 1 and received as 0..2.  That
-    relation is public, so the target is replayable CCA (module docstring).
-    Each z must be 32 bytes (ValueError otherwise, before any work).
+    Decryption reads 4 * w10 + 2 in place of each received word, so no w2
+    bit sets any decryption noise.  The check accepts exactly the
+    ciphertexts whose w10 words equal the re-encryption's.  That relation is
+    public, so the target is replayable CCA (module docstring).  Each z must
+    be 32 bytes and each received word lie in [0, 4096) (ValueError
+    otherwise, before any work).
     """
     zs = [check_seed(z) for z in zs]
-    expected, secrets = kem_v1_encaps(
-        pks, wk_decrypt(s, (4 * (received >> 2) + 2) % Q), params)
+    w10 = check_range(received, 1 << 12, "received words") >> 2
+    expected, secrets = kem_v1_encaps(pks, wk_decrypt(s, 4 * w10 + 2), params)
     return [secret if ok
             else squeeze(z + squeeze(pack12(c_rx), b"ct", 32), b"rej", 32)
             for secret, ok, c_rx, z in zip(
-                secrets, _coeffs_match(expected, received), received, zs,
-                strict=True)]
+                secrets, ((expected >> 2) == w10).all(axis=(-2, -1)), received,
+                zs, strict=True)]
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ this is the wire contract for both protocol versions.  A public key's
 of 10 bits (4 zero pad bits).  ``send_key`` and ``send_coeffs`` send B
 sessions' key or ciphertext legs as (B, words) arrays, each session's flips
 drawn from its own noise source; ``receive_coeffs`` decodes them with one
-block decode.
+block decode into the received 12-bit words 4 * w10 + w2 (``pke`` reduces
+them mod q where ring arithmetic starts).
 
 The simulator samples that wire's hard-decision equivalent (see ``modem``):
 a received block is its 31-bit codeword XOR a flip mask, a received w2 the
@@ -29,6 +30,7 @@ import math
 import numpy as np
 
 from . import bch
+from .core import check_range
 from .dist import IntDist
 from .modem import ChannelPlan, NoiseSource, bit_error_prob, flip_masks
 from .params import Q
@@ -42,8 +44,9 @@ _BIT_SHIFTS = np.arange(9, -1, -1)     # a block's bits, most significant first
 
 
 def send_blocks(w10: np.ndarray, snr_msb_db: float, noise: NoiseSource) -> np.ndarray:
-    """Received 31-bit words of the BCH-encoded 10-bit messages w10."""
-    cw = bch.ENCODE_TABLE[np.asarray(w10, dtype=np.int64)]
+    """Received 31-bit words of the BCH-encoded 10-bit messages w10
+    (ValueError outside [0, 1024))."""
+    cw = bch.ENCODE_TABLE[check_range(w10, 1 << 10, "block messages")]
     return cw ^ flip_masks([noise], [(len(cw), bch.CODE_N,
                                       bit_error_prob(snr_msb_db))])[0]
 
@@ -68,12 +71,10 @@ def _send_leg(head: np.ndarray, coeffs, plan: ChannelPlan, noises):
     """B legs: the (B, h) protected words head, then each session's
     coefficients in row-major order.  Each session draws its flips from its
     own noise source: head blocks, coefficient blocks, then w2 bits."""
-    c = np.asarray(coeffs, dtype=np.int64)
+    c = check_range(coeffs, Q, "coefficients")
     if len(c) != len(noises):
         raise ValueError("one noise source per session expected")
     c = c.reshape(len(c), -1)
-    if c.size and (c.min() < 0 or c.max() >= Q):
-        raise ValueError("coefficients must lie in [0, q)")
     h, n, p_msb = head.shape[1], c.shape[1], bit_error_prob(plan.snr_msb_db)
     # a field of no words draws nothing (NoiseSource.flips)
     masks = flip_masks(noises, [(h, bch.CODE_N, p_msb), (n, bch.CODE_N, p_msb),
@@ -105,9 +106,8 @@ def receive_coeffs(msb: np.ndarray, lsb: np.ndarray):
     """Decode B sessions' received (B, m) msb and (B, n) lsb words with one
     block decode.  Returns (seeds, coeffs, failures): the B received seeds,
     or None for a ciphertext leg (a key leg's msb has 26 seed blocks more
-    than its lsb); the (B, n) coefficients 4*w10 + w2 mod q, where values
-    >= q (a stored q - 1 whose w2 rises, or a miscorrection) wrap as part of
-    the modelled noise; and the failed blocks per session."""
+    than its lsb); the (B, n) received 12-bit words 4 * w10 + w2 in
+    [0, 4096), not reduced mod q; and the failed blocks per session."""
     head = msb.shape[1] - lsb.shape[1]
     if head not in (0, SEED_BLOCKS):
         raise ValueError(f"a leg's msb holds {head} blocks more than its "
@@ -120,7 +120,7 @@ def receive_coeffs(msb: np.ndarray, lsb: np.ndarray):
         seeds = [seed.tobytes() for seed in np.packbits(
             bits.reshape(len(msb), -1)[:, :256].astype(np.uint8), axis=1,
             bitorder="little")]
-    return (seeds, (4 * w10[:, head:] + lsb) % Q,
+    return (seeds, 4 * w10[:, head:] + lsb,
             failed.reshape(msb.shape).sum(axis=1))
 
 

@@ -552,3 +552,10 @@ class TestPacking:
 
     def test_length(self):
         assert len(pack12(np.zeros(512, dtype=np.int64))) == 768
+
+    @pytest.mark.parametrize("values", [[4096, 0], [-1, 0], [0, 1 << 16]])
+    def test_rejects_values_past_12_bits(self, values):
+        # 4096 would pack as 0 with a carry into its neighbour:
+        # [4096, 0] and [0, 1] would share one packing
+        with pytest.raises(ValueError, match="4096"):
+            pack12(values)

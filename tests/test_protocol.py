@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from wkyber.core import (centered, decompress, gen_matrices, intt, mul_sum,
@@ -180,12 +180,11 @@ class TestKem:
         assert kem_v1_decaps(s, [b"\x55" * 32], pks, c_bad, P768) != out
 
     def test_lsb_perturbation_accepted_by_msb_policy(self):
-        # the channel rewrites w2 only: 4 * w10 + w2' mod q
+        # the channel rewrites w2 only: the received word is 4 * w10 + w2'
         pks, s, zs, c, secrets = kem_pair(b"n", b"m7")
         perturbed = c.copy()
         perturbed[0, 0, :64] = ((perturbed[0, 0, :64] & ~3)
-                                + np.random.default_rng(0)
-                                .integers(0, 4, 64)) % Q
+                                + np.random.default_rng(0).integers(0, 4, 64))
         assert kem_v1_decaps(s, zs, pks, perturbed, P768) == secrets
 
     def test_carry_into_protected_word_rejects(self):
@@ -198,16 +197,36 @@ class TestKem:
 
     def test_public_key_q_wrap_accepted(self):
         # a stored b = q - 1 = 4 * 832 whose w2 bits rise by 1..3 reaches the
-        # encapsulator as 0..2; both sides must still bind the same key
+        # encapsulator as the word 3329..3331, past q but with w10 = 832;
+        # both sides must still bind the same key
         pks, s, zs = kem_keys([b"wrap4"])
         seeds, b = pks
         assert b[0, 2, 185] == Q - 1
         bits = random_bits([stream(b"m8", 32)])
         for rise in (1, 2, 3):
             b_rx = b.copy()
-            b_rx[0, 2, 185] = (Q - 1 + rise) % Q
+            b_rx[0, 2, 185] = Q - 1 + rise
             c, secrets = kem_v1_encaps((seeds, b_rx), bits, P768)
             assert kem_v1_decaps(s, zs, pks, c, P768) == secrets
+
+    def test_encaps_encrypts_under_the_w10_projection(self, monkeypatch):
+        # the key every coefficient is encrypted under is b - (b & 3), the
+        # received word with its w2 bits zeroed: q - 1 and the words past q
+        # it can arrive as all project to 4 * 832
+        from wkyber import protocol
+        keys = []
+
+        def recording(pks, bits, coins, params):
+            keys.append(pks[1].copy())
+            return wk_encrypt(pks, bits, coins, params)
+
+        monkeypatch.setattr(protocol, "wk_encrypt", recording)
+        (seeds, b), _, _ = kem_keys([b"wrap4"])
+        b_rx = b.copy()
+        b_rx[0, 2, 185:189] = [Q - 1, Q, Q + 1, Q + 2]
+        kem_v1_encaps((seeds, b_rx), random_bits([stream(b"m8", 32)]), P768)
+        assert np.array_equal(keys[0], b_rx - (b_rx & 3))
+        assert keys[0][0, 2, 185:189].tolist() == [4 * 832] * 4
 
     def test_encaps_rejects_one_message_for_two_keys(self):
         pks, _, _ = kem_keys([b"k1", b"k2"])
@@ -229,14 +248,19 @@ class TestKem:
         with pytest.raises(ValueError, match="32 bytes"):
             kem_v1_decaps(s, [bytes(length)], pks, c, P768)
 
-    def test_msb_policy_allows_only_the_q_wrap(self):
-        from wkyber.protocol import _coeffs_match
-        clean = np.array([[Q - 1, Q - 1, Q - 1, Q - 1, 7]])
-        # stored q - 1 = 4 * 832 whose w2 rises to 1..3 wraps to 0..2
-        assert _coeffs_match(clean, np.array([[Q - 1, 0, 1, 2, 4]]))
-        for wrong in (3, Q - 2):
-            assert not _coeffs_match(clean, np.array([[wrong, 0, 1, 2, 4]]))
-        assert not _coeffs_match(clean, np.array([[Q - 1, 0, 1, 2, 8]]))
+    @pytest.mark.parametrize("word", [-1, 1 << 12, 1 << 31])
+    def test_decaps_rejects_words_past_12_bits(self, monkeypatch, word):
+        # received words are 12-bit; another value is refused before any
+        # decryption or re-encryption runs
+        from wkyber import protocol
+        pks, s, zs, c, _ = kem_pair(b"range", b"m9")
+        calls = []
+        monkeypatch.setattr(protocol, "wk_decrypt",
+                            lambda *args: calls.append(args))
+        c[0, 1, 7] = word
+        with pytest.raises(ValueError, match="4096"):
+            kem_v1_decaps(s, zs, pks, c, P768)
+        assert not calls
 
 
 @pytest.fixture(scope="module")
@@ -254,7 +278,8 @@ def static_key_sessions():
 
 class TestKemCheck:
     """The check accepts exactly the ciphertexts with the sender's w10
-    words (and the q wrap), and no choice of w2 bits reaches decryption."""
+    words, and no choice of w2 bits reaches decryption.  Tampered
+    ciphertexts are received 12-bit words, never reduced mod q."""
 
     @pytest.mark.parametrize("sign", [0, 1, -1],
                              ids=["random", "aligned", "reversed"])
@@ -272,7 +297,7 @@ class TestKemCheck:
         else:
             w2 = np.random.default_rng(5).integers(0, 4, u.shape)
         tampered = c.copy()
-        tampered[:, :-1] = ((u & ~3) + w2) % Q     # w10 kept, or wrapped
+        tampered[:, :-1] = (u & ~3) + w2     # w10 kept
         assert kem_v1_decaps(s, zs, keys, tampered, P768) == secrets
 
     @given(rewrites=st.lists(
@@ -283,22 +308,59 @@ class TestKemCheck:
     @settings(max_examples=60, deadline=None)
     def test_any_w2_rewrite_keeps_the_key(self, rewrites):
         pks, s, zs, c, secrets = kem_pair(b"k", b"m5")
-        assert c[0, 0, 23] == Q - 1        # the wrap coefficient
+        assert c[0, 0, 23] == Q - 1        # a rising w2 takes it past q
         tampered = c.copy()
         for (row, col), w2 in rewrites:
-            tampered[0, row, col] = ((c[0, row, col] & ~3) + w2) % Q
+            tampered[0, row, col] = (c[0, row, col] & ~3) + w2
         assert kem_v1_decaps(s, zs, pks, tampered, P768) == secrets
+
+    def test_sent_q_minus_one_keeps_its_w10(self):
+        # q - 1 = 4 * 832 arrives as 3329..3331 when its w2 rises: accepted;
+        # the residues 0..2 of those words carry w10 = 0: rejected
+        pks, s, zs, c, secrets = kem_pair(b"k", b"m5")
+        for word, accepted in [(Q, True), (Q + 1, True), (Q + 2, True),
+                               (0, False), (1, False), (2, False)]:
+            received = c.copy()
+            received[0, 0, 23] = word
+            out = kem_v1_decaps(s, zs, pks, received, P768)
+            assert (out == secrets) == accepted, word
+
+    @given(edits=st.lists(
+        st.tuples(st.one_of(st.just((0, 23)),
+                            st.tuples(st.integers(0, P768.k),
+                                      st.integers(0, N - 1))),
+                  st.booleans(),
+                  st.one_of(st.integers(0, (1 << 12) - 1),
+                            st.sampled_from([0, 1, 2, 3, Q - 1, Q, Q + 2,
+                                             Q + 3, (1 << 12) - 1]))),
+        min_size=1, max_size=6))
+    @example(edits=[((0, 23), False, 1)])   # q - 1 received as 1
+    @settings(max_examples=80, deadline=None)
+    def test_accepts_exactly_the_w10_words(self, edits):
+        # each edit writes any 12-bit word, or only the w2 bits of c's word;
+        # decapsulation returns the key iff every received word has c's
+        # w10, and the implicit rejection of the received words otherwise
+        pks, s, zs, c, secrets = kem_pair(b"k", b"m5")
+        received = c.copy()
+        for at, w2_only, word in edits:
+            received[(0, *at)] = ((c[(0, *at)] & ~3) + (word & 3) if w2_only
+                                  else word)
+        rejection = squeeze(zs[0] + squeeze(pack12(received[0]), b"ct", 32),
+                            b"rej", 32)
+        same_w10 = np.array_equal(received >> 2, c >> 2)
+        assert kem_v1_decaps(s, zs, pks, received, P768) == (
+            secrets if same_w10 else [rejection])
 
     @given(at=st.one_of(st.just((0, 23)),
                         st.tuples(st.integers(0, P768.k),
                                   st.integers(0, N - 1))),
-           value=st.one_of(st.integers(0, Q - 1),
-                           st.sampled_from([0, 2, 3, Q - 4, Q - 1])))
+           value=st.one_of(st.integers(0, (1 << 12) - 1),
+                           st.sampled_from([0, 2, 3, Q - 4, Q - 1, Q + 3])))
     @settings(max_examples=60, deadline=None)
     def test_any_w10_change_rejects(self, at, value):
         pks, s, zs, c, _ = kem_pair(b"k", b"m5")
         sent = int(c[(0, *at)])
-        assume(value >> 2 != sent >> 2 and not (sent == Q - 1 and value <= 2))
+        assume(value >> 2 != sent >> 2)
         c[(0, *at)] = value
         rejection = squeeze(zs[0] + squeeze(pack12(c[0]), b"ct", 32), b"rej",
                             32)
@@ -430,8 +492,8 @@ class TestBatchIndependence:
         pks, s, zs = kem_keys(labels, params, seeds_a)
         c, secrets = kem_v1_encaps(pks, bits, params)
         received = c.copy()
-        # + 4 changes w10 = c >> 2, and q - 1 + 4 wraps to 3, not to 0..2
-        received[bad, row, col] = (received[bad, row, col] + 4) % Q
+        # + 4 changes w10 = c >> 2, and the word stays below 4096
+        received[bad, row, col] += 4
         decapsulated = kem_v1_decaps(s, zs, pks, received, params)
         ct = wk_encrypt(pks, bits, coins, params)
         decrypted = wk_decrypt(s, ct)
@@ -484,7 +546,7 @@ class TestNoiseAccounting:
             (c,) = wk_encrypt(pks_rx, bits, [kg[nk + 32:]], P768)
             words = send_coeffs(c[None], ChannelPlan(10, -10),
                                 [NoiseSource(8000 + i)])
-            c_rx = receive_coeffs(*words)[1].reshape(c.shape)
+            c_rx = receive_coeffs(*words)[1].reshape(c.shape) % Q
             s_u = mul_sum(ntt(s[0])[None], c_rx[:-1])[0]
             observed.append(centered(c_rx[-1] - s_u - decompress(bits[0], 1)))
         observed = np.concatenate(observed)

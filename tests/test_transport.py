@@ -128,6 +128,16 @@ class TestFrames:
     def test_offset_histogram_matches_analytic(self):
         assert offset_chi2(NOMINAL, 40, 50) < 35  # df = 6, p ~ 1e-5
 
+    @pytest.mark.parametrize("bad", [-1, 1 << 10, 1 << 11])
+    def test_send_blocks_rejects_messages_past_10_bits(self, bad):
+        # -1 would index the table's last codeword and 1024..2047 break the
+        # leading zero message bit
+        with pytest.raises(ValueError, match="1024"):
+            send_blocks([0, bad], math.inf, NoiseSource(0))
+        got, _ = receive_blocks(send_blocks([0, 1023], math.inf,
+                                            NoiseSource(0)), 2)
+        assert got.tolist() == [0, 1023]
+
     def test_block_decode_failures_surface(self):
         # at very low MSB SNR failures must be counted, not raised
         words = np.random.default_rng(4).integers(0, 1024, 2000)
@@ -209,10 +219,10 @@ class TestChannelStatistics:
 
     @pytest.mark.parametrize("snr_db", [-5.0, 0.0, 6.0, 10.0])
     def test_w2_bit_flip_rates(self, snr_db):
-        # protected path noiseless, coefficients below q - 1 (no wrap), so
-        # the received w2 bits are the sent ones XOR the channel's flips
+        # protected path noiseless, so the received w2 bits are the sent
+        # ones XOR the channel's flips
         n = 100_000
-        coeffs = np.random.default_rng(60).integers(0, Q - 1, n)
+        coeffs = np.random.default_rng(60).integers(0, Q, n)
         plan = ChannelPlan(math.inf, snr_db)
         noise = NoiseSource(6100 + int(snr_db))
         rx, failures = receive(send_one(coeffs, plan, noise))
@@ -224,6 +234,15 @@ class TestChannelStatistics:
             count = np.count_nonzero((flips & pattern) == pattern)
             lo, hi = binom.interval(1 - 1e-6, n, prob)
             assert lo <= count <= hi, (pattern, count, n * prob)
+
+    def test_received_words_are_not_reduced(self):
+        # q - 1 = 4 * 832 whose w2 bits rise arrives as 3329..3331, a word
+        # past q that keeps w10 = 832 (a residue mod q would read 0..2)
+        coeffs = np.full(4000, Q - 1)
+        rx, failures = receive(send_one(coeffs, ChannelPlan(math.inf, -5.0),
+                                        NoiseSource(6150)))
+        assert failures == 0 and (rx >> 2 == 832).all()
+        assert (rx >= Q).any() and rx.max() < 1 << 12
 
     @pytest.mark.parametrize("snr_lsb_db", [-5.0, 0.0])
     def test_offset_histogram_across_snr(self, snr_lsb_db):
