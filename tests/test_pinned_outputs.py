@@ -127,6 +127,12 @@ PINNED_CSV = {
         "4269aecca984f6198681e5bd3ebf943a1e4a5d8e359625de2405282e250d9b49",
     ("failure-prob", "--snr-lsb", "-7"):
         "29785fe7b16b18a4041427b2f3a89f64304b1ca20005890f4099a6dcd4b1e01c",
+    # the operating window's edge, and a table past it whose deepest rows
+    # lie beyond 2^-340 per coefficient
+    ("failure-prob", "--snr-lsb", "-5"):
+        "ff937732a57e0d539ae56c18187fd2f8d97a3056101e3100f3adf4c43436870b",
+    ("failure-prob", "--snr-lsb", "0"):
+        "c855c299096510d0cf4479523aece7159fb59ce5a941f8e38127fd0dbffeea4e",
 }
 
 # CLI arguments -> sha256 of stdout and of stderr; at 9 / -3 dB both paths
