@@ -8,9 +8,14 @@ never cancel and each mass keeps its relative accuracy (about n * 2^-53 for
 n summed terms) however far into the tail it lies.  An FFT convolution
 would instead carry an absolute error near 2^-53 times the peak mass and
 lose the tail.  This is the method of the Kyber team's own failure script
-(Bos et al., "CRYSTALS-Kyber", EuroS&P 2018).  Tails below 2^-480 are
-trimmed; a conservation guard trips if an operation's total mass drifts by
-more than 1e-12 or produces a negative or non-finite mass.
+(Bos et al., "CRYSTALS-Kyber", EuroS&P 2018).  Each convolution or product
+trims the end masses below its trim (2^-480 unless the caller passes
+another) and adds them to the result's ``lost``, an upper bound on the mass
+the exact law holds beyond the stored masses; the stored masses never
+exceed the exact ones, so an exact tail lies between a computed tail and
+that tail plus its operands' ``lost``.  A conservation guard trips if an
+operation's total mass drifts by more than 1e-12 or produces a negative or
+non-finite mass.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import math
 
 import numpy as np
 
-_TRIM_BELOW = 2.0 ** -480      # masses under this are dropped from the ends
+TRIM = 2.0 ** -480             # default trim: end masses under it are dropped
 _GUARD = 1e-12                 # conservation tolerance
 
 
@@ -29,13 +34,16 @@ class PrecisionLossError(ArithmeticError):
 
 class IntDist:
     """Integer-valued distribution on a contiguous support with float64
-    masses.  Instances are immutable; operations return new distributions."""
+    masses.  Instances are immutable; operations return new distributions.
+    lost bounds the exact law's mass beyond the stored masses: 0 for a
+    constructed law."""
 
-    __slots__ = ("offset", "masses")
+    __slots__ = ("offset", "masses", "lost")
 
     def __init__(self, offset: int, masses):
         self.offset = int(offset)
         self.masses = np.array(masses, dtype=np.float64).ravel()
+        self.lost = 0.0
         if not self.masses.size:
             raise ValueError("empty distribution")
         if not np.isfinite(self.masses).all():
@@ -72,40 +80,46 @@ class IntDist:
     # -- arithmetic ----------------------------------------------------------
 
     def _checked(self, other: "IntDist", offset: int, masses: np.ndarray,
-                 op: str) -> "IntDist":
-        """Trimmed result of a binary operation whose output mass must
-        equal the product of the operands' masses.  One min and one sum:
-        a NaN fails both comparisons, an infinity fails the second."""
+                 op: str, trim: float) -> "IntDist":
+        """Result of a binary operation whose output mass must equal the
+        product of the operands' masses, its end masses below trim dropped
+        into lost.  One min and one sum: a NaN fails both comparisons, an
+        infinity fails the second."""
         expected = self.total_mass() * other.total_mass()
         if not (masses.min() >= 0
                 and abs(float(masses.sum()) - expected) <= _GUARD):
             raise PrecisionLossError(f"mass conservation violated in {op}")
-        keep = np.flatnonzero(masses >= _TRIM_BELOW)
+        lost = self.lost + other.lost
+        keep = np.flatnonzero(masses >= trim)
         if keep.size:   # a copy: a cached power keeps no untrimmed buffer
-            offset += keep[0]
-            masses = masses[keep[0]:keep[-1] + 1].copy()
+            lo, hi = keep[0], keep[-1] + 1
+            lost += float(masses[:lo].sum() + masses[hi:].sum())
+            offset += lo
+            masses = masses[lo:hi].copy()
         out = IntDist.__new__(IntDist)   # checked and owned: no second copy
-        out.offset, out.masses = int(offset), masses
+        out.offset, out.masses, out.lost = int(offset), masses, lost
         return out
 
-    def convolve(self, other: "IntDist") -> "IntDist":
+    def convolve(self, other: "IntDist", trim: float = TRIM) -> "IntDist":
         """Distribution of X + Y for independent X, Y (direct convolution)."""
         out = np.convolve(self.masses, other.masses)
-        return self._checked(other, self.offset + other.offset, out, "convolve")
+        return self._checked(other, self.offset + other.offset, out,
+                             "convolve", trim)
 
-    def product(self, other: "IntDist") -> "IntDist":
+    def product(self, other: "IntDist", trim: float = TRIM) -> "IntDist":
         """Distribution of X * Y for independent X, Y."""
         values = np.multiply.outer(self.support, other.support).ravel()
         lo = int(values.min())
         acc = np.bincount(values - lo, weights=np.multiply.outer(
             self.masses, other.masses).ravel())
-        return self._checked(other, lo, acc, "product")
+        return self._checked(other, lo, acc, "product", trim)
 
-    def convolve_power(self, times: int, squares: list | None = None) -> "IntDist":
+    def convolve_power(self, times: int, squares: list | None = None,
+                       trim: float = TRIM) -> "IntDist":
         """times-fold self-convolution, right to left over the ladder
         squares = [X, X^2, X^4, ...] of this law.  Missing rungs are
-        appended in place, so callers sharing a ladder square each power
-        once."""
+        appended in place, so callers sharing a ladder (at one trim) square
+        each power once."""
         if times < 1:
             raise ValueError("need at least one copy")
         if squares is None:
@@ -113,9 +127,10 @@ class IntDist:
         acc = None
         for rung in range(times.bit_length()):
             if rung == len(squares):
-                squares.append(squares[-1].convolve(squares[-1]))
+                squares.append(squares[-1].convolve(squares[-1], trim))
             if times >> rung & 1:
-                acc = squares[rung] if acc is None else acc.convolve(squares[rung])
+                acc = (squares[rung] if acc is None
+                       else acc.convolve(squares[rung], trim))
         return acc
 
     # -- tails ---------------------------------------------------------------

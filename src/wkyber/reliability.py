@@ -2,13 +2,16 @@
 
 The per-coefficient decryption noise is a sum of thousands of independent
 small terms; each term's law is an IntDist (see ``dist``).  Powers run right
-to left over a per-table ladder [X, X^2, X^4, ...] of each base law, and the
-same per-call dict keeps each finished k*n-fold power, so a table computes
-each distinct power once (119 convolutions, 63.2M mass products); both noise
-terms put the secret first, so equal laws have equal bytes and share a
-ladder.  The failure tail never forms the noise law: it is the dot product
-of one term's masses with suffix and prefix sums of the other's, again a sum
-of nonnegative terms.
+to left over a per-table ladder [X, X^2, X^4, ...] of each base law and
+trim, and the same per-call dict keeps each finished k*n-fold power, so a
+table computes each distinct power once; both noise terms put the secret
+first, so equal laws have equal bytes and share a ladder.  The failure tail
+never forms the noise law: it is the dot product of one term's masses with
+suffix and prefix sums of the other's, again a sum of nonnegative terms.
+Each row is computed at a 2^-340 trim first and kept when the trimmed mass
+bound is at most 2^-40 of its tail (a log2 error below 1.3e-12); otherwise
+it is recomputed at 2^-480.  Every row of the -10 dB table keeps its first
+rung: 119 convolutions, 42.7M mass products.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 from .core import centered, compress, decompress
 # re-exported until ROADMAP item 2 points perfbench's trace site
 # reliability.IntDist at dist; cli and tests import both from dist
-from .dist import IntDist, PrecisionLossError  # noqa: F401
+from .dist import TRIM, IntDist, PrecisionLossError  # noqa: F401
 from .params import N, PARAM_SETS, Q, ParamSet
 from .protocol import run_sessions
 from .transport import coeff_error_dist, dist_stddev
@@ -33,6 +36,11 @@ _Z975 = 1.959963984540054      # 0.975 quantile of the standard normal
 # decision regions of compress(x, 1) sit 832 = round(q/4) away from the
 # encoded points (asymmetrically by one unit, absorbed by the union bound)
 FAILURE_BOUND = (Q + 2) // 4
+
+# a row's trims, coarse first, and the share of its tail the mass trimmed
+# there may reach before the row moves to the next trim
+_TRIMS = (2.0 ** -340, TRIM)
+_CERTIFIED = 2.0 ** -40
 
 
 # ---------------------------------------------------------------------------
@@ -66,27 +74,28 @@ class ErrorModel:
                 raise ValueError(f"{name} is not normalised")
 
 
-def _noise_terms(params: ParamSet, model: ErrorModel,
-                 ladders: dict | None) -> tuple:
+def _noise_terms(params: ParamSet, model: ErrorModel, ladders: dict | None,
+                 trim: float = TRIM) -> tuple:
     """(key_power, rest), independent, with decryption noise = key_power +
     rest: the k*n-fold convolution of secret*pk_error, and that of
-    secret*ct_error plus e_dd.  ladders maps a base's (offset, mass bytes)
-    to its power ladder and (that key, k*n) to the power; sharing it
-    computes each power once."""
+    secret*ct_error plus e_dd, every operation at trim.  ladders maps a
+    base's (trim, offset, mass bytes) to its power ladder and (that key,
+    k*n) to the power; sharing it computes each power once."""
     model.validate()
     kn = params.k * N
     ladders = {} if ladders is None else ladders
 
     def power(base: IntDist) -> IntDist:
-        key = (base.offset, base.masses.tobytes())
+        key = (trim, base.offset, base.masses.tobytes())
         if (key, kn) not in ladders:
             ladders[key, kn] = base.convolve_power(
-                kn, ladders.setdefault(key, [base]))
+                kn, ladders.setdefault(key, [base]), trim)
         return ladders[key, kn]
 
-    rest = power(model.secret_dist.product(model.ct_error_dist)).convolve(
-        model.e_dd_dist)
-    return power(model.secret_dist.product(model.pk_error_dist)), rest
+    secret = model.secret_dist
+    rest = power(secret.product(model.ct_error_dist, trim)).convolve(
+        model.e_dd_dist, trim)
+    return power(secret.product(model.pk_error_dist, trim)), rest
 
 
 def failure_probability(params: ParamSet, model: ErrorModel,
@@ -95,9 +104,14 @@ def failure_probability(params: ParamSet, model: ErrorModel,
 
     Failure mass is P(|noise| >= 832) per coefficient, the tail_of_sum of
     the two noise terms; the message figure is n times that (union bound).
+    The exact tail lies in [tail, tail + key_power.lost + rest.lost], so a
+    coarse trim's tail is kept when that width is at most 2^-40 of it.
     """
-    key_power, rest = _noise_terms(params, model, ladders)
-    tail = key_power.tail_of_sum(rest, FAILURE_BOUND)
+    for trim in _TRIMS:
+        key_power, rest = _noise_terms(params, model, ladders, trim)
+        tail = key_power.tail_of_sum(rest, FAILURE_BOUND)
+        if key_power.lost + rest.lost <= _CERTIFIED * tail:
+            break
     return math.log2(N * tail) if tail > 0 else float("-inf")
 
 

@@ -173,6 +173,42 @@ class TestIntDist:
             Short(5, [1.0]).tail_of_sum(cbd, 1)
 
 
+class TestTrimCertificate:
+    laws = st.tuples(st.integers(-3, 3),
+                     st.lists(st.floats(0.0, 1.0), min_size=1,
+                              max_size=5).filter(any))
+
+    @staticmethod
+    def terms(a, b, times, trim):
+        """A product, its times-fold power and a convolution, at trim."""
+        p = a.product(b, trim)
+        return p.convolve_power(times, trim=trim), p.convolve(b, trim)
+
+    @given(laws, laws, st.integers(1, 40), st.integers(1, 60))
+    @example((-2, [1.0, 4.0, 6.0, 4.0, 1.0]), (-1, [1.0, 2.0, 1.0]), 24, 20)
+    @example((0, [1.0]), (-1, [1.0, 1.0]), 3, 2)        # nothing trimmed
+    @settings(max_examples=150, deadline=None)
+    def test_exact_tail_within_lost_of_computed(self, a, b, times, bound):
+        # the exact laws are the same operations with nothing trimmed
+        a, b = (IntDist(off, np.array(m) / sum(m)) for off, m in (a, b))
+        x, y = self.terms(a, b, times, 2.0 ** -20)
+        exact_x, exact_y = self.terms(a, b, times, 0.0)
+        assert exact_x.lost == exact_y.lost == 0.0
+        for got, exact in ((x, exact_x), (y, exact_y)):
+            assert got.lost >= 0.0
+            if (got.offset, got.masses.size) == (exact.offset,
+                                                 exact.masses.size):
+                assert got.lost == 0.0     # no end mass was trimmed
+        tail, want = x.tail_of_sum(y, bound), exact_x.tail_of_sum(exact_y, bound)
+        slack = 1 + 1e-12                  # float rounding of the sums
+        assert tail <= want * slack, (tail, want)
+        assert want <= (tail + x.lost + y.lost) * slack, (tail, want)
+
+    def test_constructed_laws_lose_nothing(self):
+        assert IntDist.centered_binomial(3).lost == 0.0
+        assert coeff_error_dist(-10.0).lost == 0.0
+
+
 class TestChannelIntDist:
     @pytest.mark.parametrize("variant", ["exact", "approx"])
     def test_matches_float_pmf(self, variant):
@@ -251,6 +287,18 @@ class TestFailureProbability:
     def test_failure_bound_value(self):
         assert FAILURE_BOUND == 832
 
+    def test_uncertified_row_returns_the_fine_trim(self):
+        # at 0 dB the v2 exact k = 3 tail sits near 2^-545 per message, too
+        # deep for the mass a 2^-340 trim drops, so the row is the 2^-480
+        # value exactly
+        model = wkyber_v2_model(KYBER768, 0.0)
+        key_power, rest = _noise_terms(KYBER768, model, None, 2.0 ** -340)
+        coarse = key_power.tail_of_sum(rest, FAILURE_BOUND)
+        assert key_power.lost + rest.lost > 2.0 ** -40 * coarse
+        key_power, rest = _noise_terms(KYBER768, model, None, 2.0 ** -480)
+        fine = math.log2(N * key_power.tail_of_sum(rest, FAILURE_BOUND))
+        assert failure_probability(KYBER768, model) == fine
+
 
 # log2 failure probabilities of the 512-bit fixed-point engine this float64
 # engine replaced, at -10 dB: (scheme, k, snr_lsb_db, variant, log2 P_fail)
@@ -309,26 +357,29 @@ class TestSharedLadders:
             got = failure_probability(params, model, ladders)
             assert abs(got - math.log2(N * tail)) <= 1e-12, params
 
-    def test_each_table_computes_its_own_powers(self, monkeypatch):
+    @pytest.mark.parametrize("snr_lsb_db", [-10.0, -5.0])
+    def test_each_table_computes_its_own_powers(self, monkeypatch,
+                                                snr_lsb_db):
         # 94 squarings climb the ladders of the 10 distinct bases, 4
         # products give the distinct k = 3 powers X^512 * X^256, and the 15
         # rows add 21 convolutions (ct power * e_dd each, plus the two
         # compression terms in each baseline model's ciphertext laws); the
-        # tail reads the key power against the rest without a convolution.  Every table pays all
-        # 119: no power outlives the call that computed it, whatever ran
-        # before
+        # tail reads the key power against the rest without a convolution.
+        # Every row in the operating window keeps its first trim, and every
+        # table pays all 119: no power outlives the call that computed it,
+        # whatever ran before
         calls = []
         convolve = IntDist.convolve
 
-        def counted(self, other):
+        def counted(self, other, *trim):
             calls.append(None)
-            return convolve(self, other)
+            return convolve(self, other, *trim)
 
         monkeypatch.setattr(IntDist, "convolve", counted)
         counts = []
         for _ in range(2):
             calls.clear()
-            failure_prob_rows(-10.0)
+            failure_prob_rows(snr_lsb_db)
             counts.append(len(calls))
         assert counts == [119, 119]
 
