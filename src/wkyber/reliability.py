@@ -1,17 +1,23 @@
 """Decryption-failure analysis and Monte Carlo key-error-rate harness.
 
-The per-coefficient decryption noise is a sum of thousands of independent
-small terms; each term's law is an IntDist (see ``dist``).  Powers run right
-to left over a per-table ladder [X, X^2, X^4, ...] of each base law and
-trim, and the same per-call dict keeps each finished k*n-fold power, so a
-table computes each distinct power once; both noise terms put the secret
-first, so equal laws have equal bytes and share a ladder.  The failure tail
-never forms the noise law: it is the dot product of one term's masses with
-suffix and prefix sums of the other's, again a sum of nonnegative terms.
-Each row is computed at a 2^-340 trim first and kept when the trimmed mass
-bound is at most 2^-40 of its tail (a log2 error below 1.3e-12); otherwise
-it is recomputed at 2^-480.  Every row of the -10 dB table keeps its first
-rung: 119 convolutions, 42.7M mass products.
+The per-coefficient decryption noise S is k n copies of W = secret*pk_error
++ secret*ct_error (exact IntDists, see ``dist``) plus an e_dd term Z.
+P(S >= 832) is a tilted FFT at the saddlepoint (Daniels 1954; Keich 2005):
+theta solves K'(theta) = 832, K = k n log M_W + log M_Z, and the laws
+tilted by e^(theta x) / M sum to a law T whose largest masses sit at 832,
+so the FFT's error (absolute, near 2^-53 of the largest mass, which would
+drown an untilted tail) is relative to the tail.  A WINDOW = 1024-point
+transform holds T on [64, 1088): W's transform to the k n-th power by
+squaring, times Z's, one irfft, P(S >= 832) = e^(K - 832 theta) sum T(s)
+e^(-theta (s - 832)) over the 256 bins from 832.  The lower tail is the
+mirrored laws'; a table's 15 rows are one batch of 30 tails.  A tail is
+certified (else PrecisionLossError) when a Chernoff bound on T's mass
+outside the window and a running float error bound (Higham 2002, 3.3) are
+each within 2^-40 of the sum.  To first order in u = 2^-53, X - 1 (W's
+transform less one, from first-quadrant sines) is within (2t + 8) u sum
+p(x) (|sin wx| + 2 sin^2(wx/2)), t nonzero masses: nil at w = 0, so k n
+does not multiply it.  Squaring X - 1 rounds within 4 u of its value, a
+product within 3 u, an (i)rfft entry within 5 log2(WINDOW) u of the l1 norm.
 """
 
 from __future__ import annotations
@@ -23,9 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import centered, compress, decompress
-# re-exported until ROADMAP item 2 points perfbench's trace site
-# reliability.IntDist at dist; cli and tests import both from dist
-from .dist import TRIM, IntDist, PrecisionLossError  # noqa: F401
+from .dist import IntDist, PrecisionLossError
 from .params import N, PARAM_SETS, Q, ParamSet
 from .protocol import run_sessions
 from .transport import coeff_error_dist, dist_stddev
@@ -37,10 +41,11 @@ _Z975 = 1.959963984540054      # 0.975 quantile of the standard normal
 # encoded points (asymmetrically by one unit, absorbed by the union bound)
 FAILURE_BOUND = (Q + 2) // 4
 
-# a row's trims, coarse first, and the share of its tail the mass trimmed
-# there may reach before the row moves to the next trim
-_TRIMS = (2.0 ** -340, TRIM)
-_CERTIFIED = 2.0 ** -40
+# window, bins read from 832 up, certified share, u and 5 log2(WINDOW) u
+WINDOW, _READ, _CERTIFIED = 1024, 256, 2.0 ** -40
+_EPS, _FFT_ERROR = 2.0 ** -53, 5 * math.log2(WINDOW) * 2.0 ** -53
+# sin(pi k / WINDOW), k = 0..WINDOW, each from a first-quadrant argument
+_HALF = np.sin(np.pi / WINDOW * np.r_[:WINDOW // 2 + 1, WINDOW // 2 - 1:-1:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -69,62 +74,137 @@ class ErrorModel:
 
     def validate(self):
         for name in ("secret_dist", "pk_error_dist", "ct_error_dist", "e_dd_dist"):
-            dist = getattr(self, name)
-            if not dist.mass_defect() <= 1e-9:
+            if not getattr(self, name).mass_defect() <= 1e-9:
                 raise ValueError(f"{name} is not normalised")
+        return self
 
 
-def _noise_terms(params: ParamSet, model: ErrorModel, ladders: dict | None,
-                 trim: float = TRIM) -> tuple:
-    """(key_power, rest), independent, with decryption noise = key_power +
-    rest: the k*n-fold convolution of secret*pk_error, and that of
-    secret*ct_error plus e_dd, every operation at trim.  ladders maps a
-    base's (trim, offset, mass bytes) to its power ladder and (that key,
-    k*n) to the power; sharing it computes each power once."""
-    model.validate()
-    kn = params.k * N
-    ladders = {} if ladders is None else ladders
-
-    def power(base: IntDist) -> IntDist:
-        key = (trim, base.offset, base.masses.tobytes())
-        if (key, kn) not in ladders:
-            ladders[key, kn] = base.convolve_power(
-                kn, ladders.setdefault(key, [base]), trim)
-        return ladders[key, kn]
-
-    secret = model.secret_dist
-    rest = power(secret.product(model.ct_error_dist, trim)).convolve(
-        model.e_dd_dist, trim)
-    return power(secret.product(model.pk_error_dist, trim)), rest
+def _cgf(tails: tuple, theta: np.ndarray) -> tuple:
+    """(K, K', K'', W and Z tilted by e^(theta x) / M) per tail, K = count
+    log M_W + log M_Z, from log masses on the grid -r..r."""
+    out, laws = 0, []
+    for logs, times in zip(tails, (tails[2], 1)):
+        grid = np.arange(logs.shape[1]) - logs.shape[1] // 2
+        arg = logs + theta[:, None] * grid
+        top = arg.max(axis=1)
+        masses = np.exp(arg - top[:, None])
+        total = masses.sum(axis=1)
+        masses /= total[:, None]
+        mean = masses @ grid
+        var = ((grid - mean[:, None]) ** 2 * masses).sum(axis=1)
+        out = out + times * np.array([top + np.log(total), mean, var])
+        laws.append(masses)
+    return (*out, *laws)
 
 
-def failure_probability(params: ParamSet, model: ErrorModel,
-                        ladders: dict | None = None) -> float:
-    """log2 of the message decryption-failure probability.
-
-    Failure mass is P(|noise| >= 832) per coefficient, the tail_of_sum of
-    the two noise terms; the message figure is n times that (union bound).
-    The exact tail lies in [tail, tail + key_power.lost + rest.lost], so a
-    coarse trim's tail is kept when that width is at most 2^-40 of it.
-    """
-    for trim in _TRIMS:
-        key_power, rest = _noise_terms(params, model, ladders, trim)
-        tail = key_power.tail_of_sum(rest, FAILURE_BOUND)
-        if key_power.lost + rest.lost <= _CERTIFIED * tail:
+def _saddlepoint(tails: tuple) -> tuple:
+    """(theta, _cgf there), 16 (K' - 832)^2 <= K'': a Newton step inside the
+    bracket and below far, else far while it is open above, else its mid."""
+    theta = np.zeros(len(tails[2]))
+    lo, hi = theta.copy(), theta + np.inf
+    for _ in range(64):    # then the certificate judges where it stopped
+        state = _cgf(tails, theta)
+        slope, curv = state[1] - FAILURE_BOUND, state[2]
+        if (16 * slope * slope <= curv).all():
             break
-    return math.log2(N * tail) if tail > 0 else float("-inf")
+        lo, hi = np.where(slope < 0, theta, lo), np.where(slope > 0, theta, hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step, far = theta - slope / curv, 2 * theta + 0.5
+            mid = np.where(lo > 0, np.sqrt(lo * hi), hi / 2)
+        theta = np.where((step > lo) & (step < np.minimum(hi, far)), step,
+                         np.where(hi < np.inf, mid, far))
+    return theta, state
+
+
+def _log_tails(tails: tuple) -> np.ndarray:
+    """ln P(S >= 832) per tail (W, Z log masses, count), S = count Ws + Z."""
+    theta, (cgf, _, var, pair, last) = _saddlepoint(tails)
+    # the laws start at index 0, so T sits shifted by Z's reach; |X| <= |W's
+    # rfft| + _FFT_ERROR, and X is raised only where some tail's bound on
+    # |X|^count tops 2^-64, elsewhere 0 plus that bound on the error
+    pair_ft, spectrum = (np.fft.rfft(p, WINDOW) for p in (pair, last))
+    cap = np.exp(tails[2][:, None] * np.log(np.abs(pair_ft) + _FFT_ERROR))
+    keep = (cap > 2.0 ** -64).any(axis=0)
+    # offset = X - 1 = sum p(x) (cos - 1 - i sin)(2 pi w x / WINDOW)
+    j = np.outer(np.arange(pair.shape[1]) - pair.shape[1] // 2,
+                 np.flatnonzero(keep)) % WINDOW
+    sines = np.where(j < WINDOW // 2, 1, -1) * _HALF[2 * j % WINDOW]
+    offset = pair @ (-2 * _HALF[j] ** 2) - 1j * (pair @ sines)
+    err = ((2 * np.count_nonzero(pair, axis=1) + 8)[:, None] * _EPS
+           * (pair @ np.abs(sines) - offset.real))
+    # power = X^count over the bits of count, value = X^(2^j) = 1 + offset
+    power, power_err = np.ones_like(offset), np.zeros(offset.shape)
+    for j in range(int(tails[2].max()).bit_length()):
+        value = offset + 1
+        size = np.abs(value)
+        rows = np.flatnonzero(tails[2] >> j & 1)
+        new = power[rows] * value[rows]
+        power_err[rows] = (np.abs(power[rows]) * (err + _EPS * size)[rows]
+                           + size[rows] * power_err[rows]
+                           + 3 * _EPS * np.abs(new))
+        power[rows] = new
+        offset *= offset + 2
+        err = 2 * size * err + 4 * _EPS * np.abs(offset)
+    size, last_size = np.abs(power), np.abs(spectrum)
+    bound = 2 / WINDOW * (((power_err + (3 * _EPS + _FFT_ERROR) * size)
+                           * last_size[:, keep] + _FFT_ERROR * size).sum(1)
+                          + (cap * (last_size + _FFT_ERROR))[:, ~keep].sum(1))
+    spectrum[:, ~keep], spectrum[:, keep] = 0, spectrum[:, keep] * power
+    steps = np.arange(_READ)
+    weights = np.exp(-theta[:, None] * steps)
+    read = np.fft.irfft(spectrum, WINDOW)[
+        :, (FAILURE_BOUND + last.shape[1] // 2 + steps) % WINDOW] * weights
+    tail = read.sum(axis=1)
+    float_err = bound * weights.sum(axis=1) + _EPS * (
+        np.abs(read) * (_READ + 2 + theta[:, None] * steps)).sum(axis=1)
+    # Chernoff, P(S >= a) <= e^(K(theta + t) - K - t a) (t < 0: S <= a)
+    top = FAILURE_BOUND + _READ
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        up, down = _READ / var, (_READ - WINDOW) / var
+        above, below = (np.exp(_cgf(tails, theta + t)[0] - cgf - t * a)
+                        for t, a in ((up, top), (down, top - WINDOW - 1)))
+        wrap = above * (np.exp(-theta * _READ)
+                        + np.exp(up * (_READ - WINDOW))) + below
+    if not (np.maximum(wrap, float_err) <= _CERTIFIED * tail).all():
+        raise PrecisionLossError("tilted tail outside its certificate")
+    return cgf - FAILURE_BOUND * theta + np.log(tail)
+
+
+def _log2_failures(rows) -> list:
+    """log2 of n P(|noise| >= 832) per (params, model) row: each row's upper
+    tail and its mirrored laws' in one batch, -inf where out of reach."""
+    tails = []
+    for laws in ([m.validate().secret_dist.product(m.pk_error_dist).convolve(
+            m.secret_dist.product(m.ct_error_dist)) for _, m in rows],
+                 [m.e_dd_dist for _, m in rows]):    # W, Z, then mirrored
+        r = max(max(-d.offset, d.offset + len(d.masses) - 1) for d in laws)
+        logs = np.full((len(laws), 2 * r + 1), -np.inf)
+        with np.errstate(divide="ignore"):
+            for row, d in zip(logs, laws):
+                row[d.offset + r:][:len(d.masses)] = np.log(d.masses)
+        tails.append(np.concatenate([logs, logs[:, ::-1]]))
+    tails.append(np.tile([params.k * N for params, _ in rows], 2))
+    reach = sum(times * (logs.shape[1] // 2
+                         - np.isfinite(logs[:, ::-1]).argmax(axis=1))
+                for logs, times in zip(tails, (tails[2], 1)))
+    logs, live = np.full(len(reach), -np.inf), reach >= FAILURE_BOUND
+    if live.any():
+        logs[live] = _log_tails(tuple(t[live] for t in tails))
+    both = np.logaddexp(*logs.reshape(2, -1))
+    return ((both + math.log(N)) / math.log(2)).tolist()
+
+
+def failure_probability(params: ParamSet, model: ErrorModel) -> float:
+    """log2 of n P(|noise| >= 832), the message failure union bound."""
+    return _log2_failures([(params, model)])[0]
 
 
 def standard_kyber_model(params: ParamSet) -> ErrorModel:
     """The baseline scheme: binomial errors everywhere, each ciphertext
     term convolved with its compression error."""
-    e2 = IntDist.centered_binomial(params.eta2)
-    return ErrorModel(
-        secret_dist=IntDist.centered_binomial(params.eta1),
-        pk_error_dist=IntDist.centered_binomial(params.eta1),
-        ct_error_dist=e2.convolve(compression_error_dist(params.du)),
-        e_dd_dist=e2.convolve(compression_error_dist(params.dv)),
-    )
+    e1, e2 = (IntDist.centered_binomial(e) for e in (params.eta1, params.eta2))
+    return ErrorModel(e1, e1, e2.convolve(compression_error_dist(params.du)),
+                      e2.convolve(compression_error_dist(params.dv)))
 
 
 def wkyber_v1_model(params: ParamSet, snr_lsb_db: float,
@@ -141,25 +221,16 @@ def wkyber_v1_model(params: ParamSet, snr_lsb_db: float,
     this channel law, which the rows keep to model the published figures.
     """
     ch = coeff_error_dist(snr_lsb_db, variant)
-    return ErrorModel(
-        secret_dist=IntDist.centered_binomial(params.eta1),
-        pk_error_dist=IntDist.centered_binomial(
-            params.eta1 if pk_error_eta is None else pk_error_eta),
-        ct_error_dist=ch,
-        e_dd_dist=ch,
-    )
+    pk_eta = params.eta1 if pk_error_eta is None else pk_error_eta
+    return ErrorModel(IntDist.centered_binomial(params.eta1),
+                      IntDist.centered_binomial(pk_eta), ch, ch)
 
 
 def wkyber_v2_model(params: ParamSet, snr_lsb_db: float,
                     variant: str = "exact") -> ErrorModel:
     """V2: the channel supplies the key error as well."""
     ch = coeff_error_dist(snr_lsb_db, variant)
-    return ErrorModel(
-        secret_dist=IntDist.centered_binomial(params.eta1),
-        pk_error_dist=ch,
-        ct_error_dist=ch,
-        e_dd_dist=ch,
-    )
+    return ErrorModel(IntDist.centered_binomial(params.eta1), ch, ch, ch)
 
 
 def failure_prob_rows(snr_lsb_db: float = -10.0):
@@ -169,20 +240,18 @@ def failure_prob_rows(snr_lsb_db: float = -10.0):
     The V1 rows draw the key error at eta2, as the published figures do
     (see wkyber_v1_model).
     """
-    rows = []
-    ladders = {}     # one per table: the rows share their bases' powers
-    for bits, params in PARAM_SETS.items():
-        rows.append((params.name, params.k, "", "", failure_probability(
-            params, standard_kyber_model(params), ladders)))
+    labels, rows = [], []
+    for params in PARAM_SETS.values():
+        labels.append((params.name, params.k, "", ""))
+        rows.append((params, standard_kyber_model(params)))
         for variant in ("exact", "approx"):
-            v1 = wkyber_v1_model(params, snr_lsb_db, variant,
-                                 pk_error_eta=params.eta2)
-            rows.append(("wkyber-v1", params.k, snr_lsb_db, variant,
-                         failure_probability(params, v1, ladders)))
-            v2 = wkyber_v2_model(params, snr_lsb_db, variant)
-            rows.append(("wkyber-v2", params.k, snr_lsb_db, variant,
-                         failure_probability(params, v2, ladders)))
-    return rows
+            labels += [(scheme, params.k, snr_lsb_db, variant)
+                       for scheme in ("wkyber-v1", "wkyber-v2")]
+            rows += [(params, wkyber_v1_model(params, snr_lsb_db, variant,
+                                              pk_error_eta=params.eta2)),
+                     (params, wkyber_v2_model(params, snr_lsb_db, variant))]
+    return [(*label, value)
+            for label, value in zip(labels, _log2_failures(rows))]
 
 
 # ---------------------------------------------------------------------------

@@ -133,6 +133,10 @@ PINNED_CSV = {
         "ff937732a57e0d539ae56c18187fd2f8d97a3056101e3100f3adf4c43436870b",
     ("failure-prob", "--snr-lsb", "0"):
         "c855c299096510d0cf4479523aece7159fb59ce5a941f8e38127fd0dbffeea4e",
+    # further past it: rows down to 2^-1405 per message, three of them
+    # below float64's smallest subnormal
+    ("failure-prob", "--snr-lsb", "5"):
+        "50e36ce929d0103caea1881a8bffbdc0251cd11dba00e84175bed018c99288f9",
 }
 
 # CLI arguments -> sha256 of stdout and of stderr; at 9 / -3 dB both paths

@@ -528,9 +528,9 @@ class TestBatchIndependence:
 
 
 class TestNoiseAccounting:
-    def test_v2_noise_matches_convolution_engine(self):
+    def test_v2_noise_matches_convolution_engine(self, noise_law):
         """End-to-end per-coefficient decryption noise vs the analytic law."""
-        from wkyber.reliability import _noise_terms, wkyber_v2_model
+        from wkyber.reliability import wkyber_v2_model
 
         observed = []
         for i in range(60):
@@ -551,8 +551,7 @@ class TestNoiseAccounting:
             observed.append(centered(c_rx[-1] - s_u - decompress(bits[0], 1)))
         observed = np.concatenate(observed)
 
-        key, rest = _noise_terms(P768, wkyber_v2_model(P768, -10.0), None)
-        dist = key.convolve(rest)
+        dist = noise_law(P768, wkyber_v2_model(P768, -10.0))
         support = np.array(list(dist.support))
         cdf = np.cumsum(dist.masses)
         # KS distance between the empirical sample and the analytic CDF

@@ -4,13 +4,12 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
+from wkyber import reliability
 from wkyber.dist import IntDist, PrecisionLossError
 from wkyber.modem import ChannelPlan
 from wkyber.params import KYBER512, KYBER768, N, PARAM_SETS, Q
-from wkyber.reliability import (FAILURE_BOUND, ErrorModel, _noise_terms,
+from wkyber.reliability import (FAILURE_BOUND, ErrorModel,
                                 compression_error_dist, failure_probability,
                                 failure_prob_rows, ker_monte_carlo,
                                 rate_interval, sigma_vs_snr,
@@ -19,13 +18,6 @@ from wkyber.reliability import (FAILURE_BOUND, ErrorModel, _noise_terms,
 from wkyber.transport import channel_error_pmf, coeff_error_dist
 
 ZERO = IntDist(0, [1.0])   # the point mass at 0
-
-
-def noise_distribution(params, model, ladders=None):
-    """Oracle: the full law of the per-coefficient decryption noise, which
-    the failure tail reads without forming."""
-    key_power, rest = _noise_terms(params, model, ladders)
-    return key_power.convolve(rest)
 
 
 def with_mass(value):
@@ -76,36 +68,14 @@ class TestIntDist:
         assert is_symmetric(ch.product(IntDist.centered_binomial(3)))
 
     def test_256_fold_power_symmetric_and_conserved(self):
-        d = IntDist.centered_binomial(2).convolve_power(256)
+        d = IntDist.centered_binomial(2)
+        for _ in range(8):
+            d = d.convolve(d)
         assert is_symmetric(d)
         assert d.mass_defect() < 1e-12
 
-    @given(st.integers(-3, 3),
-           st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5).filter(any),
-           st.lists(st.integers(1, 300), min_size=1, max_size=4))
-    @settings(max_examples=40, deadline=None)
-    def test_ladder_power_matches_repeated_convolution(self, offset, masses,
-                                                       times):
-        base = IntDist(offset, np.array(masses) / sum(masses))
-        repeated = [base]
-        while len(repeated) < max(times):
-            repeated.append(repeated[-1].convolve(base))
-        shared = [base]
-        for t in times:
-            power = base.convolve_power(t, shared)
-            fresh = base.convolve_power(t)
-            assert power.offset == fresh.offset
-            assert power.masses.tobytes() == fresh.masses.tobytes()
-            # masses above 2^-400 sit far from the 2^-480 trim of either path
-            got, want = power.as_dict(), repeated[t - 1].as_dict()
-            for v in set(got) | set(want):
-                a, b = got.get(v, 0.0), want.get(v, 0.0)
-                if max(a, b) >= 2.0 ** -400:
-                    assert abs(a - b) <= 1e-12 * max(a, b), (t, v, a, b)
-
-    def test_mass_conservation_through_heavy_pipeline(self):
-        noise = noise_distribution(KYBER512,
-                                   wkyber_v2_model(KYBER512, -10.0))
+    def test_mass_conservation_through_heavy_pipeline(self, noise_law):
+        noise = noise_law(KYBER512, wkyber_v2_model(KYBER512, -10.0))
         assert noise.mass_defect() < 1e-12
 
     def test_guard_trips_on_inconsistent_mass(self):
@@ -137,73 +107,6 @@ class TestIntDist:
             nan.convolve(IntDist.centered_binomial(2))
         with pytest.raises(PrecisionLossError):
             nan.product(IntDist.centered_binomial(2))
-
-    laws = st.tuples(st.integers(-12, 12),
-                     st.lists(st.floats(0.0, 1.0), min_size=1,
-                              max_size=8).filter(any))
-
-    @given(laws, laws, st.integers(1, 24))
-    @example((-3, [1.0, 2.0, 1.0]), (0, [1.0]), 1)       # bound 1
-    @example((-2, [1.0, 1.0]), (0, [1.0, 1.0, 1.0]), 5)  # entirely inside
-    @example((6, [1.0, 3.0]), (-12, [1.0, 1.0]), 3)      # entirely beyond
-    @settings(max_examples=200, deadline=None)
-    def test_tail_of_sum_matches_convolution(self, a, b, bound):
-        x, y = (IntDist(off, np.array(m) / sum(m)) for off, m in (a, b))
-        want = sum(p * q for u, p in zip(x.support, x.masses)
-                   for v, q in zip(y.support, y.masses)
-                   if abs(u + v) >= bound)
-        got = x.tail_of_sum(y, bound)
-        assert abs(got - want) <= 1e-14 * max(want, 1e-300), (got, want)
-
-    def test_tail_guard_trips(self):
-        cbd = IntDist.centered_binomial(2)
-        for bad in (float("nan"), float("inf")):
-            with pytest.raises(PrecisionLossError):
-                with_mass(bad).tail_of_sum(cbd, 1)
-
-        # every pair sums beyond the bound, so the tail is the claimed
-        # total plus 1e-10: more than the operands' mass can hold
-        class Short(IntDist):
-            __slots__ = ()
-
-            def total_mass(self):
-                return super().total_mass() - 1e-10
-
-        with pytest.raises(PrecisionLossError):
-            Short(5, [1.0]).tail_of_sum(cbd, 1)
-
-
-class TestTrimCertificate:
-    laws = st.tuples(st.integers(-3, 3),
-                     st.lists(st.floats(0.0, 1.0), min_size=1,
-                              max_size=5).filter(any))
-
-    @staticmethod
-    def terms(a, b, times, trim):
-        """A product, its times-fold power and a convolution, at trim."""
-        p = a.product(b, trim)
-        return p.convolve_power(times, trim=trim), p.convolve(b, trim)
-
-    @given(laws, laws, st.integers(1, 40), st.integers(1, 60))
-    @example((-2, [1.0, 4.0, 6.0, 4.0, 1.0]), (-1, [1.0, 2.0, 1.0]), 24, 20)
-    @example((0, [1.0]), (-1, [1.0, 1.0]), 3, 2)        # nothing trimmed
-    @settings(max_examples=150, deadline=None)
-    def test_exact_tail_within_lost_of_computed(self, a, b, times, bound):
-        # the exact laws are the same operations with nothing trimmed
-        a, b = (IntDist(off, np.array(m) / sum(m)) for off, m in (a, b))
-        x, y = self.terms(a, b, times, 2.0 ** -20)
-        exact_x, exact_y = self.terms(a, b, times, 0.0)
-        assert exact_x.lost == exact_y.lost == 0.0
-        for got, exact in ((x, exact_x), (y, exact_y)):
-            assert got.lost >= 0.0
-            if (got.offset, got.masses.size) == (exact.offset,
-                                                 exact.masses.size):
-                assert got.lost == 0.0     # no end mass was trimmed
-        tail = x.tail_of_sum(y, bound)
-        want = exact_x.tail_of_sum(exact_y, bound)
-        slack = 1 + 1e-12                  # float rounding of the sums
-        assert tail <= want * slack, (tail, want)
-        assert want <= (tail + x.lost + y.lost) * slack, (tail, want)
 
 
 class TestChannelIntDist:
@@ -284,18 +187,6 @@ class TestFailureProbability:
     def test_failure_bound_value(self):
         assert FAILURE_BOUND == 832
 
-    def test_uncertified_row_returns_the_fine_trim(self):
-        # at 0 dB the v2 exact k = 3 tail sits near 2^-545 per message, too
-        # deep for the mass a 2^-340 trim drops, so the row is the 2^-480
-        # value exactly
-        model = wkyber_v2_model(KYBER768, 0.0)
-        key_power, rest = _noise_terms(KYBER768, model, None, 2.0 ** -340)
-        coarse = key_power.tail_of_sum(rest, FAILURE_BOUND)
-        assert key_power.lost + rest.lost > 2.0 ** -40 * coarse
-        key_power, rest = _noise_terms(KYBER768, model, None, 2.0 ** -480)
-        fine = math.log2(N * key_power.tail_of_sum(rest, FAILURE_BOUND))
-        assert failure_probability(KYBER768, model) == fine
-
 
 # log2 failure probabilities of the 512-bit fixed-point engine this float64
 # engine replaced, at -10 dB: (scheme, k, snr_lsb_db, variant, log2 P_fail)
@@ -326,17 +217,20 @@ class TestGoldenTable:
             assert abs(row[4] - want[4]) <= 1e-9, (row, want)
 
 
-def table_models():
-    """(params, model) of each failure_prob_rows(-10.0) row, in order."""
+def table_models(snr_lsb_db=-10.0):
+    """(params, model) of each failure_prob_rows(snr_lsb_db) row, in
+    order."""
     for params in PARAM_SETS.values():
         yield params, standard_kyber_model(params)
         for variant in ("exact", "approx"):
-            yield params, wkyber_v1_model(params, -10.0, variant,
+            yield params, wkyber_v1_model(params, snr_lsb_db, variant,
                                           pk_error_eta=params.eta2)
-            yield params, wkyber_v2_model(params, -10.0, variant)
+            yield params, wkyber_v2_model(params, snr_lsb_db, variant)
 
 
 class TestSharedLadders:
+    """A table's rows share one batch of the tilted kernel."""
+
     def test_rows_match_lone_calls(self):
         lone = [failure_probability(params, model)
                 for params, model in table_models()]
@@ -345,38 +239,70 @@ class TestSharedLadders:
         for row, want in zip(rows, lone):
             assert abs(row[4] - want) <= 1e-12, (row, want)
 
-    def test_tail_matches_full_noise_law(self):
-        ladders = {}
-        for params, model in table_models():
-            noise = noise_distribution(params, model, ladders)
-            tail = noise.masses[np.abs(np.array(noise.support))
-                                >= FAILURE_BOUND].sum()
-            got = failure_probability(params, model, ladders)
-            assert abs(got - math.log2(N * tail)) <= 1e-12, params
+    def test_tail_matches_full_noise_law(self, noise_law):
+        for (params, model), row in zip(table_models(),
+                                        failure_prob_rows(-10.0)):
+            assert abs(row[4] - oracle_log2(noise_law, params, model)) \
+                <= 1e-12, row
 
-    def test_each_table_computes_its_own_powers(self, monkeypatch):
-        # 94 squarings climb the ladders of the 10 distinct bases, 4
-        # products give the distinct k = 3 powers X^512 * X^256, and the 15
-        # rows add 21 convolutions (ct power * e_dd each, plus the two
-        # compression terms in each baseline model's ciphertext laws); the
-        # tail reads the key power against the rest without a convolution.
-        # Every row in the operating window keeps its first trim, and every
-        # table pays all 119, -10 dB twice: no power outlives the call that
-        # computed it, whatever ran before
-        calls = []
-        convolve = IntDist.convolve
 
-        def counted(self, other, *trim):
-            calls.append(None)
-            return convolve(self, other, *trim)
+def oracle_log2(noise_law, params, model):
+    """log2 of n P(|noise| >= 832) read from the full direct noise law."""
+    noise = noise_law(params, model)
+    tail = noise.masses[np.abs(noise.support) >= FAILURE_BOUND].sum()
+    return math.log2(N * tail)
 
-        monkeypatch.setattr(IntDist, "convolve", counted)
-        counts = []
-        for snr_lsb_db in (-10.0, -10.0, -5.0):
-            calls.clear()
-            failure_prob_rows(snr_lsb_db)
-            counts.append(len(calls))
-        assert counts == [119, 119, 119]
+
+def largest_noise(params, model):
+    """The largest value the noise takes: k n times the largest secret *
+    error product of each term, plus the largest e_dd."""
+    def values(law):
+        return law.support[law.masses > 0]
+
+    def top(error):
+        return max(np.multiply.outer(values(model.secret_dist),
+                                     values(error)).ravel())
+
+    return (params.k * N * (top(model.pk_error_dist)
+                            + top(model.ct_error_dist))
+            + values(model.e_dd_dist)[-1])
+
+
+class TestTiltedKernel:
+    # +5 dB k = 3 v1-exact is -523.267; a direct engine that drops masses
+    # below 2^-480 prints -528.485 there
+    @pytest.mark.parametrize("snr, bits, scheme, variant", [
+        (0.0, 512, "v2", "exact"), (0.0, 768, "v1", "exact"),
+        (0.0, 1024, "v2", "approx"), (5.0, 768, "v1", "exact"),
+        (5.0, 512, "v1", "exact"), (5.0, 768, "v2", "approx")])
+    def test_matches_untrimmed_direct_oracle(self, noise_law, snr, bits,
+                                             scheme, variant):
+        params = PARAM_SETS[bits]
+        model = (wkyber_v1_model(params, snr, variant,
+                                 pk_error_eta=params.eta2)
+                 if scheme == "v1" else wkyber_v2_model(params, snr, variant))
+        got = failure_probability(params, model)
+        assert abs(got - oracle_log2(noise_law, params, model)) <= 1e-9
+
+    def test_every_depth(self):
+        # finite, at most 0 and never NaN wherever the noise can reach 832;
+        # the v2 rows fall as the low-bit SNR rises
+        grid = (-30.0, -20.0, -13.0, -10.0, -5.0, 0.0, 5.0, 10.0)
+        tables = [failure_prob_rows(snr) for snr in grid]
+        for snr, rows in zip(grid, tables):
+            for row, (params, model) in zip(rows, table_models(snr)):
+                assert largest_noise(params, model) >= FAILURE_BOUND
+                assert math.isfinite(row[4]) and row[4] <= 0, (snr, row)
+        for i, row in enumerate(tables[0]):
+            if row[0] == "wkyber-v2":
+                column = [rows[i][4] for rows in tables]
+                assert column == sorted(column, reverse=True), row
+
+    def test_uncertified_tail_raises(self, monkeypatch):
+        # no float64 transform reaches a 2^-80 share of its tail
+        monkeypatch.setattr(reliability, "_CERTIFIED", 2.0 ** -80)
+        with pytest.raises(PrecisionLossError):
+            failure_prob_rows(-10.0)
 
 
 class TestSigmaCurve:
