@@ -98,8 +98,8 @@ def _cgf(tails: tuple, theta: np.ndarray) -> tuple:
 
 
 def _saddlepoint(tails: tuple) -> tuple:
-    """(theta, _cgf there), 16 (K' - 832)^2 <= K'': a Newton step inside the
-    bracket and below far, else far while it is open above, else its mid."""
+    """(theta, _cgf(theta)), 16 (K' - 832)^2 <= K'': Newton steps kept in the
+    bracket and under far = 2 theta + 1/2; else far, or the bracket's mid."""
     theta = np.zeros(len(tails[2]))
     lo, hi = theta.copy(), theta + np.inf
     for _ in range(64):    # then the certificate judges where it stopped
@@ -126,10 +126,10 @@ def _log_tails(tails: tuple) -> np.ndarray:
     cap = np.exp(tails[2][:, None] * np.log(np.abs(pair_ft) + _FFT_ERROR))
     keep = (cap > 2.0 ** -64).any(axis=0)
     # offset = X - 1 = sum p(x) (cos - 1 - i sin)(2 pi w x / WINDOW)
-    j = np.outer(np.arange(pair.shape[1]) - pair.shape[1] // 2,
-                 np.flatnonzero(keep)) % WINDOW
-    sines = np.where(j < WINDOW // 2, 1, -1) * _HALF[2 * j % WINDOW]
-    offset = pair @ (-2 * _HALF[j] ** 2) - 1j * (pair @ sines)
+    idx = np.outer(np.arange(pair.shape[1]) - pair.shape[1] // 2,
+                   np.flatnonzero(keep)) % WINDOW
+    sines = np.where(idx < WINDOW // 2, 1, -1) * _HALF[2 * idx % WINDOW]
+    offset = pair @ (-2 * _HALF[idx] ** 2) - 1j * (pair @ sines)
     err = ((2 * np.count_nonzero(pair, axis=1) + 8)[:, None] * _EPS
            * (pair @ np.abs(sines) - offset.real))
     # power = X^count over the bits of count, value = X^(2^j) = 1 + offset
