@@ -135,8 +135,7 @@ def _log_tails(tails: tuple) -> np.ndarray:
     # power = X^count over the bits of count, value = X^(2^j) = 1 + offset
     power, power_err = np.ones_like(offset), np.zeros(offset.shape)
     for j in range(int(tails[2].max()).bit_length()):
-        value = offset + 1
-        size = np.abs(value)
+        size = np.abs(value := offset + 1)
         rows = np.flatnonzero(tails[2] >> j & 1)
         new = power[rows] * value[rows]
         power_err[rows] = (np.abs(power[rows]) * (err + _EPS * size)[rows]
@@ -171,13 +170,14 @@ def _log_tails(tails: tuple) -> np.ndarray:
 
 
 def _log2_failures(rows) -> list:
-    """log2 of n P(|noise| >= 832) per (params, model) row: each row's upper
-    tail and its mirrored laws' in one batch, -inf where out of reach."""
+    """log2 n P(|noise| >= 832) per (params, model) row; -inf out of reach."""
     tails = []
     for laws in ([m.validate().secret_dist.product(m.pk_error_dist).convolve(
             m.secret_dist.product(m.ct_error_dist)) for _, m in rows],
                  [m.e_dd_dist for _, m in rows]):    # W, Z, then mirrored
         r = max(max(-d.offset, d.offset + len(d.masses) - 1) for d in laws)
+        if 2 * r >= WINDOW:    # rfft(masses, WINDOW) would crop the law
+            raise PrecisionLossError("a law is wider than the window")
         logs = np.full((len(laws), 2 * r + 1), -np.inf)
         with np.errstate(divide="ignore"):
             for row, d in zip(logs, laws):

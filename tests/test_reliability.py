@@ -298,6 +298,14 @@ class TestTiltedKernel:
                 column = [rows[i][4] for rows in tables]
                 assert column == sorted(column, reverse=True), row
 
+    def test_law_wider_than_window_raises(self):
+        # an e_dd on -600..600 would not fit the transform's window
+        wide = IntDist(-600, np.full(1201, 1 / 1201))
+        model = wkyber_v2_model(KYBER512, -10.0)
+        model.e_dd_dist = wide
+        with pytest.raises(PrecisionLossError):
+            failure_probability(KYBER512, model)
+
     def test_uncertified_tail_raises(self, monkeypatch):
         # no float64 transform reaches a 2^-80 share of its tail
         monkeypatch.setattr(reliability, "_CERTIFIED", 2.0 ** -80)
