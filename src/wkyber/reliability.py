@@ -102,10 +102,10 @@ def _saddlepoint(tails: tuple) -> tuple:
     bracket and under far = 2 theta + 1/2; else far, or the bracket's mid."""
     theta = np.zeros(len(tails[2]))
     lo, hi = theta.copy(), theta + np.inf
-    for _ in range(64):    # then the certificate judges where it stopped
+    for i in range(64):    # then the certificate judges where it stopped
         state = _cgf(tails, theta)
         slope, curv = state[1] - FAILURE_BOUND, state[2]
-        if (16 * slope * slope <= curv).all():
+        if i == 63 or (16 * slope * slope <= curv).all():
             break
         lo, hi = np.where(slope < 0, theta, lo), np.where(slope > 0, theta, hi)
         with np.errstate(divide="ignore", invalid="ignore"):
