@@ -29,6 +29,6 @@ def direct_noise_law(params, model):
     return key.convolve(rest).convolve(model.e_dd_dist)
 
 
-@pytest.fixture
+@pytest.fixture(scope="session")
 def noise_law():
     return direct_noise_law

@@ -4,6 +4,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wkyber import reliability
 from wkyber.dist import IntDist, PrecisionLossError
@@ -297,6 +299,35 @@ class TestTiltedKernel:
             if row[0] == "wkyber-v2":
                 column = [rows[i][4] for rows in tables]
                 assert column == sorted(column, reverse=True), row
+
+    # a random law on -a..a, a <= reach, its masses at least 1% of the largest
+    @staticmethod
+    def small_law(reach):
+        return st.integers(0, reach).flatmap(lambda a: st.lists(
+            st.floats(0.01, 1.0), min_size=2 * a + 1, max_size=2 * a + 1).map(
+            lambda m: IntDist(-a, np.array(m) / sum(m))))
+
+    @given(st.sampled_from([512, 768, 1024]), st.integers(1, 3),
+           small_law(3), small_law(3), small_law(8))
+    @settings(max_examples=25, deadline=None)
+    def test_returned_rows_match_the_oracle(self, noise_law, bits, eta, pk,
+                                            ct, e_dd):
+        # the kernel may refuse a row, never print a wrong one; the oracle
+        # is checked where its own tail stays well inside float64
+        params = PARAM_SETS[bits]
+        model = ErrorModel(IntDist.centered_binomial(eta), pk, ct, e_dd)
+        try:
+            got = failure_probability(params, model)
+        except PrecisionLossError:
+            return
+        if largest_noise(params, model) < FAILURE_BOUND:
+            assert got == float("-inf")
+            return
+        noise = noise_law(params, model)
+        tail = noise.masses[np.abs(noise.support) >= FAILURE_BOUND].sum()
+        assert math.isfinite(got)
+        if tail > 2.0 ** -900:
+            assert abs(got - math.log2(N * tail)) <= 1e-9, (got, tail)
 
     def test_law_wider_than_window_raises(self):
         # an e_dd on -600..600 would not fit the transform's window
