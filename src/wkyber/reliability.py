@@ -10,7 +10,9 @@ drown an untilted tail) is relative to the tail.  A WINDOW = 1024-point
 transform holds T on [64, 1088): W's transform to the k n-th power by
 squaring, times Z's, one irfft, P(S >= 832) = e^(K - 832 theta) sum T(s)
 e^(-theta (s - 832)) over the 256 bins from 832.  The lower tail is the
-mirrored laws'; a table's 15 rows are one batch of 30 tails.  A tail is
+mirrored laws', taken equal to the upper where W's and Z's masses are their
+mirrors' within relative 2^-50 (off by at most (1 + 2^-50)^(k n + 1) - 1 <
+2^-40 at k = 4): a table's 15 rows are one batch of 18 tails.  A tail is
 certified (else PrecisionLossError) when a Chernoff bound on T's mass
 outside the window and a running float error bound (Higham 2002, 3.3) are
 each within 2^-40 of the sum.  To first order in u = 2^-53, X - 1 (W's
@@ -22,6 +24,7 @@ product within 3 u, an (i)rfft entry within 5 log2(WINDOW) u of the l1 norm.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -52,13 +55,16 @@ _HALF = np.sin(np.pi / WINDOW * np.r_[:WINDOW // 2 + 1, WINDOW // 2 - 1:-1:-1])
 # error models
 
 
+@functools.cache
 def compression_error_dist(d: int) -> IntDist:
     """Exact PMF of decompress(compress(x, d), d) - x over uniform x in
-    [0, q); a 3329-point enumeration, no approximation."""
+    [0, q): 3329 points enumerated once per d, masses read-only."""
     x = np.arange(Q)
     err = centered(decompress(compress(x, d), d) - x)
     lo = int(err.min())
-    return IntDist(lo, np.bincount(err - lo) / Q)
+    law = IntDist(lo, np.bincount(err - lo) / Q)
+    law.masses.flags.writeable = False
+    return law
 
 
 @dataclass
@@ -117,7 +123,7 @@ def _saddlepoint(tails: tuple) -> tuple:
 
 
 def _log_tails(tails: tuple) -> np.ndarray:
-    """ln P(S >= 832) per tail (W, Z log masses, count), S = count Ws + Z."""
+    """ln P(count Ws + Z >= 832) per tail (W, Z logs, count, name)."""
     theta, (cgf, _, var, pair, last) = _saddlepoint(tails)
     # the laws start at index 0, so T sits shifted by Z's reach; |X| <= |W's
     # rfft| + _FFT_ERROR, and X is raised only where some tail's bound on
@@ -164,39 +170,56 @@ def _log_tails(tails: tuple) -> np.ndarray:
                         for t, a in ((up, top), (down, top - WINDOW - 1)))
         wrap = above * (np.exp(-theta * _READ)
                         + np.exp(up * (_READ - WINDOW))) + below
-    if not (np.maximum(wrap, float_err) <= _CERTIFIED * tail).all():
-        raise PrecisionLossError("tilted tail outside its certificate")
+    ok = np.maximum(wrap, float_err) <= _CERTIFIED * tail
+    if not ok.all():    # name the worst tail, its bound and their log2 ratio
+        with np.errstate(divide="ignore", invalid="ignore"):
+            shares = np.where(ok, -np.inf, np.log2([wrap, float_err] / tail))
+        b, i = np.unravel_index(np.argmax(shares), shares.shape)
+        raise PrecisionLossError(f"{tails[3][i]} tail: {('wrap', 'float')[b]} "
+                                 f"bound at 2^{shares[b, i]:.1f} of it")
     return cgf - FAILURE_BOUND * theta + np.log(tail)
 
 
-def _log2_failures(rows) -> list:
+def _log2_failures(rows, names) -> list:
     """log2 n P(|noise| >= 832) per (params, model) row; -inf out of reach."""
-    tails = []
-    for laws in ([m.validate().secret_dist.product(m.pk_error_dist).convolve(
-            m.secret_dist.product(m.ct_error_dist)) for _, m in rows],
-                 [m.e_dd_dist for _, m in rows]):    # W, Z, then mirrored
-        r = max(max(-d.offset, d.offset + len(d.masses) - 1) for d in laws)
+    ws, laws = {}, []    # each distinct W once, keyed on its laws' values
+    for _, m in rows:
+        key = tuple((d.offset, d.masses.tobytes()) for d in (
+            m.validate().secret_dist, m.pk_error_dist, m.ct_error_dist))
+        ws[key] = ws.get(key) or m.secret_dist.product(
+            m.pk_error_dist).convolve(m.secret_dist.product(m.ct_error_dist))
+        laws.append((ws[key], m.e_dd_dist))
+    # W and Z within relative 2^-50 of their mirrors: one tail (module doc)
+    tails, mirrored = [], np.ones(len(rows), bool)
+    for term in zip(*laws):    # W, then Z, on one grid -r..r each
+        r = max(max(-d.offset, d.offset + len(d.masses) - 1) for d in term)
         if 2 * r >= WINDOW:    # rfft(masses, WINDOW) would crop the law
             raise PrecisionLossError("a law is wider than the window")
-        logs = np.full((len(laws), 2 * r + 1), -np.inf)
+        grid = np.zeros((len(term), 2 * r + 1))
+        for row, d in zip(grid, term):
+            row[d.offset + r:][:len(d.masses)] = d.masses
+        mirrored &= (abs(grid - grid[:, ::-1]) <= 2.0 ** -50 * grid).all(1)
         with np.errstate(divide="ignore"):
-            for row, d in zip(logs, laws):
-                row[d.offset + r:][:len(d.masses)] = np.log(d.masses)
-        tails.append(np.concatenate([logs, logs[:, ::-1]]))
-    tails.append(np.tile([params.k * N for params, _ in rows], 2))
+            tails.append(np.log(grid))
+    low = np.flatnonzero(~mirrored)    # the rows that read both tails
+    tails = [np.concatenate([logs, logs[low, ::-1]]) for logs in tails]
+    tails.append(np.array([p.k * N for p, _ in rows])[np.r_[:len(rows), low]])
+    tails.append(np.array([f"{n} upper" for n in names]
+                          + [f"{names[i]} lower" for i in low]))
     reach = sum(times * (logs.shape[1] // 2
                          - np.isfinite(logs[:, ::-1]).argmax(axis=1))
                 for logs, times in zip(tails, (tails[2], 1)))
     logs, live = np.full(len(reach), -np.inf), reach >= FAILURE_BOUND
     if live.any():
         logs[live] = _log_tails(tuple(t[live] for t in tails))
-    both = np.logaddexp(*logs.reshape(2, -1))
+    both = logs[:len(rows)] + np.where(mirrored, math.log(2), 0)
+    both[low] = np.logaddexp(both[low], logs[len(rows):])
     return ((both + math.log(N)) / math.log(2)).tolist()
 
 
 def failure_probability(params: ParamSet, model: ErrorModel) -> float:
     """log2 of n P(|noise| >= 832), the message failure union bound."""
-    return _log2_failures([(params, model)])[0]
+    return _log2_failures([(params, model)], [f"k={params.k}"])[0]
 
 
 def standard_kyber_model(params: ParamSet) -> ErrorModel:
@@ -250,8 +273,9 @@ def failure_prob_rows(snr_lsb_db: float = -10.0):
             rows += [(params, wkyber_v1_model(params, snr_lsb_db, variant,
                                               pk_error_eta=params.eta2)),
                      (params, wkyber_v2_model(params, snr_lsb_db, variant))]
+    names = [f"{s} k={k} {v}".rstrip() for s, k, _, v in labels]
     return [(*label, value)
-            for label, value in zip(labels, _log2_failures(rows))]
+            for label, value in zip(labels, _log2_failures(rows, names))]
 
 
 # ---------------------------------------------------------------------------

@@ -172,6 +172,12 @@ class TestFailureProb:
         assert abs(by_key[("wkyber-v1", "2", "exact")] - (-219.1)) <= 3.0
         assert abs(by_key[("wkyber-v2", "4", "approx")] - (-105.2)) <= 3.0
 
+    def test_refusal_names_the_tail(self, capsys):
+        # from +14 dB the v2 rows' float bound tops 2^-40 of the tail
+        code, out, err = run_cli(capsys, "failure-prob", "--snr-lsb", "15")
+        assert code == 3 and out == ""
+        assert "wkyber-v2 k=" in err and "upper tail: float bound at 2^" in err
+
 
 class TestGrid:
     def test_points(self):

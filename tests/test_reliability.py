@@ -152,6 +152,14 @@ class TestCompressionError:
         assert max(abs(v) for v in d.support) <= 1
 
 
+class TestCompressionMemo:
+    def test_law_is_shared_and_read_only(self):
+        law = compression_error_dist(10)
+        assert law is compression_error_dist(10)
+        with pytest.raises(ValueError):
+            law.masses[0] = 0.5
+
+
 class TestFailureProbability:
     def test_kyber768_standard(self):
         lg = failure_probability(KYBER768, standard_kyber_model(KYBER768))
@@ -230,8 +238,17 @@ def table_models(snr_lsb_db=-10.0):
             yield params, wkyber_v2_model(params, snr_lsb_db, variant)
 
 
-class TestSharedLadders:
+class TestTableBatch:
     """A table's rows share one batch of the tilted kernel."""
+
+    def test_each_distinct_w_is_built_once(self, monkeypatch):
+        # 11 distinct W laws at -10 dB, two products each
+        calls = []
+        product = IntDist.product
+        monkeypatch.setattr(IntDist, "product", lambda self, other: (
+            calls.append(1), product(self, other))[1])
+        failure_prob_rows(-10.0)
+        assert len(calls) == 22
 
     def test_rows_match_lone_calls(self):
         lone = [failure_probability(params, model)
@@ -300,12 +317,18 @@ class TestTiltedKernel:
                 column = [rows[i][4] for rows in tables]
                 assert column == sorted(column, reverse=True), row
 
-    # a random law on -a..a, a <= reach, its masses at least 1% of the largest
+    # a random law on -a..a, a <= reach, its masses at least 1% of the
+    # largest; a symmetric one mirrors the masses it draws for 0..a
     @staticmethod
-    def small_law(reach):
+    def small_law(reach, symmetric=False):
+        def law(a, m):
+            m = np.r_[m[:0:-1], m] if symmetric else np.array(m)
+            return IntDist(-a, m / m.sum())
+
         return st.integers(0, reach).flatmap(lambda a: st.lists(
-            st.floats(0.01, 1.0), min_size=2 * a + 1, max_size=2 * a + 1).map(
-            lambda m: IntDist(-a, np.array(m) / sum(m))))
+            st.floats(0.01, 1.0), min_size=(1 if symmetric else 2) * a + 1,
+            max_size=(1 if symmetric else 2) * a + 1).map(
+            lambda m: law(a, m)))
 
     @given(st.sampled_from([512, 768, 1024]), st.integers(1, 3),
            small_law(3), small_law(3), small_law(8))
@@ -342,6 +365,52 @@ class TestTiltedKernel:
         monkeypatch.setattr(reliability, "_CERTIFIED", 2.0 ** -80)
         with pytest.raises(PrecisionLossError):
             failure_prob_rows(-10.0)
+
+
+class TestMirrorRule:
+    """A row whose W and Z masses are their mirrors' within relative 2^-50
+    reads its upper tail only."""
+
+    def test_tail_counts(self, monkeypatch):
+        # 3 baseline rows read two tails each, the 12 v1/v2 rows one
+        counts, kernel = [], reliability._log_tails
+        monkeypatch.setattr(reliability, "_log_tails", lambda tails: (
+            counts.append(len(tails[2])), kernel(tails))[1])
+        failure_prob_rows(-10.0)
+        failure_probability(KYBER512, standard_kyber_model(KYBER512))
+        assert counts == [18, 2]
+
+    def test_near_mirror_law_reads_both_tails(self, noise_law):
+        # e_dd(2) 1e-6 above e_dd(-2): taking the lower tail equal to the
+        # upper would be off by 8.9e-8 log2
+        model = wkyber_v2_model(KYBER512, -10.0)
+        masses = model.e_dd_dist.masses.copy()
+        masses[model.e_dd_dist.support == 2] *= 1 + 1e-6
+        model.e_dd_dist = IntDist(model.e_dd_dist.offset, masses / masses.sum())
+        got = failure_probability(KYBER512, model)
+        assert abs(got - oracle_log2(noise_law, KYBER512, model)) <= 1e-9
+
+    @given(st.sampled_from([512, 768, 1024]), st.integers(1, 3),
+           TestTiltedKernel.small_law(3, symmetric=True),
+           TestTiltedKernel.small_law(3, symmetric=True),
+           TestTiltedKernel.small_law(8, symmetric=True))
+    @settings(max_examples=25, deadline=None)
+    def test_symmetric_rows_match_the_oracle(self, noise_law, bits, eta, pk,
+                                             ct, e_dd):
+        params = PARAM_SETS[bits]
+        model = ErrorModel(IntDist.centered_binomial(eta), pk, ct, e_dd)
+        try:
+            got = failure_probability(params, model)
+        except PrecisionLossError:
+            return
+        if largest_noise(params, model) < FAILURE_BOUND:
+            assert got == float("-inf")
+            return
+        noise = noise_law(params, model)
+        tail = noise.masses[np.abs(noise.support) >= FAILURE_BOUND].sum()
+        assert math.isfinite(got)
+        if tail > 2.0 ** -900:
+            assert abs(got - math.log2(N * tail)) <= 1e-9, (got, tail)
 
 
 class TestSigmaCurve:
