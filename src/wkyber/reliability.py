@@ -10,9 +10,9 @@ drown an untilted tail) is relative to the tail.  A WINDOW = 1024-point
 transform holds T on [64, 1088): W's transform to the k n-th power by
 squaring, times Z's, one irfft, P(S >= 832) = e^(K - 832 theta) sum T(s)
 e^(-theta (s - 832)) over the 256 bins from 832.  The lower tail is the
-mirrored laws', taken equal to the upper where W's and Z's masses are their
-mirrors' within relative 2^-50 (off by at most (1 + 2^-50)^(k n + 1) - 1 <
-2^-40 at k = 4): a table's 15 rows are one batch of 18 tails.  A tail is
+mirrored laws', or the upper where W's and Z's masses are their mirrors'
+within relative 2^-50: the tails' ratio is then within (1 + 2^-50)^(k n +
+1), the row's sum within 2^-41 at k = 4, so 15 rows run 18 tails.  A tail is
 certified (else PrecisionLossError) when a Chernoff bound on T's mass
 outside the window and a running float error bound (Higham 2002, 3.3) are
 each within 2^-40 of the sum.  To first order in u = 2^-53, X - 1 (W's

@@ -287,6 +287,23 @@ def largest_noise(params, model):
             + values(model.e_dd_dist)[-1])
 
 
+def check_returned_row(noise_law, params, model):
+    """The kernel may refuse a row, never print a wrong one; the oracle is
+    checked where its own tail stays well inside float64."""
+    try:
+        got = failure_probability(params, model)
+    except PrecisionLossError:
+        return
+    if largest_noise(params, model) < FAILURE_BOUND:
+        assert got == float("-inf")
+        return
+    noise = noise_law(params, model)
+    tail = noise.masses[np.abs(noise.support) >= FAILURE_BOUND].sum()
+    assert math.isfinite(got)
+    if tail > 2.0 ** -900:
+        assert abs(got - math.log2(N * tail)) <= 1e-9, (got, tail)
+
+
 class TestTiltedKernel:
     # +5 dB k = 3 v1-exact is -523.267; a direct engine that drops masses
     # below 2^-480 prints -528.485 there
@@ -321,36 +338,25 @@ class TestTiltedKernel:
     # largest; a symmetric one mirrors the masses it draws for 0..a
     @staticmethod
     def small_law(reach, symmetric=False):
-        def law(a, m):
-            m = np.r_[m[:0:-1], m] if symmetric else np.array(m)
-            return IntDist(-a, m / m.sum())
+        def law(a):
+            size = a + 1 if symmetric else 2 * a + 1
+            return st.lists(st.floats(0.01, 1.0), min_size=size,
+                            max_size=size).map(
+                lambda m: IntDist(-a, masses(m)))
 
-        return st.integers(0, reach).flatmap(lambda a: st.lists(
-            st.floats(0.01, 1.0), min_size=(1 if symmetric else 2) * a + 1,
-            max_size=(1 if symmetric else 2) * a + 1).map(
-            lambda m: law(a, m)))
+        def masses(m):
+            m = np.array(m[:0:-1] + m if symmetric else m)
+            return m / sum(m)
+
+        return st.integers(0, reach).flatmap(law)
 
     @given(st.sampled_from([512, 768, 1024]), st.integers(1, 3),
            small_law(3), small_law(3), small_law(8))
     @settings(max_examples=25, deadline=None)
     def test_returned_rows_match_the_oracle(self, noise_law, bits, eta, pk,
                                             ct, e_dd):
-        # the kernel may refuse a row, never print a wrong one; the oracle
-        # is checked where its own tail stays well inside float64
-        params = PARAM_SETS[bits]
-        model = ErrorModel(IntDist.centered_binomial(eta), pk, ct, e_dd)
-        try:
-            got = failure_probability(params, model)
-        except PrecisionLossError:
-            return
-        if largest_noise(params, model) < FAILURE_BOUND:
-            assert got == float("-inf")
-            return
-        noise = noise_law(params, model)
-        tail = noise.masses[np.abs(noise.support) >= FAILURE_BOUND].sum()
-        assert math.isfinite(got)
-        if tail > 2.0 ** -900:
-            assert abs(got - math.log2(N * tail)) <= 1e-9, (got, tail)
+        check_returned_row(noise_law, PARAM_SETS[bits], ErrorModel(
+            IntDist.centered_binomial(eta), pk, ct, e_dd))
 
     def test_law_wider_than_window_raises(self):
         # an e_dd on -600..600 would not fit the transform's window
@@ -384,9 +390,10 @@ class TestMirrorRule:
         # e_dd(2) 1e-6 above e_dd(-2): taking the lower tail equal to the
         # upper would be off by 8.9e-8 log2
         model = wkyber_v2_model(KYBER512, -10.0)
-        masses = model.e_dd_dist.masses.copy()
-        masses[model.e_dd_dist.support == 2] *= 1 + 1e-6
-        model.e_dd_dist = IntDist(model.e_dd_dist.offset, masses / masses.sum())
+        e_dd = model.e_dd_dist
+        masses = e_dd.masses.copy()
+        masses[e_dd.support == 2] *= 1 + 1e-6
+        model.e_dd_dist = IntDist(e_dd.offset, masses / masses.sum())
         got = failure_probability(KYBER512, model)
         assert abs(got - oracle_log2(noise_law, KYBER512, model)) <= 1e-9
 
@@ -397,20 +404,8 @@ class TestMirrorRule:
     @settings(max_examples=25, deadline=None)
     def test_symmetric_rows_match_the_oracle(self, noise_law, bits, eta, pk,
                                              ct, e_dd):
-        params = PARAM_SETS[bits]
-        model = ErrorModel(IntDist.centered_binomial(eta), pk, ct, e_dd)
-        try:
-            got = failure_probability(params, model)
-        except PrecisionLossError:
-            return
-        if largest_noise(params, model) < FAILURE_BOUND:
-            assert got == float("-inf")
-            return
-        noise = noise_law(params, model)
-        tail = noise.masses[np.abs(noise.support) >= FAILURE_BOUND].sum()
-        assert math.isfinite(got)
-        if tail > 2.0 ** -900:
-            assert abs(got - math.log2(N * tail)) <= 1e-9, (got, tail)
+        check_returned_row(noise_law, PARAM_SETS[bits], ErrorModel(
+            IntDist.centered_binomial(eta), pk, ct, e_dd))
 
 
 class TestSigmaCurve:
