@@ -5,10 +5,12 @@ an outer product of nonnegative masses, so nothing cancels and each mass
 keeps its relative accuracy; ``reliability`` reads the tail of a thousand
 such terms by a tilted FFT.  A conservation guard trips if an operation's
 total mass drifts by more than 1e-12 or a mass is negative or non-finite.
+Every law's masses are read-only for good, so one memoised law serves all.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -28,7 +30,8 @@ class IntDist:
 
     def __init__(self, offset: int, masses):
         self.offset = int(offset)
-        self.masses = np.array(masses, dtype=np.float64).ravel()
+        # an array over bytes: read-only, and no caller can make it writeable
+        self.masses = np.frombuffer(np.asarray(masses, np.float64).tobytes())
         if not self.masses.size:
             raise ValueError("empty distribution")
         if not np.isfinite(self.masses).all():
@@ -37,6 +40,7 @@ class IntDist:
             raise ValueError("negative mass")
 
     @classmethod
+    @functools.cache
     def centered_binomial(cls, eta: int) -> "IntDist":
         """Exact dyadic law of (sum of eta bits) - (sum of eta bits)."""
         return cls(-eta, [math.comb(2 * eta, i) / 4 ** eta
@@ -65,8 +69,9 @@ class IntDist:
         if not (masses.min() >= 0
                 and abs(float(masses.sum()) - expected) <= _GUARD):
             raise PrecisionLossError(f"mass conservation violated in {op}")
+        masses.flags.writeable = False   # and so for good in its views
         out = IntDist.__new__(IntDist)   # checked and owned: no second copy
-        out.offset, out.masses = int(offset), masses
+        out.offset, out.masses = int(offset), masses[...]
         return out
 
     def convolve(self, other: "IntDist") -> "IntDist":

@@ -45,6 +45,7 @@ plans stay with the caller, which checks them with snr_warnings.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,6 +171,7 @@ class SessionRun:
 def _derive_seed(master: int, label: bytes) -> bytes:
     """Seeds below 2^64 hash as 8 bytes; larger ones as their minimal
     little-endian encoding, which no 8-byte seed shares."""
+    master = operator.index(master)    # numpy ints too; a float: TypeError
     if master < 0:
         raise ValueError(f"session seed {master} is negative")
     width = max(8, (master.bit_length() + 7) // 8)

@@ -58,13 +58,11 @@ _HALF = np.sin(np.pi / WINDOW * np.r_[:WINDOW // 2 + 1, WINDOW // 2 - 1:-1:-1])
 @functools.cache
 def compression_error_dist(d: int) -> IntDist:
     """Exact PMF of decompress(compress(x, d), d) - x over uniform x in
-    [0, q): 3329 points enumerated once per d, masses read-only."""
+    [0, q): 3329 points enumerated once per d."""
     x = np.arange(Q)
     err = centered(decompress(compress(x, d), d) - x)
     lo = int(err.min())
-    law = IntDist(lo, np.bincount(err - lo) / Q)
-    law.masses.flags.writeable = False
-    return law
+    return IntDist(lo, np.bincount(err - lo) / Q)
 
 
 @dataclass
@@ -182,13 +180,8 @@ def _log_tails(tails: tuple) -> np.ndarray:
 
 def _log2_failures(rows, names) -> list:
     """log2 n P(|noise| >= 832) per (params, model) row; -inf out of reach."""
-    ws, laws = {}, []    # each distinct W once, keyed on its laws' values
-    for _, m in rows:
-        key = tuple((d.offset, d.masses.tobytes()) for d in (
-            m.validate().secret_dist, m.pk_error_dist, m.ct_error_dist))
-        ws[key] = ws.get(key) or m.secret_dist.product(
-            m.pk_error_dist).convolve(m.secret_dist.product(m.ct_error_dist))
-        laws.append((ws[key], m.e_dd_dist))
+    laws = [(m.validate().secret_dist.product(m.pk_error_dist).convolve(
+        m.secret_dist.product(m.ct_error_dist)), m.e_dd_dist) for _, m in rows]
     # W and Z within relative 2^-50 of their mirrors: one tail (module doc)
     tails, mirrored = [], np.ones(len(rows), bool)
     for term in zip(*laws):    # W, then Z, on one grid -r..r each
@@ -319,6 +312,8 @@ def ker_monte_carlo(version: str, params: ParamSet, plans, trials: int,
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    if workers is not None and workers < 1:
+        raise ValueError(f"need at least one worker, got {workers}")
     trial_seeds = [seed * 1_000_003 + i for i in range(trials)]
     # more processes than trials or cores only adds idle forks; the count
     # does not depend on the split

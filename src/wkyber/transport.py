@@ -25,6 +25,7 @@ single-symbol bit error probability.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -163,6 +164,7 @@ def channel_error_pmf(p_b: float, variant: str = "exact") -> IntDist:
     return IntDist(-3, [masses[abs(e)] for e in range(-3, 4)])
 
 
+@functools.lru_cache(maxsize=16)    # a sigma grid sweeps many SNRs once
 def coeff_error_dist(snr_lsb_db: float, variant: str = "exact") -> IntDist:
     """Error PMF induced on a coefficient by the w2 path at the given SNR."""
     return channel_error_pmf(bit_error_prob(snr_lsb_db), variant)

@@ -123,6 +123,12 @@ PINNED_CSV = {
         "77697731ecbe875662475b211825a00069a47fd761fd3a6ae36db3e6e0779fbe",
     ("codeword-error", "--trials", "20000", "--seed", "42"):
         "bde27f3a7ffe6f86f2cfbdb726360014202d74589916be3fed949e83e1489af4",
+    # the low end of the range: w2 flips near a coin toss, so the channel
+    # laws are at their widest
+    ("failure-prob", "--snr-lsb", "-30"):
+        "196370ff9eea76e0cda7979fb5a8d62f2f843e3d5ce0fbe2899d3e33b57d0a3f",
+    ("failure-prob", "--snr-lsb", "-20"):
+        "b29a0ae4bbfeb61b1d9219481d5df65551400278ec5b87fd01e5410d2b3effac",
     ("failure-prob",):
         "4269aecca984f6198681e5bd3ebf943a1e4a5d8e359625de2405282e250d9b49",
     ("failure-prob", "--snr-lsb", "-7"):
@@ -137,6 +143,11 @@ PINNED_CSV = {
     # below float64's smallest subnormal
     ("failure-prob", "--snr-lsb", "5"):
         "50e36ce929d0103caea1881a8bffbdc0251cd11dba00e84175bed018c99288f9",
+    # the top of the certified range: +14 dB trips the certificate
+    ("failure-prob", "--snr-lsb", "10"):
+        "7f306d6f474f4406d525786e5160ff9cab21c657d786d30f59fd90dd750af07a",
+    ("failure-prob", "--snr-lsb", "13"):
+        "c39b6bc502773c90093fe8a2e33f4e57d67cefebb739bf10d808af99b7a45ddd",
 }
 
 # CLI arguments -> sha256 of stdout and of stderr; at 9 / -3 dB both paths

@@ -425,6 +425,17 @@ class TestSessions:
         assert len(rec.ct_error_offsets[0]) == (P768.k + 1) * N
         assert np.abs(rec.ct_error_offsets).max() <= 3
 
+    def test_numpy_integer_seeds_match_python_ints(self):
+        want = run_sessions("v1", P768, NOMINAL_PLANS, [0, 1, 2],
+                            collect_offsets=True)
+        got = run_sessions("v1", P768, NOMINAL_PLANS, np.arange(3),
+                           collect_offsets=True)
+        assert session_columns(got) == session_columns(want)
+
+    def test_rejects_float_seed(self):
+        with pytest.raises(TypeError):
+            run_sessions("v1", P768, NOMINAL_PLANS, [1.0])
+
     def test_rejects_unknown_version(self):
         with pytest.raises(ValueError):
             run_sessions("v3", P768, NOMINAL_PLANS, [0])

@@ -23,9 +23,11 @@ ZERO = IntDist(0, [1.0])   # the point mass at 0
 
 
 def with_mass(value):
-    """A two-point law with value written in after construction, which
-    rejects non-finite masses: the operand the guards must catch."""
+    """A two-point law with value written into its own writable copy of the
+    masses after construction, which rejects non-finite masses: the operand
+    the guards must catch."""
     dist = IntDist(0, [0.5, 0.5])
+    dist.masses = dist.masses.copy()
     dist.masses[0] = value
     return dist
 
@@ -160,6 +162,23 @@ class TestCompressionMemo:
             law.masses[0] = 0.5
 
 
+class TestSharedLaws:
+    """Every law is read-only, so the law constructors can memoise."""
+
+    def test_masses_are_read_only(self):
+        cbd = IntDist(-1, [0.25, 0.5, 0.25])
+        for law in (cbd, cbd.convolve(cbd), cbd.product(cbd)):
+            with pytest.raises(ValueError):
+                law.masses[0] = 0.5
+            with pytest.raises(ValueError):
+                law.masses.flags.writeable = True
+
+    def test_binomial_and_channel_laws_are_built_once(self):
+        assert IntDist.centered_binomial(2) is IntDist.centered_binomial(2)
+        law = coeff_error_dist(-10.0, "approx")
+        assert law is coeff_error_dist(-10.0, "approx")
+
+
 class TestFailureProbability:
     def test_kyber768_standard(self):
         lg = failure_probability(KYBER768, standard_kyber_model(KYBER768))
@@ -241,14 +260,16 @@ def table_models(snr_lsb_db=-10.0):
 class TestTableBatch:
     """A table's rows share one batch of the tilted kernel."""
 
-    def test_each_distinct_w_is_built_once(self, monkeypatch):
-        # 11 distinct W laws at -10 dB, two products each
-        calls = []
-        product = IntDist.product
-        monkeypatch.setattr(IntDist, "product", lambda self, other: (
-            calls.append(1), product(self, other))[1])
+    def test_repeated_table_constructs_no_law(self, monkeypatch):
+        # the binomial, channel and compression laws are memoised, and the
+        # products and sums the table builds from them skip the constructor
         failure_prob_rows(-10.0)
-        assert len(calls) == 22
+        calls = []
+        init = IntDist.__init__
+        monkeypatch.setattr(IntDist, "__init__", lambda self, *args: (
+            calls.append(1), init(self, *args))[1])
+        failure_prob_rows(-10.0)
+        assert calls == []
 
     def test_rows_match_lone_calls(self):
         lone = [failure_probability(params, model)
@@ -511,6 +532,11 @@ class TestKerMonteCarlo:
             ker_monte_carlo("v1", KYBER512,
                             (ChannelPlan(10, 10), ChannelPlan(10, -10)),
                             trials=0, seed=0)
+        for workers in (0, -1):
+            with pytest.raises(ValueError):
+                ker_monte_carlo("v1", KYBER512,
+                                (ChannelPlan(10, 10), ChannelPlan(10, -10)),
+                                trials=5, seed=0, workers=workers)
         # failures above trials, negative failures, no trials
         for trials, failures in ((5, 6), (5, -1), (0, 0)):
             with pytest.raises(ValueError):
