@@ -19,14 +19,14 @@ import tempfile
 import numpy as np
 
 from .bch import codeword_error_prob
-from .dist import IntDist, PrecisionLossError
 from .modem import (NoiseSource, bit_error_prob, demodulate_symbols,
                     modulate_words, snr_db_to_linear, transmit)
 from .params import PARAM_SETS
 from .protocol import run_sessions, session_plans, snr_warnings
-from .reliability import (failure_prob_rows, ker_monte_carlo, rate_interval,
+from .reliability import (IntDist, PrecisionLossError, coeff_error_dist,
+                          failure_prob_rows, ker_monte_carlo, rate_interval,
                           sigma_vs_snr)
-from .transport import coeff_error_dist, receive_blocks, send_blocks
+from .transport import receive_blocks, send_blocks
 
 MAX_GRID_POINTS = 10_000
 
@@ -164,7 +164,7 @@ def cmd_ber(args):
 
 
 def cmd_coeff_dist(args):
-    channel = coeff_error_dist(args.snr_lsb).as_dict()
+    channel = coeff_error_dist(args.snr_lsb, "exact").as_dict()
     cbd2 = IntDist.centered_binomial(2).as_dict()
     rows = [(off, channel[off], cbd2.get(off, 0.0)) for off in range(-3, 4)]
     return _emit(rows, ["offset", "channel_pmf", "cbd2_pmf"], args.out)

@@ -1,7 +1,7 @@
-"""Decryption-failure analysis and Monte Carlo key-error-rate harness.
+"""Probability laws, decryption-failure analysis and key-error-rate trials.
 
 The per-coefficient decryption noise S is k n copies of W = secret*pk_error
-+ secret*ct_error (exact IntDists, see ``dist``) plus an e_dd term Z.
++ secret*ct_error (exact IntDists, below) plus an e_dd term Z.
 P(S >= 832) is a tilted FFT at the saddlepoint (Daniels 1954; Keich 2005):
 theta solves K'(theta) = 832, K = k n log M_W + log M_Z, and the laws
 tilted by e^(theta x) / M sum to a law T whose largest masses sit at 832,
@@ -26,16 +26,16 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import centered, compress, decompress
-from .dist import IntDist, PrecisionLossError
+from .modem import bit_error_prob
 from .params import N, PARAM_SETS, Q, ParamSet
 from .protocol import run_sessions
-from .transport import coeff_error_dist, dist_stddev
 
 _Z975 = 1.959963984540054      # 0.975 quantile of the standard normal
 
@@ -52,7 +52,89 @@ _HALF = np.sin(np.pi / WINDOW * np.r_[:WINDOW // 2 + 1, WINDOW // 2 - 1:-1:-1])
 
 
 # ---------------------------------------------------------------------------
-# error models
+# laws: IntDist sums and products are exact (np.convolve, and an outer
+# product of nonnegative masses: nothing cancels, so each mass keeps its
+# relative accuracy for the tilted FFT); a conservation guard trips if an
+# operation's total mass drifts by more than _GUARD or a mass is negative or
+# non-finite.  Masses are read-only for good, so one memoised law serves all.
+
+_GUARD = 1e-12                 # conservation tolerance
+
+
+class PrecisionLossError(ArithmeticError):
+    """Total probability mass drifted beyond the conservation guard."""
+
+
+class IntDist:
+    """Integer-valued distribution on a contiguous support with float64
+    masses.  Instances are immutable; operations return new distributions."""
+
+    __slots__ = ("offset", "masses")
+
+    def __init__(self, offset: int, masses):
+        object.__setattr__(self, "offset", int(offset))
+        # an array over bytes: read-only, and no caller can make it writeable
+        object.__setattr__(self, "masses", np.frombuffer(
+            np.asarray(masses, np.float64).tobytes()))
+        if not self.masses.size:
+            raise ValueError("empty distribution")
+        if not np.isfinite(self.masses).all():
+            raise ValueError("non-finite mass")
+        if (self.masses < 0).any():
+            raise ValueError("negative mass")
+
+    def __setattr__(self, name, value):
+        # a memoised law serves every caller, so none may rebind its parts
+        raise AttributeError(f"an IntDist is immutable; cannot set {name!r}")
+
+    @classmethod
+    @functools.cache
+    def centered_binomial(cls, eta: int) -> "IntDist":
+        """Exact dyadic law of (sum of eta bits) - (sum of eta bits)."""
+        return cls(-eta, [math.comb(2 * eta, i) / 4 ** eta
+                          for i in range(2 * eta + 1)])
+
+    @property
+    def support(self) -> np.ndarray:
+        """The support's integers in order, one per mass, as int64."""
+        return np.arange(self.offset, self.offset + len(self.masses))
+
+    def total_mass(self) -> float:
+        return float(self.masses.sum())
+
+    def mass_defect(self) -> float:
+        """|1 - total mass|."""
+        return abs(self.total_mass() - 1.0)
+
+    def as_dict(self) -> dict:
+        """Every support value mapped to its mass, zeros included."""
+        return dict(zip(self.support.tolist(), self.masses.tolist()))
+
+    def _checked(self, other: "IntDist", offset: int, masses, op: str):
+        """The result if its mass is the operands' product (a NaN mass fails
+        both comparisons, an infinite one the second)."""
+        expected = self.total_mass() * other.total_mass()
+        if not (masses.min() >= 0
+                and abs(float(masses.sum()) - expected) <= _GUARD):
+            raise PrecisionLossError(f"mass conservation violated in {op}")
+        masses.flags.writeable = False   # and so for good in its views
+        out = IntDist.__new__(IntDist)   # checked and owned: no second copy
+        object.__setattr__(out, "offset", int(offset))
+        object.__setattr__(out, "masses", masses[...])
+        return out
+
+    def convolve(self, other: "IntDist") -> "IntDist":
+        """Distribution of X + Y for independent X, Y (direct convolution)."""
+        return self._checked(other, self.offset + other.offset, np.convolve(
+            self.masses, other.masses), "convolve")
+
+    def product(self, other: "IntDist") -> "IntDist":
+        """Distribution of X * Y for independent X, Y."""
+        values = np.multiply.outer(self.support, other.support).ravel()
+        lo = int(values.min())
+        acc = np.bincount(values - lo, weights=np.multiply.outer(
+            self.masses, other.masses).ravel())
+        return self._checked(other, lo, acc, "product")
 
 
 @functools.cache
@@ -63,6 +145,58 @@ def compression_error_dist(d: int) -> IntDist:
     err = centered(decompress(compress(x, d), d) - x)
     lo = int(err.min())
     return IntDist(lo, np.bincount(err - lo) / Q)
+
+
+def channel_error_pmf(p_b: float, variant: str = "exact") -> IntDist:
+    """Coefficient error PMF for a given per-bit flip probability.
+
+    After a successful BCH decode only w2 (``transport``) is perturbed, so
+    the error lies on {-3..3}.  "exact" averages over the four equally
+    likely transmitted w2 values and the sixteen (sent, received)
+    transitions:
+
+        P(0)  = (1-p)^2          P(+-1) = p(1-p)/2 + p^2/4
+        P(+-2) = p(1-p)/2        P(+-3) = p^2/4
+
+    "approx" is a coarser closed form that quarters P(0) and counts the
+    double-flip contribution to |e| = 1 at four times the exact rate; its
+    cases do not sum to one, so it is renormalised here.  Both weightings
+    are exposed because downstream reliability figures exist for each.
+    """
+    if not 0.0 <= p_b <= 1.0:
+        raise ValueError("bit error probability outside [0, 1]")
+    p = float(p_b)
+    half = p * (1.0 - p) / 2.0
+    if variant == "exact":
+        masses = {0: (1.0 - p) ** 2,
+                  1: half + p * p / 4.0,
+                  2: half,
+                  3: p * p / 4.0}
+    elif variant == "approx":
+        masses = {0: (1.0 - p) ** 2 / 4.0,
+                  1: half + p * p,
+                  2: half,
+                  3: p * p / 4.0}
+        total = masses[0] + 2 * (masses[1] + masses[2] + masses[3])
+        masses = {e: m / total for e, m in masses.items()}
+    else:
+        raise ValueError(f"unknown channel PMF variant {variant!r}")
+    return IntDist(-3, [masses[abs(e)] for e in range(-3, 4)])
+
+
+@functools.lru_cache(maxsize=16)    # a sigma grid sweeps many SNRs once
+def coeff_error_dist(snr_lsb_db: float, variant: str = "exact") -> IntDist:
+    """Error PMF induced on a coefficient by the w2 path at the given SNR."""
+    return channel_error_pmf(bit_error_prob(snr_lsb_db), variant)
+
+
+def dist_stddev(d: IntDist) -> float:
+    """sqrt(sum e^2 pmf(e)); the mean vanishes by symmetry."""
+    return math.sqrt(float((d.support ** 2 * d.masses).sum()))
+
+
+# ---------------------------------------------------------------------------
+# error models
 
 
 @dataclass
@@ -277,7 +411,7 @@ def failure_prob_rows(snr_lsb_db: float = -10.0):
 
 def sigma_vs_snr(snr_grid) -> list:
     """(snr_db, standard deviation of the induced coefficient error)."""
-    return [(float(snr), dist_stddev(coeff_error_dist(float(snr))))
+    return [(float(snr), dist_stddev(coeff_error_dist(float(snr), "exact")))
             for snr in snr_grid]
 
 
@@ -314,7 +448,8 @@ def ker_monte_carlo(version: str, params: ParamSet, plans, trials: int,
         raise ValueError("need at least one trial")
     if workers is not None and workers < 1:
         raise ValueError(f"need at least one worker, got {workers}")
-    trial_seeds = [seed * 1_000_003 + i for i in range(trials)]
+    base = operator.index(seed) * 1_000_003   # a numpy int64 would overflow
+    trial_seeds = [base + i for i in range(trials)]
     # more processes than trials or cores only adds idle forks; the count
     # does not depend on the split
     workers = min(8 if workers is None else workers, trials,

@@ -16,23 +16,16 @@ them mod q where ring arithmetic starts).
 The simulator samples that wire's hard-decision equivalent (see ``modem``):
 a received block is its 31-bit codeword XOR a flip mask, a received w2 the
 sent bits XOR a 2-bit mask, each bit flipping with its path's
-``modem.bit_error_prob``.
-
-Given a successful BCH decode the only surviving perturbation is on w2, so
-the induced coefficient error lives on {-3..3} with a PMF determined by the
-single-symbol bit error probability.
+``modem.bit_error_prob``; the coefficient error that induces is
+``reliability.coeff_error_dist``.
 """
 
 from __future__ import annotations
-
-import functools
-import math
 
 import numpy as np
 
 from . import bch
 from .core import check_range
-from .dist import IntDist
 from .modem import ChannelPlan, NoiseSource, bit_error_prob, flip_masks
 from .params import Q
 
@@ -124,52 +117,3 @@ def receive_coeffs(msb: np.ndarray, lsb: np.ndarray):
     return (seeds, 4 * w10[:, head:] + lsb,
             failed.reshape(msb.shape).sum(axis=1))
 
-
-# ---------------------------------------------------------------------------
-# induced per-coefficient error distribution
-
-
-def channel_error_pmf(p_b: float, variant: str = "exact") -> IntDist:
-    """Coefficient error PMF for a given per-bit flip probability.
-
-    "exact" averages over the four equally likely transmitted w2 values and
-    the sixteen (sent, received) transitions:
-
-        P(0)  = (1-p)^2          P(+-1) = p(1-p)/2 + p^2/4
-        P(+-2) = p(1-p)/2        P(+-3) = p^2/4
-
-    "approx" is a coarser closed form that quarters P(0) and counts the
-    double-flip contribution to |e| = 1 at four times the exact rate; its
-    cases do not sum to one, so it is renormalised here.  Both weightings
-    are exposed because downstream reliability figures exist for each.
-    """
-    if not 0.0 <= p_b <= 1.0:
-        raise ValueError("bit error probability outside [0, 1]")
-    p = float(p_b)
-    half = p * (1.0 - p) / 2.0
-    if variant == "exact":
-        masses = {0: (1.0 - p) ** 2,
-                  1: half + p * p / 4.0,
-                  2: half,
-                  3: p * p / 4.0}
-    elif variant == "approx":
-        masses = {0: (1.0 - p) ** 2 / 4.0,
-                  1: half + p * p,
-                  2: half,
-                  3: p * p / 4.0}
-        total = masses[0] + 2 * (masses[1] + masses[2] + masses[3])
-        masses = {e: m / total for e, m in masses.items()}
-    else:
-        raise ValueError(f"unknown channel PMF variant {variant!r}")
-    return IntDist(-3, [masses[abs(e)] for e in range(-3, 4)])
-
-
-@functools.lru_cache(maxsize=16)    # a sigma grid sweeps many SNRs once
-def coeff_error_dist(snr_lsb_db: float, variant: str = "exact") -> IntDist:
-    """Error PMF induced on a coefficient by the w2 path at the given SNR."""
-    return channel_error_pmf(bit_error_prob(snr_lsb_db), variant)
-
-
-def dist_stddev(d: IntDist) -> float:
-    """sqrt(sum e^2 pmf(e)); the mean vanishes by symmetry."""
-    return math.sqrt(float((d.support ** 2 * d.masses).sum()))

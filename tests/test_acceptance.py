@@ -18,9 +18,10 @@ from wkyber.modem import (ChannelPlan, NoiseSource, bit_error_prob,
                           demodulate_symbols, modulate_words, transmit)
 from wkyber.params import PARAM_SETS
 from wkyber.pke import decrypt, encrypt, keygen, keygen_bytes, random_bits
-from wkyber.reliability import failure_prob_rows, ker_monte_carlo, sigma_vs_snr
-from wkyber.transport import (channel_error_pmf, coeff_error_dist, dist_stddev,
-                              receive_blocks, send_blocks)
+from wkyber.reliability import (channel_error_pmf, coeff_error_dist,
+                                dist_stddev, failure_prob_rows,
+                                ker_monte_carlo, sigma_vs_snr)
+from wkyber.transport import receive_blocks, send_blocks
 
 WORKERS = 2
 

@@ -424,7 +424,7 @@ class TestPlumbing:
 
     def test_precision_guard_exit_code(self, monkeypatch, capsys):
         from wkyber import cli
-        from wkyber.dist import PrecisionLossError
+        from wkyber.reliability import PrecisionLossError
 
         def boom(snr):
             raise PrecisionLossError("synthetic")

@@ -18,3 +18,17 @@ def test_import_loads_no_submodule_and_no_numpy():
                           capture_output=True, text=True, check=True,
                           timeout=60)
     assert proc.stdout.split() == []
+
+
+def test_session_stack_loads_no_law():
+    # the wire and the sessions need no probability law: importing the
+    # protocol loads the session stack and nothing of reliability
+    src = os.path.dirname(os.path.dirname(wkyber.__file__))
+    code = ("import sys, wkyber.protocol; print(*sorted(m for m in "
+            "sys.modules if m.startswith('wkyber.')))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=True,
+                          timeout=60)
+    assert proc.stdout.split() == [f"wkyber.{m}" for m in (
+        "bch", "core", "modem", "params", "pke", "protocol", "transport")]

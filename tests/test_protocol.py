@@ -14,8 +14,8 @@ from wkyber.pke import (decrypt, encrypt, keygen, keygen_bytes, random_bits,
                         wk_decrypt, wk_encrypt)
 from wkyber.protocol import (SESSION_BATCH, kem_v1_decaps, kem_v1_encaps,
                              run_sessions, session_plans, snr_warnings)
-from wkyber.transport import (coeff_error_dist, receive_coeffs, send_coeffs,
-                              send_key)
+from wkyber.reliability import coeff_error_dist
+from wkyber.transport import receive_coeffs, send_coeffs, send_key
 
 SEED = bytes(32)
 P768 = KYBER768

@@ -8,16 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wkyber import reliability
-from wkyber.dist import IntDist, PrecisionLossError
 from wkyber.modem import ChannelPlan
 from wkyber.params import KYBER512, KYBER768, N, PARAM_SETS, Q
-from wkyber.reliability import (FAILURE_BOUND, ErrorModel,
-                                compression_error_dist, failure_probability,
-                                failure_prob_rows, ker_monte_carlo,
-                                rate_interval, sigma_vs_snr,
+from wkyber.reliability import (FAILURE_BOUND, ErrorModel, IntDist,
+                                PrecisionLossError, channel_error_pmf,
+                                coeff_error_dist, compression_error_dist,
+                                failure_probability, failure_prob_rows,
+                                ker_monte_carlo, rate_interval, sigma_vs_snr,
                                 standard_kyber_model, wkyber_v1_model,
                                 wkyber_v2_model)
-from wkyber.transport import channel_error_pmf, coeff_error_dist
 
 ZERO = IntDist(0, [1.0])   # the point mass at 0
 
@@ -27,7 +26,7 @@ def with_mass(value):
     masses after construction, which rejects non-finite masses: the operand
     the guards must catch."""
     dist = IntDist(0, [0.5, 0.5])
-    dist.masses = dist.masses.copy()
+    object.__setattr__(dist, "masses", dist.masses.copy())
     dist.masses[0] = value
     return dist
 
@@ -177,6 +176,24 @@ class TestSharedLaws:
         assert IntDist.centered_binomial(2) is IntDist.centered_binomial(2)
         law = coeff_error_dist(-10.0, "approx")
         assert law is coeff_error_dist(-10.0, "approx")
+
+    def test_attributes_cannot_be_rebound(self):
+        # rebinding a memoised law's masses would change every later table
+        cbd = IntDist(-1, [0.25, 0.5, 0.25])
+        for law in (cbd, cbd.convolve(cbd), cbd.product(cbd),
+                    IntDist.centered_binomial(3)):
+            offset, masses = law.offset, law.masses
+            for name, value in (("offset", 0), ("masses", ZERO.masses)):
+                with pytest.raises(AttributeError):
+                    setattr(law, name, value)
+            assert law.offset == offset and law.masses is masses
+
+    def test_sigma_curve_and_models_share_the_channel_law(self):
+        # every caller spells the variant alike, so lru_cache keys one entry
+        coeff_error_dist.cache_clear()
+        sigma_vs_snr([-10.0])
+        wkyber_v2_model(KYBER512, -10.0)
+        assert coeff_error_dist.cache_info().misses == 1
 
 
 class TestFailureProbability:
@@ -526,6 +543,20 @@ class TestKerMonteCarlo:
                                  workers=1)
         assert sizes == [4]
         assert pooled == serial > 0
+
+    def test_numpy_seed_matches_int_seed(self):
+        # seed * 1_000_003 overflows int64 from about 9.2e12; at 2 dB on
+        # the protected path some sessions fail (2 of these 8, 6 of the 8
+        # from seed + 1), so the count says which sessions ran
+        plans = (ChannelPlan(2, 2), ChannelPlan(2, -10))
+        want = ker_monte_carlo("v1", KYBER512, plans, trials=8, seed=10**13,
+                               workers=1)
+        assert 0 < want < 8
+        assert ker_monte_carlo("v1", KYBER512, plans, trials=8,
+                               seed=np.int64(10**13), workers=1) == want
+        with pytest.raises(TypeError):
+            ker_monte_carlo("v1", KYBER512, plans, trials=8, seed=3.0,
+                            workers=1)
 
     def test_validation(self):
         with pytest.raises(ValueError):

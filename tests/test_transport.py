@@ -11,10 +11,10 @@ from wkyber.core import centered
 from wkyber.modem import (ChannelPlan, NoiseSource, bit_error_prob,
                           modulate_words)
 from wkyber.params import N, PARAM_SETS, Q
-from wkyber.transport import (SEED_BLOCKS, channel_error_pmf,
-                              coeff_error_dist, dist_stddev, receive_blocks,
-                              receive_coeffs, send_blocks, send_coeffs,
-                              send_key)
+from wkyber.reliability import (channel_error_pmf, coeff_error_dist,
+                                dist_stddev)
+from wkyber.transport import (SEED_BLOCKS, receive_blocks, receive_coeffs,
+                              send_blocks, send_coeffs, send_key)
 
 NOISELESS = ChannelPlan(math.inf, math.inf)
 NOMINAL = ChannelPlan(10.0, -10.0)
