@@ -14,7 +14,8 @@ syndrome is looked up once in a sorted table of all of them, built on first
 use.  A hit is the error pattern, and its weight is the correction count;
 no hit means no codeword within distance 5, a decode failure.  More than 5
 channel errors end in that failure or, rarely, land within 5 of a different
-codeword; the miscorrection hazard is handled by the layers above.
+codeword; the miscorrection hazard is handled by the layers above.  Both
+tables are frozen (core.frozen), so every caller shares them.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ import functools
 import math
 
 import numpy as np
+
+from .core import frozen
 
 CODE_N = 31             # block length 2^5 - 1
 CODE_K = 11             # message bits
@@ -53,8 +56,8 @@ def bch_encode(msg: int) -> int:
 
 
 # one codeword per message; also the syndrome table (see _syndrome)
-ENCODE_TABLE = np.array([bch_encode(m) for m in range(1 << CODE_K)],
-                        dtype=np.int64)
+ENCODE_TABLE = frozen(np.array([bch_encode(m) for m in range(1 << CODE_K)],
+                               dtype=np.int64))
 
 
 _WORD_MASK = (1 << CODE_N) - 1
@@ -71,7 +74,7 @@ def _syndrome(words: np.ndarray) -> np.ndarray:
 def _error_table() -> np.ndarray:
     """Sorted keys syndrome << 35 | weight << 31 | pattern of the 206,367
     error patterns of weight 1..t, then a sentinel above every key, as one
-    read-only int64 array (1.65 MB).
+    frozen int64 array (1.65 MB, core.frozen).
 
     The patterns are filled in place weight by weight.  Those of weight w
     with top bit b are bit b over the weight-(w - 1) patterns below b; each
@@ -94,8 +97,7 @@ def _error_table() -> np.ndarray:
         block |= _syndrome(block & _WORD_MASK) << _KEY_SHIFT
     keys[at] = np.iinfo(np.int64).max   # no syndrome reaches it
     keys.sort()
-    keys.flags.writeable = False        # shared by every caller
-    return keys
+    return frozen(keys)
 
 
 def decode_words(received):

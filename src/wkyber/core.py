@@ -10,9 +10,11 @@ A schoolbook multiplier is the test oracle.  Every exact product entry is
 an integer below 2^34 and the float error of a whole rank-k sum is far
 below 1/2 (asserted at import), so rounding recovers it exactly.  The
 public matrices of a batch of seeds are expanded together, as one
-read-only transformed array shared through a cache; every other array a
-function returns is fresh, and functions are pure.  Centered binomial
-noise takes one table lookup per coefficient.
+transformed array shared through a cache.  Every array callers share is
+frozen: a copy held in bytes, so no array in its base chain can be written
+or made writeable again.  Every other array a function returns is fresh,
+and functions are pure.  Centered binomial noise is one table lookup per
+coefficient.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ import numpy as np
 from .params import N, Q, ParamSet
 
 SEED_BYTES = 32
-# bytes of each matrix entry's stream that gen_matrices parses in one pass:
-# three SHAKE-128 blocks, the budget of Kyber's SampleNTT
+# bytes of each matrix entry's stream that gen_matrices parses in its first
+# round: three SHAKE-128 blocks, the budget of Kyber's SampleNTT
 UNIFORM_READ = 504
 
 # ---------------------------------------------------------------------------
@@ -40,6 +42,12 @@ def squeeze(seed: bytes, label: bytes, n: int,
     squeeze are squeeze(..., m, ...), so a stream read in several parts is
     one squeeze of their total length, sliced."""
     return getattr(hashlib, algo)(bytes([len(label)]) + label + seed).digest(n)
+
+
+def frozen(a: np.ndarray) -> np.ndarray:
+    """A copy of a held in a bytes object, read-only for good: the one
+    form of every array that callers share."""
+    return np.frombuffer(a.tobytes(), a.dtype).reshape(a.shape)
 
 
 def check_seed(seed: bytes) -> bytes:
@@ -185,38 +193,31 @@ def noise_vectors(seeds, label: bytes, eta: int, k: int) -> np.ndarray:
 # block failed, the receiver's; session seeds never recur across batches
 @functools.lru_cache(maxsize=2)
 def _gen_matrix_cached(seeds: tuple, k: int) -> np.ndarray:
-    labels = [b"A" + bytes([r, c]) for r in range(k) for c in range(k)]
+    streams = [(seed, b"A" + bytes([r, c]))
+               for seed in seeds for r in range(k) for c in range(k)]
+    a = np.empty((len(streams), N), dtype=np.int64)
     # an entry is its first 256 candidates below q; about 0.7% of entries
-    # accept fewer in UNIFORM_READ bytes and read on
-    raw = b"".join(squeeze(seed, label, UNIFORM_READ, "shake_128")
-                   for seed in seeds for label in labels)
-    cand = unpack12(raw, 2 * len(raw) // 3).reshape(-1, 2 * UNIFORM_READ // 3)
-    accepted = cand < Q
-    counts = np.cumsum(accepted, axis=1, dtype=np.int16)
-    short = counts[:, -1] < N
-    a = np.empty((len(cand), N), dtype=np.int64)
-    a[~short] = cand[accepted & (counts <= N) & ~short[:, None]].reshape(-1, N)
-    for i in np.flatnonzero(short):  # read on in the entry's own stream
-        seed, label = seeds[i // len(labels)], labels[i % len(labels)]
-        n, kept = UNIFORM_READ, cand[i][accepted[i]]
-        while len(kept) < N:
-            n *= 2
-            words = unpack12(squeeze(seed, label, n, "shake_128"), 2 * n // 3)
-            kept = words[words < Q]
-        a[i] = kept[:N]
-    del cand, accepted, counts  # not held through the batch's transform
-    a_hat = ntt(a.reshape(len(seeds), k, k, N))
-    # shared by every caller with these seeds; a view of a read-only array
-    # cannot be made writeable again
-    a_hat.flags.writeable = False
-    return a_hat[...]
+    # accept fewer in UNIFORM_READ bytes, and those read their streams
+    # again at twice the length until they do (prefix-stable, see squeeze)
+    short, n = np.arange(len(streams)), UNIFORM_READ
+    while short.size:
+        raw = b"".join(squeeze(*streams[i], n, "shake_128") for i in short)
+        cand = unpack12(raw, 2 * len(raw) // 3).reshape(len(short), -1)
+        accepted = cand < Q
+        counts = np.cumsum(accepted, axis=1, dtype=np.int16)
+        done = counts[:, -1] >= N
+        a[short[done]] = cand[accepted & (counts <= N)
+                              & done[:, None]].reshape(-1, N)
+        short, n = short[~done], 2 * n
+        del cand, accepted, counts  # not held through the batch's transform
+    return frozen(ntt(a.reshape(len(seeds), k, k, N)))
 
 
 def gen_matrices(seeds, params: ParamSet) -> np.ndarray:
     """Pseudo-uniform k x k matrices, one per seed, transformed by ntt, as
-    a read-only (B, k, k, 128) array.  Entry (r, c) takes the 12-bit
+    a frozen (B, k, k, 128) array.  Entry (r, c) takes the 12-bit
     candidates below q of its own SHAKE-128 stream, in order; all entries
-    are parsed and transformed in one pass.  Memoised by the seeds, since a
+    are parsed together and transformed in one call.  Memoised by the seeds, since a
     session batch touches the same matrices several times."""
     return _gen_matrix_cached(tuple(check_seed(s) for s in seeds), params.k)
 

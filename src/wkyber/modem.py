@@ -101,10 +101,8 @@ def demodulate_symbols(symbols: np.ndarray) -> np.ndarray:
 
 
 def transmit(symbols: np.ndarray, snr_db: float, noise: NoiseSource) -> np.ndarray:
-    """y = s + n with i.i.d. Gaussian components of variance N0/2."""
+    """y = s + n, i.i.d. Gaussian components of variance N0/2 (0 at +inf)."""
     symbols = np.asarray(symbols, dtype=np.complex128)
-    if math.isinf(snr_db) and snr_db > 0:
-        return symbols.copy()
     out = noise.pairs(len(symbols), noise_sigma(snr_db))
     out += symbols
     return out

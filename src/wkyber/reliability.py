@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import centered, compress, decompress
+from .core import centered, compress, decompress, frozen
 from .modem import bit_error_prob
 from .params import N, PARAM_SETS, Q, ParamSet
 from .protocol import run_sessions
@@ -56,7 +56,7 @@ _HALF = np.sin(np.pi / WINDOW * np.r_[:WINDOW // 2 + 1, WINDOW // 2 - 1:-1:-1])
 # product of nonnegative masses: nothing cancels, so each mass keeps its
 # relative accuracy for the tilted FFT); a conservation guard trips if an
 # operation's total mass drifts by more than _GUARD or a mass is negative or
-# non-finite.  Masses are read-only for good, so one memoised law serves all.
+# non-finite.  Masses are frozen (core.frozen): one memoised law serves all.
 
 _GUARD = 1e-12                 # conservation tolerance
 
@@ -65,27 +65,25 @@ class PrecisionLossError(ArithmeticError):
     """Total probability mass drifted beyond the conservation guard."""
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class IntDist:
     """Integer-valued distribution on a contiguous support with float64
-    masses.  Instances are immutable; operations return new distributions."""
+    masses.  Instances are immutable (no field can be rebound or deleted,
+    the masses are frozen); operations return new distributions."""
 
-    __slots__ = ("offset", "masses")
+    offset: int
+    masses: np.ndarray
 
-    def __init__(self, offset: int, masses):
-        object.__setattr__(self, "offset", int(offset))
-        # an array over bytes: read-only, and no caller can make it writeable
-        object.__setattr__(self, "masses", np.frombuffer(
-            np.asarray(masses, np.float64).tobytes()))
+    def __post_init__(self):
+        object.__setattr__(self, "offset", int(self.offset))
+        object.__setattr__(self, "masses", frozen(
+            np.asarray(self.masses, np.float64)))
         if not self.masses.size:
             raise ValueError("empty distribution")
         if not np.isfinite(self.masses).all():
             raise ValueError("non-finite mass")
         if (self.masses < 0).any():
             raise ValueError("negative mass")
-
-    def __setattr__(self, name, value):
-        # a memoised law serves every caller, so none may rebind its parts
-        raise AttributeError(f"an IntDist is immutable; cannot set {name!r}")
 
     @classmethod
     @functools.cache
@@ -117,10 +115,9 @@ class IntDist:
         if not (masses.min() >= 0
                 and abs(float(masses.sum()) - expected) <= _GUARD):
             raise PrecisionLossError(f"mass conservation violated in {op}")
-        masses.flags.writeable = False   # and so for good in its views
-        out = IntDist.__new__(IntDist)   # checked and owned: no second copy
+        out = IntDist.__new__(IntDist)   # guarded: skip __init__'s checks
         object.__setattr__(out, "offset", int(offset))
-        object.__setattr__(out, "masses", masses[...])
+        object.__setattr__(out, "masses", frozen(masses))
         return out
 
     def convolve(self, other: "IntDist") -> "IntDist":
@@ -358,22 +355,20 @@ def standard_kyber_model(params: ParamSet) -> ErrorModel:
 
 
 def wkyber_v1_model(params: ParamSet, snr_lsb_db: float,
-                    variant: str = "exact",
-                    pk_error_eta: int | None = None) -> ErrorModel:
+                    variant: str = "exact") -> ErrorModel:
     """V1: binomial key error, channel errors on the ciphertext.
 
-    pk_error_eta defaults to eta1 (the sampling the key generation actually
-    performs).  The published failure figures this project reproduces are
-    only consistent with the key error drawn at the eta2 range; since
-    eta1 == eta2 except at k = 2, the choice is observable only there.
-    Sessions decapsulate from 4 * w10 + 2 (protocol.kem_v1_decaps), so a
-    session's ciphertext term is the rounding error 2 - w2 on {-1..2}, not
-    this channel law, which the rows keep to model the published figures.
+    The key error is drawn at the eta2 range: the published failure
+    figures this project reproduces are only consistent with it, though
+    key generation (pke.keygen) samples it at eta1; since eta1 == eta2
+    except at k = 2, the choice is observable only there.  Sessions
+    decapsulate from 4 * w10 + 2 (protocol.kem_v1_decaps), so a session's
+    ciphertext term is the rounding error 2 - w2 on {-1..2}, not this
+    channel law, which the rows keep to model the published figures.
     """
     ch = coeff_error_dist(snr_lsb_db, variant)
-    pk_eta = params.eta1 if pk_error_eta is None else pk_error_eta
     return ErrorModel(IntDist.centered_binomial(params.eta1),
-                      IntDist.centered_binomial(pk_eta), ch, ch)
+                      IntDist.centered_binomial(params.eta2), ch, ch)
 
 
 def wkyber_v2_model(params: ParamSet, snr_lsb_db: float,
@@ -397,8 +392,7 @@ def failure_prob_rows(snr_lsb_db: float = -10.0):
         for variant in ("exact", "approx"):
             labels += [(scheme, params.k, snr_lsb_db, variant)
                        for scheme in ("wkyber-v1", "wkyber-v2")]
-            rows += [(params, wkyber_v1_model(params, snr_lsb_db, variant,
-                                              pk_error_eta=params.eta2)),
+            rows += [(params, wkyber_v1_model(params, snr_lsb_db, variant)),
                      (params, wkyber_v2_model(params, snr_lsb_db, variant))]
     names = [f"{s} k={k} {v}".rstrip() for s, k, _, v in labels]
     return [(*label, value)

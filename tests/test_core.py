@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wkyber import core
 from wkyber.core import (UNIFORM_READ, _gen_matrix_cached,
                          cbd_vectors, centered, compress, decompress,
                          gen_matrices, intt, mul_sum, ntt, pack12,
@@ -484,6 +485,24 @@ class TestGenMatrix:
         stat = float(((counts - expected) ** 2 / expected).sum())
         # generous two-sided band at p ~ 1e-6
         assert chi2.ppf(1e-6, Q - 1) < stat < chi2.ppf(1 - 1e-6, Q - 1)
+
+    def test_reads_on_over_several_rounds(self, monkeypatch):
+        # 192 bytes hold 128 candidates, so every entry is still short
+        # after its first read and its second (384 bytes, 256 candidates)
+        seeds = [read_on_seed(), bytes(32), bytes(range(32))]
+        want = gen_matrices(seeds, KYBER512)
+        monkeypatch.setattr(core, "UNIFORM_READ", 192)
+        _gen_matrix_cached.cache_clear()
+        try:
+            got = gen_matrices(seeds, KYBER512)
+        finally:
+            _gen_matrix_cached.cache_clear()
+        assert np.array_equal(got, want)
+        for seed, a in zip(seeds, intt(got)):
+            for r in range(2):
+                for c in range(2):
+                    coeffs, used = uniform_entry_oracle(seed, r, c)
+                    assert used > 2 * 192 and a[r, c].tolist() == coeffs
 
     def test_cached_matrix_is_read_only(self):
         seed = b"ro" + bytes(30)

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wkyber import reliability
+from wkyber import bch, reliability
+from wkyber.core import gen_matrices
 from wkyber.modem import ChannelPlan
 from wkyber.params import KYBER512, KYBER768, N, PARAM_SETS, Q
 from wkyber.reliability import (FAILURE_BOUND, ErrorModel, IntDist,
@@ -162,15 +163,35 @@ class TestCompressionMemo:
 
 
 class TestSharedLaws:
-    """Every law is read-only, so the law constructors can memoise."""
+    """Every shared array is frozen, so the caches and the law
+    constructors can memoise."""
 
     def test_masses_are_read_only(self):
+        # and so is every other shared array: no item write, and no array
+        # in its base chain can be made writeable
         cbd = IntDist(-1, [0.25, 0.5, 0.25])
-        for law in (cbd, cbd.convolve(cbd), cbd.product(cbd)):
+        laws = {"constructed": cbd, "convolve": cbd.convolve(cbd),
+                "product": cbd.product(cbd),
+                "centered_binomial": IntDist.centered_binomial(3),
+                "coeff_error_dist": coeff_error_dist(-10.0),
+                "compression_error_dist": compression_error_dist(10)}
+        shared = {"gen_matrices": gen_matrices([b"ro" + bytes(30)], KYBER768),
+                  "error_table": bch._error_table(),
+                  "ENCODE_TABLE": bch.ENCODE_TABLE,
+                  **{name: law.masses for name, law in laws.items()}}
+        for name, array in shared.items():
             with pytest.raises(ValueError):
-                law.masses[0] = 0.5
-            with pytest.raises(ValueError):
-                law.masses.flags.writeable = True
+                array[(0,) * array.ndim] = 0
+            chain = 0
+            while isinstance(array, np.ndarray):
+                with pytest.raises(ValueError):
+                    array.flags.writeable = True
+                array, chain = array.base, chain + 1
+            assert isinstance(array, bytes) and chain, name
+        for law in laws.values():
+            for field in ("offset", "masses"):
+                with pytest.raises(AttributeError):
+                    delattr(law, field)
 
     def test_binomial_and_channel_laws_are_built_once(self):
         assert IntDist.centered_binomial(2) is IntDist.centered_binomial(2)
@@ -269,8 +290,7 @@ def table_models(snr_lsb_db=-10.0):
     for params in PARAM_SETS.values():
         yield params, standard_kyber_model(params)
         for variant in ("exact", "approx"):
-            yield params, wkyber_v1_model(params, snr_lsb_db, variant,
-                                          pk_error_eta=params.eta2)
+            yield params, wkyber_v1_model(params, snr_lsb_db, variant)
             yield params, wkyber_v2_model(params, snr_lsb_db, variant)
 
 
@@ -352,9 +372,8 @@ class TestTiltedKernel:
     def test_matches_untrimmed_direct_oracle(self, noise_law, snr, bits,
                                              scheme, variant):
         params = PARAM_SETS[bits]
-        model = (wkyber_v1_model(params, snr, variant,
-                                 pk_error_eta=params.eta2)
-                 if scheme == "v1" else wkyber_v2_model(params, snr, variant))
+        model = (wkyber_v1_model(params, snr, variant) if scheme == "v1"
+                 else wkyber_v2_model(params, snr, variant))
         got = failure_probability(params, model)
         assert abs(got - oracle_log2(noise_law, params, model)) <= 1e-9
 
