@@ -1,16 +1,9 @@
 """Shared test oracle: the decryption noise law by untrimmed direct
-convolution, independent of the tilted engine in ``reliability``; and the
-hypothesis profile of every run."""
+convolution, independent of the tilted engine in ``reliability``."""
 
 import pytest
-from hypothesis import settings
 
 from wkyber.params import N
-
-# CI keeps no example database, so a property failure prints the blob that
-# replays it under @reproduce_failure
-settings.register_profile("wkyber", print_blob=True)
-settings.load_profile("wkyber")
 
 
 def power(law, times):
