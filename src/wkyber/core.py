@@ -202,7 +202,7 @@ def _gen_matrix_cached(seeds: tuple, k: int) -> np.ndarray:
     short, n = np.arange(len(streams)), UNIFORM_READ
     while short.size:
         raw = b"".join(squeeze(*streams[i], n, "shake_128") for i in short)
-        cand = unpack12(raw, 2 * len(raw) // 3).reshape(len(short), -1)
+        cand = unpack12(raw).reshape(len(short), -1)
         accepted = cand < Q
         counts = np.cumsum(accepted, axis=1, dtype=np.int16)
         done = counts[:, -1] >= N
@@ -241,20 +241,9 @@ def pack12(coeffs: np.ndarray) -> bytes:
     return out.tobytes()
 
 
-def unpack12(data: bytes, count: int) -> np.ndarray:
-    if len(data) * 2 != count * 3:
-        raise ValueError("length mismatch in unpack12")
+def unpack12(data: bytes) -> np.ndarray:
+    """The 2 len(data) / 3 values of pack12 bytes, flat (ValueError unless
+    len(data) is a multiple of 3)."""
     b = np.frombuffer(data, dtype=np.uint8).astype(np.uint16).reshape(-1, 3)
     return np.column_stack([b[:, 0] | ((b[:, 1] & 0x0F) << 8),
                             (b[:, 1] >> 4) | (b[:, 2] << 4)]).astype(np.int64).ravel()
-
-
-def unpack_ring(data: bytes, rows: int) -> np.ndarray:
-    """The one wire decoder of ring data: pack12 bytes to (rows, 256)
-    coefficients, rejecting any coefficient >= q, so every accepted
-    encoding is canonical.  Secrets decode with rows = k, ciphertexts with
-    k + 1, a public key's b after its 32 seed bytes (check_seed) with k."""
-    coeffs = unpack12(data, rows * N)
-    if coeffs.max(initial=0) >= Q:
-        raise ValueError("non-canonical coefficient >= q")
-    return coeffs.reshape(rows, N)

@@ -16,7 +16,8 @@ inputs that differ in count raise ValueError rather than broadcast.  Session
 randomness is bytes, and a session's string of the wrong length (keygen_bytes
 for keygen, 32 for message bits and coins) raises ValueError.  On the wire
 each session's secret or ciphertext is pack12 of its array and its key is
-seed + pack12(b); core.unpack_ring decodes them.  wk_encrypt and wk_decrypt
+seed + pack12(b); pack12 is the KEM's hash input, and the tests hold its
+decoder (sessions carry arrays, never bytes).  wk_encrypt and wk_decrypt
 accept received 12-bit words (transport.receive_coeffs) as b and ciphertext,
 and reduce them mod q before their ring products, as mul_sum requires.
 """

@@ -55,8 +55,9 @@ _HALF = np.sin(np.pi / WINDOW * np.r_[:WINDOW // 2 + 1, WINDOW // 2 - 1:-1:-1])
 # laws: IntDist sums and products are exact (np.convolve, and an outer
 # product of nonnegative masses: nothing cancels, so each mass keeps its
 # relative accuracy for the tilted FFT); a conservation guard trips if an
-# operation's total mass drifts by more than _GUARD or a mass is negative or
-# non-finite.  Masses are frozen (core.frozen): one memoised law serves all.
+# operation's total mass drifts by more than _GUARD.  Every law, operation
+# results included, and every ErrorModel is checked once, by its
+# constructor.  Masses are frozen (core.frozen): one memoised law serves all.
 
 _GUARD = 1e-12                 # conservation tolerance
 
@@ -75,15 +76,14 @@ class IntDist:
     masses: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "offset", int(self.offset))
+        object.__setattr__(self, "offset", operator.index(self.offset))
         object.__setattr__(self, "masses", frozen(
             np.asarray(self.masses, np.float64)))
-        if not self.masses.size:
-            raise ValueError("empty distribution")
-        if not np.isfinite(self.masses).all():
-            raise ValueError("non-finite mass")
-        if (self.masses < 0).any():
-            raise ValueError("negative mass")
+        if self.masses.ndim != 1 or not self.masses.size:
+            raise ValueError("masses must be a nonempty 1-D array")
+        # a NaN fails every comparison, -inf the first and +inf the last
+        if not 0 <= self.masses.min() <= self.masses.max() < math.inf:
+            raise ValueError("negative or non-finite mass")
 
     @classmethod
     @functools.cache
@@ -109,16 +109,12 @@ class IntDist:
         return dict(zip(self.support.tolist(), self.masses.tolist()))
 
     def _checked(self, other: "IntDist", offset: int, masses, op: str):
-        """The result if its mass is the operands' product (a NaN mass fails
-        both comparisons, an infinite one the second)."""
+        """The result if its mass is the operands' product (a NaN or
+        infinite sum fails the comparison)."""
         expected = self.total_mass() * other.total_mass()
-        if not (masses.min() >= 0
-                and abs(float(masses.sum()) - expected) <= _GUARD):
+        if not abs(float(masses.sum()) - expected) <= _GUARD:
             raise PrecisionLossError(f"mass conservation violated in {op}")
-        out = IntDist.__new__(IntDist)   # guarded: skip __init__'s checks
-        object.__setattr__(out, "offset", int(offset))
-        object.__setattr__(out, "masses", frozen(masses))
-        return out
+        return IntDist(offset, masses)
 
     def convolve(self, other: "IntDist") -> "IntDist":
         """Distribution of X + Y for independent X, Y (direct convolution)."""
@@ -196,22 +192,21 @@ def dist_stddev(d: IntDist) -> float:
 # error models
 
 
-@dataclass
+@dataclass(frozen=True)
 class ErrorModel:
     """Laws of the terms entering the decryption noise
     e_pk^T s' - s^T e_ct + e_dd; the baseline's compression errors are part
-    of its e_ct and e_dd laws."""
+    of its e_ct and e_dd laws.  Immutable, and every law is normalised."""
 
     secret_dist: IntDist          # s and s' coefficients
     pk_error_dist: IntDist        # e (or the channel error on b)
     ct_error_dist: IntDist        # e' (or the channel error on u)
     e_dd_dist: IntDist            # e'' (or the channel error on v)
 
-    def validate(self):
+    def __post_init__(self):
         for name in ("secret_dist", "pk_error_dist", "ct_error_dist", "e_dd_dist"):
             if not getattr(self, name).mass_defect() <= 1e-9:
                 raise ValueError(f"{name} is not normalised")
-        return self
 
 
 def _cgf(tails: tuple, theta: np.ndarray) -> tuple:
@@ -311,7 +306,7 @@ def _log_tails(tails: tuple) -> np.ndarray:
 
 def _log2_failures(rows, names) -> list:
     """log2 n P(|noise| >= 832) per (params, model) row; -inf out of reach."""
-    laws = [(m.validate().secret_dist.product(m.pk_error_dist).convolve(
+    laws = [(m.secret_dist.product(m.pk_error_dist).convolve(
         m.secret_dist.product(m.ct_error_dist)), m.e_dd_dist) for _, m in rows]
     # W and Z within relative 2^-50 of their mirrors: one tail (module doc)
     tails, mirrored = [], np.ones(len(rows), bool)

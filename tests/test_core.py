@@ -567,7 +567,12 @@ class TestPacking:
     @settings(max_examples=50)
     def test_roundtrip(self, values):
         arr = np.array(values, dtype=np.int64)
-        assert (unpack12(pack12(arr), len(values)) == arr).all()
+        assert (unpack12(pack12(arr)) == arr).all()
+
+    @pytest.mark.parametrize("size", [1, 2, 4, 5, 767])
+    def test_unpack_rejects_partial_pairs(self, size):
+        with pytest.raises(ValueError):
+            unpack12(bytes(size))
 
     def test_length(self):
         assert len(pack12(np.zeros(512, dtype=np.int64))) == 768

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from wkyber.core import (cbd_vectors, centered, check_seed, compress,
                          decompress, gen_matrices, mul_sum, ntt, pack12,
-                         squeeze, unpack_ring)
+                         squeeze, unpack12)
 from wkyber.params import KYBER768, N, Q, PARAM_SETS
 from wkyber.pke import (decrypt, encrypt, keygen, keygen_bytes, random_bits,
                         wk_encrypt)
@@ -177,6 +177,19 @@ class TestSessionBytes:
     def test_random_bits_rejects_wrong_lengths(self, lengths):
         with pytest.raises(ValueError, match="needs 32 bytes"):
             random_bits([bytes(n) for n in lengths])
+
+
+def unpack_ring(data, rows):
+    """The byte format's oracle: pack12 bytes to (rows, 256) coefficients,
+    rejecting a wrong length or any coefficient >= q, so every accepted
+    encoding is canonical.  Secrets decode with rows = k, ciphertexts with
+    k + 1, a public key's b after its 32 seed bytes (check_seed) with k."""
+    if len(data) != 3 * rows * N // 2:
+        raise ValueError("length mismatch")
+    coeffs = unpack12(data)
+    if coeffs.max(initial=0) >= Q:
+        raise ValueError("non-canonical coefficient >= q")
+    return coeffs.reshape(rows, N)
 
 
 class TestSerialization:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from wkyber.core import (centered, decompress, gen_matrices, intt, mul_sum,
                          noise_vectors, ntt, pack12, poly_mul_schoolbook,
-                         squeeze, unpack_ring)
+                         squeeze, unpack12)
 from wkyber.modem import ChannelPlan, NoiseSource
 from wkyber.params import KYBER768, N, Q, PARAM_SETS
 from wkyber.pke import (decrypt, encrypt, keygen, keygen_bytes, random_bits,
@@ -118,7 +118,8 @@ class TestV1Pke:
                                [b"\x03" * 32], P768)
         assert coeffs.shape == (P768.k + 1, N)
         assert len(pack12(coeffs)) == 12 * (P768.k + 1) * N // 8
-        assert np.array_equal(unpack_ring(pack12(coeffs), P768.k + 1), coeffs)
+        assert np.array_equal(unpack12(pack12(coeffs)).reshape(coeffs.shape),
+                              coeffs)
 
 
 class TestV2Pke:

@@ -1,3 +1,4 @@
+import dataclasses
 import decimal
 import math
 from collections import Counter
@@ -96,6 +97,18 @@ class TestIntDist:
             lying.convolve(IntDist.centered_binomial(2))
         with pytest.raises(PrecisionLossError):
             lying.product(IntDist.centered_binomial(2))
+
+    def test_offset_must_be_an_integer(self):
+        # int() would truncate 0.7 to 0; numpy integers are integers
+        with pytest.raises(TypeError):
+            IntDist(0.7, [1.0])
+        assert IntDist(np.int64(-1), [0.5, 0.5]).support.tolist() == [-1, 0]
+
+    def test_masses_must_be_one_dimensional(self):
+        # a nested list would pass as one mass per row and fail in convolve
+        for bad in ([[0.5, 0.5]], 1.0, []):
+            with pytest.raises(ValueError):
+                IntDist(0, bad)
 
     def test_guard_trips_on_non_finite_mass(self):
         for bad in (float("nan"), float("inf"), -float("inf")):
@@ -246,10 +259,15 @@ class TestFailureProbability:
         # a NaN total fails every comparison, so it must not pass as
         # normalised and trip the precision guard later
         for law in (IntDist(0, [0.5]), with_mass(float("nan"))):
-            model = ErrorModel(secret_dist=law, pk_error_dist=law,
-                               ct_error_dist=law, e_dd_dist=law)
             with pytest.raises(ValueError, match="not normalised"):
-                failure_probability(KYBER768, model)
+                ErrorModel(secret_dist=law, pk_error_dist=law,
+                           ct_error_dist=law, e_dd_dist=law)
+
+    def test_model_fields_cannot_be_rebound(self):
+        model = wkyber_v2_model(KYBER512, -10.0)
+        for field in dataclasses.fields(ErrorModel):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(model, field.name, ZERO)
 
     def test_failure_bound_value(self):
         assert FAILURE_BOUND == 832
@@ -297,16 +315,15 @@ def table_models(snr_lsb_db=-10.0):
 class TestTableBatch:
     """A table's rows share one batch of the tilted kernel."""
 
-    def test_repeated_table_constructs_no_law(self, monkeypatch):
-        # the binomial, channel and compression laws are memoised, and the
-        # products and sums the table builds from them skip the constructor
+    def test_repeated_table_constructs_no_law(self):
+        # the binomial, channel and compression laws are memoised, so a
+        # second table misses none of their caches
+        memos = (IntDist.centered_binomial.__func__, coeff_error_dist,
+                 compression_error_dist)
         failure_prob_rows(-10.0)
-        calls = []
-        init = IntDist.__init__
-        monkeypatch.setattr(IntDist, "__init__", lambda self, *args: (
-            calls.append(1), init(self, *args))[1])
+        misses = [memo.cache_info().misses for memo in memos]
         failure_prob_rows(-10.0)
-        assert calls == []
+        assert [memo.cache_info().misses for memo in memos] == misses
 
     def test_rows_match_lone_calls(self):
         lone = [failure_probability(params, model)
@@ -418,8 +435,8 @@ class TestTiltedKernel:
     def test_law_wider_than_window_raises(self):
         # an e_dd on -600..600 would not fit the transform's window
         wide = IntDist(-600, np.full(1201, 1 / 1201))
-        model = wkyber_v2_model(KYBER512, -10.0)
-        model.e_dd_dist = wide
+        model = dataclasses.replace(wkyber_v2_model(KYBER512, -10.0),
+                                    e_dd_dist=wide)
         with pytest.raises(PrecisionLossError):
             failure_probability(KYBER512, model)
 
@@ -450,7 +467,8 @@ class TestMirrorRule:
         e_dd = model.e_dd_dist
         masses = e_dd.masses.copy()
         masses[e_dd.support == 2] *= 1 + 1e-6
-        model.e_dd_dist = IntDist(e_dd.offset, masses / masses.sum())
+        model = dataclasses.replace(model, e_dd_dist=IntDist(
+            e_dd.offset, masses / masses.sum()))
         got = failure_probability(KYBER512, model)
         assert abs(got - oracle_log2(noise_law, KYBER512, model)) <= 1e-9
 
