@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from .core import frozen
+from .core import check_range, frozen
 
 CODE_N = 31             # block length 2^5 - 1
 CODE_K = 11             # message bits
@@ -109,12 +109,8 @@ def decode_words(received):
     word within t of a wrong codeword decodes "successfully" to that
     codeword; the caller accounts for that hazard end to end.
     """
-    words = np.asarray(received).ravel()
-    if words.size and words.dtype.kind not in "iu":
-        raise ValueError("received words must be integers")
-    words = words.astype(np.int64)
-    if np.bitwise_or.reduce(words) >> CODE_N:   # a negative or wider word
-        raise ValueError("received words must fit in 31 bits")
+    words = check_range(np.ravel(received), 1 << CODE_N, "received words")
+    words = words.copy()    # the corrections are XORed in place
     corrections = np.zeros(words.size, dtype=np.int64)
     failed = np.zeros(words.size, dtype=bool)
     syndromes = _syndrome(words)

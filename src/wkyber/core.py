@@ -13,8 +13,8 @@ public matrices of a batch of seeds are expanded together, as one
 transformed array shared through a cache.  Every array callers share is
 frozen: a copy held in bytes, so no array in its base chain can be written
 or made writeable again.  Every other array a function returns is fresh,
-and functions are pure.  Centered binomial noise is one table lookup per
-coefficient.
+save check_range's, which is an int64 argument itself, and functions are
+pure.  Centered binomial noise is one table lookup per coefficient.
 """
 
 from __future__ import annotations
@@ -50,15 +50,31 @@ def frozen(a: np.ndarray) -> np.ndarray:
     return np.frombuffer(a.tobytes(), a.dtype).reshape(a.shape)
 
 
-def check_seed(seed: bytes) -> bytes:
-    if not isinstance(seed, (bytes, bytearray)) or len(seed) != SEED_BYTES:
-        raise ValueError(f"seed must be exactly {SEED_BYTES} bytes")
-    return bytes(seed)
+def check_bytes(chunks, n: int) -> list:
+    """Each session's string as bytes, ValueError unless every one is bytes
+    or a bytearray of exactly n bytes."""
+    chunks = list(chunks)
+    got = [len(c) if isinstance(c, (bytes, bytearray)) else type(c).__name__
+           for c in chunks]
+    if any(g != n for g in got):
+        raise ValueError(f"each session needs {n} bytes, got {got}")
+    return [bytes(c) for c in chunks]
+
+
+def check_sessions(*inputs):
+    """ValueError unless every per-session input holds the same count."""
+    counts = [len(x) for x in inputs]
+    if len(set(counts)) > 1:
+        raise ValueError(f"per-session inputs differ in count: {counts}")
 
 
 def check_range(x, bound: int, what: str) -> np.ndarray:
-    """x as an int64 array, ValueError unless every entry is in [0, bound)."""
-    x = np.asarray(x, dtype=np.int64)
+    """x as an int64 array (x itself if it is one), ValueError unless it
+    holds integers, not bool or float, each in [0, bound)."""
+    x = np.asarray(x)
+    if x.size and x.dtype.kind not in "iu":
+        raise ValueError(f"{what} must be integers, got {x.dtype}")
+    x = x.astype(np.int64, copy=False)
     if x.min(initial=0) < 0 or x.max(initial=0) >= bound:
         raise ValueError(f"{what} outside [0, {bound})")
     return x
@@ -185,8 +201,8 @@ def cbd_vectors(raw: bytes, eta: int, k: int) -> np.ndarray:
 def noise_vectors(seeds, label: bytes, eta: int, k: int) -> np.ndarray:
     """(B, k, 256) centered binomial vectors, one per 32-byte seed, each
     from one squeeze of the seed's stream under label."""
-    return cbd_vectors(b"".join(squeeze(check_seed(s), label, 64 * eta * k)
-                                for s in seeds), eta, k)
+    return cbd_vectors(b"".join(squeeze(s, label, 64 * eta * k) for s in
+                                check_bytes(seeds, SEED_BYTES)), eta, k)
 
 
 # a batch expands at most two seed tuples, the sender's and, when a seed
@@ -219,7 +235,7 @@ def gen_matrices(seeds, params: ParamSet) -> np.ndarray:
     candidates below q of its own SHAKE-128 stream, in order; all entries
     are parsed together and transformed in one call.  Memoised by the seeds, since a
     session batch touches the same matrices several times."""
-    return _gen_matrix_cached(tuple(check_seed(s) for s in seeds), params.k)
+    return _gen_matrix_cached(tuple(check_bytes(seeds, SEED_BYTES)), params.k)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import check_range
+
 
 @dataclass(frozen=True)
 class ChannelPlan:
@@ -87,9 +89,7 @@ def noise_sigma(snr_db: float) -> float:
 
 def modulate_words(words: np.ndarray) -> np.ndarray:
     """Vector Gray mapping of 2-bit words onto the four quadrants."""
-    w = np.asarray(words)
-    if w.min(initial=0) < 0 or w.max(initial=0) > 3:
-        raise ValueError("2-bit words expected")
+    w = check_range(words, 4, "2-bit words")
     return (1.0 - 2.0 * (w & 1)) + 1j * (1.0 - 2.0 * (w >> 1))
 
 
@@ -112,6 +112,6 @@ def bit_error_prob(snr_db: float) -> float:
     """Crossover Q(sqrt(2 Eb/N0)) of each hard-decided bit of Gray-coded 4QAM
     on AWGN; 0 at +inf dB."""
     eb_n0 = snr_db_to_linear(snr_db)
-    if eb_n0 <= 0:
+    if not eb_n0 > 0:
         raise ValueError("Eb/N0 must be positive")
     return 0.5 * math.erfc(math.sqrt(2.0 * eb_n0) / math.sqrt(2.0))

@@ -11,10 +11,10 @@ A^T and b^T stacked against s' at encryption, and s^T u at decryption.
 Every function takes B sessions at once as plain arrays: public keys are
 pairs (seeds, b) of B 32-byte seeds for the matrices A (gen_matrices caches
 them) and one (B, k, 256) array, secrets (B, k, 256), message bits
-(B, 256), uncompressed ciphertexts (B, k + 1, 256) coefficients; per-session
-inputs that differ in count raise ValueError rather than broadcast.  Session
-randomness is bytes, and a session's string of the wrong length (keygen_bytes
-for keygen, 32 for message bits and coins) raises ValueError.  On the wire
+(B, 256), uncompressed ciphertexts (B, k + 1, 256) coefficients.  Session
+randomness is bytes.  Inputs that differ in count (core.check_sessions) or a
+string of the wrong length (core.check_bytes: keygen_bytes for keygen, 32 for
+message bits and coins) raise ValueError rather than broadcast.  On the wire
 each session's secret or ciphertext is pack12 of its array and its key is
 seed + pack12(b); pack12 is the KEM's hash input, and the tests hold its
 decoder (sessions carry arrays, never bytes).  wk_encrypt and wk_decrypt
@@ -26,29 +26,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import (cbd_vectors, compress, decompress, gen_matrices, mul_sum,
-                   noise_vectors, ntt)
+from .core import (cbd_vectors, check_bytes, check_sessions, compress,
+                   decompress, gen_matrices, mul_sum, noise_vectors, ntt)
 from .params import N, Q, ParamSet
-
-
-def _check_sessions(*inputs):
-    """ValueError unless every per-session input holds the same count."""
-    counts = [len(x) for x in inputs]
-    if len(set(counts)) > 1:
-        raise ValueError(f"per-session inputs differ in count: {counts}")
-
-
-def _check_bytes(chunks, n: int):
-    """ValueError unless every session's byte string holds exactly n bytes."""
-    lengths = [len(c) for c in chunks]
-    if any(length != n for length in lengths):
-        raise ValueError(f"each session needs {n} bytes, got {lengths}")
 
 
 def random_bits(msgs) -> np.ndarray:
     """(B, 256) message bits from each session's 32 bytes, little-endian."""
-    _check_bytes(msgs, N // 8)
-    raw = np.frombuffer(b"".join(msgs), dtype=np.uint8)
+    raw = np.frombuffer(b"".join(check_bytes(msgs, N // 8)), dtype=np.uint8)
     return np.unpackbits(raw, bitorder="little").reshape(-1, N).astype(np.int64)
 
 
@@ -62,8 +47,8 @@ def keygen(seeds_a, noise, params: ParamSet, with_error: bool = True):
     """b = A s + e, or b = A s without the error, with s and e drawn from
     the eta1 binomial by each session's keygen_bytes noise bytes.  Returns
     (pks, s) with pks = (seeds_a, b)."""
-    _check_sessions(seeds_a, noise)
-    _check_bytes(noise, keygen_bytes(params, with_error))
+    check_sessions(seeds_a, noise)
+    noise = check_bytes(noise, keygen_bytes(params, with_error))
     k = params.k
     se = cbd_vectors(b"".join(noise), params.eta1, 2 * k if with_error else k)
     s = se[:, :k]
@@ -77,7 +62,7 @@ def wk_encrypt(pks, bits: np.ndarray, coins, params: ParamSet) -> np.ndarray:
     """u = A^T s', v = b^T s' + mhat, with s' expanded from each session's
     32-byte coins; no e' or e'' is ever sampled."""
     seeds, b = pks
-    _check_sessions(seeds, b, bits, coins)
+    check_sessions(seeds, b, bits, coins)
     sp = noise_vectors(coins, b"sp", params.eta1, params.k)
     rows = np.concatenate((gen_matrices(seeds, params).swapaxes(-3, -2),
                            ntt(b % Q)[..., None, :, :]), axis=-3)
@@ -88,7 +73,7 @@ def wk_encrypt(pks, bits: np.ndarray, coins, params: ParamSet) -> np.ndarray:
 
 def wk_decrypt(s: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """Per-coefficient compress(v - s^T u, 1): the message bits."""
-    _check_sessions(s, coeffs)
+    check_sessions(s, coeffs)
     coeffs = coeffs % Q
     u, v = coeffs[..., :-1, :], coeffs[..., -1, :]
     su = mul_sum(ntt(s)[..., None, :, :], u)[..., 0, :]

@@ -50,8 +50,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (SEED_BYTES, centered, check_range, check_seed, pack12,
-                   squeeze)
+from .core import (SEED_BYTES, centered, check_bytes, check_range,
+                   check_sessions, pack12, squeeze)
 from .modem import ChannelPlan, NoiseSource
 from .params import N, ParamSet
 from .pke import keygen, keygen_bytes, random_bits, wk_decrypt, wk_encrypt
@@ -72,6 +72,13 @@ MIN_MSB_DB = 10.0
 MAX_LSB_DB = -5.0
 
 
+def _is_v1(version: str) -> bool:
+    """True for "v1", False for "v2", ValueError for any other version."""
+    if version not in ("v1", "v2"):
+        raise ValueError(f"version must be 'v1' or 'v2', got {version!r}")
+    return version == "v1"
+
+
 def snr_warnings(version: str, plans) -> list:
     """The ways a session's (public key, ciphertext) plans leave the
     operating window, as warning texts: the ciphertext plan's, then v2's
@@ -79,7 +86,7 @@ def snr_warnings(version: str, plans) -> list:
     pk_plan, ct_plan = plans
     out = []
     for label, plan in [("ciphertext", ct_plan)] + (
-            [("public key", pk_plan)] if version == "v2" else []):
+            [] if _is_v1(version) else [("public key", pk_plan)]):
         if not plan.snr_msb_db >= MIN_MSB_DB:
             out.append(f"{label}: MSB-path SNR {plan.snr_msb_db:g} dB below "
                        f"{MIN_MSB_DB:g} dB; decode failures not negligible")
@@ -94,9 +101,8 @@ def session_plans(version: str, snr_msb_db: float, snr_lsb_db: float):
     bits take the exposed path; v1's key travels with both paths protected,
     v2's key like the ciphertext, so the channel injects its error."""
     ct_plan = ChannelPlan(snr_msb_db, snr_lsb_db)
-    if version == "v1":
-        return ChannelPlan(snr_msb_db, snr_msb_db), ct_plan
-    return ct_plan, ct_plan
+    return (ChannelPlan(snr_msb_db, snr_msb_db) if _is_v1(version)
+            else ct_plan), ct_plan
 
 
 # ---------------------------------------------------------------------------
@@ -138,11 +144,12 @@ def kem_v1_decaps(s: np.ndarray, zs, pks, received: np.ndarray,
     Decryption reads 4 * w10 + 2 in place of each received word, so no w2
     bit sets any decryption noise.  The check accepts exactly the
     ciphertexts whose w10 words equal the re-encryption's.  That relation is
-    public, so the target is replayable CCA (module docstring).  Each z must
-    be 32 bytes and each received word lie in [0, 4096) (ValueError
-    otherwise, before any work).
+    public, so the target is replayable CCA (module docstring).  s, zs and
+    received must agree in count, each z hold 32 bytes and each received
+    word be an integer in [0, 4096) (ValueError otherwise, before any work).
     """
-    zs = [check_seed(z) for z in zs]
+    check_sessions(s, zs, received)
+    zs = check_bytes(zs, SEED_BYTES)
     w10 = check_range(received, 1 << 12, "received words") >> 2
     expected, secrets = kem_v1_encaps(pks, wk_decrypt(s, 4 * w10 + 2), params)
     return [secret if ok
@@ -194,8 +201,7 @@ def run_sessions(version: str, params: ParamSet, plans, seeds, *,
     Sessions run SESSION_BATCH at a time; a session's entries depend only
     on its own seed (see the module docstring).
     """
-    if version not in ("v1", "v2"):
-        raise ValueError(f"version must be 'v1' or 'v2', got {version!r}")
+    v1 = _is_v1(version)
     outcome = np.zeros(len(seeds), dtype=bool)
     pk_fail, ct_fail = np.zeros((2, len(seeds)), dtype=np.int64)
     offsets = (np.zeros((len(seeds), (params.k + 1) * N), dtype=np.int64)
@@ -203,17 +209,16 @@ def run_sessions(version: str, params: ParamSet, plans, seeds, *,
     for at in range(0, len(seeds), SESSION_BATCH):
         batch = slice(at, at + SESSION_BATCH)
         outcome[batch], pk_fail[batch], ct_fail[batch], error = _run_batch(
-            version, params, plans, seeds[batch])
+            v1, params, plans, seeds[batch])
         if offsets is not None:
             offsets[batch] = centered(error)
     return SessionRun(outcome, pk_fail, ct_fail, offsets)
 
 
-def _run_batch(version, params, plans, seeds):
+def _run_batch(v1, params, plans, seeds):
     """(outcome, key-leg failures, ciphertext-leg failures, (B, (k + 1) *
-    256) received - sent ciphertext) of each session of one batch."""
+    256) received - sent ciphertext) per session of a v1 (else v2) batch."""
     pk_plan, ct_plan = plans
-    v1 = version == "v1"
     # every session reads one squeeze of its key stream, sliced as matrix
     # seed | keygen noise | z (v1), and one of its message stream, sliced as
     # message bits | coins (v2)

@@ -28,7 +28,7 @@ import functools
 import math
 import operator
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -69,11 +69,13 @@ class PrecisionLossError(ArithmeticError):
 @dataclass(frozen=True, slots=True, eq=False)
 class IntDist:
     """Integer-valued distribution on a contiguous support with float64
-    masses.  Instances are immutable (no field can be rebound or deleted,
-    the masses are frozen); operations return new distributions."""
+    masses, and their total, summed once.  Instances are immutable (no
+    field can be rebound or deleted, the masses are frozen); operations
+    return new distributions."""
 
     offset: int
     masses: np.ndarray
+    total: float = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "offset", operator.index(self.offset))
@@ -84,6 +86,7 @@ class IntDist:
         # a NaN fails every comparison, -inf the first and +inf the last
         if not 0 <= self.masses.min() <= self.masses.max() < math.inf:
             raise ValueError("negative or non-finite mass")
+        object.__setattr__(self, "total", float(self.masses.sum()))
 
     @classmethod
     @functools.cache
@@ -97,13 +100,6 @@ class IntDist:
         """The support's integers in order, one per mass, as int64."""
         return np.arange(self.offset, self.offset + len(self.masses))
 
-    def total_mass(self) -> float:
-        return float(self.masses.sum())
-
-    def mass_defect(self) -> float:
-        """|1 - total mass|."""
-        return abs(self.total_mass() - 1.0)
-
     def as_dict(self) -> dict:
         """Every support value mapped to its mass, zeros included."""
         return dict(zip(self.support.tolist(), self.masses.tolist()))
@@ -111,8 +107,7 @@ class IntDist:
     def _checked(self, other: "IntDist", offset: int, masses, op: str):
         """The result if its mass is the operands' product (a NaN or
         infinite sum fails the comparison)."""
-        expected = self.total_mass() * other.total_mass()
-        if not abs(float(masses.sum()) - expected) <= _GUARD:
+        if not abs(float(masses.sum()) - self.total * other.total) <= _GUARD:
             raise PrecisionLossError(f"mass conservation violated in {op}")
         return IntDist(offset, masses)
 
@@ -205,7 +200,7 @@ class ErrorModel:
 
     def __post_init__(self):
         for name in ("secret_dist", "pk_error_dist", "ct_error_dist", "e_dd_dist"):
-            if not getattr(self, name).mass_defect() <= 1e-9:
+            if not abs(getattr(self, name).total - 1) <= 1e-9:
                 raise ValueError(f"{name} is not normalised")
 
 

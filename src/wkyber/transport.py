@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import bch
-from .core import check_range
+from .core import SEED_BYTES, check_bytes, check_range, check_sessions
 from .modem import ChannelPlan, NoiseSource, bit_error_prob, flip_masks
 from .params import Q
 
@@ -66,8 +66,7 @@ def _send_leg(head: np.ndarray, coeffs, plan: ChannelPlan, noises):
     coefficients in row-major order.  Each session draws its flips from its
     own noise source: head blocks, coefficient blocks, then w2 bits."""
     c = check_range(coeffs, Q, "coefficients")
-    if len(c) != len(noises):
-        raise ValueError("one noise source per session expected")
+    check_sessions(head, c, noises)
     c = c.reshape(len(c), -1)
     h, n, p_msb = head.shape[1], c.shape[1], bit_error_prob(plan.snr_msb_db)
     # a field of no words draws nothing (NoiseSource.flips)
@@ -89,6 +88,7 @@ def send_key(seeds, b, plan: ChannelPlan, noises):
     """Transmit B public keys: each 32-byte seed's 26 blocks, then its b
     as send_coeffs sends it.  Returns (msb, lsb), the seed blocks at the
     head of each (B, 26 + n) msb row."""
+    seeds = check_bytes(seeds, SEED_BYTES)
     bits = np.unpackbits(np.frombuffer(b"".join(seeds), dtype=np.uint8)
                          .reshape(len(seeds), 32), axis=1, bitorder="little")
     words = np.pad(bits, ((0, 0), (0, 4))).reshape(
@@ -101,7 +101,9 @@ def receive_coeffs(msb: np.ndarray, lsb: np.ndarray):
     block decode.  Returns (seeds, coeffs, failures): the B received seeds,
     or None for a ciphertext leg (a key leg's msb has 26 seed blocks more
     than its lsb); the (B, n) received 12-bit words 4 * w10 + w2 in
-    [0, 4096), not reduced mod q; and the failed blocks per session."""
+    [0, 4096), not reduced mod q; and the failed blocks per session.  A w2
+    word outside [0, 4) raises ValueError."""
+    lsb = check_range(lsb, 4, "w2 words")
     head = msb.shape[1] - lsb.shape[1]
     if head not in (0, SEED_BLOCKS):
         raise ValueError(f"a leg's msb holds {head} blocks more than its "

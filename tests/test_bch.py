@@ -234,6 +234,14 @@ class TestDecodeWords:
         with pytest.raises(ValueError):   # a lone value, not in a list
             decode_words(np.ravel(words)[-1])
 
+    def test_leaves_int64_input_unchanged(self):
+        # corrections are XORed into a copy, never into the caller's array
+        words = np.array([CODEWORDS[5] ^ 0b1001, CODEWORDS[9]], dtype=np.int64)
+        kept = words.copy()
+        msgs, corrections, failed = decode_words(words)
+        assert msgs.tolist() == [5, 9] and corrections.tolist() == [2, 0]
+        assert np.array_equal(words, kept)
+
     def test_error_table(self):
         keys = bch._error_table()
         size = sum(math.comb(CODE_N, w) for w in range(1, CODE_T + 1))

@@ -177,6 +177,11 @@ class TestQFunction:
         with pytest.raises(ValueError, match="Eb/N0"):
             bit_error_prob(-math.inf)
 
+    def test_nan_snr_raises(self):
+        # a NaN SNR would otherwise come back as a NaN probability
+        with pytest.raises(ValueError, match="Eb/N0 must be positive"):
+            bit_error_prob(math.nan)
+
 
 class TestBerFormulas:
     def test_approaches_half(self):

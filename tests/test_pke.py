@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wkyber.core import (cbd_vectors, centered, check_seed, compress,
+from wkyber.core import (cbd_vectors, centered, check_bytes, compress,
                          decompress, gen_matrices, mul_sum, ntt, pack12,
                          squeeze, unpack12)
 from wkyber.params import KYBER768, N, Q, PARAM_SETS
@@ -183,7 +183,7 @@ def unpack_ring(data, rows):
     """The byte format's oracle: pack12 bytes to (rows, 256) coefficients,
     rejecting a wrong length or any coefficient >= q, so every accepted
     encoding is canonical.  Secrets decode with rows = k, ciphertexts with
-    k + 1, a public key's b after its 32 seed bytes (check_seed) with k."""
+    k + 1, a public key's b after its 32 seed bytes (check_bytes) with k."""
     if len(data) != 3 * rows * N // 2:
         raise ValueError("length mismatch")
     coeffs = unpack12(data)
@@ -197,7 +197,7 @@ class TestSerialization:
     def test_pk_sk_roundtrip(self, params):
         ((seed,), (b,)), (s,) = key_pair(b"ser", params)
         pk = seed + pack12(b)
-        assert check_seed(pk[:32]) == seed
+        assert check_bytes([pk[:32]], 32) == [seed]
         assert np.array_equal(unpack_ring(pk[32:], params.k), b)
         assert np.array_equal(unpack_ring(pack12(s), params.k), s)
 
@@ -228,7 +228,7 @@ def decode(form, data):
     """(seed, b"" for an unkeyed form, and the (rows, 256) coefficients)."""
     rows, keyed = FORMS[form]
     if keyed:
-        return check_seed(data[:32]), unpack_ring(data[32:], rows)
+        return check_bytes([data[:32]], 32)[0], unpack_ring(data[32:], rows)
     return b"", unpack_ring(data, rows)
 
 

@@ -5,17 +5,18 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from wkyber.core import (centered, decompress, gen_matrices, intt, mul_sum,
-                         noise_vectors, ntt, pack12, poly_mul_schoolbook,
-                         squeeze, unpack12)
-from wkyber.modem import ChannelPlan, NoiseSource
+from wkyber.core import (centered, compress, decompress, gen_matrices, intt,
+                         mul_sum, noise_vectors, ntt, pack12,
+                         poly_mul_schoolbook, squeeze, unpack12)
+from wkyber.modem import ChannelPlan, NoiseSource, modulate_words
 from wkyber.params import KYBER768, N, Q, PARAM_SETS
 from wkyber.pke import (decrypt, encrypt, keygen, keygen_bytes, random_bits,
                         wk_decrypt, wk_encrypt)
 from wkyber.protocol import (SESSION_BATCH, kem_v1_decaps, kem_v1_encaps,
                              run_sessions, session_plans, snr_warnings)
 from wkyber.reliability import coeff_error_dist
-from wkyber.transport import receive_coeffs, send_coeffs, send_key
+from wkyber.transport import (receive_coeffs, send_blocks, send_coeffs,
+                              send_key)
 
 SEED = bytes(32)
 P768 = KYBER768
@@ -263,6 +264,47 @@ class TestKem:
             kem_v1_decaps(s, zs, pks, c, P768)
         assert not calls
 
+    def test_decaps_checks_session_counts_before_any_work(self, monkeypatch):
+        # one z for two sessions is refused before decryption runs, not by
+        # the final zip once decryption and re-encryption are done
+        from wkyber import protocol
+        pks, s, zs = kem_keys([b"k1", b"k2"])
+        c, _ = kem_v1_encaps(pks, random_bits([stream(b"m1", 32),
+                                               stream(b"m2", 32)]), P768)
+        calls = []
+        monkeypatch.setattr(protocol, "wk_decrypt",
+                            lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="differ in count"):
+            kem_v1_decaps(s, zs[:1], pks, c, P768)
+        assert not calls
+
+
+# every entry point between the channel and the KEM, given a float where
+# its integer array belongs: check_range refuses it rather than truncate
+FLOAT_INPUTS = {
+    "compress": lambda kem, x: compress(x, 1),
+    "decompress": lambda kem, x: decompress(x, 1),
+    "pack12": lambda kem, x: pack12(x),
+    "send_blocks": lambda kem, x: send_blocks(x, math.inf, NoiseSource(0)),
+    "send_coeffs": lambda kem, x: send_coeffs(x, V2_PLANS[1],
+                                              [NoiseSource(0)]),
+    "receive_coeffs lsb": lambda kem, x: receive_coeffs(
+        np.zeros(x.shape, dtype=np.int64), x),
+    "modulate_words": lambda kem, x: modulate_words(x),
+    "wk_decrypt": lambda kem, x: wk_decrypt(kem[1], kem[3] + 0.5),
+    "kem_v1_decaps": lambda kem, x: kem_v1_decaps(kem[1], kem[2], kem[0],
+                                                  kem[3] + 0.5, P768),
+}
+
+
+@pytest.mark.parametrize("entry", FLOAT_INPUTS)
+def test_float_input_raises(entry):
+    # at kem_v1_decaps, c + 0.5 truncated back to c would yield the honest
+    # secret for a ciphertext that was never sent
+    with pytest.raises(ValueError, match="must be integers"):
+        FLOAT_INPUTS[entry](kem_pair(b"float", b"m9"),
+                            np.full((1, 2), 1.5))
+
 
 @pytest.fixture(scope="module")
 def static_key_sessions():
@@ -418,6 +460,13 @@ class TestSessions:
                                                    ChannelPlan(6.0, -10.0))
         assert session_plans("v2", 6.0, -10.0) == (ChannelPlan(6.0, -10.0),
                                                    ChannelPlan(6.0, -10.0))
+
+    def test_plans_and_warnings_refuse_unknown_version(self):
+        # "v3" would otherwise get v2's plans and v1's warnings
+        with pytest.raises(ValueError, match="'v1' or 'v2'"):
+            session_plans("v3", 10.0, -10.0)
+        with pytest.raises(ValueError, match="'v1' or 'v2'"):
+            snr_warnings("v3", V2_PLANS)
 
     def test_offsets_collection(self):
         rec = run_sessions("v1", P768, NOMINAL_PLANS, [7],

@@ -198,17 +198,33 @@ class TestLegs:
 
     def test_rejects_one_noise_source_per_batch(self):
         coeffs = np.zeros((2, 8), dtype=np.int64)
-        with pytest.raises(ValueError, match="noise source"):
+        with pytest.raises(ValueError, match="differ in count"):
             send_coeffs(coeffs, NOISELESS, [NoiseSource(0)])
-        with pytest.raises(ValueError, match="noise source"):
+        with pytest.raises(ValueError, match="differ in count"):
             send_key([bytes(32)] * 2, coeffs, NOISELESS, [NoiseSource(0)])
+
+    def test_rejects_seeds_of_other_lengths(self):
+        # 31 and 33 bytes join to 64, which would split as two 32-byte
+        # seeds with one byte moved from the second session to the first
+        coeffs = np.zeros((2, 8), dtype=np.int64)
+        with pytest.raises(ValueError, match="needs 32 bytes"):
+            send_key([bytes(31), bytes(33)], coeffs, NOISELESS,
+                     [NoiseSource(0), NoiseSource(1)])
+
+    def test_rejects_w2_words_outside_two_bits(self):
+        # 4 * w10 + w2 with w2 = 5 or -1 would carry into or borrow from
+        # w10: the words [25, 27] both read w10 = 6
+        msb = send_blocks(np.array([5, 7]), math.inf, NoiseSource(0))
+        with pytest.raises(ValueError, match=r"w2 words outside \[0, 4\)"):
+            receive_coeffs(msb[None], np.array([[5, -1]]))
 
     @pytest.mark.parametrize("head", [-1, 1, SEED_BLOCKS - 1,
                                       SEED_BLOCKS + 1, 2 * SEED_BLOCKS])
     def test_rejects_leg_of_unknown_shape(self, head):
         # only a ciphertext (as many blocks as w2 words) or a key (26 seed
         # blocks more) is a leg
-        msb = send_blocks(np.zeros(40 + head), math.inf, NoiseSource(0))
+        msb = send_blocks(np.zeros(40 + head, dtype=np.int64), math.inf,
+                          NoiseSource(0))
         with pytest.raises(ValueError, match="blocks more"):
             receive_coeffs(msb[None], np.zeros((1, 40), dtype=np.int64))
 
