@@ -75,7 +75,7 @@ def check_range(x, bound: int, what: str) -> np.ndarray:
     if x.size and x.dtype.kind not in "iu":
         raise ValueError(f"{what} must be integers, got {x.dtype}")
     x = x.astype(np.int64, copy=False)
-    if x.min(initial=0) < 0 or x.max(initial=0) >= bound:
+    if x.view(np.uint64).max(initial=0) >= bound:  # negatives read >= 2^63
         raise ValueError(f"{what} outside [0, {bound})")
     return x
 
