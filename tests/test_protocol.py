@@ -288,7 +288,7 @@ FLOAT_INPUTS = {
     "send_blocks": lambda kem, x: send_blocks(x, math.inf, NoiseSource(0)),
     "send_coeffs": lambda kem, x: send_coeffs(x, V2_PLANS[1],
                                               [NoiseSource(0)]),
-    "receive_coeffs lsb": lambda kem, x: receive_coeffs(
+    "receive_coeffs_lsb": lambda kem, x: receive_coeffs(
         np.zeros(x.shape, dtype=np.int64), x),
     "modulate_words": lambda kem, x: modulate_words(x),
     "wk_decrypt": lambda kem, x: wk_decrypt(kem[1], kem[3] + 0.5),
