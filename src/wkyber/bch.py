@@ -3,8 +3,9 @@
 Codewords are 31-bit integers, bit j holding the coefficient of x^j.
 Encoding is systematic: the 11 message bits occupy positions 30..20 and the
 20 parity bits (remainder of x^20 * m(x) modulo the generator) positions
-19..0.  GF(2^5) is built on the primitive polynomial x^5 + x^2 + 1; this
-fixes the generator and therefore the parity bits, so it is wire-format law.
+19..0.  ENCODE_TABLE, from one vectorised division, is the only encoder.
+GF(2^5) is built on the primitive polynomial x^5 + x^2 + 1; this fixes the
+generator and therefore the parity bits, so it is wire-format law.
 
 Decoding is syndrome (coset-leader) decoding, batched over an array of
 words.  A word's syndrome r mod g is one ENCODE_TABLE lookup, and zero
@@ -25,7 +26,7 @@ import math
 
 import numpy as np
 
-from .core import check_range, frozen
+from .core import check_probability, check_range, frozen
 
 CODE_N = 31             # block length 2^5 - 1
 CODE_K = 11             # message bits
@@ -40,24 +41,16 @@ PARITY_BITS = CODE_N - CODE_K
 GENERATOR = 0x1626D5
 
 
-def _poly2_mod(a: int, g: int) -> int:
-    dg = g.bit_length()
-    while a.bit_length() >= dg:
-        a ^= g << (a.bit_length() - dg)
-    return a
-
-
-def bch_encode(msg: int) -> int:
-    """Systematic 31-bit codeword for an 11-bit message."""
-    if not 0 <= msg < (1 << CODE_K):
-        raise ValueError("message must fit in 11 bits")
-    shifted = msg << PARITY_BITS
-    return shifted | _poly2_mod(shifted, GENERATOR)
+def _encode_table() -> np.ndarray:
+    """x^20 m(x) + (x^20 m(x) mod g) for all 2,048 messages m at once."""
+    shifted = rem = np.arange(1 << CODE_K, dtype=np.int64) << PARITY_BITS
+    for bit in range(CODE_N - 1, PARITY_BITS - 1, -1):   # long division
+        rem = rem ^ (rem >> bit & 1) * (GENERATOR << (bit - PARITY_BITS))
+    return frozen(shifted | rem)
 
 
 # one codeword per message; also the syndrome table (see _syndrome)
-ENCODE_TABLE = frozen(np.array([bch_encode(m) for m in range(1 << CODE_K)],
-                               dtype=np.int64))
+ENCODE_TABLE = _encode_table()
 
 
 _WORD_MASK = (1 << CODE_N) - 1
@@ -135,8 +128,7 @@ def codeword_error_prob(p_b: float) -> float:
     incomplete beta form I_p(t+1, n-t) without the cancellation that the
     1 - CDF route suffers at small p.
     """
-    if not 0.0 <= p_b <= 1.0:
-        raise ValueError("bit error probability outside [0, 1]")
+    check_probability(p_b)
     total = 0.0
     for j in range(CODE_T + 1, CODE_N + 1):
         total += (math.comb(CODE_N, j) * p_b ** j * (1.0 - p_b) ** (CODE_N - j))

@@ -80,6 +80,13 @@ def check_range(x, bound: int, what: str) -> np.ndarray:
     return x
 
 
+def check_probability(p) -> float:
+    """p as a float, ValueError unless it lies in [0, 1] (NaN does not)."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("bit error probability outside [0, 1]")
+    return float(p)
+
+
 # ---------------------------------------------------------------------------
 # the ring transform
 #

@@ -18,16 +18,17 @@ message bits and coins) raise ValueError rather than broadcast.  On the wire
 each session's secret or ciphertext is pack12 of its array and its key is
 seed + pack12(b); pack12 is the KEM's hash input, and the tests hold its
 decoder (sessions carry arrays, never bytes).  wk_encrypt and wk_decrypt
-accept received 12-bit words (transport.receive_coeffs) as b and ciphertext,
-and reduce them mod q before their ring products, as mul_sum requires.
+take received 12-bit words (transport.receive_coeffs; ValueError outside
+[0, 4096)) as b and ciphertext, and reduce them mod q for mul_sum.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import (cbd_vectors, check_bytes, check_sessions, compress,
-                   decompress, gen_matrices, mul_sum, noise_vectors, ntt)
+from .core import (cbd_vectors, check_bytes, check_range, check_sessions,
+                   compress, decompress, gen_matrices, mul_sum, noise_vectors,
+                   ntt)
 from .params import N, Q, ParamSet
 
 
@@ -63,9 +64,10 @@ def wk_encrypt(pks, bits: np.ndarray, coins, params: ParamSet) -> np.ndarray:
     32-byte coins; no e' or e'' is ever sampled."""
     seeds, b = pks
     check_sessions(seeds, b, bits, coins)
+    b = check_range(b, 1 << 12, "key words") % Q
     sp = noise_vectors(coins, b"sp", params.eta1, params.k)
     rows = np.concatenate((gen_matrices(seeds, params).swapaxes(-3, -2),
-                           ntt(b % Q)[..., None, :, :]), axis=-3)
+                           ntt(b)[..., None, :, :]), axis=-3)
     uv = mul_sum(rows, sp)
     uv[:, -1] = (uv[:, -1] + decompress(bits, 1)) % Q
     return uv
@@ -74,7 +76,7 @@ def wk_encrypt(pks, bits: np.ndarray, coins, params: ParamSet) -> np.ndarray:
 def wk_decrypt(s: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """Per-coefficient compress(v - s^T u, 1): the message bits."""
     check_sessions(s, coeffs)
-    coeffs = coeffs % Q
+    coeffs = check_range(coeffs, 1 << 12, "ciphertext words") % Q
     u, v = coeffs[..., :-1, :], coeffs[..., -1, :]
     su = mul_sum(ntt(s)[..., None, :, :], u)[..., 0, :]
     return compress((v - su) % Q, 1)

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import centered, compress, decompress, frozen
+from .core import centered, check_probability, compress, decompress, frozen
 from .modem import bit_error_prob
 from .params import N, PARAM_SETS, Q, ParamSet
 from .protocol import run_sessions
@@ -151,9 +151,7 @@ def channel_error_pmf(p_b: float, variant: str = "exact") -> IntDist:
     cases do not sum to one, so it is renormalised here.  Both weightings
     are exposed because downstream reliability figures exist for each.
     """
-    if not 0.0 <= p_b <= 1.0:
-        raise ValueError("bit error probability outside [0, 1]")
-    p = float(p_b)
+    p = check_probability(p_b)
     half = p * (1.0 - p) / 2.0
     if variant == "exact":
         masses = {0: (1.0 - p) ** 2,

@@ -31,7 +31,7 @@ from .params import Q
 
 
 # ---------------------------------------------------------------------------
-# block (w10) path, shared with out-of-band data such as matrix seeds
+# block (w10) path; send_blocks and a key's seed blocks go through _send_leg
 
 SEED_BLOCKS = 26                       # 256 seed bits + 4 pad bits
 _BIT_SHIFTS = np.arange(9, -1, -1)     # a block's bits, most significant first
@@ -39,10 +39,9 @@ _BIT_SHIFTS = np.arange(9, -1, -1)     # a block's bits, most significant first
 
 def send_blocks(w10: np.ndarray, snr_msb_db: float, noise: NoiseSource) -> np.ndarray:
     """Received 31-bit words of the BCH-encoded 10-bit messages w10
-    (ValueError outside [0, 1024))."""
-    cw = bch.ENCODE_TABLE[check_range(w10, 1 << 10, "block messages")]
-    return cw ^ flip_masks([noise], [(len(cw), bch.CODE_N,
-                                      bit_error_prob(snr_msb_db))])[0]
+    (ValueError outside [0, 1024)): a leg of blocks alone."""
+    return _send_leg(np.asarray(w10)[None], np.zeros((1, 0), np.int64),
+                     ChannelPlan(snr_msb_db, snr_msb_db), [noise])[0][0]
 
 
 def receive_blocks(words: np.ndarray, count: int):
@@ -65,6 +64,7 @@ def _send_leg(head: np.ndarray, coeffs, plan: ChannelPlan, noises):
     """B legs: the (B, h) protected words head, then each session's
     coefficients in row-major order.  Each session draws its flips from its
     own noise source: head blocks, coefficient blocks, then w2 bits."""
+    head = check_range(head, 1 << 10, "block messages")
     c = check_range(coeffs, Q, "coefficients")
     check_sessions(head, c, noises)
     c = c.reshape(len(c), -1)

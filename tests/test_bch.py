@@ -15,8 +15,7 @@ from scipy.special import betainc
 import wkyber
 from wkyber import bch
 from wkyber.bch import (CODE_K, CODE_N, CODE_T, ENCODE_TABLE, GENERATOR,
-                        PARITY_BITS, bch_encode, codeword_error_prob,
-                        decode_words)
+                        PARITY_BITS, codeword_error_prob, decode_words)
 
 # oracle: GF(32) on the primitive polynomial x^5 + x^2 + 1, as log/antilog
 # tables, and the BCH generator derived from it
@@ -43,6 +42,19 @@ def poly2_mul(a: int, b: int) -> int:
         a <<= 1
         b >>= 1
     return r
+
+
+def poly2_mod(a: int, g: int) -> int:
+    """Remainder of binary polynomials packed as ints, by long division."""
+    dg = g.bit_length()
+    while a.bit_length() >= dg:
+        a ^= g << (a.bit_length() - dg)
+    return a
+
+
+def bch_encode(msg: int) -> int:
+    """The table's codeword of one message, as a Python int."""
+    return int(ENCODE_TABLE[msg])
 
 
 def minimal_polynomial(exponent: int) -> int:
@@ -89,7 +101,7 @@ class TestGenerator:
             assert gf_poly_eval(GENERATOR, i) == 0
 
     def test_divides_x31_minus_1(self):
-        assert bch._poly2_mod((1 << 31) | 1, GENERATOR) == 0
+        assert poly2_mod((1 << 31) | 1, GENERATOR) == 0
 
     def test_stable(self):
         assert derive_generator() == GENERATOR == 0x1626D5
@@ -116,9 +128,15 @@ class TestEncode:
         for i in range(CODE_K):
             assert bin(bch_encode(1 << i)).count("1") >= 2 * CODE_T + 1
 
-    def test_rejects_wide_message(self):
-        with pytest.raises(ValueError):
-            bch_encode(1 << CODE_K)
+    def test_table_is_systematic_and_divisible_by_g(self):
+        # every one of the 2,048 entries: its top 11 bits are the message,
+        # and it is a multiple of g, so a codeword
+        assert ENCODE_TABLE.shape == (1 << CODE_K,)
+        assert ENCODE_TABLE.dtype == np.int64
+        assert not ENCODE_TABLE.flags.writeable
+        for msg, cw in enumerate(ENCODE_TABLE.tolist()):
+            assert cw >> PARITY_BITS == msg and cw < 1 << CODE_N
+            assert poly2_mod(cw, GENERATOR) == 0
 
 
 class TestDecode:

@@ -8,7 +8,7 @@ from wkyber.core import (cbd_vectors, centered, check_bytes, compress,
                          squeeze, unpack12)
 from wkyber.params import KYBER768, N, Q, PARAM_SETS
 from wkyber.pke import (decrypt, encrypt, keygen, keygen_bytes, random_bits,
-                        wk_encrypt)
+                        wk_decrypt, wk_encrypt)
 
 SEED = bytes(32)
 NK = keygen_bytes(KYBER768)
@@ -117,6 +117,23 @@ class TestEncryptDecrypt:
             s_u = mul_sum(ntt(s)[None], u)[0]
             noise = centered(v - s_u - decompress(bits[0], 1))
             assert np.abs(noise).max() < 832
+
+    @pytest.mark.parametrize("bad", ["b + 0.5", "b + 12288", "c + 8192", "-c"])
+    def test_rejects_words_never_received(self, bad):
+        # b and the ciphertext arrive as 12-bit words 4 * w10 + w2; a float
+        # or a word past 4096 or below 0 was never sent, even where it
+        # reduces mod q to an honest one
+        (seeds, b), s = key_pair(b"kg7")
+        bits, coins = random_bits([stream(b"m7", 32)]), [stream(b"c7", 32)]
+        c = wk_encrypt((seeds, b), bits, coins, KYBER768)
+        assert np.array_equal(wk_decrypt(s, c), bits)
+        words = {"b + 0.5": b + 0.5, "b + 12288": b + 12288,
+                 "c + 8192": c + 8192, "-c": -c}[bad]
+        with pytest.raises(ValueError, match="words"):
+            if bad.startswith("b"):
+                wk_encrypt((seeds, words), bits, coins, KYBER768)
+            else:
+                wk_decrypt(s, words)
 
     def test_decision_boundary_single_coefficient(self):
         # direct per-coefficient sweep: bit survives iff the added noise stays

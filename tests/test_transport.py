@@ -196,6 +196,21 @@ class TestLegs:
             assert np.array_equal(msb[i], one_msb[0])
             assert np.array_equal(lsb[i], one_lsb[0])
 
+    @pytest.mark.parametrize("snr", [2.0, -5.0])
+    def test_send_blocks_is_a_key_legs_head(self, snr):
+        # send_blocks is a leg of blocks alone, and a key leg draws its seed
+        # blocks' flips first: the same words from the same noise source
+        # read the same flips
+        seed = bytes(range(32))
+        b = np.random.default_rng(71).integers(0, Q, (1, 2, N))
+        (clean,), _ = send_key([seed], b, NOISELESS, [NoiseSource(0)])
+        words, _ = receive_blocks(clean[:SEED_BLOCKS], SEED_BLOCKS)
+        (msb,), _ = send_key([seed], b, ChannelPlan(snr, -10.0),
+                             [NoiseSource(72)])
+        got = send_blocks(words, snr, NoiseSource(72))
+        assert (got != clean[:SEED_BLOCKS]).any()   # flips were drawn
+        assert np.array_equal(got, msb[:SEED_BLOCKS])
+
     def test_rejects_one_noise_source_per_batch(self):
         coeffs = np.zeros((2, 8), dtype=np.int64)
         with pytest.raises(ValueError, match="differ in count"):
@@ -330,3 +345,11 @@ class TestErrorPmf:
             channel_error_pmf(1.5)
         with pytest.raises(ValueError):
             channel_error_pmf(0.1, "bogus")
+
+    @pytest.mark.parametrize("p", [1.5, math.nan, -0.1])
+    @pytest.mark.parametrize("law", [codeword_error_prob, channel_error_pmf],
+                             ids=lambda law: law.__name__)
+    def test_rejects_probability_outside_unit_interval(self, law, p):
+        # both laws take their bit error probability through one check
+        with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+            law(p)
