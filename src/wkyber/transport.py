@@ -61,7 +61,7 @@ def receive_blocks(words: np.ndarray, count: int):
 
 
 def _send_leg(head: np.ndarray, coeffs, plan: ChannelPlan, noises):
-    """B legs: the (B, h) protected words head, then each session's
+    """B legs: the (B, h) 10-bit block messages head, then each session's
     coefficients in row-major order.  Each session draws its flips from its
     own noise source: head blocks, coefficient blocks, then w2 bits."""
     head = check_range(head, 1 << 10, "block messages")
