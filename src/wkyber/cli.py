@@ -1,9 +1,11 @@
 """Command-line surface: every experiment as a CSV-emitting verb.
 
 Verbs: ber | coeff-dist | codeword-error | ker | failure-prob | sigma |
-exchange.  Identical flags and seed produce byte-identical output; files are
-written atomically.  Exit codes: 0 success, 2 usage error or an --out file
-that cannot be written, 3 precision-guard trip inside the analysis engine.
+exchange.  codeword-error decodes flipped BCH codewords (``bch``) directly,
+ker and exchange run full sessions (``protocol``).  Identical flags and
+seed produce byte-identical output; files are written atomically.  Exit
+codes: 0 success, 2 usage error or an --out file that cannot be written, 3
+precision-guard trip inside the analysis engine.
 """
 
 from __future__ import annotations
@@ -18,15 +20,14 @@ import tempfile
 
 import numpy as np
 
-from .bch import codeword_error_prob
+from .bch import CODE_N, ENCODE_TABLE, codeword_error_prob, decode_words
 from .modem import (NoiseSource, bit_error_prob, demodulate_symbols,
-                    modulate_words, snr_db_to_linear, transmit)
+                    flip_masks, modulate_words, snr_db_to_linear, transmit)
 from .params import PARAM_SETS
-from .protocol import run_sessions, session_plans, snr_warnings
+from .protocol import (ker_monte_carlo, run_sessions, session_plans,
+                       snr_warnings)
 from .reliability import (IntDist, PrecisionLossError, coeff_error_dist,
-                          failure_prob_rows, ker_monte_carlo, rate_interval,
-                          sigma_vs_snr)
-from .transport import receive_blocks, send_blocks
+                          failure_prob_rows, rate_interval, sigma_vs_snr)
 
 MAX_GRID_POINTS = 10_000
 
@@ -173,15 +174,16 @@ def cmd_coeff_dist(args):
 def cmd_codeword_error(args):
     rows = []
     for point, snr in enumerate(args.grid):
-        analytic = codeword_error_prob(bit_error_prob(snr))
+        p_b = bit_error_prob(snr)
         noise = NoiseSource(args.seed * 31337 + point)
         rng = np.random.default_rng(args.seed + point)
         msgs = rng.integers(0, 1 << 10, args.trials)  # 10-bit payloads
-        got, failed = receive_blocks(send_blocks(msgs, snr, noise), args.trials)
-        # unrecovered = decode failure or silent miscorrection; together these
-        # are exactly the >t-bit-flips event the analytic tail counts
+        flips = flip_masks([noise], [(args.trials, CODE_N, p_b)])[0]
+        got, _, failed = decode_words(ENCODE_TABLE[msgs] ^ flips)
+        # a decode failure or a miscorrection onto any other 11-bit message:
+        # exactly the >t-bit-flips event the analytic tail counts
         wrong = int(((got != msgs) | failed).sum())
-        rows.append((snr, analytic, wrong / args.trials))
+        rows.append((snr, codeword_error_prob(p_b), wrong / args.trials))
     return _emit(rows, ["snr_db", "pce_analytic", "pce_empirical"], args.out)
 
 

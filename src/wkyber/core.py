@@ -6,8 +6,8 @@ a (k, 256) array.  Every ring product goes through mul_sum, which takes
 its left operands transformed: ntt maps (..., 256) coefficients to
 (..., 128) complex128 values by an exact right-angle FFT, and intt maps
 products back; both work over the last axis and batch every leading one.
-A schoolbook multiplier is the test oracle.  Every exact product entry is
-an integer below 2^34 and the float error of a whole rank-k sum is far
+The tests hold a schoolbook oracle.  Every exact product entry is an
+integer below 2^34 and the float error of a whole rank-k sum is far
 below 1/2 (asserted at import), so rounding recovers it exactly.  The
 public matrices of a batch of seeds are expanded together, as one
 transformed array shared through a cache.  Every array callers share is
@@ -138,14 +138,6 @@ def intt(values: np.ndarray) -> np.ndarray:
 def centered(x: np.ndarray) -> np.ndarray:
     """Representatives in [-(q-1)/2, (q-1)/2] of integers taken mod q."""
     return (np.asarray(x, dtype=np.int64) + Q // 2) % Q - Q // 2
-
-
-def poly_mul_schoolbook(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """O(n^2) reference multiplier; the oracle the NTT path is tested against."""
-    prod = np.convolve(a, b)  # worst coeff 256*3328^2 < 2^63
-    folded = prod[:N].copy()
-    folded[:N - 1] -= prod[N:]  # x^n = -1
-    return folded % Q
 
 
 def mul_sum(rows_hat: np.ndarray, s: np.ndarray) -> np.ndarray:

@@ -15,8 +15,10 @@ any coefficient, which no BCH code protects, so the KEM depends on none of
 them.  Received keys and ciphertexts are the 12-bit words 4 * w10 + w2
 that arrived (transport.receive_coeffs), so a w2 flip never reaches w10.
 The KEM binds its hash chain and re-encryption to the protected
-projection b & ~3 of the public key, and decapsulation decrypts from the
-received protected words w10 = c >> 2 alone, as 4 * w10 + 2.  The
+projection 4 * (b >> 2) + 2 of the public key, and decapsulation decrypts
+from the received protected words w10 = c >> 2 alone, read the same way.
+The key's public offset 2 - (b & 3) has second moment 1.5 and puts a k = 3
+message's failure near 2^-153 in the engine (b & ~3: 3.5 and 2^-101).  The
 decrypted message is then a function of w10, so comparing the
 re-encryption's w10 words is the re-encryption check of a deterministic PKE
 (Hofheinz, Hoevelmanns and Kiltz, "A modular analysis of the
@@ -39,13 +41,15 @@ and receive_coeffs carry a batch's legs.
 Stacked arithmetic is exact and blocks decode alone, so no result depends
 on B or worker count.  A run of S sessions comes back as one SessionRun of
 (S,) arrays of outcomes and per-leg BCH failures; the version, rank and
-plans stay with the caller, which checks them with snr_warnings.
+plans stay with the caller, which checks them with snr_warnings, and
+ker_monte_carlo counts a run's failed sessions over worker processes.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,11 +117,12 @@ def kem_v1_encaps(pks, bits: np.ndarray, params: ParamSet):
     (ciphertexts to transmit, shared secrets).
 
     Deterministic given (pk, message): key and coins derive from the message
-    and the projected public key b & ~3, the received words of b with their
-    exposed w2 bits zeroed; the secret also binds the clean ciphertext.
+    and the projected public key 4 * (b >> 2) + 2, the received words of b
+    with their exposed w2 bits read as 2, as decapsulation reads a
+    ciphertext's; the secret also binds the clean ciphertext.
     """
     seeds, b = pks
-    b = b & ~3
+    b = 4 * (b >> 2) + 2
     messages = np.packbits(bits.astype(np.uint8), axis=-1, bitorder="little")
     # 32 key bytes, then 32 coin bytes
     kd = [squeeze(m.tobytes() + squeeze(seed + b_i, b"pk", 32), b"enc", 64)
@@ -248,3 +253,37 @@ def _run_batch(v1, params, plans, seeds):
     else:
         outcome = (wk_decrypt(sks, c_rx) == bits).all(axis=1)
     return outcome, pk_fail, ct_fail, (c_rx - c_clean).reshape(len(seeds), -1)
+
+
+def _count_failures(args) -> int:
+    version, params, plans, seeds = args
+    rec = run_sessions(version, params, plans, seeds)
+    return int((~rec.outcome).sum())
+
+
+def ker_monte_carlo(version: str, params: ParamSet, plans, trials: int,
+                    seed: int, workers: int | None = None) -> int:
+    """The number of failed sessions (key/message mismatches) in trials.
+
+    Per-trial seeds derive from (seed, trial index), so the result does not
+    depend on worker scheduling.  At most min(workers, trials, cores)
+    processes run.
+    """
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    if workers is not None and workers < 1:
+        raise ValueError(f"need at least one worker, got {workers}")
+    base = operator.index(seed) * 1_000_003   # a numpy int64 would overflow
+    trial_seeds = [base + i for i in range(trials)]
+    # more processes than trials or cores only adds idle forks; the count
+    # does not depend on the split
+    workers = min(8 if workers is None else workers, trials,
+                  os.cpu_count() or 1)
+    if workers > 1 and trials >= 64:
+        import multiprocessing as mp
+        chunks = [trial_seeds[i::workers] for i in range(workers)]
+        with mp.Pool(workers) as pool:
+            return sum(pool.map(_count_failures,
+                                [(version, params, plans, ch)
+                                 for ch in chunks]))
+    return _count_failures((version, params, plans, trial_seeds))

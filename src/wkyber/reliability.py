@@ -1,4 +1,4 @@
-"""Probability laws, decryption-failure analysis and key-error-rate trials.
+"""Probability laws, decryption-failure analysis and rate intervals.
 
 The per-coefficient decryption noise S is k n copies of W = secret*pk_error
 + secret*ct_error (exact IntDists, below) plus an e_dd term Z.
@@ -20,6 +20,8 @@ transform less one, from first-quadrant sines) is within (2t + 8) u sum
 p(x) (|sin wx| + 2 sin^2(wx/2)), t nonzero masses: nil at w = 0, so k n
 does not multiply it.  Squaring X - 1 rounds within 4 u of its value, a
 product within 3 u, an (i)rfft entry within 5 log2(WINDOW) u of the l1 norm.
+No session code loads here: protocol.ker_monte_carlo counts failed
+sessions, and rate_interval gives such a count its 95% interval.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,7 +36,6 @@ import numpy as np
 from .core import centered, check_probability, compress, decompress, frozen
 from .modem import bit_error_prob
 from .params import N, PARAM_SETS, Q, ParamSet
-from .protocol import run_sessions
 
 _Z975 = 1.959963984540054      # 0.975 quantile of the standard normal
 
@@ -388,7 +388,7 @@ def failure_prob_rows(snr_lsb_db: float = -10.0):
 
 
 # ---------------------------------------------------------------------------
-# channel deviation curve and Monte Carlo KER
+# channel deviation curve and the interval of a Monte Carlo rate
 
 
 def sigma_vs_snr(snr_grid) -> list:
@@ -410,37 +410,3 @@ def rate_interval(events: int, trials: int) -> tuple:
     z2 = _Z975 * _Z975
     centre, half = k + z2 / 2, math.sqrt(z2 * k * (n - k) / n + z2 * z2 / 4)
     return (centre - half) / (n + z2), (centre + half) / (n + z2)
-
-
-def _count_failures(args) -> int:
-    version, params, plans, seeds = args
-    rec = run_sessions(version, params, plans, seeds)
-    return int((~rec.outcome).sum())
-
-
-def ker_monte_carlo(version: str, params: ParamSet, plans, trials: int,
-                    seed: int, workers: int | None = None) -> int:
-    """The number of failed sessions (key/message mismatches) in trials.
-
-    Per-trial seeds derive from (seed, trial index), so the result does not
-    depend on worker scheduling.  At most min(workers, trials, cores)
-    processes run.
-    """
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    if workers is not None and workers < 1:
-        raise ValueError(f"need at least one worker, got {workers}")
-    base = operator.index(seed) * 1_000_003   # a numpy int64 would overflow
-    trial_seeds = [base + i for i in range(trials)]
-    # more processes than trials or cores only adds idle forks; the count
-    # does not depend on the split
-    workers = min(8 if workers is None else workers, trials,
-                  os.cpu_count() or 1)
-    if workers > 1 and trials >= 64:
-        import multiprocessing as mp
-        chunks = [trial_seeds[i::workers] for i in range(workers)]
-        with mp.Pool(workers) as pool:
-            return sum(pool.map(_count_failures,
-                                [(version, params, plans, ch)
-                                 for ch in chunks]))
-    return _count_failures((version, params, plans, trial_seeds))

@@ -7,11 +7,12 @@ pad bit as 16 4QAM symbols on the protected path; w2 rides a single symbol
 on the low-SNR path.  17 symbols per coefficient, coefficient-major order:
 this is the wire contract for both protocol versions.  A public key's
 32-byte matrix seed rides ahead of its coefficients as 26 protected blocks
-of 10 bits (4 zero pad bits).  ``send_key`` and ``send_coeffs`` send B
-sessions' key or ciphertext legs as (B, words) arrays, each session's flips
-drawn from its own noise source; ``receive_coeffs`` decodes them with one
-block decode into the received 12-bit words 4 * w10 + w2 (``pke`` reduces
-them mod q where ring arithmetic starts).
+of 10 bits (4 zero pad bits).  Those two legs are all a session sends:
+``send_key`` and ``send_coeffs`` send B sessions' key or ciphertext legs as
+(B, words) arrays, each session's flips drawn from its own noise source,
+and ``receive_coeffs``, their one receiver, decodes either with one block
+decode into the received 12-bit words 4 * w10 + w2 (``pke`` reduces them
+mod q where ring arithmetic starts).
 
 The simulator samples that wire's hard-decision equivalent (see ``modem``):
 a received block is its 31-bit codeword XOR a flip mask, a received w2 the
@@ -26,45 +27,22 @@ import numpy as np
 
 from . import bch
 from .core import SEED_BYTES, check_bytes, check_range, check_sessions
-from .modem import ChannelPlan, NoiseSource, bit_error_prob, flip_masks
+from .modem import ChannelPlan, bit_error_prob, flip_masks
 from .params import Q
 
 
 # ---------------------------------------------------------------------------
-# block (w10) path; send_blocks and a key's seed blocks go through _send_leg
+# the two legs a session sends: a key (seed blocks, then b) and a ciphertext
 
 SEED_BLOCKS = 26                       # 256 seed bits + 4 pad bits
 _BIT_SHIFTS = np.arange(9, -1, -1)     # a block's bits, most significant first
 
 
-def send_blocks(w10: np.ndarray, snr_msb_db: float, noise: NoiseSource) -> np.ndarray:
-    """Received 31-bit words of the BCH-encoded 10-bit messages w10
-    (ValueError outside [0, 1024)): a leg of blocks alone."""
-    return _send_leg(np.asarray(w10)[None], np.zeros((1, 0), np.int64),
-                     ChannelPlan(snr_msb_db, snr_msb_db), [noise])[0][0]
-
-
-def receive_blocks(words: np.ndarray, count: int):
-    """Decode received 31-bit words.
-
-    Returns (decoded 10-bit words, per-block decode-failure mask).  On
-    failure the uncorrected systematic bits are used as-is.
-    """
-    if len(words) != count:
-        raise ValueError("malformed block segment length")
-    msgs, _, failed = bch.decode_words(words)
-    return msgs & 0x3FF, failed
-
-
-# ---------------------------------------------------------------------------
-# full coefficient and key legs
-
-
 def _send_leg(head: np.ndarray, coeffs, plan: ChannelPlan, noises):
-    """B legs: the (B, h) 10-bit block messages head, then each session's
-    coefficients in row-major order.  Each session draws its flips from its
-    own noise source: head blocks, coefficient blocks, then w2 bits."""
-    head = check_range(head, 1 << 10, "block messages")
+    """B legs: the (B, h) head blocks, a key's 10-bit seed words (h = 26)
+    or none (a ciphertext), then each session's coefficients in row-major
+    order.  Each session draws its flips from its own noise source: head
+    blocks, coefficient blocks, then w2 bits."""
     c = check_range(coeffs, Q, "coefficients")
     check_sessions(head, c, noises)
     c = c.reshape(len(c), -1)
@@ -102,14 +80,18 @@ def receive_coeffs(msb: np.ndarray, lsb: np.ndarray):
     or None for a ciphertext leg (a key leg's msb has 26 seed blocks more
     than its lsb); the (B, n) received 12-bit words 4 * w10 + w2 in
     [0, 4096), not reduced mod q; and the failed blocks per session.  A w2
-    word outside [0, 4) raises ValueError."""
+    word outside [0, 4), or msb and lsb rows that differ in count, raise
+    ValueError."""
+    check_sessions(msb, lsb)
     lsb = check_range(lsb, 4, "w2 words")
     head = msb.shape[1] - lsb.shape[1]
     if head not in (0, SEED_BLOCKS):
         raise ValueError(f"a leg's msb holds {head} blocks more than its "
                          f"lsb; expected 0 or {SEED_BLOCKS}")
-    w10, failed = receive_blocks(msb.ravel(), msb.size)
-    w10 = w10.reshape(msb.shape)
+    msgs, _, failed = bch.decode_words(msb)
+    # a leg's blocks carry 10-bit messages under a zero leading bit, which
+    # a miscorrection can set: dropping it keeps every word within 12 bits
+    w10 = (msgs & 0x3FF).reshape(msb.shape)
     seeds = None
     if head:
         bits = (w10[:, :head, None] >> _BIT_SHIFTS) & 1

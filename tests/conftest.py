@@ -1,9 +1,19 @@
-"""Shared test oracle: the decryption noise law by untrimmed direct
+"""Shared test oracles: the schoolbook ring product, independent of the
+transform in ``core``, and the decryption noise law by untrimmed direct
 convolution, independent of the tilted engine in ``reliability``."""
 
+import numpy as np
 import pytest
 
-from wkyber.params import N
+from wkyber.params import N, Q
+
+
+def poly_mul_schoolbook(a, b):
+    """a b in Z_q[x]/(x^n + 1) in O(n^2): the oracle of core.mul_sum."""
+    prod = np.convolve(a, b)  # worst coeff 256*3328^2 < 2^63
+    folded = prod[:N].copy()
+    folded[:N - 1] -= prod[N:]  # x^n = -1
+    return folded % Q
 
 
 def power(law, times):

@@ -15,13 +15,13 @@ from wkyber.bch import (CODE_K, CODE_N, CODE_T, ENCODE_TABLE,
                         codeword_error_prob, decode_words)
 from wkyber.core import squeeze
 from wkyber.modem import (ChannelPlan, NoiseSource, bit_error_prob,
-                          demodulate_symbols, modulate_words, transmit)
+                          demodulate_symbols, flip_masks, modulate_words,
+                          transmit)
 from wkyber.params import PARAM_SETS
 from wkyber.pke import decrypt, encrypt, keygen, keygen_bytes, random_bits
+from wkyber.protocol import ker_monte_carlo
 from wkyber.reliability import (channel_error_pmf, coeff_error_dist,
-                                dist_stddev, failure_prob_rows,
-                                ker_monte_carlo, sigma_vs_snr)
-from wkyber.transport import receive_blocks, send_blocks
+                                dist_stddev, failure_prob_rows, sigma_vs_snr)
 
 WORKERS = 2
 
@@ -100,8 +100,9 @@ def test_criterion_03_codeword_failure():
     for part in range(4):
         rng = np.random.default_rng(300 + part)
         msgs = rng.integers(0, 1 << 10, n_words // 4)
-        got, failed = receive_blocks(
-            send_blocks(msgs, snr, NoiseSource(400 + part)), n_words // 4)
+        flips = flip_masks([NoiseSource(400 + part)],
+                           [(n_words // 4, CODE_N, p_b)])[0]
+        got, _, failed = decode_words(ENCODE_TABLE[msgs] ^ flips)
         wrong += int(((got != msgs) | failed).sum())
     se = math.sqrt(analytic * (1 - analytic) / n_words)
     assert abs(wrong / n_words - analytic) <= 3 * se, (wrong / n_words, analytic)
@@ -216,7 +217,8 @@ def test_criterion_09_baseline_pke():
                 failures += 1
         assert failures == 0, params.name
 
-    from wkyber.core import mul_sum, ntt, poly_mul_schoolbook
+    from conftest import poly_mul_schoolbook
+    from wkyber.core import mul_sum, ntt
     from wkyber.params import N, Q
     rng = np.random.default_rng(9)
     for _ in range(1000):

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import poly_mul_schoolbook
 from wkyber import core
 from wkyber.core import (UNIFORM_READ, _gen_matrix_cached,
                          cbd_vectors, centered, compress, decompress,
-                         gen_matrices, intt, mul_sum, ntt, pack12,
-                         poly_mul_schoolbook, squeeze, unpack12)
+                         gen_matrices, intt, mul_sum, ntt, pack12, squeeze,
+                         unpack12)
 from wkyber.params import KYBER512, KYBER768, KYBER1024, N, Q
 
 

@@ -6,6 +6,8 @@ carry more than five flipped bits, so both outcomes beyond the code's
 capability occur: a reported decode failure (the block keeps its
 uncorrected systematic bits) and a silent miscorrection onto another
 codeword.  A change of decoder must leave every word and flag unchanged.
+The words are 10-bit messages as a leg sends them, read back as a leg
+reads them: the decoded message's low 10 bits.
 """
 
 import hashlib
@@ -13,9 +15,9 @@ import hashlib
 import numpy as np
 import pytest
 
+from wkyber.bch import CODE_N, CODE_T, ENCODE_TABLE, decode_words
 from wkyber.cli import main
-from wkyber.modem import NoiseSource
-from wkyber.transport import receive_blocks, send_blocks
+from wkyber.modem import NoiseSource, bit_error_prob, flip_masks
 
 # MSB SNR (dB) -> words sent.  At 2 dB about 0.1% of blocks carry more than
 # five flips and about one in eight of those miscorrects: 200,000 words
@@ -31,7 +33,7 @@ PINNED_BLOCKS = {
 
 # sha256 of `wkyber codeword-error --grid -2:4:1 --trials 5000`
 PINNED_CODEWORD_ERROR_CSV = (
-    "efb599fdfa877833a88253a72ae19245b1504dd1fdea1bc1dee75ef03f793b8b")
+    "23e380cd81f645d3ea9b5b87b92d0f2a1523ba375fcee90ba2e1d0ace481f94c")
 
 
 def sha(data: bytes) -> str:
@@ -41,13 +43,14 @@ def sha(data: bytes) -> str:
 def received(snr_db: float):
     words = WORDS[snr_db]
     sent = np.random.default_rng(20261018).integers(0, 1 << 10, words)
-    noise = NoiseSource(7000 + int(snr_db))
-    got, failed = receive_blocks(send_blocks(sent, snr_db, noise), words)
-    return sent, got, failed
+    flips = flip_masks([NoiseSource(7000 + int(snr_db))],
+                       [(words, CODE_N, bit_error_prob(snr_db))])[0]
+    got, _, failed = decode_words(ENCODE_TABLE[sent] ^ flips)
+    return sent, got & 0x3FF, failed
 
 
 @pytest.mark.parametrize("snr_db", sorted(PINNED_BLOCKS))
-def test_receive_blocks_unchanged(snr_db):
+def test_block_decodes_unchanged(snr_db):
     _, got, failed = received(snr_db)
     digest = sha(got.astype("<i8").tobytes() + failed.astype("u1").tobytes())
     assert digest == PINNED_BLOCKS[snr_db]
@@ -64,3 +67,23 @@ def test_codeword_error_csv_unchanged(capsys):
     assert main(["codeword-error", "--grid", "-2:4:1", "--trials", "5000"]) == 0
     out = capsys.readouterr().out
     assert sha(out.encode()) == PINNED_CODEWORD_ERROR_CSV
+
+
+def test_codeword_error_counts_every_word_past_t_flips(capsys):
+    # a word with at most t flips decodes to its own message and any other
+    # word does not, so the empirical rate is the share of words past t
+    # flips.  That includes a miscorrection onto a message whose leading
+    # bit is set, which a comparison of the low 10 bits alone would miss
+    # (4, 1 and 1 such words in these rows)
+    trials, seed = 20_000, 42
+    assert main(["codeword-error", "--grid", "-2:0:1", "--trials",
+                 str(trials), "--seed", str(seed)]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == 3
+    for point, row in enumerate(rows):
+        snr, _, rate = row.split(",")
+        # the verb's flip draws: point p's noise source, one field of words
+        flips = flip_masks([NoiseSource(seed * 31337 + point)],
+                           [(trials, CODE_N, bit_error_prob(float(snr)))])[0]
+        past_t = sum(bin(f).count("1") > CODE_T for f in flips.tolist())
+        assert round(float(rate) * trials) == past_t, snr

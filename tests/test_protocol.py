@@ -5,9 +5,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import poly_mul_schoolbook
 from wkyber.core import (centered, compress, decompress, gen_matrices, intt,
-                         mul_sum, noise_vectors, ntt, pack12,
-                         poly_mul_schoolbook, squeeze, unpack12)
+                         mul_sum, noise_vectors, ntt, pack12, squeeze,
+                         unpack12)
 from wkyber.modem import ChannelPlan, NoiseSource, modulate_words
 from wkyber.params import KYBER768, N, Q, PARAM_SETS
 from wkyber.pke import (decrypt, encrypt, keygen, keygen_bytes, random_bits,
@@ -15,8 +16,7 @@ from wkyber.pke import (decrypt, encrypt, keygen, keygen_bytes, random_bits,
 from wkyber.protocol import (SESSION_BATCH, kem_v1_decaps, kem_v1_encaps,
                              run_sessions, session_plans, snr_warnings)
 from wkyber.reliability import coeff_error_dist
-from wkyber.transport import (receive_coeffs, send_blocks, send_coeffs,
-                              send_key)
+from wkyber.transport import receive_coeffs, send_coeffs, send_key
 
 SEED = bytes(32)
 P768 = KYBER768
@@ -212,9 +212,10 @@ class TestKem:
             assert kem_v1_decaps(s, zs, pks, c, P768) == secrets
 
     def test_encaps_encrypts_under_the_w10_projection(self, monkeypatch):
-        # the key every coefficient is encrypted under is b - (b & 3), the
-        # received word with its w2 bits zeroed: q - 1 and the words past q
-        # it can arrive as all project to 4 * 832
+        # the key every coefficient is encrypted under is 4 * (b >> 2) + 2,
+        # the received word with its w2 bits read as 2, as decapsulation
+        # reads a ciphertext word: q - 1 and the words past q it can arrive
+        # as all project to 4 * 832 + 2 = q + 1
         from wkyber import protocol
         keys = []
 
@@ -227,8 +228,8 @@ class TestKem:
         b_rx = b.copy()
         b_rx[0, 2, 185:189] = [Q - 1, Q, Q + 1, Q + 2]
         kem_v1_encaps((seeds, b_rx), random_bits([stream(b"m8", 32)]), P768)
-        assert np.array_equal(keys[0], b_rx - (b_rx & 3))
-        assert keys[0][0, 2, 185:189].tolist() == [4 * 832] * 4
+        assert np.array_equal(keys[0], b_rx - (b_rx & 3) + 2)
+        assert keys[0][0, 2, 185:189].tolist() == [4 * 832 + 2] * 4
 
     def test_encaps_rejects_one_message_for_two_keys(self):
         pks, _, _ = kem_keys([b"k1", b"k2"])
@@ -285,7 +286,6 @@ FLOAT_INPUTS = {
     "compress": lambda kem, x: compress(x, 1),
     "decompress": lambda kem, x: decompress(x, 1),
     "pack12": lambda kem, x: pack12(x),
-    "send_blocks": lambda kem, x: send_blocks(x, math.inf, NoiseSource(0)),
     "send_coeffs": lambda kem, x: send_coeffs(x, V2_PLANS[1],
                                               [NoiseSource(0)]),
     "receive_coeffs_lsb": lambda kem, x: receive_coeffs(
@@ -319,6 +319,12 @@ def static_key_sessions():
             *kem_v1_encaps(keys, bits, P768))
 
 
+def q_minus_one_pair():
+    """kem_pair whose ciphertext holds q - 1 at (0, 0, 23): its message
+    label was searched for that word, which a rising w2 takes past q."""
+    return kem_pair(b"k", b"m7340")
+
+
 class TestKemCheck:
     """The check accepts exactly the ciphertexts with the sender's w10
     words, and no choice of w2 bits reaches decryption.  Tampered
@@ -350,7 +356,7 @@ class TestKemCheck:
                   st.integers(0, 3)), min_size=1, max_size=8))
     @settings(max_examples=60, deadline=None)
     def test_any_w2_rewrite_keeps_the_key(self, rewrites):
-        pks, s, zs, c, secrets = kem_pair(b"k", b"m5")
+        pks, s, zs, c, secrets = q_minus_one_pair()
         assert c[0, 0, 23] == Q - 1        # a rising w2 takes it past q
         tampered = c.copy()
         for (row, col), w2 in rewrites:
@@ -360,7 +366,7 @@ class TestKemCheck:
     def test_sent_q_minus_one_keeps_its_w10(self):
         # q - 1 = 4 * 832 arrives as 3329..3331 when its w2 rises: accepted;
         # the residues 0..2 of those words carry w10 = 0: rejected
-        pks, s, zs, c, secrets = kem_pair(b"k", b"m5")
+        pks, s, zs, c, secrets = q_minus_one_pair()
         for word, accepted in [(Q, True), (Q + 1, True), (Q + 2, True),
                                (0, False), (1, False), (2, False)]:
             received = c.copy()
@@ -383,7 +389,7 @@ class TestKemCheck:
         # each edit writes any 12-bit word, or only the w2 bits of c's word;
         # decapsulation returns the key iff every received word has c's
         # w10, and the implicit rejection of the received words otherwise
-        pks, s, zs, c, secrets = kem_pair(b"k", b"m5")
+        pks, s, zs, c, secrets = q_minus_one_pair()
         received = c.copy()
         for at, w2_only, word in edits:
             received[(0, *at)] = ((c[(0, *at)] & ~3) + (word & 3) if w2_only
@@ -401,7 +407,7 @@ class TestKemCheck:
                            st.sampled_from([0, 2, 3, Q - 4, Q - 1, Q + 3])))
     @settings(max_examples=60, deadline=None)
     def test_any_w10_change_rejects(self, at, value):
-        pks, s, zs, c, _ = kem_pair(b"k", b"m5")
+        pks, s, zs, c, _ = q_minus_one_pair()
         sent = int(c[(0, *at)])
         assume(value >> 2 != sent >> 2)
         c[(0, *at)] = value
@@ -589,6 +595,21 @@ class TestBatchIndependence:
 
 
 class TestNoiseAccounting:
+    def test_v1_noise_deviation_under_the_centred_projection(self):
+        # 200 V1 keys at k = 3, each with one encapsulation, the protected
+        # words noiseless: decryption reads each word as 4 * w10 + 2, so the
+        # noise is (e + 2 - (b & 3))^T s' + r_v - s^T r_u.  The centred key
+        # term leaves a deviation near 55.5; b & ~3 (e - (b & 3)) gave 67.7
+        sessions = 200
+        pks, s, _ = kem_keys([b"dev-%d" % i for i in range(sessions)])
+        bits = random_bits([stream(b"dev-m%d" % i, 32)
+                            for i in range(sessions)])
+        c, _ = kem_v1_encaps(pks, bits, P768)
+        read = (4 * (c >> 2) + 2) % Q
+        su = mul_sum(ntt(s)[:, None], read[:, :-1])[:, 0]
+        noise = centered(read[:, -1] - su - decompress(bits, 1))
+        assert noise.std() < 62, noise.std()
+
     def test_v2_noise_matches_convolution_engine(self, noise_law):
         """End-to-end per-coefficient decryption noise vs the analytic law."""
         from wkyber.reliability import wkyber_v2_model

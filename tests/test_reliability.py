@@ -12,11 +12,12 @@ from wkyber import bch, reliability
 from wkyber.core import gen_matrices
 from wkyber.modem import ChannelPlan
 from wkyber.params import KYBER512, KYBER768, N, PARAM_SETS, Q
+from wkyber.protocol import ker_monte_carlo
 from wkyber.reliability import (FAILURE_BOUND, ErrorModel, IntDist,
                                 PrecisionLossError, channel_error_pmf,
                                 coeff_error_dist, compression_error_dist,
                                 failure_probability, failure_prob_rows,
-                                ker_monte_carlo, rate_interval, sigma_vs_snr,
+                                rate_interval, sigma_vs_snr,
                                 standard_kyber_model, wkyber_v1_model,
                                 wkyber_v2_model)
 

@@ -6,15 +6,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
 
-from wkyber.bch import CODE_N, codeword_error_prob
+from wkyber.bch import CODE_N, ENCODE_TABLE, codeword_error_prob, decode_words
 from wkyber.core import centered
 from wkyber.modem import (ChannelPlan, NoiseSource, bit_error_prob,
-                          modulate_words)
+                          flip_masks, modulate_words)
 from wkyber.params import N, PARAM_SETS, Q
 from wkyber.reliability import (channel_error_pmf, coeff_error_dist,
                                 dist_stddev)
-from wkyber.transport import (SEED_BLOCKS, receive_blocks, receive_coeffs,
-                              send_blocks, send_coeffs, send_key)
+from wkyber.transport import SEED_BLOCKS, receive_coeffs, send_coeffs, send_key
 
 NOISELESS = ChannelPlan(math.inf, math.inf)
 NOMINAL = ChannelPlan(10.0, -10.0)
@@ -36,7 +35,7 @@ def noiseless_split(coeffs):
     """(w10, w2) as a noiseless send carries them: protected block, then
     the exposed word."""
     (msb,), (lsb,) = send_one(coeffs, NOISELESS, NoiseSource(0))
-    w10, failed = receive_blocks(msb, len(lsb))
+    w10, _, failed = decode_words(msb)
     assert not failed.any()
     return w10.tolist(), lsb.tolist()
 
@@ -95,7 +94,7 @@ class TestFrames:
         # an infinite SNR leaves the noise source where it was
         noise = NoiseSource(12)
         send_one(np.arange(64), NOISELESS, noise)
-        send_blocks(np.arange(8), math.inf, noise)
+        send_key([bytes(range(32))], np.arange(64)[None], NOISELESS, [noise])
         assert noise.pairs(2, 1.0).tobytes() == \
             NoiseSource(12).pairs(2, 1.0).tobytes()
 
@@ -106,12 +105,14 @@ class TestFrames:
         assert np.array_equal(msb1, msb2) and np.array_equal(lsb1, lsb2)
 
     def test_malformed_length_rejected(self):
-        coeffs = np.zeros(8, dtype=np.int64)
-        (msb,), _ = send_one(coeffs, NOISELESS, NoiseSource(0))
-        with pytest.raises(ValueError):
-            receive_blocks(msb, 9)
-        with pytest.raises(ValueError):
-            receive_blocks(msb, 4)
+        # msb and lsb rows of different session counts would broadcast one
+        # session's w2 words over the other's blocks
+        msb, lsb = send_coeffs(np.zeros((2, 8), dtype=np.int64), NOISELESS,
+                               [NoiseSource(0), NoiseSource(1)])
+        with pytest.raises(ValueError, match="differ in count"):
+            receive_coeffs(msb, lsb[:1])
+        with pytest.raises(ValueError, match="differ in count"):
+            receive_coeffs(msb[:1], lsb)
 
     def test_rejects_coefficients_outside_ring(self):
         with pytest.raises(ValueError):
@@ -128,23 +129,13 @@ class TestFrames:
     def test_offset_histogram_matches_analytic(self):
         assert offset_chi2(NOMINAL, 40, 50) < 35  # df = 6, p ~ 1e-5
 
-    @pytest.mark.parametrize("bad", [-1, 1 << 10, 1 << 11])
-    def test_send_blocks_rejects_messages_past_10_bits(self, bad):
-        # -1 would index the table's last codeword and 1024..2047 break the
-        # leading zero message bit
-        with pytest.raises(ValueError, match="1024"):
-            send_blocks([0, bad], math.inf, NoiseSource(0))
-        got, _ = receive_blocks(send_blocks([0, 1023], math.inf,
-                                            NoiseSource(0)), 2)
-        assert got.tolist() == [0, 1023]
-
     def test_block_decode_failures_surface(self):
         # at very low MSB SNR failures must be counted, not raised
-        words = np.random.default_rng(4).integers(0, 1024, 2000)
-        got, failed = receive_blocks(send_blocks(words, -5.0, NoiseSource(8)),
-                                     2000)
-        assert failed.any()
-        assert len(got) == 2000
+        coeffs = np.random.default_rng(4).integers(0, Q, 2000)
+        rx, failures = receive(send_one(coeffs, ChannelPlan(-5.0, -5.0),
+                                        NoiseSource(8)))
+        assert failures > 0
+        assert len(rx) == 2000 and rx.max() < 1 << 12
 
 
 class TestLegs:
@@ -197,19 +188,20 @@ class TestLegs:
             assert np.array_equal(lsb[i], one_lsb[0])
 
     @pytest.mark.parametrize("snr", [2.0, -5.0])
-    def test_send_blocks_is_a_key_legs_head(self, snr):
-        # send_blocks is a leg of blocks alone, and a key leg draws its seed
-        # blocks' flips first: the same words from the same noise source
-        # read the same flips
+    def test_key_leg_draws_its_seed_blocks_first(self, snr):
+        # a key leg's first draw is its seed blocks' flips: the seed
+        # words' codewords XOR the first SEED_BLOCKS words of flips from a
+        # fresh copy of the same noise source
         seed = bytes(range(32))
         b = np.random.default_rng(71).integers(0, Q, (1, 2, N))
         (clean,), _ = send_key([seed], b, NOISELESS, [NoiseSource(0)])
-        words, _ = receive_blocks(clean[:SEED_BLOCKS], SEED_BLOCKS)
+        words, _, _ = decode_words(clean[:SEED_BLOCKS])
         (msb,), _ = send_key([seed], b, ChannelPlan(snr, -10.0),
                              [NoiseSource(72)])
-        got = send_blocks(words, snr, NoiseSource(72))
-        assert (got != clean[:SEED_BLOCKS]).any()   # flips were drawn
-        assert np.array_equal(got, msb[:SEED_BLOCKS])
+        flips = flip_masks([NoiseSource(72)],
+                           [(SEED_BLOCKS, CODE_N, bit_error_prob(snr))])[0]
+        assert flips.any()   # flips were drawn
+        assert np.array_equal(msb[:SEED_BLOCKS], ENCODE_TABLE[words] ^ flips)
 
     def test_rejects_one_noise_source_per_batch(self):
         coeffs = np.zeros((2, 8), dtype=np.int64)
@@ -229,19 +221,18 @@ class TestLegs:
     def test_rejects_w2_words_outside_two_bits(self):
         # 4 * w10 + w2 with w2 = 5 or -1 would carry into or borrow from
         # w10: the words [25, 27] both read w10 = 6
-        msb = send_blocks(np.array([5, 7]), math.inf, NoiseSource(0))
+        msb = ENCODE_TABLE[[[5, 7]]]
         with pytest.raises(ValueError, match=r"w2 words outside \[0, 4\)"):
-            receive_coeffs(msb[None], np.array([[5, -1]]))
+            receive_coeffs(msb, np.array([[5, -1]]))
 
     @pytest.mark.parametrize("head", [-1, 1, SEED_BLOCKS - 1,
                                       SEED_BLOCKS + 1, 2 * SEED_BLOCKS])
     def test_rejects_leg_of_unknown_shape(self, head):
         # only a ciphertext (as many blocks as w2 words) or a key (26 seed
         # blocks more) is a leg
-        msb = send_blocks(np.zeros(40 + head, dtype=np.int64), math.inf,
-                          NoiseSource(0))
+        msb = ENCODE_TABLE[np.zeros((1, 40 + head), dtype=np.int64)]
         with pytest.raises(ValueError, match="blocks more"):
-            receive_coeffs(msb[None], np.zeros((1, 40), dtype=np.int64))
+            receive_coeffs(msb, np.zeros((1, 40), dtype=np.int64))
 
 
 class TestChannelStatistics:
@@ -287,10 +278,12 @@ class TestChannelStatistics:
         # 31 bits flip
         n = 100_000
         sent = np.random.default_rng(63).integers(0, 1 << 10, n)
-        noise = NoiseSource(6400 + int(snr_db))
-        got, failed = receive_blocks(send_blocks(sent, snr_db, noise), n)
+        p_b = bit_error_prob(snr_db)
+        flips = flip_masks([NoiseSource(6400 + int(snr_db))],
+                           [(n, CODE_N, p_b)])[0]
+        got, _, failed = decode_words(ENCODE_TABLE[sent] ^ flips)
         rate = np.count_nonzero((got != sent) | failed) / n
-        analytic = codeword_error_prob(bit_error_prob(snr_db))
+        analytic = codeword_error_prob(p_b)
         se = math.sqrt(analytic * (1 - analytic) / n)
         assert abs(rate - analytic) <= 3 * se, (rate, analytic)
 
