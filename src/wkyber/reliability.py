@@ -12,7 +12,10 @@ squaring, times Z's, one irfft, P(S >= 832) = e^(K - 832 theta) sum T(s)
 e^(-theta (s - 832)) over the 256 bins from 832.  The lower tail is the
 mirrored laws', or the upper where W's and Z's masses are their mirrors'
 within relative 2^-50: the tails' ratio is then within (1 + 2^-50)^(k n +
-1), the row's sum within 2^-41 at k = 4, so 15 rows run 18 tails.  A tail is
+1), the row's sum within 2^-41 at k = 4, so 15 rows run 18 tails, and they
+share their laws: a call builds each distinct product and W once.  X (W's
+transform) is raised only where a bound on |X|^(k n), its exponent floored
+at -600 (which only raises it), tops 2^-64 for some tail.  A tail is
 certified (else PrecisionLossError) when a Chernoff bound on T's mass
 outside the window and a running float error bound (Higham 2002, 3.3) are
 each within 2^-40 of the sum.  To first order in u = 2^-53, X - 1 (W's
@@ -244,9 +247,13 @@ def _log_tails(tails: tuple) -> np.ndarray:
     theta, (cgf, _, var, pair, last) = _saddlepoint(tails)
     # the laws start at index 0, so T sits shifted by Z's reach; |X| <= |W's
     # rfft| + _FFT_ERROR, and X is raised only where some tail's bound on
-    # |X|^count tops 2^-64, elsewhere 0 plus that bound on the error
+    # |X|^count tops 2^-64, elsewhere 0 plus that bound on the error.  The
+    # bound's exponent is floored at -600, where exp and cap * (|Z's rfft| +
+    # _FFT_ERROR) stay normal floats: that only raises the error bound, by
+    # at most 513 e^-600 in all, far below 2^-40 of any tail's sum
     pair_ft, spectrum = (np.fft.rfft(p, WINDOW) for p in (pair, last))
-    cap = np.exp(tails[2][:, None] * np.log(np.abs(pair_ft) + _FFT_ERROR))
+    cap = np.exp(np.maximum(
+        tails[2][:, None] * np.log(np.abs(pair_ft) + _FFT_ERROR), -600.0))
     keep = (cap > 2.0 ** -64).any(axis=0)
     # offset = X - 1 = sum p(x) (cos - 1 - i sin)(2 pi w x / WINDOW)
     idx = np.outer(np.arange(pair.shape[1]) - pair.shape[1] // 2,
@@ -255,16 +262,18 @@ def _log_tails(tails: tuple) -> np.ndarray:
     offset = pair @ (-2 * _HALF[idx] ** 2) - 1j * (pair @ sines)
     err = ((2 * np.count_nonzero(pair, axis=1) + 8)[:, None] * _EPS
            * (pair @ np.abs(sines) - offset.real))
-    # power = X^count over the bits of count, value = X^(2^j) = 1 + offset
+    # power = X^count over the bits of count, value = X^(2^j) = 1 + offset;
+    # a rung multiplies only the tails whose count has bit j (k n = 512,
+    # 768 or 1024: bits 8 to 10), but squares and bounds every one
     power, power_err = np.ones_like(offset), np.zeros(offset.shape)
     for j in range(int(tails[2].max()).bit_length()):
         size = np.abs(value := offset + 1)
-        rows = np.flatnonzero(tails[2] >> j & 1)
-        new = power[rows] * value[rows]
-        power_err[rows] = (np.abs(power[rows]) * (err + _EPS * size)[rows]
-                           + size[rows] * power_err[rows]
-                           + 3 * _EPS * np.abs(new))
-        power[rows] = new
+        if (rows := np.flatnonzero(tails[2] >> j & 1)).size:
+            new = power[rows] * value[rows]
+            power_err[rows] = (np.abs(power[rows]) * (err + _EPS * size)[rows]
+                               + size[rows] * power_err[rows]
+                               + 3 * _EPS * np.abs(new))
+            power[rows] = new
         offset *= offset + 2
         err = 2 * size * err + 4 * _EPS * np.abs(offset)
     size, last_size = np.abs(power), np.abs(spectrum)
@@ -299,8 +308,16 @@ def _log_tails(tails: tuple) -> np.ndarray:
 
 def _log2_failures(rows, names) -> list:
     """log2 n P(|noise| >= 832) per (params, model) row; -inf out of reach."""
-    laws = [(m.secret_dist.product(m.pk_error_dist).convolve(
-        m.secret_dist.product(m.ct_error_dist)), m.e_dd_dist) for _, m in rows]
+    # rows share their laws (IntDist compares by identity), so a call builds
+    # each distinct product and W once; nothing is kept across calls
+    product = functools.cache(IntDist.product)
+
+    @functools.cache
+    def w_law(s, pk, ct):
+        return product(s, pk).convolve(product(s, ct))
+
+    laws = [(w_law(m.secret_dist, m.pk_error_dist, m.ct_error_dist),
+             m.e_dd_dist) for _, m in rows]
     # W and Z within relative 2^-50 of their mirrors: one tail (module doc)
     tails, mirrored = [], np.ones(len(rows), bool)
     for term in zip(*laws):    # W, then Z, on one grid -r..r each

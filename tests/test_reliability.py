@@ -323,6 +323,24 @@ class TestTableBatch:
         failure_prob_rows(-10.0)
         assert [memo.cache_info().misses for memo in memos] == misses
 
+    def test_table_builds_each_distinct_law_once(self, monkeypatch):
+        # 10 distinct products and 11 distinct Ws at -10 dB, plus the six
+        # compression convolutions of the three baseline models
+        calls = Counter()
+        for name in ("product", "convolve"):
+            def counted(dist, other, _name=name, _op=getattr(IntDist, name)):
+                calls[_name] += 1
+                return _op(dist, other)
+            monkeypatch.setattr(IntDist, name, counted)
+        failure_prob_rows(-10.0)
+        assert calls == {"product": 10, "convolve": 17}
+
+    def test_table_does_not_underflow(self):
+        # the frequency cap's exponent is floored above exp's underflow, so
+        # the benchmark's table runs on normal floats only
+        with np.errstate(under="raise"):
+            failure_prob_rows(-10.0)
+
     def test_rows_match_lone_calls(self):
         lone = [failure_probability(params, model)
                 for params, model in table_models()]
