@@ -337,7 +337,7 @@ class TestTableBatch:
 
     def test_table_does_not_underflow(self):
         # the frequency cap's exponent is floored above exp's underflow, so
-        # the benchmark's table runs on normal floats only
+        # the -10 dB table runs on normal floats only
         with np.errstate(under="raise"):
             failure_prob_rows(-10.0)
 
