@@ -60,7 +60,7 @@ _HALF = np.sin(np.pi / WINDOW * np.r_[:WINDOW // 2 + 1, WINDOW // 2 - 1:-1:-1])
 # relative accuracy for the tilted FFT); a conservation guard trips if an
 # operation's total mass drifts by more than _GUARD.  Every law, operation
 # results included, and every ErrorModel is checked once, by its
-# constructor.  Masses are frozen (core.frozen): one memoised law serves all.
+# constructor.  Masses are frozen (core.frozen), so models share laws.
 
 _GUARD = 1e-12                 # conservation tolerance
 
@@ -128,10 +128,8 @@ class IntDist:
         return self._checked(other, lo, acc, "product")
 
 
-@functools.cache
 def compression_error_dist(d: int) -> IntDist:
-    """Exact PMF of decompress(compress(x, d), d) - x over uniform x in
-    [0, q): 3329 points enumerated once per d."""
+    """Exact PMF of decompress(compress(x, d), d) - x, x uniform in [0, q)."""
     x = np.arange(Q)
     err = centered(decompress(compress(x, d), d) - x)
     lo = int(err.min())
@@ -173,7 +171,6 @@ def channel_error_pmf(p_b: float, variant: str = "exact") -> IntDist:
     return IntDist(-3, [masses[abs(e)] for e in range(-3, 4)])
 
 
-@functools.lru_cache(maxsize=16)    # a sigma grid sweeps many SNRs once
 def coeff_error_dist(snr_lsb_db: float, variant: str = "exact") -> IntDist:
     """Error PMF induced on a coefficient by the w2 path at the given SNR."""
     return channel_error_pmf(bit_error_prob(snr_lsb_db), variant)
@@ -201,7 +198,10 @@ class ErrorModel:
 
     def __post_init__(self):
         for name in ("secret_dist", "pk_error_dist", "ct_error_dist", "e_dd_dist"):
-            if not abs(getattr(self, name).total - 1) <= 1e-9:
+            if not isinstance(law := getattr(self, name), IntDist):
+                raise TypeError(f"{name} must be an IntDist, not "
+                                f"{type(law).__name__}")
+            if not abs(law.total - 1) <= 1e-9:
                 raise ValueError(f"{name} is not normalised")
 
 
@@ -351,17 +351,17 @@ def failure_probability(params: ParamSet, model: ErrorModel) -> float:
     return _log2_failures([(params, model)], [f"k={params.k}"])[0]
 
 
+@functools.cache
 def standard_kyber_model(params: ParamSet) -> ErrorModel:
-    """The baseline scheme: binomial errors everywhere, each ciphertext
-    term convolved with its compression error."""
+    """The baseline scheme, built once per parameter set: binomial errors
+    everywhere, each ciphertext term convolved with its compression error."""
     e1, e2 = (IntDist.centered_binomial(e) for e in (params.eta1, params.eta2))
     return ErrorModel(e1, e1, e2.convolve(compression_error_dist(params.du)),
                       e2.convolve(compression_error_dist(params.dv)))
 
 
-def wkyber_v1_model(params: ParamSet, snr_lsb_db: float,
-                    variant: str = "exact") -> ErrorModel:
-    """V1: binomial key error, channel errors on the ciphertext.
+def wkyber_v1_model(params: ParamSet, channel: IntDist) -> ErrorModel:
+    """V1: binomial key error, the channel's law on the ciphertext.
 
     The key error is drawn at the eta2 range: the published failure
     figures this project reproduces are only consistent with it, though
@@ -371,16 +371,14 @@ def wkyber_v1_model(params: ParamSet, snr_lsb_db: float,
     ciphertext term is the rounding error 2 - w2 on {-1..2}, not this
     channel law, which the rows keep to model the published figures.
     """
-    ch = coeff_error_dist(snr_lsb_db, variant)
     return ErrorModel(IntDist.centered_binomial(params.eta1),
-                      IntDist.centered_binomial(params.eta2), ch, ch)
+                      IntDist.centered_binomial(params.eta2), channel, channel)
 
 
-def wkyber_v2_model(params: ParamSet, snr_lsb_db: float,
-                    variant: str = "exact") -> ErrorModel:
-    """V2: the channel supplies the key error as well."""
-    ch = coeff_error_dist(snr_lsb_db, variant)
-    return ErrorModel(IntDist.centered_binomial(params.eta1), ch, ch, ch)
+def wkyber_v2_model(params: ParamSet, channel: IntDist) -> ErrorModel:
+    """V2: the channel's law supplies the key error as well."""
+    return ErrorModel(IntDist.centered_binomial(params.eta1), channel, channel,
+                      channel)
 
 
 def failure_prob_rows(snr_lsb_db: float = -10.0):
@@ -388,17 +386,18 @@ def failure_prob_rows(snr_lsb_db: float = -10.0):
 
     Rows: (scheme, k, snr_lsb_db, channel_variant, log2_failure_prob).
     The V1 rows draw the key error at eta2, as the published figures do
-    (see wkyber_v1_model).
+    (see wkyber_v1_model).  One channel law per variant serves six rows.
     """
+    laws = {v: coeff_error_dist(snr_lsb_db, v) for v in ("exact", "approx")}
     labels, rows = [], []
     for params in PARAM_SETS.values():
         labels.append((params.name, params.k, "", ""))
         rows.append((params, standard_kyber_model(params)))
-        for variant in ("exact", "approx"):
+        for variant, ch in laws.items():
             labels += [(scheme, params.k, snr_lsb_db, variant)
                        for scheme in ("wkyber-v1", "wkyber-v2")]
-            rows += [(params, wkyber_v1_model(params, snr_lsb_db, variant)),
-                     (params, wkyber_v2_model(params, snr_lsb_db, variant))]
+            rows += [(params, wkyber_v1_model(params, ch)),
+                     (params, wkyber_v2_model(params, ch))]
     names = [f"{s} k={k} {v}".rstrip() for s, k, _, v in labels]
     return [(*label, value)
             for label, value in zip(labels, _log2_failures(rows, names))]

@@ -80,8 +80,10 @@ def receive_coeffs(msb: np.ndarray, lsb: np.ndarray):
     or None for a ciphertext leg (a key leg's msb has 26 seed blocks more
     than its lsb); the (B, n) received 12-bit words 4 * w10 + w2 in
     [0, 4096), not reduced mod q; and the failed blocks per session.  A w2
-    word outside [0, 4), or msb and lsb rows that differ in count, raise
-    ValueError."""
+    word outside [0, 4), msb or lsb not 2-D, or msb and lsb rows that
+    differ in count, raise ValueError."""
+    if np.ndim(msb) != 2 or np.ndim(lsb) != 2:
+        raise ValueError("msb and lsb must be 2-D (sessions, words) arrays")
     check_sessions(msb, lsb)
     lsb = check_range(lsb, 4, "w2 words")
     head = msb.shape[1] - lsb.shape[1]

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 
@@ -562,6 +563,13 @@ class TestStreams:
                     == squeeze(b"\x05" * 32, b"lbl", n, algo))
 
 
+class TestParamSet:
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_rejects_unsupported_rank(self, k):
+        with pytest.raises(ValueError, match=f"rank k={k}"):
+            dataclasses.replace(KYBER768, k=k)
+
+
 class TestPacking:
     @given(st.lists(st.integers(0, 4095), min_size=2, max_size=64).filter(
         lambda v: len(v) % 2 == 0))
@@ -577,6 +585,11 @@ class TestPacking:
 
     def test_length(self):
         assert len(pack12(np.zeros(512, dtype=np.int64))) == 768
+
+    def test_rejects_odd_count(self):
+        # three 12-bit values would leave half a byte triple
+        with pytest.raises(ValueError, match="even number"):
+            pack12(np.zeros(3, dtype=np.int64))
 
     @pytest.mark.parametrize("values", [[4096, 0], [-1, 0], [0, 1 << 16]])
     def test_rejects_values_past_12_bits(self, values):

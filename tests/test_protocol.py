@@ -467,6 +467,10 @@ class TestSessions:
         assert session_plans("v2", 6.0, -10.0) == (ChannelPlan(6.0, -10.0),
                                                    ChannelPlan(6.0, -10.0))
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="seed -1 is negative"):
+            run_sessions("v1", P768, NOMINAL_PLANS, [3, -1])
+
     def test_plans_and_warnings_refuse_unknown_version(self):
         # "v3" would otherwise get v2's plans and v1's warnings
         with pytest.raises(ValueError, match="'v1' or 'v2'"):
@@ -633,7 +637,7 @@ class TestNoiseAccounting:
             observed.append(centered(c_rx[-1] - s_u - decompress(bits[0], 1)))
         observed = np.concatenate(observed)
 
-        dist = noise_law(P768, wkyber_v2_model(P768, -10.0))
+        dist = noise_law(P768, wkyber_v2_model(P768, coeff_error_dist(-10.0)))
         support = np.array(list(dist.support))
         cdf = np.cumsum(dist.masses)
         # KS distance between the empirical sample and the analytic CDF

@@ -81,7 +81,8 @@ class TestIntDist:
         assert abs(d.total - 1) < 1e-12
 
     def test_mass_conservation_through_heavy_pipeline(self, noise_law):
-        noise = noise_law(KYBER512, wkyber_v2_model(KYBER512, -10.0))
+        noise = noise_law(KYBER512,
+                          wkyber_v2_model(KYBER512, coeff_error_dist(-10.0)))
         assert abs(noise.total - 1) < 1e-12
 
     def test_guard_trips_on_inconsistent_mass(self):
@@ -163,17 +164,20 @@ class TestCompressionError:
         assert max(abs(v) for v in d.support) <= 1
 
 
-class TestCompressionMemo:
-    def test_law_is_shared_and_read_only(self):
-        law = compression_error_dist(10)
-        assert law is compression_error_dist(10)
+class TestBaselineModel:
+    def test_model_is_shared_and_read_only(self):
+        # built once per parameter set, so its laws must not change
+        model = standard_kyber_model(KYBER512)
+        assert model is standard_kyber_model(KYBER512)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.ct_error_dist = ZERO
         with pytest.raises(ValueError):
-            law.masses[0] = 0.5
+            model.ct_error_dist.masses[0] = 0.5
 
 
 class TestSharedLaws:
-    """Every shared array is frozen, so the caches and the law
-    constructors can memoise."""
+    """Every shared array is frozen, so the caches can memoise and models
+    can share their laws."""
 
     def test_masses_are_read_only(self):
         # and so is every other shared array: no item write, and no array
@@ -202,10 +206,8 @@ class TestSharedLaws:
                 with pytest.raises(AttributeError):
                     delattr(law, field)
 
-    def test_binomial_and_channel_laws_are_built_once(self):
+    def test_binomial_law_is_built_once(self):
         assert IntDist.centered_binomial(2) is IntDist.centered_binomial(2)
-        law = coeff_error_dist(-10.0, "approx")
-        assert law is coeff_error_dist(-10.0, "approx")
 
     def test_attributes_cannot_be_rebound(self):
         # rebinding a memoised law's masses would change every later table
@@ -217,13 +219,6 @@ class TestSharedLaws:
                 with pytest.raises(AttributeError):
                     setattr(law, name, value)
             assert law.offset == offset and law.masses is masses
-
-    def test_sigma_curve_and_models_share_the_channel_law(self):
-        # every caller spells the variant alike, so lru_cache keys one entry
-        coeff_error_dist.cache_clear()
-        sigma_vs_snr([-10.0])
-        wkyber_v2_model(KYBER512, -10.0)
-        assert coeff_error_dist.cache_info().misses == 1
 
 
 class TestFailureProbability:
@@ -247,8 +242,8 @@ class TestFailureProbability:
         assert lg_without < lg_with
 
     def test_monotone_in_lsb_snr(self):
-        vals = [failure_probability(KYBER512, wkyber_v2_model(KYBER512, snr))
-                for snr in (-12.0, -10.0, -8.0)]
+        vals = [failure_probability(KYBER512, wkyber_v2_model(
+            KYBER512, coeff_error_dist(snr))) for snr in (-12.0, -10.0, -8.0)]
         assert vals[0] >= vals[1] >= vals[2]
 
     def test_rejects_unnormalised_model(self):
@@ -261,8 +256,16 @@ class TestFailureProbability:
                 ErrorModel(secret_dist=law, pk_error_dist=law,
                            ct_error_dist=law, e_dd_dist=law)
 
+    def test_rejects_a_field_that_is_not_a_law(self):
+        # an SNR where the channel law goes names its field, not a missing
+        # attribute of a float
+        with pytest.raises(TypeError, match="pk_error_dist must be an IntDist"):
+            wkyber_v2_model(KYBER512, -10.0)
+        with pytest.raises(TypeError, match="e_dd_dist"):
+            ErrorModel(ZERO, ZERO, ZERO, ZERO.masses)
+
     def test_model_fields_cannot_be_rebound(self):
-        model = wkyber_v2_model(KYBER512, -10.0)
+        model = wkyber_v2_model(KYBER512, coeff_error_dist(-10.0))
         for field in dataclasses.fields(ErrorModel):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(model, field.name, ZERO)
@@ -306,34 +309,39 @@ def table_models(snr_lsb_db=-10.0):
     for params in PARAM_SETS.values():
         yield params, standard_kyber_model(params)
         for variant in ("exact", "approx"):
-            yield params, wkyber_v1_model(params, snr_lsb_db, variant)
-            yield params, wkyber_v2_model(params, snr_lsb_db, variant)
+            channel = coeff_error_dist(snr_lsb_db, variant)
+            yield params, wkyber_v1_model(params, channel)
+            yield params, wkyber_v2_model(params, channel)
 
 
 class TestTableBatch:
     """A table's rows share one batch of the tilted kernel."""
 
-    def test_repeated_table_constructs_no_law(self):
-        # the binomial, channel and compression laws are memoised, so a
-        # second table misses none of their caches
-        memos = (IntDist.centered_binomial.__func__, coeff_error_dist,
-                 compression_error_dist)
+    def test_repeated_table_rebuilds_no_baseline_model(self):
+        # the binomial laws and the baseline models are memoised, so a
+        # second table misses neither cache
+        memos = (IntDist.centered_binomial.__func__, standard_kyber_model)
         failure_prob_rows(-10.0)
         misses = [memo.cache_info().misses for memo in memos]
         failure_prob_rows(-10.0)
         assert [memo.cache_info().misses for memo in memos] == misses
 
     def test_table_builds_each_distinct_law_once(self, monkeypatch):
-        # 10 distinct products and 11 distinct Ws at -10 dB, plus the six
-        # compression convolutions of the three baseline models
+        # 10 distinct products and 11 distinct Ws at -10 dB, plus, on a
+        # cold table, the six compression convolutions of the three
+        # baseline models, which a warm table reuses
         calls = Counter()
         for name in ("product", "convolve"):
             def counted(dist, other, _name=name, _op=getattr(IntDist, name)):
                 calls[_name] += 1
                 return _op(dist, other)
             monkeypatch.setattr(IntDist, name, counted)
+        standard_kyber_model.cache_clear()
         failure_prob_rows(-10.0)
         assert calls == {"product": 10, "convolve": 17}
+        calls.clear()
+        failure_prob_rows(-10.0)
+        assert calls == {"product": 10, "convolve": 11}
 
     def test_table_does_not_underflow(self):
         # the frequency cap's exponent is floored above exp's underflow, so
@@ -405,8 +413,8 @@ class TestTiltedKernel:
     def test_matches_untrimmed_direct_oracle(self, noise_law, snr, bits,
                                              scheme, variant):
         params = PARAM_SETS[bits]
-        model = (wkyber_v1_model(params, snr, variant) if scheme == "v1"
-                 else wkyber_v2_model(params, snr, variant))
+        builder = wkyber_v1_model if scheme == "v1" else wkyber_v2_model
+        model = builder(params, coeff_error_dist(snr, variant))
         got = failure_probability(params, model)
         assert abs(got - oracle_log2(noise_law, params, model)) <= 1e-9
 
@@ -451,8 +459,8 @@ class TestTiltedKernel:
     def test_law_wider_than_window_raises(self):
         # an e_dd on -600..600 would not fit the transform's window
         wide = IntDist(-600, np.full(1201, 1 / 1201))
-        model = dataclasses.replace(wkyber_v2_model(KYBER512, -10.0),
-                                    e_dd_dist=wide)
+        model = dataclasses.replace(
+            wkyber_v2_model(KYBER512, coeff_error_dist(-10.0)), e_dd_dist=wide)
         with pytest.raises(PrecisionLossError):
             failure_probability(KYBER512, model)
 
@@ -479,7 +487,7 @@ class TestMirrorRule:
     def test_near_mirror_law_reads_both_tails(self, noise_law):
         # e_dd(2) 1e-6 above e_dd(-2): taking the lower tail equal to the
         # upper would be off by 8.9e-8 log2
-        model = wkyber_v2_model(KYBER512, -10.0)
+        model = wkyber_v2_model(KYBER512, coeff_error_dist(-10.0))
         e_dd = model.e_dd_dist
         masses = e_dd.masses.copy()
         masses[e_dd.support == 2] *= 1 + 1e-6

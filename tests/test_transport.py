@@ -114,6 +114,15 @@ class TestFrames:
         with pytest.raises(ValueError, match="differ in count"):
             receive_coeffs(msb[:1], lsb)
 
+    def test_rejects_words_that_are_not_2d(self):
+        # one session's 1-D rows, or a 3-D pair whose blocks would be
+        # counted over the wrong axis, are not (sessions, words) arrays
+        msb, lsb = send_coeffs(np.zeros((2, 12), dtype=np.int64), NOISELESS,
+                               [NoiseSource(0), NoiseSource(1)])
+        for shape in ((24,), (2, 3, 4)):
+            with pytest.raises(ValueError, match="2-D"):
+                receive_coeffs(msb.reshape(shape), lsb.reshape(shape))
+
     def test_rejects_coefficients_outside_ring(self):
         with pytest.raises(ValueError):
             send_one([Q], NOISELESS, NoiseSource(0))
