@@ -153,8 +153,7 @@ def cmd_ber(args):
     rows = []
     for point, snr in enumerate(args.grid):
         analytic = bit_error_prob(snr)
-        bits = max(2, args.trials)
-        nwords = (bits + 1) // 2
+        nwords = (args.trials + 1) // 2
         noise = NoiseSource(args.seed * 7919 + point)
         words = np.random.default_rng(args.seed + point).integers(0, 4, nwords)
         rx = demodulate_symbols(transmit(modulate_words(words), snr, noise))

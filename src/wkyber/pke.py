@@ -18,8 +18,9 @@ message bits and coins) raise ValueError rather than broadcast.  On the wire
 each session's secret or ciphertext is pack12 of its array and its key is
 seed + pack12(b); pack12 is the KEM's hash input, and the tests hold its
 decoder (sessions carry arrays, never bytes).  wk_encrypt and wk_decrypt
-take received 12-bit words (transport.receive_coeffs; ValueError outside
-[0, 4096)) as b and ciphertext, and reduce them mod q for mul_sum.
+take received 12-bit words (as transport.send_key and send_coeffs return
+them; ValueError outside [0, 4096)) as b and ciphertext, and reduce them
+mod q for mul_sum.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ pke.wk_encrypt and pke.wk_decrypt.
 KEM robustness and security: the channel may flip the two low bits (w2) of
 any coefficient, which no BCH code protects, so the KEM depends on none of
 them.  Received keys and ciphertexts are the 12-bit words 4 * w10 + w2
-that arrived (transport.receive_coeffs), so a w2 flip never reaches w10.
+that the transport legs return, so a w2 flip never reaches w10.
 The KEM binds its hash chain and re-encryption to the protected
 projection 4 * (b >> 2) + 2 of the public key, and decapsulation decrypts
 from the received protected words w10 = c >> 2 alone, read the same way.
@@ -36,8 +36,8 @@ and its own KEM hashes, though one pack12 packs a batch's hashed arrays.
 Its randomness is two SHAKE streams, each read by one squeeze and sliced:
 the key stream as matrix seed (32 bytes) | keygen noise | z (32, v1 only),
 the message stream as message bits (32) | coins (32, v2 only).  The ring
-work is stacked on (B, k, 256) arrays, and transport.send_key, send_coeffs
-and receive_coeffs carry a batch's legs.
+work is stacked on (B, k, 256) arrays, and one transport.send_key or
+send_coeffs call carries a batch's leg.
 Stacked arithmetic is exact and blocks decode alone, so no result depends
 on B or worker count.  A run of S sessions comes back as one SessionRun of
 (S,) arrays of outcomes and per-leg BCH failures; the version, rank and
@@ -59,7 +59,7 @@ from .core import (SEED_BYTES, centered, check_bytes, check_range,
 from .modem import ChannelPlan, NoiseSource
 from .params import N, ParamSet
 from .pke import keygen, keygen_bytes, random_bits, wk_decrypt, wk_encrypt
-from .transport import receive_coeffs, send_coeffs, send_key
+from .transport import send_coeffs, send_key
 
 # sessions stacked in one array pass of run_sessions; results do not
 # depend on it, only memory and per-call overhead do
@@ -119,10 +119,11 @@ def kem_v1_encaps(pks, bits: np.ndarray, params: ParamSet):
     Deterministic given (pk, message): key and coins derive from the message
     and the projected public key 4 * (b >> 2) + 2, the received words of b
     with their exposed w2 bits read as 2, as decapsulation reads a
-    ciphertext's; the secret also binds the clean ciphertext.
+    ciphertext's; the secret also binds the clean ciphertext.  Each key
+    word must be an integer in [0, 4096) (ValueError otherwise).
     """
     seeds, b = pks
-    b = 4 * (b >> 2) + 2
+    b = 4 * (check_range(b, 1 << 12, "key words") >> 2) + 2
     messages = np.packbits(bits.astype(np.uint8), axis=-1, bitorder="little")
     # 32 key bytes, then 32 coin bytes
     kd = [squeeze(m.tobytes() + squeeze(seed + b_i, b"pk", 32), b"enc", 64)
@@ -149,11 +150,12 @@ def kem_v1_decaps(s: np.ndarray, zs, pks, received: np.ndarray,
     Decryption reads 4 * w10 + 2 in place of each received word, so no w2
     bit sets any decryption noise.  The check accepts exactly the
     ciphertexts whose w10 words equal the re-encryption's.  That relation is
-    public, so the target is replayable CCA (module docstring).  s, zs and
-    received must agree in count, each z hold 32 bytes and each received
-    word be an integer in [0, 4096) (ValueError otherwise, before any work).
+    public, so the target is replayable CCA (module docstring).  s, zs, the
+    keys' seeds and b, and received must agree in count, each z hold 32
+    bytes and each received word be an integer in [0, 4096) (ValueError
+    otherwise, before any work).
     """
-    check_sessions(s, zs, received)
+    check_sessions(s, zs, *pks, received)
     zs = check_bytes(zs, SEED_BYTES)
     w10 = check_range(received, 1 << 12, "received words") >> 2
     expected, secrets = kem_v1_encaps(pks, wk_decrypt(s, 4 * w10 + 2), params)
@@ -237,15 +239,14 @@ def _run_batch(v1, params, plans, seeds):
     pks, sks = keygen([key[:SEED_BYTES] for key in keys],
                       [key[SEED_BYTES:noise_end] for key in keys], params,
                       with_error=v1)
-    seeds_rx, b_rx, pk_fail = receive_coeffs(*send_key(*pks, pk_plan, noise_a))
-    pks_rx = (seeds_rx, b_rx.reshape(len(seeds), params.k, N))
+    seeds_rx, b_rx, pk_fail = send_key(*pks, pk_plan, noise_a)
+    pks_rx = (seeds_rx, b_rx)
     bits = random_bits([msg[:32] for msg in msgs])
     if v1:
         c_clean, secrets_b = kem_v1_encaps(pks_rx, bits, params)
     else:
         c_clean = wk_encrypt(pks_rx, bits, [msg[32:] for msg in msgs], params)
-    _, c_rx, ct_fail = receive_coeffs(*send_coeffs(c_clean, ct_plan, noise_b))
-    c_rx = c_rx.reshape(c_clean.shape)
+    c_rx, ct_fail = send_coeffs(c_clean, ct_plan, noise_b)
     if v1:
         secrets_a = kem_v1_decaps(sks, [key[noise_end:] for key in keys], pks,
                                   c_rx, params)

@@ -16,7 +16,7 @@ from wkyber.pke import (decrypt, encrypt, keygen, keygen_bytes, random_bits,
 from wkyber.protocol import (SESSION_BATCH, kem_v1_decaps, kem_v1_encaps,
                              run_sessions, session_plans, snr_warnings)
 from wkyber.reliability import coeff_error_dist
-from wkyber.transport import receive_coeffs, send_coeffs, send_key
+from wkyber.transport import send_coeffs, send_key
 
 SEED = bytes(32)
 P768 = KYBER768
@@ -139,11 +139,10 @@ class TestV2Pke:
         total = 0
         for i in range(40):
             (seeds, b), _ = key_pairs([b"i" + bytes([i])], with_error=False)
-            sent = send_key(seeds, b, ChannelPlan(10.0, -10.0),
-                            [NoiseSource(1000 + i)])
-            seeds_rx, b_rx, fails = receive_coeffs(*sent)
+            seeds_rx, b_rx, fails = send_key(
+                seeds, b, ChannelPlan(10.0, -10.0), [NoiseSource(1000 + i)])
             assert seeds_rx == [SEED] and fails.tolist() == [0]
-            off = centered(b_rx.reshape(b.shape) - b)
+            off = centered(b_rx - b)
             counts += np.bincount(off.ravel() + 3, minlength=7)
             total += off.size
         expected = coeff_error_dist(-10.0).masses * total
@@ -279,6 +278,30 @@ class TestKem:
             kem_v1_decaps(s, zs[:1], pks, c, P768)
         assert not calls
 
+    def test_decaps_checks_key_count_before_any_work(self, monkeypatch):
+        # two keys for one session are refused with the other counts, not
+        # by the re-encryption's zip once decryption is done
+        from wkyber import protocol
+        pks, s, zs, c, _ = kem_pair(b"count", b"m9")
+        (seeds2, b2), _, _ = kem_keys([b"k1", b"k2"])
+        calls = []
+        monkeypatch.setattr(protocol, "wk_decrypt",
+                            lambda *args: calls.append(args))
+        for keys in ((seeds2, pks[1]), (pks[0], b2)):
+            with pytest.raises(ValueError, match="differ in count"):
+                kem_v1_decaps(s, zs, keys, c, P768)
+        assert not calls
+
+    @pytest.mark.parametrize("bad", ["bool", "past 12 bits"])
+    def test_encaps_checks_key_words(self, bad):
+        # a bool key would encapsulate to the all-2 projection, and a word
+        # past 12 bits would reach pack12; both are refused as key words
+        (seeds, b), _, _ = kem_keys([b"words"])
+        b = b.astype(bool) if bad == "bool" else b + 4096
+        bits = random_bits([stream(b"m9", 32)])
+        with pytest.raises(ValueError, match="key words"):
+            kem_v1_encaps((seeds, b), bits, P768)
+
 
 # every entry point between the channel and the KEM, given a float where
 # its integer array belongs: check_range refuses it rather than truncate
@@ -288,8 +311,8 @@ FLOAT_INPUTS = {
     "pack12": lambda kem, x: pack12(x),
     "send_coeffs": lambda kem, x: send_coeffs(x, V2_PLANS[1],
                                               [NoiseSource(0)]),
-    "receive_coeffs_lsb": lambda kem, x: receive_coeffs(
-        np.zeros(x.shape, dtype=np.int64), x),
+    "kem_v1_encaps": lambda kem, x: kem_v1_encaps(
+        (kem[0][0], x), np.zeros((1, N), dtype=np.int64), P768),
     "modulate_words": lambda kem, x: modulate_words(x),
     "wk_decrypt": lambda kem, x: wk_decrypt(kem[1], kem[3] + 0.5),
     "kem_v1_decaps": lambda kem, x: kem_v1_decaps(kem[1], kem[2], kem[0],
@@ -624,15 +647,13 @@ class TestNoiseAccounting:
             nk = keygen_bytes(P768, with_error=False)
             kg = stream(b"ks" + bytes([i]), nk + 64)
             (seeds, b), s = keygen([SEED], [kg[:nk]], P768, with_error=False)
-            sent = send_key(seeds, b, ChannelPlan(10, -10),
-                            [NoiseSource(7000 + i)])
-            seeds_rx, b_rx, _ = receive_coeffs(*sent)
-            pks_rx = (seeds_rx, b_rx.reshape(b.shape))
+            seeds_rx, b_rx, _ = send_key(seeds, b, ChannelPlan(10, -10),
+                                         [NoiseSource(7000 + i)])
             bits = random_bits([kg[nk:nk + 32]])
-            (c,) = wk_encrypt(pks_rx, bits, [kg[nk + 32:]], P768)
-            words = send_coeffs(c[None], ChannelPlan(10, -10),
-                                [NoiseSource(8000 + i)])
-            c_rx = receive_coeffs(*words)[1].reshape(c.shape) % Q
+            (c,) = wk_encrypt((seeds_rx, b_rx), bits, [kg[nk + 32:]], P768)
+            (c_rx,), _ = send_coeffs(c[None], ChannelPlan(10, -10),
+                                     [NoiseSource(8000 + i)])
+            c_rx %= Q
             s_u = mul_sum(ntt(s[0])[None], c_rx[:-1])[0]
             observed.append(centered(c_rx[-1] - s_u - decompress(bits[0], 1)))
         observed = np.concatenate(observed)

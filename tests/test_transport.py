@@ -13,31 +13,40 @@ from wkyber.modem import (ChannelPlan, NoiseSource, bit_error_prob,
 from wkyber.params import N, PARAM_SETS, Q
 from wkyber.reliability import (channel_error_pmf, coeff_error_dist,
                                 dist_stddev)
-from wkyber.transport import SEED_BLOCKS, receive_coeffs, send_coeffs, send_key
+from wkyber.transport import SEED_BLOCKS, send_coeffs, send_key
 
 NOISELESS = ChannelPlan(math.inf, math.inf)
 NOMINAL = ChannelPlan(10.0, -10.0)
 
 
 def send_one(coeffs, plan, noise):
-    """One session's received (msb, lsb) rows, as a batch of one."""
-    return send_coeffs(np.asarray(coeffs)[None], plan, [noise])
-
-
-def receive(words):
-    """(coefficients, BCH decode failure count) of one session's received
-    (msb, lsb) rows."""
-    _, coeffs, failures = receive_coeffs(*words)
-    return coeffs[0], int(failures[0])
+    """(received words, BCH decode failure count) of one session's
+    coefficients, sent as a batch of one."""
+    words, failures = send_coeffs(np.asarray(coeffs)[None], plan, [noise])
+    return words[0], int(failures[0])
 
 
 def noiseless_split(coeffs):
-    """(w10, w2) as a noiseless send carries them: protected block, then
-    the exposed word."""
-    (msb,), (lsb,) = send_one(coeffs, NOISELESS, NoiseSource(0))
-    w10, _, failed = decode_words(msb)
-    assert not failed.any()
-    return w10.tolist(), lsb.tolist()
+    """(w10, w2) of the words a noiseless send delivers: the protected
+    block's message, then the exposed word."""
+    words, failures = send_one(coeffs, NOISELESS, NoiseSource(0))
+    assert failures == 0
+    return (words >> 2).tolist(), (words & 3).tolist()
+
+
+def seed_words(seed):
+    """A 32-byte seed's 26 protected 10-bit words, most significant bit
+    first, 4 zero pad bits at the end: the scalar oracle of the key head."""
+    bits = [(byte >> i) & 1 for byte in seed for i in range(8)] + [0] * 4
+    return [int("".join(map(str, bits[at:at + 10])), 2)
+            for at in range(0, 260, 10)]
+
+
+def seed_of(words):
+    """The seed packed from 26 received 10-bit words (seed_words' inverse,
+    its 4 pad bits dropped)."""
+    bits = "".join(f"{int(w):010b}" for w in words)[:256]
+    return bytes(int(bits[at:at + 8][::-1], 2) for at in range(0, 256, 8))
 
 
 def offset_chi2(plan, coeff_seed, noise_seed, total=200_000):
@@ -47,7 +56,7 @@ def offset_chi2(plan, coeff_seed, noise_seed, total=200_000):
     for part in range(4):
         rng = np.random.default_rng(coeff_seed + part)
         coeffs = rng.integers(0, Q, total // 4)
-        rx, _ = receive(send_one(coeffs, plan, NoiseSource(noise_seed + part)))
+        rx, _ = send_one(coeffs, plan, NoiseSource(noise_seed + part))
         off = centered(rx - coeffs)
         counts += np.bincount(off + 3, minlength=7)
     expected = coeff_error_dist(plan.snr_lsb_db).masses * total
@@ -69,25 +78,36 @@ class TestSplit:
         assert 4 * w10 + w2 == x
 
     def test_any_shape_sent_row_major(self):
+        # received words come back in the coefficients' shape, and a noisy
+        # send of (3, 8) draws its flips as the row-major (24,) send does
         coeffs = np.random.default_rng(5).integers(0, Q, (3, 8))
-        rx, _ = receive(send_one(coeffs, NOISELESS, NoiseSource(0)))
-        assert np.array_equal(rx, coeffs.ravel())
+        rx, _ = send_one(coeffs, NOISELESS, NoiseSource(0))
+        assert np.array_equal(rx, coeffs)
+        plan = ChannelPlan(2.0, -10.0)
+        rx, failures = send_one(coeffs, plan, NoiseSource(6))
+        flat, flat_failures = send_one(coeffs.ravel(), plan, NoiseSource(6))
+        assert np.array_equal(rx.ravel(), flat) and failures == flat_failures
 
 
 class TestFrames:
     def test_noiseless_roundtrip(self):
         coeffs = np.random.default_rng(0).integers(0, Q, 300)
-        rx, failures = receive(send_one(coeffs, NOISELESS, NoiseSource(0)))
+        rx, failures = send_one(coeffs, NOISELESS, NoiseSource(0))
         assert (rx == coeffs).all() and failures == 0
 
     def test_frame_length_contract(self):
         # a rank-3 ciphertext (u then v) is 1024 coefficients, each one
         # 31-bit block (16 symbols with the pad bit) and one 2-bit word
-        # (1 symbol): 17408 symbols on the wire
-        coeffs = np.random.default_rng(3).integers(0, Q, 1024)
-        msb, lsb = send_one(coeffs, NOISELESS, NoiseSource(0))
-        assert msb.shape == lsb.shape == (1, 1024)
-        assert msb.max() < 1 << CODE_N and lsb.max() < 4
+        # (1 symbol): 17408 symbols on the wire.  The leg draws exactly
+        # those bits' flips, and the receiver gets one 12-bit word each
+        coeffs = np.random.default_rng(3).integers(0, Q, (1, 4, N))
+        noise = NoiseSource(13)
+        words, _ = send_coeffs(coeffs, ChannelPlan(2.0, -10.0), [noise])
+        assert words.shape == coeffs.shape and words.max() < 1 << 12
+        fresh = NoiseSource(13)
+        flip_masks([fresh], [(1024, CODE_N, bit_error_prob(2.0)),
+                             (1024, 2, bit_error_prob(-10.0))])
+        assert noise.pairs(2, 1.0).tobytes() == fresh.pairs(2, 1.0).tobytes()
         assert 1024 * ((CODE_N + 1) // 2 + 1) == 17408
 
     def test_noiseless_draws_nothing(self):
@@ -100,28 +120,9 @@ class TestFrames:
 
     def test_deterministic(self):
         coeffs = np.random.default_rng(1).integers(0, Q, 64)
-        msb1, lsb1 = send_one(coeffs, NOMINAL, NoiseSource(9))
-        msb2, lsb2 = send_one(coeffs, NOMINAL, NoiseSource(9))
-        assert np.array_equal(msb1, msb2) and np.array_equal(lsb1, lsb2)
-
-    def test_malformed_length_rejected(self):
-        # msb and lsb rows of different session counts would broadcast one
-        # session's w2 words over the other's blocks
-        msb, lsb = send_coeffs(np.zeros((2, 8), dtype=np.int64), NOISELESS,
-                               [NoiseSource(0), NoiseSource(1)])
-        with pytest.raises(ValueError, match="differ in count"):
-            receive_coeffs(msb, lsb[:1])
-        with pytest.raises(ValueError, match="differ in count"):
-            receive_coeffs(msb[:1], lsb)
-
-    def test_rejects_words_that_are_not_2d(self):
-        # one session's 1-D rows, or a 3-D pair whose blocks would be
-        # counted over the wrong axis, are not (sessions, words) arrays
-        msb, lsb = send_coeffs(np.zeros((2, 12), dtype=np.int64), NOISELESS,
-                               [NoiseSource(0), NoiseSource(1)])
-        for shape in ((24,), (2, 3, 4)):
-            with pytest.raises(ValueError, match="2-D"):
-                receive_coeffs(msb.reshape(shape), lsb.reshape(shape))
+        rx1, failures1 = send_one(coeffs, NOMINAL, NoiseSource(9))
+        rx2, failures2 = send_one(coeffs, NOMINAL, NoiseSource(9))
+        assert np.array_equal(rx1, rx2) and failures1 == failures2
 
     def test_rejects_coefficients_outside_ring(self):
         with pytest.raises(ValueError):
@@ -130,7 +131,7 @@ class TestFrames:
     def test_offsets_confined_at_nominal_plan(self):
         rng = np.random.default_rng(2)
         coeffs = rng.integers(0, Q, 60_000)
-        rx, failures = receive(send_one(coeffs, NOMINAL, NoiseSource(3)))
+        rx, failures = send_one(coeffs, NOMINAL, NoiseSource(3))
         assert failures == 0
         off = centered(rx - coeffs)
         assert off.min() >= -3 and off.max() <= 3
@@ -141,8 +142,8 @@ class TestFrames:
     def test_block_decode_failures_surface(self):
         # at very low MSB SNR failures must be counted, not raised
         coeffs = np.random.default_rng(4).integers(0, Q, 2000)
-        rx, failures = receive(send_one(coeffs, ChannelPlan(-5.0, -5.0),
-                                        NoiseSource(8)))
+        rx, failures = send_one(coeffs, ChannelPlan(-5.0, -5.0),
+                                NoiseSource(8))
         assert failures > 0
         assert len(rx) == 2000 and rx.max() < 1 << 12
 
@@ -166,11 +167,12 @@ class TestLegs:
         coeffs[:, [t % (rows * N) for t in tops]] = Q - 1
         noises = [NoiseSource(i) for i in range(len(seeds))]
         c = coeffs.reshape(len(seeds), rows, N)
-        sent = (send_key(seeds, c, NOISELESS, noises) if key
-                else send_coeffs(c, NOISELESS, noises))
-        seeds_rx, coeffs_rx, failures = receive_coeffs(*sent)
-        assert seeds_rx == (seeds if key else None)
-        assert np.array_equal(coeffs_rx, coeffs)
+        if key:
+            seeds_rx, c_rx, failures = send_key(seeds, c, NOISELESS, noises)
+            assert seeds_rx == seeds
+        else:
+            c_rx, failures = send_coeffs(c, NOISELESS, noises)
+        assert np.array_equal(c_rx, c)
         assert failures.tolist() == [0] * len(seeds)
 
     @pytest.mark.parametrize("key", [False, True])
@@ -188,29 +190,60 @@ class TestLegs:
                                 noises)
             return send_coeffs(coeffs[rows], plan, noises)
 
-        msb, lsb = send(list(range(5)))
-        assert msb.shape == (5, SEED_BLOCKS * key + 3 * N)
-        assert lsb.shape == (5, 3 * N)
+        *head, words, failures = send(list(range(5)))
+        assert words.shape == (5, 3, N) and failures.shape == (5,)
+        assert failures.any()    # blocks failed, so the counts are tested
         for i in range(5):
-            one_msb, one_lsb = send([i])
-            assert np.array_equal(msb[i], one_msb[0])
-            assert np.array_equal(lsb[i], one_lsb[0])
+            *one_head, one_words, one_failures = send([i])
+            assert [h[i] for h in head] == [h[0] for h in one_head]
+            assert np.array_equal(words[i], one_words[0])
+            assert failures[i] == one_failures[0]
 
     @pytest.mark.parametrize("snr", [2.0, -5.0])
     def test_key_leg_draws_its_seed_blocks_first(self, snr):
-        # a key leg's first draw is its seed blocks' flips: the seed
-        # words' codewords XOR the first SEED_BLOCKS words of flips from a
-        # fresh copy of the same noise source
+        # a key leg's first draw is its seed blocks' flips: the received
+        # seed is the decode of the seed words' codewords XOR the first
+        # SEED_BLOCKS words of flips from a fresh copy of the same source
         seed = bytes(range(32))
         b = np.random.default_rng(71).integers(0, Q, (1, 2, N))
-        (clean,), _ = send_key([seed], b, NOISELESS, [NoiseSource(0)])
-        words, _, _ = decode_words(clean[:SEED_BLOCKS])
-        (msb,), _ = send_key([seed], b, ChannelPlan(snr, -10.0),
-                             [NoiseSource(72)])
+        (seed_rx,), _, _ = send_key([seed], b, ChannelPlan(snr, -10.0),
+                                    [NoiseSource(72)])
         flips = flip_masks([NoiseSource(72)],
                            [(SEED_BLOCKS, CODE_N, bit_error_prob(snr))])[0]
         assert flips.any()   # flips were drawn
-        assert np.array_equal(msb[:SEED_BLOCKS], ENCODE_TABLE[words] ^ flips)
+        w10, _, _ = decode_words(ENCODE_TABLE[seed_words(seed)] ^ flips)
+        assert seed_rx == seed_of(w10 & 0x3FF)
+
+    @pytest.mark.parametrize("key", [False, True])
+    def test_received_words_equal_the_decoded_flips(self, key):
+        # the oracle of a leg at a plan where both paths flip: encode each
+        # head word and w10, XOR the flips a fresh copy of each noise
+        # source draws, decode, keep 10 bits, then add the flipped w2 bits
+        plan = ChannelPlan(2.0, -10.0)
+        c = np.random.default_rng(73).integers(0, Q, (3, 2, N))
+        seeds = [bytes([40 + i]) * 32 for i in range(3)]
+        head = np.array([seed_words(seed) if key else [] for seed in seeds],
+                        dtype=np.int64)
+        h, n, p_msb = head.shape[1], 2 * N, bit_error_prob(2.0)
+
+        def noises():
+            return [NoiseSource(7400 + i) for i in range(3)]
+
+        flips = flip_masks(noises(), [(h, CODE_N, p_msb), (n, CODE_N, p_msb),
+                                      (n, 2, bit_error_prob(-10.0))])
+        rows = c.reshape(3, n)
+        assert flips[:, :h + n].any() and flips[:, h + n:].any()
+        w10, _, failed = decode_words(ENCODE_TABLE[np.concatenate(
+            (head, rows >> 2), axis=1)] ^ flips[:, :h + n])
+        w10 = (w10 & 0x3FF).reshape(3, h + n)
+        expected = 4 * w10[:, h:] + ((rows & 3) ^ flips[:, h + n:])
+        if key:
+            seeds_rx, words, failures = send_key(seeds, c, plan, noises())
+            assert seeds_rx == [seed_of(w) for w in w10[:, :h]]
+        else:
+            words, failures = send_coeffs(c, plan, noises())
+        assert np.array_equal(words, expected.reshape(c.shape))
+        assert failures.tolist() == failed.reshape(3, -1).sum(axis=1).tolist()
 
     def test_rejects_one_noise_source_per_batch(self):
         coeffs = np.zeros((2, 8), dtype=np.int64)
@@ -227,22 +260,6 @@ class TestLegs:
             send_key([bytes(31), bytes(33)], coeffs, NOISELESS,
                      [NoiseSource(0), NoiseSource(1)])
 
-    def test_rejects_w2_words_outside_two_bits(self):
-        # 4 * w10 + w2 with w2 = 5 or -1 would carry into or borrow from
-        # w10: the words [25, 27] both read w10 = 6
-        msb = ENCODE_TABLE[[[5, 7]]]
-        with pytest.raises(ValueError, match=r"w2 words outside \[0, 4\)"):
-            receive_coeffs(msb, np.array([[5, -1]]))
-
-    @pytest.mark.parametrize("head", [-1, 1, SEED_BLOCKS - 1,
-                                      SEED_BLOCKS + 1, 2 * SEED_BLOCKS])
-    def test_rejects_leg_of_unknown_shape(self, head):
-        # only a ciphertext (as many blocks as w2 words) or a key (26 seed
-        # blocks more) is a leg
-        msb = ENCODE_TABLE[np.zeros((1, 40 + head), dtype=np.int64)]
-        with pytest.raises(ValueError, match="blocks more"):
-            receive_coeffs(msb, np.zeros((1, 40), dtype=np.int64))
-
 
 class TestChannelStatistics:
     """Received words against the closed-form laws of the hard-decision
@@ -256,7 +273,7 @@ class TestChannelStatistics:
         coeffs = np.random.default_rng(60).integers(0, Q, n)
         plan = ChannelPlan(math.inf, snr_db)
         noise = NoiseSource(6100 + int(snr_db))
-        rx, failures = receive(send_one(coeffs, plan, noise))
+        rx, failures = send_one(coeffs, plan, noise)
         assert failures == 0 and np.array_equal(rx >> 2, coeffs >> 2)
         flips = (rx ^ coeffs) & 3
         p = bit_error_prob(snr_db)
@@ -270,8 +287,8 @@ class TestChannelStatistics:
         # q - 1 = 4 * 832 whose w2 bits rise arrives as 3329..3331, a word
         # past q that keeps w10 = 832 (a residue mod q would read 0..2)
         coeffs = np.full(4000, Q - 1)
-        rx, failures = receive(send_one(coeffs, ChannelPlan(math.inf, -5.0),
-                                        NoiseSource(6150)))
+        rx, failures = send_one(coeffs, ChannelPlan(math.inf, -5.0),
+                                NoiseSource(6150))
         assert failures == 0 and (rx >> 2 == 832).all()
         assert (rx >= Q).any() and rx.max() < 1 << 12
 
