@@ -22,7 +22,7 @@ import numpy as np
 
 from .bch import CODE_N, ENCODE_TABLE, codeword_error_prob, decode_words
 from .modem import (NoiseSource, bit_error_prob, demodulate_symbols,
-                    flip_masks, modulate_words, snr_db_to_linear, transmit)
+                    flip_masks, modulate_words, transmit)
 from .params import PARAM_SETS
 from .protocol import (ker_monte_carlo, run_sessions, session_plans,
                        snr_warnings)
@@ -33,11 +33,12 @@ MAX_GRID_POINTS = 10_000
 
 
 def _snr_in_range(snr_db: float) -> bool:
-    """Whether Eb/N0 at snr_db is a positive float, or +inf (noiseless)."""
+    """Whether bit_error_prob prices snr_db: Eb/N0 positive, or +inf."""
     try:
-        return snr_db_to_linear(snr_db) > 0
-    except OverflowError:
+        bit_error_prob(snr_db)
+    except ValueError:
         return False
+    return True
 
 
 def _parse_grid(spec: str):

@@ -110,8 +110,12 @@ def transmit(symbols: np.ndarray, snr_db: float, noise: NoiseSource) -> np.ndarr
 
 def bit_error_prob(snr_db: float) -> float:
     """Crossover Q(sqrt(2 Eb/N0)) of each hard-decided bit of Gray-coded 4QAM
-    on AWGN; 0 at +inf dB."""
-    eb_n0 = snr_db_to_linear(snr_db)
+    on AWGN; 0 at +inf dB.  ValueError for every SNR it cannot price: NaN,
+    -inf, or past about -3236..3082 dB, where Eb/N0 leaves the floats."""
+    try:
+        eb_n0 = snr_db_to_linear(snr_db)
+    except OverflowError:
+        eb_n0 = math.nan
     if not eb_n0 > 0:
-        raise ValueError("Eb/N0 must be positive")
+        raise ValueError("Eb/N0 must be positive and a float (or +inf)")
     return 0.5 * math.erfc(math.sqrt(2.0 * eb_n0) / math.sqrt(2.0))

@@ -33,11 +33,12 @@ keys, secrets and ciphertexts in the array forms of :mod:`wkyber.pke`, and
 run_sessions calls them on SESSION_BATCH sessions at a time.  Each session
 keeps its own noise sources and flip draws, in the order of a lone session,
 and its own KEM hashes, though one pack12 packs a batch's hashed arrays.
-Its randomness is two SHAKE streams, each read by one squeeze and sliced:
-the key stream as matrix seed (32 bytes) | keygen noise | z (32, v1 only),
-the message stream as message bits (32) | coins (32, v2 only).  The ring
-work is stacked on (B, k, 256) arrays, and one transport.send_key or
-send_coeffs call carries a batch's leg.
+One derivation per session, _session_streams, checks and hashes its seed
+into its two legs' noise sources and two SHAKE streams, each read by one
+squeeze and sliced: the key stream as matrix seed (32 bytes) | keygen
+noise | z (32, v1 only), the message stream as message bits (32) | coins
+(32, v2 only).  The ring work is stacked on (B, k, 256) arrays, and one
+transport.send_key or send_coeffs call carries a batch's leg.
 Stacked arithmetic is exact and blocks decode alone, so no result depends
 on B or worker count.  A run of S sessions comes back as one SessionRun of
 (S,) arrays of outcomes and per-leg BCH failures; the version, rank and
@@ -54,10 +55,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (SEED_BYTES, centered, check_bytes, check_range,
-                   check_sessions, pack12, squeeze)
+from .core import (SEED_BYTES, check_bytes, check_range, check_sessions,
+                   pack12, squeeze)
 from .modem import ChannelPlan, NoiseSource
-from .params import N, ParamSet
+from .params import ParamSet
 from .pke import keygen, keygen_bytes, random_bits, wk_decrypt, wk_encrypt
 from .transport import send_coeffs, send_key
 
@@ -119,10 +120,12 @@ def kem_v1_encaps(pks, bits: np.ndarray, params: ParamSet):
     Deterministic given (pk, message): key and coins derive from the message
     and the projected public key 4 * (b >> 2) + 2, the received words of b
     with their exposed w2 bits read as 2, as decapsulation reads a
-    ciphertext's; the secret also binds the clean ciphertext.  Each key
-    word must be an integer in [0, 4096) (ValueError otherwise).
+    ciphertext's; the secret also binds the clean ciphertext.  The keys'
+    seeds and b and the bits must agree in count, and each key word be an
+    integer in [0, 4096) (ValueError otherwise, before any work).
     """
     seeds, b = pks
+    check_sessions(seeds, b, bits)
     b = 4 * (check_range(b, 1 << 12, "key words") >> 2) + 2
     messages = np.packbits(bits.astype(np.uint8), axis=-1, bitorder="little")
     # 32 key bytes, then 32 coin bytes
@@ -178,26 +181,24 @@ class SessionRun:
     outcome: np.ndarray          # bool: both sides hold the same secret/bits
     bch_failures_pk: np.ndarray  # int64: failed blocks on the key leg
     bch_failures_ct: np.ndarray  # int64: failed blocks on the ciphertext leg
-    # (S, (k + 1) * 256) centred received - sent ciphertext, if collected
-    ct_error_offsets: np.ndarray | None = None
 
 
-def _derive_seed(master: int, label: bytes) -> bytes:
-    """Seeds below 2^64 hash as 8 bytes; larger ones as their minimal
+def _session_streams(seed: int, key_bytes: int, msg_bytes: int):
+    """A session's key stream, message stream and the noise sources of its
+    key and ciphertext legs, each hashed from the seed under its own label.
+    Seeds below 2^64 hash as 8 bytes; larger ones as their minimal
     little-endian encoding, which no 8-byte seed shares."""
-    master = operator.index(master)    # numpy ints too; a float: TypeError
-    if master < 0:
-        raise ValueError(f"session seed {master} is negative")
-    width = max(8, (master.bit_length() + 7) // 8)
-    return squeeze(master.to_bytes(width, "little"), b"session" + label, 32)
+    seed = operator.index(seed)    # numpy ints too; a float: TypeError
+    if seed < 0:
+        raise ValueError(f"session seed {seed} is negative")
+    data = seed.to_bytes(max(8, (seed.bit_length() + 7) // 8), "little")
+    key, msg, *legs = (squeeze(data, b"session" + label, 32)
+                       for label in (b"key", b"msg", b"ch-a", b"ch-b"))
+    return (squeeze(key, b"rng", key_bytes), squeeze(msg, b"rng", msg_bytes),
+            *(NoiseSource(int.from_bytes(leg[:8], "little")) for leg in legs))
 
 
-def _noise_source(seed: int, label: bytes) -> NoiseSource:
-    return NoiseSource(int.from_bytes(_derive_seed(seed, label)[:8], "little"))
-
-
-def run_sessions(version: str, params: ParamSet, plans, seeds, *,
-                 collect_offsets: bool = False) -> SessionRun:
+def run_sessions(version: str, params: ParamSet, plans, seeds) -> SessionRun:
     """Full exchanges, one per seed: keygen, key transport, encrypt/encaps,
     ciphertext transport, decrypt/decaps.  Returns one SessionRun whose
     arrays hold session i at index i.
@@ -211,31 +212,24 @@ def run_sessions(version: str, params: ParamSet, plans, seeds, *,
     v1 = _is_v1(version)
     outcome = np.zeros(len(seeds), dtype=bool)
     pk_fail, ct_fail = np.zeros((2, len(seeds)), dtype=np.int64)
-    offsets = (np.zeros((len(seeds), (params.k + 1) * N), dtype=np.int64)
-               if collect_offsets else None)
     for at in range(0, len(seeds), SESSION_BATCH):
         batch = slice(at, at + SESSION_BATCH)
-        outcome[batch], pk_fail[batch], ct_fail[batch], error = _run_batch(
+        outcome[batch], pk_fail[batch], ct_fail[batch] = _run_batch(
             v1, params, plans, seeds[batch])
-        if offsets is not None:
-            offsets[batch] = centered(error)
-    return SessionRun(outcome, pk_fail, ct_fail, offsets)
+    return SessionRun(outcome, pk_fail, ct_fail)
 
 
 def _run_batch(v1, params, plans, seeds):
-    """(outcome, key-leg failures, ciphertext-leg failures, (B, (k + 1) *
-    256) received - sent ciphertext) per session of a v1 (else v2) batch."""
+    """(outcome, key-leg failures, ciphertext-leg failures) per session of
+    a v1 (else v2) batch."""
     pk_plan, ct_plan = plans
     # every session reads one squeeze of its key stream, sliced as matrix
     # seed | keygen noise | z (v1), and one of its message stream, sliced as
     # message bits | coins (v2)
     noise_end = SEED_BYTES + keygen_bytes(params, with_error=v1)
-    keys = [squeeze(_derive_seed(s, b"key"), b"rng",
-                    noise_end + 32 if v1 else noise_end) for s in seeds]
-    msgs = [squeeze(_derive_seed(s, b"msg"), b"rng", 32 if v1 else 64)
-            for s in seeds]
-    noise_a = [_noise_source(s, b"ch-a") for s in seeds]
-    noise_b = [_noise_source(s, b"ch-b") for s in seeds]
+    keys, msgs, noise_a, noise_b = zip(*(
+        _session_streams(s, noise_end + 32 if v1 else noise_end,
+                         32 if v1 else 64) for s in seeds))
     pks, sks = keygen([key[:SEED_BYTES] for key in keys],
                       [key[SEED_BYTES:noise_end] for key in keys], params,
                       with_error=v1)
@@ -253,7 +247,7 @@ def _run_batch(v1, params, plans, seeds):
         outcome = [a == b for a, b in zip(secrets_a, secrets_b, strict=True)]
     else:
         outcome = (wk_decrypt(sks, c_rx) == bits).all(axis=1)
-    return outcome, pk_fail, ct_fail, (c_rx - c_clean).reshape(len(seeds), -1)
+    return outcome, pk_fail, ct_fail
 
 
 def _count_failures(args) -> int:

@@ -1,11 +1,17 @@
 """Shared test oracles: the schoolbook ring product, independent of the
-transform in ``core``, and the decryption noise law by untrimmed direct
-convolution, independent of the tilted engine in ``reliability``."""
+transform in ``core``, the decryption noise law by untrimmed direct
+convolution, independent of the tilted engine in ``reliability``, and the
+ciphertext offsets of a session run, read off its ciphertext leg."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from wkyber import protocol
+from wkyber.core import centered
 from wkyber.params import N, Q
+from wkyber.transport import send_coeffs
 
 
 def poly_mul_schoolbook(a, b):
@@ -42,3 +48,24 @@ def direct_noise_law(params, model):
 @pytest.fixture(scope="session")
 def noise_law():
     return direct_noise_law
+
+
+def run_with_offsets(version, params, plans, seeds):
+    """run_sessions(version, params, plans, seeds) and its (S, (k + 1) *
+    256) ciphertext offsets, the centred received minus sent words of every
+    send_coeffs call, concatenated in call order."""
+    calls = []
+
+    def recorder(coeffs, plan, noises):
+        words, failures = send_coeffs(coeffs, plan, noises)
+        calls.append(centered(words - coeffs).reshape(len(coeffs), -1))
+        return words, failures
+
+    with mock.patch.object(protocol, "send_coeffs", recorder):
+        rec = protocol.run_sessions(version, params, plans, seeds)
+    return rec, np.concatenate(calls)
+
+
+@pytest.fixture(scope="session")
+def sessions_with_offsets():
+    return run_with_offsets

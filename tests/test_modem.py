@@ -177,6 +177,13 @@ class TestQFunction:
         with pytest.raises(ValueError, match="Eb/N0"):
             bit_error_prob(-math.inf)
 
+    @pytest.mark.parametrize("snr_db", [3083.0, 4000.0, -4000.0])
+    def test_snr_past_the_floats_raises(self, snr_db):
+        # Eb/N0 = 10^(snr/10) overflows (or underflows to 0): a ValueError,
+        # as for every SNR it cannot price, not the float's OverflowError
+        with pytest.raises(ValueError, match="Eb/N0"):
+            bit_error_prob(snr_db)
+
     def test_nan_snr_raises(self):
         # a NaN SNR would otherwise come back as a NaN probability
         with pytest.raises(ValueError, match="Eb/N0 must be positive"):

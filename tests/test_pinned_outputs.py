@@ -3,8 +3,9 @@
 Ring arithmetic is exact mod q, so a change of representation or of the
 transform schedule must leave every key, ciphertext and channel offset
 byte-identical.  Each case hashes the serialised public and secret keys,
-the clean ciphertext and the session's ciphertext offsets at a 6 / -10 dB
-plan (the public key of v1 travels at 6 / 6 dB, as in ``wkyber exchange``).
+the clean ciphertext and the session's ciphertext offsets, read off its
+ciphertext leg, at a 6 / -10 dB plan (the public key of v1 travels at
+6 / 6 dB, as in ``wkyber exchange``).
 The baseline scheme is pinned by its key pair and compressed ciphertext.
 The CSVs of the analysis verbs that print the channel law are pinned the
 same way, so a change of its representation must leave them byte-identical.
@@ -27,7 +28,7 @@ from wkyber.modem import ChannelPlan
 from wkyber.params import PARAM_SETS
 from wkyber.pke import (decrypt, encrypt, keygen, keygen_bytes, random_bits,
                         wk_encrypt)
-from wkyber.protocol import kem_v1_encaps, run_sessions
+from wkyber.protocol import kem_v1_encaps
 
 SESSION_SEED = 20261018
 CT_PLAN = ChannelPlan(6.0, -10.0)
@@ -169,7 +170,7 @@ def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def outputs(version: str, bits: int) -> dict:
+def outputs(run_with_offsets, version: str, bits: int) -> dict:
     params = PARAM_SETS[bits]
     v1 = version == "v1"
     # one stream, read as matrix seed | keygen noise | then v1's z and
@@ -183,8 +184,8 @@ def outputs(version: str, bits: int) -> dict:
         ct, _ = kem_v1_encaps(pks, random_bits([tail[32:]]), params)
     else:
         ct = wk_encrypt(pks, random_bits([tail[:32]]), [tail[32:]], params)
-    offsets = run_sessions(version, params, PLANS[version], [SESSION_SEED],
-                           collect_offsets=True).ct_error_offsets[0]
+    _, (offsets,) = run_with_offsets(version, params, PLANS[version],
+                                     [SESSION_SEED])
     assert offsets.shape == ((params.k + 1) * 256,)
     return {"pk": sha(seed_a + pack12(pks[1][0])), "sk": sha(pack12(s[0])),
             "ct": sha(pack12(ct[0])),
@@ -207,8 +208,9 @@ def baseline_outputs(bits: int) -> dict:
 
 
 @pytest.mark.parametrize("version, bits", sorted(PINNED))
-def test_outputs_unchanged(version, bits):
-    assert outputs(version, bits) == PINNED[(version, bits)]
+def test_outputs_unchanged(sessions_with_offsets, version, bits):
+    assert outputs(sessions_with_offsets, version,
+                   bits) == PINNED[(version, bits)]
 
 
 @pytest.mark.parametrize("bits", sorted(PINNED_BASELINE))
@@ -222,10 +224,10 @@ def test_every_case_pinned():
     assert sorted(PINNED_BASELINE) == [512, 768, 1024]
 
 
-def test_offsets_not_trivial():
+def test_offsets_not_trivial(sessions_with_offsets):
     # the 6 dB plan is meant to exercise the exposed path, not a noiseless one
-    offsets = run_sessions("v1", PARAM_SETS[768], PLANS["v1"], [SESSION_SEED],
-                           collect_offsets=True).ct_error_offsets[0]
+    _, offsets = sessions_with_offsets("v1", PARAM_SETS[768], PLANS["v1"],
+                                       [SESSION_SEED])
     assert np.count_nonzero(offsets) > 0
 
 

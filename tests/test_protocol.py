@@ -292,6 +292,22 @@ class TestKem:
                 kem_v1_decaps(s, zs, keys, c, P768)
         assert not calls
 
+    def test_encaps_checks_session_counts_before_any_work(self, monkeypatch):
+        # two keys with one message, or one seed with two b rows, are
+        # refused before any key is hashed, not by zip after the key hashes
+        from wkyber import protocol
+        (seeds, b), _, _ = kem_keys([b"k1", b"k2"])
+        one, two = (random_bits([stream(m, 32) for m in labels])
+                    for labels in ([b"m1"], [b"m1", b"m2"]))
+
+        def no_squeeze(*args):
+            raise AssertionError("hashed before the counts were checked")
+
+        monkeypatch.setattr(protocol, "squeeze", no_squeeze)
+        for keys, bits in (((seeds, b), one), ((seeds[:1], b), two)):
+            with pytest.raises(ValueError, match="differ in count"):
+                kem_v1_encaps(keys, bits, P768)
+
     @pytest.mark.parametrize("bad", ["bool", "past 12 bits"])
     def test_encaps_checks_key_words(self, bad):
         # a bool key would encapsulate to the all-2 projection, and a word
@@ -440,23 +456,18 @@ class TestKemCheck:
 
 
 class TestSessions:
-    def test_transcript_deterministic(self):
-        a = run_sessions("v1", P768, NOMINAL_PLANS, [5], collect_offsets=True)
-        b = run_sessions("v1", P768, NOMINAL_PLANS, [5], collect_offsets=True)
-        assert session_columns(a) == session_columns(b)
+    def test_transcript_deterministic(self, sessions_with_offsets):
+        args = sessions_with_offsets, "v1", P768, NOMINAL_PLANS, [5]
+        assert session_columns(*args) == session_columns(*args)
 
     @pytest.mark.parametrize("sessions", [0, 1, SESSION_BATCH + 1])
     def test_record_shapes(self, sessions):
         seeds = list(range(900, 900 + sessions))
-        rec = run_sessions("v1", P768, NOMINAL_PLANS, seeds,
-                           collect_offsets=True)
+        rec = run_sessions("v1", P768, NOMINAL_PLANS, seeds)
         assert (len(rec.outcome) == len(rec.bch_failures_pk)
                 == len(rec.bch_failures_ct) == len(seeds))
         assert rec.outcome.dtype == bool
         assert rec.bch_failures_pk.dtype == rec.bch_failures_ct.dtype == np.int64
-        assert rec.ct_error_offsets.shape == (len(seeds), (P768.k + 1) * N)
-        assert run_sessions("v1", P768, NOMINAL_PLANS,
-                            seeds).ct_error_offsets is None
 
     def test_failures_counted_per_leg(self):
         # only the leg sent at 0 dB loses blocks, whichever leg that is
@@ -501,19 +512,15 @@ class TestSessions:
         with pytest.raises(ValueError, match="'v1' or 'v2'"):
             snr_warnings("v3", V2_PLANS)
 
-    def test_offsets_collection(self):
-        rec = run_sessions("v1", P768, NOMINAL_PLANS, [7],
-                           collect_offsets=True)
-        assert rec.ct_error_offsets is not None
-        assert len(rec.ct_error_offsets[0]) == (P768.k + 1) * N
-        assert np.abs(rec.ct_error_offsets).max() <= 3
+    def test_offsets_collection(self, sessions_with_offsets):
+        _, offsets = sessions_with_offsets("v1", P768, NOMINAL_PLANS, [7])
+        assert offsets.shape == (1, (P768.k + 1) * N)
+        assert np.abs(offsets).max() <= 3
 
-    def test_numpy_integer_seeds_match_python_ints(self):
-        want = run_sessions("v1", P768, NOMINAL_PLANS, [0, 1, 2],
-                            collect_offsets=True)
-        got = run_sessions("v1", P768, NOMINAL_PLANS, np.arange(3),
-                           collect_offsets=True)
-        assert session_columns(got) == session_columns(want)
+    def test_numpy_integer_seeds_match_python_ints(self, sessions_with_offsets):
+        args = sessions_with_offsets, "v1", P768, NOMINAL_PLANS
+        assert (session_columns(*args, np.arange(3))
+                == session_columns(*args, [0, 1, 2]))
 
     def test_rejects_float_seed(self):
         with pytest.raises(TypeError):
@@ -529,10 +536,13 @@ class TestSessions:
         assert run_sessions("v2", params, V2_PLANS, [8]).outcome.all()
 
 
-def session_columns(rec):
-    """A run's per-session arrays as lists, session i at index i."""
+def session_columns(run_with_offsets, *args):
+    """The per-session arrays and ciphertext offsets of run_with_offsets
+    (the sessions_with_offsets fixture) on args, as lists, session i at
+    index i."""
+    rec, offsets = run_with_offsets(*args)
     return [rec.outcome.tolist(), rec.bch_failures_pk.tolist(),
-            rec.bch_failures_ct.tolist(), rec.ct_error_offsets.tolist()]
+            rec.bch_failures_ct.tolist(), offsets.tolist()]
 
 
 class TestBatches:
@@ -542,24 +552,23 @@ class TestBatches:
     @given(first=st.integers(0, 2 ** 40),
            cuts=st.lists(st.integers(1, 6), min_size=1, max_size=4))
     @settings(max_examples=3, deadline=None)
-    def test_any_split_gives_the_same_transcripts(self, version, snr_db,
-                                                  params, first, cuts):
+    def test_any_split_gives_the_same_transcripts(self, sessions_with_offsets,
+                                                  version, snr_db, params,
+                                                  first, cuts):
         # at 0 and 3 dB seed blocks and b fail to decode and sessions
         # mismatch; each session's entries must depend on its seed alone
         plans = session_plans(version, snr_db, -10.0)
         seeds = [first + i for i in range(sum(cuts))]
-        whole = run_sessions(version, params, plans, seeds,
-                             collect_offsets=True)
+        whole = session_columns(sessions_with_offsets, version, params, plans,
+                                seeds)
         parts, at = [], 0
         for size in cuts:
-            parts.append(run_sessions(version, params, plans,
-                                      seeds[at:at + size],
-                                      collect_offsets=True))
+            parts.append(session_columns(sessions_with_offsets, version,
+                                         params, plans, seeds[at:at + size]))
             at += size
-        assert session_columns(whole) == [
-            sum(column, []) for column in zip(*map(session_columns, parts))]
+        assert whole == [sum(column, []) for column in zip(*parts)]
         if snr_db == 0.0:
-            assert whole.bch_failures_pk.any()
+            assert any(whole[1])   # key-leg failures
 
 
 class TestBatchIndependence:
