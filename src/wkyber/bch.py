@@ -12,11 +12,12 @@ words.  A word's syndrome r mod g is one ENCODE_TABLE lookup, and zero
 means a codeword.  The minimum distance is 11, so the 206,367 error
 patterns of weight 1..5 have distinct syndromes.  Each word with a nonzero
 syndrome is looked up once in a sorted table of all of them, built on first
-use.  A hit is the error pattern, and its weight is the correction count;
-no hit means no codeword within distance 5, a decode failure.  More than 5
-channel errors end in that failure or, rarely, land within 5 of a different
-codeword; the miscorrection hazard is handled by the layers above.  Both
-tables are frozen (core.frozen), so every caller shares them.
+use, each key's syndrome by linearity from those of its bits.  A hit is
+the error pattern, and its weight is the correction count; no hit means no
+codeword within distance 5, a decode failure.  More than 5 channel errors
+end in that failure or, rarely, land within 5 of a different codeword; the
+miscorrection hazard is handled by the layers above.  Both tables are
+frozen (core.frozen), so every caller shares them.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ ENCODE_TABLE = _encode_table()
 
 _WORD_MASK = (1 << CODE_N) - 1
 _KEY_SHIFT = 35         # key: syndrome << 35 | weight << 31 | pattern
-_SYNDROME_CHUNK = 8192  # table keys given their syndrome at a time
 
 
 def _syndrome(words: np.ndarray) -> np.ndarray:
@@ -69,10 +69,10 @@ def _error_table() -> np.ndarray:
     error patterns of weight 1..t, then a sentinel above every key, as one
     frozen int64 array (1.65 MB, core.frozen).
 
-    The patterns are filled in place weight by weight.  Those of weight w
-    with top bit b are bit b over the weight-(w - 1) patterns below b; each
-    level is ordered by top bit, so those are the first comb(b, w - 1) of
-    the level before, a view into the same array.
+    The keys are filled in place weight by weight.  Those of weight w with
+    top bit b are bit b's key XOR the weight-(w - 1) keys below b, syndromes
+    being linear; each level is ordered by top bit, so those are the first
+    comb(b, w - 1) of the level before, a view into the same array.
     """
     keys = np.empty(sum(math.comb(CODE_N, w) for w in range(1, CODE_T + 1))
                     + 1, dtype=np.int64)
@@ -81,13 +81,11 @@ def _error_table() -> np.ndarray:
         start = at
         for b in range(w - 1, CODE_N):
             n = math.comb(b, w - 1)
-            np.bitwise_or(level[:n], 1 << b, out=keys[at:at + n])
+            np.bitwise_xor(level[:n], int(_syndrome(1 << b)) << _KEY_SHIFT
+                           | 1 << b, out=keys[at:at + n])
             at += n
         level = keys[start:at]
         level += 1 << CODE_N    # bit b kept the weight w - 1 of level[:n]
-    for b in range(0, at, _SYNDROME_CHUNK):
-        block = keys[b:min(b + _SYNDROME_CHUNK, at)]
-        block |= _syndrome(block & _WORD_MASK) << _KEY_SHIFT
     keys[at] = np.iinfo(np.int64).max   # no syndrome reaches it
     keys.sort()
     return frozen(keys)

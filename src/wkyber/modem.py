@@ -13,7 +13,8 @@ A sign decision on I and on Q, whose noise is independent, passes each bit
 through its own binary symmetric channel with crossover p = Q(sqrt(2 Eb/N0)),
 ``bit_error_prob``.  Sessions sample those bit flips (``flip_masks``); the
 symbol functions and ``NoiseSource.pairs`` are the physical reference the
-BER checks measure.
+BER checks measure.  Both models take Eb/N0 from one rule, ``_eb_n0``, so
+both refuse the same SNRs with ValueError.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ class NoiseSource:
         probability p: a binomial(total, p) number of distinct uniform
         positions, exact (Devroye 1986); total = 0 or p = 0 draws nothing."""
         flipped = self._rng.binomial(total, p)
-        if not flipped:   # choice would draw nothing either
+        if not flipped:   # most calls; an empty choice costs ~10x the binomial
             return np.zeros(0, dtype=np.int64)
         return self._rng.choice(total, flipped, replace=False)
 
@@ -78,13 +79,16 @@ def flip_masks(noises, fields) -> np.ndarray:
                            np.int64).reshape(len(noises), words)
 
 
-def snr_db_to_linear(snr_db: float) -> float:
-    return 10.0 ** (snr_db / 10.0)
-
-
-def noise_sigma(snr_db: float) -> float:
-    """Per-component noise deviation sqrt(N0/2) for Eb = 1."""
-    return math.sqrt(1.0 / (2.0 * snr_db_to_linear(snr_db)))
+def _eb_n0(snr_db: float) -> float:
+    """Eb/N0 = 10^(snr/10).  ValueError for every SNR it cannot price: NaN,
+    -inf, or past about -3236..3082 dB, where Eb/N0 leaves the floats."""
+    try:
+        eb_n0 = 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        eb_n0 = math.nan
+    if not eb_n0 > 0:
+        raise ValueError("Eb/N0 must be positive and a float (or +inf)")
+    return eb_n0
 
 
 def modulate_words(words: np.ndarray) -> np.ndarray:
@@ -103,19 +107,12 @@ def demodulate_symbols(symbols: np.ndarray) -> np.ndarray:
 def transmit(symbols: np.ndarray, snr_db: float, noise: NoiseSource) -> np.ndarray:
     """y = s + n, i.i.d. Gaussian components of variance N0/2 (0 at +inf)."""
     symbols = np.asarray(symbols, dtype=np.complex128)
-    out = noise.pairs(len(symbols), noise_sigma(snr_db))
+    out = noise.pairs(len(symbols), math.sqrt(1.0 / (2.0 * _eb_n0(snr_db))))
     out += symbols
     return out
 
 
 def bit_error_prob(snr_db: float) -> float:
     """Crossover Q(sqrt(2 Eb/N0)) of each hard-decided bit of Gray-coded 4QAM
-    on AWGN; 0 at +inf dB.  ValueError for every SNR it cannot price: NaN,
-    -inf, or past about -3236..3082 dB, where Eb/N0 leaves the floats."""
-    try:
-        eb_n0 = snr_db_to_linear(snr_db)
-    except OverflowError:
-        eb_n0 = math.nan
-    if not eb_n0 > 0:
-        raise ValueError("Eb/N0 must be positive and a float (or +inf)")
-    return 0.5 * math.erfc(math.sqrt(2.0 * eb_n0) / math.sqrt(2.0))
+    on AWGN; 0 at +inf dB.  ValueError where _eb_n0 refuses the SNR."""
+    return 0.5 * math.erfc(math.sqrt(2.0 * _eb_n0(snr_db)) / math.sqrt(2.0))

@@ -5,9 +5,11 @@ import pytest
 from scipy import integrate
 from scipy.stats import binom
 
+from wkyber.cli import _snr_in_range
 from wkyber.modem import (ChannelPlan, NoiseSource, bit_error_prob,
                           demodulate_symbols, flip_masks, modulate_words,
-                          noise_sigma, snr_db_to_linear, transmit)
+                          transmit)
+from wkyber.reliability import coeff_error_dist
 
 WORDS = np.arange(4)
 
@@ -64,7 +66,7 @@ class TestTransmit:
     def test_pairs_match_interleaved_normal_draw(self, seed, n, snr_db):
         # the stream of sessions pinned elsewhere: re/im interleaved from
         # one normal(0, sigma, 2n) draw, then the generator moves on
-        sigma = noise_sigma(snr_db)
+        sigma = math.sqrt(1.0 / (2.0 * 10.0 ** (snr_db / 10.0)))
         ref = np.random.default_rng(seed)
         flat = ref.normal(0.0, sigma, 2 * n)
         noise = NoiseSource(seed)
@@ -75,12 +77,13 @@ class TestTransmit:
         assert noise.pairs(1, 1.0).tobytes() == (after[0] + 1j * after[1]).tobytes()
 
     def test_noise_variance(self):
-        # per-component variance N0/2 within 1% at 0 dB over 10^6 symbols
+        # per-component variance N0/2 = 0.5 (Eb/N0 = 1) within 1% at 0 dB
+        # over 10^6 symbols
         n = 1_000_000
         syms = np.zeros(n, dtype=np.complex128)
         out = transmit(syms, 0.0, NoiseSource(5))
         var = float(np.concatenate([out.real, out.imag]).var())
-        assert abs(var - noise_sigma(0.0) ** 2) <= 0.01 * noise_sigma(0.0) ** 2
+        assert abs(var - 0.5) <= 0.01 * 0.5
 
 
 class TestFlips:
@@ -168,7 +171,7 @@ class TestQFunction:
         snr_db = 10.0 * math.log10(x * x / 2.0)   # the dB point of this x
         oracle, err = integrate.quad(
             lambda t: math.exp(-t * t / 2.0) / math.sqrt(2.0 * math.pi),
-            math.sqrt(2.0 * snr_db_to_linear(snr_db)), np.inf)
+            math.sqrt(2.0 * 10.0 ** (snr_db / 10.0)), np.inf)
         assert err < 1e-8  # quadrature's own error estimate
         assert abs(bit_error_prob(snr_db) - oracle) <= 1e-12
 
@@ -188,6 +191,28 @@ class TestQFunction:
         # a NaN SNR would otherwise come back as a NaN probability
         with pytest.raises(ValueError, match="Eb/N0 must be positive"):
             bit_error_prob(math.nan)
+
+
+@pytest.mark.parametrize("snr_db", [math.nan, math.inf, -math.inf, 3082.0,
+                                    3083.0, -3236.0, -3237.0, 4000.0,
+                                    -4000.0, -10.0, 0.0])
+def test_one_snr_rule_for_every_consumer(snr_db):
+    # the Gaussian reference, the channel law and the CLI refuse exactly the
+    # SNRs bit_error_prob cannot price, each with the rule's ValueError
+    try:
+        bit_error_prob(snr_db)
+        refused = False
+    except ValueError:
+        refused = True
+    syms = modulate_words(WORDS)
+    for consumer in (lambda: transmit(syms, snr_db, NoiseSource(0)),
+                     lambda: coeff_error_dist(snr_db)):
+        if refused:
+            with pytest.raises(ValueError, match="Eb/N0"):
+                consumer()
+        else:
+            consumer()
+    assert _snr_in_range(snr_db) is not refused
 
 
 class TestBerFormulas:
