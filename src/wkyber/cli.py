@@ -50,9 +50,12 @@ def _parse_grid(spec: str):
     if not all(map(math.isfinite, (start, stop, step))):
         raise argparse.ArgumentTypeError(
             f"grid fields must be finite, got {spec!r}")
-    if step <= 0 or stop < start:
-        raise argparse.ArgumentTypeError(f"bad grid {spec!r}")
-    steps = (stop - start + 1e-9) / step
+    # points round to 1e-9 dB, so a finer step would repeat them
+    if step < 1e-9 or stop < start:
+        raise argparse.ArgumentTypeError(
+            f"bad grid {spec!r}: need stop >= start and step >= 1e-9 dB")
+    # slack for float error in stop - start, at most half a step
+    steps = (stop - start + min(1e-9, step / 2)) / step
     if steps >= MAX_GRID_POINTS:
         raise argparse.ArgumentTypeError(
             f"grid {spec!r} has more than {MAX_GRID_POINTS} points")

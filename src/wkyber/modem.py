@@ -65,6 +65,8 @@ def flip_masks(noises, fields) -> np.ndarray:
     probability p, side by side in every row.  Each source draws its fields
     in order with NoiseSource.flips; one bincount builds every mask."""
     words = sum(count for count, _, _ in fields)
+    if not noises:   # np.concatenate refuses an empty list
+        return np.zeros((0, words), dtype=np.int64)
     starts = np.cumsum([0] + [count for count, _, _ in fields[:-1]])
     pos = [noise.flips(count * width, p)
            for noise in noises for count, width, p in fields]

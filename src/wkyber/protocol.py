@@ -35,19 +35,21 @@ keeps its own noise sources and flip draws, in the order of a lone session,
 and its own KEM hashes, though one pack12 packs a batch's hashed arrays.
 One derivation per session, _session_streams, checks and hashes its seed
 into its two legs' noise sources and two SHAKE streams, each read by one
-squeeze and sliced: the key stream as matrix seed (32 bytes) | keygen
-noise | z (32, v1 only), the message stream as message bits (32) | coins
-(32, v2 only).  The ring work is stacked on (B, k, 256) arrays, and one
-transport.send_key or send_coeffs call carries a batch's leg.
-Stacked arithmetic is exact and blocks decode alone, so no result depends
-on B or worker count.  A run of S sessions comes back as one SessionRun of
-(S,) arrays of outcomes and per-leg BCH failures; the version, rank and
-plans stay with the caller, which checks them with snr_warnings, and
-ker_monte_carlo counts a run's failed sessions over worker processes.
+squeeze, and cuts every session input from them: the key stream as matrix
+seed (32 bytes) | keygen noise | z (32, v1 only), the message stream as
+message bits (32) | coins (32, v2 only).  The ring work is stacked on
+(B, k, 256) arrays, and one transport.send_key or send_coeffs call carries
+a batch's leg.  Stacked arithmetic is exact and blocks decode alone, so no
+result depends on B or worker count.  A run of S sessions comes back as
+one SessionRun of (S,) arrays of outcomes and per-leg BCH failures; the
+version, rank and plans stay with the caller, which checks them with
+snr_warnings, and ker_monte_carlo maps run_sessions over worker processes
+and counts the failed sessions.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import os
@@ -183,18 +185,25 @@ class SessionRun:
     bch_failures_ct: np.ndarray  # int64: failed blocks on the ciphertext leg
 
 
-def _session_streams(seed: int, key_bytes: int, msg_bytes: int):
-    """A session's key stream, message stream and the noise sources of its
-    key and ciphertext legs, each hashed from the seed under its own label.
-    Seeds below 2^64 hash as 8 bytes; larger ones as their minimal
-    little-endian encoding, which no 8-byte seed shares."""
+def _session_streams(seed: int, v1: bool, params: ParamSet):
+    """A session's inputs, cut from streams hashed from the seed under their
+    own labels: (matrix seed, keygen noise, z, message bytes, coins, key-leg
+    and ciphertext-leg noise sources).  The key stream's one squeeze is cut
+    as matrix seed (32 bytes) | keygen noise | z (32, v1), the message
+    stream's as message bytes (32) | coins (32, v2); the other version's z
+    or coins are empty.  Seeds below 2^64 hash as 8 bytes; larger ones as
+    their minimal little-endian encoding, which no 8-byte seed shares."""
     seed = operator.index(seed)    # numpy ints too; a float: TypeError
     if seed < 0:
         raise ValueError(f"session seed {seed} is negative")
     data = seed.to_bytes(max(8, (seed.bit_length() + 7) // 8), "little")
     key, msg, *legs = (squeeze(data, b"session" + label, 32)
                        for label in (b"key", b"msg", b"ch-a", b"ch-b"))
-    return (squeeze(key, b"rng", key_bytes), squeeze(msg, b"rng", msg_bytes),
+    cut = SEED_BYTES + keygen_bytes(params, with_error=v1)
+    key = squeeze(key, b"rng", cut + 32 * v1)
+    msg = squeeze(msg, b"rng", 64 - 32 * v1)
+    return (key[:SEED_BYTES], key[SEED_BYTES:cut], key[cut:], msg[:32],
+            msg[32:],
             *(NoiseSource(int.from_bytes(leg[:8], "little")) for leg in legs))
 
 
@@ -223,37 +232,23 @@ def _run_batch(v1, params, plans, seeds):
     """(outcome, key-leg failures, ciphertext-leg failures) per session of
     a v1 (else v2) batch."""
     pk_plan, ct_plan = plans
-    # every session reads one squeeze of its key stream, sliced as matrix
-    # seed | keygen noise | z (v1), and one of its message stream, sliced as
-    # message bits | coins (v2)
-    noise_end = SEED_BYTES + keygen_bytes(params, with_error=v1)
-    keys, msgs, noise_a, noise_b = zip(*(
-        _session_streams(s, noise_end + 32 if v1 else noise_end,
-                         32 if v1 else 64) for s in seeds))
-    pks, sks = keygen([key[:SEED_BYTES] for key in keys],
-                      [key[SEED_BYTES:noise_end] for key in keys], params,
-                      with_error=v1)
+    seeds_a, noise, zs, msgs, coins, noise_a, noise_b = zip(*(
+        _session_streams(s, v1, params) for s in seeds))
+    pks, sks = keygen(seeds_a, noise, params, with_error=v1)
     seeds_rx, b_rx, pk_fail = send_key(*pks, pk_plan, noise_a)
     pks_rx = (seeds_rx, b_rx)
-    bits = random_bits([msg[:32] for msg in msgs])
+    bits = random_bits(msgs)
     if v1:
         c_clean, secrets_b = kem_v1_encaps(pks_rx, bits, params)
     else:
-        c_clean = wk_encrypt(pks_rx, bits, [msg[32:] for msg in msgs], params)
+        c_clean = wk_encrypt(pks_rx, bits, coins, params)
     c_rx, ct_fail = send_coeffs(c_clean, ct_plan, noise_b)
     if v1:
-        secrets_a = kem_v1_decaps(sks, [key[noise_end:] for key in keys], pks,
-                                  c_rx, params)
+        secrets_a = kem_v1_decaps(sks, zs, pks, c_rx, params)
         outcome = [a == b for a, b in zip(secrets_a, secrets_b, strict=True)]
     else:
         outcome = (wk_decrypt(sks, c_rx) == bits).all(axis=1)
     return outcome, pk_fail, ct_fail
-
-
-def _count_failures(args) -> int:
-    version, params, plans, seeds = args
-    rec = run_sessions(version, params, plans, seeds)
-    return int((~rec.outcome).sum())
 
 
 def ker_monte_carlo(version: str, params: ParamSet, plans, trials: int,
@@ -268,17 +263,21 @@ def ker_monte_carlo(version: str, params: ParamSet, plans, trials: int,
         raise ValueError("need at least one trial")
     if workers is not None and workers < 1:
         raise ValueError(f"need at least one worker, got {workers}")
-    base = operator.index(seed) * 1_000_003   # a numpy int64 would overflow
-    trial_seeds = [base + i for i in range(trials)]
+    _is_v1(version)               # refused here, before any fork
+    seed = operator.index(seed)   # a numpy int64 would overflow below
+    if seed < 0:
+        raise ValueError(f"seed {seed} is negative")
+    trial_seeds = [seed * 1_000_003 + i for i in range(trials)]
     # more processes than trials or cores only adds idle forks; the count
     # does not depend on the split
     workers = min(8 if workers is None else workers, trials,
                   os.cpu_count() or 1)
+    run = functools.partial(run_sessions, version, params, plans)
     if workers > 1 and trials >= 64:
         import multiprocessing as mp
-        chunks = [trial_seeds[i::workers] for i in range(workers)]
         with mp.Pool(workers) as pool:
-            return sum(pool.map(_count_failures,
-                                [(version, params, plans, ch)
-                                 for ch in chunks]))
-    return _count_failures((version, params, plans, trial_seeds))
+            runs = pool.map(run, [trial_seeds[i::workers]
+                                  for i in range(workers)])
+    else:
+        runs = [run(trial_seeds)]
+    return sum(int((~r.outcome).sum()) for r in runs)

@@ -23,6 +23,8 @@ sent bits XOR a 2-bit mask, each bit flipping with its path's
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import bch
@@ -47,7 +49,7 @@ def _send_leg(head: np.ndarray, coeffs, plan: ChannelPlan, noises):
     words 4 * w10 + w2 in coeffs' shape, the failed blocks per session)."""
     c = check_range(coeffs, Q, "coefficients")
     check_sessions(head, c, noises)
-    rows = c.reshape(len(c), -1)
+    rows = c.reshape(len(c), math.prod(c.shape[1:]))   # -1 fails at B = 0
     h, n, p_msb = head.shape[1], rows.shape[1], bit_error_prob(plan.snr_msb_db)
     # a field of no words draws nothing (NoiseSource.flips)
     masks = flip_masks(noises, [(h, bch.CODE_N, p_msb), (n, bch.CODE_N, p_msb),
@@ -82,7 +84,7 @@ def send_key(seeds, b, plan: ChannelPlan, noises):
     words = np.pad(bits, ((0, 0), (0, 4))).reshape(
         len(seeds), SEED_BLOCKS, 10).astype(np.int64) @ (1 << _BIT_SHIFTS)
     head, b_rx, failures = _send_leg(words, b, plan, noises)
-    bits = ((head[:, :, None] >> _BIT_SHIFTS) & 1).reshape(len(seeds), -1)
+    bits = (head[..., None] >> _BIT_SHIFTS & 1).reshape(-1, 10 * SEED_BLOCKS)
     seeds_rx = np.packbits(bits[:, :256].astype(np.uint8), axis=1,
                            bitorder="little")
     return [seed.tobytes() for seed in seeds_rx], b_rx, failures

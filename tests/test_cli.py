@@ -194,6 +194,23 @@ class TestGrid:
         last = -2000 + (MAX_GRID_POINTS - 1) / 2   # inside the SNR range
         assert len(_parse_grid(f"-2000:{last}:0.5")) == MAX_GRID_POINTS
 
+    def test_fine_steps_stop_at_stop(self):
+        # the end slack is at most half a step, so the 1e-9 dB rounding
+        # grain's own step neither overshoots stop nor repeats a point, and
+        # it still covers the float error of stop - start near 3000 dB
+        assert _parse_grid("0:1e-9:1e-9") == (0.0, 1e-9)
+        assert _parse_grid("0:1e-8:1e-9") == tuple(i / 1e9 for i in range(11))
+        assert _parse_grid("1:1.5:0.25") == (1.0, 1.25, 1.5)
+        grid = _parse_grid("3000:3000.000001:1e-9")
+        assert len(set(grid)) == len(grid) == 1001
+        assert grid[-1] == 3000.000001
+
+    @pytest.mark.parametrize("spec", ["0:1e-8:1e-10", "0:0:1e-12",
+                                      "0:1e-9:9.9e-10"])
+    def test_steps_below_the_rounding_grain_rejected(self, spec):
+        with pytest.raises(argparse.ArgumentTypeError, match="1e-9 dB"):
+            _parse_grid(spec)
+
     @pytest.mark.parametrize("spec", [f"0:{MAX_GRID_POINTS}:1", "0:1:1e-6",
                                       "0:1:1e-12", "-1e308:1e308:1"])
     def test_too_many_points_rejected_before_allocating(self, spec):
@@ -209,6 +226,15 @@ class TestGrid:
     def test_too_many_points_exit_code(self):
         proc = subprocess.run(
             [sys.executable, "-m", "wkyber.cli", "ber", "--grid", "0:1:1e-12"],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr and "--grid" in proc.stderr
+        assert proc.stdout == ""
+
+    def test_fine_step_exit_code(self):
+        # a lone point at a step below the grain once printed 1,001 rows
+        proc = subprocess.run(
+            [sys.executable, "-m", "wkyber.cli", "sigma", "--grid", "0:0:1e-12"],
             capture_output=True, text=True, timeout=60)
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr and "--grid" in proc.stderr

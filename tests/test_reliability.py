@@ -12,7 +12,7 @@ from wkyber import bch, reliability
 from wkyber.core import gen_matrices
 from wkyber.modem import ChannelPlan
 from wkyber.params import KYBER512, KYBER768, N, PARAM_SETS, Q
-from wkyber.protocol import ker_monte_carlo
+from wkyber.protocol import ker_monte_carlo, run_sessions
 from wkyber.reliability import (FAILURE_BOUND, ErrorModel, IntDist,
                                 PrecisionLossError, channel_error_pmf,
                                 coeff_error_dist, compression_error_dist,
@@ -573,6 +573,20 @@ class TestKerMonteCarlo:
             assert a == b
         assert a > 0
 
+    @pytest.mark.parametrize("version", ["v1", "v2"])
+    def test_counts_run_sessions_failures(self, version):
+        # trial i of seed s is the session of seed s * 1_000_003 + i, on
+        # the serial path and across forked workers.  At 3 dB sessions fail,
+        # and 130 trials fill no whole number of session batches
+        plans = (ChannelPlan(3, 3), ChannelPlan(3, -10))
+        run = run_sessions(version, KYBER512, plans,
+                           [5 * 1_000_003 + i for i in range(130)])
+        want = int((~run.outcome).sum())
+        assert want > 0
+        for workers in (1, 2):
+            assert ker_monte_carlo(version, KYBER512, plans, trials=130,
+                                   seed=5, workers=workers) == want
+
     def test_pool_capped_at_trials_and_cores(self, monkeypatch):
         # an in-process stand-in for multiprocessing.Pool: no process starts
         import multiprocessing
@@ -604,6 +618,22 @@ class TestKerMonteCarlo:
                                  workers=1)
         assert sizes == [4]
         assert pooled == serial > 0
+
+    @pytest.mark.parametrize("version, seed, match", [
+        ("v3", 0, "version must be"), ("v1", -1, "seed -1 is negative")])
+    def test_refuses_before_starting_a_pool(self, monkeypatch, version, seed,
+                                            match):
+        # the error names the caller's seed, not a derived session seed
+        import multiprocessing
+        import os
+        started = []
+        monkeypatch.setattr(multiprocessing, "Pool", started.append)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        with pytest.raises(ValueError, match=match):
+            ker_monte_carlo(version, KYBER512,
+                            (ChannelPlan(10, 10), ChannelPlan(10, -10)),
+                            trials=64, seed=seed, workers=2)
+        assert started == []
 
     def test_numpy_seed_matches_int_seed(self):
         # seed * 1_000_003 overflows int64 from about 9.2e12; at 2 dB on

@@ -252,6 +252,24 @@ class TestLegs:
         with pytest.raises(ValueError, match="differ in count"):
             send_key([bytes(32)] * 2, coeffs, NOISELESS, [NoiseSource(0)])
 
+    # zero sessions give empty results of the documented shapes, as keygen,
+    # wk_decrypt and run_sessions do
+    @pytest.mark.parametrize("call, shapes", [
+        pytest.param(lambda: send_coeffs(np.zeros((0, 3, N), np.int64),
+                                         NOMINAL, []),
+                     [(0, 3, N), (0,)], id="send_coeffs"),
+        pytest.param(lambda: send_key([], np.zeros((0, 2, N), np.int64),
+                                      NOMINAL, []),
+                     [(0,), (0, 2, N), (0,)], id="send_key"),
+        pytest.param(lambda: [flip_masks([], [(3, CODE_N, 0.1), (2, 2, 0.5)])],
+                     [(0, 5)], id="flip_masks"),
+    ])
+    def test_zero_sessions(self, call, shapes):
+        out = call()
+        assert [np.shape(x) for x in out] == shapes
+        assert all(x.dtype == np.int64 for x in out
+                   if isinstance(x, np.ndarray))
+
     def test_rejects_seeds_of_other_lengths(self):
         # 31 and 33 bytes join to 64, which would split as two 32-byte
         # seeds with one byte moved from the second session to the first
